@@ -23,9 +23,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, calibration, core, lindblad, protocols, spectroscopy
-from .records import fit_result_json, write_scan_csv, write_trace_csv
-
-_FMT = "%.12e"
+from .records import _FMT, fit_result_json, write_scan_csv, write_trace_csv
 
 
 class ConfigError(ValueError):

@@ -20,6 +20,7 @@ __all__ = [
     "CollectiveMode",
     "AsymmetricPair",
     "MAX_QUBITS",
+    "TWO_PI",
     "build_effective_hamiltonian",
     "exchange_matrix",
     "waveguide_decay_matrix",
@@ -40,6 +41,9 @@ __all__ = [
 # Hilbert dimension 2^5 = 32 is the largest configuration treated with
 # dense exact numerics.
 MAX_QUBITS = 5
+
+# Converts a linear frequency in MHz to an angular one in rad/us.
+TWO_PI = 2.0 * math.pi
 
 # Eigen-decays below this (MHz) are reported as exactly dark.
 DARK_DECAY_CLIP = 1e-9
@@ -287,11 +291,14 @@ def coupling_rate_2j(n_mirrors: int, g1d_mirror: float, g1d_probe: float) -> flo
 
 
 def probe_dark_coupling(spec: SystemSpec) -> float:
-    """Coupling rate 2J of the designated probe to the darkest mirror mode.
+    """Coupling rate 2J of the designated probe to the mirrors' dark subspace.
 
-    Works for arbitrary mirror rates and placements: the dark mode is the
-    zero-decay eigenvector of the mirror-block decay matrix, and 2J is
-    twice the exchange-matrix element between probe and that mode.
+    Works for arbitrary mirror rates and placements: the dark subspace is
+    spanned by the eigenvectors of the mirror-block decay matrix whose
+    eigenvalue lies within 1e-9 (relative) of the smallest, and 2J is twice
+    the norm of the probe's exchange row projected onto it.  With N ideal
+    half-wavelength mirrors the subspace is (N-1)-dimensional and the
+    result is sqrt(N g1d_mirror g1d_probe).
     """
     if spec.probe_index is None:
         raise ValueError("spec has no designated probe")
@@ -300,9 +307,10 @@ def probe_dark_coupling(spec: SystemSpec) -> float:
         raise ValueError("spec has no mirror qubits")
     gamma = waveguide_decay_matrix(spec)[np.ix_(mirrors, mirrors)]
     values, vectors = np.linalg.eigh(gamma)
-    dark_vec = vectors[:, np.argmin(values)]
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    dark = vectors[:, values <= values.min() + tol]
     j_row = exchange_matrix(spec)[spec.probe_index, mirrors]
-    return 2.0 * abs(float(j_row @ dark_vec))
+    return 2.0 * float(np.linalg.norm(dark.conj().T @ j_row))
 
 
 def cooperativity(two_j: float, g1d_probe: float, gprime_probe: float, gprime_dark: float) -> float:

@@ -3,17 +3,26 @@
 Hamiltonians inside :class:`LindbladModel` are angular (rad/us, i.e. 2*pi
 times a value in MHz); dissipator rates stay in MHz and pick up their
 2*pi factor exactly once, during Liouvillian assembly.  Times are in us.
+
+The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
+density matrix, built by one scatter of the operator factors' nonzeros.
+Time evolution integrates it with DOP853 (as a dense array up to Hilbert
+dimension DENSE_RHS_MAX_DIM, as CSR above); steady states come from one
+dense LU solve of the trace-bordered Liouvillian, whose LAPACK condition
+estimate flags a degenerate null space.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import eig, get_lapack_funcs
 
 from . import core
+from .core import TWO_PI
 from .records import TimeTrace
 
 __all__ = [
@@ -34,7 +43,14 @@ __all__ = [
     "quasi_static_average",
 ]
 
-TWO_PI = 2.0 * math.pi
+# Largest Hilbert dimension whose Liouvillian drives the ODE integrator as
+# a dense array; above it a CSR matvec is cheaper than the dense product,
+# below it the scipy.sparse call overhead costs more than the matvec.
+DENSE_RHS_MAX_DIM = 8
+
+# A trace-bordered Liouvillian with LAPACK reciprocal condition number
+# below this has a degenerate null space (more than one steady state).
+STEADY_RCOND_MIN = 1e-13
 
 
 class IntegrationError(RuntimeError):
@@ -42,7 +58,12 @@ class IntegrationError(RuntimeError):
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The Liouvillian null space is not one-dimensional."""
+    """The Liouvillian null space is not one-dimensional.
+
+    Detected by :func:`steady_state` as a trace-bordered Liouvillian whose
+    reciprocal condition number (LAPACK gecon on its LU factors) is below
+    STEADY_RCOND_MIN, or as a solution with a large residual.
+    """
 
 
 class ProductBasis:
@@ -308,30 +329,54 @@ def build_model(
     )
 
 
-def assemble_liouvillian(model: LindbladModel) -> np.ndarray:
-    """Superoperator L with vec(drho/dt) = L vec(rho), row-major vec.
+def _scatter_kron(terms, d: int):
+    """Row, column and value arrays of sum_k c_k A_k (x) B_k, d x d factors.
 
-    Output is angular (rad/us): dissipator rates are multiplied by 2*pi
-    here, the single place linear-frequency rates become angular.
+    Only the nonzeros of each factor enter: entry (i, j) of A and (k, l)
+    of B land at (i*d + k, j*d + l) with value c * A[i, j] * B[k, l].
+    """
+    rows, cols, vals = [], [], []
+    for coeff, left, right in terms:
+        li, lj = np.nonzero(left)
+        ri, rj = np.nonzero(right)
+        rows.append((li[:, None] * d + ri[None, :]).ravel())
+        cols.append((lj[:, None] * d + rj[None, :]).ravel())
+        vals.append((coeff * left[li, lj][:, None] * right[ri, rj][None, :]).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
+    """Superoperator L with vec(drho/dt) = L vec(rho), as a CSR matrix.
+
+    vec is row-major (vec(rho)[i*d + j] = rho[i, j]), so vec(A rho B) =
+    (A (x) B^T) vec(rho).  Writing the coherent part and the anticommutator
+    halves of the dissipators as rho -> K rho + rho K^dagger with
+    K = -iH - (1/2) sum_k gamma_k L_k^dagger L_k gives
+
+        L = K (x) 1 + 1 (x) K^* + sum_k gamma_k L_k (x) L_k^*,
+
+    which is built in one scatter of the factors' nonzeros (duplicates are
+    summed by the CSR conversion).  Output is angular (rad/us): dissipator
+    rates are multiplied by 2*pi here, the single place linear-frequency
+    rates become angular.
     """
     d = model.dimension
     eye = np.eye(d)
-    ham = model.hamiltonian
-    liouville = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
     terms = list(model.dissipators)
     if model.dephasing_matrix is not None:
         terms += correlated_dephasing_dissipator(model.dephasing_matrix, model.basis)
+    effective = -1j * model.hamiltonian
+    jumps = []
     for op, rate in terms:
         op = np.asarray(op, dtype=complex)
         if op.shape != (d, d):
             raise ValueError("jump operator dimension mismatch")
-        opdop = op.conj().T @ op
-        liouville += TWO_PI * rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(opdop, eye)
-            - 0.5 * np.kron(eye, opdop.T)
-        )
-    return liouville
+        effective = effective - 0.5 * TWO_PI * rate * (op.conj().T @ op)
+        jumps.append((TWO_PI * rate, op, op.conj()))
+    rows, cols, vals = _scatter_kron(
+        [(1.0, effective, eye), (1.0, eye, effective.conj())] + jumps, d
+    )
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -353,6 +398,8 @@ def _integrate(model: LindbladModel, rho0, times) -> list[np.ndarray]:
     if times.size == 1 or times[-1] == times[0]:
         return [rho]
     liouville = assemble_liouvillian(model)
+    if model.dimension <= DENSE_RHS_MAX_DIM:
+        liouville = liouville.toarray()
     sol = solve_ivp(
         lambda _t, y: liouville @ y,
         (times[0], times[-1]),
@@ -382,28 +429,38 @@ def evolve(model: LindbladModel, rho0, times) -> list[DensityMatrix]:
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
-    """Unique null vector of the Liouvillian, normalized to unit trace.
+    """Unique unit-trace null vector of the Liouvillian.
 
-    Raises DegenerateSteadyStateError when the second-smallest singular
-    value is below 1e-10 of the largest (e.g. a disconnected dark
-    subspace with no decay path).
+    Row 0 of L (the d rho_00/dt equation, linearly dependent on the other
+    population rows because L preserves trace) is replaced by the trace
+    functional vec(1)^T, and the bordered system A vec(rho) = e_0 is solved
+    with one dense LAPACK LU factorization.  Raises
+    DegenerateSteadyStateError when the reciprocal 1-norm condition number
+    of A, estimated from the LU factors, is below STEADY_RCOND_MIN (e.g. a
+    disconnected dark subspace with no decay path), or when the solution
+    leaves a residual |L rho| above 1e-10 of the 1-norm of A.
     """
+    d = model.dimension
     liouville = assemble_liouvillian(model)
-    _, singular, vh = np.linalg.svd(liouville)
-    if singular[-2] <= 1e-10 * singular[0]:
+    bordered = liouville.toarray()
+    bordered[0] = 0.0
+    bordered[0, :: d + 1] = 1.0
+    anorm = float(np.abs(bordered).sum(axis=0).max())
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (bordered,))
+    lu, piv, info = getrf(bordered, overwrite_a=True)
+    rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+    if rcond < STEADY_RCOND_MIN:
         raise DegenerateSteadyStateError(
-            "Liouvillian null space is degenerate "
-            f"(singular values {singular[-2]:.3e}, {singular[-1]:.3e})"
+            f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the "
+            f"trace-bordered matrix, below {STEADY_RCOND_MIN:.0e})"
         )
-    null = vh[-1].conj()
-    rho = null.reshape(model.dimension, model.dimension)
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    vec, _ = getrs(lu, piv, rhs)
+    rho = vec.reshape(d, d)
     rho = (rho + rho.conj().T) / 2.0
-    trace = np.trace(rho).real
-    if abs(trace) < 1e-12:
-        raise DegenerateSteadyStateError("null vector has vanishing trace")
-    rho /= trace
     residual = np.max(np.abs(liouville @ rho.reshape(-1)))
-    if residual > 1e-10 * max(1.0, singular[0]):
+    if residual > 1e-10 * max(1.0, anorm):
         raise DegenerateSteadyStateError(f"steady-state residual too large: {residual:.3e}")
     return DensityMatrix(rho)
 
@@ -416,9 +473,7 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     amplitude for the given initial state; exact where a least-squares
     fit of a multi-component damped signal would be biased.
     """
-    from scipy.linalg import eig
-
-    liouville = assemble_liouvillian(model)
+    liouville = assemble_liouvillian(model).toarray()
     values, left, right = eig(liouville, left=True)
     rho = _as_matrix(rho0).reshape(-1)
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from . import core, lindblad
+from .core import TWO_PI
 from .records import FitResult, TimeTrace
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "fit_exponential",
     "fit_damped_sinusoid",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # default parking offset (MHz) that decouples the probe during waits
 PARK_DETUNING = -50.0

@@ -19,6 +19,7 @@ from scipy.constants import h, hbar, k as k_boltzmann
 from scipy.optimize import least_squares
 
 from . import core, lindblad
+from .core import TWO_PI
 from .records import SpectrumScan
 from .util import parallel_map
 
@@ -37,8 +38,6 @@ __all__ = [
     "lorentzian_fit",
     "peak_splitting",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # default drive keeps the saturation parameter s = Omega^2/(Gamma1 Gamma2)
 # at 1 percent, where the extinction bias is linear and negligible

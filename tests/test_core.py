@@ -175,6 +175,22 @@ class TestClosedFormRates:
             splitting = freqs.max() - freqs.min()
             assert splitting == pytest.approx(core.coupling_rate_2j(2, g1d_m, g1d_p), abs=1e-9)
 
+    def test_probe_dark_coupling_sums_over_dark_subspace(self):
+        # four ideal mirrors leave a three-dimensional dark subspace; the
+        # probe couples to it at sqrt(4 g1d g1d_p), not to one arbitrary
+        # vector inside it
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            g1d_m, g1d_p = rng.uniform(0.5, 100.0, 2)
+            mirror, probe = QubitParams("M", g1d_m), QubitParams("P", g1d_p)
+            four = core.probe_dark_coupling(core.cavity_spec(mirror, probe, n_mirrors=4))
+            assert four == pytest.approx(core.coupling_rate_2j(4, g1d_m, g1d_p), rel=1e-9)
+            two = core.probe_dark_coupling(core.cavity_spec(mirror, probe))
+            assert two == pytest.approx(core.coupling_rate_2j(2, g1d_m, g1d_p), rel=1e-9)
+        assert core.probe_dark_coupling(
+            core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19), n_mirrors=4)
+        ) == pytest.approx(7.986, abs=5e-4)
+
     def test_cooperativity_values(self):
         assert core.cooperativity(5.647, 1.19, 0.3885, 0.210) == pytest.approx(96.2, abs=0.1)
         assert core.cooperativity(12.97, 0.87, 0.6705, 0.581) == pytest.approx(187.9, abs=0.2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import dense_liouvillian, svd_steady_state
+from scipy import sparse
 
 from wgqed import core, lindblad
 from wgqed.core import Placement, QubitParams, SystemSpec
@@ -34,6 +36,44 @@ def pair_spec(g1d, gloss=0.0, gphi=0.0, gphi_c=0.0, detunings=None):
     )
 
 
+def random_spec(rng, n, n_th=0.0):
+    """Random array with a direct coupling and a correlated dephasing pair."""
+    qubits = tuple(
+        (
+            QubitParams(f"Q{j}", rng.uniform(0.1, 50), rng.uniform(0, 1), rng.uniform(0, 1)),
+            Placement(rng.uniform(0, 7)),
+        )
+        for j in range(n)
+    )
+    corr, couplings = (), ()
+    if n > 1:
+        # a correlation below both individual rates keeps the matrix PSD
+        i, j = rng.choice(n, 2, replace=False)
+        rate = 0.9 * min(qubits[i][0].gamma_phi, qubits[j][0].gamma_phi)
+        corr = ((int(i), int(j), rate * rng.uniform(-1, 1)),)
+        couplings = ((0, n - 1, rng.uniform(-5, 5)),)
+    return SystemSpec(
+        qubits=qubits,
+        direct_couplings=couplings,
+        detunings=tuple(rng.uniform(-5, 5, n)),
+        n_th=n_th,
+        dephasing_correlations=corr,
+    )
+
+
+def random_drives(rng, n):
+    return tuple(
+        (j, complex(rng.uniform(0, 8), rng.uniform(-2, 2))) for j in range(n) if rng.random() < 0.7
+    ) or ((0, 3.0),)
+
+
+def assert_matches_dense(model):
+    liouville = assemble_liouvillian(model)
+    assert isinstance(liouville, sparse.csr_matrix)
+    reference = dense_liouvillian(model)
+    assert np.max(np.abs(liouville.toarray() - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def dark_vector(basis):
     return (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2)
 
@@ -64,7 +104,7 @@ class TestLiouvillian:
     def test_single_qubit_spectrum(self):
         basis = ProductBasis(1)
         model = LindbladModel(2, np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
-        eigenvalues = np.sort(np.linalg.eigvals(assemble_liouvillian(model)).real)
+        eigenvalues = np.sort(np.linalg.eigvals(dense_liouvillian(model)).real)
         expected = TWO_PI * np.array([-2.0, -1.0, -1.0, 0.0])
         assert np.allclose(eigenvalues, expected, atol=1e-9)
 
@@ -93,6 +133,31 @@ class TestLiouvillian:
         # one bright collective jump at 2*g1d, no dark jump
         assert len(model.dissipators) == 1
         assert model.dissipators[0][1] == pytest.approx(26.8, rel=1e-12)
+
+
+class TestSparseAgainstDenseOracle:
+    def test_random_driven_thermal_specs(self):
+        rng = np.random.default_rng(12)
+        for n, count in ((1, 6), (2, 6), (3, 5), (4, 3), (5, 1)):
+            for _ in range(count):
+                spec = random_spec(rng, n, n_th=rng.uniform(0, 0.3))
+                assert_matches_dense(build_model(spec, drives=random_drives(rng, n)))
+
+    def test_truncated_basis(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 4, 5):
+            for k in range(1, n):
+                spec = random_spec(rng, n)
+                model = build_model(spec, max_excitations=k)
+                assert model.basis.truncated and model.dephasing_matrix is not None
+                assert_matches_dense(model)
+
+    def test_hand_built_model_without_basis(self):
+        basis = ProductBasis(2)
+        ham = basis.number(0) - basis.number(1) + 0.3 * (basis.raising(0) @ basis.lowering(1))
+        ham = ham + ham.conj().T
+        ops = ((basis.lowering(0) + 0.5j * basis.lowering(1), 1.3), (basis.sigma_z(1), 0.2))
+        assert_matches_dense(LindbladModel(4, ham, ops))
 
 
 class TestEvolve:
@@ -164,6 +229,23 @@ class TestSteadyState:
     def test_degenerate_dark_subspace_reported(self):
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(build_model(pair_spec(13.4)))
+
+    @pytest.mark.parametrize("gamma_loss", [1e-3, 1e-5, 1e-7])
+    def test_slow_dark_decay_is_not_degenerate(self, gamma_loss):
+        # the dark state still decays, only slowly: unique steady state
+        rho = steady_state(build_model(pair_spec(13.4, gloss=gamma_loss))).elements
+        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_dense_svd_null_vector(self):
+        rng = np.random.default_rng(21)
+        cases = [(n, rng.uniform(0, 0.2)) for n in (1, 1, 2, 2, 2, 3, 3, 3, 4, 4)] + [(5, 0.05)]
+        for n, n_th in cases:
+            model = build_model(random_spec(rng, n, n_th=n_th), drives=random_drives(rng, n))
+            rho = steady_state(model).elements
+            assert np.max(np.abs(rho - svd_steady_state(model))) < 1e-9
+            assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_matches_thermal_closed_form_on_grid(self):
         g1d, gloss, gphi = 13.4, 0.0065, 0.21
