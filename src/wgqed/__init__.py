@@ -41,6 +41,7 @@ from .lindblad import (
     evolve,
     quasi_static_average,
     steady_state,
+    steady_states,
     thermal_qubit_steady,
 )
 from .records import FitResult, SpectrumScan, TimeTrace

@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, calibration, core, lindblad, protocols, spectroscopy
-from .records import _FMT, fit_result_json, write_scan_csv, write_trace_csv
+from .records import fit_result_json, write_scan_csv, write_table_csv, write_trace_csv
 
 
 class ConfigError(ValueError):
@@ -591,13 +591,12 @@ def _run_calib(_spec, params, prefix: Path) -> list[Path]:
         }
         if "flux_points" in block:
             flux = np.linspace(0.0, 1.0, block["flux_points"])
-            lines = ["flux_phi0,f01_ghz"]
-            for value in flux:
-                lines.append(
-                    ",".join(_FMT % x for x in (value, calibration.transmon_frequency(transmon, value)))
-                )
             flux_path = prefix.with_name(prefix.name + "_flux.csv")
-            flux_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_table_csv(
+                ("flux_phi0", "f01_ghz"),
+                ((value, calibration.transmon_frequency(transmon, value)) for value in flux),
+                flux_path,
+            )
             outputs.append(flux_path)
     if "resonator" in params:
         block = params["resonator"]
@@ -636,30 +635,28 @@ def _run_steady(spec, params, prefix: Path) -> list[Path]:
     rho = spectroscopy.driven_steady_state(
         spec, _drive_from_params(params), params["detuning_mhz"]
     )
-    lines = ["row,col,re,im"]
-    for i in range(rho.dimension):
-        for j in range(rho.dimension):
-            lines.append(
-                f"{i},{j}," + ",".join(_FMT % x for x in (rho.elements[i, j].real, rho.elements[i, j].imag))
-            )
+    dim = rho.dimension
     path = prefix.with_name(prefix.name + "_state.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table_csv(
+        ("row", "col", "re", "im"),
+        ((i, j, rho.elements[i, j].real, rho.elements[i, j].imag) for i in range(dim) for j in range(dim)),
+        path,
+    )
     return [path]
 
 
 def _run_modes(spec, _params, prefix: Path) -> list[Path]:
-    modes = core.collective_modes(spec)
-    header = ["mode,decay_mhz,shift_mhz"]
+    header = ["mode", "decay_mhz", "shift_mhz"]
     for j in range(spec.n_qubits):
-        header.append(f"re_amp{j},im_amp{j}")
-    lines = [",".join(header)]
-    for k, mode in enumerate(modes):
-        row = [str(k), _FMT % mode.decay_rate, _FMT % mode.frequency_shift]
+        header += [f"re_amp{j}", f"im_amp{j}"]
+    rows = []
+    for k, mode in enumerate(core.collective_modes(spec)):
+        row = [k, mode.decay_rate, mode.frequency_shift]
         for amp in mode.amplitudes:
-            row += [_FMT % amp.real, _FMT % amp.imag]
-        lines.append(",".join(row))
+            row += [amp.real, amp.imag]
+        rows.append(row)
     path = prefix.with_name(prefix.name + "_modes.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table_csv(header, rows, path)
     return [path]
 
 

@@ -7,9 +7,12 @@ times a value in MHz); dissipator rates stay in MHz and pick up their
 The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
 density matrix, built by one scatter of the operator factors' nonzeros.
 Time evolution integrates it with DOP853 (as a dense array up to Hilbert
-dimension DENSE_RHS_MAX_DIM, as CSR above); steady states come from one
+dimension DENSE_RHS_MAX_DIM, as CSR above).  Steady states come from one
 dense LU solve of the trace-bordered Liouvillian, whose LAPACK condition
-estimate flags a degenerate null space.
+estimate flags a degenerate null space.  A sweep over the drive detuning
+delta assembles the Liouvillian once: moving the drive frame only shifts
+the diagonal, L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b)
+and N the total excitation number of each basis state.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "assemble_liouvillian",
     "evolve",
     "steady_state",
+    "steady_states",
     "dominant_oscillation",
     "thermal_qubit_steady",
     "correlated_dephasing_dissipator",
@@ -60,7 +64,7 @@ class IntegrationError(RuntimeError):
 class DegenerateSteadyStateError(RuntimeError):
     """The Liouvillian null space is not one-dimensional.
 
-    Detected by :func:`steady_state` as a trace-bordered Liouvillian whose
+    Detected by :func:`steady_states` as a trace-bordered Liouvillian whose
     reciprocal condition number (LAPACK gecon on its LU factors) is below
     STEADY_RCOND_MIN, or as a solution with a large residual.
     """
@@ -428,21 +432,28 @@ def evolve(model: LindbladModel, rho0, times) -> list[DensityMatrix]:
     return [DensityMatrix(mat) for mat in _integrate(model, rho0, times)]
 
 
-def steady_state(model: LindbladModel) -> DensityMatrix:
-    """Unique unit-trace null vector of the Liouvillian.
+def _detuning_generator(basis: ProductBasis) -> np.ndarray:
+    """Diagonal of K = dL/d(delta) in the row-major vec basis (rad/us per MHz).
 
-    Row 0 of L (the d rho_00/dt equation, linearly dependent on the other
-    population rows because L preserves trace) is replaced by the trace
-    functional vec(1)^T, and the bordered system A vec(rho) = e_0 is solved
-    with one dense LAPACK LU factorization.  Raises
-    DegenerateSteadyStateError when the reciprocal 1-norm condition number
-    of A, estimated from the LU factors, is below STEADY_RCOND_MIN (e.g. a
-    disconnected dark subspace with no decay path), or when the solution
-    leaves a residual |L rho| above 1e-10 of the 1-norm of A.
+    Moving the drive frame by delta (MHz) lowers every qubit detuning by
+    delta, i.e. H -> H - 2 pi delta N with N the total excitation number,
+    so L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b).
     """
-    d = model.dimension
-    liouville = assemble_liouvillian(model)
+    counts = np.array([bin(s).count("1") for s in basis.states], dtype=float)
+    return 1j * TWO_PI * (counts[:, None] - counts[None, :]).reshape(-1)
+
+
+def _bordered_steady_state(liouville, generator, delta: float, d: int) -> DensityMatrix:
+    """One trace-bordered LU solve of L0 + delta K (see steady_states).
+
+    liouville is CSC, which densifies straight to Fortran order, so getrf
+    factors the bordered matrix in place: it is the only dense d^2 x d^2
+    array alive during the solve, and it is released on return.
+    """
     bordered = liouville.toarray()
+    if delta:
+        diagonal = np.arange(d * d)
+        bordered[diagonal, diagonal] += delta * generator
     bordered[0] = 0.0
     bordered[0, :: d + 1] = 1.0
     anorm = float(np.abs(bordered).sum(axis=0).max())
@@ -459,10 +470,50 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     vec, _ = getrs(lu, piv, rhs)
     rho = vec.reshape(d, d)
     rho = (rho + rho.conj().T) / 2.0
-    residual = np.max(np.abs(liouville @ rho.reshape(-1)))
+    vec = rho.reshape(-1)
+    flow = liouville @ vec
+    if delta:
+        flow += delta * generator * vec
+    residual = np.max(np.abs(flow))
     if residual > 1e-10 * max(1.0, anorm):
         raise DegenerateSteadyStateError(f"steady-state residual too large: {residual:.3e}")
     return DensityMatrix(rho)
+
+
+def steady_states(model: LindbladModel, detunings) -> list[DensityMatrix]:
+    """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
+
+    delta (MHz) moves the drive frame: every qubit detuning of ``model``
+    is lowered by delta, which changes only the diagonal of the Liouvillian
+    (see _detuning_generator).  So L0 is assembled once per sweep and each
+    point adds delta K to the diagonal of its dense copy.  Row 0 (the
+    d rho_00/dt equation, linearly dependent on the other population rows
+    because L preserves trace) is then replaced by the trace functional
+    vec(1)^T, and the bordered system A vec(rho) = e_0 is solved with one
+    dense LAPACK LU factorization.  Raises DegenerateSteadyStateError when
+    the reciprocal 1-norm condition number of A, estimated from the LU
+    factors, is below STEADY_RCOND_MIN (e.g. a disconnected dark subspace
+    with no decay path), or when the solution leaves a residual
+    |(L0 + delta K) rho| above 1e-10 of the 1-norm of A.  A nonzero detuning
+    needs the model's qubit basis (ValueError without one).
+    """
+    detunings = np.asarray(detunings, dtype=float).reshape(-1)
+    if model.basis is None:
+        if np.any(detunings != 0.0):
+            raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
+        generator = None
+    else:
+        generator = _detuning_generator(model.basis)
+    liouville = assemble_liouvillian(model).tocsc()
+    return [
+        _bordered_steady_state(liouville, generator, float(delta), model.dimension)
+        for delta in detunings
+    ]
+
+
+def steady_state(model: LindbladModel) -> DensityMatrix:
+    """Unique unit-trace null vector of the Liouvillian (steady_states at delta = 0)."""
+    return steady_states(model, (0.0,))[0]
 
 
 def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float = 0.05):

@@ -15,6 +15,7 @@ __all__ = [
     "SpectrumScan",
     "TimeTrace",
     "FitResult",
+    "write_table_csv",
     "write_scan_csv",
     "write_trace_csv",
     "fit_result_json",
@@ -88,27 +89,31 @@ class FitResult:
         return self.parameters[name][1]
 
 
-def _metadata_lines(metadata: dict) -> list[str]:
-    return [f"# {key}={metadata[key]}" for key in sorted(metadata)]
+def _cell(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return _FMT % value
+
+
+def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
+    """Write one CSV table: optional "# key=value" lines, header, data rows.
+
+    Integers are written as is, every other value with %.12e.
+    """
+    lines = [f"# {key}={metadata[key]}" for key in sorted(metadata or {})]
+    lines.append(",".join(header))
+    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_scan_csv(scan: SpectrumScan, path) -> None:
-    lines = _metadata_lines(scan.metadata)
-    lines.append("detuning_mhz,re_t,im_t,abs_t,abs_t_sq")
-    for d, t in zip(scan.detunings, scan.t_complex):
-        row = (d, t.real, t.imag, abs(t), abs(t) ** 2)
-        lines.append(",".join(_FMT % x for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ((d, t.real, t.imag, abs(t), abs(t) ** 2) for d, t in zip(scan.detunings, scan.t_complex))
+    write_table_csv(("detuning_mhz", "re_t", "im_t", "abs_t", "abs_t_sq"), rows, path, scan.metadata)
 
 
 def write_trace_csv(trace: TimeTrace, path) -> None:
-    lines = _metadata_lines(trace.metadata)
-    lines.append("time_ns,value")
-    for t, v in zip(trace.times, trace.values):
-        lines.append(",".join(_FMT % x for x in (t, v)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table_csv(("time_ns", "value"), zip(trace.times, trace.values), path, trace.metadata)
 
 
 def fit_result_json(fit: FitResult) -> str:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from dense_oracle import dense_liouvillian, svd_steady_state
+from sweep_oracle import shifted_model
 from scipy import sparse
 
 from wgqed import core, lindblad
@@ -20,6 +21,7 @@ from wgqed.lindblad import (
     evolve,
     quasi_static_average,
     steady_state,
+    steady_states,
     thermal_qubit_steady,
 )
 
@@ -263,6 +265,43 @@ class TestSteadyState:
                     ee, eg = thermal_qubit_steady(g1d, gloss, gphi, n_th, omega, delta)
                     assert rho[1, 1].real == pytest.approx(ee, abs=1e-9)
                     assert abs(rho[1, 0] - eg) < 1e-9
+
+
+class TestSteadyStateSweep:
+    """One assembly per sweep: L0 + delta K against a rebuilt model per point."""
+
+    def assert_sweep_matches(self, spec, drives, grid):
+        sweep = steady_states(build_model(spec, drives=drives), grid)
+        assert len(sweep) == len(grid)
+        for delta, rho in zip(grid, sweep):
+            model = shifted_model(spec, drives, delta)
+            rho = rho.elements
+            assert np.max(np.abs(rho - steady_state(model).elements)) < 1e-10
+            assert np.max(np.abs(rho - svd_steady_state(model))) < 1e-10
+
+    def test_matches_pointwise_and_dense_oracle(self):
+        rng = np.random.default_rng(77)
+        for n in (1, 1, 2, 2, 3, 3, 4):
+            spec = random_spec(rng, n, n_th=rng.uniform(0.01, 0.2))
+            grid = np.concatenate([[0.0], rng.uniform(-20, 20, 3)])
+            self.assert_sweep_matches(spec, random_drives(rng, n), grid)
+
+    def test_five_qubits_two_points(self):
+        rng = np.random.default_rng(78)
+        spec = random_spec(rng, 5, n_th=0.05)
+        self.assert_sweep_matches(spec, random_drives(rng, 5), np.array([-3.0, 4.5]))
+
+    def test_lossless_pair_sweep_is_degenerate(self):
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_states(build_model(pair_spec(13.4)), np.linspace(-5.0, 5.0, 5))
+
+    def test_nonzero_detuning_needs_a_basis(self):
+        basis = ProductBasis(1)
+        model = LindbladModel(2, np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
+        with pytest.raises(ValueError, match="basis"):
+            steady_states(model, [0.0, 1.0])
+        (rho,) = steady_states(model, [0.0])
+        assert rho.elements[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestThermalClosedForm:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from sweep_oracle import pointwise_transmission
 
-from wgqed import core, spectroscopy as sp
+from wgqed import core, lindblad, spectroscopy as sp
 from wgqed.core import Placement, QubitParams, SystemSpec
 from wgqed.records import SpectrumScan
 
@@ -124,6 +126,60 @@ class TestMultiQubitTransmission:
             spec, sp.DriveSpec(omega_rabi=0.02), np.array([-50.0 * linewidth, 50.0 * linewidth])
         )
         assert np.all(np.abs(scan.abs_t - 1.0) < 1e-3)
+
+
+class TestSweepAgainstPointwise:
+    """multi_qubit_transmission against one model build and solve per point."""
+
+    def random_spec(self, rng, n, n_th=0.0):
+        qubits = tuple(
+            (
+                QubitParams(f"Q{j}", rng.uniform(0.5, 30), rng.uniform(0, 0.3), rng.uniform(0, 0.3)),
+                Placement(rng.uniform(0, 7)),
+            )
+            for j in range(n)
+        )
+        corr = ((0, n - 1, 0.5 * min(q.gamma_phi for q, _ in qubits)),) if n > 1 else ()
+        couplings = ((0, n - 1, rng.uniform(-2, 2)),) if n > 1 else ()
+        return SystemSpec(
+            qubits=qubits,
+            detunings=tuple(rng.uniform(-3, 3, n)),
+            n_th=n_th,
+            dephasing_correlations=corr,
+            direct_couplings=couplings,
+        )
+
+    def test_waveguide_port(self):
+        rng = np.random.default_rng(33)
+        grid = np.linspace(-20, 20, 9)
+        specs = [core.cavity_spec(MIRROR1, PROBE, probe_detuning=1.0), core.mirror_pair_spec(MIRROR1)]
+        specs += [self.random_spec(rng, n, n_th) for n, n_th in ((1, 0.0), (2, 0.05), (3, 0.1))]
+        for spec in specs:
+            for drive in (sp.DriveSpec(), sp.DriveSpec(omega_rabi=3.0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    scan = sp.multi_qubit_transmission(spec, drive, grid)
+                reference = pointwise_transmission(spec, drive, grid)
+                assert np.max(np.abs(scan.t_complex - reference)) < 1e-12
+
+    def test_xy_port(self):
+        rng = np.random.default_rng(34)
+        grid = np.linspace(-10, 10, 9)
+        specs = [core.cavity_spec(MIRROR1, PROBE), self.random_spec(rng, 3, 0.05)]
+        for spec in specs:
+            for omega in (0.05, 2.0):
+                drive = sp.DriveSpec(port="xy", xy_qubit=1, omega_rabi=omega)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    scan = sp.multi_qubit_transmission(spec, drive, grid)
+                reference = pointwise_transmission(spec, drive, grid)
+                assert np.max(np.abs(scan.t_complex - reference)) < 1e-12
+
+    def test_lossless_pair_sweep_is_degenerate(self):
+        mirror = QubitParams("M", 13.4)
+        spec = core.mirror_pair_spec(mirror)
+        with pytest.raises(lindblad.DegenerateSteadyStateError):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), np.linspace(-5, 5, 5))
 
 
 class TestDriveSpec:
