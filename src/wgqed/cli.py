@@ -340,14 +340,14 @@ def load_config(path) -> dict:
     return config
 
 
-def _resolve_qubit(system: dict, ref) -> int:
-    labels = [q["label"] for q in system["qubits"]]
+def _resolve_qubit(labels, ref, where: str) -> int:
+    """Index of the qubit named by ref (label or index); errors name the key path where."""
     if isinstance(ref, int):
         if not 0 <= ref < len(labels):
-            raise ConfigError(f"config error at $.system: qubit index {ref} out of range")
+            raise ConfigError(f"config error at {where}: qubit index {ref} out of range")
         return ref
     if ref not in labels:
-        raise ConfigError(f"config error at $.system: unknown qubit label {ref!r}")
+        raise ConfigError(f"config error at {where}: unknown qubit label {ref!r}")
     return labels.index(ref)
 
 
@@ -367,7 +367,8 @@ def build_system(system: dict) -> core.SystemSpec:
         for q in system["qubits"]
     )
     probe = system.get("probe")
-    probe_index = None if probe is None else _resolve_qubit(system, probe)
+    labels = [q["label"] for q in system["qubits"]]
+    probe_index = None if probe is None else _resolve_qubit(labels, probe, "$.system.probe")
     try:
         return core.SystemSpec(
             qubits=qubits,
@@ -433,13 +434,8 @@ def _run_xy_spectrum(spec, params, prefix: Path) -> list[Path]:
         if spec.probe_index is None:
             raise ConfigError("config error at $.params.xy_qubit: no probe to default to")
         index = spec.probe_index
-    elif isinstance(target, str):
-        labels = [q.label for q in spec.params]
-        if target not in labels:
-            raise ConfigError(f"config error at $.params.xy_qubit: unknown label {target!r}")
-        index = labels.index(target)
     else:
-        index = int(target)
+        index = _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
     drive = spectroscopy.DriveSpec(port="xy", xy_qubit=index, omega_rabi=params["omega_rabi"])
     scan = spectroscopy.multi_qubit_transmission(spec, drive, _grid(params))
     out = prefix.with_name(prefix.name + "_spectrum.csv")

@@ -18,13 +18,12 @@ from scipy.optimize import curve_fit
 
 from . import core, lindblad
 from .core import TWO_PI
-from .records import FitResult, TimeTrace
+from .records import FitError, FitResult, TimeTrace
 
 __all__ = [
     "Segment",
     "PulseSequence",
     "CompoundResult",
-    "FitConvergenceError",
     "run_sequence",
     "rotate_qubit",
     "dark_state_vector",
@@ -44,14 +43,6 @@ __all__ = [
 
 # default parking offset (MHz) that decouples the probe during waits
 PARK_DETUNING = -50.0
-
-
-class FitConvergenceError(RuntimeError):
-    """Trace fit failed; carries the best parameters found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,6 @@ class Segment:
 @dataclass(frozen=True)
 class PulseSequence:
     segments: tuple[Segment, ...]
-    readout: str = "probe_population"
 
 
 @dataclass(frozen=True)
@@ -150,6 +140,12 @@ def _probe_excited(spec, basis):
     )
 
 
+def _probe_populations(spec, basis, states) -> np.ndarray:
+    """Probe excited-state population of each DensityMatrix in states."""
+    number_op = basis.number(spec.probe_index)
+    return np.array([state.population(number_op) for state in states])
+
+
 def interaction_detuning(spec: core.SystemSpec) -> float:
     """Probe detuning from the mean mirror frequency (MHz)."""
     probe = spec.probe_index
@@ -181,9 +177,7 @@ def iswap(spec: core.SystemSpec) -> tuple[PulseSequence, lindblad.DensityMatrix]
     """
     _require_probe(spec)
     duration = iswap_duration_ns(spec)
-    sequence = PulseSequence(
-        segments=(Segment(duration, tuple(spec.detunings)),), readout="dark_population"
-    )
+    sequence = PulseSequence(segments=(Segment(duration, tuple(spec.detunings)),))
     basis = lindblad.ProductBasis(spec.n_qubits)
     final = run_sequence(spec, sequence, _probe_excited(spec, basis))
     return sequence, final
@@ -202,40 +196,50 @@ def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> Ti
         detunings[probe] = probe_detuning
         spec = spec.with_detunings(detunings)
     model = lindblad.build_model(spec)
-    basis = model.basis
-    number_op = basis.number(probe)
-    states = lindblad.evolve(model, _probe_excited(spec, basis), taus * 1e-3)
-    values = [state.population(number_op) for state in states]
-    return TimeTrace(taus, np.array(values), metadata={"observable": "probe_population"})
+    states = lindblad.evolve(model, _probe_excited(spec, model.basis), taus * 1e-3)
+    return TimeTrace(
+        taus, _probe_populations(spec, model.basis, states),
+        metadata={"observable": "probe_population"},
+    )
 
 
-def _staged_wait_protocol(spec, wait_spec, delays_ns, prepare, finish, measure):
-    """Shared engine: resonant swap, variable wait, resonant swap, readout.
+def _staged_wait_protocol(spec, wait_spec, delays_ns, rho0, closing_angle) -> TimeTrace:
+    """Shared engine: resonant swap, variable wait, resonant swap, probe readout.
 
-    The wait Liouvillian is time-independent, so a single integration pass
-    over the delay grid yields every intermediate state.
+    rho0 is the initial state in the full product space of spec.  It is
+    held at the spec detunings for one swap time (iswap_duration_ns), then
+    under wait_spec for each delay (ns), then swapped back; a nonzero
+    closing_angle rotates the probe about x before the readout.  The wait
+    Liouvillian is time-independent, so a single integration pass over
+    the delay grid yields every intermediate state.  Returns the probe
+    population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
-    swap_us = iswap_duration_ns(spec) * 1e-3
+    swap = np.array([0.0, iswap_duration_ns(spec) * 1e-3])
     model = lindblad.build_model(spec)
     basis = model.basis
-    rho = prepare(basis)
-    rho = lindblad.evolve(model, rho, np.array([0.0, swap_us]))[-1].elements
+    rho = lindblad.evolve(model, rho0, swap)[-1].elements
 
     grid_us = delays_ns * 1e-3
     prepend = grid_us.size == 0 or grid_us[0] > 0.0
     if prepend:
         grid_us = np.concatenate(([0.0], grid_us))
-    wait_model = lindblad.build_model(wait_spec)
-    waited = lindblad.evolve(wait_model, rho, grid_us)
+    waited = lindblad.evolve(lindblad.build_model(wait_spec), rho, grid_us)
     if prepend:
         waited = waited[1:]
 
-    values = []
+    finals = []
     for state in waited:
-        back = lindblad.evolve(model, state.elements, np.array([0.0, swap_us]))[-1].elements
-        values.append(measure(finish(back, basis), basis))
-    return np.array(values)
+        back = lindblad.evolve(model, state.elements, swap)[-1]
+        if closing_angle:
+            back = lindblad.DensityMatrix(
+                rotate_qubit(back.elements, basis, spec.probe_index, closing_angle)
+            )
+        finals.append(back)
+    return TimeTrace(
+        delays_ns, _probe_populations(spec, basis, finals),
+        metadata={"observable": "probe_population"},
+    )
 
 
 def simulate_t1_dark(
@@ -251,16 +255,8 @@ def simulate_t1_dark(
     probe = _require_probe(spec)
     park = list(spec.detunings)
     park[probe] = park_detuning
-    number_op = lindblad.ProductBasis(spec.n_qubits).number(probe)
-    values = _staged_wait_protocol(
-        spec,
-        spec.with_detunings(park),
-        delays,
-        prepare=lambda basis: _probe_excited(spec, basis),
-        finish=lambda rho, basis: rho,
-        measure=lambda rho, basis: float(np.real(np.trace(number_op @ rho))),
-    )
-    trace = TimeTrace(np.asarray(delays, float), values, metadata={"observable": "probe_population"})
+    rho0 = _probe_excited(spec, lindblad.ProductBasis(spec.n_qubits))
+    trace = _staged_wait_protocol(spec, spec.with_detunings(park), delays, rho0, 0.0)
     return trace, fit_exponential(trace) if fit else None
 
 
@@ -281,19 +277,10 @@ def simulate_ramsey_dark(
     probe = _require_probe(spec)
     wait = [d + artificial_detuning for d in spec.detunings]
     wait[probe] = park_detuning
-    values = _staged_wait_protocol(
-        spec,
-        spec.with_detunings(wait),
-        delays,
-        prepare=lambda basis: rotate_qubit(
-            _ground_state(basis), basis, probe, math.pi / 2.0
-        ),
-        finish=lambda rho, basis: rotate_qubit(rho, basis, probe, math.pi / 2.0),
-        measure=lambda rho, basis: float(np.real(np.trace(basis.number(probe) @ rho))),
-    )
-    trace = TimeTrace(np.asarray(delays, float), values, metadata={"observable": "probe_population"})
-    fit = fit_damped_sinusoid(trace)
-    return trace, fit
+    basis = lindblad.ProductBasis(spec.n_qubits)
+    rho0 = rotate_qubit(_ground_state(basis), basis, probe, math.pi / 2.0)
+    trace = _staged_wait_protocol(spec, spec.with_detunings(wait), delays, rho0, math.pi / 2.0)
+    return trace, fit_damped_sinusoid(trace)
 
 
 def _ground_state(basis):
@@ -312,17 +299,13 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     """
     probe = _require_probe(spec)
     taus = np.asarray(taus, dtype=float)
-    swap_us = iswap_duration_ns(spec) * 1e-3
+    _, stored = iswap(spec)
     model = lindblad.build_model(spec)
-    basis = model.basis
-    rho = _probe_excited(spec, basis)
-    rho = lindblad.evolve(model, rho, np.array([0.0, swap_us]))[-1].elements
-    rho = rotate_qubit(rho, basis, probe, math.pi)
-    number_op = basis.number(probe)
+    rho = rotate_qubit(stored.elements, model.basis, probe, math.pi)
     states = lindblad.evolve(model, rho, taus * 1e-3)
     atomic = TimeTrace(
         taus,
-        np.array([state.population(number_op) for state in states]),
+        _probe_populations(spec, model.basis, states),
         metadata={"observable": "probe_population", "system": "atomic_cavity"},
     )
 
@@ -411,13 +394,11 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
         detunings[probe] = freq
         tuned = spec.with_detunings(detunings)
         model = lindblad.build_model(tuned, max_excitations=1)
-        basis = model.basis
-        number_op = basis.number(probe)
-        states = lindblad.evolve(model, _probe_excited(tuned, basis), taus * 1e-3)
+        states = lindblad.evolve(model, _probe_excited(tuned, model.basis), taus * 1e-3)
         traces.append(
             TimeTrace(
                 taus,
-                np.array([state.population(number_op) for state in states]),
+                _probe_populations(tuned, model.basis, states),
                 metadata={"observable": "probe_population", "dark_frequency_mhz": freq},
             )
         )
@@ -433,10 +414,10 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
     """Least-squares fit of a * exp(-t/T) + c to a time trace."""
     t, y = trace.times, trace.values
     if t.size < 8:
-        raise FitConvergenceError("need at least 8 points for an exponential fit")
+        raise FitError("need at least 8 points for an exponential fit")
     spread = float(np.ptp(y))
     if spread < 1e-9 * max(1.0, float(np.max(np.abs(y)))):
-        raise FitConvergenceError("constant trace: decay rate is unidentifiable")
+        raise FitError("constant trace: decay rate is unidentifiable")
     offset0 = float(y[-1])
     amp0 = float(y[0] - offset0)
     shifted = np.abs(y - offset0)
@@ -452,7 +433,7 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
             model, t, y, p0=[amp0, lifetime0, offset0], maxfev=20000
         )
     except RuntimeError as err:
-        raise FitConvergenceError(f"exponential fit failed: {err}") from err
+        raise FitError(f"exponential fit failed: {err}") from err
     sigmas = np.sqrt(np.abs(np.diag(cov)))
     residual = float(np.linalg.norm(model(t, *params) - y))
     rate, rate_sigma = _rate_from_lifetime(params[1], sigmas[1])
@@ -472,10 +453,10 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     """Least-squares fit of a * exp(-t/T) * cos(2 pi f t + phi) + c."""
     t, y = trace.times, trace.values
     if t.size < 8:
-        raise FitConvergenceError("need at least 8 points for a sinusoid fit")
+        raise FitError("need at least 8 points for a sinusoid fit")
     steps = np.diff(t)
     if np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
-        raise FitConvergenceError("sinusoid fit needs a uniform time grid")
+        raise FitError("sinusoid fit needs a uniform time grid")
     spectrum = np.fft.rfft(y - np.mean(y))
     freqs_mhz = np.fft.rfftfreq(t.size, d=steps[0] * 1e-3)
     # bins 0-1 hold the leakage of any decaying baseline, and a legitimate
@@ -500,7 +481,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         f0 = float(freqs_mhz[peak])
     span_us = (t[-1] - t[0]) * 1e-3
     if f0 * span_us < 2.0:
-        raise FitConvergenceError(
+        raise FitError(
             f"fewer than two visible periods (f ~ {f0:.3g} MHz over {span_us:.3g} us)"
         )
     phi0 = float(np.angle(spectrum[peak]))
@@ -523,7 +504,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         t_fit, y_fit = t, y - float(np.mean(y))
     amp0 = float(np.ptp(y_fit)) / 2.0
     if amp0 <= 0:
-        raise FitConvergenceError("no oscillation amplitude left after detrending")
+        raise FitError("no oscillation amplitude left after detrending")
 
     def model(t, amp, lifetime, f, phi, offset):
         return amp * np.exp(-t / lifetime) * np.cos(TWO_PI * f * t * 1e-3 + phi) + offset
@@ -546,7 +527,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
                 if best is None or residual < best[2]:
                     best = (params, cov, residual)
     if best is None:
-        raise FitConvergenceError(
+        raise FitError(
             "sinusoid fit failed from every starting point",
             best=(amp0, span_ns / 2.0, f0, phi0, 0.0),
         )
@@ -556,7 +537,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         params[0] = -params[0]
         params[3] += math.pi
     if params[2] * span_us < 2.0:
-        raise FitConvergenceError(
+        raise FitError(
             f"fewer than two visible periods (fit found {params[2]:.3g} MHz "
             f"over {span_us:.3g} us)",
             best=tuple(params),

@@ -24,6 +24,18 @@ __all__ = [
 _FMT = "%.12e"
 
 
+class FitError(RuntimeError):
+    """A fit failed or its data cannot identify the model.
+
+    Raised by the lineshape fits of spectroscopy and the trace fits of
+    protocols; best holds the best parameters found so far, if any.
+    """
+
+    def __init__(self, message, best=None):
+        super().__init__(message)
+        self.best = best
+
+
 @dataclass(frozen=True)
 class SpectrumScan:
     """Complex transmission amplitude versus drive detuning (MHz)."""

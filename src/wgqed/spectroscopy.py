@@ -20,11 +20,10 @@ from scipy.optimize import least_squares
 
 from . import core, lindblad
 from .core import TWO_PI
-from .records import SpectrumScan
+from .records import FitError, SpectrumScan
 
 __all__ = [
     "DriveSpec",
-    "FitError",
     "single_qubit_transmission",
     "multi_qubit_transmission",
     "driven_steady_state",
@@ -41,14 +40,6 @@ __all__ = [
 # default drive keeps the saturation parameter s = Omega^2/(Gamma1 Gamma2)
 # at 1 percent, where the extinction bias is linear and negligible
 DEFAULT_SATURATION = 0.01
-
-
-class FitError(RuntimeError):
-    """Lineshape fit failed; carries the best parameters found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -144,21 +135,37 @@ def _drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
     return amplitudes, None
 
 
-def _driven_model(spec, amplitudes_ang, detuning):
-    shifted = [d - detuning for d in spec.detunings]
+def _driven_model(spec, amplitudes_ang):
     return lindblad.build_model(
-        spec,
-        detunings=shifted,
-        drives=tuple((j, amplitudes_ang[j] / TWO_PI) for j in range(spec.n_qubits)),
+        spec, drives=tuple((j, amplitudes_ang[j] / TWO_PI) for j in range(spec.n_qubits))
     )
+
+
+def _emission_functional(spec: core.SystemSpec, basis) -> np.ndarray:
+    """Row vector w with w . vec(rho) = sum_j sqrt(gamma_1d,j/2) e^{-i phi_j} tr(sigma-_j rho).
+
+    This is the emitted part of the right-propagating output field (angular
+    units, like a_in); vec is row-major, so sigma-_j enters transposed.
+    """
+    g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
+    return sum(
+        math.sqrt(g1d_ang[j] / 2.0) * np.exp(-1j * spec.phases[j]) * basis.lowering(j).T
+        for j in range(spec.n_qubits)
+    ).reshape(-1)
 
 
 def driven_steady_state(
     spec: core.SystemSpec, drive: DriveSpec, detuning: float = 0.0
 ) -> lindblad.DensityMatrix:
-    """Steady state of the driven system at one drive detuning (MHz)."""
+    """Steady state of the driven system at one drive detuning (MHz).
+
+    The one-point case of the spectrum sweep: the driven model is built at
+    zero offset and the drive frame is moved by detuning through the
+    diagonal generator of lindblad.steady_states, so every qubit sits at
+    its spec detuning minus detuning.
+    """
     amplitudes, _ = _drive_amplitudes(spec, drive)
-    return lindblad.steady_state(_driven_model(spec, amplitudes, detuning))
+    return lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
 
 
 def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings) -> SpectrumScan:
@@ -169,27 +176,21 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     once, at zero offset; each grid point is the steady state of
     L0 + delta K, where the diagonal generator K moves the drive frame
     (lindblad.steady_states).  The emitted field is the linear functional
-    w . vec(rho) with w = sum_j sqrt(gamma_1d,j/2) e^{-i phi_j} vec(sigma-_j^T),
-    so t = 1 + w . vec(rho) / a_in for the waveguide port.  For that port
-    the scan is checked to stay passive (|t| <= 1); the xy port returns
-    w . vec(rho) normalized to the local drive Omega_xy/2, which resolves
-    the hybridized probe-dark resonances without the bright-state
-    background.
+    w . vec(rho) of _emission_functional, so t = 1 + w . vec(rho) / a_in
+    for the waveguide port.  For that port the scan is checked to stay
+    passive (|t| <= 1); the xy port returns w . vec(rho) normalized to the
+    local drive Omega_xy/2, which resolves the hybridized probe-dark
+    resonances without the bright-state background.
     """
     detunings = np.asarray(detunings, dtype=float)
-    n = spec.n_qubits
     amplitudes, a_in = _drive_amplitudes(spec, drive)
     radiative = np.linalg.eigvalsh(core.waveguide_decay_matrix(spec))
     bright_rates = radiative[radiative > 1e-6]
     if bright_rates.size and np.max(np.abs(amplitudes)) / TWO_PI > 0.3 * bright_rates.min():
         warnings.warn("drive exceeds 0.3x the narrowest radiative linewidth; "
                       "expect saturation effects", stacklevel=2)
-    model = _driven_model(spec, amplitudes, 0.0)
-    g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
-    emission = sum(
-        math.sqrt(g1d_ang[j] / 2.0) * np.exp(-1j * spec.phases[j]) * model.basis.lowering(j).T
-        for j in range(n)
-    ).reshape(-1)
+    model = _driven_model(spec, amplitudes)
+    emission = _emission_functional(spec, model.basis)
     emitted = np.array(
         [emission @ rho.elements.reshape(-1) for rho in lindblad.steady_states(model, detunings)]
     )
@@ -201,7 +202,7 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
         t_values = emitted / (amplitudes[drive.xy_qubit] / 2.0)
     metadata = {
         "port": drive.port,
-        "n_qubits": n,
+        "n_qubits": spec.n_qubits,
         "working_frequency_ghz": spec.working_frequency,
         "n_th": spec.n_th,
     }
@@ -236,24 +237,16 @@ def shelved_pair_quasi_steady(
         raise ValueError("rho_dd must lie in [0, 1]")
     spec = core.mirror_pair_spec(mirror, detunings=(-delta, -delta))
     gamma_b_ang = TWO_PI * (2.0 * mirror.gamma_1d + mirror.gamma_prime)
-    g1d_ang = TWO_PI * mirror.gamma_1d
     omega_1 = x_ratio * gamma_b_ang / math.sqrt(2.0)
-    a_in = omega_1 / (2.0 * math.sqrt(g1d_ang / 2.0))
-    phases = spec.phases
-    amplitudes = 2.0 * a_in * math.sqrt(g1d_ang / 2.0) * (-1j) * np.exp(1j * phases)
-    model = lindblad.build_model(
-        spec, drives=tuple((j, amplitudes[j] / TWO_PI) for j in range(2))
-    )
+    amplitudes, a_in = _drive_amplitudes(spec, DriveSpec(omega_rabi=omega_1 / TWO_PI))
+    model = _driven_model(spec, amplitudes)
     basis = model.basis
     dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2.0)
     ground = basis.ground_vector()
     rho0 = rho_dd * np.outer(dark, dark.conj()) + (1.0 - rho_dd) * np.outer(ground, ground.conj())
     settle = 30.0 / gamma_b_ang
     rho = lindblad.evolve(model, rho0, np.array([0.0, settle]))[-1].elements
-    emitted = sum(
-        math.sqrt(g1d_ang / 2.0) * np.exp(-1j * phases[j]) * np.trace(basis.lowering(j) @ rho)
-        for j in range(2)
-    )
+    emitted = _emission_functional(spec, basis) @ rho.reshape(-1)
     return complex(1.0 + emitted / a_in)
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from importlib.resources import files
 
 import numpy as np
@@ -148,6 +147,15 @@ class TestRun:
         excited = rows[(rows[:, 0] == 1) & (rows[:, 1] == 1)][0, 2]
         assert excited == pytest.approx(rho_ee, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [7, -1, "Q9"])
+    def test_bad_xy_qubit_is_config_error(self, tmp_path, capsys, target):
+        config = json.loads(open(bundled("fig2e_xy")).read())
+        config["params"].update(points=11, xy_qubit=target)
+        path = tmp_path / "xy.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "xy")]) == 1
+        assert "$.params.xy_qubit" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # lossless pair with no drive: degenerate steady state
         config = {
@@ -203,16 +211,6 @@ class TestReproducibility:
         m2 = json.loads((second / "pair_manifest.json").read_text())
         m1.pop("wall_time_s"), m2.pop("wall_time_s")
         assert m1 == m2
-
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        serial.mkdir(), threaded.mkdir()
-        assert cli.main(["run", bundled("fig1c_q4"), "--output", str(serial / "q4")]) == 0
-        monkeypatch.setenv("WGQED_THREADS", "4")
-        assert cli.main(["run", bundled("fig1c_q4"), "--output", str(threaded / "q4")]) == 0
-        assert (serial / "q4_spectrum.csv").read_bytes() == (
-            threaded / "q4_spectrum.csv"
-        ).read_bytes()
 
 
 class TestShelveExperiment:

@@ -5,7 +5,7 @@ import pytest
 
 from wgqed import core, lindblad, protocols as pr
 from wgqed.core import QubitParams, SystemSpec
-from wgqed.records import TimeTrace
+from wgqed.records import FitError, TimeTrace
 
 GLOSS = 0.0065
 MIRROR1 = QubitParams("M1", 13.4, GLOSS, 0.210)
@@ -43,18 +43,18 @@ class TestFits:
 
     def test_constant_trace_rejected(self):
         t = np.linspace(0, 100, 20)
-        with pytest.raises(pr.FitConvergenceError, match="unidentifiable"):
+        with pytest.raises(FitError, match="unidentifiable"):
             pr.fit_exponential(TimeTrace(t, np.full(20, 0.3)))
 
     def test_too_few_points_rejected(self):
         t = np.linspace(0, 100, 5)
-        with pytest.raises(pr.FitConvergenceError):
+        with pytest.raises(FitError):
             pr.fit_exponential(TimeTrace(t, np.exp(-t / 30)))
 
     def test_too_few_periods_rejected(self):
         t = np.linspace(0, 100, 40)
         y = np.cos(2 * math.pi * 0.005 * t)  # half a period over the span
-        with pytest.raises(pr.FitConvergenceError, match="periods"):
+        with pytest.raises(FitError, match="periods"):
             pr.fit_damped_sinusoid(TimeTrace(t, y))
 
 

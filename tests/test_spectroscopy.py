@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from sweep_oracle import pointwise_transmission
+from sweep_oracle import pointwise_transmission, shifted_model
 
 from wgqed import core, lindblad, spectroscopy as sp
 from wgqed.core import Placement, QubitParams, SystemSpec
-from wgqed.records import SpectrumScan
+from wgqed.records import FitError, SpectrumScan
 
 MIRROR1 = QubitParams.from_gamma_prime("M1", 13.4, 0.0065 + 2 * 0.210, 0.0065)
 PROBE = QubitParams.from_gamma_prime("P", 1.19, 0.0065 + 2 * 0.191, 0.0065)
@@ -129,7 +129,7 @@ class TestMultiQubitTransmission:
 
 
 class TestSweepAgainstPointwise:
-    """multi_qubit_transmission against one model build and solve per point."""
+    """The one-assembly sweep against one model build and solve per point."""
 
     def random_spec(self, rng, n, n_th=0.0):
         qubits = tuple(
@@ -174,6 +174,21 @@ class TestSweepAgainstPointwise:
                     scan = sp.multi_qubit_transmission(spec, drive, grid)
                 reference = pointwise_transmission(spec, drive, grid)
                 assert np.max(np.abs(scan.t_complex - reference)) < 1e-12
+
+    def test_driven_steady_state_at_nonzero_detuning(self):
+        rng = np.random.default_rng(35)
+        cases = [
+            (self.random_spec(rng, 1), sp.DriveSpec(omega_rabi=2.0), 0.7),
+            (self.random_spec(rng, 2, 0.05), sp.DriveSpec(), -1.3),
+            (core.cavity_spec(MIRROR1, PROBE, probe_detuning=1.0), sp.DriveSpec(omega_rabi=0.5), 2.1),
+            (self.random_spec(rng, 3), sp.DriveSpec(port="xy", xy_qubit=1, omega_rabi=1.5), -0.9),
+        ]
+        for spec, drive, offset in cases:
+            amplitudes, _ = sp._drive_amplitudes(spec, drive)
+            drives = tuple((j, amplitudes[j] / (2 * math.pi)) for j in range(spec.n_qubits))
+            reference = lindblad.steady_state(shifted_model(spec, drives, offset)).elements
+            rho = sp.driven_steady_state(spec, drive, offset).elements
+            assert np.max(np.abs(rho - reference)) < 1e-12
 
     def test_lossless_pair_sweep_is_degenerate(self):
         mirror = QubitParams("M", 13.4)
@@ -320,5 +335,5 @@ class TestLorentzianFit:
 
     def test_flat_scan_rejected(self):
         grid = np.linspace(-10, 10, 101)
-        with pytest.raises(sp.FitError, match="no resonance"):
+        with pytest.raises(FitError, match="no resonance"):
             sp.lorentzian_fit(SpectrumScan(grid, np.ones(101, dtype=complex)))
