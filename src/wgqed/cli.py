@@ -352,24 +352,24 @@ def _resolve_qubit(labels, ref, where: str) -> int:
 
 
 def build_system(system: dict) -> core.SystemSpec:
-    qubits = tuple(
-        (
-            core.QubitParams(
-                label=q["label"],
-                gamma_1d=q["gamma_1d"],
-                gamma_loss=q.get("gamma_loss", 0.0),
-                gamma_phi=q.get("gamma_phi", 0.0),
-                f_max=q.get("f_max"),
-                f_min=q.get("f_min"),
-            ),
-            core.Placement(q["phase_pi"] * math.pi),
-        )
-        for q in system["qubits"]
-    )
     probe = system.get("probe")
     labels = [q["label"] for q in system["qubits"]]
     probe_index = None if probe is None else _resolve_qubit(labels, probe, "$.system.probe")
     try:
+        qubits = tuple(
+            (
+                core.QubitParams(
+                    label=q["label"],
+                    gamma_1d=q["gamma_1d"],
+                    gamma_loss=q.get("gamma_loss", 0.0),
+                    gamma_phi=q.get("gamma_phi", 0.0),
+                    f_max=q.get("f_max"),
+                    f_min=q.get("f_min"),
+                ),
+                core.Placement(q["phase_pi"] * math.pi),
+            )
+            for q in system["qubits"]
+        )
         return core.SystemSpec(
             qubits=qubits,
             probe_index=probe_index,
@@ -428,14 +428,18 @@ def _run_spectrum(spec, params, prefix: Path) -> list[Path]:
     return [out]
 
 
-def _run_xy_spectrum(spec, params, prefix: Path) -> list[Path]:
+def _xy_qubit(spec, params: dict) -> int:
+    """Index of the xy-driven qubit: params.xy_qubit, or the probe by default."""
     target = params.get("xy_qubit")
     if target is None:
         if spec.probe_index is None:
             raise ConfigError("config error at $.params.xy_qubit: no probe to default to")
-        index = spec.probe_index
-    else:
-        index = _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
+        return spec.probe_index
+    return _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
+
+
+def _run_xy_spectrum(spec, params, prefix: Path) -> list[Path]:
+    index = _xy_qubit(spec, params)
     drive = spectroscopy.DriveSpec(port="xy", xy_qubit=index, omega_rabi=params["omega_rabi"])
     scan = spectroscopy.multi_qubit_transmission(spec, drive, _grid(params))
     out = prefix.with_name(prefix.name + "_spectrum.csv")
@@ -744,7 +748,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        load_config(args.config)
+        config = load_config(args.config)
+        spec = build_system(config["system"]) if "system" in config else None
+        if config["experiment"] == "xy-spectrum":
+            _xy_qubit(spec, config.get("params", {}))
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 1
@@ -765,7 +772,7 @@ def main(argv=None) -> int:
     list_parser = sub.add_parser("list", help="list available experiments")
     list_parser.add_argument("--json", action="store_true")
     list_parser.set_defaults(func=_cmd_list)
-    validate_parser = sub.add_parser("validate", help="schema-check a config")
+    validate_parser = sub.add_parser("validate", help="check a config's schema and qubit names")
     validate_parser.add_argument("config")
     validate_parser.set_defaults(func=_cmd_validate)
     args = parser.parse_args(argv)

@@ -6,10 +6,12 @@ times a value in MHz); dissipator rates stay in MHz and pick up their
 
 The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
 density matrix, built by one scatter of the operator factors' nonzeros.
-Time evolution integrates it with DOP853 (as a dense array up to Hilbert
-dimension DENSE_RHS_MAX_DIM, as CSR above).  Steady states come from one
-dense LU solve of the trace-bordered Liouvillian, whose LAPACK condition
-estimate flags a degenerate null space.  A sweep over the drive detuning
+Every Liouvillian here is time-independent over a segment, so time
+evolution is exact propagation: :func:`propagator` returns exp(L dt) by
+scaling and squaring (scipy.linalg.expm), and :func:`evolve` applies one
+such matrix per distinct grid step.  Steady states come from one dense LU
+solve of the trace-bordered Liouvillian, whose LAPACK condition estimate
+flags a degenerate null space.  A sweep over the drive detuning
 delta assembles the Liouvillian once: moving the drive frame only shifts
 the diagonal, L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b)
 and N the total excitation number of each basis state.
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.linalg import eig, get_lapack_funcs
+from scipy.linalg import eig, expm, get_lapack_funcs
 
 from . import core
 from .core import TWO_PI
@@ -33,10 +34,10 @@ __all__ = [
     "DensityMatrix",
     "LindbladModel",
     "NoiseSpec",
-    "IntegrationError",
     "DegenerateSteadyStateError",
     "build_model",
     "assemble_liouvillian",
+    "propagator",
     "evolve",
     "steady_state",
     "steady_states",
@@ -47,18 +48,9 @@ __all__ = [
     "quasi_static_average",
 ]
 
-# Largest Hilbert dimension whose Liouvillian drives the ODE integrator as
-# a dense array; above it a CSR matvec is cheaper than the dense product,
-# below it the scipy.sparse call overhead costs more than the matvec.
-DENSE_RHS_MAX_DIM = 8
-
 # A trace-bordered Liouvillian with LAPACK reciprocal condition number
 # below this has a degenerate null space (more than one steady state).
 STEADY_RCOND_MIN = 1e-13
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive integrator failed to reach the requested tolerance."""
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -389,47 +381,47 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def _integrate(model: LindbladModel, rho0, times) -> list[np.ndarray]:
-    """Adaptive integration (DOP853, rtol 1e-9 / atol 1e-12), raw matrices."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1D grid")
-    if times.size > 1 and np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    rho = _as_matrix(rho0)
-    if rho.shape != (model.dimension,) * 2:
-        raise ValueError("initial state dimension mismatch")
-    if times.size == 1 or times[-1] == times[0]:
-        return [rho]
-    liouville = assemble_liouvillian(model)
-    if model.dimension <= DENSE_RHS_MAX_DIM:
-        liouville = liouville.toarray()
-    sol = solve_ivp(
-        lambda _t, y: liouville @ y,
-        (times[0], times[-1]),
-        rho.reshape(-1),
-        method="DOP853",
-        rtol=1e-9,
-        atol=1e-12,
-        t_eval=times,
-    )
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else times[0]
-        raise IntegrationError(f"integration failed at t = {reached:.6g} us: {sol.message}")
-    out = []
-    for k in range(times.size):
-        mat = sol.y[:, k].reshape(model.dimension, model.dimension)
-        out.append((mat + mat.conj().T) / 2.0)
-    return out
+def propagator(model: LindbladModel, duration: float) -> np.ndarray:
+    """Dense exp(L duration) on the row-major vec, duration in us.
+
+    Exact for a time-independent segment: vec(rho(t + duration)) =
+    propagator(model, duration) @ vec(rho(t)).
+    """
+    return expm(assemble_liouvillian(model).toarray() * duration)
 
 
 def evolve(model: LindbladModel, rho0, times) -> list[DensityMatrix]:
-    """Integrate the master equation, returning the state at each grid time.
+    """Exact master-equation evolution, returning the state at each grid time.
 
-    The initial state is taken at times[0]; every output is validated as a
-    physical density matrix (trace, Hermiticity, positivity).
+    The initial state is taken at times[0]; each step applies
+    propagator(model, step), and steps equal within 1e-12 relative share
+    one matrix, so a uniform grid costs a single expm.  Every output is
+    hermitized and validated as a physical density matrix (trace,
+    Hermiticity, positivity).
     """
-    return [DensityMatrix(mat) for mat in _integrate(model, rho0, times)]
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a non-empty 1D grid")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    rho = _as_matrix(rho0)
+    d = model.dimension
+    if rho.shape != (d, d):
+        raise ValueError("initial state dimension mismatch")
+    propagators: list[tuple[float, np.ndarray]] = []
+    vec = rho.reshape(-1)
+    states = [DensityMatrix((rho + rho.conj().T) / 2.0)]
+    for step in np.diff(times):
+        for known, prop in propagators:
+            if abs(step - known) <= 1e-12 * known:
+                break
+        else:
+            prop = propagator(model, step)
+            propagators.append((step, prop))
+        vec = prop @ vec
+        mat = vec.reshape(d, d)
+        states.append(DensityMatrix((mat + mat.conj().T) / 2.0))
+    return states
 
 
 def _detuning_generator(basis: ProductBasis) -> np.ndarray:
@@ -611,9 +603,5 @@ def quasi_static_average(
     total = np.zeros(times.size)
     for k in range(noise.samples):
         model = model_builder(float(common[k]), float(diff[k]))
-        try:
-            states = _integrate(model, rho0, times)
-        except IntegrationError as err:
-            raise IntegrationError(f"sample {k}: {err}") from err
-        total += np.array([measure(state) for state in states])
+        total += np.array([measure(state.elements) for state in evolve(model, rho0, times)])
     return TimeTrace(times * 1e3, total / noise.samples, metadata={"samples": noise.samples})

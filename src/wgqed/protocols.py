@@ -3,8 +3,11 @@
 Sequences are piecewise-constant: flux steps are instantaneous detuning
 changes and state preparation pulses are idealized as instantaneous
 rotations of the probe (a resonant-drive segment is available for finite
-pulses).  Public time arguments and TimeTrace records are in ns; the
-underlying master-equation work runs in us.
+pulses).  Each segment is evolved exactly by lindblad.propagator.  Runs
+that only excite the probe and hold it (vacuum Rabi, compound mirrors)
+use the one-excitation sector whenever n_th = 0; protocols that rotate
+qubits need the full product space.  Public time arguments and TimeTrace
+records are in ns; the underlying master-equation work runs in us.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _require_probe(spec: core.SystemSpec) -> int:
 
 
 def rotate_qubit(rho: np.ndarray, basis, qubit: int, angle: float, axis_phase: float = 0.0):
-    """Apply an instantaneous rotation about an equatorial axis to one qubit."""
+    """Instantly rotate one qubit of a state (or a stack of them) about an equatorial axis."""
     if basis.truncated:
         raise ValueError("rotations need the full product space")
     sx = basis.lowering(qubit) + basis.raising(qubit)
@@ -114,14 +117,19 @@ def dark_population(spec: core.SystemSpec, basis, rho: np.ndarray) -> float:
     return float(np.real(np.vdot(dark, rho @ dark)))
 
 
-def _segment_model(spec, segment, max_excitations=None):
+def _segment_model(spec, segment):
     drives = tuple(
         (q, omega * complex(math.cos(phase), math.sin(phase)))
         for q, omega, phase in segment.drives
     )
-    return lindblad.build_model(
-        spec, detunings=segment.detunings, drives=drives, max_excitations=max_excitations
-    )
+    return lindblad.build_model(spec, detunings=segment.detunings, drives=drives)
+
+
+def _apply(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Hermitized propagator image of one state matrix or a stack of them."""
+    d = rho.shape[-1]
+    out = (rho.reshape(-1, d * d) @ propagator.T).reshape(rho.shape)
+    return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
 
 
 def run_sequence(spec: core.SystemSpec, sequence: PulseSequence, rho0) -> lindblad.DensityMatrix:
@@ -129,7 +137,7 @@ def run_sequence(spec: core.SystemSpec, sequence: PulseSequence, rho0) -> lindbl
     rho = rho0.elements if isinstance(rho0, lindblad.DensityMatrix) else np.asarray(rho0)
     for segment in sequence.segments:
         model = _segment_model(spec, segment)
-        rho = lindblad.evolve(model, rho, np.array([0.0, segment.duration_ns * 1e-3]))[-1].elements
+        rho = _apply(lindblad.propagator(model, segment.duration_ns * 1e-3), rho)
     return lindblad.DensityMatrix(rho)
 
 
@@ -183,6 +191,22 @@ def iswap(spec: core.SystemSpec) -> tuple[PulseSequence, lindblad.DensityMatrix]
     return sequence, final
 
 
+def _excite_hold_read(spec: core.SystemSpec, taus, metadata) -> TimeTrace:
+    """Probe population after preparing |e>_p and holding spec for each tau (ns).
+
+    With no drives and n_th = 0 the excitation number cannot rise, so the
+    run is exact in the one-excitation sector (dimension N + 1 instead of
+    2^N); with thermal excitation it needs the full product space.
+    """
+    taus = np.asarray(taus, dtype=float)
+    model = lindblad.build_model(spec, max_excitations=1 if spec.n_th == 0 else None)
+    states = lindblad.evolve(model, _probe_excited(spec, model.basis), taus * 1e-3)
+    return TimeTrace(
+        taus, _probe_populations(spec, model.basis, states),
+        metadata={"observable": "probe_population", **metadata},
+    )
+
+
 def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> TimeTrace:
     """Probe population after preparing |e>_p and holding for each tau (ns).
 
@@ -190,54 +214,38 @@ def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> Ti
     detuning gives the free-decay reference trace.
     """
     probe = _require_probe(spec)
-    taus = np.asarray(taus, dtype=float)
     if probe_detuning is not None:
         detunings = list(spec.detunings)
         detunings[probe] = probe_detuning
         spec = spec.with_detunings(detunings)
-    model = lindblad.build_model(spec)
-    states = lindblad.evolve(model, _probe_excited(spec, model.basis), taus * 1e-3)
-    return TimeTrace(
-        taus, _probe_populations(spec, model.basis, states),
-        metadata={"observable": "probe_population"},
-    )
+    return _excite_hold_read(spec, taus, {})
 
 
 def _staged_wait_protocol(spec, wait_spec, delays_ns, rho0, closing_angle) -> TimeTrace:
     """Shared engine: resonant swap, variable wait, resonant swap, probe readout.
 
-    rho0 is the initial state in the full product space of spec.  It is
-    held at the spec detunings for one swap time (iswap_duration_ns), then
-    under wait_spec for each delay (ns), then swapped back; a nonzero
-    closing_angle rotates the probe about x before the readout.  The wait
-    Liouvillian is time-independent, so a single integration pass over
-    the delay grid yields every intermediate state.  Returns the probe
-    population versus delay.
+    rho0 is a state of the full product space of spec (the Ramsey pulses
+    rotate the probe out of every excitation-number sector).  It is held
+    at the spec detunings for one swap time (iswap_duration_ns), under
+    wait_spec for each delay (ns), then swapped back; a nonzero
+    closing_angle rotates the probe about x before the readout.  One
+    evolution over the delay grid gives every waited state, and the swap
+    propagator, built once, maps them all back in one product.  Returns
+    the probe population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
-    swap = np.array([0.0, iswap_duration_ns(spec) * 1e-3])
+    delays_us = delays_ns * 1e-3
     model = lindblad.build_model(spec)
-    basis = model.basis
-    rho = lindblad.evolve(model, rho0, swap)[-1].elements
-
-    grid_us = delays_ns * 1e-3
-    prepend = grid_us.size == 0 or grid_us[0] > 0.0
-    if prepend:
-        grid_us = np.concatenate(([0.0], grid_us))
-    waited = lindblad.evolve(lindblad.build_model(wait_spec), rho, grid_us)
-    if prepend:
-        waited = waited[1:]
-
-    finals = []
-    for state in waited:
-        back = lindblad.evolve(model, state.elements, swap)[-1]
-        if closing_angle:
-            back = lindblad.DensityMatrix(
-                rotate_qubit(back.elements, basis, spec.probe_index, closing_angle)
-            )
-        finals.append(back)
+    wait = lindblad.build_model(wait_spec)
+    swap = lindblad.propagator(model, iswap_duration_ns(spec) * 1e-3)
+    rho = _apply(lindblad.propagator(wait, delays_us[0]) @ swap, rho0)
+    waited = np.array([state.elements for state in lindblad.evolve(wait, rho, delays_us)])
+    finals = _apply(swap, waited)
+    if closing_angle:
+        finals = rotate_qubit(finals, model.basis, spec.probe_index, closing_angle)
+    states = [lindblad.DensityMatrix(mat) for mat in finals]
     return TimeTrace(
-        delays_ns, _probe_populations(spec, basis, finals),
+        delays_ns, _probe_populations(spec, model.basis, states),
         metadata={"observable": "probe_population"},
     )
 
@@ -373,7 +381,6 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     probe = _require_probe(spec)
     if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
         raise ValueError("compound-mirror spec needs four directly coupled mirrors")
-    taus = np.asarray(taus, dtype=float)
     mirrors = list(spec.mirror_indices)
     block = core.build_effective_hamiltonian(spec)[np.ix_(mirrors, mirrors)]
     values, vectors = np.linalg.eig(block)
@@ -392,15 +399,8 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     for freq in dark_freqs:
         detunings = list(spec.detunings)
         detunings[probe] = freq
-        tuned = spec.with_detunings(detunings)
-        model = lindblad.build_model(tuned, max_excitations=1)
-        states = lindblad.evolve(model, _probe_excited(tuned, model.basis), taus * 1e-3)
         traces.append(
-            TimeTrace(
-                taus,
-                _probe_populations(tuned, model.basis, states),
-                metadata={"observable": "probe_population", "dark_frequency_mhz": freq},
-            )
+            _excite_hold_read(spec.with_detunings(detunings), taus, {"dark_frequency_mhz": freq})
         )
     return CompoundResult(tuple(traces), splitting, dark_freqs)
 
@@ -536,6 +536,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     if params[0] < 0:  # fold the sign into the phase
         params[0] = -params[0]
         params[3] += math.pi
+    params[3] = math.pi - (math.pi - params[3]) % TWO_PI  # into (-pi, pi]
     if params[2] * span_us < 2.0:
         raise FitError(
             f"fewer than two visible periods (fit found {params[2]:.3g} MHz "

@@ -47,6 +47,17 @@ class TestValidation:
         for entry in files("wgqed").joinpath("configs").iterdir():
             assert cli.main(["validate", str(entry)]) == 0
 
+    @pytest.mark.parametrize(
+        "section, key, value", [("system", "probe", "nope"), ("params", "xy_qubit", 7)]
+    )
+    def test_unknown_qubit_reference_named(self, tmp_path, capsys, section, key, value):
+        config = json.loads(open(bundled("fig2e_xy")).read())
+        config[section][key] = value
+        path = tmp_path / "ref.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"$.{section}.{key}" in capsys.readouterr().err
+
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("not json at all")
@@ -155,6 +166,18 @@ class TestRun:
         path.write_text(json.dumps(config))
         assert cli.main(["run", str(path), "--output", str(tmp_path / "xy")]) == 1
         assert "$.params.xy_qubit" in capsys.readouterr().err
+
+    def test_thermal_compound_runs_in_full_space(self, tmp_path):
+        config = json.loads(open(bundled("fig4_compound")).read())
+        config["system"]["n_th"] = 0.02
+        config["params"].update(tau_max_ns=200.0, points=21)
+        path = tmp_path / "compound.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "c")]) == 0
+        for dark in ("dark1", "dark2"):
+            _, rows = read_csv(tmp_path / f"c_{dark}.csv")
+            assert rows[0, 1] == pytest.approx(1.0)
+            assert np.all((rows[:, 1] > 0.0) & (rows[:, 1] < 1.0 + 1e-9))
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # lossless pair with no drive: degenerate steady state

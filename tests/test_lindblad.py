@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from dense_oracle import dense_liouvillian, svd_steady_state
+from ode_oracle import dop853_states
 from sweep_oracle import shifted_model
 from scipy import sparse
 
@@ -19,6 +20,7 @@ from wgqed.lindblad import (
     correlated_dephasing_dissipator,
     dark_state_rates,
     evolve,
+    propagator,
     quasi_static_average,
     steady_state,
     steady_states,
@@ -219,6 +221,64 @@ class TestEvolve:
             for s in evolve(trunc, rho_trunc, times)
         ]
         assert np.allclose(pop_full, pop_trunc, atol=1e-9)
+
+
+def random_mixed_state(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestPropagatorAgainstODEOracle:
+    """Exact propagation against adaptive DOP853 at tight tolerances."""
+
+    @staticmethod
+    def assert_matches_oracle(model, rho0, times):
+        states = evolve(model, rho0, times)
+        reference = dop853_states(model, rho0, times, rtol=1e-11, atol=1e-13)
+        assert len(states) == len(reference)
+        for state, ref in zip(states, reference):
+            assert np.max(np.abs(state.elements - ref)) < 1e-8
+
+    def test_random_driven_thermal_dephased_specs(self):
+        rng = np.random.default_rng(21)
+        for n, count in ((1, 4), (2, 4), (3, 3), (4, 2), (5, 1)):
+            for _ in range(count):
+                spec = random_spec(rng, n, n_th=rng.uniform(0, 0.3))
+                model = build_model(spec, drives=random_drives(rng, n))
+                times = np.linspace(0.0, rng.uniform(0.02, 0.1), 6)
+                self.assert_matches_oracle(model, random_mixed_state(rng, model.dimension), times)
+
+    def test_non_uniform_grid(self):
+        rng = np.random.default_rng(22)
+        spec = random_spec(rng, 3, n_th=0.1)
+        model = build_model(spec, drives=random_drives(rng, 3))
+        times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.001, 0.02, 9))))
+        self.assert_matches_oracle(model, random_mixed_state(rng, model.dimension), times)
+
+    def test_one_propagator_per_distinct_step(self, monkeypatch):
+        calls = []
+
+        def counting(model, duration):
+            calls.append(duration)
+            return propagator(model, duration)
+
+        monkeypatch.setattr(lindblad, "propagator", counting)
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        rho0 = DensityMatrix.from_state_vector(dark_vector(model.basis))
+        evolve(model, rho0, np.linspace(0.0, 1.3, 101))
+        assert len(calls) == 1
+        calls.clear()
+        evolve(model, rho0, np.cumsum([0.0, 0.1, 0.3, 0.1, 0.1, 0.3, 0.05]))
+        assert calls == pytest.approx([0.1, 0.3, 0.05])
+
+    def test_propagator_composes(self):
+        rng = np.random.default_rng(23)
+        model = build_model(random_spec(rng, 2, n_th=0.1), drives=random_drives(rng, 2))
+        whole = propagator(model, 0.05)
+        halves = propagator(model, 0.02) @ propagator(model, 0.03)
+        assert np.max(np.abs(whole - halves)) < 1e-12
+        assert np.max(np.abs(propagator(model, 0.0) - np.eye(model.dimension**2))) < 1e-14
 
 
 class TestSteadyState:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from ode_oracle import dop853_states
 
 from wgqed import core, lindblad, protocols as pr
 from wgqed.core import QubitParams, SystemSpec
@@ -57,6 +58,17 @@ class TestFits:
         with pytest.raises(FitError, match="periods"):
             pr.fit_damped_sinusoid(TimeTrace(t, y))
 
+    def test_phase_in_half_open_interval(self):
+        # the sign fold and a start near +-pi can land the fit a period away
+        t = np.linspace(0, 1000, 120)
+        for phase in (-3.0, -1.5, 0.0, 1.5, 3.0):
+            for amp in (0.4, -0.4):
+                y = 0.5 + amp * np.cos(2 * math.pi * 5.65 * t * 1e-3 + phase) * np.exp(-t / 400.0)
+                fitted = pr.fit_damped_sinusoid(TimeTrace(t, y)).value("phase_rad")
+                assert -math.pi < fitted <= math.pi
+                expected = phase + (math.pi if amp < 0 else 0.0)
+                assert abs(math.remainder(fitted - expected, 2 * math.pi)) < 0.1
+
 
 class TestVacuumRabi:
     def test_oscillation_at_generalized_frequency(self):
@@ -86,6 +98,29 @@ class TestVacuumRabi:
         trace = pr.simulate_vacuum_rabi(spec, np.linspace(0, 2 * period, 81))
         # minimum reaches zero: perfect fringe visibility
         assert trace.values.min() < 1e-4
+
+    @pytest.mark.parametrize("n_mirrors, n_th, dimension", [(4, 0.0, 6), (2, 0.05, 8)])
+    def test_sector_rule_matches_full_space(self, monkeypatch, n_mirrors, n_th, dimension):
+        # one-excitation sector at n_th = 0, full product space otherwise;
+        # the reference integrates the full space with DOP853
+        spec = core.cavity_spec(MIRROR1, PROBE, n_mirrors=n_mirrors, probe_detuning=0.5, n_th=n_th)
+        taus = np.linspace(0, 400, 81)
+        dimensions, evolve = [], lindblad.evolve
+        monkeypatch.setattr(
+            lindblad,
+            "evolve",
+            lambda model, *args: dimensions.append(model.dimension) or evolve(model, *args),
+        )
+        trace = pr.simulate_vacuum_rabi(spec, taus)
+        assert dimensions == [dimension]
+        full = lindblad.build_model(spec)
+        excited = full.basis.basis_vector(1 << spec.probe_index)
+        reference = dop853_states(
+            full, np.outer(excited, excited.conj()), taus * 1e-3, rtol=1e-11, atol=1e-13
+        )
+        number = full.basis.number(spec.probe_index)
+        expected = [np.real(np.trace(number @ rho)) for rho in reference]
+        assert np.max(np.abs(trace.values - expected)) < 1e-9
 
 
 class TestIswap:
