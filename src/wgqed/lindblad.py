@@ -8,7 +8,7 @@ The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
 density matrix, built by one scatter of the operator factors' nonzeros.
 Every Liouvillian here is time-independent over a segment, so time
 evolution is exact propagation: :func:`propagator` returns exp(L dt) by
-scaling and squaring (scipy.linalg.expm), and :func:`evolve` applies one
+scaling and squaring a Taylor polynomial, and :func:`evolve` applies one
 such matrix per distinct grid step.  Steady states come from one dense LU
 solve of the trace-bordered Liouvillian, whose LAPACK condition estimate
 flags a degenerate null space.  A sweep over the drive detuning
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eig, expm, get_lapack_funcs
+from scipy.linalg import eig, get_lapack_funcs
 
 from . import core
 from .core import TWO_PI
@@ -88,9 +88,6 @@ class ProductBasis:
     def truncated(self) -> bool:
         return len(self.states) < 2**self.n_qubits
 
-    def index_of(self, bitmask: int) -> int:
-        return self._index[bitmask]
-
     def basis_vector(self, bitmask: int) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=complex)
         vec[self._index[bitmask]] = 1.0
@@ -117,9 +114,6 @@ class ProductBasis:
     def sigma_z(self, j: int) -> np.ndarray:
         bit = 1 << j
         return np.diag([1.0 if s & bit else -1.0 for s in self.states])
-
-    def total_excitation(self) -> np.ndarray:
-        return np.diag([float(bin(s).count("1")) for s in self.states])
 
 
 @dataclass(frozen=True)
@@ -149,9 +143,6 @@ class DensityMatrix:
     @property
     def dimension(self) -> int:
         return self.elements.shape[0]
-
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(op @ self.elements))
 
     def population(self, op: np.ndarray) -> float:
         return float(np.real(np.trace(op @ self.elements)))
@@ -213,7 +204,7 @@ class LindbladModel:
             object.__setattr__(self, "dephasing_matrix", mat)
 
 
-def _check_dephasing_psd(mat: np.ndarray) -> np.ndarray:
+def _check_dephasing_psd(mat: np.ndarray) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("dephasing matrix must be square")
     if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
@@ -223,7 +214,6 @@ def _check_dephasing_psd(mat: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dephasing matrix is not positive semidefinite; eigenvalues {eigenvalues}"
         )
-    return eigenvalues
 
 
 def correlated_dephasing_dissipator(
@@ -311,16 +301,12 @@ def build_model(
     for i, j, rate in spec.dephasing_correlations:
         dephasing[i, j] += rate
         dephasing[j, i] += rate
-    if not dephasing.any():
-        dephasing_matrix = None
-    else:
-        dephasing_matrix = dephasing
 
     return LindbladModel(
         dimension=basis.dimension,
         hamiltonian=ham,
         dissipators=tuple(dissipators),
-        dephasing_matrix=dephasing_matrix,
+        dephasing_matrix=dephasing if dephasing.any() else None,
         basis=basis,
     )
 
@@ -387,7 +373,24 @@ def propagator(model: LindbladModel, duration: float) -> np.ndarray:
     Exact for a time-independent segment: vec(rho(t + duration)) =
     propagator(model, duration) @ vec(rho(t)).
     """
-    return expm(assemble_liouvillian(model).toarray() * duration)
+    return _expm(assemble_liouvillian(model).toarray() * duration)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): a degree-18 Taylor polynomial of a / 2^s (1-norm <= 1, error
+    1/19! ~ 8e-18), squared s times.  numpy products only: scipy.linalg.expm
+    runs on scipy's own BLAS thread pool, which contends with numpy's and
+    stalled a 64 x 64 exponential from 0.3 ms to 0.3 s on a 2-core host.
+    """
+    squarings = int(np.ceil(np.log2(max(float(np.abs(a).sum(axis=0).max()), 1.0))))
+    x = a / 2.0**squarings
+    term = result = np.eye(len(a), dtype=a.dtype)
+    for k in range(1, 19):
+        term = term @ x / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def evolve(model: LindbladModel, rho0, times) -> list[DensityMatrix]:

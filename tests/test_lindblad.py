@@ -6,6 +6,7 @@ from dense_oracle import dense_liouvillian, svd_steady_state
 from ode_oracle import dop853_states
 from sweep_oracle import shifted_model
 from scipy import sparse
+from scipy.linalg import expm
 
 from wgqed import core, lindblad
 from wgqed.core import Placement, QubitParams, SystemSpec
@@ -279,6 +280,24 @@ class TestPropagatorAgainstODEOracle:
         halves = propagator(model, 0.02) @ propagator(model, 0.03)
         assert np.max(np.abs(whole - halves)) < 1e-12
         assert np.max(np.abs(propagator(model, 0.0) - np.eye(model.dimension**2))) < 1e-14
+
+    def test_matches_scipy_expm_from_zero_to_ten_squarings(self):
+        rng = np.random.default_rng(24)
+        model = build_model(random_spec(rng, 3, n_th=0.1), drives=random_drives(rng, 3))
+        liouville = assemble_liouvillian(model).toarray()
+        norm = np.abs(liouville).sum(axis=0).max()
+        # just below a power of two, the Taylor argument's norm is nearly 1
+        for scale in (0.999, 1.999, 1000.0):
+            reference = expm(liouville * (scale / norm))
+            error = np.max(np.abs(propagator(model, scale / norm) - reference))
+            assert error < 1e-14 * scale
+
+    def test_long_hold_reaches_the_steady_state(self):
+        rng = np.random.default_rng(25)
+        model = build_model(random_spec(rng, 2, n_th=0.2), drives=random_drives(rng, 2))
+        d = model.dimension
+        rho = propagator(model, 50.0) @ random_mixed_state(rng, d).reshape(-1)
+        assert np.max(np.abs(rho.reshape(d, d) - steady_state(model).elements)) < 1e-9
 
 
 class TestSteadyState:
