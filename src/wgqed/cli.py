@@ -17,13 +17,15 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 import numpy as np
 
-from . import __version__, calibration, core, lindblad, protocols, spectroscopy
-from .records import fit_result_json, write_scan_csv, write_table_csv, write_trace_csv
+from . import __version__, calibration, core, lindblad, protocols, records, spectroscopy
 
 
 class ConfigError(ValueError):
@@ -33,65 +35,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # schemas
 
-_QUBIT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["label", "gamma_1d", "phase_pi"],
-    "properties": {
-        "label": {"type": "string"},
-        "gamma_1d": {"type": "number", "minimum": 0},
-        "gamma_loss": {"type": "number", "minimum": 0},
-        "gamma_phi": {"type": "number", "minimum": 0},
-        "phase_pi": {"type": "number"},
-        "f_max": {"type": "number"},
-        "f_min": {"type": "number"},
-    },
-}
 
-_SYSTEM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["qubits"],
-    "properties": {
-        "qubits": {"type": "array", "minItems": 1, "maxItems": 5, "items": _QUBIT_SCHEMA},
-        "probe": {"type": ["string", "integer"]},
-        "detunings": {"type": "array", "items": {"type": "number"}},
-        "direct_couplings": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": {"type": "number"},
-            },
-        },
-        "dephasing_correlations": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": {"type": "number"},
-            },
-        },
-        "n_th": {"type": "number", "minimum": 0},
-        "working_frequency_ghz": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_GRID = {
-    "start_mhz": {"type": "number"},
-    "stop_mhz": {"type": "number"},
-    "points": {"type": "integer", "minimum": 3},
-}
-
-_DRIVE = {
-    "omega_rabi": {"type": "number", "exclusiveMinimum": 0},
-    "power_dbm": {"type": "number"},
-}
-
-
-def _params_schema(properties, required=()):
+def _object_schema(properties, required=()):
+    """Schema of a JSON object with exactly these properties."""
     return {
         "type": "object",
         "additionalProperties": False,
@@ -100,198 +46,36 @@ def _params_schema(properties, required=()):
     }
 
 
-_EXPERIMENTS: dict[str, dict] = {
-    "spectrum": {
-        "description": "waveguide transmission spectrum over a detuning grid",
-        "needs_system": True,
-        "schema": _params_schema({**_GRID, **_DRIVE}, required=["start_mhz", "stop_mhz", "points"]),
-        "docs": {
-            "start_mhz/stop_mhz/points": "detuning grid relative to the working frequency",
-            "omega_rabi | power_dbm": "drive strength (default: saturation 0.01)",
-        },
+_QUBIT_SCHEMA = _object_schema(
+    {
+        "label": {"type": "string"},
+        "gamma_1d": {"type": "number", "minimum": 0},
+        "gamma_loss": {"type": "number", "minimum": 0},
+        "gamma_phi": {"type": "number", "minimum": 0},
+        "phase_pi": {"type": "number"},
+        "f_max": {"type": "number"},
+        "f_min": {"type": "number"},
     },
-    "xy-spectrum": {
-        "description": "local-drive to waveguide-output spectrum (no bright background)",
-        "needs_system": True,
-        "schema": _params_schema(
-            {**_GRID, "omega_rabi": _DRIVE["omega_rabi"], "xy_qubit": {"type": ["string", "integer"]}},
-            required=["start_mhz", "stop_mhz", "points", "omega_rabi"],
-        ),
-        "docs": {
-            "start_mhz/stop_mhz/points": "detuning grid",
-            "omega_rabi": "local drive Rabi rate (MHz)",
-            "xy_qubit": "driven qubit label or index (default: the probe)",
-        },
-    },
-    "rabi": {
-        "description": "probe excited-state population versus interaction time",
-        "needs_system": True,
-        "schema": _params_schema(
-            {
-                "tau_max_ns": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 8},
-                "probe_detuning_mhz": {"type": "number"},
-                "fit": {"enum": ["sinusoid", "exponential", "none"]},
-            },
-            required=["tau_max_ns", "points"],
-        ),
-        "docs": {
-            "tau_max_ns/points": "interaction-time grid",
-            "probe_detuning_mhz": "probe offset from the mirrors during the hold",
-            "fit": "sinusoid (default), exponential (free decay) or none",
-        },
-    },
-    "t1-dark": {
-        "description": "dark-state population decay via swap-in / wait / swap-out",
-        "needs_system": True,
-        "schema": _params_schema(
-            {
-                "delay_min_ns": {"type": "number", "minimum": 0},
-                "delay_max_ns": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 8},
-                "park_detuning_mhz": {"type": "number"},
-            },
-            required=["delay_min_ns", "delay_max_ns", "points"],
-        ),
-        "docs": {
-            "delay_min_ns/delay_max_ns/points": "storage-delay grid",
-            "park_detuning_mhz": "probe parking offset during the wait (default -50)",
-        },
-    },
-    "ramsey-dark": {
-        "description": "dark-state Ramsey fringes via half-swaps",
-        "needs_system": True,
-        "schema": _params_schema(
-            {
-                "delay_min_ns": {"type": "number", "minimum": 0},
-                "delay_max_ns": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 8},
-                "artificial_detuning_mhz": {"type": "number"},
-                "park_detuning_mhz": {"type": "number"},
-            },
-            required=["delay_min_ns", "delay_max_ns", "points"],
-        ),
-        "docs": {
-            "delay_min_ns/delay_max_ns/points": "free-evolution delay grid",
-            "artificial_detuning_mhz": "fringe detuning applied to the mirrors (default 2)",
-            "park_detuning_mhz": "probe parking offset (default -50)",
-        },
-    },
-    "shelve": {
-        "description": "mirror-pair transmission with shelved dark population",
-        "needs_system": True,
-        "schema": _params_schema(
-            {
-                **_GRID,
-                "rho_dd": {"type": "number", "minimum": 0, "maximum": 1},
-                "pulse_ns": {"type": "number", "exclusiveMinimum": 0},
-            },
-            required=["start_mhz", "stop_mhz", "points", "rho_dd"],
-        ),
-        "docs": {
-            "start_mhz/stop_mhz/points": "probe detuning grid",
-            "rho_dd": "shelved dark-state population",
-            "pulse_ns": "optional rectangular-pulse duration for bandwidth averaging",
-        },
-    },
-    "two-excitation": {
-        "description": "probe dynamics with a second excitation, plus linear-cavity companion",
-        "needs_system": True,
-        "schema": _params_schema(
-            {
-                "tau_max_ns": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 8},
-            },
-            required=["tau_max_ns", "points"],
-        ),
-        "docs": {"tau_max_ns/points": "interaction-time grid"},
-    },
-    "compound": {
-        "description": "probe Rabi traces against the dark states of compound mirrors",
-        "needs_system": True,
-        "schema": _params_schema(
-            {
-                "tau_max_ns": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 8},
-            },
-            required=["tau_max_ns", "points"],
-        ),
-        "docs": {"tau_max_ns/points": "interaction-time grid"},
-    },
-    "calib": {
-        "description": "transmon frequency model, dispersive shift and flux crosstalk",
-        "needs_system": False,
-        "schema": _params_schema(
-            {
-                "transmon": _params_schema(
-                    {
-                        "ej1": {"type": "number"},
-                        "ej2": {"type": "number"},
-                        "ec": {"type": "number"},
-                        "flux_points": {"type": "integer", "minimum": 2},
-                    },
-                    required=["ej1", "ej2", "ec"],
-                ),
-                "resonator": _params_schema(
-                    {
-                        "f_r": {"type": "number"},
-                        "g_mhz": {"type": "number"},
-                        "qi": {"type": "number"},
-                        "qe": {"type": "number"},
-                        "f_q": {"type": "number"},
-                        "eta_mhz": {"type": "number"},
-                    },
-                    required=["f_r", "g_mhz", "qi", "qe", "f_q"],
-                ),
-                "crosstalk": _params_schema(
-                    {
-                        "m": {"type": "array", "items": {"type": "number"}},
-                        "f0": {"type": "array", "items": {"type": "number"}},
-                        "v0": {"type": "array", "items": {"type": "number"}},
-                        "targets": {"type": "array", "items": {"type": "number"}},
-                    },
-                    required=["m", "f0", "v0", "targets"],
-                ),
-            }
-        ),
-        "docs": {
-            "transmon": "junction/charging energies (GHz); optional flux sweep",
-            "resonator": "readout resonator parameters for chi and Purcell estimate",
-            "crosstalk": "linearized bias matrix and target frequencies",
-        },
-    },
-    "steady": {
-        "description": "driven steady-state density matrix",
-        "needs_system": True,
-        "schema": _params_schema(
-            {"detuning_mhz": {"type": "number"}, **_DRIVE}, required=["detuning_mhz"]
-        ),
-        "docs": {
-            "detuning_mhz": "drive detuning from the working frequency",
-            "omega_rabi | power_dbm": "drive strength (default: saturation 0.01)",
-        },
-    },
-    "modes": {
-        "description": "collective-mode decomposition of the emitter array",
-        "needs_system": True,
-        "schema": _params_schema({}),
-        "docs": {},
-    },
-}
+    required=["label", "gamma_1d", "phase_pi"],
+)
 
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment"],
-    "properties": {
-        "experiment": {"enum": sorted(_EXPERIMENTS)},
-        "system": _SYSTEM_SCHEMA,
-        "params": {"type": "object"},
-        "output": {"type": "string"},
-        "seed": {"type": "integer"},
-    },
-}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
 
+# (i, j, value) entries of a pairwise table
+_TRIPLES = {"type": "array", "items": {**_NUMBERS, "minItems": 3, "maxItems": 3}}
+
+_SYSTEM_SCHEMA = _object_schema(
+    {
+        "qubits": {"type": "array", "minItems": 1, "maxItems": 5, "items": _QUBIT_SCHEMA},
+        "probe": {"type": ["string", "integer"]},
+        "detunings": _NUMBERS,
+        "direct_couplings": _TRIPLES,
+        "dephasing_correlations": _TRIPLES,
+        "n_th": {"type": "number", "minimum": 0},
+        "working_frequency_ghz": {"type": "number", "exclusiveMinimum": 0},
+    },
+    required=["qubits"],
+)
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -318,10 +102,10 @@ def validate_config(config: dict) -> None:
     if errors:
         raise ConfigError(_format_error(errors[0]))
     entry = _EXPERIMENTS[config["experiment"]]
-    if entry["needs_system"] and "system" not in config:
+    if entry.needs_system and "system" not in config:
         raise ConfigError("config error at $.system: this experiment needs a system block")
     params = config.get("params", {})
-    sub = jsonschema.Draft202012Validator(entry["schema"])
+    sub = jsonschema.Draft202012Validator(_object_schema(entry.params, entry.required))
     errors = sorted(sub.iter_errors(params), key=lambda e: list(e.absolute_path))
     if errors:
         raise ConfigError("config error at $.params" + _format_error(errors[0])[15:])
@@ -389,7 +173,65 @@ def build_system(system: dict) -> core.SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiments
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment, declared once.
+
+    params maps each parameter to its JSON schema, with a "description"
+    that ``wgqed list`` prints.  check(spec, params) raises ConfigError for
+    what the schema cannot express (qubit references, block combinations);
+    ``validate`` and ``run`` both call it.  run(spec, params) returns the
+    artifacts in order as {file suffix: record}, where a record is a
+    TimeTrace, a SpectrumScan, a (header, rows) table or a JSON-ready dict.
+    """
+
+    description: str
+    params: dict
+    run: Callable
+    required: tuple = ()
+    needs_system: bool = True
+    check: Callable = lambda spec, params: None
+
+
+def _number(description: str, **limits) -> dict:
+    return {"type": "number", "description": description, **limits}
+
+
+def _points(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum, "description": "number of grid points"}
+
+
+def _block(description: str, fields: dict, required) -> dict:
+    return {**_object_schema(fields, required), "description": description}
+
+
+_GRID = {
+    "start_mhz": _number("first detuning of the grid (MHz from the working frequency)"),
+    "stop_mhz": _number("last detuning of the grid (MHz)"),
+    "points": _points(3),
+}
+
+_DRIVE = {
+    "omega_rabi": _number("drive Rabi rate (MHz; default: saturation 0.01)", exclusiveMinimum=0),
+    "power_dbm": _number("drive power (dBm), instead of omega_rabi"),
+}
+
+_TAUS = {
+    "tau_max_ns": _number("last interaction time, from 0 (ns)", exclusiveMinimum=0),
+    "points": _points(8),
+}
+
+_DELAYS = {
+    "delay_min_ns": _number("first delay of the grid (ns)", minimum=0),
+    "delay_max_ns": _number("last delay of the grid (ns)", exclusiveMinimum=0),
+    "points": _points(8),
+    "park_detuning_mhz": _number(
+        f"probe parking offset during the wait (MHz; default {protocols.PARK_DETUNING:g})"
+    ),
+}
 
 
 def _drive_from_params(params: dict) -> spectroscopy.DriveSpec:
@@ -410,22 +252,16 @@ def _delays(params: dict) -> np.ndarray:
     return np.linspace(params["delay_min_ns"], params["delay_max_ns"], params["points"])
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _fit_payload(fit, extra=None) -> dict:
-    payload = json.loads(fit_result_json(fit))
+    payload = json.loads(records.fit_result_json(fit))
     if extra:
         payload["derived"] = extra
     return payload
 
 
-def _run_spectrum(spec, params, prefix: Path) -> list[Path]:
+def _run_spectrum(spec, params) -> dict:
     scan = spectroscopy.multi_qubit_transmission(spec, _drive_from_params(params), _grid(params))
-    out = prefix.with_name(prefix.name + "_spectrum.csv")
-    write_scan_csv(scan, out)
-    return [out]
+    return {"spectrum.csv": scan}
 
 
 def _xy_qubit(spec, params: dict) -> int:
@@ -438,82 +274,60 @@ def _xy_qubit(spec, params: dict) -> int:
     return _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
 
 
-def _run_xy_spectrum(spec, params, prefix: Path) -> list[Path]:
-    index = _xy_qubit(spec, params)
-    drive = spectroscopy.DriveSpec(port="xy", xy_qubit=index, omega_rabi=params["omega_rabi"])
-    scan = spectroscopy.multi_qubit_transmission(spec, drive, _grid(params))
-    out = prefix.with_name(prefix.name + "_spectrum.csv")
-    write_scan_csv(scan, out)
-    return [out]
-
-
-def _run_rabi(spec, params, prefix: Path) -> list[Path]:
-    trace = protocols.simulate_vacuum_rabi(
-        spec, _taus(params), probe_detuning=params.get("probe_detuning_mhz")
+def _run_xy_spectrum(spec, params) -> dict:
+    drive = spectroscopy.DriveSpec(
+        port="xy", xy_qubit=_xy_qubit(spec, params), omega_rabi=params["omega_rabi"]
     )
-    trace_path = prefix.with_name(prefix.name + "_trace.csv")
-    write_trace_csv(trace, trace_path)
-    outputs = [trace_path]
+    return {"spectrum.csv": spectroscopy.multi_qubit_transmission(spec, drive, _grid(params))}
+
+
+def _run_rabi(spec, params) -> dict:
+    detuning = params.get("probe_detuning_mhz")
+    trace = protocols.simulate_vacuum_rabi(spec, _taus(params), probe_detuning=detuning)
     mode = params.get("fit", "sinusoid")
-    if mode != "none":
-        if mode == "exponential":
-            fit = protocols.fit_exponential(trace)
-            extra = None
-        else:
-            fit = protocols.fit_damped_sinusoid(trace)
-            detuning = params.get("probe_detuning_mhz")
-            if detuning is None:
-                detuning = protocols.interaction_detuning(spec)
-            frequency = fit.value("frequency_mhz")
-            extra = {
-                "coupling_2j_mhz": math.sqrt(max(frequency**2 - detuning**2, 0.0)),
-                "probe_detuning_mhz": detuning,
-            }
-        fit_path = prefix.with_name(prefix.name + "_fit.json")
-        _write_json(_fit_payload(fit, extra), fit_path)
-        outputs.append(fit_path)
-    return outputs
+    if mode == "none":
+        return {"trace.csv": trace}
+    if mode == "exponential":
+        return {"trace.csv": trace, "fit.json": _fit_payload(protocols.fit_exponential(trace))}
+    fit = protocols.fit_damped_sinusoid(trace)
+    if detuning is None:
+        detuning = protocols.interaction_detuning(spec)
+    frequency = fit.value("frequency_mhz")
+    extra = {
+        "coupling_2j_mhz": math.sqrt(max(frequency**2 - detuning**2, 0.0)),
+        "probe_detuning_mhz": detuning,
+    }
+    return {"trace.csv": trace, "fit.json": _fit_payload(fit, extra)}
 
 
-def _run_t1_dark(spec, params, prefix: Path) -> list[Path]:
-    trace, fit = protocols.simulate_t1_dark(
-        spec, _delays(params), park_detuning=params.get("park_detuning_mhz", protocols.PARK_DETUNING)
-    )
-    trace_path = prefix.with_name(prefix.name + "_trace.csv")
-    fit_path = prefix.with_name(prefix.name + "_fit.json")
-    write_trace_csv(trace, trace_path)
-    _write_json(
-        _fit_payload(fit, {"gamma1_dark_mhz": fit.value("rate_mhz"), "t1_dark_ns": fit.value("lifetime_ns")}),
-        fit_path,
-    )
-    return [trace_path, fit_path]
+# dark-sequence params and the simulator keywords they set
+_DARK_OPTIONS = dict(park_detuning_mhz="park_detuning", artificial_detuning_mhz="artificial_detuning")
 
 
-def _run_ramsey_dark(spec, params, prefix: Path) -> list[Path]:
-    trace, fit = protocols.simulate_ramsey_dark(
-        spec,
-        _delays(params),
-        artificial_detuning=params.get("artificial_detuning_mhz", 2.0),
-        park_detuning=params.get("park_detuning_mhz", protocols.PARK_DETUNING),
-    )
-    trace_path = prefix.with_name(prefix.name + "_trace.csv")
-    fit_path = prefix.with_name(prefix.name + "_fit.json")
-    write_trace_csv(trace, trace_path)
-    _write_json(
-        _fit_payload(fit, {"gamma2_dark_mhz": fit.value("rate_mhz"), "t2_dark_ns": fit.value("lifetime_ns")}),
-        fit_path,
-    )
-    return [trace_path, fit_path]
+def _run_dark(simulate, kind: int, spec, params) -> dict:
+    """A dark-state sequence's trace and fit, which gives gamma<kind> and T<kind>."""
+    options = {name: params[key] for key, name in _DARK_OPTIONS.items() if key in params}
+    trace, fit = simulate(spec, _delays(params), **options)
+    derived = {
+        f"gamma{kind}_dark_mhz": fit.value("rate_mhz"),
+        f"t{kind}_dark_ns": fit.value("lifetime_ns"),
+    }
+    return {"trace.csv": trace, "fit.json": _fit_payload(fit, derived)}
 
 
-def _run_shelve(spec, params, prefix: Path) -> list[Path]:
+def _mirror_pair(spec, _params=None) -> list:
     mirrors = [spec.params[m] for m in (spec.mirror_indices or range(spec.n_qubits))]
     if len(mirrors) != 2:
         raise ConfigError("config error at $.system: shelving needs a two-mirror pair")
+    return mirrors
+
+
+def _run_shelve(spec, params) -> dict:
+    mirrors = _mirror_pair(spec)
     g1d = float(np.mean([q.gamma_1d for q in mirrors]))
     gamma_b = sum(q.gamma_1d for q in mirrors) + float(np.mean([q.gamma_prime for q in mirrors]))
     grid = _grid(params)
-    outputs = []
+    artifacts = {}
     for name, rho_dd in (("shelved", params["rho_dd"]), ("reference", 0.0)):
         t = np.array(
             [spectroscopy.shelved_transmission(g1d, gamma_b, rho_dd, d) for d in grid]
@@ -523,18 +337,12 @@ def _run_shelve(spec, params, prefix: Path) -> list[Path]:
         )
         if "pulse_ns" in params:
             scan = spectroscopy.pulse_bandwidth_average(scan, params["pulse_ns"])
-        path = prefix.with_name(f"{prefix.name}_{name}.csv")
-        write_scan_csv(scan, path)
-        outputs.append(path)
-    return outputs
+        artifacts[f"{name}.csv"] = scan
+    return artifacts
 
 
-def _run_two_excitation(spec, params, prefix: Path) -> list[Path]:
+def _run_two_excitation(spec, params) -> dict:
     atomic, companion = protocols.simulate_two_excitation(spec, _taus(params))
-    atomic_path = prefix.with_name(prefix.name + "_atomic.csv")
-    linear_path = prefix.with_name(prefix.name + "_linear.csv")
-    write_trace_csv(atomic, atomic_path)
-    write_trace_csv(companion, linear_path)
     model, ops = protocols.linear_cavity_model(spec)
     ground_one = np.zeros(model.dimension, dtype=complex)
     ground_one[3] = 1.0
@@ -545,40 +353,37 @@ def _run_two_excitation(spec, params, prefix: Path) -> list[Path]:
     f_second, _ = lindblad.dominant_oscillation(
         model, np.outer(excited_one, excited_one.conj()), ops["probe_number"]
     )
-    summary_path = prefix.with_name(prefix.name + "_summary.json")
-    _write_json(
-        {
-            "companion_first_manifold_mhz": f_first,
-            "companion_second_manifold_mhz": f_second,
-            "companion_frequency_ratio": f_second / f_first,
-        },
-        summary_path,
-    )
-    return [atomic_path, linear_path, summary_path]
+    summary = {
+        "companion_first_manifold_mhz": f_first,
+        "companion_second_manifold_mhz": f_second,
+        "companion_frequency_ratio": f_second / f_first,
+    }
+    return {"atomic.csv": atomic, "linear.csv": companion, "summary.json": summary}
 
 
-def _run_compound(spec, params, prefix: Path) -> list[Path]:
+def _run_compound(spec, params) -> dict:
     result = protocols.simulate_compound_mirrors(spec, _taus(params))
-    outputs = []
-    for k, trace in enumerate(result.traces, start=1):
-        path = prefix.with_name(f"{prefix.name}_dark{k}.csv")
-        write_trace_csv(trace, path)
-        outputs.append(path)
-    summary_path = prefix.with_name(prefix.name + "_summary.json")
-    _write_json(
-        {
-            "splitting_mhz": result.splitting_mhz,
-            "dark_frequencies_mhz": list(result.dark_frequencies),
-        },
-        summary_path,
-    )
-    outputs.append(summary_path)
-    return outputs
+    artifacts = {f"dark{k}.csv": trace for k, trace in enumerate(result.traces, start=1)}
+    artifacts["summary.json"] = {
+        "splitting_mhz": result.splitting_mhz,
+        "dark_frequencies_mhz": list(result.dark_frequencies),
+    }
+    return artifacts
 
 
-def _run_calib(_spec, params, prefix: Path) -> list[Path]:
+def _check_calib(_spec, params) -> None:
+    if not params:
+        raise ConfigError("config error at $.params: calib needs at least one block")
+    resonator = params.get("resonator")
+    if resonator is not None and "eta_mhz" not in resonator and "transmon" not in params:
+        raise ConfigError(
+            "config error at $.params.resonator.eta_mhz: give eta or a transmon block"
+        )
+
+
+def _run_calib(_spec, params) -> dict:
     report: dict = {}
-    outputs: list[Path] = []
+    artifacts: dict = {}
     transmon = None
     if "transmon" in params:
         block = params["transmon"]
@@ -591,23 +396,14 @@ def _run_calib(_spec, params, prefix: Path) -> list[Path]:
         }
         if "flux_points" in block:
             flux = np.linspace(0.0, 1.0, block["flux_points"])
-            flux_path = prefix.with_name(prefix.name + "_flux.csv")
-            write_table_csv(
+            artifacts["flux.csv"] = (
                 ("flux_phi0", "f01_ghz"),
                 ((value, calibration.transmon_frequency(transmon, value)) for value in flux),
-                flux_path,
             )
-            outputs.append(flux_path)
     if "resonator" in params:
         block = params["resonator"]
         resonator = calibration.ReadoutResonator(block["f_r"], block["g_mhz"], block["qi"], block["qe"])
-        eta = block.get("eta_mhz")
-        if eta is None:
-            if transmon is None:
-                raise ConfigError(
-                    "config error at $.params.resonator.eta_mhz: give eta or a transmon block"
-                )
-            eta = -transmon.ec * 1e3
+        eta = block["eta_mhz"] if "eta_mhz" in block else -transmon.ec * 1e3
         report["resonator"] = {
             "chi_mhz": calibration.dispersive_shift(
                 block["g_mhz"], block["f_q"] - block["f_r"], eta
@@ -624,28 +420,19 @@ def _run_calib(_spec, params, prefix: Path) -> list[Path]:
         report["crosstalk"] = {
             "bias_v": list(calibration.crosstalk_bias(ct, np.asarray(block["targets"]))),
         }
-    if not report:
-        raise ConfigError("config error at $.params: calib needs at least one block")
-    path = prefix.with_name(prefix.name + "_calib.json")
-    _write_json(report, path)
-    return outputs + [path]
+    artifacts["calib.json"] = report
+    return artifacts
 
 
-def _run_steady(spec, params, prefix: Path) -> list[Path]:
+def _run_steady(spec, params) -> dict:
     rho = spectroscopy.driven_steady_state(
         spec, _drive_from_params(params), params["detuning_mhz"]
     )
-    dim = rho.dimension
-    path = prefix.with_name(prefix.name + "_state.csv")
-    write_table_csv(
-        ("row", "col", "re", "im"),
-        ((i, j, rho.elements[i, j].real, rho.elements[i, j].imag) for i in range(dim) for j in range(dim)),
-        path,
-    )
-    return [path]
+    rows = ((i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(rho.elements))
+    return {"state.csv": (("row", "col", "re", "im"), rows)}
 
 
-def _run_modes(spec, _params, prefix: Path) -> list[Path]:
+def _run_modes(spec, _params) -> dict:
     header = ["mode", "decay_mhz", "shift_mhz"]
     for j in range(spec.n_qubits):
         header += [f"re_amp{j}", f"im_amp{j}"]
@@ -655,52 +442,179 @@ def _run_modes(spec, _params, prefix: Path) -> list[Path]:
         for amp in mode.amplitudes:
             row += [amp.real, amp.imag]
         rows.append(row)
-    path = prefix.with_name(prefix.name + "_modes.csv")
-    write_table_csv(header, rows, path)
-    return [path]
+    return {"modes.csv": (header, rows)}
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "xy-spectrum": _run_xy_spectrum,
-    "rabi": _run_rabi,
-    "t1-dark": _run_t1_dark,
-    "ramsey-dark": _run_ramsey_dark,
-    "shelve": _run_shelve,
-    "two-excitation": _run_two_excitation,
-    "compound": _run_compound,
-    "calib": _run_calib,
-    "steady": _run_steady,
-    "modes": _run_modes,
+_EXPERIMENTS: dict[str, Experiment] = {
+    "spectrum": Experiment(
+        "waveguide transmission spectrum over a detuning grid",
+        {**_GRID, **_DRIVE},
+        _run_spectrum,
+        required=("start_mhz", "stop_mhz", "points"),
+    ),
+    "xy-spectrum": Experiment(
+        "local-drive to waveguide-output spectrum (no bright background)",
+        {
+            **_GRID,
+            "omega_rabi": _number("local drive Rabi rate (MHz)", exclusiveMinimum=0),
+            "xy_qubit": {
+                "type": ["string", "integer"],
+                "description": "driven qubit label or index (default: the probe)",
+            },
+        },
+        _run_xy_spectrum,
+        required=("start_mhz", "stop_mhz", "points", "omega_rabi"),
+        check=_xy_qubit,
+    ),
+    "rabi": Experiment(
+        "probe excited-state population versus interaction time",
+        {
+            **_TAUS,
+            "probe_detuning_mhz": _number("probe offset from the mirrors during the hold (MHz)"),
+            "fit": {
+                "enum": ["sinusoid", "exponential", "none"],
+                "description": "sinusoid (default), exponential (free decay) or none",
+            },
+        },
+        _run_rabi,
+        required=("tau_max_ns", "points"),
+    ),
+    "t1-dark": Experiment(
+        "dark-state population decay via swap-in / wait / swap-out",
+        _DELAYS,
+        partial(_run_dark, protocols.simulate_t1_dark, 1),
+        required=("delay_min_ns", "delay_max_ns", "points"),
+    ),
+    "ramsey-dark": Experiment(
+        "dark-state Ramsey fringes via half-swaps",
+        {
+            **_DELAYS,
+            "artificial_detuning_mhz": _number(
+                "fringe detuning applied to the mirrors (MHz; default 2)"
+            ),
+        },
+        partial(_run_dark, protocols.simulate_ramsey_dark, 2),
+        required=("delay_min_ns", "delay_max_ns", "points"),
+    ),
+    "shelve": Experiment(
+        "mirror-pair transmission with shelved dark population",
+        {
+            **_GRID,
+            "rho_dd": _number("shelved dark-state population", minimum=0, maximum=1),
+            "pulse_ns": _number(
+                "optional rectangular-pulse duration for bandwidth averaging (ns)",
+                exclusiveMinimum=0,
+            ),
+        },
+        _run_shelve,
+        required=("start_mhz", "stop_mhz", "points", "rho_dd"),
+        check=_mirror_pair,
+    ),
+    "two-excitation": Experiment(
+        "probe dynamics with a second excitation, plus linear-cavity companion",
+        _TAUS,
+        _run_two_excitation,
+        required=("tau_max_ns", "points"),
+    ),
+    "compound": Experiment(
+        "probe Rabi traces against the dark states of compound mirrors",
+        _TAUS,
+        _run_compound,
+        required=("tau_max_ns", "points"),
+    ),
+    "calib": Experiment(
+        "transmon frequency model, dispersive shift and flux crosstalk",
+        {
+            "transmon": _block(
+                "energies ej1, ej2, ec (GHz) of the transmon; optional flux_points sweep",
+                {**dict.fromkeys(("ej1", "ej2", "ec"), {"type": "number"}), "flux_points": _points(2)},
+                required=("ej1", "ej2", "ec"),
+            ),
+            "resonator": _block(
+                "readout resonator f_r (GHz), g_mhz, qi, qe and qubit f_q (GHz) for chi and the "
+                "Purcell estimate; eta_mhz defaults to -ec of the transmon block",
+                dict.fromkeys(("f_r", "g_mhz", "qi", "qe", "f_q", "eta_mhz"), {"type": "number"}),
+                required=("f_r", "g_mhz", "qi", "qe", "f_q"),
+            ),
+            "crosstalk": _block(
+                "linearized bias matrix m, f0, v0 and target frequencies",
+                dict.fromkeys(("m", "f0", "v0", "targets"), _NUMBERS),
+                required=("m", "f0", "v0", "targets"),
+            ),
+        },
+        _run_calib,
+        needs_system=False,
+        check=_check_calib,
+    ),
+    "steady": Experiment(
+        "driven steady-state density matrix",
+        {"detuning_mhz": _number("drive detuning from the working frequency (MHz)"), **_DRIVE},
+        _run_steady,
+        required=("detuning_mhz",),
+    ),
+    "modes": Experiment("collective-mode decomposition of the emitter array", {}, _run_modes),
 }
 
+_CONFIG_SCHEMA = _object_schema(
+    {
+        "experiment": {"enum": sorted(_EXPERIMENTS)},
+        "system": _SYSTEM_SCHEMA,
+        "params": {"type": "object"},
+        "output": {"type": "string"},
+        "seed": {"type": "integer"},
+    },
+    required=["experiment"],
+)
 
 # ---------------------------------------------------------------------------
 # commands
 
 
+def _write(record, path: Path) -> None:
+    """Write one artifact in the format of its record type."""
+    if isinstance(record, records.SpectrumScan):
+        records.write_scan_csv(record, path)
+    elif isinstance(record, records.TimeTrace):
+        records.write_trace_csv(record, path)
+    elif isinstance(record, tuple):
+        records.write_table_csv(*record, path)
+    else:
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict]:
+    """The experiment, system and params of a config that passes the experiment's check."""
+    experiment = _EXPERIMENTS[config["experiment"]]
+    spec = build_system(config["system"]) if "system" in config else None
+    params = config.get("params", {})
+    experiment.check(spec, params)
+    return experiment, spec, params
+
+
 def run_config(config: dict, output_prefix: str | None = None) -> list[Path]:
     """Execute a validated config, returning all artifact paths."""
     started = time.time()
-    experiment = config["experiment"]
-    spec = build_system(config["system"]) if "system" in config else None
-    prefix = Path(output_prefix or config.get("output") or experiment)
+    experiment, spec, params = _checked(config)
+    prefix = Path(output_prefix or config.get("output") or config["experiment"])
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[experiment](spec, config.get("params", {}), prefix)
+    artifacts = experiment.run(spec, params)
+    outputs = [prefix.with_name(f"{prefix.name}_{suffix}") for suffix in artifacts]
+    for record, path in zip(artifacts.values(), outputs):
+        _write(record, path)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     manifest = {
         "config_sha256": digest,
         "tool_version": __version__,
-        "experiment": experiment,
+        "experiment": config["experiment"],
         "seed": config.get("seed"),
         "wall_time_s": time.time() - started,
         "outputs": [p.name for p in outputs],
     }
     manifest_path = prefix.with_name(prefix.name + "_manifest.json")
-    _write_json(manifest, manifest_path)
+    _write(manifest, manifest_path)
     return outputs + [manifest_path]
 
 
@@ -709,10 +623,6 @@ def _cmd_run(args) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 1
-    try:
         outputs = run_config(config, output_prefix=args.output)
     except ConfigError as err:
         print(err, file=sys.stderr)
@@ -726,32 +636,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    listing = [
+        {
+            "name": name,
+            "description": entry.description,
+            "parameters": {param: schema["description"] for param, schema in entry.params.items()},
+            "needs_system": entry.needs_system,
+        }
+        for name, entry in _EXPERIMENTS.items()
+    ]
     if args.json:
-        payload = [
-            {
-                "name": name,
-                "description": entry["description"],
-                "parameters": entry["docs"],
-                "needs_system": entry["needs_system"],
-            }
-            for name, entry in _EXPERIMENTS.items()
-        ]
-        print(json.dumps({"experiments": payload}, indent=2))
+        print(json.dumps({"experiments": listing}, indent=2))
         return 0
     width = max(len(name) for name in _EXPERIMENTS)
-    for name, entry in _EXPERIMENTS.items():
-        print(f"{name:<{width}}  {entry['description']}")
-        for param, doc in entry["docs"].items():
+    for item in listing:
+        print(f"{item['name']:<{width}}  {item['description']}")
+        for param, doc in item["parameters"].items():
             print(f"{'':<{width}}    {param}: {doc}")
     return 0
 
 
 def _cmd_validate(args) -> int:
     try:
-        config = load_config(args.config)
-        spec = build_system(config["system"]) if "system" in config else None
-        if config["experiment"] == "xy-spectrum":
-            _xy_qubit(spec, config.get("params", {}))
+        _checked(load_config(args.config))
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 1
@@ -772,7 +679,7 @@ def main(argv=None) -> int:
     list_parser = sub.add_parser("list", help="list available experiments")
     list_parser.add_argument("--json", action="store_true")
     list_parser.set_defaults(func=_cmd_list)
-    validate_parser = sub.add_parser("validate", help="check a config's schema and qubit names")
+    validate_parser = sub.add_parser("validate", help="check a config as run does, without running")
     validate_parser.add_argument("config")
     validate_parser.set_defaults(func=_cmd_validate)
     args = parser.parse_args(argv)

@@ -47,6 +47,10 @@ __all__ = [
 # default parking offset (MHz) that decouples the probe during waits
 PARK_DETUNING = -50.0
 
+# a damped-sinusoid fit is accepted only if its amplitude is at least this
+# many of its own standard errors; below that the "fringe" is fitted noise
+MIN_AMPLITUDE_SIGMAS = 5.0
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -544,6 +548,12 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
             best=tuple(params),
         )
     sigmas = np.sqrt(np.abs(np.diag(cov)))
+    if not params[0] >= MIN_AMPLITUDE_SIGMAS * sigmas[0]:
+        raise FitError(
+            f"fitted amplitude {params[0]:.3g} is below {MIN_AMPLITUDE_SIGMAS:g} "
+            f"standard errors ({sigmas[0]:.3g}): no significant oscillation",
+            best=tuple(params),
+        )
     rate, rate_sigma = _rate_from_lifetime(params[1], sigmas[1])
     return FitResult(
         model="damped-sinusoid",

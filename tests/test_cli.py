@@ -58,6 +58,36 @@ class TestValidation:
         assert cli.main(["validate", str(path)]) == 1
         assert f"$.{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, edit, key",
+        [
+            ("tableS1_calib", lambda config: config.update(params={}), "$.params"),
+            (
+                "tableS1_calib",
+                lambda config: config["params"].pop("transmon"),
+                "$.params.resonator.eta_mhz",
+            ),
+            (
+                "fig3d_shelve",
+                lambda config: config["system"]["qubits"].append(
+                    {"label": "M3", "gamma_1d": 13.4, "phase_pi": 2.0}
+                ),
+                "$.system",
+            ),
+        ],
+        ids=["calib-no-block", "calib-no-eta", "shelve-third-qubit"],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
+        config = json.loads(open(bundled(name)).read())
+        edit(config)
+        path = tmp_path / "bad.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 1
+        message = capsys.readouterr().err
+        assert f"config error at {key}:" in message
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == message
+
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("not json at all")
@@ -76,6 +106,9 @@ class TestListing:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["experiments"]) == 11
         assert {"name", "description", "parameters"} <= set(payload["experiments"][0])
+        rabi = next(e for e in payload["experiments"] if e["name"] == "rabi")
+        assert set(rabi["parameters"]) == {"tau_max_ns", "points", "probe_detuning_mhz", "fit"}
+        assert all(rabi["parameters"].values())
 
 
 class TestRun:

@@ -57,6 +57,13 @@ class TestFits:
         y = np.cos(2 * math.pi * 0.005 * t)  # half a period over the span
         with pytest.raises(FitError, match="periods"):
             pr.fit_damped_sinusoid(TimeTrace(t, y))
+        # with 1e-3 noise the fit can find a "fringe" in the noise (195 and
+        # 161 MHz for these seeds); its amplitude is not significant
+        for seed in (8, 9):
+            noise = 1e-3 * np.random.default_rng(seed).standard_normal(t.size)
+            noisy = np.sin(2 * math.pi * 0.005 * t) + noise
+            with pytest.raises(FitError, match="standard errors"):
+                pr.fit_damped_sinusoid(TimeTrace(t, noisy))
 
     def test_phase_in_half_open_interval(self):
         # the sign fold and a start near +-pi can land the fit a period away
