@@ -51,6 +51,19 @@ PARK_DETUNING = -50.0
 # many of its own standard errors; below that the "fringe" is fitted noise
 MIN_AMPLITUDE_SIGMAS = 5.0
 
+# the damped-sinusoid model seen by the matrix pencil: one damped pair, a
+# decaying baseline and a constant, at most four poles
+PENCIL_ORDER = 4
+
+# a conjugate pole pair that turns through less than this many periods over
+# the span is the constant and the baseline, which noise can merge into one
+# slow pair (up to 0.35 turns in random panels); it is no candidate fringe
+BASELINE_TURNS = 0.4
+
+# xtol, ftol and gtol of every trace fit; at scipy's defaults the fitted
+# offsets and the covariance still move with where the optimizer stops
+FIT_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -414,11 +427,20 @@ def _rate_from_lifetime(lifetime_ns, sigma_ns):
     return rate, rate * sigma_ns / lifetime_ns if lifetime_ns > 0 else math.inf
 
 
+def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of a trace fit: all finite, at least 8 points."""
+    t, y = trace.times, trace.values
+    bad = int(np.count_nonzero(~np.isfinite(t)) + np.count_nonzero(~np.isfinite(y)))
+    if bad:
+        raise FitError(f"trace holds {bad} non-finite times or values (NaN or inf)")
+    if t.size < 8:
+        raise FitError(f"need at least 8 points for {model} fit")
+    return t, y
+
+
 def fit_exponential(trace: TimeTrace) -> FitResult:
     """Least-squares fit of a * exp(-t/T) + c to a time trace."""
-    t, y = trace.times, trace.values
-    if t.size < 8:
-        raise FitError("need at least 8 points for an exponential fit")
+    t, y = _finite_trace(trace, "an exponential")
     spread = float(np.ptp(y))
     if spread < 1e-9 * max(1.0, float(np.max(np.abs(y)))):
         raise FitError("constant trace: decay rate is unidentifiable")
@@ -434,7 +456,8 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
 
     try:
         params, cov = curve_fit(
-            model, t, y, p0=[amp0, lifetime0, offset0], maxfev=20000
+            model, t, y, p0=[amp0, lifetime0, offset0], maxfev=20000,
+            xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
         )
     except RuntimeError as err:
         raise FitError(f"exponential fit failed: {err}") from err
@@ -453,20 +476,77 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
     )
 
 
+def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix-pencil poles of y[k] = sum_i c_i z_i**k and the size of each term.
+
+    Hua and Sarkar, IEEE Trans. ASSP 38, 814 (1990): one SVD of the Hankel
+    matrix of y (pencil parameter n // 3) keeps at most PENCIL_ORDER right
+    singular vectors, dropping those whose singular value is numerically
+    zero, so a bare exponential yields a single real pole.  The poles are
+    the eigenvalues of the pencil of the shifted subspaces, and one
+    Vandermonde least-squares solve gives the amplitudes c_i; a term's
+    size is its norm over the trace, |c_i| * ||z_i**k||.
+    """
+    hankel = np.lib.stride_tricks.sliding_window_view(y, y.size // 3 + 1)
+    _, singular, vh = np.linalg.svd(hankel, full_matrices=False)
+    cutoff = singular[0] * max(hankel.shape) * np.finfo(float).eps
+    order = int(np.count_nonzero(singular[:PENCIL_ORDER] > cutoff))
+    subspace = vh[:order].T
+    shift = np.linalg.lstsq(subspace[:-1], subspace[1:], rcond=None)[0]
+    poles = np.linalg.eigvals(shift)
+    vandermonde = poles[np.newaxis, :] ** np.arange(y.size)[:, np.newaxis]
+    amplitudes = np.linalg.lstsq(vandermonde, y, rcond=None)[0]
+    return poles, np.abs(amplitudes) * np.linalg.norm(vandermonde, axis=0)
+
+
 def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
-    """Least-squares fit of a * exp(-t/T) * cos(2 pi f t + phi) + c."""
-    t, y = trace.times, trace.values
-    if t.size < 8:
-        raise FitError("need at least 8 points for a sinusoid fit")
+    """Least-squares fit of a * exp(-t/T) * cos(2 pi f t + phi) + c.
+
+    Identifiability is decided in closed form before any iteration: the
+    matrix-pencil poles of the trace (_pencil_poles, model "damped pair +
+    decaying baseline + constant") must hold a conjugate pair turning
+    through at least BASELINE_TURNS periods, and the strongest such pair
+    must show at least two periods over the span, else FitError is
+    raised at once.  A one-period moving average, its length taken from
+    the refined FFT peak of the trace, is subtracted to remove the
+    baseline.  A single curve_fit on the detrended data then starts from
+    the pencil pair's frequency and lifetime, with amplitude, phase and
+    offset solved linearly at those values.  The fit is rejected if it
+    lands below two periods or its amplitude is below
+    MIN_AMPLITUDE_SIGMAS of its own standard errors.
+    """
+    t, y = _finite_trace(trace, "a sinusoid")
     steps = np.diff(t)
-    if np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
+    step = float(steps[0])
+    if np.max(np.abs(steps - step)) > 1e-6 * step:
         raise FitError("sinusoid fit needs a uniform time grid")
-    spectrum = np.fft.rfft(y - np.mean(y))
-    freqs_mhz = np.fft.rfftfreq(t.size, d=steps[0] * 1e-3)
-    # bins 0-1 hold the leakage of any decaying baseline, and a legitimate
-    # fit needs two visible periods (>= bin 2) anyway; prefer the
-    # strongest local maximum there over a bare argmax
-    magnitude = np.abs(spectrum)
+    span_ns = float(t[-1] - t[0])
+    span_us = span_ns * 1e-3
+    poles, sizes = _pencil_poles(y)
+    turns = np.angle(poles) / TWO_PI * (t.size - 1)  # periods over the span
+    pairs = np.flatnonzero((poles.imag > 0) & (turns >= BASELINE_TURNS))
+    if not pairs.size:
+        raise FitError(
+            f"fewer than two visible periods (no oscillating pole pair over {span_us:.3g} us)"
+        )
+    strongest = pairs[np.argmax(sizes[pairs])]
+    f0 = float(turns[strongest]) / span_us
+    if turns[strongest] < 2.0:
+        raise FitError(
+            f"fewer than two visible periods (f ~ {f0:.3g} MHz over {span_us:.3g} us)"
+        )
+    # a pair whose estimate does not decay within 100 spans starts there
+    lifetime0 = 1.0 / max(-math.log(abs(poles[strongest])) / step, 0.01 / span_ns)
+
+    # subtract a one-period moving average before fitting: baselines of
+    # any slowly varying shape are suppressed, while the fringe passes
+    # through with its frequency and envelope intact (damped exponentials
+    # are eigenfunctions of the filter); half a window is trimmed at each
+    # edge, and a plain constant-offset model would instead let the
+    # optimizer absorb the baseline into a spurious detuned cosine.  The
+    # period is the strongest FFT local maximum at or above bin 2 (bins
+    # 0-1 hold the leakage of any decaying baseline), refined parabolically
+    magnitude = np.abs(np.fft.rfft(y - np.mean(y)))
     interior = np.arange(2, magnitude.size - 1)
     local_max = interior[
         (magnitude[interior] >= magnitude[interior - 1])
@@ -474,29 +554,12 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     ]
     if local_max.size:
         peak = int(local_max[np.argmax(magnitude[local_max])])
+        left, centre, right = magnitude[peak - 1 : peak + 2]
+        denom = left - 2 * centre + right
+        offset_bins = 0.5 * (left - right) / denom if denom else 0.0
     else:
-        peak = int(np.argmax(magnitude[2:])) + 2
-    if 1 <= peak < spectrum.size - 1:  # parabolic sub-bin refinement
-        magnitudes = np.abs(spectrum[peak - 1 : peak + 2])
-        denom = magnitudes[0] - 2 * magnitudes[1] + magnitudes[2]
-        shift = 0.5 * (magnitudes[0] - magnitudes[2]) / denom if denom else 0.0
-        f0 = float(freqs_mhz[peak] + shift * (freqs_mhz[1] - freqs_mhz[0]))
-    else:
-        f0 = float(freqs_mhz[peak])
-    span_us = (t[-1] - t[0]) * 1e-3
-    if f0 * span_us < 2.0:
-        raise FitError(
-            f"fewer than two visible periods (f ~ {f0:.3g} MHz over {span_us:.3g} us)"
-        )
-    phi0 = float(np.angle(spectrum[peak]))
-
-    # subtract a one-period moving average before fitting: baselines of
-    # any slowly varying shape are suppressed, while the fringe passes
-    # through with its frequency and envelope intact (damped exponentials
-    # are eigenfunctions of the filter); half a window is trimmed at each
-    # edge, and a plain constant-offset model would instead let the
-    # optimizer absorb the baseline into a spurious detuned cosine
-    period_samples = int(round(1e3 / (f0 * float(steps[0]))))
+        peak, offset_bins = int(np.argmax(magnitude[2:])) + 2, 0.0
+    period_samples = int(round(t.size / (peak + offset_bins)))
     period_samples = max(3, min(period_samples, t.size // 2))
     if t.size - period_samples >= 12:
         smooth = np.convolve(y, np.ones(period_samples) / period_samples, mode="valid")
@@ -506,36 +569,29 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         y_fit = y[window] - smooth
     else:
         t_fit, y_fit = t, y - float(np.mean(y))
-    amp0 = float(np.ptp(y_fit)) / 2.0
-    if amp0 <= 0:
-        raise FitError("no oscillation amplitude left after detrending")
+
+    omega = TWO_PI * f0 * 1e-3
+    envelope = np.exp(-t_fit / lifetime0)
+    design = np.column_stack(
+        (envelope * np.cos(omega * t_fit), envelope * np.sin(omega * t_fit), np.ones_like(t_fit))
+    )
+    (cos_part, sin_part, offset0), *_ = np.linalg.lstsq(design, y_fit, rcond=None)
+    p0 = [math.hypot(cos_part, sin_part), lifetime0, f0, math.atan2(-sin_part, cos_part), offset0]
 
     def model(t, amp, lifetime, f, phi, offset):
         return amp * np.exp(-t / lifetime) * np.cos(TWO_PI * f * t * 1e-3 + phi) + offset
 
-    span_ns = span_us * 1e3
     bounds = ([-np.inf, 1e-3, 0.0, -np.inf, -np.inf], [np.inf] * 5)
-    best = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for phase_guess in (phi0, 0.0, math.pi / 2.0, math.pi, -math.pi / 2.0):
-            for lifetime_guess in (span_ns / 2.0, span_ns * 5.0):
-                p0 = [amp0, lifetime_guess, f0, phase_guess, 0.0]
-                try:
-                    params, cov = curve_fit(
-                        model, t_fit, y_fit, p0=p0, bounds=bounds, maxfev=20000
-                    )
-                except RuntimeError:
-                    continue
-                residual = float(np.linalg.norm(model(t_fit, *params) - y_fit))
-                if best is None or residual < best[2]:
-                    best = (params, cov, residual)
-    if best is None:
-        raise FitError(
-            "sinusoid fit failed from every starting point",
-            best=(amp0, span_ns / 2.0, f0, phi0, 0.0),
-        )
-    params, cov, residual = best
+        try:
+            params, cov = curve_fit(
+                model, t_fit, y_fit, p0=p0, bounds=bounds, maxfev=20000,
+                xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+            )
+        except RuntimeError as err:
+            raise FitError(f"sinusoid fit failed: {err}", best=tuple(p0)) from err
+    residual = float(np.linalg.norm(model(t_fit, *params) - y_fit))
     params = list(params)
     if params[0] < 0:  # fold the sign into the phase
         params[0] = -params[0]

@@ -1,0 +1,86 @@
+"""Multi-start damped-sinusoid search: reference for protocols.fit_damped_sinusoid.
+
+The search the fit used before its matrix-pencil start: the strongest FFT
+peak at or above bin 2 gives the frequency and the phase, a one-period
+moving average is subtracted, and curve_fit runs from 5 phases x 2
+lifetimes, keeping the smallest residual.  It uses the fit's tolerances,
+so a comparison isolates the choice of start.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from scipy.optimize import curve_fit
+
+from wgqed.core import TWO_PI
+from wgqed.protocols import FIT_TOLERANCE
+
+
+def _model(t, amp, lifetime, f, phi, offset):
+    return amp * np.exp(-t / lifetime) * np.cos(TWO_PI * f * t * 1e-3 + phi) + offset
+
+
+def multistart_sinusoid(t, y):
+    """Best (amplitude, lifetime_ns, frequency_mhz, phase_rad, offset) over 10 starts.
+
+    The sign of the amplitude is folded into the phase, which is wrapped
+    into (-pi, pi]; returns None when every start fails.
+    """
+    step = float(t[1] - t[0])
+    spectrum = np.fft.rfft(y - np.mean(y))
+    freqs_mhz = np.fft.rfftfreq(t.size, d=step * 1e-3)
+    magnitude = np.abs(spectrum)
+    interior = np.arange(2, magnitude.size - 1)
+    local_max = interior[
+        (magnitude[interior] >= magnitude[interior - 1])
+        & (magnitude[interior] >= magnitude[interior + 1])
+    ]
+    if local_max.size:
+        peak = int(local_max[np.argmax(magnitude[local_max])])
+    else:
+        peak = int(np.argmax(magnitude[2:])) + 2
+    f0 = float(freqs_mhz[peak])
+    if 1 <= peak < spectrum.size - 1:
+        left, centre, right = magnitude[peak - 1 : peak + 2]
+        denom = left - 2 * centre + right
+        shift = 0.5 * (left - right) / denom if denom else 0.0
+        f0 += shift * (freqs_mhz[1] - freqs_mhz[0])
+    phi0 = float(np.angle(spectrum[peak]))
+
+    period_samples = max(3, min(int(round(1e3 / (f0 * step))), t.size // 2))
+    if t.size - period_samples >= 12:
+        smooth = np.convolve(y, np.ones(period_samples) / period_samples, mode="valid")
+        start = (period_samples - 1) // 2
+        window = slice(start, start + smooth.size)
+        t_fit, y_fit = t[window], y[window] - smooth
+    else:
+        t_fit, y_fit = t, y - float(np.mean(y))
+    amp0 = float(np.ptp(y_fit)) / 2.0
+
+    span_ns = float(t[-1] - t[0])
+    bounds = ([-np.inf, 1e-3, 0.0, -np.inf, -np.inf], [np.inf] * 5)
+    best = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for phase_guess in (phi0, 0.0, math.pi / 2.0, math.pi, -math.pi / 2.0):
+            for lifetime_guess in (span_ns / 2.0, span_ns * 5.0):
+                try:
+                    params, _ = curve_fit(
+                        _model, t_fit, y_fit, p0=[amp0, lifetime_guess, f0, phase_guess, 0.0],
+                        bounds=bounds, maxfev=20000,
+                        xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+                    )
+                except RuntimeError:
+                    continue
+                residual = float(np.linalg.norm(_model(t_fit, *params) - y_fit))
+                if best is None or residual < best[1]:
+                    best = (list(params), residual)
+    if best is None:
+        return None
+    params = best[0]
+    if params[0] < 0:
+        params[0] = -params[0]
+        params[3] += math.pi
+    params[3] = math.pi - (math.pi - params[3]) % TWO_PI
+    return tuple(params)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from fit_oracle import multistart_sinusoid
 from ode_oracle import dop853_states
 
 from wgqed import core, lindblad, protocols as pr
@@ -25,6 +26,22 @@ def inverted_dephasing_spec(g1d_m, gphi_m, gphi_c, probe=PROBE, gloss=GLOSS):
         detunings=spec.detunings,
         dephasing_correlations=((0, 2, gphi_c),),
     )
+
+
+def fringe_on_baseline(seed):
+    """Noisy damped fringe (121-181 points, 2.5-8 periods) on a decaying baseline."""
+    rng = np.random.default_rng(seed)
+    points = int(rng.integers(121, 182))
+    freq = rng.uniform(2.0, 15.0)
+    span = rng.uniform(2.5, 8.0) / freq * 1e3
+    t = np.linspace(0.0, span, points)
+    lifetime = rng.uniform(0.3, 2.0) * span
+    fringe = rng.uniform(0.2, 0.5) * np.exp(-t / lifetime) * np.cos(
+        2 * math.pi * freq * t * 1e-3 + rng.uniform(-math.pi, math.pi)
+    )
+    baseline = rng.uniform(-0.3, 0.3) * np.exp(-t / (rng.uniform(0.5, 3.0) * span))
+    baseline += rng.uniform(0.3, 0.6)
+    return t, fringe + baseline + rng.normal(0.0, rng.uniform(0.002, 0.01), points)
 
 
 class TestFits:
@@ -57,13 +74,64 @@ class TestFits:
         y = np.cos(2 * math.pi * 0.005 * t)  # half a period over the span
         with pytest.raises(FitError, match="periods"):
             pr.fit_damped_sinusoid(TimeTrace(t, y))
-        # with 1e-3 noise the fit can find a "fringe" in the noise (195 and
-        # 161 MHz for these seeds); its amplitude is not significant
+        # with 1e-3 noise an unguarded search finds a "fringe" in the noise
+        # (195 and 161 MHz for these seeds); the 5 MHz half period is the
+        # strongest pole pair, so the trace is rejected for its periods
         for seed in (8, 9):
             noise = 1e-3 * np.random.default_rng(seed).standard_normal(t.size)
             noisy = np.sin(2 * math.pi * 0.005 * t) + noise
-            with pytest.raises(FitError, match="standard errors"):
+            with pytest.raises(FitError, match="periods"):
                 pr.fit_damped_sinusoid(TimeTrace(t, noisy))
+
+    def test_rejections_decided_before_any_iteration(self, monkeypatch):
+        calls = []
+
+        def no_curve_fit(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("curve_fit called on an unidentifiable trace")
+
+        monkeypatch.setattr(pr, "curve_fit", no_curve_fit)
+        t = np.linspace(0, 100, 40)
+        half = 2 * math.pi * 0.005 * t  # 5 MHz over 0.1 us: half a period
+        traces = [np.sin(half), np.cos(half), np.exp(-t / 60.0)]
+        for seed in range(10):
+            noise = 1e-3 * np.random.default_rng(seed).standard_normal(t.size)
+            traces += [np.sin(half) + noise, np.cos(half) + noise]
+        for y in traces:
+            with pytest.raises(FitError, match="periods"):
+                pr.fit_damped_sinusoid(TimeTrace(t, y))
+        assert calls == []
+
+    def test_single_start_matches_multistart_search(self):
+        for seed in range(24):
+            t, y = fringe_on_baseline(seed)
+            fit = pr.fit_damped_sinusoid(TimeTrace(t, y))
+            _, ref_lifetime, ref_freq, _, _ = multistart_sinusoid(t, y)
+            assert fit.value("frequency_mhz") == pytest.approx(ref_freq, rel=1e-6)
+            assert fit.value("lifetime_ns") == pytest.approx(ref_lifetime, rel=1e-6)
+
+    def test_slow_baseline_pair_is_no_fringe(self):
+        # in this trace noise merges the constant and the baseline into a
+        # pole pair (0.02 turns) that outweighs the 3.2-period fringe
+        t, y = fringe_on_baseline(39)
+        poles, sizes = pr._pencil_poles(y)
+        pairs = np.flatnonzero(poles.imag > 0)
+        turns = np.angle(poles[pairs]) / (2 * math.pi) * (t.size - 1)
+        assert sorted(np.round(turns, 2)) == [0.02, 3.24]
+        assert sizes[pairs[np.argmin(turns)]] > sizes[pairs[np.argmax(turns)]]
+        _, ref_lifetime, ref_freq, _, _ = multistart_sinusoid(t, y)
+        fit = pr.fit_damped_sinusoid(TimeTrace(t, y))
+        assert fit.value("frequency_mhz") == pytest.approx(ref_freq, rel=1e-6)
+        assert fit.value("lifetime_ns") == pytest.approx(ref_lifetime, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_trace_rejected_by_name(self, bad):
+        t = np.linspace(0, 1000, 120)
+        y = 0.5 * (1 + np.cos(2 * math.pi * 5.65 * t * 1e-3) * np.exp(-t / 400.0))
+        y[17] = bad
+        for fit in (pr.fit_exponential, pr.fit_damped_sinusoid):
+            with pytest.raises(FitError, match="non-finite"):
+                fit(TimeTrace(t, y))
 
     def test_phase_in_half_open_interval(self):
         # the sign fold and a start near +-pi can land the fit a period away
