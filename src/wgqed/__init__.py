@@ -35,7 +35,6 @@ from .lindblad import (
     ProductBasis,
     assemble_liouvillian,
     build_model,
-    correlated_dephasing_dissipator,
     dark_state_rates,
     dominant_oscillation,
     evolve,

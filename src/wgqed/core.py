@@ -28,6 +28,7 @@ __all__ = [
     "collective_modes",
     "dark_bright_asymmetric",
     "coupling_rate_2j",
+    "probe_dark_projection",
     "probe_dark_coupling",
     "cooperativity",
     "second_excitation_cooperativity",
@@ -290,15 +291,14 @@ def coupling_rate_2j(n_mirrors: int, g1d_mirror: float, g1d_probe: float) -> flo
     return math.sqrt(n_mirrors * g1d_mirror * g1d_probe)
 
 
-def probe_dark_coupling(spec: SystemSpec) -> float:
-    """Coupling rate 2J of the designated probe to the mirrors' dark subspace.
+def probe_dark_projection(spec: SystemSpec) -> np.ndarray:
+    """Probe exchange row projected onto the mirrors' dark subspace (MHz).
 
-    Works for arbitrary mirror rates and placements: the dark subspace is
-    spanned by the eigenvectors of the mirror-block decay matrix whose
-    eigenvalue lies within 1e-9 (relative) of the smallest, and 2J is twice
-    the norm of the probe's exchange row projected onto it.  With N ideal
-    half-wavelength mirrors the subspace is (N-1)-dimensional and the
-    result is sqrt(N g1d_mirror g1d_probe).
+    Entries follow spec.mirror_indices.  The dark subspace is spanned by
+    the eigenvectors of the mirror-block decay matrix whose eigenvalue
+    lies within 1e-9 (relative) of the smallest.  With N ideal
+    half-wavelength mirrors it is (N-1)-dimensional, and this projection,
+    not any one eigenvector, is the dark state the probe exchanges with.
     """
     if spec.probe_index is None:
         raise ValueError("spec has no designated probe")
@@ -310,7 +310,17 @@ def probe_dark_coupling(spec: SystemSpec) -> float:
     tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     dark = vectors[:, values <= values.min() + tol]
     j_row = exchange_matrix(spec)[spec.probe_index, mirrors]
-    return 2.0 * float(np.linalg.norm(dark.conj().T @ j_row))
+    return dark @ (dark.conj().T @ j_row)
+
+
+def probe_dark_coupling(spec: SystemSpec) -> float:
+    """Coupling rate 2J of the designated probe to the mirrors' dark subspace.
+
+    Twice the norm of probe_dark_projection, for arbitrary mirror rates
+    and placements.  With N ideal half-wavelength mirrors the result is
+    sqrt(N g1d_mirror g1d_probe).
+    """
+    return 2.0 * float(np.linalg.norm(probe_dark_projection(spec)))
 
 
 def cooperativity(two_j: float, g1d_probe: float, gprime_probe: float, gprime_dark: float) -> float:

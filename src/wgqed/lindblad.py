@@ -3,6 +3,8 @@
 Hamiltonians inside :class:`LindbladModel` are angular (rad/us, i.e. 2*pi
 times a value in MHz); dissipator rates stay in MHz and pick up their
 2*pi factor exactly once, during Liouvillian assembly.  Times are in us.
+A model is a Hamiltonian and a list of independent jumps: :func:`build_model`
+turns each correlated rate matrix into collective jumps once.
 
 The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
 density matrix, built by one scatter of the operator factors' nonzeros.
@@ -43,7 +45,6 @@ __all__ = [
     "steady_states",
     "dominant_oscillation",
     "thermal_qubit_steady",
-    "correlated_dephasing_dissipator",
     "dark_state_rates",
     "quasi_static_average",
 ]
@@ -166,23 +167,22 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian (angular, rad/us) plus dissipators (rates in MHz).
+    """Hamiltonian (angular, rad/us) plus jump operators (rates in MHz).
 
-    dephasing_matrix, when present, is the symmetric matrix of individual
-    (diagonal) and correlated (off-diagonal) pure dephasing rates over the
-    qubit sites of ``basis``.
+    Every dissipator is an independent (operator, rate) jump: correlated
+    channels arrive already diagonalized into collective jumps (see
+    build_model).  ``basis``, when present, is the qubit product space the
+    matrices act on; the dimension is read from the Hamiltonian.
     """
 
-    dimension: int
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, float], ...] = ()
-    dephasing_matrix: np.ndarray | None = None
     basis: ProductBasis | None = None
 
     def __post_init__(self):
         ham = np.asarray(self.hamiltonian, dtype=complex)
-        if ham.shape != (self.dimension, self.dimension):
-            raise ValueError("hamiltonian shape does not match dimension")
+        if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
+            raise ValueError("hamiltonian must be square")
         scale = max(1.0, float(np.max(np.abs(ham)))) if ham.size else 1.0
         if np.max(np.abs(ham - ham.conj().T)) > 1e-12 * scale:
             raise ValueError("hamiltonian is not Hermitian within 1e-12")
@@ -190,58 +190,40 @@ class LindbladModel:
         checked = []
         for op, rate in self.dissipators:
             op = np.asarray(op, dtype=complex)
-            if op.shape != (self.dimension, self.dimension):
-                raise ValueError("jump operator shape does not match dimension")
+            if op.shape != ham.shape:
+                raise ValueError("jump operator shape does not match the hamiltonian")
             if rate < 0:
                 raise ValueError(f"negative dissipator rate {rate}")
             checked.append((op, float(rate)))
         object.__setattr__(self, "dissipators", tuple(checked))
-        if self.dephasing_matrix is not None:
-            mat = np.asarray(self.dephasing_matrix, dtype=float)
-            _check_dephasing_psd(mat)
-            if self.basis is None or mat.shape != (self.basis.n_qubits,) * 2:
-                raise ValueError("dephasing matrix requires a matching qubit basis")
-            object.__setattr__(self, "dephasing_matrix", mat)
+
+    @property
+    def dimension(self) -> int:
+        return self.hamiltonian.shape[0]
 
 
-def _check_dephasing_psd(mat: np.ndarray) -> None:
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("dephasing matrix must be square")
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
-        raise ValueError("dephasing matrix must be symmetric")
-    eigenvalues = np.linalg.eigvalsh(mat)
-    if eigenvalues.min() < -1e-9:
-        raise ValueError(
-            f"dephasing matrix is not positive semidefinite; eigenvalues {eigenvalues}"
-        )
+def _collective_jumps(rate_matrix, site_operators) -> list[tuple[np.ndarray, float]]:
+    """Independent jumps (sum_j v_jk op_j, lambda_k) of a correlated rate matrix.
 
-
-def correlated_dephasing_dissipator(
-    dephasing_matrix, basis: ProductBasis | int | None = None
-) -> list[tuple[np.ndarray, float]]:
-    """Equivalent independent jump operators for a dephasing-rate matrix.
-
-    Diagonalizing the (PSD) rate matrix turns the cross terms
-    (rate_jk/2)(sz_j rho sz_k - ...) into one collective sz-type jump per
-    eigenvector, at half the eigenvalue rate, which keeps the generator in
-    manifestly completely positive form.
+    Each eigenvector v_k of the symmetric PSD matrix becomes one collective
+    jump at its eigenvalue rate lambda_k, which keeps the generator in
+    manifestly completely positive form; eigenvalues at or below 1e-12 of
+    the largest carry none.  An eigenvalue below -1e-9 raises ValueError.
     """
-    mat = np.asarray(dephasing_matrix, dtype=float)
-    _check_dephasing_psd(mat)
-    if basis is None or isinstance(basis, int):
-        basis = ProductBasis(mat.shape[0] if basis is None else basis)
-    if mat.shape[0] != basis.n_qubits:
-        raise ValueError("dephasing matrix size does not match qubit count")
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
-    terms = []
-    sz = [basis.sigma_z(j) for j in range(basis.n_qubits)]
-    for k in range(len(eigenvalues)):
-        if eigenvalues[k] <= 1e-12 * scale:
-            continue
-        op = sum(eigenvectors[j, k] * sz[j] for j in range(basis.n_qubits))
-        terms.append((op, float(eigenvalues[k]) / 2.0))
-    return terms
+    mat = np.asarray(rate_matrix, dtype=float)
+    if mat.ndim != 2 or mat.shape != (len(site_operators),) * 2:
+        raise ValueError("rate matrix must be square with one row per site operator")
+    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
+        raise ValueError("rate matrix must be symmetric")
+    rates, vectors = np.linalg.eigh(mat)
+    if rates.min() < -1e-9:
+        raise ValueError(f"rate matrix is not positive semidefinite; eigenvalues {rates}")
+    scale = max(1.0, float(np.max(np.abs(rates))))
+    return [
+        (sum(vectors[j, k] * op for j, op in enumerate(site_operators)), float(rates[k]))
+        for k in range(rates.size)
+        if rates[k] > 1e-12 * scale
+    ]
 
 
 def build_model(
@@ -254,8 +236,10 @@ def build_model(
 
     drives lists (qubit index, complex Rabi amplitude in MHz) entries that
     enter the Hamiltonian as (omega/2) sigma+ + h.c. in the drive rotating
-    frame.  Correlated waveguide decay is diagonalized into independent
-    collective jump operators; thermal excitation acts per qubit.
+    frame.  The jumps are, in order: the collective jumps (_collective_jumps)
+    of the waveguide decay matrix over the lowering operators, per-qubit
+    loss and thermal jumps, and those of the dephasing matrix (gamma_phi
+    plus the spec's correlations) over sigma_z at half rate.
     ``max_excitations`` truncates the product space, which is only valid
     with no drives and no thermal occupancy.
     """
@@ -279,17 +263,7 @@ def build_model(
         ham += 0.5 * amplitude * lower[q].T + 0.5 * np.conj(amplitude) * lower[q]
     ham *= TWO_PI
 
-    dissipators = []
-    gamma = core.waveguide_decay_matrix(spec)
-    rates, vectors = np.linalg.eigh(gamma)
-    scale = max(1.0, float(np.max(np.abs(rates))))
-    if rates.min() < -1e-9 * scale:
-        raise ValueError(f"waveguide decay matrix not PSD; eigenvalues {rates}")
-    for k in range(n):
-        if rates[k] <= 1e-12 * scale:
-            continue
-        op = sum(vectors[j, k] * lower[j] for j in range(n))
-        dissipators.append((op, float(rates[k])))
+    dissipators = _collective_jumps(core.waveguide_decay_matrix(spec), lower)
     for j, q in enumerate(spec.params):
         if q.gamma_loss > 0:
             dissipators.append((lower[j], q.gamma_loss))
@@ -301,14 +275,10 @@ def build_model(
     for i, j, rate in spec.dephasing_correlations:
         dephasing[i, j] += rate
         dephasing[j, i] += rate
+    sigma_z = [basis.sigma_z(j) for j in range(n)]
+    dissipators += [(op, rate / 2.0) for op, rate in _collective_jumps(dephasing, sigma_z)]
 
-    return LindbladModel(
-        dimension=basis.dimension,
-        hamiltonian=ham,
-        dissipators=tuple(dissipators),
-        dephasing_matrix=dephasing if dephasing.any() else None,
-        basis=basis,
-    )
+    return LindbladModel(ham, tuple(dissipators), basis)
 
 
 def _scatter_kron(terms, d: int):
@@ -344,15 +314,9 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
     """
     d = model.dimension
     eye = np.eye(d)
-    terms = list(model.dissipators)
-    if model.dephasing_matrix is not None:
-        terms += correlated_dephasing_dissipator(model.dephasing_matrix, model.basis)
     effective = -1j * model.hamiltonian
     jumps = []
-    for op, rate in terms:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (d, d):
-            raise ValueError("jump operator dimension mismatch")
+    for op, rate in model.dissipators:
         effective = effective - 0.5 * TWO_PI * rate * (op.conj().T @ op)
         jumps.append((TWO_PI * rate, op, op.conj()))
     rows, cols, vals = _scatter_kron(

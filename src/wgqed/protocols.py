@@ -55,6 +55,10 @@ MIN_AMPLITUDE_SIGMAS = 5.0
 # decaying baseline and a constant, at most four poles
 PENCIL_ORDER = 4
 
+# cap on the matrix-pencil parameter (n // 3 below it): the Hankel matrix
+# keeps at most 101 columns, so a long trace's SVD costs O(n), not O(n^3)
+PENCIL_PARAMETER_MAX = 100
+
 # a conjugate pole pair that turns through less than this many periods over
 # the span is the constant and the baseline, which noise can merge into one
 # slow pair (up to 0.35 turns in random panels); it is no candidate fringe
@@ -116,16 +120,20 @@ def rotate_qubit(rho: np.ndarray, basis, qubit: int, angle: float, axis_phase: f
 
 
 def dark_state_vector(spec: core.SystemSpec, basis) -> np.ndarray:
-    """Single-excitation dark state of the mirror array in the full space."""
-    probe = _require_probe(spec)
-    mirrors = list(spec.mirror_indices)
-    gamma = core.waveguide_decay_matrix(spec)[np.ix_(mirrors, mirrors)]
-    values, vectors = np.linalg.eigh(gamma)
-    weights = vectors[:, np.argmin(values)]
+    """Single-excitation mirror dark state the probe couples to, in the full space.
+
+    The normalized core.probe_dark_projection: with more than two mirrors
+    the dark subspace is degenerate, and this is the one state in it that
+    the probe exchange fills.  ValueError if the probe does not couple to it.
+    """
+    weights = core.probe_dark_projection(spec)
+    norm = np.linalg.norm(weights)
+    if not norm > 0:
+        raise ValueError("probe is not coupled to the dark subspace")
     vec = np.zeros(basis.dimension, dtype=complex)
-    for w, m in zip(weights, mirrors):
+    for w, m in zip(weights, spec.mirror_indices):
         vec += w * basis.basis_vector(1 << m)
-    return vec / np.linalg.norm(vec)
+    return vec / norm
 
 
 def dark_population(spec: core.SystemSpec, basis, rho: np.ndarray) -> float:
@@ -375,7 +383,7 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     if params.gamma_phi > 0:
         sz_q = np.kron(np.diag([-1.0, 1.0]), mode_eye)
         dissipators.append((sz_q, params.gamma_phi / 2.0))
-    model = lindblad.LindbladModel(6, ham, tuple(dissipators))
+    model = lindblad.LindbladModel(ham, tuple(dissipators))
     excited_one = np.zeros(6, dtype=complex)
     excited_one[1 * 3 + 1] = 1.0
     ops = {
@@ -454,9 +462,13 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
     def model(t, amp, lifetime, offset):
         return amp * np.exp(-t / lifetime) + offset
 
+    def jacobian(t, amp, lifetime, offset):
+        decay = np.exp(-t / lifetime)
+        return np.column_stack((decay, amp * decay * t / lifetime**2, np.ones_like(t)))
+
     try:
         params, cov = curve_fit(
-            model, t, y, p0=[amp0, lifetime0, offset0], maxfev=20000,
+            model, t, y, p0=[amp0, lifetime0, offset0], jac=jacobian, maxfev=20000,
             xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
         )
     except RuntimeError as err:
@@ -480,14 +492,16 @@ def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrix-pencil poles of y[k] = sum_i c_i z_i**k and the size of each term.
 
     Hua and Sarkar, IEEE Trans. ASSP 38, 814 (1990): one SVD of the Hankel
-    matrix of y (pencil parameter n // 3) keeps at most PENCIL_ORDER right
-    singular vectors, dropping those whose singular value is numerically
-    zero, so a bare exponential yields a single real pole.  The poles are
-    the eigenvalues of the pencil of the shifted subspaces, and one
-    Vandermonde least-squares solve gives the amplitudes c_i; a term's
-    size is its norm over the trace, |c_i| * ||z_i**k||.
+    matrix of y (pencil parameter n // 3, at most PENCIL_PARAMETER_MAX)
+    keeps at most PENCIL_ORDER right singular vectors, dropping those whose
+    singular value is numerically zero, so a bare exponential yields a
+    single real pole.  The poles are the eigenvalues of the pencil of the
+    shifted subspaces, and one Vandermonde least-squares solve gives the
+    amplitudes c_i; a term's size is its norm over the trace,
+    |c_i| * ||z_i**k||.
     """
-    hankel = np.lib.stride_tricks.sliding_window_view(y, y.size // 3 + 1)
+    width = min(y.size // 3, PENCIL_PARAMETER_MAX) + 1
+    hankel = np.lib.stride_tricks.sliding_window_view(y, width)
     _, singular, vh = np.linalg.svd(hankel, full_matrices=False)
     cutoff = singular[0] * max(hankel.shape) * np.finfo(float).eps
     order = int(np.count_nonzero(singular[:PENCIL_ORDER] > cutoff))
@@ -581,12 +595,19 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     def model(t, amp, lifetime, f, phi, offset):
         return amp * np.exp(-t / lifetime) * np.cos(TWO_PI * f * t * 1e-3 + phi) + offset
 
+    def jacobian(t, amp, lifetime, f, phi, offset):
+        decay = np.exp(-t / lifetime)
+        angle = TWO_PI * f * t * 1e-3 + phi
+        d_amp, d_phi = decay * np.cos(angle), -amp * decay * np.sin(angle)
+        d_lifetime, d_f = amp * d_amp * t / lifetime**2, d_phi * TWO_PI * t * 1e-3
+        return np.column_stack((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
+
     bounds = ([-np.inf, 1e-3, 0.0, -np.inf, -np.inf], [np.inf] * 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             params, cov = curve_fit(
-                model, t_fit, y_fit, p0=p0, bounds=bounds, maxfev=20000,
+                model, t_fit, y_fit, p0=p0, jac=jacobian, bounds=bounds, maxfev=20000,
                 xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
             )
         except RuntimeError as err:

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 
-from wgqed.lindblad import correlated_dephasing_dissipator
-
 TWO_PI = 2 * math.pi
 
 
@@ -20,10 +18,7 @@ def dense_liouvillian(model) -> np.ndarray:
     eye = np.eye(d)
     ham = model.hamiltonian
     liouville = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
-    terms = list(model.dissipators)
-    if model.dephasing_matrix is not None:
-        terms += correlated_dephasing_dissipator(model.dephasing_matrix, model.basis)
-    for op, rate in terms:
+    for op, rate in model.dissipators:
         op = np.asarray(op, dtype=complex)
         opdop = op.conj().T @ op
         liouville += TWO_PI * rate * (

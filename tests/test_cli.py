@@ -258,15 +258,20 @@ class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         first.mkdir(), second.mkdir()
+        configs = sorted(files("wgqed").joinpath("configs").iterdir())
+        assert len(configs) == 17
         for directory in (first, second):
-            assert cli.main(
-                ["run", bundled("fig2a_pair"), "--output", str(directory / "pair")]
-            ) == 0
-        assert self.numeric_bodies(first) == self.numeric_bodies(second)
-        m1 = json.loads((first / "pair_manifest.json").read_text())
-        m2 = json.loads((second / "pair_manifest.json").read_text())
-        m1.pop("wall_time_s"), m2.pop("wall_time_s")
-        assert m1 == m2
+            for entry in configs:
+                name = entry.name.replace(".cfg", "")
+                assert cli.main(["run", str(entry), "--output", str(directory / name)]) == 0
+        bodies = self.numeric_bodies(first)
+        assert len(bodies) == 30 and bodies == self.numeric_bodies(second)
+        for entry in configs:
+            manifest = entry.name.replace(".cfg", "_manifest.json")
+            m1 = json.loads((first / manifest).read_text())
+            m2 = json.loads((second / manifest).read_text())
+            m1.pop("wall_time_s"), m2.pop("wall_time_s")
+            assert m1 == m2
 
 
 class TestShelveExperiment:

@@ -18,7 +18,6 @@ from wgqed.lindblad import (
     ProductBasis,
     assemble_liouvillian,
     build_model,
-    correlated_dephasing_dissipator,
     dark_state_rates,
     evolve,
     propagator,
@@ -66,6 +65,25 @@ def random_spec(rng, n, n_th=0.0):
     )
 
 
+def single_channel_spec(rng, n, channel):
+    """Random array with only waveguide decay, or only (correlated) dephasing."""
+    decay = channel == "decay"
+    qubits = tuple(
+        (
+            QubitParams(f"Q{j}", rng.uniform(0.1, 50) if decay else 0.0, 0.0,
+                        0.0 if decay else rng.uniform(0, 1)),
+            Placement(rng.uniform(0, 7)),
+        )
+        for j in range(n)
+    )
+    corr = ()
+    if not decay and n > 1:
+        i, j = rng.choice(n, 2, replace=False)
+        rate = 0.9 * min(qubits[i][0].gamma_phi, qubits[j][0].gamma_phi)
+        corr = ((int(i), int(j), rate * rng.uniform(-1, 1)),)
+    return SystemSpec(qubits=qubits, dephasing_correlations=corr)
+
+
 def random_drives(rng, n):
     return tuple(
         (j, complex(rng.uniform(0, 8), rng.uniform(-2, 2))) for j in range(n) if rng.random() < 0.7
@@ -108,7 +126,7 @@ class TestProductBasis:
 class TestLiouvillian:
     def test_single_qubit_spectrum(self):
         basis = ProductBasis(1)
-        model = LindbladModel(2, np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
+        model = LindbladModel(np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
         eigenvalues = np.sort(np.linalg.eigvals(dense_liouvillian(model)).real)
         expected = TWO_PI * np.array([-2.0, -1.0, -1.0, 0.0])
         assert np.allclose(eigenvalues, expected, atol=1e-9)
@@ -131,13 +149,41 @@ class TestLiouvillian:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LindbladModel(2, np.zeros((2, 2)), ((np.zeros((3, 3)), 1.0),))
+            LindbladModel(np.zeros((2, 2)), ((np.zeros((3, 3)), 1.0),))
 
     def test_half_wavelength_pair_collective_jumps(self):
         model = build_model(pair_spec(13.4))
         # one bright collective jump at 2*g1d, no dark jump
         assert len(model.dissipators) == 1
         assert model.dissipators[0][1] == pytest.approx(26.8, rel=1e-12)
+
+    @pytest.mark.parametrize("channel", ["decay", "dephasing"])
+    def test_jumps_reproduce_rate_matrix(self, channel):
+        # sum_k r_k op_k (x) op_k^* = sum_jl Gamma_jl s_j (x) s_l^*, checked
+        # without diagonalizing Gamma: s = sigma- with the waveguide decay
+        # matrix, or s = sigma_z with half the dephasing matrix
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(2):
+                spec = single_channel_spec(rng, n, channel)
+                model = build_model(spec, max_excitations=int(rng.integers(1, n + 1)))
+                basis = model.basis
+                if channel == "decay":
+                    gamma = core.waveguide_decay_matrix(spec)
+                    sites = [basis.lowering(j) for j in range(n)]
+                else:
+                    gamma = np.diag([q.gamma_phi for q in spec.params])
+                    for i, j, rate in spec.dephasing_correlations:
+                        gamma[i, j] = gamma[j, i] = rate
+                    gamma = gamma / 2.0
+                    sites = [basis.sigma_z(j) for j in range(n)]
+                expected = sum(
+                    gamma[j, l] * np.kron(sites[j], sites[l].conj())
+                    for j in range(n)
+                    for l in range(n)
+                )
+                actual = sum(rate * np.kron(op, op.conj()) for op, rate in model.dissipators)
+                assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestSparseAgainstDenseOracle:
@@ -154,7 +200,7 @@ class TestSparseAgainstDenseOracle:
             for k in range(1, n):
                 spec = random_spec(rng, n)
                 model = build_model(spec, max_excitations=k)
-                assert model.basis.truncated and model.dephasing_matrix is not None
+                assert model.basis.truncated
                 assert_matches_dense(model)
 
     def test_hand_built_model_without_basis(self):
@@ -162,13 +208,13 @@ class TestSparseAgainstDenseOracle:
         ham = basis.number(0) - basis.number(1) + 0.3 * (basis.raising(0) @ basis.lowering(1))
         ham = ham + ham.conj().T
         ops = ((basis.lowering(0) + 0.5j * basis.lowering(1), 1.3), (basis.sigma_z(1), 0.2))
-        assert_matches_dense(LindbladModel(4, ham, ops))
+        assert_matches_dense(LindbladModel(ham, ops))
 
 
 class TestEvolve:
     def test_amplitude_damping_exponential(self):
         basis = ProductBasis(1)
-        model = LindbladModel(2, np.zeros((2, 2)), ((basis.lowering(0), 1.19),))
+        model = LindbladModel(np.zeros((2, 2)), ((basis.lowering(0), 1.19),))
         times = np.linspace(0.0, 0.5, 11)
         states = evolve(model, DensityMatrix.from_state_vector([0.0, 1.0]), times)
         populations = [s.elements[1, 1].real for s in states]
@@ -376,7 +422,7 @@ class TestSteadyStateSweep:
 
     def test_nonzero_detuning_needs_a_basis(self):
         basis = ProductBasis(1)
-        model = LindbladModel(2, np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
+        model = LindbladModel(np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
         with pytest.raises(ValueError, match="basis"):
             steady_states(model, [0.0, 1.0])
         (rho,) = steady_states(model, [0.0])
@@ -397,25 +443,36 @@ class TestThermalClosedForm:
         assert ee == pytest.approx(9.98e-4, abs=1e-6)
 
 
+def dephasing_spec(gphi, correlations=()):
+    """Qubits with pure dephasing only: no waveguide decay, loss or coupling."""
+    return SystemSpec(
+        qubits=tuple(
+            (QubitParams(f"Q{j}", 0.0, 0.0, g), Placement(0.0)) for j, g in enumerate(gphi)
+        ),
+        dephasing_correlations=correlations,
+    )
+
+
 class TestCorrelatedDephasing:
     def test_diagonal_matrix_gives_independent_dephasers(self):
-        terms = correlated_dephasing_dissipator(np.diag([0.3, 0.3]))
-        assert len(terms) == 2
-        for _, rate in terms:
+        model = build_model(dephasing_spec([0.3, 0.3]))
+        assert len(model.dissipators) == 2
+        for op, rate in model.dissipators:
             assert rate == pytest.approx(0.15)
+            assert any(np.allclose(np.abs(op), np.abs(model.basis.sigma_z(j))) for j in (0, 1))
 
     def test_fully_common_noise_is_rank_one(self):
-        terms = correlated_dephasing_dissipator([[0.3, 0.3], [0.3, 0.3]])
-        assert len(terms) == 1
-        op, rate = terms[0]
+        model = build_model(dephasing_spec([0.3, 0.3], ((0, 1, 0.3),)))
+        assert len(model.dissipators) == 1
+        op, rate = model.dissipators[0]
         assert rate == pytest.approx(0.3)
-        basis = ProductBasis(2)
+        basis = model.basis
         collective = (basis.sigma_z(0) + basis.sigma_z(1)) / math.sqrt(2)
         assert np.allclose(np.abs(op), np.abs(collective))
 
     def test_non_psd_rejected_with_eigenvalues(self):
-        with pytest.raises(ValueError, match="eigenvalues"):
-            correlated_dephasing_dissipator([[0.1, 0.3], [0.3, 0.1]])
+        with pytest.raises(ValueError, match=r"eigenvalues \[-0\.2 +0\.4\]"):
+            build_model(dephasing_spec([0.1, 0.1], ((0, 1, 0.3),)))
 
     def test_dark_rates_from_inverted_parameters(self):
         # simulate and fit the dark-state decay with the rates that invert

@@ -52,6 +52,20 @@ class TestFits:
         assert fit.sigma("lifetime_ns") < 7.57
         assert fit.value("rate_mhz") == pytest.approx(1e3 / (2 * math.pi * 757.0), rel=1e-3)
 
+    def test_exponential_stable_under_roundoff_perturbation(self):
+        # with the analytic Jacobian a 2e-13 change of a two-timescale
+        # trace moves every value and uncertainty by ~1e-11 relative; a
+        # finite-difference Jacobian moved them by ~2e-8
+        t = np.linspace(0, 3000, 40)
+        y = 0.9 * np.exp(-t / 90.0) + 0.05 * np.exp(-t / 900.0)
+        base = pr.fit_exponential(TimeTrace(t, y))
+        for seed in range(3):
+            noise = 2e-13 * np.random.default_rng(seed).standard_normal(t.size)
+            moved = pr.fit_exponential(TimeTrace(t, y + noise))
+            for name, (value, sigma) in base.parameters.items():
+                assert moved.value(name) == pytest.approx(value, rel=1e-9)
+                assert moved.sigma(name) == pytest.approx(sigma, rel=1e-9)
+
     def test_sinusoid_round_trip(self):
         t = np.linspace(0, 1000, 120)
         y = 0.5 * (1 + np.cos(2 * math.pi * 5.65 * t * 1e-3) * np.exp(-t / 400.0))
@@ -109,6 +123,25 @@ class TestFits:
             _, ref_lifetime, ref_freq, _, _ = multistart_sinusoid(t, y)
             assert fit.value("frequency_mhz") == pytest.approx(ref_freq, rel=1e-6)
             assert fit.value("lifetime_ns") == pytest.approx(ref_lifetime, rel=1e-6)
+
+    def test_pencil_parameter_is_capped(self, monkeypatch):
+        # a long trace keeps a Hankel matrix of at most 101 columns, so its
+        # SVD grows linearly with the trace; short ones keep n // 3 + 1
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(pr.np.linalg, "svd", recording_svd)
+        for points, shape in ((3001, (2901, 101)), (281, (188, 94))):
+            shapes.clear()
+            t = np.linspace(0, 1000, points)
+            y = 0.5 * (1 + np.cos(2 * math.pi * 5.65 * t * 1e-3) * np.exp(-t / 400.0))
+            fit = pr.fit_damped_sinusoid(TimeTrace(t, y))
+            assert fit.value("frequency_mhz") == pytest.approx(5.65, rel=1e-6)
+            assert shapes == [shape]
 
     def test_slow_baseline_pair_is_no_fringe(self):
         # in this trace noise merges the constant and the baseline into a
@@ -208,7 +241,7 @@ class TestIswap:
         # dissipative part of the generator is switched off
         spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19))
         model = lindblad.build_model(spec)
-        coherent = lindblad.LindbladModel(model.dimension, model.hamiltonian)
+        coherent = lindblad.LindbladModel(model.hamiltonian)
         basis = model.basis
         rho = np.outer(
             basis.basis_vector(1 << spec.probe_index),
@@ -229,6 +262,31 @@ class TestIswap:
         population = pr.dark_population(spec, basis, final.elements)
         estimate = math.exp(-math.pi * 1.19 / (2 * TWO_J1))
         assert population == pytest.approx(estimate, rel=0.05)
+
+    @pytest.mark.parametrize("n_mirrors", [2, 4])
+    def test_dark_population_is_whole_dark_subspace(self, n_mirrors):
+        # four mirrors have a 3-fold degenerate dark subspace; the probe
+        # fills only its state along the exchange row, so the population
+        # of that state is the population of the whole subspace
+        spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19), n_mirrors=n_mirrors)
+        _, final = pr.iswap(spec)
+        basis = lindblad.ProductBasis(spec.n_qubits)
+        mirrors = list(spec.mirror_indices)
+        gamma = core.waveguide_decay_matrix(spec)[np.ix_(mirrors, mirrors)]
+        values, vectors = np.linalg.eigh(gamma)
+        subspace = 0.0
+        for k in np.flatnonzero(values < 1e-9 * values.max()):
+            dark = sum(vectors[i, k] * basis.basis_vector(1 << m) for i, m in enumerate(mirrors))
+            subspace += np.vdot(dark, final.elements @ dark).real
+        population = pr.dark_population(spec, basis, final.elements)
+        assert population == pytest.approx(subspace, abs=1e-12)
+        if n_mirrors == 2:
+            assert population == pytest.approx(0.726213, abs=5e-7)
+
+    def test_uncoupled_probe_has_no_dark_state(self):
+        spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 0.0))
+        with pytest.raises(ValueError, match="not coupled"):
+            pr.dark_state_vector(spec, lindblad.ProductBasis(3))
 
     def test_first_peak_population_slow_mirrors(self):
         spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=1.0)
