@@ -11,12 +11,14 @@ density matrix, built by one scatter of the operator factors' nonzeros.
 Every Liouvillian here is time-independent over a segment, so time
 evolution is exact propagation: :func:`propagator` returns exp(L dt) by
 scaling and squaring a Taylor polynomial, and :func:`evolve` applies one
-such matrix per distinct grid step.  Steady states come from one dense LU
-solve of the trace-bordered Liouvillian, whose LAPACK condition estimate
-flags a degenerate null space.  A sweep over the drive detuning
-delta assembles the Liouvillian once: moving the drive frame only shifts
-the diagonal, L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b)
-and N the total excitation number of each basis state.
+such matrix per distinct grid step.  Steady states come from one real
+dense LU solve of the trace-bordered Liouvillian in Hermitian coordinates
+(the d^2 real parameters of rho; L maps Hermitian matrices to Hermitian
+matrices, so it is real there), whose LAPACK condition estimate flags a
+degenerate null space.  A sweep over the drive detuning delta assembles
+the Liouvillian once: moving the drive frame only shifts the diagonal,
+L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b) and N the
+total excitation number of each basis state.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ STEADY_RCOND_MIN = 1e-13
 class DegenerateSteadyStateError(RuntimeError):
     """The Liouvillian null space is not one-dimensional.
 
-    Detected by :func:`steady_states` as a trace-bordered Liouvillian whose
-    reciprocal condition number (LAPACK gecon on its LU factors) is below
-    STEADY_RCOND_MIN, or as a solution with a large residual.
+    Detected by :func:`steady_states` as a trace-bordered Liouvillian, real
+    in Hermitian coordinates, whose reciprocal condition number (LAPACK
+    dgecon on its LU factors) is below STEADY_RCOND_MIN, or as a solution
+    with a large residual.  The message names the drive detuning (MHz) of
+    the sweep point that failed.
     """
 
 
@@ -391,6 +395,58 @@ def evolve(model: LindbladModel, rho0, times) -> list[DensityMatrix]:
     return states
 
 
+def _hermitian_coordinates(d: int):
+    """Unitary U from the row-major vec of a d x d matrix to Hermitian coordinates.
+
+    x = U vec(rho) has x[a*d + a] = rho_aa and, for a < b, x[a*d + b] =
+    sqrt(2) Re rho_ab and x[b*d + a] = sqrt(2) Im rho_ab, so x is real
+    exactly when rho is Hermitian.  Each row of U^dagger holds at most two
+    entries: vec(rho)[i] = real_scale[i] x[real_at[i]] + i imag_scale[i]
+    x[imag_at[i]].  Returns U (CSR) and that gather, (real_at, real_scale,
+    imag_at, imag_scale), for _hermitian_matrix.
+    """
+    index = np.arange(d * d)
+    a, b = np.divmod(index, d)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    real_at, imag_at = low * d + high, high * d + low
+    real_scale = np.where(a == b, 1.0, np.sqrt(0.5))
+    imag_scale = np.sign(b - a) * np.sqrt(0.5)
+    inverse = sparse.csr_matrix(
+        (np.concatenate([real_scale, 1j * imag_scale]),
+         (np.concatenate([index, index]), np.concatenate([real_at, imag_at]))),
+        shape=(d * d, d * d),
+    )
+    inverse.eliminate_zeros()
+    return inverse.conj().T.tocsr(), (real_at, real_scale, imag_at, imag_scale)
+
+
+def _hermitian_matrix(x: np.ndarray, gather) -> np.ndarray:
+    """Row-major vec of the Hermitian matrix with real Hermitian coordinates x.
+
+    Entries ab and ba read the same two coordinates with the imaginary
+    part negated, so the result is exactly Hermitian.
+    """
+    real_at, real_scale, imag_at, imag_scale = gather
+    vec = np.empty(x.size, dtype=complex)
+    vec.real = x[real_at] * real_scale
+    vec.imag = x[imag_at] * imag_scale
+    return vec
+
+
+def _real_similarity(unitary, op) -> sparse.csr_matrix:
+    """U op U^dagger as a real CSR matrix, for an op that maps Hermitian to Hermitian.
+
+    ValueError if an imaginary part exceeds 1e-10 of the largest entry.
+    """
+    out = unitary @ op @ unitary.conj().T
+    scale = max(1.0, float(np.abs(out.data).max(initial=0.0)))
+    if np.abs(out.data.imag).max(initial=0.0) > 1e-10 * scale:
+        raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
+    out = out.real
+    out.eliminate_zeros()
+    return out
+
+
 def _detuning_generator(basis: ProductBasis) -> np.ndarray:
     """Diagonal of K = dL/d(delta) in the row-major vec basis (rad/us per MHz).
 
@@ -402,41 +458,34 @@ def _detuning_generator(basis: ProductBasis) -> np.ndarray:
     return 1j * TWO_PI * (counts[:, None] - counts[None, :]).reshape(-1)
 
 
-def _bordered_steady_state(liouville, generator, delta: float, d: int) -> DensityMatrix:
-    """One trace-bordered LU solve of L0 + delta K (see steady_states).
+def _detuning_rotation(generator: np.ndarray, gather) -> sparse.coo_matrix:
+    """K_r = U diag(generator) U^dagger in Hermitian coordinates (real COO).
 
-    liouville is CSC, which densifies straight to Fortran order, so getrf
-    factors the bordered matrix in place: it is the only dense d^2 x d^2
-    array alive during the solve, and it is released on return.
+    The generator entries i w at ab and -i w at ba (a < b) turn rho_ab at
+    rate w, i.e. dx_ab/dt = -w x_ba and dx_ba/dt = w x_ab: K_r has entries
+    at (ab, ba) and (ba, ab) only, never on the diagonal or in row 0.
     """
-    bordered = liouville.toarray()
-    if delta:
-        diagonal = np.arange(d * d)
-        bordered[diagonal, diagonal] += delta * generator
-    bordered[0] = 0.0
-    bordered[0, :: d + 1] = 1.0
-    anorm = float(np.abs(bordered).sum(axis=0).max())
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (bordered,))
-    lu, piv, info = getrf(bordered, overwrite_a=True)
-    rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
-    if rcond < STEADY_RCOND_MIN:
-        raise DegenerateSteadyStateError(
-            f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the "
-            f"trace-bordered matrix, below {STEADY_RCOND_MIN:.0e})"
-        )
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = 1.0
-    vec, _ = getrs(lu, piv, rhs)
-    rho = vec.reshape(d, d)
-    rho = (rho + rho.conj().T) / 2.0
-    vec = rho.reshape(-1)
-    flow = liouville @ vec
-    if delta:
-        flow += delta * generator * vec
-    residual = np.max(np.abs(flow))
-    if residual > 1e-10 * max(1.0, anorm):
-        raise DegenerateSteadyStateError(f"steady-state residual too large: {residual:.3e}")
-    return DensityMatrix(rho)
+    real_at, _, imag_at, imag_scale = gather
+    upper = np.flatnonzero((imag_scale > 0) & (generator != 0))
+    rate = generator[upper].imag
+    ab, ba = real_at[upper], imag_at[upper]
+    return sparse.coo_matrix(
+        (np.concatenate([-rate, rate]), (np.concatenate([ab, ba]), np.concatenate([ba, ab]))),
+        shape=(generator.size, generator.size),
+    )
+
+
+def _trace_bordered(matrix: sparse.csr_matrix, d: int) -> sparse.csc_matrix:
+    """CSC copy of a CSR matrix with row 0 replaced by the trace row sum_a x_aa."""
+    start = matrix.indptr[1]
+    return sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(d), matrix.data[start:]]),
+            np.concatenate([np.arange(d) * (d + 1), matrix.indices[start:]]),
+            np.concatenate([[0], matrix.indptr[1:] - start + d]),
+        ),
+        shape=matrix.shape,
+    ).tocsc()
 
 
 def steady_states(model: LindbladModel, detunings) -> list[DensityMatrix]:
@@ -444,30 +493,65 @@ def steady_states(model: LindbladModel, detunings) -> list[DensityMatrix]:
 
     delta (MHz) moves the drive frame: every qubit detuning of ``model``
     is lowered by delta, which changes only the diagonal of the Liouvillian
-    (see _detuning_generator).  So L0 is assembled once per sweep and each
-    point adds delta K to the diagonal of its dense copy.  Row 0 (the
-    d rho_00/dt equation, linearly dependent on the other population rows
-    because L preserves trace) is then replaced by the trace functional
-    vec(1)^T, and the bordered system A vec(rho) = e_0 is solved with one
-    dense LAPACK LU factorization.  Raises DegenerateSteadyStateError when
-    the reciprocal 1-norm condition number of A, estimated from the LU
-    factors, is below STEADY_RCOND_MIN (e.g. a disconnected dark subspace
-    with no decay path), or when the solution leaves a residual
-    |(L0 + delta K) rho| above 1e-10 of the 1-norm of A.  A nonzero detuning
-    needs the model's qubit basis (ValueError without one).
+    (see _detuning_generator).  So L0 is assembled once per sweep.  The
+    solve runs over the d^2 real Hermitian coordinates x = U vec(rho) of
+    the state (_hermitian_coordinates): A = U L0 U^dagger and K_r =
+    U K U^dagger are real, and K_r only couples the real and imaginary
+    parts of each coherence.  Row 0 of A (the d rho_00/dt equation,
+    linearly dependent on the other population rows because L preserves
+    trace) is replaced by the trace functional sum_a x_aa, once per sweep.
+    Each point densifies A + delta K_r and solves (A + delta K_r) x = e_0
+    with one real LAPACK LU factorization; rho is gathered from x, exactly
+    Hermitian.  The real bordered matrix is a unitary similarity of the
+    complex one, so it has the same singular values.  Raises
+    DegenerateSteadyStateError when its reciprocal 1-norm condition number,
+    estimated from the LU factors, is below STEADY_RCOND_MIN (e.g. a
+    disconnected dark subspace with no decay path), or when the solution
+    leaves a residual |(L0 + delta K) vec(rho)| above 1e-10 of the 1-norm of
+    the bordered matrix; the message names the detuning of that point.  A
+    nonzero detuning needs the model's qubit basis (ValueError without one).
     """
     detunings = np.asarray(detunings, dtype=float).reshape(-1)
+    d = model.dimension
     if model.basis is None:
         if np.any(detunings != 0.0):
             raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
-        generator = None
+        generator = np.zeros(d * d)
     else:
         generator = _detuning_generator(model.basis)
-    liouville = assemble_liouvillian(model).tocsc()
-    return [
-        _bordered_steady_state(liouville, generator, float(delta), model.dimension)
-        for delta in detunings
-    ]
+    liouville = assemble_liouvillian(model)
+    unitary, gather = _hermitian_coordinates(d)
+    bordered = _trace_bordered(_real_similarity(unitary, liouville), d)
+    rotation = _detuning_rotation(generator, gather)
+    getrf, gecon, getrs, lange = get_lapack_funcs(
+        ("getrf", "gecon", "getrs", "lange"), dtype=np.float64
+    )
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    states = []
+    for delta in detunings:
+        # the only dense d^2 x d^2 array, in Fortran order so getrf factors it in place
+        dense = bordered.toarray(order="F")
+        if delta:
+            dense[rotation.row, rotation.col] += delta * rotation.data
+        anorm = lange("1", dense)
+        lu, piv, info = getrf(dense, overwrite_a=True)
+        rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+        if rcond < STEADY_RCOND_MIN:
+            raise DegenerateSteadyStateError(
+                f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
+                f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
+            )
+        x, _ = getrs(lu, piv, rhs)
+        del dense, lu  # freed before the next point densifies
+        vec = _hermitian_matrix(x, gather)
+        residual = np.max(np.abs(liouville @ vec + delta * generator * vec))
+        if residual > 1e-10 * max(1.0, anorm):
+            raise DegenerateSteadyStateError(
+                f"steady-state residual {residual:.3e} too large at drive detuning {delta:g} MHz"
+            )
+        states.append(DensityMatrix(vec.reshape(d, d)))
+    return states
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:

@@ -4,10 +4,11 @@ Sequences are piecewise-constant: flux steps are instantaneous detuning
 changes and state preparation pulses are idealized as instantaneous
 rotations of the probe (a resonant-drive segment is available for finite
 pulses).  Each segment is evolved exactly by lindblad.propagator.  Runs
-that only excite the probe and hold it (vacuum Rabi, compound mirrors)
-use the one-excitation sector whenever n_th = 0; protocols that rotate
-qubits need the full product space.  Public time arguments and TimeTrace
-records are in ns; the underlying master-equation work runs in us.
+that only excite the probe and hold it (vacuum Rabi, compound mirrors,
+the iSWAP hold) use the one-excitation sector whenever n_th = 0;
+protocols that rotate qubits need the full product space.  Public time
+arguments and TimeTrace records are in ns; the underlying
+master-equation work runs in us.
 """
 
 from __future__ import annotations
@@ -205,26 +206,35 @@ def iswap(spec: core.SystemSpec) -> tuple[PulseSequence, lindblad.DensityMatrix]
     """Resonant hold transferring the probe excitation to the dark state.
 
     Returns the one-segment sequence and the state it produces from an
-    initially excited probe; the transferred population approaches
-    1 - O(1/C) for a lossless system.
+    initially excited probe, in the full product space; the transferred
+    population approaches 1 - O(1/C) for a lossless system.  The hold runs
+    in _hold_model's space, whose states are bitmasks of the full space.
     """
     _require_probe(spec)
     duration = iswap_duration_ns(spec)
     sequence = PulseSequence(segments=(Segment(duration, tuple(spec.detunings)),))
-    basis = lindblad.ProductBasis(spec.n_qubits)
-    final = run_sequence(spec, sequence, _probe_excited(spec, basis))
-    return sequence, final
+    model = _hold_model(spec)
+    rho = _apply(lindblad.propagator(model, duration * 1e-3), _probe_excited(spec, model.basis))
+    states = np.array(model.basis.states)
+    full = np.zeros((2**spec.n_qubits,) * 2, dtype=complex)
+    full[np.ix_(states, states)] = rho
+    return sequence, lindblad.DensityMatrix(full)
+
+
+def _hold_model(spec: core.SystemSpec) -> lindblad.LindbladModel:
+    """Undriven model of spec for a hold that starts with one excitation.
+
+    With no drives and n_th = 0 the excitation number cannot rise, so the
+    hold is exact in the one-excitation sector (dimension N + 1 instead of
+    2^N); with thermal excitation it needs the full product space.
+    """
+    return lindblad.build_model(spec, max_excitations=1 if spec.n_th == 0 else None)
 
 
 def _excite_hold_read(spec: core.SystemSpec, taus, metadata) -> TimeTrace:
-    """Probe population after preparing |e>_p and holding spec for each tau (ns).
-
-    With no drives and n_th = 0 the excitation number cannot rise, so the
-    run is exact in the one-excitation sector (dimension N + 1 instead of
-    2^N); with thermal excitation it needs the full product space.
-    """
+    """Probe population after preparing |e>_p and holding spec (_hold_model) for each tau (ns)."""
     taus = np.asarray(taus, dtype=float)
-    model = lindblad.build_model(spec, max_excitations=1 if spec.n_th == 0 else None)
+    model = _hold_model(spec)
     states = lindblad.evolve(model, _probe_excited(spec, model.basis), taus * 1e-3)
     return TimeTrace(
         taus, _probe_populations(spec, model.basis, states),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,8 +418,16 @@ class TestSteadyStateSweep:
         self.assert_sweep_matches(spec, random_drives(rng, 5), np.array([-3.0, 4.5]))
 
     def test_lossless_pair_sweep_is_degenerate(self):
-        with pytest.raises(DegenerateSteadyStateError):
+        with pytest.raises(DegenerateSteadyStateError, match=r"rcond .* at drive detuning -5 MHz"):
             steady_states(build_model(pair_spec(13.4)), np.linspace(-5.0, 5.0, 5))
+
+    def test_residual_failure_names_the_point(self, monkeypatch):
+        hermitian_matrix = lindblad._hermitian_matrix
+        monkeypatch.setattr(
+            lindblad, "_hermitian_matrix", lambda x, gather: hermitian_matrix(x, gather) + 1e-3
+        )
+        with pytest.raises(DegenerateSteadyStateError, match=r"residual .* at drive detuning 2.5 MHz"):
+            steady_states(build_model(pair_spec(13.4, gloss=0.1)), [2.5])
 
     def test_nonzero_detuning_needs_a_basis(self):
         basis = ProductBasis(1)
@@ -427,6 +436,81 @@ class TestSteadyStateSweep:
             steady_states(model, [0.0, 1.0])
         (rho,) = steady_states(model, [0.0])
         assert rho.elements[0, 0].real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestHermitianCoordinates:
+    """The real steady-state solve: x = U vec(rho), A = U L U^dagger."""
+
+    @staticmethod
+    def random_models():
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 4, 5):
+            yield build_model(random_spec(rng, n), drives=random_drives(rng, n))
+            yield build_model(random_spec(rng, n, n_th=rng.uniform(0.01, 0.2)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
+    def test_unitary(self, d):
+        unitary, _ = lindblad._hermitian_coordinates(d)
+        identity = (unitary @ unitary.conj().T).toarray()
+        assert np.max(np.abs(identity - np.eye(d * d))) < 1e-15
+
+    def test_liouvillian_is_real(self):
+        for model in self.random_models():
+            unitary, _ = lindblad._hermitian_coordinates(model.dimension)
+            liouville = assemble_liouvillian(model)
+            reference = unitary.toarray() @ liouville.toarray() @ unitary.conj().T.toarray()
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(reference.imag)) <= 1e-12 * scale
+            real = lindblad._real_similarity(unitary, liouville)
+            assert real.dtype == np.float64
+            assert np.max(np.abs(real.toarray() - reference.real)) <= 1e-12 * scale
+
+    def test_coordinates_of_a_qubit(self):
+        unitary, _ = lindblad._hermitian_coordinates(2)
+        rho = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
+        x = unitary @ rho.reshape(-1)
+        assert np.allclose(x, [0.7, math.sqrt(2) * 0.1, -math.sqrt(2) * 0.2, 0.3], atol=1e-15)
+
+    def test_non_hermitian_map_rejected(self):
+        # rho -> i rho maps Hermitian matrices to anti-Hermitian ones
+        unitary, _ = lindblad._hermitian_coordinates(3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            lindblad._real_similarity(unitary, 1j * sparse.identity(9, format="csr"))
+
+    @pytest.mark.parametrize("d", [2, 5, 32])
+    def test_round_trip(self, d):
+        rng = np.random.default_rng(d)
+        unitary, gather = lindblad._hermitian_coordinates(d)
+        x = rng.normal(size=d * d)
+        rho = lindblad._hermitian_matrix(x, gather).reshape(d, d)
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.max(np.abs(unitary @ rho.reshape(-1) - x)) < 1e-15
+
+    def test_detuning_generator_only_rotates_coherences(self):
+        basis = ProductBasis(4)
+        d = basis.dimension
+        unitary, gather = lindblad._hermitian_coordinates(d)
+        generator = lindblad._detuning_generator(basis)
+        rotation = lindblad._detuning_rotation(generator, gather)
+        reference = unitary.toarray() @ np.diag(generator) @ unitary.conj().T.toarray()
+        assert np.max(np.abs(rotation.toarray() - reference)) < 1e-12
+        rows, cols = rotation.nonzero()
+        assert rows.size > 0 and not np.any(rows == 0)
+        a, b = np.divmod(rows, d)
+        assert np.array_equal(cols, b * d + a) and not np.any(a == b)
+
+    def test_five_qubit_solve_peak_memory(self):
+        # one real dense 1024 x 1024 matrix is 8 MiB; a complex one (16 MiB),
+        # a second real one, or one kept from the previous point exceeds 12 MiB
+        rng = np.random.default_rng(32)
+        model = build_model(random_spec(rng, 5, n_th=0.05), drives=random_drives(rng, 5))
+        tracemalloc.start()
+        try:
+            steady_states(model, [0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestThermalClosedForm:

@@ -283,6 +283,24 @@ class TestIswap:
         if n_mirrors == 2:
             assert population == pytest.approx(0.726213, abs=5e-7)
 
+    @pytest.mark.parametrize("n_th, dimension", [(0.0, 4), (0.05, 8)])
+    def test_sector_hold_matches_full_space(self, monkeypatch, n_th, dimension):
+        # at n_th = 0 the hold runs in the one-excitation sector (d = N + 1)
+        # and is placed in the full space; a thermal hold stays full-space
+        spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=0.7, n_th=n_th)
+        held = []
+        propagator = lindblad.propagator
+        monkeypatch.setattr(
+            lindblad, "propagator",
+            lambda model, duration: held.append(model.dimension) or propagator(model, duration),
+        )
+        sequence, final = pr.iswap(spec)
+        assert held == [dimension]
+        basis = lindblad.ProductBasis(spec.n_qubits)
+        reference = pr.run_sequence(spec, sequence, pr._probe_excited(spec, basis))
+        assert final.dimension == 8
+        assert np.max(np.abs(final.elements - reference.elements)) < 1e-12
+
     def test_uncoupled_probe_has_no_dark_state(self):
         spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 0.0))
         with pytest.raises(ValueError, match="not coupled"):
