@@ -31,14 +31,12 @@ from .core import (
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
-    NoiseSpec,
     ProductBasis,
     assemble_liouvillian,
     build_model,
     dark_state_rates,
     dominant_oscillation,
     evolve,
-    quasi_static_average,
     steady_state,
     steady_states,
     thermal_qubit_steady,

@@ -8,47 +8,48 @@ turns each correlated rate matrix into collective jumps once.
 
 The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
 density matrix, built by one scatter of the operator factors' nonzeros.
-Every Liouvillian here is time-independent over a segment, so time
-evolution is exact propagation: :func:`propagator` returns exp(L dt) by
-scaling and squaring a Taylor polynomial, and :func:`evolve` applies one
-such matrix per distinct grid step.  Steady states come from one real
-dense LU solve of the trace-bordered Liouvillian in Hermitian coordinates
-(the d^2 real parameters of rho; L maps Hermitian matrices to Hermitian
-matrices, so it is real there), whose LAPACK condition estimate flags a
-degenerate null space.  A sweep over the drive detuning delta assembles
-the Liouvillian once: moving the drive frame only shifts the diagonal,
-L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b) and N the
-total excitation number of each basis state.
+Both solvers work in Hermitian coordinates, the d^2 real parameters of
+rho: L maps Hermitian matrices to Hermitian matrices, so it is real
+there.  Every Liouvillian here is time-independent over a segment, so
+:func:`evolve` propagates exactly: it exponentiates, by scaling and
+squaring a Taylor polynomial, the real block of the coordinates that the
+initial state can reach, once per distinct grid step.  A symmetry such as
+the excitation-number conservation of an undriven hold shows up as a
+small reached block, without any rule that names it.  Steady states come
+from one real dense LU solve of the trace-bordered Liouvillian, whose
+LAPACK condition estimate flags a degenerate null space.  A sweep over
+the drive detuning delta assembles the Liouvillian once: moving the drive
+frame only shifts the diagonal, L(delta) = L0 + delta K with
+K[a*d + b] = i 2 pi (N_a - N_b) and N the total excitation number of
+each basis state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eig, get_lapack_funcs
+from scipy.sparse import csgraph
 
 from . import core
 from .core import TWO_PI
-from .records import TimeTrace
 
 __all__ = [
     "ProductBasis",
     "DensityMatrix",
     "LindbladModel",
-    "NoiseSpec",
     "DegenerateSteadyStateError",
     "build_model",
     "assemble_liouvillian",
-    "propagator",
     "evolve",
     "steady_state",
     "steady_states",
     "dominant_oscillation",
     "thermal_qubit_steady",
     "dark_state_rates",
-    "quasi_static_average",
 ]
 
 # A trace-bordered Liouvillian with LAPACK reciprocal condition number
@@ -68,57 +69,47 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 class ProductBasis:
-    """Qubit product space, optionally truncated by total excitation number.
+    """Qubit product space of n_qubits two-level emitters.
 
-    Basis states are bitmasks (bit j set = qubit j excited) kept in
-    ascending integer order; with ``max_excitations=k`` only states with
-    at most k excitations are retained, which is exact for zero-
-    temperature dynamics that start inside the retained manifold.
+    Basis state k is the bitmask of excited qubits (bit j set = qubit j
+    excited), so the dimension is 2^n_qubits and states are in ascending
+    integer order.
     """
 
-    def __init__(self, n_qubits: int, max_excitations: int | None = None):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
-        self.max_excitations = max_excitations
-        kmax = n_qubits if max_excitations is None else max_excitations
-        self.states = tuple(s for s in range(2**n_qubits) if bin(s).count("1") <= kmax)
-        self._index = {s: i for i, s in enumerate(self.states)}
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
-
-    @property
-    def truncated(self) -> bool:
-        return len(self.states) < 2**self.n_qubits
+        return 2**self.n_qubits
 
     def basis_vector(self, bitmask: int) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=complex)
-        vec[self._index[bitmask]] = 1.0
+        vec[bitmask] = 1.0
         return vec
 
     def ground_vector(self) -> np.ndarray:
         return self.basis_vector(0)
 
+    def _excited(self, j: int) -> np.ndarray:
+        return (np.arange(self.dimension) >> j) & 1
+
     def lowering(self, j: int) -> np.ndarray:
-        bit = 1 << j
+        excited = np.flatnonzero(self._excited(j))
         op = np.zeros((self.dimension, self.dimension))
-        for i, s in enumerate(self.states):
-            if s & bit:
-                op[self._index[s & ~bit], i] = 1.0
+        op[excited ^ (1 << j), excited] = 1.0
         return op
 
     def raising(self, j: int) -> np.ndarray:
         return self.lowering(j).T
 
     def number(self, j: int) -> np.ndarray:
-        bit = 1 << j
-        return np.diag([1.0 if s & bit else 0.0 for s in self.states])
+        return np.diag(self._excited(j).astype(float))
 
     def sigma_z(self, j: int) -> np.ndarray:
-        bit = 1 << j
-        return np.diag([1.0 if s & bit else -1.0 for s in self.states])
+        return np.diag(2.0 * self._excited(j) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -148,25 +139,6 @@ class DensityMatrix:
     @property
     def dimension(self) -> int:
         return self.elements.shape[0]
-
-    def population(self, op: np.ndarray) -> float:
-        return float(np.real(np.trace(op @ self.elements)))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Quasi-static Gaussian frequency jitter, sampled once per shot."""
-
-    sigma_common: float
-    sigma_diff: float
-    samples: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_common < 0 or self.sigma_diff < 0:
-            raise ValueError("noise standard deviations must be >= 0")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -234,7 +206,6 @@ def build_model(
     spec: core.SystemSpec,
     detunings=None,
     drives: tuple[tuple[int, complex], ...] = (),
-    max_excitations: int | None = None,
 ) -> LindbladModel:
     """Full master-equation model of a SystemSpec.
 
@@ -244,15 +215,11 @@ def build_model(
     of the waveguide decay matrix over the lowering operators, per-qubit
     loss and thermal jumps, and those of the dephasing matrix (gamma_phi
     plus the spec's correlations) over sigma_z at half rate.
-    ``max_excitations`` truncates the product space, which is only valid
-    with no drives and no thermal occupancy.
     """
     if detunings is not None:
         spec = spec.with_detunings(detunings)
     n = spec.n_qubits
-    if max_excitations is not None and (drives or spec.n_th > 0):
-        raise ValueError("excitation truncation requires no drives and n_th = 0")
-    basis = ProductBasis(n, max_excitations)
+    basis = ProductBasis(n)
     lower = [basis.lowering(j) for j in range(n)]
 
     exchange = core.exchange_matrix(spec)
@@ -335,15 +302,6 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def propagator(model: LindbladModel, duration: float) -> np.ndarray:
-    """Dense exp(L duration) on the row-major vec, duration in us.
-
-    Exact for a time-independent segment: vec(rho(t + duration)) =
-    propagator(model, duration) @ vec(rho(t)).
-    """
-    return _expm(assemble_liouvillian(model).toarray() * duration)
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a): a degree-18 Taylor polynomial of a / 2^s (1-norm <= 1, error
     1/19! ~ 8e-18), squared s times.  numpy products only: scipy.linalg.expm
@@ -361,40 +319,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def evolve(model: LindbladModel, rho0, times) -> list[DensityMatrix]:
-    """Exact master-equation evolution, returning the state at each grid time.
-
-    The initial state is taken at times[0]; each step applies
-    propagator(model, step), and steps equal within 1e-12 relative share
-    one matrix, so a uniform grid costs a single expm.  Every output is
-    hermitized and validated as a physical density matrix (trace,
-    Hermiticity, positivity).
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1D grid")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    rho = _as_matrix(rho0)
-    d = model.dimension
-    if rho.shape != (d, d):
-        raise ValueError("initial state dimension mismatch")
-    propagators: list[tuple[float, np.ndarray]] = []
-    vec = rho.reshape(-1)
-    states = [DensityMatrix((rho + rho.conj().T) / 2.0)]
-    for step in np.diff(times):
-        for known, prop in propagators:
-            if abs(step - known) <= 1e-12 * known:
-                break
-        else:
-            prop = propagator(model, step)
-            propagators.append((step, prop))
-        vec = prop @ vec
-        mat = vec.reshape(d, d)
-        states.append(DensityMatrix((mat + mat.conj().T) / 2.0))
-    return states
-
-
+@functools.lru_cache(maxsize=None)
 def _hermitian_coordinates(d: int):
     """Unitary U from the row-major vec of a d x d matrix to Hermitian coordinates.
 
@@ -403,7 +328,8 @@ def _hermitian_coordinates(d: int):
     exactly when rho is Hermitian.  Each row of U^dagger holds at most two
     entries: vec(rho)[i] = real_scale[i] x[real_at[i]] + i imag_scale[i]
     x[imag_at[i]].  Returns U (CSR) and that gather, (real_at, real_scale,
-    imag_at, imag_scale), for _hermitian_matrix.
+    imag_at, imag_scale), for _hermitian_matrix.  Cached per dimension, so
+    every returned array is read-only.
     """
     index = np.arange(d * d)
     a, b = np.divmod(index, d)
@@ -417,19 +343,25 @@ def _hermitian_coordinates(d: int):
         shape=(d * d, d * d),
     )
     inverse.eliminate_zeros()
-    return inverse.conj().T.tocsr(), (real_at, real_scale, imag_at, imag_scale)
+    unitary = inverse.conj().T.tocsr()
+    gather = (real_at, real_scale, imag_at, imag_scale)
+    for array in (unitary.data, unitary.indices, unitary.indptr, *gather):
+        array.flags.writeable = False
+    return unitary, gather
 
 
 def _hermitian_matrix(x: np.ndarray, gather) -> np.ndarray:
     """Row-major vec of the Hermitian matrix with real Hermitian coordinates x.
 
-    Entries ab and ba read the same two coordinates with the imaginary
-    part negated, so the result is exactly Hermitian.
+    x holds the coordinates on its last axis (leading axes are a stack),
+    in the order the gather's indices read them.  Entries ab and ba read
+    the same two coordinates with the imaginary part negated, so the
+    result is exactly Hermitian.
     """
     real_at, real_scale, imag_at, imag_scale = gather
-    vec = np.empty(x.size, dtype=complex)
-    vec.real = x[real_at] * real_scale
-    vec.imag = x[imag_at] * imag_scale
+    vec = np.empty(x.shape[:-1] + real_at.shape, dtype=complex)
+    np.multiply(x[..., real_at], real_scale, out=vec.real)
+    np.multiply(x[..., imag_at], imag_scale, out=vec.imag)
     return vec
 
 
@@ -447,6 +379,110 @@ def _real_similarity(unitary, op) -> sparse.csr_matrix:
     return out
 
 
+def _reachable(generator: sparse.csr_matrix, support) -> np.ndarray:
+    """Sorted coordinates that dx/dt = generator @ x can fill from the support of x.
+
+    Coordinate j feeds coordinate i when generator[i, j] != 0, so this is a
+    breadth-first search over the graph of generator^T; every coordinate
+    it does not reach stays exactly zero.
+    """
+    graph = generator.T.tocsr()
+    reached = np.zeros(generator.shape[0], dtype=bool)
+    for start in support:
+        if not reached[start]:
+            reached[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
+    return np.flatnonzero(reached)
+
+
+def _check_states(states: np.ndarray, reached: np.ndarray, times: np.ndarray) -> None:
+    """ValueError unless each state has unit trace and no eigenvalue below -1e-8.
+
+    states is a (len(times), m, d, d) stack that is zero outside the
+    reached coordinates.  A reached coordinate ab links basis states a and
+    b, so every state is block diagonal over the connected components of
+    those links: its eigenvalues are those of its blocks, and a block that
+    holds no reached coordinate is zero.  So eigvalsh runs once per
+    nonzero block on the whole stack.
+    """
+    d = states.shape[-1]
+    traces = np.trace(states, axis1=-2, axis2=-1).real
+    bad = np.argwhere(np.abs(traces - 1.0) > 1e-9)
+    if bad.size:
+        k = tuple(bad[0])
+        raise ValueError(f"trace {traces[k]} differs from 1 beyond 1e-9 at t = {times[k[0]]:g} us")
+    a, b = np.divmod(reached, d)
+    links = sparse.coo_matrix((np.ones(reached.size), (a, b)), shape=(d, d))
+    _, labels = csgraph.connected_components(links, directed=False)
+    lowest = np.full(times.size, np.inf)
+    for label in np.unique(labels[a]):
+        members = np.flatnonzero(labels == label)
+        block = states[..., members[:, None], members]
+        lowest = np.minimum(lowest, np.linalg.eigvalsh(block).min(axis=(1, 2)))
+    bad = np.flatnonzero(lowest < -1e-8)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"state has an eigenvalue {lowest[k]:.3e} below -1e-8 at t = {times[k]:g} us"
+        )
+
+
+def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
+    """Exact master-equation evolution of one state or a stack of states.
+
+    rho0 is a d x d state (or a DensityMatrix) or an m x d x d stack, taken
+    at times[0] (us); returns the state at every grid time as one complex
+    array of shape (len(times), d, d), or (len(times), m, d, d) for a stack.
+    The evolution runs in the real Hermitian coordinates x = U vec(rho)
+    (_hermitian_coordinates), where A = U L U^dagger is real, and only over
+    the coordinates that A can fill from the support of x at times[0]
+    (_reachable; for a stack, the union of the supports).  Every other
+    coordinate stays exactly zero: an undriven hold conserves N_a - N_b on
+    rho_ab, so from one excitation among five qubits it reaches 26 of the
+    1024 coordinates at n_th = 0 and 252 with thermal excitation, while a
+    drive reaches all d^2.  Each step multiplies by the exponential of that
+    real block; steps equal within 1e-12 relative share one exponential, so
+    a uniform grid costs one.  States are gathered from real x, so they are
+    exactly Hermitian (a non-Hermitian rho0 loses its anti-Hermitian part),
+    and ValueError is raised unless each one, rho0 included, has unit
+    trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a non-empty 1D grid")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    rho = _as_matrix(rho0)
+    d = model.dimension
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+        raise ValueError("initial state dimension mismatch")
+    unitary, gather = _hermitian_coordinates(d)
+    x0 = (unitary @ rho.reshape(-1, d * d).T).real  # one column per state
+    generator = _real_similarity(unitary, assemble_liouvillian(model))
+    reached = _reachable(generator, np.flatnonzero(np.any(x0, axis=1)))
+    block = generator[reached][:, reached].toarray()
+    exponentials: list[tuple[float, np.ndarray]] = []
+    path = [x0[reached]]
+    for step in np.diff(times):
+        for known, exponential in exponentials:
+            if abs(step - known) <= 1e-12 * known:
+                break
+        else:
+            exponential = _expm(block * step)
+            exponentials.append((step, exponential))
+        path.append(exponential @ path[-1])
+    # gather rho from the reached coordinates alone: every other coordinate
+    # reads the zero column appended after them
+    position = np.full(d * d, reached.size)
+    position[reached] = np.arange(reached.size)
+    x = np.zeros((times.size, x0.shape[1], reached.size + 1))
+    x[..., :-1] = np.swapaxes(path, 1, 2)
+    real_at, real_scale, imag_at, imag_scale = gather
+    local = (position[real_at], real_scale, position[imag_at], imag_scale)
+    states = _hermitian_matrix(x, local).reshape(times.size, -1, d, d)
+    _check_states(states, reached, times)
+    return states.reshape((times.size,) + rho.shape)
+
+
 def _detuning_generator(basis: ProductBasis) -> np.ndarray:
     """Diagonal of K = dL/d(delta) in the row-major vec basis (rad/us per MHz).
 
@@ -454,7 +490,7 @@ def _detuning_generator(basis: ProductBasis) -> np.ndarray:
     delta, i.e. H -> H - 2 pi delta N with N the total excitation number,
     so L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b).
     """
-    counts = np.array([bin(s).count("1") for s in basis.states], dtype=float)
+    counts = np.array([bin(s).count("1") for s in range(basis.dimension)], dtype=float)
     return 1j * TWO_PI * (counts[:, None] - counts[None, :]).reshape(-1)
 
 
@@ -625,34 +661,3 @@ def dark_state_rates(gloss: float, gphi: float, gphi_c: float) -> tuple[float, f
     if gloss < 0 or gphi < 0:
         raise ValueError("gloss and gphi must be >= 0")
     return gloss + gphi - gphi_c, gloss / 2.0 + gphi
-
-
-def quasi_static_average(
-    model_builder,
-    rho0,
-    observable,
-    noise: NoiseSpec,
-    times,
-) -> TimeTrace:
-    """Mean observable over a quasi-static Gaussian frequency-jitter ensemble.
-
-    model_builder(delta_common, delta_diff) must return the LindbladModel
-    for one static draw of the common/differential jitter (MHz).  The
-    observable is an operator matrix or a callable on the state matrix.
-    Sampling and the reduction order are fixed by the seed, so results are
-    bit-identical across runs.
-    """
-    times = np.asarray(times, dtype=float)
-    rng = np.random.default_rng(noise.seed)
-    common = rng.normal(0.0, noise.sigma_common, noise.samples)
-    diff = rng.normal(0.0, noise.sigma_diff, noise.samples)
-    if callable(observable):
-        measure = observable
-    else:
-        op = np.asarray(observable, dtype=complex)
-        measure = lambda rho: float(np.real(np.trace(op @ rho)))
-    total = np.zeros(times.size)
-    for k in range(noise.samples):
-        model = model_builder(float(common[k]), float(diff[k]))
-        total += np.array([measure(state.elements) for state in evolve(model, rho0, times)])
-    return TimeTrace(times * 1e3, total / noise.samples, metadata={"samples": noise.samples})

@@ -1,13 +1,12 @@
-"""Pulse-sequence simulations of probe / atomic-cavity experiments.
+"""Time-domain simulations of probe / atomic-cavity experiments.
 
-Sequences are piecewise-constant: flux steps are instantaneous detuning
-changes and state preparation pulses are idealized as instantaneous
-rotations of the probe (a resonant-drive segment is available for finite
-pulses).  Each segment is evolved exactly by lindblad.propagator.  Runs
-that only excite the probe and hold it (vacuum Rabi, compound mirrors,
-the iSWAP hold) use the one-excitation sector whenever n_th = 0;
-protocols that rotate qubits need the full product space.  Public time
-arguments and TimeTrace records are in ns; the underlying
+Every protocol is a chain of undriven holds: flux steps are instantaneous
+detuning changes, and state preparation pulses are idealized as
+instantaneous rotations of the probe.  Each hold is one exact
+lindblad.evolve call on the full product space of the spec; evolve itself
+keeps to the coordinates the state can reach, so a hold that starts with
+one excitation at n_th = 0 costs about as much as that sector.  Public
+time arguments and TimeTrace records are in ns; the underlying
 master-equation work runs in us.
 """
 
@@ -25,10 +24,7 @@ from .core import TWO_PI
 from .records import FitError, FitResult, TimeTrace
 
 __all__ = [
-    "Segment",
-    "PulseSequence",
     "CompoundResult",
-    "run_sequence",
     "rotate_qubit",
     "dark_state_vector",
     "dark_population",
@@ -71,30 +67,6 @@ FIT_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One piecewise-constant interval of a pulse sequence."""
-
-    duration_ns: float
-    detunings: tuple[float, ...]
-    drives: tuple[tuple[int, float, float], ...] = ()
-
-    def __post_init__(self):
-        if not (self.duration_ns > 0 and math.isfinite(self.duration_ns)):
-            raise ValueError(f"segment duration must be positive, got {self.duration_ns}")
-        for value in self.detunings:
-            if not math.isfinite(value):
-                raise ValueError("segment detunings must be finite")
-        for _, omega, phase in self.drives:
-            if not (math.isfinite(omega) and math.isfinite(phase)):
-                raise ValueError("segment drives must be finite")
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    segments: tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
 class CompoundResult:
     """Probe Rabi traces against the two compound dark states."""
 
@@ -111,8 +83,6 @@ def _require_probe(spec: core.SystemSpec) -> int:
 
 def rotate_qubit(rho: np.ndarray, basis, qubit: int, angle: float, axis_phase: float = 0.0):
     """Instantly rotate one qubit of a state (or a stack of them) about an equatorial axis."""
-    if basis.truncated:
-        raise ValueError("rotations need the full product space")
     sx = basis.lowering(qubit) + basis.raising(qubit)
     sy = 1j * (basis.raising(qubit) - basis.lowering(qubit))
     axis = math.cos(axis_phase) * sx + math.sin(axis_phase) * sy
@@ -143,30 +113,6 @@ def dark_population(spec: core.SystemSpec, basis, rho: np.ndarray) -> float:
     return float(np.real(np.vdot(dark, rho @ dark)))
 
 
-def _segment_model(spec, segment):
-    drives = tuple(
-        (q, omega * complex(math.cos(phase), math.sin(phase)))
-        for q, omega, phase in segment.drives
-    )
-    return lindblad.build_model(spec, detunings=segment.detunings, drives=drives)
-
-
-def _apply(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Hermitized propagator image of one state matrix or a stack of them."""
-    d = rho.shape[-1]
-    out = (rho.reshape(-1, d * d) @ propagator.T).reshape(rho.shape)
-    return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
-
-
-def run_sequence(spec: core.SystemSpec, sequence: PulseSequence, rho0) -> lindblad.DensityMatrix:
-    """Evolve an initial state through every segment of a sequence."""
-    rho = rho0.elements if isinstance(rho0, lindblad.DensityMatrix) else np.asarray(rho0)
-    for segment in sequence.segments:
-        model = _segment_model(spec, segment)
-        rho = _apply(lindblad.propagator(model, segment.duration_ns * 1e-3), rho)
-    return lindblad.DensityMatrix(rho)
-
-
 def _probe_excited(spec, basis):
     return np.outer(
         basis.basis_vector(1 << spec.probe_index),
@@ -174,10 +120,9 @@ def _probe_excited(spec, basis):
     )
 
 
-def _probe_populations(spec, basis, states) -> np.ndarray:
-    """Probe excited-state population of each DensityMatrix in states."""
-    number_op = basis.number(spec.probe_index)
-    return np.array([state.population(number_op) for state in states])
+def _populations(number_op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """tr(N rho) of every state matrix rho in a stack, for a diagonal N (a number operator)."""
+    return np.einsum("...ii,i->...", states, np.diag(number_op)).real
 
 
 def interaction_detuning(spec: core.SystemSpec) -> float:
@@ -202,42 +147,26 @@ def iswap_duration_ns(spec: core.SystemSpec) -> float:
     return 1e3 / (2.0 * f_osc)
 
 
-def iswap(spec: core.SystemSpec) -> tuple[PulseSequence, lindblad.DensityMatrix]:
-    """Resonant hold transferring the probe excitation to the dark state.
+def iswap(spec: core.SystemSpec) -> np.ndarray:
+    """State after the resonant hold that moves the probe excitation to the dark state.
 
-    Returns the one-segment sequence and the state it produces from an
-    initially excited probe, in the full product space; the transferred
-    population approaches 1 - O(1/C) for a lossless system.  The hold runs
-    in _hold_model's space, whose states are bitmasks of the full space.
+    Starts from an excited probe, holds for iswap_duration_ns at the spec
+    detunings and returns the d x d state of the full product space; the
+    transferred population approaches 1 - O(1/C) for a lossless system.
     """
     _require_probe(spec)
-    duration = iswap_duration_ns(spec)
-    sequence = PulseSequence(segments=(Segment(duration, tuple(spec.detunings)),))
-    model = _hold_model(spec)
-    rho = _apply(lindblad.propagator(model, duration * 1e-3), _probe_excited(spec, model.basis))
-    states = np.array(model.basis.states)
-    full = np.zeros((2**spec.n_qubits,) * 2, dtype=complex)
-    full[np.ix_(states, states)] = rho
-    return sequence, lindblad.DensityMatrix(full)
-
-
-def _hold_model(spec: core.SystemSpec) -> lindblad.LindbladModel:
-    """Undriven model of spec for a hold that starts with one excitation.
-
-    With no drives and n_th = 0 the excitation number cannot rise, so the
-    hold is exact in the one-excitation sector (dimension N + 1 instead of
-    2^N); with thermal excitation it needs the full product space.
-    """
-    return lindblad.build_model(spec, max_excitations=1 if spec.n_th == 0 else None)
+    model = lindblad.build_model(spec)
+    hold_us = iswap_duration_ns(spec) * 1e-3
+    return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
 
 
 def _excite_hold_read(spec: core.SystemSpec, taus, metadata) -> TimeTrace:
-    """Probe population after preparing |e>_p and holding spec (_hold_model) for each tau (ns)."""
+    """Probe population after preparing |e>_p and holding spec for each tau (ns)."""
     taus = np.asarray(taus, dtype=float)
-    model = _hold_model(spec)
+    model = lindblad.build_model(spec)
     states = lindblad.evolve(model, _probe_excited(spec, model.basis), taus * 1e-3)
     return TimeTrace(
-        taus, _probe_populations(spec, model.basis, states),
+        taus, _populations(model.basis.number(spec.probe_index), states),
         metadata={"observable": "probe_population", **metadata},
     )
 
@@ -259,28 +188,28 @@ def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> Ti
 def _staged_wait_protocol(spec, wait_spec, delays_ns, rho0, closing_angle) -> TimeTrace:
     """Shared engine: resonant swap, variable wait, resonant swap, probe readout.
 
-    rho0 is a state of the full product space of spec (the Ramsey pulses
-    rotate the probe out of every excitation-number sector).  It is held
-    at the spec detunings for one swap time (iswap_duration_ns), under
-    wait_spec for each delay (ns), then swapped back; a nonzero
-    closing_angle rotates the probe about x before the readout.  One
-    evolution over the delay grid gives every waited state, and the swap
-    propagator, built once, maps them all back in one product.  Returns
-    the probe population versus delay.
+    rho0 is a state of the full product space of spec.  It is held at the
+    spec detunings for one swap time (iswap_duration_ns), under wait_spec
+    for each delay (ns), then swapped back; a nonzero closing_angle
+    rotates the probe about x before the readout.  That is three evolve
+    calls: the swap in, one wait over the delay grid that gives every
+    waited state, and one swap back of that whole stack.  Returns the
+    probe population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
     delays_us = delays_ns * 1e-3
     model = lindblad.build_model(spec)
     wait = lindblad.build_model(wait_spec)
-    swap = lindblad.propagator(model, iswap_duration_ns(spec) * 1e-3)
-    rho = _apply(lindblad.propagator(wait, delays_us[0]) @ swap, rho0)
-    waited = np.array([state.elements for state in lindblad.evolve(wait, rho, delays_us)])
-    finals = _apply(swap, waited)
+    swap_us = [0.0, iswap_duration_ns(spec) * 1e-3]
+    swapped = lindblad.evolve(model, rho0, swap_us)[-1]
+    # the wait starts at zero delay; a grid that starts there has no extra point
+    hold = delays_us if delays_us[0] == 0.0 else np.concatenate(([0.0], delays_us))
+    waited = lindblad.evolve(wait, swapped, hold)[-delays_us.size :]
+    finals = lindblad.evolve(model, waited, swap_us)[-1]
     if closing_angle:
         finals = rotate_qubit(finals, model.basis, spec.probe_index, closing_angle)
-    states = [lindblad.DensityMatrix(mat) for mat in finals]
     return TimeTrace(
-        delays_ns, _probe_populations(spec, model.basis, states),
+        delays_ns, _populations(model.basis.number(spec.probe_index), finals),
         metadata={"observable": "probe_population"},
     )
 
@@ -342,13 +271,12 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     """
     probe = _require_probe(spec)
     taus = np.asarray(taus, dtype=float)
-    _, stored = iswap(spec)
     model = lindblad.build_model(spec)
-    rho = rotate_qubit(stored.elements, model.basis, probe, math.pi)
+    rho = rotate_qubit(iswap(spec), model.basis, probe, math.pi)
     states = lindblad.evolve(model, rho, taus * 1e-3)
     atomic = TimeTrace(
         taus,
-        _probe_populations(spec, model.basis, states),
+        _populations(model.basis.number(probe), states),
         metadata={"observable": "probe_population", "system": "atomic_cavity"},
     )
 
@@ -357,7 +285,7 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     states = lindblad.evolve(cavity_model, rho_c, taus * 1e-3)
     companion = TimeTrace(
         taus,
-        np.array([state.population(ops["probe_number"]) for state in states]),
+        _populations(ops["probe_number"], states),
         metadata={"observable": "probe_population", "system": "linear_cavity"},
     )
     return atomic, companion

@@ -245,7 +245,7 @@ def shelved_pair_quasi_steady(
     ground = basis.ground_vector()
     rho0 = rho_dd * np.outer(dark, dark.conj()) + (1.0 - rho_dd) * np.outer(ground, ground.conj())
     settle = 30.0 / gamma_b_ang
-    rho = lindblad.evolve(model, rho0, np.array([0.0, settle]))[-1].elements
+    rho = lindblad.evolve(model, rho0, np.array([0.0, settle]))[-1]
     emitted = _emission_functional(spec, basis) @ rho.reshape(-1)
     return complex(1.0 + emitted / a_in)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from wgqed.lindblad import _expm
+
 TWO_PI = 2 * math.pi
 
 
@@ -35,3 +37,28 @@ def svd_steady_state(model) -> np.ndarray:
     rho = vh[-1].conj().reshape(model.dimension, model.dimension)
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real
+
+
+def propagator(model, duration: float) -> np.ndarray:
+    """Dense exp(L duration) on the full row-major vec, duration in us."""
+    return _expm(dense_liouvillian(model) * duration)
+
+
+def propagated_states(model, rho0, times) -> np.ndarray:
+    """States at each grid time from full-space propagators.
+
+    rho0 is one d x d state or an m x d x d stack, taken at times[0];
+    the result has shape (len(times),) + rho0.shape.  Steps that agree to
+    12 significant digits share one propagator.  No coordinate is left
+    out and nothing is hermitized.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    d = model.dimension
+    propagators = {}
+    vecs = [rho.reshape(-1, d * d).T]
+    for step in np.diff(times):
+        key = float(f"{step:.12g}")
+        if key not in propagators:
+            propagators[key] = propagator(model, step)
+        vecs.append(propagators[key] @ vecs[-1])
+    return np.array([v.T.reshape(rho.shape) for v in vecs])

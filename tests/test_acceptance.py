@@ -241,8 +241,7 @@ def test_criterion_12_oracle_suites():
         states = lindblad.evolve(
             model, lindblad.DensityMatrix.from_state_vector(vec), np.linspace(0, 0.4, 5)
         )
-        for state in states:
-            mat = state.elements
+        for mat in states:
             ok &= abs(np.trace(mat) - 1.0) < 1e-8
             ok &= float(np.max(np.abs(mat - mat.conj().T))) < 1e-10
             ok &= float(np.linalg.eigvalsh(mat).min()) > -1e-8

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import dense_liouvillian, svd_steady_state
+from dense_oracle import dense_liouvillian, propagated_states, propagator, svd_steady_state
 from ode_oracle import dop853_states
 from sweep_oracle import shifted_model
 from scipy import sparse
@@ -15,14 +15,11 @@ from wgqed.lindblad import (
     DegenerateSteadyStateError,
     DensityMatrix,
     LindbladModel,
-    NoiseSpec,
     ProductBasis,
     assemble_liouvillian,
     build_model,
     dark_state_rates,
     evolve,
-    propagator,
-    quasi_static_average,
     steady_state,
     steady_states,
     thermal_qubit_steady,
@@ -118,11 +115,6 @@ class TestProductBasis:
         low, num = basis.lowering(1), basis.number(1)
         assert np.allclose(num @ low - low @ num, -low)
 
-    def test_truncation(self):
-        basis = ProductBasis(3, max_excitations=1)
-        assert basis.dimension == 4
-        assert basis.states == (0, 1, 2, 4)
-
 
 class TestLiouvillian:
     def test_single_qubit_spectrum(self):
@@ -167,7 +159,7 @@ class TestLiouvillian:
         for n in (1, 2, 3, 4, 5):
             for _ in range(2):
                 spec = single_channel_spec(rng, n, channel)
-                model = build_model(spec, max_excitations=int(rng.integers(1, n + 1)))
+                model = build_model(spec)
                 basis = model.basis
                 if channel == "decay":
                     gamma = core.waveguide_decay_matrix(spec)
@@ -195,15 +187,6 @@ class TestSparseAgainstDenseOracle:
                 spec = random_spec(rng, n, n_th=rng.uniform(0, 0.3))
                 assert_matches_dense(build_model(spec, drives=random_drives(rng, n)))
 
-    def test_truncated_basis(self):
-        rng = np.random.default_rng(13)
-        for n in (2, 3, 4, 5):
-            for k in range(1, n):
-                spec = random_spec(rng, n)
-                model = build_model(spec, max_excitations=k)
-                assert model.basis.truncated
-                assert_matches_dense(model)
-
     def test_hand_built_model_without_basis(self):
         basis = ProductBasis(2)
         ham = basis.number(0) - basis.number(1) + 0.3 * (basis.raising(0) @ basis.lowering(1))
@@ -218,7 +201,7 @@ class TestEvolve:
         model = LindbladModel(np.zeros((2, 2)), ((basis.lowering(0), 1.19),))
         times = np.linspace(0.0, 0.5, 11)
         states = evolve(model, DensityMatrix.from_state_vector([0.0, 1.0]), times)
-        populations = [s.elements[1, 1].real for s in states]
+        populations = states[:, 1, 1].real
         assert np.allclose(populations, np.exp(-TWO_PI * 1.19 * times), atol=1e-9)
 
     def test_dark_state_is_stationary(self):
@@ -226,7 +209,7 @@ class TestEvolve:
         model = build_model(spec)
         rho0 = DensityMatrix.from_state_vector(dark_vector(model.basis))
         states = evolve(model, rho0, np.linspace(0, 2.0, 9))
-        dark_pop = [np.vdot(dark_vector(model.basis), s.elements @ dark_vector(model.basis)).real for s in states]
+        dark_pop = [np.vdot(dark_vector(model.basis), s @ dark_vector(model.basis)).real for s in states]
         assert np.allclose(dark_pop, 1.0, atol=1e-8)
 
     def test_trace_positivity_hermiticity_random_models(self):
@@ -247,29 +230,10 @@ class TestEvolve:
             dim = model.dimension
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             states = evolve(model, DensityMatrix.from_state_vector(vec), np.linspace(0, 0.4, 5))
-            for state in states:
-                mat = state.elements
+            for mat in states:
                 assert abs(np.trace(mat) - 1.0) < 1e-8
                 assert np.max(np.abs(mat - mat.conj().T)) < 1e-10
                 assert np.linalg.eigvalsh(mat).min() > -1e-8
-
-    def test_truncated_space_matches_full(self):
-        spec = core.cavity_spec(QubitParams("M", 13.4, 0.0065, 0.21), QubitParams("P", 1.19, 0.0065, 0.191))
-        times = np.linspace(0, 0.3, 7)
-        full = build_model(spec)
-        trunc = build_model(spec, max_excitations=1)
-        rho_full = DensityMatrix.from_state_vector(full.basis.basis_vector(1 << spec.probe_index))
-        rho_trunc = DensityMatrix.from_state_vector(trunc.basis.basis_vector(1 << spec.probe_index))
-        pop_full = [
-            s.population(full.basis.number(spec.probe_index))
-            for s in evolve(full, rho_full, times)
-        ]
-        pop_trunc = [
-            s.population(trunc.basis.number(spec.probe_index))
-            for s in evolve(trunc, rho_trunc, times)
-        ]
-        assert np.allclose(pop_full, pop_trunc, atol=1e-9)
-
 
 def random_mixed_state(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -286,7 +250,7 @@ class TestPropagatorAgainstODEOracle:
         reference = dop853_states(model, rho0, times, rtol=1e-11, atol=1e-13)
         assert len(states) == len(reference)
         for state, ref in zip(states, reference):
-            assert np.max(np.abs(state.elements - ref)) < 1e-8
+            assert np.max(np.abs(state - ref)) < 1e-8
 
     def test_random_driven_thermal_dephased_specs(self):
         rng = np.random.default_rng(21)
@@ -305,20 +269,24 @@ class TestPropagatorAgainstODEOracle:
         self.assert_matches_oracle(model, random_mixed_state(rng, model.dimension), times)
 
     def test_one_propagator_per_distinct_step(self, monkeypatch):
+        # one exponential of the reached block per distinct step: from the
+        # dark state the pair's hold reaches the one-excitation block (four
+        # coordinates) and the ground population, 5 of 16
         calls = []
+        expm = lindblad._expm
 
-        def counting(model, duration):
-            calls.append(duration)
-            return propagator(model, duration)
+        def counting(a):
+            calls.append(a.shape)
+            return expm(a)
 
-        monkeypatch.setattr(lindblad, "propagator", counting)
+        monkeypatch.setattr(lindblad, "_expm", counting)
         model = build_model(pair_spec(13.4, 0.01, 0.2))
         rho0 = DensityMatrix.from_state_vector(dark_vector(model.basis))
         evolve(model, rho0, np.linspace(0.0, 1.3, 101))
-        assert len(calls) == 1
+        assert calls == [(5, 5)]
         calls.clear()
         evolve(model, rho0, np.cumsum([0.0, 0.1, 0.3, 0.1, 0.1, 0.3, 0.05]))
-        assert calls == pytest.approx([0.1, 0.3, 0.05])
+        assert calls == [(5, 5)] * 3
 
     def test_propagator_composes(self):
         rng = np.random.default_rng(23)
@@ -336,15 +304,122 @@ class TestPropagatorAgainstODEOracle:
         # just below a power of two, the Taylor argument's norm is nearly 1
         for scale in (0.999, 1.999, 1000.0):
             reference = expm(liouville * (scale / norm))
-            error = np.max(np.abs(propagator(model, scale / norm) - reference))
+            error = np.max(np.abs(lindblad._expm(liouville * (scale / norm)) - reference))
             assert error < 1e-14 * scale
 
     def test_long_hold_reaches_the_steady_state(self):
         rng = np.random.default_rng(25)
         model = build_model(random_spec(rng, 2, n_th=0.2), drives=random_drives(rng, 2))
-        d = model.dimension
-        rho = propagator(model, 50.0) @ random_mixed_state(rng, d).reshape(-1)
-        assert np.max(np.abs(rho.reshape(d, d) - steady_state(model).elements)) < 1e-9
+        rho = evolve(model, random_mixed_state(rng, model.dimension), [0.0, 50.0])[-1]
+        assert np.max(np.abs(rho - steady_state(model).elements)) < 1e-9
+
+def reached_coordinates(model, rho) -> np.ndarray:
+    """The Hermitian coordinates evolve runs over from the states rho (d x d or a stack)."""
+    d = model.dimension
+    unitary, _ = lindblad._hermitian_coordinates(d)
+    x0 = (unitary @ np.asarray(rho, dtype=complex).reshape(-1, d * d).T).real
+    generator = lindblad._real_similarity(unitary, assemble_liouvillian(model))
+    return lindblad._reachable(generator, np.flatnonzero(np.any(x0, axis=1)))
+
+
+def basis_projector(basis, *bitmasks) -> np.ndarray:
+    vec = sum(basis.basis_vector(b) for b in bitmasks)
+    return np.outer(vec, vec.conj()) / len(bitmasks)
+
+
+class TestReachedCoordinates:
+    """evolve keeps to the coordinates its initial state can reach."""
+
+    @staticmethod
+    def five_qubit_cavity(n_th):
+        return core.cavity_spec(
+            QubitParams("M", 13.4, 0.0065, 0.21), QubitParams("P", 1.19, 0.0065, 0.191),
+            n_mirrors=4, probe_detuning=0.5, n_th=n_th,
+        )
+
+    @pytest.mark.parametrize("n_th, drive, size", [(0.0, 0.0, 26), (0.02, 0.0, 252), (0.0, 3.0, 1024)])
+    def test_sizes_from_an_excited_probe(self, n_th, drive, size):
+        # n_th = 0: the ground population and the 5 x 5 one-excitation
+        # block; thermal: every rho_ab with N_a = N_b (sum_k C(5, k)^2);
+        # a drive on the probe: all d^2
+        spec = self.five_qubit_cavity(n_th)
+        drives = ((spec.probe_index, drive),) if drive else ()
+        model = build_model(spec, drives=drives)
+        rho0 = basis_projector(model.basis, 1 << spec.probe_index)
+        reached = reached_coordinates(model, rho0)
+        assert reached.size == size
+        if not drive:
+            counts = np.array([bin(s).count("1") for s in range(model.dimension)])
+            a, b = np.divmod(reached, model.dimension)
+            assert np.array_equal(counts[a], counts[b])
+        # no reached coordinate feeds one outside the set
+        unitary, _ = lindblad._hermitian_coordinates(model.dimension)
+        generator = lindblad._real_similarity(unitary, assemble_liouvillian(model))
+        outside = np.setdiff1d(np.arange(model.dimension**2), reached)
+        assert generator[outside][:, reached].nnz == 0
+
+    def test_matches_dense_oracle_on_random_specs(self):
+        # undriven holds from states of sparse support, where the reached
+        # set is a strict subset, and driven ones, which reach everything
+        # (one N = 5 case: its dense propagator alone takes seconds)
+        rng = np.random.default_rng(61)
+        cases = [(n, n_th, driven) for n in (1, 2, 3, 4)
+                 for n_th, driven in ((0.0, False), (rng.uniform(0.01, 0.2), False), (0.0, True))]
+        for n, n_th, driven in cases + [(5, 0.02, False)]:
+            spec = random_spec(rng, n, n_th=n_th)
+            model = build_model(spec, drives=random_drives(rng, n) if driven else ())
+            picks = rng.choice(model.dimension, size=min(2, model.dimension), replace=False)
+            rho0 = basis_projector(model.basis, *picks)
+            times = np.linspace(0.0, rng.uniform(0.02, 0.1), 6)
+            states = evolve(model, rho0, times)
+            assert states.shape == (6,) + rho0.shape
+            reference = propagated_states(model, rho0, times)
+            assert np.max(np.abs(states - reference)) < 1e-12
+
+    def test_stack_matches_dense_oracle(self):
+        # a stack runs over the union of its members' reached sets
+        rng = np.random.default_rng(62)
+        spec = random_spec(rng, 3, n_th=0.05)
+        model = build_model(spec)
+        basis = model.basis
+        stack = np.array([basis_projector(basis, 0b001), basis_projector(basis, 0b000, 0b011)])
+        union = np.union1d(reached_coordinates(model, stack[0]), reached_coordinates(model, stack[1]))
+        assert np.array_equal(reached_coordinates(model, stack), union)
+        assert union.size < model.dimension**2
+        times = np.array([0.0, 0.01, 0.03, 0.04])
+        states = evolve(model, stack, times)
+        assert states.shape == (4, 2, 8, 8)
+        assert np.max(np.abs(states - propagated_states(model, stack, times))) < 1e-12
+        for k in range(2):
+            assert np.max(np.abs(states[:, k] - evolve(model, stack[k], times))) < 1e-14
+
+    def test_states_are_exactly_hermitian(self):
+        rng = np.random.default_rng(63)
+        model = build_model(random_spec(rng, 3, n_th=0.1), drives=random_drives(rng, 3))
+        states = evolve(model, random_mixed_state(rng, 8), np.linspace(0.0, 0.05, 4))
+        assert np.array_equal(states, np.swapaxes(states, -1, -2).conj())
+
+    def test_negative_eigenvalue_inside_one_block_raises(self):
+        # positive diagonal, but the one-excitation block [[0.5, 0.7],
+        # [0.7, 0.5]] has eigenvalue -0.2; only that block can show it
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[1, 1] = rho0[2, 2] = 0.5
+        rho0[1, 2] = rho0[2, 1] = 0.7
+        with pytest.raises(ValueError, match=r"eigenvalue -2\.000e-01 below -1e-8 at t = 0 us"):
+            evolve(model, rho0, [0.0, 0.1])
+
+    def test_bad_trace_raises(self):
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        with pytest.raises(ValueError, match="trace"):
+            evolve(model, 2.0 * basis_projector(model.basis, 0b01), [0.0, 0.1])
+
+    def test_shape_checks(self):
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        with pytest.raises(ValueError, match="dimension"):
+            evolve(model, np.eye(2) / 2, [0.0, 0.1])
+        with pytest.raises(ValueError, match="increasing"):
+            evolve(model, np.eye(4) / 4, [0.0, 0.1, 0.1])
 
 
 class TestSteadyState:
@@ -477,6 +552,14 @@ class TestHermitianCoordinates:
         with pytest.raises(ValueError, match="Hermitian"):
             lindblad._real_similarity(unitary, 1j * sparse.identity(9, format="csr"))
 
+    def test_cached_per_dimension_and_read_only(self):
+        unitary, gather = lindblad._hermitian_coordinates(6)
+        again = lindblad._hermitian_coordinates(6)
+        assert again[0] is unitary and again[1] is gather
+        for array in (unitary.data, unitary.indices, unitary.indptr, *gather):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     @pytest.mark.parametrize("d", [2, 5, 32])
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
@@ -567,7 +650,7 @@ class TestCorrelatedDephasing:
         dark = dark_vector(model.basis)
         times = np.linspace(0.0, 0.25, 9)
         states = evolve(model, DensityMatrix.from_state_vector(dark), times)
-        pops = [np.vdot(dark, s.elements @ dark).real for s in states]
+        pops = [np.vdot(dark, s @ dark).real for s in states]
         assert log_slope_mhz(times, pops) == pytest.approx(0.210, rel=0.01)
 
     def test_closed_form_consistency_random_triples(self):
@@ -585,13 +668,13 @@ class TestCorrelatedDephasing:
 
             t1_window = np.linspace(0.0, 0.16 / g1_expected, 8)
             states = evolve(model, DensityMatrix.from_state_vector(dark), t1_window)
-            pops = [np.vdot(dark, s.elements @ dark).real for s in states]
+            pops = [np.vdot(dark, s @ dark).real for s in states]
             assert log_slope_mhz(t1_window, pops) == pytest.approx(g1_expected, rel=0.01)
 
             t2_window = np.linspace(0.0, 0.16 / g2_expected, 8)
             superpos = (ground + dark) / math.sqrt(2)
             states = evolve(model, DensityMatrix.from_state_vector(superpos), t2_window)
-            coherences = [abs(np.vdot(dark, s.elements @ ground)) for s in states]
+            coherences = [abs(np.vdot(dark, s @ ground)) for s in states]
             assert log_slope_mhz(t2_window, coherences) == pytest.approx(g2_expected, rel=0.01)
 
     def test_common_noise_leaves_population_but_not_coherence(self):
@@ -616,71 +699,6 @@ class TestDarkStateRates:
         ):
             assert dark_state_rates(0.0065, gphi, gphi_c) == pytest.approx((g1_meas, g2_meas))
             assert gphi_c / gphi == pytest.approx(ratio, abs=5e-4)
-
-
-class TestQuasiStaticAverage:
-    def builder(self, g1d=50.0):
-        spec = pair_spec(g1d)
-
-        def build(delta_c, delta_d):
-            return build_model(
-                spec, detunings=(delta_c + delta_d, delta_c - delta_d), max_excitations=1
-            )
-
-        return build, build_model(spec, max_excitations=1).basis
-
-    def test_zero_sigma_matches_single_evolution(self):
-        build, basis = self.builder()
-        dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2)
-        rho0 = DensityMatrix.from_state_vector(dark)
-        observable = np.outer(dark, dark.conj())
-        times = np.linspace(0.0, 0.5, 6)
-        trace = quasi_static_average(build, rho0, observable, NoiseSpec(0, 0, 3, seed=1), times)
-        single = [
-            float(np.real(np.trace(observable @ s.elements)))
-            for s in evolve(build(0.0, 0.0), rho0, times)
-        ]
-        assert np.allclose(trace.values, single, atol=1e-12)
-        assert np.allclose(trace.times, times * 1e3)
-
-    def test_common_jitter_gaussian_envelope(self):
-        build, basis = self.builder()
-        dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2)
-        superpos = (basis.ground_vector() + dark) / math.sqrt(2)
-        rho0 = DensityMatrix.from_state_vector(superpos)
-        coherence_op = np.outer(basis.ground_vector(), dark.conj())
-        sigma_c = 1.0
-        times = np.linspace(0.0, 0.35, 6)
-        noise = NoiseSpec(sigma_c, 0.0, samples=600, seed=7)
-        trace = quasi_static_average(build, rho0, coherence_op, noise, times)
-        envelope = 0.5 * np.exp(-0.5 * (TWO_PI * sigma_c * times) ** 2)
-        assert np.max(np.abs(trace.values - envelope)) < 0.03
-
-    def test_differential_jitter_purcell_decay(self):
-        build, basis = self.builder(g1d=50.0)
-        dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2)
-        rho0 = DensityMatrix.from_state_vector(dark)
-        observable = np.outer(dark, dark.conj())
-        sigma_d, gamma_bright = 1.0, 100.0
-        expected_rate = 4 * sigma_d**2 / gamma_bright
-        # stay in the near-exponential window 8*pi*t*sigma^2/gamma_B <= 0.1,
-        # where the Gaussian ensemble average is exponential to ~5%
-        times = np.linspace(0.0, 0.1 * gamma_bright / (8 * math.pi * sigma_d**2), 8)
-        noise = NoiseSpec(0.0, sigma_d, samples=600, seed=3)
-        trace = quasi_static_average(build, rho0, observable, noise, times)
-        fitted = log_slope_mhz(times, trace.values)
-        assert fitted == pytest.approx(expected_rate, rel=0.10)
-
-    def test_bit_exact_determinism(self):
-        build, basis = self.builder()
-        dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2)
-        rho0 = DensityMatrix.from_state_vector(dark)
-        observable = np.outer(dark, dark.conj())
-        times = np.linspace(0.0, 0.2, 4)
-        noise = NoiseSpec(0.5, 0.5, samples=20, seed=42)
-        first = quasi_static_average(build, rho0, observable, noise, times)
-        second = quasi_static_average(build, rho0, observable, noise, times)
-        assert np.array_equal(first.values, second.values)
 
 
 class TestDensityMatrixValidation:

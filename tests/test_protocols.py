@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import propagator
 from fit_oracle import multistart_sinusoid
 from ode_oracle import dop853_states
 
@@ -207,20 +208,17 @@ class TestVacuumRabi:
         # minimum reaches zero: perfect fringe visibility
         assert trace.values.min() < 1e-4
 
-    @pytest.mark.parametrize("n_mirrors, n_th, dimension", [(4, 0.0, 6), (2, 0.05, 8)])
-    def test_sector_rule_matches_full_space(self, monkeypatch, n_mirrors, n_th, dimension):
-        # one-excitation sector at n_th = 0, full product space otherwise;
-        # the reference integrates the full space with DOP853
+    @pytest.mark.parametrize("n_mirrors, n_th, reached", [(4, 0.0, 26), (2, 0.05, 20)])
+    def test_hold_matches_full_space(self, monkeypatch, n_mirrors, n_th, reached):
+        # the hold exponentiates only the coordinates the excited probe can
+        # reach (N_a = N_b, and at n_th = 0 at most one excitation); the
+        # reference integrates the full space with DOP853
         spec = core.cavity_spec(MIRROR1, PROBE, n_mirrors=n_mirrors, probe_detuning=0.5, n_th=n_th)
         taus = np.linspace(0, 400, 81)
-        dimensions, evolve = [], lindblad.evolve
-        monkeypatch.setattr(
-            lindblad,
-            "evolve",
-            lambda model, *args: dimensions.append(model.dimension) or evolve(model, *args),
-        )
+        blocks, expm = [], lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", lambda a: blocks.append(len(a)) or expm(a))
         trace = pr.simulate_vacuum_rabi(spec, taus)
-        assert dimensions == [dimension]
+        assert blocks == [reached]
         full = lindblad.build_model(spec)
         excited = full.basis.basis_vector(1 << spec.probe_index)
         reference = dop853_states(
@@ -249,7 +247,7 @@ class TestIswap:
         )
         swap_us = pr.iswap_duration_ns(spec) * 1e-3
         for _ in range(2):
-            rho = lindblad.evolve(coherent, rho, np.array([0.0, swap_us]))[-1].elements
+            rho = lindblad.evolve(coherent, rho, np.array([0.0, swap_us]))[-1]
         population = float(np.real(np.trace(basis.number(spec.probe_index) @ rho)))
         assert population == pytest.approx(1.0, abs=1e-6)
 
@@ -257,9 +255,9 @@ class TestIswap:
         # with no parasitics the swap still loses the probe's radiative
         # emission during the transfer, about exp(-pi gamma_p / (2 * 2J))
         spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19))
-        _, final = pr.iswap(spec)
+        final = pr.iswap(spec)
         basis = lindblad.ProductBasis(3)
-        population = pr.dark_population(spec, basis, final.elements)
+        population = pr.dark_population(spec, basis, final)
         estimate = math.exp(-math.pi * 1.19 / (2 * TWO_J1))
         assert population == pytest.approx(estimate, rel=0.05)
 
@@ -269,7 +267,7 @@ class TestIswap:
         # fills only its state along the exchange row, so the population
         # of that state is the population of the whole subspace
         spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19), n_mirrors=n_mirrors)
-        _, final = pr.iswap(spec)
+        final = pr.iswap(spec)
         basis = lindblad.ProductBasis(spec.n_qubits)
         mirrors = list(spec.mirror_indices)
         gamma = core.waveguide_decay_matrix(spec)[np.ix_(mirrors, mirrors)]
@@ -277,29 +275,27 @@ class TestIswap:
         subspace = 0.0
         for k in np.flatnonzero(values < 1e-9 * values.max()):
             dark = sum(vectors[i, k] * basis.basis_vector(1 << m) for i, m in enumerate(mirrors))
-            subspace += np.vdot(dark, final.elements @ dark).real
-        population = pr.dark_population(spec, basis, final.elements)
+            subspace += np.vdot(dark, final @ dark).real
+        population = pr.dark_population(spec, basis, final)
         assert population == pytest.approx(subspace, abs=1e-12)
         if n_mirrors == 2:
             assert population == pytest.approx(0.726213, abs=5e-7)
 
-    @pytest.mark.parametrize("n_th, dimension", [(0.0, 4), (0.05, 8)])
-    def test_sector_hold_matches_full_space(self, monkeypatch, n_th, dimension):
-        # at n_th = 0 the hold runs in the one-excitation sector (d = N + 1)
-        # and is placed in the full space; a thermal hold stays full-space
+    @pytest.mark.parametrize("n_th, reached", [(0.0, 10), (0.05, 20)])
+    def test_hold_matches_full_space(self, monkeypatch, n_th, reached):
+        # the hold exponentiates the 10 coordinates of the ground and
+        # one-excitation blocks at n_th = 0, the 20 with N_a = N_b when
+        # thermal; the reference propagates the whole 64-entry vec
         spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=0.7, n_th=n_th)
-        held = []
-        propagator = lindblad.propagator
-        monkeypatch.setattr(
-            lindblad, "propagator",
-            lambda model, duration: held.append(model.dimension) or propagator(model, duration),
-        )
-        sequence, final = pr.iswap(spec)
-        assert held == [dimension]
-        basis = lindblad.ProductBasis(spec.n_qubits)
-        reference = pr.run_sequence(spec, sequence, pr._probe_excited(spec, basis))
-        assert final.dimension == 8
-        assert np.max(np.abs(final.elements - reference.elements)) < 1e-12
+        blocks, expm = [], lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", lambda a: blocks.append(len(a)) or expm(a))
+        final = pr.iswap(spec)
+        assert blocks == [reached]
+        model = lindblad.build_model(spec)
+        excited = pr._probe_excited(spec, model.basis).reshape(-1)
+        reference = propagator(model, pr.iswap_duration_ns(spec) * 1e-3) @ excited
+        assert final.shape == (8, 8)
+        assert np.max(np.abs(final - reference.reshape(8, 8))) < 1e-12
 
     def test_uncoupled_probe_has_no_dark_state(self):
         spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 0.0))
@@ -308,19 +304,19 @@ class TestIswap:
 
     def test_first_peak_population_slow_mirrors(self):
         spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=1.0)
-        _, final = pr.iswap(spec)
+        final = pr.iswap(spec)
         basis = lindblad.ProductBasis(3)
-        assert pr.dark_population(spec, basis, final.elements) == pytest.approx(0.68, rel=0.10)
+        assert pr.dark_population(spec, basis, final) == pytest.approx(0.68, rel=0.10)
 
     def test_fast_mirror_transfer_beats_slow(self):
         # larger 2J/gamma_p ratio transfers more population per swap
         spec2 = core.cavity_spec(MIRROR2, PROBE2, probe_detuning=5.9)
-        _, final2 = pr.iswap(spec2)
+        final2 = pr.iswap(spec2)
         basis = lindblad.ProductBasis(3)
-        pop2 = pr.dark_population(spec2, basis, final2.elements)
+        pop2 = pr.dark_population(spec2, basis, final2)
         spec1 = core.cavity_spec(MIRROR1, PROBE, probe_detuning=1.0)
-        _, final1 = pr.iswap(spec1)
-        pop1 = pr.dark_population(spec1, basis, final1.elements)
+        final1 = pr.iswap(spec1)
+        pop1 = pr.dark_population(spec1, basis, final1)
         assert pop2 > pop1
         loss_ratio = (1 - pop2) / (1 - pop1)
         coupling_ratio = (0.87 / core.coupling_rate_2j(2, 96.7, 0.87)) / (
@@ -405,7 +401,7 @@ class TestTwoExcitation:
             psi = (a + b) / np.linalg.norm(a + b)
             times = np.linspace(0.0, window_us, 9)
             states = lindblad.evolve(model, np.outer(psi, psi.conj()), times)
-            coherences = [abs(np.vdot(a, s.elements @ b)) for s in states]
+            coherences = [abs(np.vdot(a, s @ b)) for s in states]
             return -np.polyfit(times, np.log(coherences), 1)[0] / (2 * math.pi)
 
         single = coherence_rate(e_ground, g_dark, 0.25)
@@ -488,39 +484,22 @@ class TestCompoundMirrors:
 
 
 class TestSequences:
-    def test_segment_validation(self):
-        with pytest.raises(ValueError):
-            pr.Segment(-5.0, (0.0,))
-        with pytest.raises(ValueError):
-            pr.Segment(10.0, (math.nan,))
-
-    def test_run_sequence_matches_direct_evolution(self):
+    def test_split_evolution_matches_direct_evolution(self):
+        # a hold split in two (the staged protocols chain evolve calls)
         spec = core.cavity_spec(MIRROR1, PROBE)
-        basis = lindblad.ProductBasis(3)
-        rho0 = np.outer(
-            basis.basis_vector(1 << spec.probe_index),
-            basis.basis_vector(1 << spec.probe_index).conj(),
-        )
-        sequence = pr.PulseSequence(
-            segments=(pr.Segment(40.0, tuple(spec.detunings)), pr.Segment(47.2, tuple(spec.detunings)))
-        )
-        split = pr.run_sequence(spec, sequence, rho0)
         model = lindblad.build_model(spec)
+        rho0 = pr._probe_excited(spec, model.basis)
+        first = lindblad.evolve(model, rho0, np.array([0.0, 0.04]))[-1]
+        split = lindblad.evolve(model, first, np.array([0.0, 0.0472]))[-1]
         direct = lindblad.evolve(model, rho0, np.array([0.0, 0.0872]))[-1]
-        assert np.max(np.abs(split.elements - direct.elements)) < 1e-8
-
-    def test_rotation_needs_full_space(self):
-        basis = lindblad.ProductBasis(3, max_excitations=1)
-        rho = np.outer(basis.ground_vector(), basis.ground_vector())
-        with pytest.raises(ValueError):
-            pr.rotate_qubit(rho, basis, 0, math.pi)
+        assert np.max(np.abs(split - direct)) < 1e-12
 
     def test_drive_segment_produces_rabi_flop(self):
-        # 10 ns resonant pi pulse as a finite-drive segment
+        # 10 ns resonant pi pulse as a driven hold
         q = QubitParams("Q", 0.001)
         spec = SystemSpec(qubits=((q, core.Placement(0.0)),), probe_index=0)
-        sequence = pr.PulseSequence(segments=(pr.Segment(10.0, (0.0,), ((0, 50.0, 0.0),)),))
-        basis = lindblad.ProductBasis(1)
+        model = lindblad.build_model(spec, drives=((0, 50.0),))
+        basis = model.basis
         rho0 = np.outer(basis.ground_vector(), basis.ground_vector())
-        final = pr.run_sequence(spec, sequence, rho0)
-        assert final.elements[1, 1].real == pytest.approx(1.0, abs=1e-3)
+        final = lindblad.evolve(model, rho0, np.array([0.0, 0.01]))[-1]
+        assert final[1, 1].real == pytest.approx(1.0, abs=1e-3)
