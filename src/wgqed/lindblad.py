@@ -21,7 +21,10 @@ LAPACK condition estimate flags a degenerate null space.  A sweep over
 the drive detuning delta assembles the Liouvillian once: moving the drive
 frame only shifts the diagonal, L(delta) = L0 + delta K with
 K[a*d + b] = i 2 pi (N_a - N_b) and N the total excitation number of
-each basis state.
+each basis state.  The LU is all the per-point work of a sweep.  Both
+solvers return one complex stack of states and check it once, with one
+validator (_check_states: unit trace, no eigenvalue below -1e-8) whose
+error names the failing time or drive detuning.
 """
 
 from __future__ import annotations
@@ -394,35 +397,44 @@ def _reachable(generator: sparse.csr_matrix, support) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
-def _check_states(states: np.ndarray, reached: np.ndarray, times: np.ndarray) -> None:
+def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
     """ValueError unless each state has unit trace and no eigenvalue below -1e-8.
 
-    states is a (len(times), m, d, d) stack that is zero outside the
-    reached coordinates.  A reached coordinate ab links basis states a and
-    b, so every state is block diagonal over the connected components of
-    those links: its eigenvalues are those of its blocks, and a block that
-    holds no reached coordinate is zero.  So eigvalsh runs once per
-    nonzero block on the whole stack.
+    states is a (len(points), ..., d, d) stack with one leading entry per
+    point; the message names the first failing point as where.format(point),
+    e.g. "t = {:g} us" or "drive detuning {:g} MHz".  Without reached,
+    eigvalsh runs once on the whole stack.  With reached, the states are
+    zero outside those coordinates.  A reached coordinate ab links basis
+    states a and b, so every state is block diagonal over the connected
+    components of those links: its eigenvalues are those of its blocks, and
+    a block that holds no reached coordinate is zero.  So eigvalsh runs
+    once per nonzero block on the whole stack.
     """
-    d = states.shape[-1]
     traces = np.trace(states, axis1=-2, axis2=-1).real
     bad = np.argwhere(np.abs(traces - 1.0) > 1e-9)
     if bad.size:
         k = tuple(bad[0])
-        raise ValueError(f"trace {traces[k]} differs from 1 beyond 1e-9 at t = {times[k[0]]:g} us")
-    a, b = np.divmod(reached, d)
-    links = sparse.coo_matrix((np.ones(reached.size), (a, b)), shape=(d, d))
-    _, labels = csgraph.connected_components(links, directed=False)
-    lowest = np.full(times.size, np.inf)
-    for label in np.unique(labels[a]):
-        members = np.flatnonzero(labels == label)
-        block = states[..., members[:, None], members]
-        lowest = np.minimum(lowest, np.linalg.eigvalsh(block).min(axis=(1, 2)))
+        raise ValueError(
+            f"trace {traces[k]} differs from 1 beyond 1e-9 at {where.format(points[k[0]])}"
+        )
+    axes = tuple(range(1, states.ndim - 1))  # all but the point axis of the eigenvalues
+    if reached is None:
+        lowest = np.linalg.eigvalsh(states).min(axis=axes)
+    else:
+        d = states.shape[-1]
+        a, b = np.divmod(reached, d)
+        links = sparse.coo_matrix((np.ones(reached.size), (a, b)), shape=(d, d))
+        _, labels = csgraph.connected_components(links, directed=False)
+        lowest = np.full(len(points), np.inf)
+        for label in np.unique(labels[a]):
+            members = np.flatnonzero(labels == label)
+            block = states[..., members[:, None], members]
+            lowest = np.minimum(lowest, np.linalg.eigvalsh(block).min(axis=axes))
     bad = np.flatnonzero(lowest < -1e-8)
     if bad.size:
         k = bad[0]
         raise ValueError(
-            f"state has an eigenvalue {lowest[k]:.3e} below -1e-8 at t = {times[k]:g} us"
+            f"state has an eigenvalue {lowest[k]:.3e} below -1e-8 at {where.format(points[k])}"
         )
 
 
@@ -479,7 +491,7 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     real_at, real_scale, imag_at, imag_scale = gather
     local = (position[real_at], real_scale, position[imag_at], imag_scale)
     states = _hermitian_matrix(x, local).reshape(times.size, -1, d, d)
-    _check_states(states, reached, times)
+    _check_states(states, times, "t = {:g} us", reached)
     return states.reshape((times.size,) + rho.shape)
 
 
@@ -524,7 +536,7 @@ def _trace_bordered(matrix: sparse.csr_matrix, d: int) -> sparse.csc_matrix:
     ).tocsc()
 
 
-def steady_states(model: LindbladModel, detunings) -> list[DensityMatrix]:
+def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
 
     delta (MHz) moves the drive frame: every qubit detuning of ``model``
@@ -536,16 +548,25 @@ def steady_states(model: LindbladModel, detunings) -> list[DensityMatrix]:
     parts of each coherence.  Row 0 of A (the d rho_00/dt equation,
     linearly dependent on the other population rows because L preserves
     trace) is replaced by the trace functional sum_a x_aa, once per sweep.
-    Each point densifies A + delta K_r and solves (A + delta K_r) x = e_0
-    with one real LAPACK LU factorization; rho is gathered from x, exactly
-    Hermitian.  The real bordered matrix is a unitary similarity of the
-    complex one, so it has the same singular values.  Raises
-    DegenerateSteadyStateError when its reciprocal 1-norm condition number,
-    estimated from the LU factors, is below STEADY_RCOND_MIN (e.g. a
-    disconnected dark subspace with no decay path), or when the solution
-    leaves a residual |(L0 + delta K) vec(rho)| above 1e-10 of the 1-norm of
-    the bordered matrix; the message names the detuning of that point.  A
-    nonzero detuning needs the model's qubit basis (ValueError without one).
+    Each point refills one reused dense work array with A + delta K_r and
+    solves (A + delta K_r) x = e_0 with one real LAPACK LU
+    factorization; that is all the per-point work.  The real bordered
+    matrix is a unitary similarity of the complex one, so it has the same
+    singular values.  Raises DegenerateSteadyStateError when its reciprocal
+    1-norm condition number, estimated from the LU factors, is below
+    STEADY_RCOND_MIN (e.g. a disconnected dark subspace with no decay
+    path).
+
+    The rest runs once on the whole sweep.  The states are gathered from
+    the real solutions, so each is exactly Hermitian.  One sparse product
+    gives every residual |(L0 + delta K) vec(rho)|, and one above 1e-10 of
+    the 1-norm of that point's bordered matrix raises
+    DegenerateSteadyStateError.  _check_states, the validator evolve uses,
+    raises ValueError unless every state has unit trace within 1e-9 and no
+    eigenvalue below -1e-8.  Each message names the drive detuning (MHz)
+    of the first point that failed.  Returns one complex array of shape
+    (len(detunings), d, d).  A nonzero detuning needs the model's qubit
+    basis (ValueError without one).
     """
     detunings = np.asarray(detunings, dtype=float).reshape(-1)
     d = model.dimension
@@ -562,37 +583,52 @@ def steady_states(model: LindbladModel, detunings) -> list[DensityMatrix]:
     getrf, gecon, getrs, lange = get_lapack_funcs(
         ("getrf", "gecon", "getrs", "lange"), dtype=np.float64
     )
+    # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
+    # getrf factors it in place.  flat is its column-major ravel, a view.
+    work = np.empty((d * d, d * d), order="F")
+    flat = work.ravel(order="F")
+    rotation_at = rotation.col * (d * d) + rotation.row
     rhs = np.zeros(d * d)
     rhs[0] = 1.0
-    states = []
-    for delta in detunings:
-        # the only dense d^2 x d^2 array, in Fortran order so getrf factors it in place
-        dense = bordered.toarray(order="F")
+    x = np.empty((detunings.size, d * d))
+    anorms = np.empty(detunings.size)
+    for k, delta in enumerate(detunings):
+        bordered.toarray(out=work)
         if delta:
-            dense[rotation.row, rotation.col] += delta * rotation.data
-        anorm = lange("1", dense)
-        lu, piv, info = getrf(dense, overwrite_a=True)
-        rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+            flat[rotation_at] += delta * rotation.data
+        anorms[k] = lange("1", work)
+        lu, piv, info = getrf(work, overwrite_a=True)
+        rcond = gecon(lu, anorms[k])[0] if info == 0 else 0.0
         if rcond < STEADY_RCOND_MIN:
             raise DegenerateSteadyStateError(
                 f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
                 f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
             )
-        x, _ = getrs(lu, piv, rhs)
-        del dense, lu  # freed before the next point densifies
-        vec = _hermitian_matrix(x, gather)
-        residual = np.max(np.abs(liouville @ vec + delta * generator * vec))
-        if residual > 1e-10 * max(1.0, anorm):
-            raise DegenerateSteadyStateError(
-                f"steady-state residual {residual:.3e} too large at drive detuning {delta:g} MHz"
-            )
-        states.append(DensityMatrix(vec.reshape(d, d)))
+        x[k], _ = getrs(lu, piv, rhs)
+    vecs = _hermitian_matrix(x, gather)
+    del x
+    # in place, so no more than two (d^2, points) arrays live beside vecs
+    residuals = liouville @ vecs.T
+    shift = vecs.T * generator[:, None]
+    shift *= detunings
+    residuals += shift
+    del shift
+    residuals = np.abs(residuals).max(axis=0, initial=0.0)
+    bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
+    if bad.size:
+        k = bad[0]
+        raise DegenerateSteadyStateError(
+            f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
+            f"{detunings[k]:g} MHz"
+        )
+    states = vecs.reshape(detunings.size, d, d)
+    _check_states(states, detunings, "drive detuning {:g} MHz")
     return states
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
     """Unique unit-trace null vector of the Liouvillian (steady_states at delta = 0)."""
-    return steady_states(model, (0.0,))[0]
+    return DensityMatrix(steady_states(model, (0.0,))[0])
 
 
 def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float = 0.05):

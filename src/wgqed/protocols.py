@@ -155,7 +155,11 @@ def iswap(spec: core.SystemSpec) -> np.ndarray:
     transferred population approaches 1 - O(1/C) for a lossless system.
     """
     _require_probe(spec)
-    model = lindblad.build_model(spec)
+    return _iswap(spec, lindblad.build_model(spec))
+
+
+def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
+    """iswap on the already built model of spec."""
     hold_us = iswap_duration_ns(spec) * 1e-3
     return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
 
@@ -272,7 +276,7 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     probe = _require_probe(spec)
     taus = np.asarray(taus, dtype=float)
     model = lindblad.build_model(spec)
-    rho = rotate_qubit(iswap(spec), model.basis, probe, math.pi)
+    rho = rotate_qubit(_iswap(spec, model), model.basis, probe, math.pi)
     states = lindblad.evolve(model, rho, taus * 1e-3)
     atomic = TimeTrace(
         taus,

@@ -101,20 +101,22 @@ class FitResult:
         return self.parameters[name][1]
 
 
-def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    return _FMT % value
-
-
 def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
     """Write one CSV table: optional "# key=value" lines, header, data rows.
 
-    Integers are written as is, every other value with %.12e.
+    Integers are written as is, every other value with %.12e.  Each column
+    holds one kind of value, so the cell formats are read once, from the
+    first row, into one %-format string that formats every row.
     """
     lines = [f"# {key}={metadata[key]}" for key in sorted(metadata or {})]
     lines.append(",".join(header))
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        first = tuple(first)
+        fmt = ",".join("%s" if isinstance(x, (int, np.integer)) else _FMT for x in first)
+        lines.append(fmt % first)
+        lines.extend(fmt % tuple(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -165,7 +165,9 @@ def driven_steady_state(
     its spec detuning minus detuning.
     """
     amplitudes, _ = _drive_amplitudes(spec, drive)
-    return lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
+    return lindblad.DensityMatrix(
+        lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
+    )
 
 
 def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings) -> SpectrumScan:
@@ -174,7 +176,8 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     detunings is the grid of drive offsets (MHz) from the working
     frequency.  The driven model is built and its Liouvillian assembled
     once, at zero offset; each grid point is the steady state of
-    L0 + delta K, where the diagonal generator K moves the drive frame
+    L0 + delta K, where the diagonal generator K moves the drive frame,
+    and the sweep returns every state as one validated stack
     (lindblad.steady_states).  The emitted field is the linear functional
     w . vec(rho) of _emission_functional, so t = 1 + w . vec(rho) / a_in
     for the waveguide port.  For that port the scan is checked to stay
@@ -191,9 +194,10 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
                       "expect saturation effects", stacklevel=2)
     model = _driven_model(spec, amplitudes)
     emission = _emission_functional(spec, model.basis)
-    emitted = np.array(
-        [emission @ rho.elements.reshape(-1) for rho in lindblad.steady_states(model, detunings)]
-    )
+    states = lindblad.steady_states(model, detunings)
+    # one dot product per point: a stacked product sums in another order
+    # and moves the last printed digit of the spectrum CSVs
+    emitted = np.array([emission @ vec for vec in states.reshape(detunings.size, -1)])
     if drive.port == "waveguide":
         t_values = 1.0 + emitted / a_in
         if np.max(np.abs(t_values)) > 1.0 + 1e-9:

@@ -472,11 +472,13 @@ class TestSteadyStateSweep:
     """One assembly per sweep: L0 + delta K against a rebuilt model per point."""
 
     def assert_sweep_matches(self, spec, drives, grid):
-        sweep = steady_states(build_model(spec, drives=drives), grid)
-        assert len(sweep) == len(grid)
+        model = build_model(spec, drives=drives)
+        sweep = steady_states(model, grid)
+        d = model.dimension
+        assert isinstance(sweep, np.ndarray) and sweep.shape == (len(grid), d, d)
+        assert np.array_equal(sweep, np.swapaxes(sweep, -1, -2).conj())
         for delta, rho in zip(grid, sweep):
             model = shifted_model(spec, drives, delta)
-            rho = rho.elements
             assert np.max(np.abs(rho - steady_state(model).elements)) < 1e-10
             assert np.max(np.abs(rho - svd_steady_state(model))) < 1e-10
 
@@ -504,13 +506,52 @@ class TestSteadyStateSweep:
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* at drive detuning 2.5 MHz"):
             steady_states(build_model(pair_spec(13.4, gloss=0.1)), [2.5])
 
+    @staticmethod
+    def perturb_point(monkeypatch, point, change):
+        """Make _hermitian_matrix apply change to the vec of one sweep point."""
+        hermitian_matrix = lindblad._hermitian_matrix
+
+        def patched(x, gather):
+            vecs = hermitian_matrix(x, gather)
+            vecs[point] = change(vecs[point])
+            return vecs
+
+        monkeypatch.setattr(lindblad, "_hermitian_matrix", patched)
+
+    def test_off_trace_point_raises(self, monkeypatch):
+        # twice a null vector leaves a small residual; only the trace check sees it
+        self.perturb_point(monkeypatch, 1, lambda vec: 2.0 * vec)
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        with pytest.raises(ValueError, match=r"trace .* at drive detuning 2.5 MHz"):
+            steady_states(model, [-1.0, 2.5, 4.0])
+
+    def test_negative_eigenvalue_point_raises(self, monkeypatch):
+        # -1e-3 of the dark state, which decays at 1e-7 MHz, leaves a
+        # residual far below the tolerance; only the eigenvalue check sees it
+        model = build_model(pair_spec(13.4, gloss=1e-7))
+        dark = dark_vector(model.basis)
+        ground = model.basis.ground_vector()
+        shift = 1e-3 * (np.outer(ground, ground) - np.outer(dark, dark)).reshape(-1)
+        self.perturb_point(monkeypatch, 1, lambda vec: vec + shift)
+        message = r"eigenvalue -1\.000e-03 below -1e-8 at drive detuning 2.5 MHz"
+        with pytest.raises(ValueError, match=message):
+            steady_states(model, [-1.0, 2.5, 4.0])
+
+    def test_readout_stack_has_no_density_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a DensityMatrix was built per sweep point")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
+        states = steady_states(build_model(pair_spec(13.4, gloss=0.1)), np.linspace(-2, 2, 7))
+        assert states.shape == (7, 4, 4)
+
     def test_nonzero_detuning_needs_a_basis(self):
         basis = ProductBasis(1)
         model = LindbladModel(np.zeros((2, 2)), ((basis.lowering(0), 2.0),))
         with pytest.raises(ValueError, match="basis"):
             steady_states(model, [0.0, 1.0])
         (rho,) = steady_states(model, [0.0])
-        assert rho.elements[0, 0].real == pytest.approx(1.0, abs=1e-12)
+        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHermitianCoordinates:

@@ -437,6 +437,16 @@ class TestTwoExcitation:
         assert second / first == pytest.approx(math.sqrt(2), rel=0.01)
         assert first == pytest.approx(TWO_J1, rel=0.01)
 
+    def test_spec_model_is_built_once(self, monkeypatch):
+        spec = core.cavity_spec(MIRROR1, PROBE)
+        built = []
+        build_model = lindblad.build_model
+        monkeypatch.setattr(
+            lindblad, "build_model", lambda s, *a, **k: built.append(s) or build_model(s, *a, **k)
+        )
+        pr.simulate_two_excitation(spec, np.linspace(0, 100, 5))
+        assert built == [spec]
+
     def test_companion_trace_persists(self):
         spec = core.cavity_spec(MIRROR1, PROBE)
         taus = np.linspace(0, 700, 141)

@@ -190,6 +190,21 @@ class TestSweepAgainstPointwise:
             rho = sp.driven_steady_state(spec, drive, offset).elements
             assert np.max(np.abs(rho - reference)) < 1e-12
 
+    def test_readout_is_one_dot_product_per_point(self):
+        # a stacked states @ emission sums in another order and differs in
+        # the last bits at most of these 201 points
+        spec = core.cavity_spec(MIRROR1, PROBE)
+        drive = sp.DriveSpec(omega_rabi=0.02)
+        grid = np.linspace(-10, 10, 201)
+        scan = sp.multi_qubit_transmission(spec, drive, grid)
+        amplitudes, a_in = sp._drive_amplitudes(spec, drive)
+        model = sp._driven_model(spec, amplitudes)
+        states = lindblad.steady_states(model, grid)
+        assert states.shape == (201, 8, 8)
+        emission = sp._emission_functional(spec, model.basis)
+        emitted = np.array([emission @ rho.reshape(-1) for rho in states])
+        assert np.array_equal(scan.t_complex, 1.0 + emitted / a_in)
+
     def test_lossless_pair_sweep_is_degenerate(self):
         mirror = QubitParams("M", 13.4)
         spec = core.mirror_pair_spec(mirror)
