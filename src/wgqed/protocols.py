@@ -44,8 +44,8 @@ __all__ = [
 # default parking offset (MHz) that decouples the probe during waits
 PARK_DETUNING = -50.0
 
-# a damped-sinusoid fit is accepted only if its amplitude is at least this
-# many of its own standard errors; below that the "fringe" is fitted noise
+# a trace fit is accepted only if its amplitude is at least this many of
+# its own standard errors; below that the fringe or decay is fitted noise
 MIN_AMPLITUDE_SIGMAS = 5.0
 
 # the damped-sinusoid model seen by the matrix pencil: one damped pair, a
@@ -389,7 +389,15 @@ def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def fit_exponential(trace: TimeTrace) -> FitResult:
-    """Least-squares fit of a * exp(-t/T) + c to a time trace."""
+    """Least-squares fit of a * exp(-t/T) + c to a time trace.
+
+    One unbounded MINPACK Levenberg-Marquardt solve (curve_fit, analytic
+    Jacobian, FIT_TOLERANCE) from the first and last values and the 1/e
+    crossing.  A constant trace is rejected before it, and a fit whose
+    amplitude is below MIN_AMPLITUDE_SIGMAS of its own standard error (a
+    growing or flat trace, fitted as a lifetime far beyond the span)
+    after it, with FitError.
+    """
     t, y = _finite_trace(trace, "an exponential")
     spread = float(np.ptp(y))
     if spread < 1e-9 * max(1.0, float(np.max(np.abs(y)))):
@@ -410,12 +418,18 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
 
     try:
         params, cov = curve_fit(
-            model, t, y, p0=[amp0, lifetime0, offset0], jac=jacobian, maxfev=20000,
+            model, t, y, p0=[amp0, lifetime0, offset0], jac=jacobian, method="lm", maxfev=20000,
             xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
         )
     except RuntimeError as err:
         raise FitError(f"exponential fit failed: {err}") from err
     sigmas = np.sqrt(np.abs(np.diag(cov)))
+    if not abs(params[0]) >= MIN_AMPLITUDE_SIGMAS * sigmas[0]:
+        raise FitError(
+            f"fitted amplitude {params[0]:.3g} is below {MIN_AMPLITUDE_SIGMAS:g} "
+            f"standard errors ({sigmas[0]:.3g}): no significant decay",
+            best=tuple(params),
+        )
     residual = float(np.linalg.norm(model(t, *params) - y))
     rate, rate_sigma = _rate_from_lifetime(params[1], sigmas[1])
     return FitResult(
@@ -465,11 +479,16 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     must show at least two periods over the span, else FitError is
     raised at once.  A one-period moving average, its length taken from
     the refined FFT peak of the trace, is subtracted to remove the
-    baseline.  A single curve_fit on the detrended data then starts from
-    the pencil pair's frequency and lifetime, with amplitude, phase and
-    offset solved linearly at those values.  The fit is rejected if it
-    lands below two periods or its amplitude is below
-    MIN_AMPLITUDE_SIGMAS of its own standard errors.
+    baseline.  One unbounded MINPACK Levenberg-Marquardt solve
+    (curve_fit, analytic Jacobian, FIT_TOLERANCE) on the detrended data
+    then starts from the pencil pair's frequency and lifetime, with
+    amplitude, phase and offset solved linearly at those values.  A
+    non-positive fitted lifetime raises FitError.  cos is even, so a
+    negative frequency is folded into the phase, (f, phi) -> (-f, -phi),
+    and a negative amplitude adds pi to it; the phase is then wrapped
+    into (-pi, pi].  The fit is rejected if it lands below two periods
+    or its amplitude is below MIN_AMPLITUDE_SIGMAS of its own standard
+    errors.
     """
     t, y = _finite_trace(trace, "a sinusoid")
     steps = np.diff(t)
@@ -544,18 +563,21 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         d_lifetime, d_f = amp * d_amp * t / lifetime**2, d_phi * TWO_PI * t * 1e-3
         return np.column_stack((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
 
-    bounds = ([-np.inf, 1e-3, 0.0, -np.inf, -np.inf], [np.inf] * 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             params, cov = curve_fit(
-                model, t_fit, y_fit, p0=p0, jac=jacobian, bounds=bounds, maxfev=20000,
+                model, t_fit, y_fit, p0=p0, jac=jacobian, method="lm", maxfev=20000,
                 xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
             )
         except RuntimeError as err:
             raise FitError(f"sinusoid fit failed: {err}", best=tuple(p0)) from err
-    residual = float(np.linalg.norm(model(t_fit, *params) - y_fit))
     params = list(params)
+    if not params[1] > 0:
+        raise FitError(f"fitted lifetime {params[1]:.3g} ns is not positive", best=tuple(params))
+    residual = float(np.linalg.norm(model(t_fit, *params) - y_fit))
+    if params[2] < 0:  # cos is even: fold the frequency sign into the phase
+        params[2], params[3] = -params[2], -params[3]
     if params[0] < 0:  # fold the sign into the phase
         params[0] = -params[0]
         params[3] += math.pi

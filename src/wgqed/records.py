@@ -122,7 +122,11 @@ def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
 
 
 def write_scan_csv(scan: SpectrumScan, path) -> None:
-    rows = ((d, t.real, t.imag, abs(t), abs(t) ** 2) for d, t in zip(scan.detunings, scan.t_complex))
+    # |t| once per row: np.hypot rounds like abs() of each complex, np.abs
+    # (and so abs_t) can differ in the last bit; the square stays a ** 2
+    t = scan.t_complex
+    columns = (scan.detunings, t.real, t.imag, np.hypot(t.real, t.imag))
+    rows = ((d, re, im, a, a ** 2) for d, re, im, a in zip(*(c.tolist() for c in columns)))
     write_table_csv(("detuning_mhz", "re_t", "im_t", "abs_t", "abs_t_sq"), rows, path, scan.metadata)
 
 

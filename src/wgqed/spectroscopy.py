@@ -320,17 +320,34 @@ def pulse_bandwidth_average(scan: SpectrumScan, pulse_duration: float) -> Spectr
     return SpectrumScan(grid, np.sqrt(np.maximum(averaged, 0.0)), metadata)
 
 
-def _lorentzian_amplitude(params, detunings):
+def _lorentzian_transmission(params, detunings):
+    """t = 1 - (gamma_1d/2)/z with z = (gamma_1d + gamma')/2 - i(delta - f0), and z."""
     f0, g1d, gprime = params
-    gamma2 = (g1d + gprime) / 2.0
-    return np.abs(1.0 - (g1d / 2.0) / (gamma2 - 1j * (detunings - f0)))
+    z = (g1d + gprime) / 2.0 - 1j * (detunings - f0)
+    return 1.0 - (g1d / 2.0) / z, z
+
+
+def _lorentzian_jacobian(params, detunings):
+    """Columns d|t|/dp = Re(conj(t) dt/dp) / |t| for p = (f0, gamma_1d, gamma')."""
+    _, g1d, _ = params
+    t, z = _lorentzian_transmission(params, detunings)
+    inv_z2 = 1.0 / z**2
+    dt = np.column_stack(
+        (1j * (g1d / 2.0) * inv_z2, (g1d / 4.0) * inv_z2 - 0.5 / z, (g1d / 4.0) * inv_z2)
+    )
+    return np.real(np.conj(t)[:, np.newaxis] * dt) / np.abs(t)[:, np.newaxis]
 
 
 def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     """Fit the weak-drive single-emitter lineshape to |t|.
 
     Returns (f0, gamma_1d, gamma_prime, residual norm).  The fit operates
-    on the amplitude |t| (linear signal chain, near-Gaussian noise).
+    on the amplitude |t| (linear signal chain, near-Gaussian noise).  It
+    is one unbounded MINPACK Levenberg-Marquardt solve with the analytic
+    Jacobian of |t|, started from the dip position, depth and half width.
+    |t| is unchanged when both widths flip sign, so the solve may leave
+    the physical region: a resonance outside the scan or a negative
+    width raises FitError.
     """
     detunings = scan.detunings
     amplitude = scan.abs_t
@@ -350,15 +367,23 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     g1d_guess = max(depth * 2.0 * gamma2_guess, 1e-6)
     gprime_guess = max(2.0 * gamma2_guess - g1d_guess, 1e-6)
     result = least_squares(
-        lambda p: _lorentzian_amplitude(p, detunings) - amplitude,
+        lambda p: np.abs(_lorentzian_transmission(p, detunings)[0]) - amplitude,
         x0=[f0_guess, g1d_guess, gprime_guess],
-        bounds=([detunings[0], 0.0, 0.0], [detunings[-1], np.inf, np.inf]),
+        jac=lambda p: _lorentzian_jacobian(p, detunings),
+        method="lm",
         max_nfev=2000,
     )
     residual = float(np.linalg.norm(result.fun))
     if not result.success:
         raise FitError(f"lineshape fit did not converge: {result.message}", best=tuple(result.x))
     f0, g1d, gprime = result.x
+    if not (detunings[0] <= f0 <= detunings[-1] and g1d >= 0 and gprime >= 0):
+        raise FitError(
+            f"lineshape fit left the physical region: f0 = {f0:.4g} MHz (scan "
+            f"{detunings[0]:.4g} to {detunings[-1]:.4g}), gamma_1d = {g1d:.4g} MHz, "
+            f"gamma_prime = {gprime:.4g} MHz",
+            best=tuple(result.x),
+        )
     return float(f0), float(g1d), float(gprime), residual
 
 

@@ -1,10 +1,12 @@
-"""Multi-start damped-sinusoid search: reference for protocols.fit_damped_sinusoid.
+"""References for the fits: a multi-start sinusoid search and central differences.
 
-The search the fit used before its matrix-pencil start: the strongest FFT
-peak at or above bin 2 gives the frequency and the phase, a one-period
-moving average is subtracted, and curve_fit runs from 5 phases x 2
-lifetimes, keeping the smallest residual.  It uses the fit's tolerances,
-so a comparison isolates the choice of start.
+multistart_sinusoid is the search protocols.fit_damped_sinusoid used
+before its matrix-pencil start: the strongest FFT peak at or above bin 2
+gives the frequency and the phase, a one-period moving average is
+subtracted, and a bounded curve_fit runs from 5 phases x 2 lifetimes,
+keeping the smallest residual.  It uses the fit's tolerances, so a
+comparison isolates the choice of start and of solver.
+central_differences checks the fits' analytic Jacobians.
 """
 
 import math
@@ -84,3 +86,16 @@ def multistart_sinusoid(t, y):
         params[3] += math.pi
     params[3] = math.pi - (math.pi - params[3]) % TWO_PI
     return tuple(params)
+
+
+def central_differences(func, params, rel_step=1e-6):
+    """Jacobian of the vector function func at params by central differences."""
+    params = np.asarray(params, dtype=float)
+    columns = []
+    for k in range(params.size):
+        step = rel_step * max(abs(params[k]), 1.0)
+        up, down = params.copy(), params.copy()
+        up[k] += step
+        down[k] -= step
+        columns.append((func(up) - func(down)) / (2.0 * step))
+    return np.column_stack(columns)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from dense_oracle import propagator
-from fit_oracle import multistart_sinusoid
+from fit_oracle import central_differences, multistart_sinusoid
 from ode_oracle import dop853_states
 
 from wgqed import core, lindblad, protocols as pr
@@ -177,6 +177,79 @@ class TestFits:
                 assert -math.pi < fitted <= math.pi
                 expected = phase + (math.pi if amp < 0 else 0.0)
                 assert abs(math.remainder(fitted - expected, 2 * math.pi)) < 0.1
+
+    def test_growing_exponential_rejected(self):
+        # unguarded, this returned lifetime 3.6e10 ns and amplitude
+        # -2.2e8 +- 5.9e14: a decay no data point constrains
+        t = np.linspace(0, 1000, 50)
+        with pytest.raises(FitError, match="amplitude"):
+            pr.fit_exponential(TimeTrace(t, np.exp(t / 500.0)))
+
+    def test_fits_are_unbounded_lm_with_exact_jacobians(self, monkeypatch):
+        calls = []
+        real_curve_fit = pr.curve_fit
+
+        def recording_curve_fit(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real_curve_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pr, "curve_fit", recording_curve_fit)
+        t = np.linspace(0, 1000, 120)
+        pr.fit_exponential(TimeTrace(t, 0.2 + 0.7 * np.exp(-t / 300.0)))
+        y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
+        pr.fit_damped_sinusoid(TimeTrace(t, y))
+        assert len(calls) == 2
+        rng = np.random.default_rng(3)
+        for (model, t_fit, *_), kwargs in calls:
+            assert "bounds" not in kwargs
+            assert kwargs["method"] == "lm"
+            for _ in range(5):
+                amp, lifetime, offset = rng.uniform(-1, 1), rng.uniform(50, 2000), rng.uniform(-1, 1)
+                if len(kwargs["p0"]) == 3:
+                    params = [amp, lifetime, offset]
+                else:
+                    params = [amp, lifetime, rng.uniform(1, 20), rng.uniform(-3, 3), offset]
+                exact = kwargs["jac"](t_fit, *params)
+                numeric = central_differences(lambda p: model(t_fit, *p), params)
+                column_error = np.linalg.norm(exact - numeric, axis=0)
+                assert np.all(column_error <= 1e-6 * np.linalg.norm(exact, axis=0))
+
+    def patched_sinusoid_fit(self, monkeypatch, change):
+        """fit_damped_sinusoid of a known fringe, with change applied to curve_fit's result."""
+        real_curve_fit = pr.curve_fit
+
+        def changed_curve_fit(*args, **kwargs):
+            params, cov = real_curve_fit(*args, **kwargs)
+            return change(params.copy()), cov
+
+        t = np.linspace(0, 1000, 120)
+        y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
+        trace = TimeTrace(t, y)
+        reference = pr.fit_damped_sinusoid(trace)
+        monkeypatch.setattr(pr, "curve_fit", changed_curve_fit)
+        return reference, lambda: pr.fit_damped_sinusoid(trace)
+
+    def test_negative_frequency_folded_into_phase(self, monkeypatch):
+        def mirror(params):
+            params[2:4] *= -1.0
+            return params
+
+        reference, fit = self.patched_sinusoid_fit(monkeypatch, mirror)
+        folded = fit()
+        assert folded.value("frequency_mhz") == pytest.approx(5.65, rel=1e-6)
+        for name, (value, sigma) in reference.parameters.items():
+            assert folded.value(name) == pytest.approx(value, rel=1e-12)
+            assert folded.sigma(name) == pytest.approx(sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("lifetime", [0.0, -400.0])
+    def test_non_positive_lifetime_rejected(self, monkeypatch, lifetime):
+        def shorten(params):
+            params[1] = lifetime
+            return params
+
+        _, fit = self.patched_sinusoid_fit(monkeypatch, shorten)
+        with pytest.raises(FitError, match="lifetime"):
+            fit()
 
 
 class TestVacuumRabi:

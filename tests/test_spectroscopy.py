@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from fit_oracle import central_differences
 from sweep_oracle import pointwise_transmission, shifted_model
 
 from wgqed import core, lindblad, spectroscopy as sp
@@ -352,3 +353,41 @@ class TestLorentzianFit:
         grid = np.linspace(-10, 10, 101)
         with pytest.raises(FitError, match="no resonance"):
             sp.lorentzian_fit(SpectrumScan(grid, np.ones(101, dtype=complex)))
+
+    def test_unbounded_lm_with_exact_jacobian(self, monkeypatch):
+        calls = []
+        real_least_squares = sp.least_squares
+
+        def recording_least_squares(fun, **kwargs):
+            calls.append((fun, kwargs))
+            return real_least_squares(fun, **kwargs)
+
+        monkeypatch.setattr(sp, "least_squares", recording_least_squares)
+        sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
+        ((fun, kwargs),) = calls
+        assert "bounds" not in kwargs
+        assert kwargs["method"] == "lm"
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            params = [rng.uniform(-5, 5), rng.uniform(1, 30), rng.uniform(0.05, 2)]
+            exact = kwargs["jac"](params)
+            numeric = central_differences(fun, params)
+            column_error = np.linalg.norm(exact - numeric, axis=0)
+            assert np.all(column_error <= 1e-6 * np.linalg.norm(exact, axis=0))
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(0, 200.0), (0, -200.0), (1, -18.1), (2, -0.185)],
+        ids=["f0_above_scan", "f0_below_scan", "negative_gamma_1d", "negative_gamma_prime"],
+    )
+    def test_unphysical_solution_rejected(self, monkeypatch, index, value):
+        real_least_squares = sp.least_squares
+
+        def moved_least_squares(fun, **kwargs):
+            result = real_least_squares(fun, **kwargs)
+            result.x[index] = value
+            return result
+
+        monkeypatch.setattr(sp, "least_squares", moved_least_squares)
+        with pytest.raises(FitError, match="physical region"):
+            sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
