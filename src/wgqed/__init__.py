@@ -29,7 +29,6 @@ from .core import (
     second_excitation_cooperativity,
 )
 from .lindblad import (
-    DensityMatrix,
     LindbladModel,
     ProductBasis,
     assemble_liouvillian,
@@ -37,7 +36,6 @@ from .lindblad import (
     dark_state_rates,
     dominant_oscillation,
     evolve,
-    steady_state,
     steady_states,
     thermal_qubit_steady,
 )

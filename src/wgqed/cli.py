@@ -88,6 +88,14 @@ def _format_error(error: jsonschema.ValidationError) -> str:
     return f"config error at {path}: {error.message}"
 
 
+def _check_schema(schema: dict, document) -> None:
+    """ConfigError naming the first failing key path of document under schema."""
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    if errors:
+        raise ConfigError(_format_error(errors[0]))
+
+
 def validate_config(config: dict) -> None:
     """Schema-validate a config dict; raises ConfigError naming the key."""
     if not isinstance(config, dict):
@@ -97,18 +105,15 @@ def validate_config(config: dict) -> None:
         close = difflib.get_close_matches(experiment, _EXPERIMENTS, n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"config error at $.experiment: unknown experiment {experiment!r}{hint}")
-    validator = jsonschema.Draft202012Validator(_CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ConfigError(_format_error(errors[0]))
+    _check_schema(_CONFIG_SCHEMA, config)
     entry = _EXPERIMENTS[config["experiment"]]
     if entry.needs_system and "system" not in config:
         raise ConfigError("config error at $.system: this experiment needs a system block")
-    params = config.get("params", {})
-    sub = jsonschema.Draft202012Validator(_object_schema(entry.params, entry.required))
-    errors = sorted(sub.iter_errors(params), key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ConfigError("config error at $.params" + _format_error(errors[0])[15:])
+    # wrapped in its key, so error paths read $.params.<key>
+    _check_schema(
+        _object_schema({"params": _object_schema(entry.params, entry.required)}),
+        {"params": config.get("params", {})},
+    )
 
 
 def load_config(path) -> dict:
@@ -428,7 +433,7 @@ def _run_steady(spec, params) -> dict:
     rho = spectroscopy.driven_steady_state(
         spec, _drive_from_params(params), params["detuning_mhz"]
     )
-    rows = ((i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(rho.elements))
+    rows = ((i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(rho))
     return {"state.csv": (("row", "col", "re", "im"), rows)}
 
 

@@ -42,13 +42,11 @@ from .core import TWO_PI
 
 __all__ = [
     "ProductBasis",
-    "DensityMatrix",
     "LindbladModel",
     "DegenerateSteadyStateError",
     "build_model",
     "assemble_liouvillian",
     "evolve",
-    "steady_state",
     "steady_states",
     "dominant_oscillation",
     "thermal_qubit_steady",
@@ -113,35 +111,6 @@ class ProductBasis:
 
     def sigma_z(self, j: int) -> np.ndarray:
         return np.diag(2.0 * self._excited(j) - 1.0)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state matrix."""
-
-    elements: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.elements, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(rho) - 1.0) > 1e-9:
-            raise ValueError(f"trace {np.trace(rho)} differs from 1 beyond 1e-9")
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -1e-8:
-            raise ValueError("density matrix has an eigenvalue below -1e-8")
-        object.__setattr__(self, "elements", rho)
-
-    @classmethod
-    def from_state_vector(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @property
-    def dimension(self) -> int:
-        return self.elements.shape[0]
 
 
 @dataclass(frozen=True)
@@ -299,12 +268,6 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.elements
-    return np.asarray(rho, dtype=complex)
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a): a degree-18 Taylor polynomial of a / 2^s (1-norm <= 1, error
     1/19! ~ 8e-18), squared s times.  numpy products only: scipy.linalg.expm
@@ -441,7 +404,7 @@ def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
 def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     """Exact master-equation evolution of one state or a stack of states.
 
-    rho0 is a d x d state (or a DensityMatrix) or an m x d x d stack, taken
+    rho0 is a d x d state or an m x d x d stack of states, taken
     at times[0] (us); returns the state at every grid time as one complex
     array of shape (len(times), d, d), or (len(times), m, d, d) for a stack.
     The evolution runs in the real Hermitian coordinates x = U vec(rho)
@@ -453,20 +416,22 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     1024 coordinates at n_th = 0 and 252 with thermal excitation, while a
     drive reaches all d^2.  Each step multiplies by the exponential of that
     real block; steps equal within 1e-12 relative share one exponential, so
-    a uniform grid costs one.  States are gathered from real x, so they are
-    exactly Hermitian (a non-Hermitian rho0 loses its anti-Hermitian part),
-    and ValueError is raised unless each one, rho0 included, has unit
-    trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
+    a uniform grid costs one.  ValueError is raised unless rho0 (every state
+    of a stack) is Hermitian within 1e-10.  States are gathered from real x,
+    so they are exactly Hermitian, and each one, rho0 included, must have
+    unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1D grid")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    rho = _as_matrix(rho0)
+    rho = np.asarray(rho0, dtype=complex)
     d = model.dimension
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise ValueError("initial state dimension mismatch")
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
+        raise ValueError("initial state is not Hermitian within 1e-10")
     unitary, gather = _hermitian_coordinates(d)
     x0 = (unitary @ rho.reshape(-1, d * d).T).real  # one column per state
     generator = _real_similarity(unitary, assemble_liouvillian(model))
@@ -626,11 +591,6 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     return states
 
 
-def steady_state(model: LindbladModel) -> DensityMatrix:
-    """Unique unit-trace null vector of the Liouvillian (steady_states at delta = 0)."""
-    return DensityMatrix(steady_states(model, (0.0,))[0])
-
-
 def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float = 0.05):
     """Frequency and damping (MHz) of the strongest fringe in a signal.
 
@@ -641,7 +601,7 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     """
     liouville = assemble_liouvillian(model).toarray()
     values, left, right = eig(liouville, left=True)
-    rho = _as_matrix(rho0).reshape(-1)
+    rho = np.asarray(rho0, dtype=complex).reshape(-1)
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)
     best = None
     for k in range(values.size):

@@ -43,7 +43,6 @@ class SpectrumScan:
     detunings: np.ndarray
     t_complex: np.ndarray
     metadata: dict = field(default_factory=dict)
-    drive: object | None = None
 
     def __post_init__(self):
         det = np.asarray(self.detunings, dtype=float)

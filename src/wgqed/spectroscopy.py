@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.constants import h, hbar, k as k_boltzmann
 from scipy.optimize import least_squares
 
@@ -51,14 +50,13 @@ class DriveSpec:
     power_dbm / omega_rabi may be set; with neither, the waveguide drive
     defaults to saturation 0.01 and an xy drive must specify omega_rabi.
     For the waveguide port omega_rabi refers to the most strongly coupled
-    qubit.
+    qubit, and power_dbm is a photon flux at the working frequency.
     """
 
     port: str = "waveguide"
     xy_qubit: int | None = None
     power_dbm: float | None = None
     omega_rabi: float | None = None
-    frequency: float | None = None
 
     def __post_init__(self):
         if self.port not in ("waveguide", "xy"):
@@ -99,9 +97,8 @@ def _input_amplitude(spec: core.SystemSpec, drive: DriveSpec) -> float:
     """Input field amplitude a_in in sqrt(photons/us) for a waveguide drive."""
     g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
     if drive.power_dbm is not None:
-        freq_ghz = drive.frequency if drive.frequency is not None else spec.working_frequency
         power_w = 1e-3 * 10 ** (drive.power_dbm / 10.0)
-        flux_per_us = power_w / (hbar * TWO_PI * freq_ghz * 1e9) * 1e-6
+        flux_per_us = power_w / (hbar * TWO_PI * spec.working_frequency * 1e9) * 1e-6
         return math.sqrt(flux_per_us)
     if drive.omega_rabi is not None:
         ref = int(np.argmax(g1d_ang))
@@ -156,8 +153,8 @@ def _emission_functional(spec: core.SystemSpec, basis) -> np.ndarray:
 
 def driven_steady_state(
     spec: core.SystemSpec, drive: DriveSpec, detuning: float = 0.0
-) -> lindblad.DensityMatrix:
-    """Steady state of the driven system at one drive detuning (MHz).
+) -> np.ndarray:
+    """Steady state (d x d) of the driven system at one drive detuning (MHz).
 
     The one-point case of the spectrum sweep: the driven model is built at
     zero offset and the drive frame is moved by detuning through the
@@ -165,9 +162,7 @@ def driven_steady_state(
     its spec detuning minus detuning.
     """
     amplitudes, _ = _drive_amplitudes(spec, drive)
-    return lindblad.DensityMatrix(
-        lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
-    )
+    return lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
 
 
 def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings) -> SpectrumScan:
@@ -212,7 +207,7 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     }
     if drive.port == "xy":
         metadata["xy_qubit"] = drive.xy_qubit
-    return SpectrumScan(detunings, t_values, metadata, drive=drive)
+    return SpectrumScan(detunings, t_values, metadata)
 
 
 def shelved_transmission(g1d: float, gamma_b: float, rho_dd: float, delta: float) -> complex:
@@ -347,10 +342,10 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     Jacobian of |t|, started from the dip position, depth and half width.
     |t| is unchanged when both widths flip sign, so the solve may leave
     the physical region: a resonance outside the scan or a negative
-    width raises FitError.
+    width raises FitError.  The scan may run in either direction.
     """
-    detunings = scan.detunings
-    amplitude = scan.abs_t
+    order = np.argsort(scan.detunings, kind="stable")
+    detunings, amplitude = scan.detunings[order], scan.abs_t[order]
     dip = 1.0 - amplitude
     depth = float(dip.max())
     if depth < 1e-6:
@@ -395,6 +390,9 @@ def peak_splitting(scan: SpectrumScan, scattered: bool = False) -> float:
     transmission maxima of a narrow feature on a broad background are
     displaced by Fano interference and overestimate the splitting.
     """
+    # imported here: scipy.signal (with scipy.stats) nearly doubles the CLI's import time
+    from scipy import signal
+
     intensity = np.abs(1.0 - scan.t_complex) ** 2 if scattered else scan.abs_t_sq
     peaks, properties = signal.find_peaks(intensity, prominence=1e-8)
     if peaks.size < 2:

@@ -31,7 +31,7 @@ def pointwise_transmission(spec, drive, detunings) -> np.ndarray:
     g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
     out = []
     for offset in detunings:
-        rho = lindblad.steady_state(shifted_model(spec, drives, offset)).elements
+        rho = lindblad.steady_states(shifted_model(spec, drives, offset), [0.0])[0]
         emitted = sum(
             math.sqrt(g1d_ang[j] / 2.0) * np.exp(-1j * spec.phases[j]) * np.trace(lower[j] @ rho)
             for j in range(spec.n_qubits)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,33 @@ class TestValidation:
         assert cli.main(["validate", str(path)]) == 1
         assert "bogus_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda params: params.update(points="x"),
+                "config error at $.params.points: 'x' is not of type 'integer'",
+            ),
+            (
+                lambda params: params.pop("points"),
+                "config error at $.params: 'points' is a required property",
+            ),
+            (
+                lambda params: params.update(bogus_knob=1),
+                "config error at $.params: Additional properties are not allowed "
+                "('bogus_knob' was unexpected)",
+            ),
+        ],
+        ids=["type", "missing", "unknown"],
+    )
+    def test_params_error_path_exact(self, tmp_path, capsys, edit, message):
+        config = json.loads(Path(bundled("fig3a_type1")).read_text())
+        edit(config["params"])
+        path = tmp_path / "params.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_bundled_configs_all_validate(self):
         for entry in files("wgqed").joinpath("configs").iterdir():
             assert cli.main(["validate", str(entry)]) == 0
@@ -51,7 +82,7 @@ class TestValidation:
         "section, key, value", [("system", "probe", "nope"), ("params", "xy_qubit", 7)]
     )
     def test_unknown_qubit_reference_named(self, tmp_path, capsys, section, key, value):
-        config = json.loads(open(bundled("fig2e_xy")).read())
+        config = json.loads(Path(bundled("fig2e_xy")).read_text())
         config[section][key] = value
         path = tmp_path / "ref.cfg"
         path.write_text(json.dumps(config))
@@ -78,7 +109,7 @@ class TestValidation:
         ids=["calib-no-block", "calib-no-eta", "shelve-third-qubit"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
-        config = json.loads(open(bundled(name)).read())
+        config = json.loads(Path(bundled(name)).read_text())
         edit(config)
         path = tmp_path / "bad.cfg"
         path.write_text(json.dumps(config))
@@ -193,7 +224,7 @@ class TestRun:
 
     @pytest.mark.parametrize("target", [7, -1, "Q9"])
     def test_bad_xy_qubit_is_config_error(self, tmp_path, capsys, target):
-        config = json.loads(open(bundled("fig2e_xy")).read())
+        config = json.loads(Path(bundled("fig2e_xy")).read_text())
         config["params"].update(points=11, xy_qubit=target)
         path = tmp_path / "xy.cfg"
         path.write_text(json.dumps(config))
@@ -201,7 +232,7 @@ class TestRun:
         assert "$.params.xy_qubit" in capsys.readouterr().err
 
     def test_thermal_compound_runs_in_full_space(self, tmp_path):
-        config = json.loads(open(bundled("fig4_compound")).read())
+        config = json.loads(Path(bundled("fig4_compound")).read_text())
         config["system"]["n_th"] = 0.02
         config["params"].update(tau_max_ns=200.0, points=21)
         path = tmp_path / "compound.cfg"
@@ -288,3 +319,13 @@ class TestShelveExperiment:
         gamma_b = 2 * 13.4 + 0.0065 + 2 * 0.210
         cw = abs(1 - (1 - 0.0) * 13.4 / (gamma_b / 2)) ** 2
         assert reference[mid, 4] > cw
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is only needed by peak_splitting, which no experiment calls
+    code = "import sys, wgqed.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

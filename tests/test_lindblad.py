@@ -13,14 +13,12 @@ from wgqed import core, lindblad
 from wgqed.core import Placement, QubitParams, SystemSpec
 from wgqed.lindblad import (
     DegenerateSteadyStateError,
-    DensityMatrix,
     LindbladModel,
     ProductBasis,
     assemble_liouvillian,
     build_model,
     dark_state_rates,
     evolve,
-    steady_state,
     steady_states,
     thermal_qubit_steady,
 )
@@ -97,6 +95,12 @@ def assert_matches_dense(model):
 
 def dark_vector(basis):
     return (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2)
+
+
+def pure_state(vec):
+    v = np.asarray(vec, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def log_slope_mhz(times_us, values):
@@ -200,14 +204,14 @@ class TestEvolve:
         basis = ProductBasis(1)
         model = LindbladModel(np.zeros((2, 2)), ((basis.lowering(0), 1.19),))
         times = np.linspace(0.0, 0.5, 11)
-        states = evolve(model, DensityMatrix.from_state_vector([0.0, 1.0]), times)
+        states = evolve(model, pure_state([0.0, 1.0]), times)
         populations = states[:, 1, 1].real
         assert np.allclose(populations, np.exp(-TWO_PI * 1.19 * times), atol=1e-9)
 
     def test_dark_state_is_stationary(self):
         spec = pair_spec(13.4)
         model = build_model(spec)
-        rho0 = DensityMatrix.from_state_vector(dark_vector(model.basis))
+        rho0 = pure_state(dark_vector(model.basis))
         states = evolve(model, rho0, np.linspace(0, 2.0, 9))
         dark_pop = [np.vdot(dark_vector(model.basis), s @ dark_vector(model.basis)).real for s in states]
         assert np.allclose(dark_pop, 1.0, atol=1e-8)
@@ -229,7 +233,7 @@ class TestEvolve:
             model = build_model(spec)
             dim = model.dimension
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            states = evolve(model, DensityMatrix.from_state_vector(vec), np.linspace(0, 0.4, 5))
+            states = evolve(model, pure_state(vec), np.linspace(0, 0.4, 5))
             for mat in states:
                 assert abs(np.trace(mat) - 1.0) < 1e-8
                 assert np.max(np.abs(mat - mat.conj().T)) < 1e-10
@@ -281,7 +285,7 @@ class TestPropagatorAgainstODEOracle:
 
         monkeypatch.setattr(lindblad, "_expm", counting)
         model = build_model(pair_spec(13.4, 0.01, 0.2))
-        rho0 = DensityMatrix.from_state_vector(dark_vector(model.basis))
+        rho0 = pure_state(dark_vector(model.basis))
         evolve(model, rho0, np.linspace(0.0, 1.3, 101))
         assert calls == [(5, 5)]
         calls.clear()
@@ -311,7 +315,7 @@ class TestPropagatorAgainstODEOracle:
         rng = np.random.default_rng(25)
         model = build_model(random_spec(rng, 2, n_th=0.2), drives=random_drives(rng, 2))
         rho = evolve(model, random_mixed_state(rng, model.dimension), [0.0, 50.0])[-1]
-        assert np.max(np.abs(rho - steady_state(model).elements)) < 1e-9
+        assert np.max(np.abs(rho - steady_states(model, [0.0])[0])) < 1e-9
 
 def reached_coordinates(model, rho) -> np.ndarray:
     """The Hermitian coordinates evolve runs over from the states rho (d x d or a stack)."""
@@ -414,6 +418,17 @@ class TestReachedCoordinates:
         with pytest.raises(ValueError, match="trace"):
             evolve(model, 2.0 * basis_projector(model.basis, 0b01), [0.0, 0.1])
 
+    def test_non_hermitian_initial_state_raises(self):
+        # unit trace and a positive Hermitian part: only the Hermiticity check sees it
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        good = basis_projector(model.basis, 0b01)
+        bad = good.copy()
+        bad[1, 2] = 0.1
+        for rho0 in (bad, np.stack([good, bad])):
+            with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
+                evolve(model, rho0, [0.0, 0.1])
+        evolve(model, good + 1e-12 * (np.eye(4, k=1) - np.eye(4, k=-1)), [0.0, 0.1])
+
     def test_shape_checks(self):
         model = build_model(pair_spec(13.4, 0.01, 0.2))
         with pytest.raises(ValueError, match="dimension"):
@@ -426,17 +441,17 @@ class TestSteadyState:
     def test_undriven_qubit_relaxes_to_ground(self):
         q = QubitParams("Q", 1.0, 0.01, 0.05)
         spec = SystemSpec(qubits=((q, Placement(0.0)),))
-        rho = steady_state(build_model(spec))
-        assert rho.elements[0, 0].real == pytest.approx(1.0, abs=1e-10)
+        rho = steady_states(build_model(spec), [0.0])[0]
+        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_dark_subspace_reported(self):
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state(build_model(pair_spec(13.4)))
+            steady_states(build_model(pair_spec(13.4)), [0.0])
 
     @pytest.mark.parametrize("gamma_loss", [1e-3, 1e-5, 1e-7])
     def test_slow_dark_decay_is_not_degenerate(self, gamma_loss):
         # the dark state still decays, only slowly: unique steady state
-        rho = steady_state(build_model(pair_spec(13.4, gloss=gamma_loss))).elements
+        rho = steady_states(build_model(pair_spec(13.4, gloss=gamma_loss)), [0.0])[0]
         assert rho[0, 0].real == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_svd_null_vector(self):
@@ -444,7 +459,7 @@ class TestSteadyState:
         cases = [(n, rng.uniform(0, 0.2)) for n in (1, 1, 2, 2, 2, 3, 3, 3, 4, 4)] + [(5, 0.05)]
         for n, n_th in cases:
             model = build_model(random_spec(rng, n, n_th=n_th), drives=random_drives(rng, n))
-            rho = steady_state(model).elements
+            rho = steady_states(model, [0.0])[0]
             assert np.max(np.abs(rho - svd_steady_state(model))) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
             assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -462,7 +477,7 @@ class TestSteadyState:
                         qubits=((q, Placement(0.0)),), detunings=(-delta,), n_th=n_th
                     )
                     model = build_model(spec, drives=((0, omega),))
-                    rho = steady_state(model).elements
+                    rho = steady_states(model, [0.0])[0]
                     ee, eg = thermal_qubit_steady(g1d, gloss, gphi, n_th, omega, delta)
                     assert rho[1, 1].real == pytest.approx(ee, abs=1e-9)
                     assert abs(rho[1, 0] - eg) < 1e-9
@@ -479,7 +494,7 @@ class TestSteadyStateSweep:
         assert np.array_equal(sweep, np.swapaxes(sweep, -1, -2).conj())
         for delta, rho in zip(grid, sweep):
             model = shifted_model(spec, drives, delta)
-            assert np.max(np.abs(rho - steady_state(model).elements)) < 1e-10
+            assert np.max(np.abs(rho - steady_states(model, [0.0])[0])) < 1e-10
             assert np.max(np.abs(rho - svd_steady_state(model))) < 1e-10
 
     def test_matches_pointwise_and_dense_oracle(self):
@@ -536,14 +551,6 @@ class TestSteadyStateSweep:
         message = r"eigenvalue -1\.000e-03 below -1e-8 at drive detuning 2.5 MHz"
         with pytest.raises(ValueError, match=message):
             steady_states(model, [-1.0, 2.5, 4.0])
-
-    def test_readout_stack_has_no_density_matrix(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a DensityMatrix was built per sweep point")
-
-        monkeypatch.setattr(DensityMatrix, "__post_init__", forbidden)
-        states = steady_states(build_model(pair_spec(13.4, gloss=0.1)), np.linspace(-2, 2, 7))
-        assert states.shape == (7, 4, 4)
 
     def test_nonzero_detuning_needs_a_basis(self):
         basis = ProductBasis(1)
@@ -690,7 +697,7 @@ class TestCorrelatedDephasing:
         model = build_model(spec)
         dark = dark_vector(model.basis)
         times = np.linspace(0.0, 0.25, 9)
-        states = evolve(model, DensityMatrix.from_state_vector(dark), times)
+        states = evolve(model, pure_state(dark), times)
         pops = [np.vdot(dark, s @ dark).real for s in states]
         assert log_slope_mhz(times, pops) == pytest.approx(0.210, rel=0.01)
 
@@ -708,13 +715,13 @@ class TestCorrelatedDephasing:
             ground = basis.ground_vector()
 
             t1_window = np.linspace(0.0, 0.16 / g1_expected, 8)
-            states = evolve(model, DensityMatrix.from_state_vector(dark), t1_window)
+            states = evolve(model, pure_state(dark), t1_window)
             pops = [np.vdot(dark, s @ dark).real for s in states]
             assert log_slope_mhz(t1_window, pops) == pytest.approx(g1_expected, rel=0.01)
 
             t2_window = np.linspace(0.0, 0.16 / g2_expected, 8)
             superpos = (ground + dark) / math.sqrt(2)
-            states = evolve(model, DensityMatrix.from_state_vector(superpos), t2_window)
+            states = evolve(model, pure_state(superpos), t2_window)
             coherences = [abs(np.vdot(dark, s @ ground)) for s in states]
             assert log_slope_mhz(t2_window, coherences) == pytest.approx(g2_expected, rel=0.01)
 
@@ -740,17 +747,3 @@ class TestDarkStateRates:
         ):
             assert dark_state_rates(0.0065, gphi, gphi_c) == pytest.approx((g1_meas, g2_meas))
             assert gphi_c / gphi == pytest.approx(ratio, abs=5e-4)
-
-
-class TestDensityMatrixValidation:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.5, -0.5]))

@@ -187,8 +187,8 @@ class TestSweepAgainstPointwise:
         for spec, drive, offset in cases:
             amplitudes, _ = sp._drive_amplitudes(spec, drive)
             drives = tuple((j, amplitudes[j] / (2 * math.pi)) for j in range(spec.n_qubits))
-            reference = lindblad.steady_state(shifted_model(spec, drives, offset)).elements
-            rho = sp.driven_steady_state(spec, drive, offset).elements
+            reference = lindblad.steady_states(shifted_model(spec, drives, offset), [0.0])[0]
+            rho = sp.driven_steady_state(spec, drive, offset)
             assert np.max(np.abs(rho - reference)) < 1e-12
 
     def test_readout_is_one_dot_product_per_point(self):
@@ -348,6 +348,11 @@ class TestLorentzianFit:
         scan = self.synthetic_scan(18.1, 0.185, noise=0.01, seed=4)
         _, g1d, _, _ = sp.lorentzian_fit(scan)
         assert g1d == pytest.approx(18.1, rel=0.02)
+
+    def test_descending_scan_fits_as_ascending(self):
+        scan = self.synthetic_scan(18.1, 0.185, f0=1.3, noise=0.01, seed=4)
+        descending = SpectrumScan(scan.detunings[::-1], scan.t_complex[::-1])
+        assert sp.lorentzian_fit(descending) == sp.lorentzian_fit(scan)
 
     def test_flat_scan_rejected(self):
         grid = np.linspace(-10, 10, 101)
