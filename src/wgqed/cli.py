@@ -351,12 +351,9 @@ def _run_two_excitation(spec, params) -> dict:
     model, ops = protocols.linear_cavity_model(spec)
     ground_one = np.zeros(model.dimension, dtype=complex)
     ground_one[3] = 1.0
-    f_first, _ = lindblad.dominant_oscillation(
-        model, np.outer(ground_one, ground_one.conj()), ops["probe_number"]
-    )
-    excited_one = ops["excited_one_photon"]
-    f_second, _ = lindblad.dominant_oscillation(
-        model, np.outer(excited_one, excited_one.conj()), ops["probe_number"]
+    starts = [np.outer(vec, vec.conj()) for vec in (ground_one, ops["excited_one_photon"])]
+    (f_first, _), (f_second, _) = lindblad.dominant_oscillation(
+        model, np.array(starts), ops["probe_number"]
     )
     summary = {
         "companion_first_manifold_mhz": f_first,

@@ -2,20 +2,27 @@
 
 Hamiltonians inside :class:`LindbladModel` are angular (rad/us, i.e. 2*pi
 times a value in MHz); dissipator rates stay in MHz and pick up their
-2*pi factor exactly once, during Liouvillian assembly.  Times are in us.
-A model is a Hamiltonian and a list of independent jumps: :func:`build_model`
-turns each correlated rate matrix into collective jumps once.
+2*pi factor exactly once, in _kron_terms, which writes the Liouvillian as
+a sum of Kronecker products of d x d factors: -iH - (1/2) sum_k 2 pi
+gamma_k L_k^dagger L_k and the jumps (2 pi gamma_k, L_k).  Both the sparse
+Liouvillian and evolve are built from those terms.  Times are in us.  A
+model is a Hamiltonian and a list of independent jumps:
+:func:`build_model` turns each correlated rate matrix into collective
+jumps once.
 
 The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
-density matrix, built by one scatter of the operator factors' nonzeros.
-Both solvers work in Hermitian coordinates, the d^2 real parameters of
-rho: L maps Hermitian matrices to Hermitian matrices, so it is real
-there.  Every Liouvillian here is time-independent over a segment, so
-:func:`evolve` propagates exactly: it exponentiates, by scaling and
-squaring a Taylor polynomial, the real block of the coordinates that the
-initial state can reach, once per distinct grid step.  A symmetry such as
-the excitation-number conservation of an undriven hold shows up as a
-small reached block, without any rule that names it.  Steady states come
+density matrix, built by one scatter of those factors' nonzeros.  Both
+solvers work in Hermitian coordinates, the d^2 real parameters of rho: L
+maps Hermitian matrices to Hermitian matrices, so it is real there.
+Every Liouvillian here is time-independent over a segment, so
+:func:`evolve` propagates exactly.  It never forms the d^2 x d^2
+Liouvillian: a breadth-first search over pairs of basis states, along
+the nonzeros of the factors, finds the coordinates the initial state can
+reach, and the real generator block on them is read from the same
+factors.  It exponentiates that block, by scaling and squaring a Taylor
+polynomial, once per distinct grid step.  A symmetry such as the
+excitation-number conservation of an undriven hold shows up as a small
+reached block, without any rule that names it.  Steady states come
 from one real dense LU solve of the trace-bordered Liouvillian, whose
 LAPACK condition estimate flags a degenerate null space.  A sweep over
 the drive detuning delta assembles the Liouvillian once: moving the drive
@@ -240,31 +247,38 @@ def _scatter_kron(terms, d: int):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
-    """Superoperator L with vec(drho/dt) = L vec(rho), as a CSR matrix.
+def _kron_terms(model: LindbladModel) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The Liouvillian as terms (c, A, B) of L = sum c A (x) B on the row-major vec.
 
-    vec is row-major (vec(rho)[i*d + j] = rho[i, j]), so vec(A rho B) =
-    (A (x) B^T) vec(rho).  Writing the coherent part and the anticommutator
-    halves of the dissipators as rho -> K rho + rho K^dagger with
-    K = -iH - (1/2) sum_k gamma_k L_k^dagger L_k gives
-
-        L = K (x) 1 + 1 (x) K^* + sum_k gamma_k L_k (x) L_k^*,
-
-    which is built in one scatter of the factors' nonzeros (duplicates are
-    summed by the CSR conversion).  Output is angular (rad/us): dissipator
-    rates are multiplied by 2*pi here, the single place linear-frequency
-    rates become angular.
+    With K = -iH - (1/2) sum_k 2 pi gamma_k L_k^dagger L_k, the coherent
+    part and the anticommutator halves of the dissipators act as rho ->
+    K rho + rho K^dagger, the terms (1, K, 1) and (1, 1, K^*), and each
+    jump as rho -> 2 pi gamma_k L_k rho L_k^dagger, the term (2 pi gamma_k,
+    L_k, L_k^*).  Dissipator rates are multiplied by 2*pi here, the single
+    place linear-frequency rates become angular (rad/us).
     """
-    d = model.dimension
-    eye = np.eye(d)
+    eye = np.eye(model.dimension)
     effective = -1j * model.hamiltonian
     jumps = []
     for op, rate in model.dissipators:
         effective = effective - 0.5 * TWO_PI * rate * (op.conj().T @ op)
         jumps.append((TWO_PI * rate, op, op.conj()))
-    rows, cols, vals = _scatter_kron(
-        [(1.0, effective, eye), (1.0, eye, effective.conj())] + jumps, d
-    )
+    return [(1.0, effective, eye), (1.0, eye, effective.conj())] + jumps
+
+
+def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
+    """Superoperator L with vec(drho/dt) = L vec(rho), as a CSR matrix.
+
+    vec is row-major (vec(rho)[i*d + j] = rho[i, j]), so vec(A rho B) =
+    (A (x) B^T) vec(rho), and with the terms of _kron_terms
+
+        L = K (x) 1 + 1 (x) K^* + sum_k 2 pi gamma_k L_k (x) L_k^*,
+
+    which is built in one scatter of the factors' nonzeros (duplicates are
+    summed by the CSR conversion).  Output is angular (rad/us).
+    """
+    d = model.dimension
+    rows, cols, vals = _scatter_kron(_kron_terms(model), d)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
@@ -286,23 +300,37 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int):
-    """Unitary U from the row-major vec of a d x d matrix to Hermitian coordinates.
+def _hermitian_gather(d: int):
+    """Where each entry of a d x d Hermitian matrix reads its Hermitian coordinates.
 
-    x = U vec(rho) has x[a*d + a] = rho_aa and, for a < b, x[a*d + b] =
+    The coordinates x have x[a*d + a] = rho_aa and, for a < b, x[a*d + b] =
     sqrt(2) Re rho_ab and x[b*d + a] = sqrt(2) Im rho_ab, so x is real
-    exactly when rho is Hermitian.  Each row of U^dagger holds at most two
-    entries: vec(rho)[i] = real_scale[i] x[real_at[i]] + i imag_scale[i]
-    x[imag_at[i]].  Returns U (CSR) and that gather, (real_at, real_scale,
-    imag_at, imag_scale), for _hermitian_matrix.  Cached per dimension, so
-    every returned array is read-only.
+    exactly when rho is Hermitian.  Entry i of the row-major vec is
+    vec(rho)[i] = real_scale[i] x[real_at[i]] + i imag_scale[i]
+    x[imag_at[i]]; returns (real_at, real_scale, imag_at, imag_scale) for
+    _hermitian_matrix.  Cached per dimension, so every array is read-only.
     """
     index = np.arange(d * d)
     a, b = np.divmod(index, d)
     low, high = np.minimum(a, b), np.maximum(a, b)
-    real_at, imag_at = low * d + high, high * d + low
-    real_scale = np.where(a == b, 1.0, np.sqrt(0.5))
-    imag_scale = np.sign(b - a) * np.sqrt(0.5)
+    gather = (low * d + high, np.where(a == b, 1.0, np.sqrt(0.5)),
+              high * d + low, np.sign(b - a) * np.sqrt(0.5))
+    for array in gather:
+        array.flags.writeable = False
+    return gather
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(d: int):
+    """Unitary U from the row-major vec of a d x d matrix to Hermitian coordinates.
+
+    x = U vec(rho), in the coordinates of _hermitian_gather; each row of
+    U^dagger is that gather, at most two entries.  Returns U (CSR) and the
+    gather.  Cached per dimension, so every returned array is read-only.
+    """
+    gather = _hermitian_gather(d)
+    real_at, real_scale, imag_at, imag_scale = gather
+    index = np.arange(d * d)
     inverse = sparse.csr_matrix(
         (np.concatenate([real_scale, 1j * imag_scale]),
          (np.concatenate([index, index]), np.concatenate([real_at, imag_at]))),
@@ -310,8 +338,7 @@ def _hermitian_coordinates(d: int):
     )
     inverse.eliminate_zeros()
     unitary = inverse.conj().T.tocsr()
-    gather = (real_at, real_scale, imag_at, imag_scale)
-    for array in (unitary.data, unitary.indices, unitary.indptr, *gather):
+    for array in (unitary.data, unitary.indices, unitary.indptr):
         array.flags.writeable = False
     return unitary, gather
 
@@ -345,19 +372,115 @@ def _real_similarity(unitary, op) -> sparse.csr_matrix:
     return out
 
 
-def _reachable(generator: sparse.csr_matrix, support) -> np.ndarray:
-    """Sorted coordinates that dx/dt = generator @ x can fill from the support of x.
+def _coordinate_weights(reached: np.ndarray, d: int):
+    """The rows of U (_hermitian_coordinates) on a set of coordinates closed under a <-> b.
 
-    Coordinate j feeds coordinate i when generator[i, j] != 0, so this is a
-    breadth-first search over the graph of generator^T; every coordinate
-    it does not reach stays exactly zero.
+    U has at most two entries per row, so on that set x = alpha v + beta
+    v[partner], with v the row-major vec restricted to the set and partner
+    the position of entry ba for entry ab.  Returns (alpha, beta, partner).
     """
-    graph = generator.T.tocsr()
-    reached = np.zeros(generator.shape[0], dtype=bool)
-    for start in support:
-        if not reached[start]:
-            reached[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
-    return np.flatnonzero(reached)
+    a, b = np.divmod(reached, d)
+    scale = np.sqrt(0.5)
+    alpha = np.where(a < b, scale, np.where(a > b, 1j * scale, 1.0))
+    beta = np.where(a < b, scale, np.where(a > b, -1j * scale, 0.0))
+    return alpha, beta, np.searchsorted(reached, b * d + a)
+
+
+def _term_columns(terms):
+    """The terms (c, A, B) of _kron_terms with each factor read by columns.
+
+    Returns the coefficients, shape (terms,), and for each side (A, B) the
+    tuple (start, count, rows, values): column j of that factor of term t
+    holds its nonzeros at rows[start[t, j] : start[t, j] + count[t, j]],
+    with those values.
+    """
+    d = len(terms[0][1])
+    sides = []
+    for side in (1, 2):
+        columns = np.array([term[side].T for term in terms])  # columns[t, j] is column j
+        flat = np.flatnonzero(columns != 0)  # sorted by term, then column
+        count = np.bincount(flat // d, minlength=len(terms) * d)
+        start = np.cumsum(count) - count
+        sides.append((start.reshape(-1, d), count.reshape(-1, d), flat % d, columns.ravel()[flat]))
+    return np.array([term[0] for term in terms]), sides
+
+
+def _summed(keys: np.ndarray, values: np.ndarray):
+    """The distinct keys, sorted, and the values at each key summed in array order."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, (np.bincount(inverse, values.real, keys.size)
+                  + 1j * np.bincount(inverse, values.imag, keys.size))
+
+
+def _reached_block(terms, states: np.ndarray):
+    """The coordinates evolution can fill from a stack of states, and the real generator on them.
+
+    With the terms of _kron_terms, the Liouvillian feeds rho_ab from
+    rho_a'b' with K[a, a'] delta(b, b') + delta(a, a') K^*[b, b'] + sum_k
+    2 pi gamma_k L_k[a, a'] L_k^*[b, b'].  A breadth-first search over
+    pairs (a, b) of basis states starts from every entry rho_ab or rho_ba
+    that is nonzero in some state of the (m, d, d) stack.  Each level reads
+    every entry that its pairs (a', b') feed: for each term, the nonzeros
+    of column a' of its left factor times those of column b' of its right
+    factor (_term_columns).  The nonzero entries not yet reached are the
+    next level, and every entry never reached stays exactly zero.  The
+    terms mirror each other under a <-> b ((K, 1) and (1, K^*), each
+    (L_k, L_k^*) itself), so the reached set is closed under a <-> b: the
+    same index set in the row-major vec and in Hermitian coordinates.  Each
+    reached column is read once, and those entries summed (_summed) are the
+    Liouvillian L on the reached set.  Within the set U has two entries in
+    each row and column (_coordinate_weights), so U L, and then A = (U L)
+    U^dagger, are formed from the entries alone, each new entry a sum of
+    at most two products, as in the dense matrix products.  Returns the
+    sorted reached indices a*d + b and A, real.  ValueError if an
+    imaginary part of A exceeds 1e-10 of its largest entry.
+    """
+    d = states.shape[-1]
+    rates, ((left_start, left_count, left_rows, left_values),
+            (right_start, right_count, right_rows, right_values)) = _term_columns(terms)
+    reached = np.zeros(d * d, dtype=bool)
+    support = np.any(states != 0, axis=0)
+    frontier = np.flatnonzero(support | support.T)
+    rows, columns, values = [], [], []
+    while frontier.size:
+        reached[frontier] = True
+        a, b = np.divmod(frontier, d)
+        # one run of entries per (term, pair): left count x right count of them
+        width = right_count[:, b].ravel()
+        runs = left_count[:, a].ravel() * width
+        owner = np.repeat(np.arange(runs.size), runs)
+        offset = np.arange(owner.size) - np.repeat(np.cumsum(runs) - runs, runs)
+        term, pair = np.divmod(owner, frontier.size)
+        left = left_start[term, a[pair]] + offset // width[owner]
+        right = right_start[term, b[pair]] + offset % width[owner]
+        value = rates[term] * left_values[left] * right_values[right]
+        keep = value != 0  # a jump at rate 0 feeds nothing
+        fed = (left_rows[left] * d + right_rows[right])[keep]
+        rows.append(fed)
+        columns.append(frontier[pair[keep]])
+        values.append(value[keep])
+        fresh = np.zeros(d * d, dtype=bool)
+        fresh[fed] = True
+        frontier = np.flatnonzero(fresh & ~reached)
+    index = np.flatnonzero(reached)
+    n = index.size
+    position = np.zeros(d * d, dtype=int)
+    position[index] = np.arange(n)
+    alpha, beta, partner = _coordinate_weights(index, d)
+    below = beta[partner]  # column q of U: alpha[q] at row q, below[q] at row partner[q]
+    keys = position[np.concatenate(rows)] * n + position[np.concatenate(columns)]
+    keys, value = _summed(keys, np.concatenate(values))
+    row, column = np.divmod(keys, n)
+    keys, value = _summed(np.concatenate([keys, partner[row] * n + column]),
+                          np.concatenate([alpha[row] * value, below[row] * value]))
+    row, column = np.divmod(keys, n)
+    keys = np.concatenate([keys, row * n + partner[column]])
+    value = np.concatenate([value * alpha[column].conj(), value * below[column].conj()])
+    block = np.bincount(keys, value.real, n * n).reshape(n, n)
+    largest = max(1.0, float(np.abs(block).max(initial=0.0)))
+    if np.abs(np.bincount(keys, value.imag, n * n)).max(initial=0.0) > 1e-10 * largest:
+        raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
+    return index, block
 
 
 def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
@@ -408,15 +531,19 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     at times[0] (us); returns the state at every grid time as one complex
     array of shape (len(times), d, d), or (len(times), m, d, d) for a stack.
     The evolution runs in the real Hermitian coordinates x = U vec(rho)
-    (_hermitian_coordinates), where A = U L U^dagger is real, and only over
-    the coordinates that A can fill from the support of x at times[0]
-    (_reachable; for a stack, the union of the supports).  Every other
-    coordinate stays exactly zero: an undriven hold conserves N_a - N_b on
-    rho_ab, so from one excitation among five qubits it reaches 26 of the
-    1024 coordinates at n_th = 0 and 252 with thermal excitation, while a
-    drive reaches all d^2.  Each step multiplies by the exponential of that
-    real block; steps equal within 1e-12 relative share one exponential, so
-    a uniform grid costs one.  ValueError is raised unless rho0 (every state
+    (_hermitian_gather), where A = U L U^dagger is real, and only over the
+    coordinates the state can fill.  _reached_block finds them by a
+    breadth-first search over pairs (a, b) of basis states, from every
+    entry that is nonzero in rho0 (for a stack, in any of its states),
+    along the nonzeros of the factors K and L_k of _kron_terms, and builds
+    the real block of A on them from those factors: neither the sparse
+    Liouvillian nor any d^2 x d^2 matrix is formed.  Every other coordinate
+    stays exactly zero: an undriven hold conserves N_a - N_b on rho_ab, so
+    from one excitation among five qubits it reaches 26 of the 1024
+    coordinates at n_th = 0 and 252 with thermal excitation, while a drive
+    reaches all d^2.  Each step multiplies by the exponential of that real
+    block; steps equal within 1e-12 relative share one exponential, so a
+    uniform grid costs one.  ValueError is raised unless rho0 (every state
     of a stack) is Hermitian within 1e-10.  States are gathered from real x,
     so they are exactly Hermitian, and each one, rho0 included, must have
     unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
@@ -432,13 +559,11 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
         raise ValueError("initial state dimension mismatch")
     if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
         raise ValueError("initial state is not Hermitian within 1e-10")
-    unitary, gather = _hermitian_coordinates(d)
-    x0 = (unitary @ rho.reshape(-1, d * d).T).real  # one column per state
-    generator = _real_similarity(unitary, assemble_liouvillian(model))
-    reached = _reachable(generator, np.flatnonzero(np.any(x0, axis=1)))
-    block = generator[reached][:, reached].toarray()
+    reached, block = _reached_block(_kron_terms(model), rho.reshape(-1, d, d))
+    alpha, beta, partner = _coordinate_weights(reached, d)
+    vecs = rho.reshape(-1, d * d)[:, reached]
     exponentials: list[tuple[float, np.ndarray]] = []
-    path = [x0[reached]]
+    path = [(alpha * vecs + beta * vecs[:, partner]).real.T]  # one column per state
     for step in np.diff(times):
         for known, exponential in exponentials:
             if abs(step - known) <= 1e-12 * known:
@@ -451,9 +576,9 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     # reads the zero column appended after them
     position = np.full(d * d, reached.size)
     position[reached] = np.arange(reached.size)
-    x = np.zeros((times.size, x0.shape[1], reached.size + 1))
+    x = np.zeros((times.size, vecs.shape[0], reached.size + 1))
     x[..., :-1] = np.swapaxes(path, 1, 2)
-    real_at, real_scale, imag_at, imag_scale = gather
+    real_at, real_scale, imag_at, imag_scale = _hermitian_gather(d)
     local = (position[real_at], real_scale, position[imag_at], imag_scale)
     states = _hermitian_matrix(x, local).reshape(times.size, -1, d, d)
     _check_states(states, times, "t = {:g} us", reached)
@@ -597,13 +722,15 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     Decomposes tr(O rho(t)) into Liouvillian eigenmodes and returns the
     oscillating mode (|Im lambda|/2pi > min_freq) with the largest
     amplitude for the given initial state; exact where a least-squares
-    fit of a multi-component damped signal would be biased.
+    fit of a multi-component damped signal would be biased.  rho0 is one
+    d x d state, which gives one (frequency, damping) pair, or an m x d x d
+    stack, which gives a list of m pairs from one eigendecomposition.
     """
     liouville = assemble_liouvillian(model).toarray()
     values, left, right = eig(liouville, left=True)
-    rho = np.asarray(rho0, dtype=complex).reshape(-1)
+    rho = np.asarray(rho0, dtype=complex)
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)
-    best = None
+    best = [None] * (rho.size // values.size)
     for k in range(values.size):
         freq = abs(values[k].imag) / TWO_PI
         if freq <= min_freq:
@@ -611,12 +738,14 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
         norm = left[:, k].conj() @ right[:, k]
         if abs(norm) < 1e-12:
             continue
-        amplitude = (obs_vec @ right[:, k]) * (left[:, k].conj() @ rho) / norm
-        if best is None or abs(amplitude) > best[0]:
-            best = (abs(amplitude), freq, -values[k].real / TWO_PI)
-    if best is None:
+        for m, vec in enumerate(rho.reshape(-1, values.size)):
+            amplitude = (obs_vec @ right[:, k]) * (left[:, k].conj() @ vec) / norm
+            if best[m] is None or abs(amplitude) > best[m][0]:
+                best[m] = (abs(amplitude), freq, -values[k].real / TWO_PI)
+    if None in best:
         raise ValueError("no oscillating mode found above the frequency floor")
-    return best[1], best[2]
+    pairs = [(freq, damping) for _, freq, damping in best]
+    return pairs if rho.ndim == 3 else pairs[0]
 
 
 def thermal_qubit_steady(

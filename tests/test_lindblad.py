@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import reach_oracle
 from dense_oracle import dense_liouvillian, propagated_states, propagator, svd_steady_state
 from ode_oracle import dop853_states
 from sweep_oracle import shifted_model
@@ -317,13 +318,23 @@ class TestPropagatorAgainstODEOracle:
         rho = evolve(model, random_mixed_state(rng, model.dimension), [0.0, 50.0])[-1]
         assert np.max(np.abs(rho - steady_states(model, [0.0])[0])) < 1e-9
 
-def reached_coordinates(model, rho) -> np.ndarray:
-    """The Hermitian coordinates evolve runs over from the states rho (d x d or a stack)."""
+def reached_block(model, rho):
+    """The coordinates evolve runs over from the states rho (d x d or a stack), and A on them."""
     d = model.dimension
-    unitary, _ = lindblad._hermitian_coordinates(d)
-    x0 = (unitary @ np.asarray(rho, dtype=complex).reshape(-1, d * d).T).real
-    generator = lindblad._real_similarity(unitary, assemble_liouvillian(model))
-    return lindblad._reachable(generator, np.flatnonzero(np.any(x0, axis=1)))
+    return lindblad._reached_block(lindblad._kron_terms(model), np.reshape(rho, (-1, d, d)))
+
+
+def reached_coordinates(model, rho) -> np.ndarray:
+    return reached_block(model, rho)[0]
+
+
+def assert_extra_coordinates_zero(states, extra, d):
+    """Coordinates in extra (row-major ab) read exactly 0 in every state of the stack."""
+    a, b = np.divmod(extra, d)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    entries = states[..., low, high]
+    parts = np.where(a <= b, entries.real, entries.imag)
+    assert np.all(parts == 0.0)
 
 
 def basis_projector(basis, *bitmasks) -> np.ndarray:
@@ -352,13 +363,13 @@ class TestReachedCoordinates:
         rho0 = basis_projector(model.basis, 1 << spec.probe_index)
         reached = reached_coordinates(model, rho0)
         assert reached.size == size
+        assert np.array_equal(reached, reach_oracle.reached_coordinates(model, rho0))
         if not drive:
             counts = np.array([bin(s).count("1") for s in range(model.dimension)])
             a, b = np.divmod(reached, model.dimension)
             assert np.array_equal(counts[a], counts[b])
         # no reached coordinate feeds one outside the set
-        unitary, _ = lindblad._hermitian_coordinates(model.dimension)
-        generator = lindblad._real_similarity(unitary, assemble_liouvillian(model))
+        generator = reach_oracle.real_generator(model)
         outside = np.setdiff1d(np.arange(model.dimension**2), reached)
         assert generator[outside][:, reached].nnz == 0
 
@@ -396,6 +407,89 @@ class TestReachedCoordinates:
         assert np.max(np.abs(states - propagated_states(model, stack, times))) < 1e-12
         for k in range(2):
             assert np.max(np.abs(states[:, k] - evolve(model, stack[k], times))) < 1e-14
+
+    def test_block_matches_sparse_similarity_on_random_specs(self):
+        # the block built from the factors against U L U^dagger of the
+        # assembled sparse Liouvillian, on a sparse start's reached set and
+        # on all d^2 coordinates (np.ones / d is the pure state |+><+|)
+        rng = np.random.default_rng(64)
+        for n in (1, 2, 3, 4, 5):
+            for n_th, driven in ((0.0, False), (rng.uniform(0.01, 0.2), False), (0.0, True),
+                                 (rng.uniform(0.01, 0.2), True)):
+                model = build_model(random_spec(rng, n, n_th=n_th),
+                                    drives=random_drives(rng, n) if driven else ())
+                d = model.dimension
+                generator = reach_oracle.real_generator(model)
+                picks = rng.choice(d, size=min(2, d), replace=False)
+                for rho in (basis_projector(model.basis, *picks), np.ones((d, d)) / d):
+                    reached, block = reached_block(model, rho)
+                    reference = generator[reached][:, reached].toarray()
+                    assert block.dtype == np.float64
+                    assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_reach_matches_sparse_oracle(self):
+        # single states and stacks on random specs, where the reach equals
+        # the search over the assembled generator's nonzeros
+        rng = np.random.default_rng(65)
+        for n in (1, 2, 3, 4, 5):
+            for n_th, driven in ((0.0, False), (rng.uniform(0.01, 0.2), False), (0.0, True)):
+                model = build_model(random_spec(rng, n, n_th=n_th),
+                                    drives=random_drives(rng, n) if driven else ())
+                picks = rng.choice(model.dimension, size=min(3, model.dimension), replace=False)
+                first, mixed = (basis_projector(model.basis, *p) for p in (picks[:1], picks[:2]))
+                stack = np.array([first, basis_projector(model.basis, *picks[1:])])
+                for rho in (first, mixed, stack):
+                    reached = reached_coordinates(model, rho)
+                    assert np.array_equal(reached, reach_oracle.reached_coordinates(model, rho))
+
+    def test_extra_coordinates_stay_zero(self):
+        # resonant pair from (|00> + |11>)/sqrt(2): rho_03 starts real and
+        # no term turns it imaginary, so the generator's nonzeros never
+        # reach Im rho_03; the search over basis-state pairs takes both
+        # parts of rho_03, and the extra one must stay exactly zero
+        for spec in (pair_spec(13.4), pair_spec(13.4, 0.01, 0.2, 0.1)):
+            model = build_model(spec)
+            rho0 = basis_projector(model.basis, 0b00, 0b11)
+            reached = reached_coordinates(model, rho0)
+            oracle = reach_oracle.reached_coordinates(model, rho0)
+            extra = np.setdiff1d(reached, oracle)
+            assert np.all(np.isin(oracle, reached))
+            assert np.array_equal(extra, [3 * 4 + 0])
+            times = np.linspace(0.0, 0.3, 7)
+            states = evolve(model, rho0, times)
+            assert_extra_coordinates_zero(states, extra, model.dimension)
+            assert np.max(np.abs(states - propagated_states(model, rho0, times))) < 1e-12
+
+    def test_search_starts_from_both_halves_of_a_coherence(self):
+        # Hermitian within 1e-10, but rho_01 != 0 = rho_10: nothing feeds
+        # rho_10 from |01><01| at n_th = 0, so only a start from both halves
+        # keeps the coherence's two coordinates together; the state then
+        # evolves exactly as its Hermitian part
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        skew = basis_projector(model.basis, 0b01)
+        hermitian = skew.copy()
+        skew[0, 1] = 1e-11
+        hermitian[0, 1] = hermitian[1, 0] = 0.5e-11
+        times = np.linspace(0.0, 0.1, 5)
+        assert np.array_equal(evolve(model, skew, times), evolve(model, hermitian, times))
+
+    def test_evolve_builds_no_sparse_liouvillian(self, monkeypatch):
+        # evolve reads the model's factors alone: the sparse assembly and
+        # its similarity transform are never called
+        rng = np.random.default_rng(66)
+        models = [build_model(random_spec(rng, 3, n_th=0.1)),
+                  build_model(random_spec(rng, 3), drives=random_drives(rng, 3))]
+        rho0 = basis_projector(models[0].basis, 0b001)
+        times = np.linspace(0.0, 0.05, 4)
+        references = [propagated_states(model, rho0, times) for model in models]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("evolve built the sparse Liouvillian")
+
+        monkeypatch.setattr(lindblad, "assemble_liouvillian", forbidden)
+        monkeypatch.setattr(lindblad, "_real_similarity", forbidden)
+        for model, reference in zip(models, references):
+            assert np.max(np.abs(evolve(model, rho0, times) - reference)) < 1e-12
 
     def test_states_are_exactly_hermitian(self):
         rng = np.random.default_rng(63)

@@ -510,6 +510,18 @@ class TestTwoExcitation:
         assert second / first == pytest.approx(math.sqrt(2), rel=0.01)
         assert first == pytest.approx(TWO_J1, rel=0.01)
 
+    def test_companion_stack_shares_one_decomposition(self, monkeypatch):
+        model, ops = pr.linear_cavity_model(core.cavity_spec(MIRROR1, PROBE))
+        ground_one = np.zeros(6, dtype=complex)
+        ground_one[3] = 1.0
+        starts = np.array([np.outer(v, v.conj()) for v in (ground_one, ops["excited_one_photon"])])
+        singles = [lindblad.dominant_oscillation(model, rho, ops["probe_number"]) for rho in starts]
+        calls = []
+        eig = lindblad.eig
+        monkeypatch.setattr(lindblad, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        assert lindblad.dominant_oscillation(model, starts, ops["probe_number"]) == singles
+        assert len(calls) == 1
+
     def test_spec_model_is_built_once(self, monkeypatch):
         spec = core.cavity_spec(MIRROR1, PROBE)
         built = []
