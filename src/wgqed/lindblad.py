@@ -16,15 +16,16 @@ solvers work in Hermitian coordinates, the d^2 real parameters of rho: L
 maps Hermitian matrices to Hermitian matrices, so it is real there.
 Every Liouvillian here is time-independent over a segment, so
 :func:`evolve` propagates exactly.  It never forms the d^2 x d^2
-Liouvillian: a breadth-first search over pairs of basis states, along
-the nonzeros of the factors, finds the coordinates the initial state can
-reach, and the real generator block on them is read from the same
-factors.  It exponentiates that block, by scaling and squaring a Taylor
-polynomial, once per distinct grid step.  A symmetry such as the
-excitation-number conservation of an undriven hold shows up as a small
-reached block, without any rule that names it.  Steady states come
-from one real dense LU solve of the trace-bordered Liouvillian, whose
-LAPACK condition estimate flags a degenerate null space.  A sweep over
+Liouvillian: a boolean fixed point over pairs of basis states, along
+the nonzero patterns of the factors, finds the coordinates the initial
+state can reach, and the real generator block on them is read from the
+same factors by indexing.  It exponentiates that block, by scaling and
+squaring a Taylor polynomial, once per distinct grid step.  A symmetry
+such as the excitation-number conservation of an undriven hold shows up
+as a small reached block, without any rule that names it.  Steady
+states come from one real dense LU solve of the trace-bordered
+Liouvillian, whose LAPACK condition estimate flags a degenerate null
+space.  A sweep over
 the drive detuning delta assembles the Liouvillian once: moving the drive
 frame only shifts the diagonal, L(delta) = L0 + delta K with
 K[a*d + b] = i 2 pi (N_a - N_b) and N the total excitation number of
@@ -288,7 +289,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     runs on scipy's own BLAS thread pool, which contends with numpy's and
     stalled a 64 x 64 exponential from 0.3 ms to 0.3 s on a 2-core host.
     """
-    squarings = int(np.ceil(np.log2(max(float(np.abs(a).sum(axis=0).max()), 1.0))))
+    squarings = int(np.ceil(np.log2(max(float(np.abs(a).sum(axis=0).max(initial=0.0)), 1.0))))
     x = a / 2.0**squarings
     term = result = np.eye(len(a), dtype=a.dtype)
     for k in range(1, 19):
@@ -386,101 +387,47 @@ def _coordinate_weights(reached: np.ndarray, d: int):
     return alpha, beta, np.searchsorted(reached, b * d + a)
 
 
-def _term_columns(terms):
-    """The terms (c, A, B) of _kron_terms with each factor read by columns.
-
-    Returns the coefficients, shape (terms,), and for each side (A, B) the
-    tuple (start, count, rows, values): column j of that factor of term t
-    holds its nonzeros at rows[start[t, j] : start[t, j] + count[t, j]],
-    with those values.
-    """
-    d = len(terms[0][1])
-    sides = []
-    for side in (1, 2):
-        columns = np.array([term[side].T for term in terms])  # columns[t, j] is column j
-        flat = np.flatnonzero(columns != 0)  # sorted by term, then column
-        count = np.bincount(flat // d, minlength=len(terms) * d)
-        start = np.cumsum(count) - count
-        sides.append((start.reshape(-1, d), count.reshape(-1, d), flat % d, columns.ravel()[flat]))
-    return np.array([term[0] for term in terms]), sides
-
-
-def _summed(keys: np.ndarray, values: np.ndarray):
-    """The distinct keys, sorted, and the values at each key summed in array order."""
-    keys, inverse = np.unique(keys, return_inverse=True)
-    return keys, (np.bincount(inverse, values.real, keys.size)
-                  + 1j * np.bincount(inverse, values.imag, keys.size))
-
-
 def _reached_block(terms, states: np.ndarray):
     """The coordinates evolution can fill from a stack of states, and the real generator on them.
 
-    With the terms of _kron_terms, the Liouvillian feeds rho_ab from
-    rho_a'b' with K[a, a'] delta(b, b') + delta(a, a') K^*[b, b'] + sum_k
-    2 pi gamma_k L_k[a, a'] L_k^*[b, b'].  A breadth-first search over
-    pairs (a, b) of basis states starts from every entry rho_ab or rho_ba
-    that is nonzero in some state of the (m, d, d) stack.  Each level reads
-    every entry that its pairs (a', b') feed: for each term, the nonzeros
-    of column a' of its left factor times those of column b' of its right
-    factor (_term_columns).  The nonzero entries not yet reached are the
-    next level, and every entry never reached stays exactly zero.  The
-    terms mirror each other under a <-> b ((K, 1) and (1, K^*), each
-    (L_k, L_k^*) itself), so the reached set is closed under a <-> b: the
-    same index set in the row-major vec and in Hermitian coordinates.  Each
-    reached column is read once, and those entries summed (_summed) are the
-    Liouvillian L on the reached set.  Within the set U has two entries in
-    each row and column (_coordinate_weights), so U L, and then A = (U L)
-    U^dagger, are formed from the entries alone, each new entry a sum of
-    at most two products, as in the dense matrix products.  Returns the
-    sorted reached indices a*d + b and A, real.  ValueError if an
-    imaginary part of A exceeds 1e-10 of its largest entry.
+    With the terms (c, A, B) of _kron_terms, the Liouvillian feeds rho_ab
+    from rho_a'b' with sum c A[a, a'] B[b, b'].  The reached pairs (a, b)
+    of basis states are a boolean fixed point on one d x d matrix R: it
+    starts from every entry rho_ab or rho_ba that is nonzero in some state
+    of the (m, d, d) stack, and each step adds P(A) R P(B)^T for every
+    term with a nonzero rate, P being the nonzero pattern of a factor.
+    Every entry never reached stays exactly zero.  The terms mirror each
+    other under a <-> b ((K, 1) and (1, K^*), each (L_k, L_k^*) itself),
+    so the reached set is closed under a <-> b: the same index set in the
+    row-major vec and in Hermitian coordinates.  L on it is sum c
+    A[ra, ra'] B[rb, rb'], read by indexing and summed in term order, and
+    U has two entries in each row there (_coordinate_weights), so A = U L
+    U^dagger takes two products per side.  Returns the sorted reached
+    indices a*d + b and A, real.  ValueError if an imaginary part of A
+    exceeds 1e-10 of its largest entry.
     """
     d = states.shape[-1]
-    rates, ((left_start, left_count, left_rows, left_values),
-            (right_start, right_count, right_rows, right_values)) = _term_columns(terms)
-    reached = np.zeros(d * d, dtype=bool)
+    terms = [term for term in terms if term[0] != 0]  # a jump at rate 0 feeds nothing
+    left = np.array([term[1] != 0 for term in terms], dtype=float)
+    right_t = np.array([term[2].T != 0 for term in terms], dtype=float)
     support = np.any(states != 0, axis=0)
-    frontier = np.flatnonzero(support | support.T)
-    rows, columns, values = [], [], []
-    while frontier.size:
-        reached[frontier] = True
-        a, b = np.divmod(frontier, d)
-        # one run of entries per (term, pair): left count x right count of them
-        width = right_count[:, b].ravel()
-        runs = left_count[:, a].ravel() * width
-        owner = np.repeat(np.arange(runs.size), runs)
-        offset = np.arange(owner.size) - np.repeat(np.cumsum(runs) - runs, runs)
-        term, pair = np.divmod(owner, frontier.size)
-        left = left_start[term, a[pair]] + offset // width[owner]
-        right = right_start[term, b[pair]] + offset % width[owner]
-        value = rates[term] * left_values[left] * right_values[right]
-        keep = value != 0  # a jump at rate 0 feeds nothing
-        fed = (left_rows[left] * d + right_rows[right])[keep]
-        rows.append(fed)
-        columns.append(frontier[pair[keep]])
-        values.append(value[keep])
-        fresh = np.zeros(d * d, dtype=bool)
-        fresh[fed] = True
-        frontier = np.flatnonzero(fresh & ~reached)
+    reached = support | support.T
+    while True:
+        fed = reached | np.any(left @ reached @ right_t, axis=0)
+        if np.array_equal(fed, reached):
+            break
+        reached = fed
     index = np.flatnonzero(reached)
-    n = index.size
-    position = np.zeros(d * d, dtype=int)
-    position[index] = np.arange(n)
+    ra, rb = np.divmod(index, d)
+    left_at, right_at = ra[:, None] * d + ra, rb[:, None] * d + rb  # flat indices of [ra, ra']
+    liouville = sum((c * a).take(left_at) * b.take(right_at) for c, a, b in terms)
     alpha, beta, partner = _coordinate_weights(index, d)
-    below = beta[partner]  # column q of U: alpha[q] at row q, below[q] at row partner[q]
-    keys = position[np.concatenate(rows)] * n + position[np.concatenate(columns)]
-    keys, value = _summed(keys, np.concatenate(values))
-    row, column = np.divmod(keys, n)
-    keys, value = _summed(np.concatenate([keys, partner[row] * n + column]),
-                          np.concatenate([alpha[row] * value, below[row] * value]))
-    row, column = np.divmod(keys, n)
-    keys = np.concatenate([keys, row * n + partner[column]])
-    value = np.concatenate([value * alpha[column].conj(), value * below[column].conj()])
-    block = np.bincount(keys, value.real, n * n).reshape(n, n)
+    ul = alpha[:, None] * liouville + beta[:, None] * liouville[partner]
+    block = ul * alpha.conj() + ul[:, partner] * beta.conj()
     largest = max(1.0, float(np.abs(block).max(initial=0.0)))
-    if np.abs(np.bincount(keys, value.imag, n * n)).max(initial=0.0) > 1e-10 * largest:
+    if np.abs(block.imag).max(initial=0.0) > 1e-10 * largest:
         raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
-    return index, block
+    return index, block.real
 
 
 def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
@@ -532,16 +479,16 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     array of shape (len(times), d, d), or (len(times), m, d, d) for a stack.
     The evolution runs in the real Hermitian coordinates x = U vec(rho)
     (_hermitian_gather), where A = U L U^dagger is real, and only over the
-    coordinates the state can fill.  _reached_block finds them by a
-    breadth-first search over pairs (a, b) of basis states, from every
+    coordinates the state can fill.  _reached_block finds them as a
+    boolean fixed point over pairs (a, b) of basis states, from every
     entry that is nonzero in rho0 (for a stack, in any of its states),
-    along the nonzeros of the factors K and L_k of _kron_terms, and builds
-    the real block of A on them from those factors: neither the sparse
-    Liouvillian nor any d^2 x d^2 matrix is formed.  Every other coordinate
-    stays exactly zero: an undriven hold conserves N_a - N_b on rho_ab, so
-    from one excitation among five qubits it reaches 26 of the 1024
-    coordinates at n_th = 0 and 252 with thermal excitation, while a drive
-    reaches all d^2.  Each step multiplies by the exponential of that real
+    along the nonzero patterns of the factors K and L_k of _kron_terms,
+    and builds the real block of A on them from those factors: neither
+    the sparse Liouvillian nor any d^2 x d^2 matrix is formed.  Every
+    other coordinate stays exactly zero: an undriven hold conserves
+    N_a - N_b on rho_ab, so from one excitation among five qubits it
+    reaches 26 of the 1024 coordinates at n_th = 0 and 252 with thermal
+    excitation, while a drive reaches all d^2.  Each step multiplies by the exponential of that real
     block; steps equal within 1e-12 relative share one exponential, so a
     uniform grid costs one.  ValueError is raised unless rho0 (every state
     of a stack) is Hermitian within 1e-10.  States are gathered from real x,

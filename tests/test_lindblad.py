@@ -460,6 +460,15 @@ class TestReachedCoordinates:
             assert_extra_coordinates_zero(states, extra, model.dimension)
             assert np.max(np.abs(states - propagated_states(model, rho0, times))) < 1e-12
 
+    def test_jump_at_rate_zero_feeds_nothing(self):
+        # pairs of |01> and |10> only: the lowering jump would feed rho_00
+        # from |01><01| if its zero rate were not skipped
+        basis = ProductBasis(2)
+        hopping = basis.raising(0) @ basis.lowering(1)
+        model = LindbladModel(hopping + hopping.T, ((basis.lowering(0), 0.0),), basis)
+        rho0 = basis_projector(basis, 0b01)
+        assert np.array_equal(reached_coordinates(model, rho0), [5, 6, 9, 10])
+
     def test_search_starts_from_both_halves_of_a_coherence(self):
         # Hermitian within 1e-10, but rho_01 != 0 = rho_10: nothing feeds
         # rho_10 from |01><01| at n_th = 0, so only a start from both halves
@@ -511,6 +520,12 @@ class TestReachedCoordinates:
         model = build_model(pair_spec(13.4, 0.01, 0.2))
         with pytest.raises(ValueError, match="trace"):
             evolve(model, 2.0 * basis_projector(model.basis, 0b01), [0.0, 0.1])
+
+    def test_zero_state_raises_the_trace_message(self):
+        # nothing is reached, so the block is empty; the validator still names the start
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        with pytest.raises(ValueError, match=r"trace 0\.0 differs from 1 beyond 1e-9 at t = 0 us"):
+            evolve(model, np.zeros((4, 4)), [0.0, 0.1])
 
     def test_non_hermitian_initial_state_raises(self):
         # unit trace and a positive Hermitian part: only the Hermiticity check sees it
