@@ -22,7 +22,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import __version__, calibration, core, lindblad, protocols, records, spectroscopy
@@ -81,19 +80,83 @@ _SYSTEM_SCHEMA = _object_schema(
 # config handling
 
 
-def _format_error(error: jsonschema.ValidationError) -> str:
-    path = "$" + "".join(
-        f"[{p}]" if isinstance(p, int) else f".{p}" for p in error.absolute_path
-    )
-    return f"config error at {path}: {error.message}"
+# type names of the schemas and what each admits; unlike jsonschema, an
+# integer is a Python int, so 181.0 is not one (run would fail on it)
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+
+def _schema_errors(schema: dict, instance, path=()):
+    """(key path, message) of each way instance fails schema, in jsonschema's order.
+
+    Checks only the keywords the config schemas use (type, enum, minimum,
+    exclusiveMinimum, maximum, minItems, maxItems, items, required,
+    properties, additionalProperties: false) and passes over any other,
+    such as description.  Keywords are checked in the schema's order,
+    descending into properties and items as they come, and each message is
+    that of jsonschema's Draft 2020-12 validator, so the first error at the
+    smallest key path is the one jsonschema would name.
+    """
+    number = _TYPES["number"](instance)
+    for keyword, value in schema.items():
+        if keyword == "type":
+            names = [value] if isinstance(value, str) else value
+            if not any(_TYPES[name](instance) for name in names):
+                yield path, f"{instance!r} is not of type {', '.join(map(repr, names))}"
+        elif keyword == "enum":
+            if instance not in value:
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif keyword == "minimum":
+            if number and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword == "exclusiveMinimum":
+            if number and instance <= value:
+                yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
+        elif keyword == "maximum":
+            if number and instance > value:
+                yield path, f"{instance!r} is greater than the maximum of {value!r}"
+        elif keyword == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                yield path, f"{instance!r} " + ("should be non-empty" if value == 1 else "is too short")
+        elif keyword == "maxItems":
+            if isinstance(instance, list) and len(instance) > value:
+                yield path, f"{instance!r} is too long"
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    yield from _schema_errors(value, item, path + (index,))
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                for name in value:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for name, subschema in value.items():
+                    if name in instance:
+                        yield from _schema_errors(subschema, instance[name], path + (name,))
+        elif keyword == "additionalProperties" and value is False:
+            if isinstance(instance, dict):
+                extras = sorted(name for name in instance if name not in schema["properties"])
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
 
 
 def _check_schema(schema: dict, document) -> None:
     """ConfigError naming the first failing key path of document under schema."""
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ConfigError(_format_error(errors[0]))
+    # min keeps the first of equal paths, as jsonschema's errors sorted stably by path
+    error = min(_schema_errors(schema, document), key=lambda error: error[0], default=None)
+    if error is not None:
+        path, message = error
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ConfigError(f"config error at ${where}: {message}")
 
 
 def validate_config(config: dict) -> None:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eig, get_lapack_funcs
-from scipy.sparse import csgraph
 
 from . import core
 from .core import TWO_PI
@@ -456,11 +455,19 @@ def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
     else:
         d = states.shape[-1]
         a, b = np.divmod(reached, d)
-        links = sparse.coo_matrix((np.ones(reached.size), (a, b)), shape=(d, d))
-        _, labels = csgraph.connected_components(links, directed=False)
+        linked = np.eye(d, dtype=bool)
+        linked[a, b] = linked[b, a] = True
+        while True:  # boolean closure: linked[i, j] once i and j share a block
+            closed = linked @ linked
+            if np.array_equal(closed, linked):
+                break
+            linked = closed
         lowest = np.full(len(points), np.inf)
-        for label in np.unique(labels[a]):
-            members = np.flatnonzero(labels == label)
+        pending = np.zeros(d, dtype=bool)
+        pending[a] = True  # basis states of the nonzero blocks
+        while pending.any():
+            members = np.flatnonzero(linked[np.argmax(pending)])
+            pending[members] = False
             block = states[..., members[:, None], members]
             lowest = np.minimum(lowest, np.linalg.eigvalsh(block).min(axis=axes))
     bad = np.flatnonzero(lowest < -1e-8)

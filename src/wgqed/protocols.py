@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import core, lindblad
 from .core import TWO_PI
@@ -416,6 +415,10 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
         decay = np.exp(-t / lifetime)
         return np.column_stack((decay, amp * decay * t / lifetime**2, np.ones_like(t)))
 
+    # imported at the first fit: scipy.optimize is a quarter of the CLI's import
+    # time, and most runs fit nothing
+    from scipy.optimize import curve_fit
+
     try:
         params, cov = curve_fit(
             model, t, y, p0=[amp0, lifetime0, offset0], jac=jacobian, method="lm", maxfev=20000,
@@ -562,6 +565,8 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         d_amp, d_phi = decay * np.cos(angle), -amp * decay * np.sin(angle)
         d_lifetime, d_f = amp * d_amp * t / lifetime**2, d_phi * TWO_PI * t * 1e-3
         return np.column_stack((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
+
+    from scipy.optimize import curve_fit  # imported here, as in fit_exponential
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

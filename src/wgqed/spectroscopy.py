@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import h, hbar, k as k_boltzmann
-from scipy.optimize import least_squares
 
 from . import core, lindblad
 from .core import TWO_PI
@@ -361,6 +360,9 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     gamma2_guess = fwhm / 2.0
     g1d_guess = max(depth * 2.0 * gamma2_guess, 1e-6)
     gprime_guess = max(2.0 * gamma2_guess - g1d_guess, 1e-6)
+    # imported here: scipy.optimize is a quarter of the CLI's import time
+    from scipy.optimize import least_squares
+
     result = least_squares(
         lambda p: np.abs(_lorentzian_transmission(p, detunings)[0]) - amplitude,
         x0=[f0_guess, g1d_guess, gprime_guess],

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -119,10 +121,129 @@ class TestValidation:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "fig3a_type1",
+                lambda config: config["params"].update(points=181.0),
+                "$.params.points: 181.0 is not of type 'integer'",
+            ),
+            ("fig3a_type1", lambda config: config.update(seed=1.0), "$.seed: 1.0 is not of type 'integer'"),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["transmon"].update(flux_points=101.0),
+                "$.params.transmon.flux_points: 101.0 is not of type 'integer'",
+            ),
+            (
+                "fig2e_xy",
+                lambda config: config["system"].update(probe=1.0),
+                "$.system.probe: 1.0 is not of type 'string', 'integer'",
+            ),
+        ],
+        ids=["points", "seed", "flux_points", "probe"],
+    )
+    def test_integer_written_as_float_rejected(self, tmp_path, capsys, name, edit, message):
+        # jsonschema counts 181.0 as an integer; run then failed on points = 181.0
+        # with "'float' object cannot be interpreted as an integer" (exit 2)
+        config = json.loads(Path(bundled(name)).read_text())
+        edit(config)
+        path = tmp_path / "float.cfg"
+        path.write_text(json.dumps(config))
+        for command in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "run")]):
+            assert cli.main(command) == 1
+            assert capsys.readouterr().err == f"config error at {message}\n"
+
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("not json at all")
         assert cli.main(["validate", str(path)]) == 1
+
+
+def jsonschema_check(schema, document):
+    """The oracle: cli._check_schema done by jsonschema's Draft 2020-12 validator."""
+    errors = sorted(
+        jsonschema.Draft202012Validator(schema).iter_errors(document),
+        key=lambda error: list(error.absolute_path),
+    )
+    if errors:
+        path = errors[0].absolute_path
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise cli.ConfigError(f"config error at ${where}: {errors[0].message}")
+
+
+# values each key is set to; none is an integer written as a float, which
+# the validator alone rejects (test_integer_written_as_float_rejected)
+MUTANTS = (None, True, 1.5, -1, 0, "x", [], [1, 2], {})
+DELETE, RENAME = object(), object()
+
+
+def single_key_mutations(config):
+    """Copies of config with one key or list item set to each of MUTANTS, deleted,
+    or renamed to an unexpected key (a list gets an extra item instead)."""
+
+    def containers(node, path=()):
+        if isinstance(node, (dict, list)):
+            yield path, node
+            for key in node if isinstance(node, dict) else range(len(node)):
+                yield from containers(node[key], path + (key,))
+
+    for path, node in list(containers(config)):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edits = [(key, value) for key in keys for value in MUTANTS + (DELETE,)]
+        if isinstance(node, dict):
+            edits += [(key, RENAME) for key in keys]
+        else:
+            edits.append((len(node), 1))
+        for key, value in edits:
+            mutant = copy.deepcopy(config)
+            target = mutant
+            for step in path:
+                target = target[step]
+            if value is RENAME:
+                target["extra"] = target.pop(key)
+            elif value is DELETE:
+                del target[key]
+            elif key == len(target):
+                target.append(value)
+            else:
+                target[key] = value
+            yield mutant
+
+
+class TestSchemaValidator:
+    @staticmethod
+    def verdicts(configs):
+        verdicts = []
+        for config in configs:
+            try:
+                cli.validate_config(config)
+                verdicts.append(None)
+            except cli.ConfigError as err:
+                verdicts.append(str(err))
+        return verdicts
+
+    def test_matches_jsonschema_on_single_key_mutations(self, monkeypatch):
+        configs = []
+        for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
+            config = json.loads(entry.read_text())
+            configs += [config, *single_key_mutations(config)]
+        # two unexpected keys, given out of order: jsonschema names them sorted
+        two_extras = json.loads(Path(bundled("fig3a_type1")).read_text())
+        two_extras["params"].update(zeta=1, alpha=2)
+        configs.append(two_extras)
+        ours = self.verdicts(configs)
+        monkeypatch.setattr(cli, "_check_schema", jsonschema_check)
+        expected = self.verdicts(configs)
+        for config, mine, theirs in zip(configs, ours, expected):
+            assert mine == theirs, config
+        # the mutations reach every kind of error, not only acceptance
+        for kind in (
+            "is not of type", "is not one of", "is less than the minimum", "is less than or equal",
+            "is greater than the maximum", "should be non-empty", "is too short", "is too long",
+            "is a required property", "was unexpected", "were unexpected",
+        ):
+            assert any(kind in (verdict or "") for verdict in expected), kind
 
 
 class TestListing:
@@ -322,10 +443,34 @@ class TestShelveExperiment:
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is only needed by peak_splitting, which no experiment calls
-    code = "import sys, wgqed.cli; print('scipy.signal' in sys.modules)"
+    # scipy.signal is only needed by peak_splitting, which no experiment
+    # calls; scipy.optimize loads at the first fit, jsonschema only in the
+    # tests, and evolve finds its blocks without scipy.sparse.csgraph
+    lazy = ("scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph")
+    code = f"import sys, wgqed.cli; print([name for name in {lazy!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_jsonschema_or_scipy_optimize(tmp_path):
+    # both imports blocked: every bundled config validates, and a run that
+    # fits nothing completes
+    code = """
+import sys
+sys.modules["jsonschema"] = sys.modules["scipy.optimize"] = None
+from importlib.resources import files
+from wgqed import cli
+for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
+    cli.main(["validate", str(entry)])
+sys.exit(cli.main(["run", str(files("wgqed").joinpath("configs/fig2c_cavity.cfg")), "--output", sys.argv[1]]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "cavity")], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count(": ok\n") == 17
+    assert (tmp_path / "cavity_spectrum.csv").is_file()

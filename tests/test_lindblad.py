@@ -516,6 +516,25 @@ class TestReachedCoordinates:
         with pytest.raises(ValueError, match=r"eigenvalue -2\.000e-01 below -1e-8 at t = 0 us"):
             evolve(model, rho0, [0.0, 0.1])
 
+    @pytest.mark.parametrize("n_th, sizes", [(0.0, [1, 5]), (0.02, [1, 1, 5, 5, 10, 10])])
+    def test_one_eigvalsh_per_nonzero_block(self, monkeypatch, n_th, sizes):
+        # from an excited probe, each reached excitation manifold is a block
+        # of its own; at n_th = 0 the two- to five-excitation blocks stay
+        # zero and are skipped
+        spec = self.five_qubit_cavity(n_th)
+        model = build_model(spec)
+        rho0 = basis_projector(model.basis, 1 << spec.probe_index)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            shapes.append(a.shape[-2:])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", recording_eigvalsh)
+        evolve(model, rho0, [0.0, 0.1])
+        assert sorted(shapes) == [(size, size) for size in sizes]
+
     def test_bad_trace_raises(self):
         model = build_model(pair_spec(13.4, 0.01, 0.2))
         with pytest.raises(ValueError, match="trace"):

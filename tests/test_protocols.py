@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from dense_oracle import propagator
 from fit_oracle import central_differences, multistart_sinusoid
 from ode_oracle import dop853_states
@@ -105,7 +106,7 @@ class TestFits:
             calls.append(args)
             raise AssertionError("curve_fit called on an unidentifiable trace")
 
-        monkeypatch.setattr(pr, "curve_fit", no_curve_fit)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_curve_fit)
         t = np.linspace(0, 100, 40)
         half = 2 * math.pi * 0.005 * t  # 5 MHz over 0.1 us: half a period
         traces = [np.sin(half), np.cos(half), np.exp(-t / 60.0)]
@@ -187,13 +188,13 @@ class TestFits:
 
     def test_fits_are_unbounded_lm_with_exact_jacobians(self, monkeypatch):
         calls = []
-        real_curve_fit = pr.curve_fit
+        real_curve_fit = scipy.optimize.curve_fit
 
         def recording_curve_fit(*args, **kwargs):
             calls.append((args, kwargs))
             return real_curve_fit(*args, **kwargs)
 
-        monkeypatch.setattr(pr, "curve_fit", recording_curve_fit)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", recording_curve_fit)
         t = np.linspace(0, 1000, 120)
         pr.fit_exponential(TimeTrace(t, 0.2 + 0.7 * np.exp(-t / 300.0)))
         y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
@@ -216,7 +217,7 @@ class TestFits:
 
     def patched_sinusoid_fit(self, monkeypatch, change):
         """fit_damped_sinusoid of a known fringe, with change applied to curve_fit's result."""
-        real_curve_fit = pr.curve_fit
+        real_curve_fit = scipy.optimize.curve_fit
 
         def changed_curve_fit(*args, **kwargs):
             params, cov = real_curve_fit(*args, **kwargs)
@@ -226,7 +227,7 @@ class TestFits:
         y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
         trace = TimeTrace(t, y)
         reference = pr.fit_damped_sinusoid(trace)
-        monkeypatch.setattr(pr, "curve_fit", changed_curve_fit)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", changed_curve_fit)
         return reference, lambda: pr.fit_damped_sinusoid(trace)
 
     def test_negative_frequency_folded_into_phase(self, monkeypatch):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from fit_oracle import central_differences
 from sweep_oracle import pointwise_transmission, shifted_model
 
@@ -361,13 +362,13 @@ class TestLorentzianFit:
 
     def test_unbounded_lm_with_exact_jacobian(self, monkeypatch):
         calls = []
-        real_least_squares = sp.least_squares
+        real_least_squares = scipy.optimize.least_squares
 
         def recording_least_squares(fun, **kwargs):
             calls.append((fun, kwargs))
             return real_least_squares(fun, **kwargs)
 
-        monkeypatch.setattr(sp, "least_squares", recording_least_squares)
+        monkeypatch.setattr(scipy.optimize, "least_squares", recording_least_squares)
         sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
         ((fun, kwargs),) = calls
         assert "bounds" not in kwargs
@@ -386,13 +387,13 @@ class TestLorentzianFit:
         ids=["f0_above_scan", "f0_below_scan", "negative_gamma_1d", "negative_gamma_prime"],
     )
     def test_unphysical_solution_rejected(self, monkeypatch, index, value):
-        real_least_squares = sp.least_squares
+        real_least_squares = scipy.optimize.least_squares
 
         def moved_least_squares(fun, **kwargs):
             result = real_least_squares(fun, **kwargs)
             result.x[index] = value
             return result
 
-        monkeypatch.setattr(sp, "least_squares", moved_least_squares)
+        monkeypatch.setattr(scipy.optimize, "least_squares", moved_least_squares)
         with pytest.raises(FitError, match="physical region"):
             sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
