@@ -3,36 +3,26 @@
 Hamiltonians inside :class:`LindbladModel` are angular (rad/us, i.e. 2*pi
 times a value in MHz); dissipator rates stay in MHz and pick up their
 2*pi factor exactly once, in _kron_terms, which writes the Liouvillian as
-a sum of Kronecker products of d x d factors: -iH - (1/2) sum_k 2 pi
-gamma_k L_k^dagger L_k and the jumps (2 pi gamma_k, L_k).  Both the sparse
-Liouvillian and evolve are built from those terms.  Times are in us.  A
-model is a Hamiltonian and a list of independent jumps:
-:func:`build_model` turns each correlated rate matrix into collective
-jumps once.
+stacked Kronecker factors.  Times are in us.  A model is a Hamiltonian and
+a list of independent jumps: :func:`build_model` turns each correlated
+rate matrix into collective jumps once.
 
-The Liouvillian is a scipy CSR matrix acting on the row-major vec of the
-density matrix, built by one scatter of those factors' nonzeros.  Both
-solvers work in Hermitian coordinates, the d^2 real parameters of rho: L
-maps Hermitian matrices to Hermitian matrices, so it is real there.
-Every Liouvillian here is time-independent over a segment, so
-:func:`evolve` propagates exactly.  It never forms the d^2 x d^2
-Liouvillian: a boolean fixed point over pairs of basis states, along
-the nonzero patterns of the factors, finds the coordinates the initial
-state can reach, and the real generator block on them is read from the
-same factors by indexing.  It exponentiates that block, by scaling and
-squaring a Taylor polynomial, once per distinct grid step.  A symmetry
-such as the excitation-number conservation of an undriven hold shows up
-as a small reached block, without any rule that names it.  Steady
-states come from one real dense LU solve of the trace-bordered
-Liouvillian, whose LAPACK condition estimate flags a degenerate null
-space.  A sweep over
-the drive detuning delta assembles the Liouvillian once: moving the drive
-frame only shifts the diagonal, L(delta) = L0 + delta K with
-K[a*d + b] = i 2 pi (N_a - N_b) and N the total excitation number of
-each basis state.  The LU is all the per-point work of a sweep.  Both
-solvers return one complex stack of states and check it once, with one
-validator (_check_states: unit trace, no eigenvalue below -1e-8) whose
-error names the failing time or drive detuning.
+Every solver works in Hermitian coordinates, the d^2 real parameters of
+rho, where the generator A = U L U^dagger is real, and gets A from one
+construction, _real_generator, which reads it from the factors' nonzeros
+on a set of coordinates.  :func:`evolve` and :func:`dominant_oscillation`
+use the coordinates their states can reach, so a symmetry such as the
+excitation-number conservation of an undriven hold shows up as a small
+block without any rule that names it; evolve exponentiates the block once
+per distinct grid step.  :func:`steady_states` uses all d^2 coordinates,
+once per sweep over the drive detuning delta, which only shifts the
+diagonal: L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b), N
+the total excitation number.  Each point is one real dense LU solve of the
+trace-bordered generator, whose LAPACK condition estimate flags a
+degenerate null space.  Both solvers check their stack of states once
+(_check_states: unit trace, no eigenvalue below -1e-8) and name the
+failing time or drive detuning.  :func:`assemble_liouvillian` gives the
+complex CSR Liouvillian for outside checks.
 """
 
 from __future__ import annotations
@@ -231,39 +221,61 @@ def build_model(
     return LindbladModel(ham, tuple(dissipators), basis)
 
 
-def _scatter_kron(terms, d: int):
-    """Row, column and value arrays of sum_k c_k A_k (x) B_k, d x d factors.
+def _kron_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """The Liouvillian as stacked factors, L = sum_t A[t] (x) B[t] on the row-major vec.
 
-    Only the nonzeros of each factor enter: entry (i, j) of A and (k, l)
-    of B land at (i*d + k, j*d + l) with value c * A[i, j] * B[k, l].
+    With K = -iH - (1/2) sum_k 2 pi gamma_k L_k^dagger L_k, rho -> K rho +
+    rho K^dagger gives the terms (K, 1) and (1, K^*), and each jump rho ->
+    2 pi gamma_k L_k rho L_k^dagger the term (2 pi gamma_k L_k, L_k^*); a
+    jump at rate 0 feeds nothing and gets none.  Rates are multiplied by
+    2*pi here, the single place they become angular (rad/us).  Returns the
+    complex (terms, d, d) stacks A and B.
     """
-    rows, cols, vals = [], [], []
-    for coeff, left, right in terms:
-        li, lj = np.nonzero(left)
-        ri, rj = np.nonzero(right)
-        rows.append((li[:, None] * d + ri[None, :]).ravel())
-        cols.append((lj[:, None] * d + rj[None, :]).ravel())
-        vals.append((coeff * left[li, lj][:, None] * right[ri, rj][None, :]).ravel())
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _kron_terms(model: LindbladModel) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """The Liouvillian as terms (c, A, B) of L = sum c A (x) B on the row-major vec.
-
-    With K = -iH - (1/2) sum_k 2 pi gamma_k L_k^dagger L_k, the coherent
-    part and the anticommutator halves of the dissipators act as rho ->
-    K rho + rho K^dagger, the terms (1, K, 1) and (1, 1, K^*), and each
-    jump as rho -> 2 pi gamma_k L_k rho L_k^dagger, the term (2 pi gamma_k,
-    L_k, L_k^*).  Dissipator rates are multiplied by 2*pi here, the single
-    place linear-frequency rates become angular (rad/us).
-    """
-    eye = np.eye(model.dimension)
+    d = model.dimension
+    jumps = [(op, rate) for op, rate in model.dissipators if rate != 0]
+    ops = np.array([op for op, _ in jumps], dtype=complex).reshape(-1, d, d)
+    rates = TWO_PI * np.array([rate for _, rate in jumps])
+    left = np.empty((len(jumps) + 2, d, d), dtype=complex)
+    right = np.empty_like(left)
+    left[2:] = rates[:, None, None] * ops
+    np.conjugate(ops, out=right[2:])
     effective = -1j * model.hamiltonian
-    jumps = []
-    for op, rate in model.dissipators:
-        effective = effective - 0.5 * TWO_PI * rate * (op.conj().T @ op)
-        jumps.append((TWO_PI * rate, op, op.conj()))
-    return [(1.0, effective, eye), (1.0, eye, effective.conj())] + jumps
+    for rate, product in zip(rates, np.swapaxes(right[2:], 1, 2) @ ops):
+        effective = effective - 0.5 * rate * product
+    left[0], right[0] = effective, np.eye(d)
+    left[1], right[1] = np.eye(d), effective.conj()
+    return left, right
+
+
+def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
+    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set.
+
+    reached holds sorted indices a*d + b, closed under a <-> b.  Nonzeros
+    (a, a') of A[t] and (b, b') of B[t] between basis states of reached
+    pairs give A[t, a, a'] B[t, b, b'] at (ab, a'b'), all terms at once;
+    pairs outside the set are dropped.  Returns rows and columns as
+    positions in reached, and complex values in term order, unsummed.
+    """
+    d = left.shape[-1]
+    states = np.flatnonzero(np.bincount(reached // d, minlength=d))
+    position = np.full((d, d), -1)
+    position.flat[reached] = np.arange(reached.size)
+    lt, li, lj = (left[:, states[:, None], states] != 0).nonzero()
+    rt, ri, rj = (right[:, states[:, None], states] != 0).nonzero()
+    li, lj, ri, rj = states[li], states[lj], states[ri], states[rj]
+    count = np.bincount(rt, minlength=len(right))
+    reps = count[lt]  # each nonzero of A[t] meets every nonzero of B[t]
+    pair_l = np.repeat(np.arange(lt.size), reps)
+    # the k-th pair in the run of a left entry takes the k-th right entry of its term
+    first = (count.cumsum() - count)[lt] - reps.cumsum() + reps
+    pair_r = np.arange(reps.sum()) + np.repeat(first, reps)
+    rows = position[li[pair_l], ri[pair_r]]
+    cols = position[lj[pair_l], rj[pair_r]]
+    values = left[lt, li, lj][pair_l]
+    values *= right[rt, ri, rj][pair_r]
+    del pair_l, pair_r
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], values[keep]
 
 
 def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
@@ -274,12 +286,12 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
 
         L = K (x) 1 + 1 (x) K^* + sum_k 2 pi gamma_k L_k (x) L_k^*,
 
-    which is built in one scatter of the factors' nonzeros (duplicates are
-    summed by the CSR conversion).  Output is angular (rad/us).
+    summed from _kron_entries by the CSR conversion.  Output is angular
+    (rad/us).  No solver uses it; it serves checks from outside.
     """
     d = model.dimension
-    rows, cols, vals = _scatter_kron(_kron_terms(model), d)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d))
+    return sparse.csr_matrix((values, (rows, cols)), shape=(d * d, d * d))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -305,10 +317,11 @@ def _hermitian_gather(d: int):
 
     The coordinates x have x[a*d + a] = rho_aa and, for a < b, x[a*d + b] =
     sqrt(2) Re rho_ab and x[b*d + a] = sqrt(2) Im rho_ab, so x is real
-    exactly when rho is Hermitian.  Entry i of the row-major vec is
-    vec(rho)[i] = real_scale[i] x[real_at[i]] + i imag_scale[i]
-    x[imag_at[i]]; returns (real_at, real_scale, imag_at, imag_scale) for
-    _hermitian_matrix.  Cached per dimension, so every array is read-only.
+    exactly when rho is Hermitian; x = U vec(rho) with U unitary.  Entry i
+    of the row-major vec is vec(rho)[i] = real_scale[i] x[real_at[i]] + i
+    imag_scale[i] x[imag_at[i]]; returns (real_at, real_scale, imag_at,
+    imag_scale) for _hermitian_matrix.  Cached per dimension, so every
+    array is read-only.
     """
     index = np.arange(d * d)
     a, b = np.divmod(index, d)
@@ -318,29 +331,6 @@ def _hermitian_gather(d: int):
     for array in gather:
         array.flags.writeable = False
     return gather
-
-
-@functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int):
-    """Unitary U from the row-major vec of a d x d matrix to Hermitian coordinates.
-
-    x = U vec(rho), in the coordinates of _hermitian_gather; each row of
-    U^dagger is that gather, at most two entries.  Returns U (CSR) and the
-    gather.  Cached per dimension, so every returned array is read-only.
-    """
-    gather = _hermitian_gather(d)
-    real_at, real_scale, imag_at, imag_scale = gather
-    index = np.arange(d * d)
-    inverse = sparse.csr_matrix(
-        (np.concatenate([real_scale, 1j * imag_scale]),
-         (np.concatenate([index, index]), np.concatenate([real_at, imag_at]))),
-        shape=(d * d, d * d),
-    )
-    inverse.eliminate_zeros()
-    unitary = inverse.conj().T.tocsr()
-    for array in (unitary.data, unitary.indices, unitary.indptr):
-        array.flags.writeable = False
-    return unitary, gather
 
 
 def _hermitian_matrix(x: np.ndarray, gather) -> np.ndarray:
@@ -358,22 +348,8 @@ def _hermitian_matrix(x: np.ndarray, gather) -> np.ndarray:
     return vec
 
 
-def _real_similarity(unitary, op) -> sparse.csr_matrix:
-    """U op U^dagger as a real CSR matrix, for an op that maps Hermitian to Hermitian.
-
-    ValueError if an imaginary part exceeds 1e-10 of the largest entry.
-    """
-    out = unitary @ op @ unitary.conj().T
-    scale = max(1.0, float(np.abs(out.data).max(initial=0.0)))
-    if np.abs(out.data.imag).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
-    out = out.real
-    out.eliminate_zeros()
-    return out
-
-
 def _coordinate_weights(reached: np.ndarray, d: int):
-    """The rows of U (_hermitian_coordinates) on a set of coordinates closed under a <-> b.
+    """The rows of U (x = U vec(rho), _hermitian_gather) on coordinates closed under a <-> b.
 
     U has at most two entries per row, so on that set x = alpha v + beta
     v[partner], with v the row-major vec restricted to the set and partner
@@ -386,47 +362,77 @@ def _coordinate_weights(reached: np.ndarray, d: int):
     return alpha, beta, np.searchsorted(reached, b * d + a)
 
 
-def _reached_block(terms, states: np.ndarray):
+def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
+    """The real generator A = U L U^dagger on a coordinate set closed under a <-> b.
+
+    The set splits into orbits {ab, ba} led by the entry with a <= b (aa
+    alone), and U maps an orbit's vec entries to its coordinates by a 2 x 2
+    block W (_coordinate_weights), so A between orbits I and K is W_I L_IK
+    W_K^dagger.  np.bincount sums the entries of L (_kron_entries) into the
+    blocks present in term order; then all blocks are transformed at once,
+    with no n x n array.  Returns the ascending flat indices i*n + k into
+    the n x n block (n = reached.size) and the real values.  ValueError if
+    an imaginary part exceeds 1e-10 of the largest entry.
+    """
+    n = reached.size
+    rows, cols, values = _kron_entries(left, right, reached)
+    alpha, beta, partner = _coordinate_weights(reached, left.shape[-1])
+    index = np.arange(n)
+    lead, second = np.minimum(index, partner), partner < index
+    pairs, slot = lead[rows] * n + lead[cols], second[rows] * 2 + second[cols]
+    del rows, cols
+    pairs, block_of = np.unique(pairs, return_inverse=True)
+    slot = slot * pairs.size + block_of
+    block = np.empty((2, 2, pairs.size), dtype=complex)
+    block.real.flat = np.bincount(slot, values.real, block.size)
+    block.imag.flat = np.bincount(slot, values.imag, block.size)
+    del slot, block_of, values
+    i, k = np.divmod(pairs, n)
+    # rows i and partner_i of U, read at columns i and partner_i, for every lead i
+    weights = np.array([[alpha, beta], [beta[partner], alpha[partner]]])
+    generator = np.einsum("rsg,stg->rtg", weights.take(i, axis=2), block)
+    del block
+    generator = np.einsum("rtg,ctg->rcg", generator, weights.conj().take(k, axis=2))
+    at = np.array([i, partner[i]])[:, None] * n + np.array([k, partner[k]])
+    # a diagonal orbit has no second coordinate
+    real = np.ones(at.shape, dtype=bool)
+    real[1] = partner[i] != i
+    real[:, 1] &= partner[k] != k
+    at, generator = at[real], generator[real]
+    largest = max(1.0, float(np.abs(generator).max(initial=0.0)))
+    if np.abs(generator.imag).max(initial=0.0) > 1e-10 * largest:
+        raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
+    order = np.argsort(at)
+    return at[order], generator.real[order]
+
+
+def _reached_block(left: np.ndarray, right: np.ndarray, states: np.ndarray):
     """The coordinates evolution can fill from a stack of states, and the real generator on them.
 
-    With the terms (c, A, B) of _kron_terms, the Liouvillian feeds rho_ab
-    from rho_a'b' with sum c A[a, a'] B[b, b'].  The reached pairs (a, b)
-    of basis states are a boolean fixed point on one d x d matrix R: it
-    starts from every entry rho_ab or rho_ba that is nonzero in some state
-    of the (m, d, d) stack, and each step adds P(A) R P(B)^T for every
-    term with a nonzero rate, P being the nonzero pattern of a factor.
-    Every entry never reached stays exactly zero.  The terms mirror each
-    other under a <-> b ((K, 1) and (1, K^*), each (L_k, L_k^*) itself),
-    so the reached set is closed under a <-> b: the same index set in the
-    row-major vec and in Hermitian coordinates.  L on it is sum c
-    A[ra, ra'] B[rb, rb'], read by indexing and summed in term order, and
-    U has two entries in each row there (_coordinate_weights), so A = U L
-    U^dagger takes two products per side.  Returns the sorted reached
-    indices a*d + b and A, real.  ValueError if an imaginary part of A
-    exceeds 1e-10 of its largest entry.
+    L feeds rho_ab from rho_a'b' with sum_t A[t, a, a'] B[t, b, b']
+    (_kron_terms).  The reached pairs (a, b) are a boolean fixed point on a
+    d x d matrix R, from every entry rho_ab or rho_ba nonzero in some state
+    of the (m, d, d) stack, each step adding P(A[t]) R P(B[t])^T for every
+    term (P: nonzero pattern).  Entries never reached stay exactly zero.
+    The terms mirror each other under a <-> b, so the set is closed under
+    a <-> b, the same in the vec and in Hermitian coordinates.  Returns the
+    sorted reached indices a*d + b and the dense block of A on them.
     """
-    d = states.shape[-1]
-    terms = [term for term in terms if term[0] != 0]  # a jump at rate 0 feeds nothing
-    left = np.array([term[1] != 0 for term in terms], dtype=float)
-    right_t = np.array([term[2].T != 0 for term in terms], dtype=float)
-    support = np.any(states != 0, axis=0)
+    support = (states != 0).any(axis=0)
     reached = support | support.T
+    # 0/1 patterns in float32: exact for these counts (at most d^2), half the memory
+    left_p = (left != 0).astype(np.float32)
+    right_t = np.swapaxes(right != 0, 1, 2).astype(np.float32)
     while True:
-        fed = reached | np.any(left @ reached @ right_t, axis=0)
+        fed = reached | (left_p @ reached @ right_t).any(axis=0)
         if np.array_equal(fed, reached):
             break
         reached = fed
     index = np.flatnonzero(reached)
-    ra, rb = np.divmod(index, d)
-    left_at, right_at = ra[:, None] * d + ra, rb[:, None] * d + rb  # flat indices of [ra, ra']
-    liouville = sum((c * a).take(left_at) * b.take(right_at) for c, a, b in terms)
-    alpha, beta, partner = _coordinate_weights(index, d)
-    ul = alpha[:, None] * liouville + beta[:, None] * liouville[partner]
-    block = ul * alpha.conj() + ul[:, partner] * beta.conj()
-    largest = max(1.0, float(np.abs(block).max(initial=0.0)))
-    if np.abs(block.imag).max(initial=0.0) > 1e-10 * largest:
-        raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
-    return index, block.real
+    flat, values = _real_generator(left, right, index)
+    block = np.zeros((index.size, index.size))
+    block.flat[flat] = values
+    return index, block
 
 
 def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
@@ -481,26 +487,20 @@ def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
 def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     """Exact master-equation evolution of one state or a stack of states.
 
-    rho0 is a d x d state or an m x d x d stack of states, taken
-    at times[0] (us); returns the state at every grid time as one complex
+    rho0 is a d x d state or an m x d x d stack of states, taken at
+    times[0] (us); returns the state at every grid time as one complex
     array of shape (len(times), d, d), or (len(times), m, d, d) for a stack.
-    The evolution runs in the real Hermitian coordinates x = U vec(rho)
-    (_hermitian_gather), where A = U L U^dagger is real, and only over the
-    coordinates the state can fill.  _reached_block finds them as a
-    boolean fixed point over pairs (a, b) of basis states, from every
-    entry that is nonzero in rho0 (for a stack, in any of its states),
-    along the nonzero patterns of the factors K and L_k of _kron_terms,
-    and builds the real block of A on them from those factors: neither
-    the sparse Liouvillian nor any d^2 x d^2 matrix is formed.  Every
-    other coordinate stays exactly zero: an undriven hold conserves
-    N_a - N_b on rho_ab, so from one excitation among five qubits it
-    reaches 26 of the 1024 coordinates at n_th = 0 and 252 with thermal
-    excitation, while a drive reaches all d^2.  Each step multiplies by the exponential of that real
-    block; steps equal within 1e-12 relative share one exponential, so a
-    uniform grid costs one.  ValueError is raised unless rho0 (every state
-    of a stack) is Hermitian within 1e-10.  States are gathered from real x,
-    so they are exactly Hermitian, and each one, rho0 included, must have
-    unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
+    It runs in the real Hermitian coordinates x = U vec(rho), only over
+    those the state can fill (_reached_block); every other one stays
+    exactly zero.  An undriven hold conserves N_a - N_b on rho_ab, so from
+    one excitation among five qubits it reaches 26 of the 1024 coordinates
+    at n_th = 0 and 252 with thermal excitation, while a drive reaches all.
+    Each step multiplies by the exponential of the block; steps equal
+    within 1e-12 relative share one exponential.  ValueError unless rho0
+    (each state of a stack) is Hermitian within 1e-10.  States are
+    gathered from real x, so they are exactly Hermitian, and each one, rho0
+    included, must have unit trace within 1e-9 and no eigenvalue below
+    -1e-8 (_check_states).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -513,7 +513,7 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
         raise ValueError("initial state dimension mismatch")
     if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
         raise ValueError("initial state is not Hermitian within 1e-10")
-    reached, block = _reached_block(_kron_terms(model), rho.reshape(-1, d, d))
+    reached, block = _reached_block(*_kron_terms(model), rho.reshape(-1, d, d))
     alpha, beta, partner = _coordinate_weights(reached, d)
     vecs = rho.reshape(-1, d * d)[:, reached]
     exponentials: list[tuple[float, np.ndarray]] = []
@@ -550,96 +550,81 @@ def _detuning_generator(basis: ProductBasis) -> np.ndarray:
     return 1j * TWO_PI * (counts[:, None] - counts[None, :]).reshape(-1)
 
 
-def _detuning_rotation(generator: np.ndarray, gather) -> sparse.coo_matrix:
-    """K_r = U diag(generator) U^dagger in Hermitian coordinates (real COO).
+def _detuning_rotation(generator: np.ndarray, d: int):
+    """K_r = U diag(generator) U^dagger in Hermitian coordinates, as (row, column, value) arrays.
 
     The generator entries i w at ab and -i w at ba (a < b) turn rho_ab at
     rate w, i.e. dx_ab/dt = -w x_ba and dx_ba/dt = w x_ab: K_r has entries
     at (ab, ba) and (ba, ab) only, never on the diagonal or in row 0.
     """
-    real_at, _, imag_at, imag_scale = gather
-    upper = np.flatnonzero((imag_scale > 0) & (generator != 0))
+    a, b = np.divmod(np.arange(d * d), d)
+    upper = np.flatnonzero((a < b) & (generator != 0))
+    lower = (b * d + a)[upper]
     rate = generator[upper].imag
-    ab, ba = real_at[upper], imag_at[upper]
-    return sparse.coo_matrix(
-        (np.concatenate([-rate, rate]), (np.concatenate([ab, ba]), np.concatenate([ba, ab]))),
-        shape=(generator.size, generator.size),
-    )
-
-
-def _trace_bordered(matrix: sparse.csr_matrix, d: int) -> sparse.csc_matrix:
-    """CSC copy of a CSR matrix with row 0 replaced by the trace row sum_a x_aa."""
-    start = matrix.indptr[1]
-    return sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(d), matrix.data[start:]]),
-            np.concatenate([np.arange(d) * (d + 1), matrix.indices[start:]]),
-            np.concatenate([[0], matrix.indptr[1:] - start + d]),
-        ),
-        shape=matrix.shape,
-    ).tocsc()
+    return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
 
 
 def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
 
-    delta (MHz) moves the drive frame: every qubit detuning of ``model``
-    is lowered by delta, which changes only the diagonal of the Liouvillian
-    (see _detuning_generator).  So L0 is assembled once per sweep.  The
-    solve runs over the d^2 real Hermitian coordinates x = U vec(rho) of
-    the state (_hermitian_coordinates): A = U L0 U^dagger and K_r =
-    U K U^dagger are real, and K_r only couples the real and imaginary
-    parts of each coherence.  Row 0 of A (the d rho_00/dt equation,
-    linearly dependent on the other population rows because L preserves
-    trace) is replaced by the trace functional sum_a x_aa, once per sweep.
-    Each point refills one reused dense work array with A + delta K_r and
-    solves (A + delta K_r) x = e_0 with one real LAPACK LU
-    factorization; that is all the per-point work.  The real bordered
-    matrix is a unitary similarity of the complex one, so it has the same
-    singular values.  Raises DegenerateSteadyStateError when its reciprocal
-    1-norm condition number, estimated from the LU factors, is below
-    STEADY_RCOND_MIN (e.g. a disconnected dark subspace with no decay
-    path).
+    delta (MHz) lowers every qubit detuning of ``model``, which changes
+    only the diagonal of the Liouvillian (_detuning_generator).  The solve
+    runs over the real Hermitian coordinates x = U vec(rho), with A = U L0
+    U^dagger (_real_generator on all d^2, once per sweep) and K_r = U K
+    U^dagger, which only couples the two coordinates of each coherence.
+    Row 0 of A (d rho_00/dt, dependent on the other population rows as L
+    preserves trace) becomes the trace row sum_a x_aa in the entries.  Each
+    point refills one dense work array from them and the pairs of K_r and
+    solves (A + delta K_r) x = e_0 by one real LAPACK LU, a unitary
+    similarity of the complex bordered matrix: DegenerateSteadyStateError
+    when its reciprocal 1-norm condition number, estimated from the LU, is
+    below STEADY_RCOND_MIN (e.g. a dark subspace with no decay path).
 
-    The rest runs once on the whole sweep.  The states are gathered from
-    the real solutions, so each is exactly Hermitian.  One sparse product
-    gives every residual |(L0 + delta K) vec(rho)|, and one above 1e-10 of
-    the 1-norm of that point's bordered matrix raises
-    DegenerateSteadyStateError.  _check_states, the validator evolve uses,
-    raises ValueError unless every state has unit trace within 1e-9 and no
-    eigenvalue below -1e-8.  Each message names the drive detuning (MHz)
-    of the first point that failed.  Returns one complex array of shape
-    (len(detunings), d, d).  A nonzero detuning needs the model's qubit
-    basis (ValueError without one).
+    Then, once per sweep, y = (A + delta K_r) x = U L vec(rho) from one
+    sparse product; max |U^dagger y| = max |L vec(rho)| above 1e-10 of the
+    1-norm of that point's bordered matrix raises DegenerateSteadyStateError.
+    The states, gathered from the real x and so exactly Hermitian, must have
+    unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states,
+    ValueError).  Messages name the drive detuning (MHz) of the first failing
+    point.  Returns a complex (len(detunings), d, d) array.  A nonzero
+    detuning needs the model's qubit basis (ValueError without one).
     """
     detunings = np.asarray(detunings, dtype=float).reshape(-1)
     d = model.dimension
+    n = d * d
     if model.basis is None:
         if np.any(detunings != 0.0):
             raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
-        generator = np.zeros(d * d)
+        generator = np.zeros(n)
     else:
         generator = _detuning_generator(model.basis)
-    liouville = assemble_liouvillian(model)
-    unitary, gather = _hermitian_coordinates(d)
-    bordered = _trace_bordered(_real_similarity(unitary, liouville), d)
-    rotation = _detuning_rotation(generator, gather)
+    flat, values = _real_generator(*_kron_terms(model), np.arange(n))
+    indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
+    real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
+    body = real_generator.indptr[1]
+    # the bordered matrix at column-major positions column * n + row: the
+    # trace row (0, aa), then rows 1.. of A
+    fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
+    fill = np.concatenate([np.ones(d), values[body:]])
+    del flat
+    rotation_rows, rotation_cols, rotation = _detuning_rotation(generator, d)
+    rotation_at = rotation_cols * n + rotation_rows
     getrf, gecon, getrs, lange = get_lapack_funcs(
         ("getrf", "gecon", "getrs", "lange"), dtype=np.float64
     )
     # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
-    # getrf factors it in place.  flat is its column-major ravel, a view.
-    work = np.empty((d * d, d * d), order="F")
-    flat = work.ravel(order="F")
-    rotation_at = rotation.col * (d * d) + rotation.row
-    rhs = np.zeros(d * d)
+    # getrf factors it in place.  work_flat is its column-major ravel, a view.
+    work = np.empty((n, n), order="F")
+    work_flat = work.ravel(order="F")
+    rhs = np.zeros(n)
     rhs[0] = 1.0
-    x = np.empty((detunings.size, d * d))
+    x = np.empty((n, detunings.size))  # one column per point
     anorms = np.empty(detunings.size)
     for k, delta in enumerate(detunings):
-        bordered.toarray(out=work)
+        work_flat.fill(0.0)
+        work_flat[fill_at] = fill
         if delta:
-            flat[rotation_at] += delta * rotation.data
+            work_flat[rotation_at] += delta * rotation
         anorms[k] = lange("1", work)
         lu, piv, info = getrf(work, overwrite_a=True)
         rcond = gecon(lu, anorms[k])[0] if info == 0 else 0.0
@@ -648,16 +633,21 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
                 f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
                 f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
             )
-        x[k], _ = getrs(lu, piv, rhs)
-    vecs = _hermitian_matrix(x, gather)
-    del x
-    # in place, so no more than two (d^2, points) arrays live beside vecs
-    residuals = liouville @ vecs.T
-    shift = vecs.T * generator[:, None]
+        x[:, k], _ = getrs(lu, piv, rhs)
+    del work, work_flat, lu
+    y = real_generator @ x
+    shift = x[rotation_cols] * rotation[:, None]
     shift *= detunings
-    residuals += shift
+    y[rotation_rows] += shift
     del shift
-    residuals = np.abs(residuals).max(axis=0, initial=0.0)
+    real_at, real_scale, imag_at, imag_scale = gather = _hermitian_gather(d)
+    # |L vec(rho)| entry by entry: the moduli of U^dagger y
+    real, imag = y[real_at], y[imag_at]
+    del y
+    real *= real_scale[:, None]
+    imag *= imag_scale[:, None]
+    residuals = np.hypot(real, imag, out=real).max(axis=0)
+    del real, imag
     bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
     if bad.size:
         k = bad[0]
@@ -665,7 +655,7 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
             f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
             f"{detunings[k]:g} MHz"
         )
-    states = vecs.reshape(detunings.size, d, d)
+    states = _hermitian_matrix(x.T, gather).reshape(detunings.size, d, d)
     _check_states(states, detunings, "drive detuning {:g} MHz")
     return states
 
@@ -678,13 +668,21 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     amplitude for the given initial state; exact where a least-squares
     fit of a multi-component damped signal would be biased.  rho0 is one
     d x d state, which gives one (frequency, damping) pair, or an m x d x d
-    stack, which gives a list of m pairs from one eigendecomposition.
+    stack, which gives a list of m pairs from one eigendecomposition.  The
+    modes are those of the real generator block on the coordinates the
+    stack reaches (_reached_block): no other mode carries amplitude.
     """
-    liouville = assemble_liouvillian(model).toarray()
-    values, left, right = eig(liouville, left=True)
     rho = np.asarray(rho0, dtype=complex)
-    obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)
-    best = [None] * (rho.size // values.size)
+    d = model.dimension
+    reached, block = _reached_block(*_kron_terms(model), rho.reshape(-1, d, d))
+    values, left, right = eig(block, left=True)
+    alpha, beta, partner = _coordinate_weights(reached, d)
+    vecs = rho.reshape(-1, d * d)[:, reached]
+    starts = (alpha * vecs + beta * vecs[:, partner]).real
+    # tr(O rho) = o . vec(rho) with o = vec(O^T), and vec(rho) = U^dagger x
+    obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
+    obs_vec = obs_vec * alpha.conj() + obs_vec[partner] * beta.conj()
+    best = [None] * len(starts)
     for k in range(values.size):
         freq = abs(values[k].imag) / TWO_PI
         if freq <= min_freq:
@@ -692,8 +690,8 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
         norm = left[:, k].conj() @ right[:, k]
         if abs(norm) < 1e-12:
             continue
-        for m, vec in enumerate(rho.reshape(-1, values.size)):
-            amplitude = (obs_vec @ right[:, k]) * (left[:, k].conj() @ vec) / norm
+        for m, start in enumerate(starts):
+            amplitude = (obs_vec @ right[:, k]) * (left[:, k].conj() @ start) / norm
             if best[m] is None or abs(amplitude) > best[m][0]:
                 best[m] = (abs(amplitude), freq, -values[k].real / TWO_PI)
     if None in best:

@@ -1,15 +1,47 @@
-"""Reach and generator block of evolve, found from the assembled sparse Liouvillian."""
+"""Reach and real generator of evolve, from the dense np.kron Liouvillian.
+
+Independent of the package's construction: U is built here from the
+definition of the Hermitian coordinates, and L comes from dense_oracle.
+"""
+
+import math
 
 import numpy as np
+from dense_oracle import dense_liouvillian
+from scipy import sparse
 from scipy.sparse import csgraph
 
-from wgqed.lindblad import _hermitian_coordinates, _real_similarity, assemble_liouvillian
+
+def hermitian_unitary(d: int) -> sparse.csr_matrix:
+    """U with x = U vec(rho) on the row-major vec of a d x d matrix.
+
+    x[a*d + a] = rho_aa and, for a < b, x[a*d + b] = sqrt(2) Re rho_ab =
+    (rho_ab + rho_ba) / sqrt(2) and x[b*d + a] = sqrt(2) Im rho_ab =
+    -i (rho_ab - rho_ba) / sqrt(2) for a Hermitian rho.
+    """
+    s = 1.0 / math.sqrt(2.0)
+    rows, cols, vals = [], [], []
+    for a in range(d):
+        rows.append(a * d + a)
+        cols.append(a * d + a)
+        vals.append(1.0)
+        for b in range(a + 1, d):
+            ab, ba = a * d + b, b * d + a
+            rows += [ab, ab, ba, ba]
+            cols += [ab, ba, ab, ba]
+            vals += [s, s, -1j * s, 1j * s]
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
-def real_generator(model):
+def real_generator(model) -> sparse.csr_matrix:
     """A = U L U^dagger on all d^2 Hermitian coordinates, as a real CSR matrix."""
-    unitary, _ = _hermitian_coordinates(model.dimension)
-    return _real_similarity(unitary, assemble_liouvillian(model))
+    unitary = hermitian_unitary(model.dimension)
+    generator = unitary @ sparse.csr_matrix(dense_liouvillian(model)) @ unitary.conj().T
+    scale = np.abs(generator.data).max(initial=1.0)
+    assert np.abs(generator.data.imag).max(initial=0.0) <= 1e-12 * scale
+    generator = generator.real
+    generator.eliminate_zeros()
+    return generator
 
 
 def reachable(generator, support) -> np.ndarray:
@@ -27,9 +59,13 @@ def reachable(generator, support) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
-def reached_coordinates(model, rho) -> np.ndarray:
-    """Coordinates the nonzero entries of A reach from the states rho (d x d or a stack)."""
+def reached_coordinates(model, rho, generator=None) -> np.ndarray:
+    """Coordinates the nonzero entries of A reach from the states rho (d x d or a stack).
+
+    generator is real_generator(model), built here when not given.
+    """
     d = model.dimension
-    unitary, _ = _hermitian_coordinates(d)
-    x0 = (unitary @ np.asarray(rho, dtype=complex).reshape(-1, d * d).T).real
-    return reachable(real_generator(model), np.flatnonzero(np.any(x0, axis=1)))
+    if generator is None:
+        generator = real_generator(model)
+    x0 = (hermitian_unitary(d) @ np.asarray(rho, dtype=complex).reshape(-1, d * d).T).real
+    return reachable(generator, np.flatnonzero(np.any(x0, axis=1)))

@@ -321,7 +321,7 @@ class TestPropagatorAgainstODEOracle:
 def reached_block(model, rho):
     """The coordinates evolve runs over from the states rho (d x d or a stack), and A on them."""
     d = model.dimension
-    return lindblad._reached_block(lindblad._kron_terms(model), np.reshape(rho, (-1, d, d)))
+    return lindblad._reached_block(*lindblad._kron_terms(model), np.reshape(rho, (-1, d, d)))
 
 
 def reached_coordinates(model, rho) -> np.ndarray:
@@ -363,13 +363,13 @@ class TestReachedCoordinates:
         rho0 = basis_projector(model.basis, 1 << spec.probe_index)
         reached = reached_coordinates(model, rho0)
         assert reached.size == size
-        assert np.array_equal(reached, reach_oracle.reached_coordinates(model, rho0))
+        generator = reach_oracle.real_generator(model)
+        assert np.array_equal(reached, reach_oracle.reached_coordinates(model, rho0, generator))
         if not drive:
             counts = np.array([bin(s).count("1") for s in range(model.dimension)])
             a, b = np.divmod(reached, model.dimension)
             assert np.array_equal(counts[a], counts[b])
         # no reached coordinate feeds one outside the set
-        generator = reach_oracle.real_generator(model)
         outside = np.setdiff1d(np.arange(model.dimension**2), reached)
         assert generator[outside][:, reached].nnz == 0
 
@@ -410,8 +410,9 @@ class TestReachedCoordinates:
 
     def test_block_matches_sparse_similarity_on_random_specs(self):
         # the block built from the factors against U L U^dagger of the
-        # assembled sparse Liouvillian, on a sparse start's reached set and
-        # on all d^2 coordinates (np.ones / d is the pure state |+><+|)
+        # oracle (its own sparse U around the np.kron Liouvillian), on a
+        # sparse start's reached set and on all d^2 coordinates (np.ones / d
+        # is the pure state |+><+|)
         rng = np.random.default_rng(64)
         for n in (1, 2, 3, 4, 5):
             for n_th, driven in ((0.0, False), (rng.uniform(0.01, 0.2), False), (0.0, True),
@@ -429,18 +430,20 @@ class TestReachedCoordinates:
 
     def test_reach_matches_sparse_oracle(self):
         # single states and stacks on random specs, where the reach equals
-        # the search over the assembled generator's nonzeros
+        # the search over the oracle generator's nonzeros
         rng = np.random.default_rng(65)
         for n in (1, 2, 3, 4, 5):
             for n_th, driven in ((0.0, False), (rng.uniform(0.01, 0.2), False), (0.0, True)):
                 model = build_model(random_spec(rng, n, n_th=n_th),
                                     drives=random_drives(rng, n) if driven else ())
+                generator = reach_oracle.real_generator(model)
                 picks = rng.choice(model.dimension, size=min(3, model.dimension), replace=False)
                 first, mixed = (basis_projector(model.basis, *p) for p in (picks[:1], picks[:2]))
                 stack = np.array([first, basis_projector(model.basis, *picks[1:])])
                 for rho in (first, mixed, stack):
                     reached = reached_coordinates(model, rho)
-                    assert np.array_equal(reached, reach_oracle.reached_coordinates(model, rho))
+                    oracle = reach_oracle.reached_coordinates(model, rho, generator)
+                    assert np.array_equal(reached, oracle)
 
     def test_extra_coordinates_stay_zero(self):
         # resonant pair from (|00> + |11>)/sqrt(2): rho_03 starts real and
@@ -483,8 +486,8 @@ class TestReachedCoordinates:
         assert np.array_equal(evolve(model, skew, times), evolve(model, hermitian, times))
 
     def test_evolve_builds_no_sparse_liouvillian(self, monkeypatch):
-        # evolve reads the model's factors alone: the sparse assembly and
-        # its similarity transform are never called
+        # evolve reads the model's factors alone: neither the sparse
+        # assembly nor anything else of scipy.sparse is used
         rng = np.random.default_rng(66)
         models = [build_model(random_spec(rng, 3, n_th=0.1)),
                   build_model(random_spec(rng, 3), drives=random_drives(rng, 3))]
@@ -495,8 +498,12 @@ class TestReachedCoordinates:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("evolve built the sparse Liouvillian")
 
+        class ForbiddenModule:
+            def __getattr__(self, name):
+                forbidden()
+
         monkeypatch.setattr(lindblad, "assemble_liouvillian", forbidden)
-        monkeypatch.setattr(lindblad, "_real_similarity", forbidden)
+        monkeypatch.setattr(lindblad, "sparse", ForbiddenModule())
         for model, reference in zip(models, references):
             assert np.max(np.abs(evolve(model, rho0, times) - reference)) < 1e-12
 
@@ -642,10 +649,20 @@ class TestSteadyStateSweep:
             steady_states(build_model(pair_spec(13.4)), np.linspace(-5.0, 5.0, 5))
 
     def test_residual_failure_names_the_point(self, monkeypatch):
-        hermitian_matrix = lindblad._hermitian_matrix
-        monkeypatch.setattr(
-            lindblad, "_hermitian_matrix", lambda x, gather: hermitian_matrix(x, gather) + 1e-3
-        )
+        # every solution off by 1e-3 in each coordinate: the residual check,
+        # which runs before the trace check, must see it
+        get_lapack_funcs = lindblad.get_lapack_funcs
+
+        def perturbed(names, dtype):
+            getrf, gecon, getrs, lange = get_lapack_funcs(names, dtype=dtype)
+
+            def getrs_off(lu, piv, rhs):
+                x, info = getrs(lu, piv, rhs)
+                return x + 1e-3, info
+
+            return getrf, gecon, getrs_off, lange
+
+        monkeypatch.setattr(lindblad, "get_lapack_funcs", perturbed)
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* at drive detuning 2.5 MHz"):
             steady_states(build_model(pair_spec(13.4, gloss=0.1)), [2.5])
 
@@ -690,7 +707,7 @@ class TestSteadyStateSweep:
 
 
 class TestHermitianCoordinates:
-    """The real steady-state solve: x = U vec(rho), A = U L U^dagger."""
+    """The real generator A = U L U^dagger in the coordinates x = U vec(rho)."""
 
     @staticmethod
     def random_models():
@@ -701,59 +718,75 @@ class TestHermitianCoordinates:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
     def test_unitary(self, d):
-        unitary, _ = lindblad._hermitian_coordinates(d)
+        # the rows _coordinate_weights gives on all d^2 coordinates are
+        # those of the oracle's U, built from the definition, which is unitary
+        index = np.arange(d * d)
+        alpha, beta, partner = lindblad._coordinate_weights(index, d)
+        weights = sparse.csr_matrix(
+            (np.concatenate([alpha, beta]), (np.concatenate([index, index]),
+                                             np.concatenate([index, partner]))),
+            shape=(d * d, d * d),
+        )
+        unitary = reach_oracle.hermitian_unitary(d)
+        assert abs(weights - unitary).max() < 1e-15
         identity = (unitary @ unitary.conj().T).toarray()
         assert np.max(np.abs(identity - np.eye(d * d))) < 1e-15
 
     def test_liouvillian_is_real(self):
+        # the oracle asserts U L U^dagger has no imaginary part beyond 1e-12
         for model in self.random_models():
-            unitary, _ = lindblad._hermitian_coordinates(model.dimension)
-            liouville = assemble_liouvillian(model)
-            reference = unitary.toarray() @ liouville.toarray() @ unitary.conj().T.toarray()
-            scale = np.max(np.abs(reference))
-            assert np.max(np.abs(reference.imag)) <= 1e-12 * scale
-            real = lindblad._real_similarity(unitary, liouville)
-            assert real.dtype == np.float64
-            assert np.max(np.abs(real.toarray() - reference.real)) <= 1e-12 * scale
+            d = model.dimension
+            flat, values = lindblad._real_generator(*lindblad._kron_terms(model), np.arange(d * d))
+            assert values.dtype == np.float64
+            assert np.all(np.diff(flat) > 0)
+            reference = reach_oracle.real_generator(model).toarray().reshape(-1)
+            generator = np.zeros(d**4)
+            generator[flat] = values
+            assert np.max(np.abs(generator - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_coordinates_of_a_qubit(self):
-        unitary, _ = lindblad._hermitian_coordinates(2)
         rho = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
-        x = unitary @ rho.reshape(-1)
-        assert np.allclose(x, [0.7, math.sqrt(2) * 0.1, -math.sqrt(2) * 0.2, 0.3], atol=1e-15)
+        expected = [0.7, math.sqrt(2) * 0.1, -math.sqrt(2) * 0.2, 0.3]
+        alpha, beta, partner = lindblad._coordinate_weights(np.arange(4), 2)
+        vec = rho.reshape(-1)
+        assert np.allclose(alpha * vec + beta * vec[partner], expected, atol=1e-15)
+        assert np.allclose(reach_oracle.hermitian_unitary(2) @ vec, expected, atol=1e-15)
 
     def test_non_hermitian_map_rejected(self):
         # rho -> i rho maps Hermitian matrices to anti-Hermitian ones
-        unitary, _ = lindblad._hermitian_coordinates(3)
+        eye = np.eye(3, dtype=complex)[None]
         with pytest.raises(ValueError, match="Hermitian"):
-            lindblad._real_similarity(unitary, 1j * sparse.identity(9, format="csr"))
+            lindblad._real_generator(1j * eye, eye, np.arange(9))
 
     def test_cached_per_dimension_and_read_only(self):
-        unitary, gather = lindblad._hermitian_coordinates(6)
-        again = lindblad._hermitian_coordinates(6)
-        assert again[0] is unitary and again[1] is gather
-        for array in (unitary.data, unitary.indices, unitary.indptr, *gather):
+        gather = lindblad._hermitian_gather(6)
+        assert lindblad._hermitian_gather(6) is gather
+        for array in gather:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     @pytest.mark.parametrize("d", [2, 5, 32])
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
-        unitary, gather = lindblad._hermitian_coordinates(d)
         x = rng.normal(size=d * d)
-        rho = lindblad._hermitian_matrix(x, gather).reshape(d, d)
+        rho = lindblad._hermitian_matrix(x, lindblad._hermitian_gather(d)).reshape(d, d)
         assert np.array_equal(rho, rho.conj().T)
-        assert np.max(np.abs(unitary @ rho.reshape(-1) - x)) < 1e-15
+        vec = rho.reshape(-1)
+        assert np.max(np.abs(reach_oracle.hermitian_unitary(d) @ vec - x)) < 1e-15
+        alpha, beta, partner = lindblad._coordinate_weights(np.arange(d * d), d)
+        assert np.max(np.abs(alpha * vec + beta * vec[partner] - x)) < 1e-15
 
     def test_detuning_generator_only_rotates_coherences(self):
         basis = ProductBasis(4)
         d = basis.dimension
-        unitary, gather = lindblad._hermitian_coordinates(d)
         generator = lindblad._detuning_generator(basis)
-        rotation = lindblad._detuning_rotation(generator, gather)
-        reference = unitary.toarray() @ np.diag(generator) @ unitary.conj().T.toarray()
-        assert np.max(np.abs(rotation.toarray() - reference)) < 1e-12
-        rows, cols = rotation.nonzero()
+        rows, cols, values = lindblad._detuning_rotation(generator, d)
+        unitary = reach_oracle.hermitian_unitary(d)
+        reference = (unitary @ sparse.diags(generator) @ unitary.conj().T).toarray()
+        rotation = np.zeros((d * d, d * d))
+        rotation[rows, cols] = values
+        assert np.unique(rows).size == rows.size
+        assert np.max(np.abs(rotation - reference)) < 1e-12
         assert rows.size > 0 and not np.any(rows == 0)
         a, b = np.divmod(rows, d)
         assert np.array_equal(cols, b * d + a) and not np.any(a == b)
@@ -770,6 +803,88 @@ class TestHermitianCoordinates:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+
+def probe_cavity(n_mirrors, n_th):
+    return core.cavity_spec(
+        QubitParams("M", 13.4, 0.0065, 0.21), QubitParams("P", 1.19, 0.0065, 0.191),
+        n_mirrors=n_mirrors, probe_detuning=0.5, n_th=n_th,
+    )
+
+
+class TestRealGenerator:
+    """_real_generator against the oracle's U L U^dagger, on a reached block and on all d^2."""
+
+    @pytest.mark.parametrize("n_mirrors, n_th, drive, size", [
+        (2, 0.0, 0.0, 10), (4, 0.0, 0.0, 26), (4, 0.02, 0.0, 252), (4, 0.0, 3.0, 1024),
+    ])
+    def test_block_matches_oracle(self, n_mirrors, n_th, drive, size):
+        spec = probe_cavity(n_mirrors, n_th)
+        model = build_model(spec, drives=((spec.probe_index, drive),) if drive else ())
+        reached, block = reached_block(model, basis_projector(model.basis, 1 << spec.probe_index))
+        assert reached.size == size
+        reference = reach_oracle.real_generator(model)[reached][:, reached].toarray()
+        assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n_mirrors", [0, 2, 4])
+    def test_bordered_matrix_matches_oracle(self, monkeypatch, n_mirrors):
+        # the matrices steady_states factors at d = 2, 8 and 32 for a thermal
+        # driven spec: the oracle generator of the model with its qubits
+        # detuned by delta, row 0 replaced by the trace row sum_a x_aa
+        q = QubitParams("Q", 13.4, 0.0065, 0.21)
+        if n_mirrors:
+            spec = probe_cavity(n_mirrors, 0.03)
+        else:
+            spec = SystemSpec(qubits=((q, Placement(0.0)),), detunings=(0.5,), n_th=0.03)
+        drives = tuple((j, 2.0 + j) for j in range(spec.n_qubits))
+        grid = [0.0, 1.5]
+        factored = []
+        get_lapack_funcs = lindblad.get_lapack_funcs
+
+        def recording(names, dtype):
+            getrf, *rest = get_lapack_funcs(names, dtype=dtype)
+
+            def recording_getrf(a, **kwargs):
+                factored.append(np.array(a))
+                return getrf(a, **kwargs)
+
+            return (recording_getrf, *rest)
+
+        monkeypatch.setattr(lindblad, "get_lapack_funcs", recording)
+        steady_states(build_model(spec, drives=drives), grid)
+        assert len(factored) == len(grid)
+        d = 2**spec.n_qubits
+        for delta, matrix in zip(grid, factored):
+            reference = reach_oracle.real_generator(shifted_model(spec, drives, delta)).toarray()
+            reference[0] = 0.0
+            reference[0, np.arange(d) * (d + 1)] = 1.0
+            assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_one_point_peak_memory(self):
+        # one d = 32 point: the 8 MiB work array and the entries; summing
+        # the entries into d^4 bins, or a dense copy of the bordered matrix
+        # beside the work array, exceeds 12 MiB
+        model = build_model(probe_cavity(4, 0.03), drives=((2, 3.0), (0, 1.0)))
+        tracemalloc.start()
+        try:
+            steady_states(model, [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
+    def test_build_forms_no_square_array(self):
+        # the construction on all 1024 coordinates stays below one real
+        # 1024 x 1024 array (8 MiB)
+        model = build_model(probe_cavity(4, 0.03), drives=((2, 3.0), (0, 1.0)))
+        terms = lindblad._kron_terms(model)
+        tracemalloc.start()
+        try:
+            lindblad._real_generator(*terms, np.arange(1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestThermalClosedForm:
