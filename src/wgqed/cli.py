@@ -154,13 +154,26 @@ def _check_schema(schema: dict, document) -> None:
     # min keeps the first of equal paths, as jsonschema's errors sorted stably by path
     error = min(_schema_errors(schema, document), key=lambda error: error[0], default=None)
     if error is not None:
-        path, message = error
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-        raise ConfigError(f"config error at ${where}: {message}")
+        raise _config_error(*error)
+
+
+def _config_error(path: tuple, message: str) -> ConfigError:
+    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return ConfigError(f"config error at ${where}: {message}")
+
+
+def _non_finite(document, path=()):
+    """(key path, value) of each NaN or infinite number (json.loads reads NaN, Infinity, 1e999)."""
+    if isinstance(document, float) and not math.isfinite(document):
+        yield path, document
+    elif isinstance(document, (dict, list)):
+        items = document.items() if isinstance(document, dict) else enumerate(document)
+        for key, value in items:
+            yield from _non_finite(value, path + (key,))
 
 
 def validate_config(config: dict) -> None:
-    """Schema-validate a config dict; raises ConfigError naming the key."""
+    """Schema-validate a config dict, all numbers finite; raises ConfigError naming the key."""
     if not isinstance(config, dict):
         raise ConfigError("config error at $: document must be a JSON object")
     experiment = config.get("experiment")
@@ -177,6 +190,8 @@ def validate_config(config: dict) -> None:
         _object_schema({"params": _object_schema(entry.params, entry.required)}),
         {"params": config.get("params", {})},
     )
+    for path, value in _non_finite(config):
+        raise _config_error(path, f"{value!r} is not a finite number")
 
 
 def load_config(path) -> dict:

@@ -10,24 +10,26 @@ rate matrix into collective jumps once.
 Every solver works in Hermitian coordinates, the d^2 real parameters of
 rho, where the generator A = U L U^dagger is real, and gets A from one
 construction, _real_generator, which reads it from the factors' nonzeros
-on a set of coordinates.  :func:`evolve` and :func:`dominant_oscillation`
-use the coordinates their states can reach, so a symmetry such as the
-excitation-number conservation of an undriven hold shows up as a small
-block without any rule that names it; evolve exponentiates the block once
-per distinct grid step.  :func:`steady_states` uses all d^2 coordinates,
-once per sweep over the drive detuning delta, which only shifts the
-diagonal: L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b), N
-the total excitation number.  Each point is one real dense LU solve of the
-trace-bordered generator, whose LAPACK condition estimate flags a
-degenerate null space.  Both solvers check their stack of states once
-(_check_states: unit trace, no eigenvalue below -1e-8) and name the
-failing time or drive detuning.  :func:`assemble_liouvillian` gives the
-complex CSR Liouvillian for outside checks.
+on a set of coordinates; U is written once, as its rows on such a set
+(_coordinate_weights), which also give vec(rho) = U^dagger x.
+:func:`evolve` and :func:`dominant_oscillation` share one preamble,
+_reached_block, over the coordinates their states can reach, so a
+symmetry such as the excitation-number conservation of an undriven hold
+shows up as a small block without any rule that names it; evolve
+exponentiates the block once per distinct grid step.
+:func:`steady_states` uses all d^2 coordinates, once per sweep over the
+drive detuning delta, which only shifts the diagonal: L(delta) = L0 +
+delta K with K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation
+number.  Each point is one real dense LU solve of the trace-bordered
+generator, whose LAPACK condition estimate flags a degenerate null space.
+Both solvers check their stack of states once (_check_states: unit
+trace, no eigenvalue below -1e-8, NaN failing) and name the failing time
+or drive detuning.  :func:`assemble_liouvillian` gives the complex CSR
+Liouvillian for outside checks.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,55 +313,36 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_gather(d: int):
-    """Where each entry of a d x d Hermitian matrix reads its Hermitian coordinates.
-
-    The coordinates x have x[a*d + a] = rho_aa and, for a < b, x[a*d + b] =
-    sqrt(2) Re rho_ab and x[b*d + a] = sqrt(2) Im rho_ab, so x is real
-    exactly when rho is Hermitian; x = U vec(rho) with U unitary.  Entry i
-    of the row-major vec is vec(rho)[i] = real_scale[i] x[real_at[i]] + i
-    imag_scale[i] x[imag_at[i]]; returns (real_at, real_scale, imag_at,
-    imag_scale) for _hermitian_matrix.  Cached per dimension, so every
-    array is read-only.
-    """
-    index = np.arange(d * d)
-    a, b = np.divmod(index, d)
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    gather = (low * d + high, np.where(a == b, 1.0, np.sqrt(0.5)),
-              high * d + low, np.sign(b - a) * np.sqrt(0.5))
-    for array in gather:
-        array.flags.writeable = False
-    return gather
-
-
-def _hermitian_matrix(x: np.ndarray, gather) -> np.ndarray:
-    """Row-major vec of the Hermitian matrix with real Hermitian coordinates x.
-
-    x holds the coordinates on its last axis (leading axes are a stack),
-    in the order the gather's indices read them.  Entries ab and ba read
-    the same two coordinates with the imaginary part negated, so the
-    result is exactly Hermitian.
-    """
-    real_at, real_scale, imag_at, imag_scale = gather
-    vec = np.empty(x.shape[:-1] + real_at.shape, dtype=complex)
-    np.multiply(x[..., real_at], real_scale, out=vec.real)
-    np.multiply(x[..., imag_at], imag_scale, out=vec.imag)
-    return vec
-
-
 def _coordinate_weights(reached: np.ndarray, d: int):
-    """The rows of U (x = U vec(rho), _hermitian_gather) on coordinates closed under a <-> b.
+    """The rows of U, x = U vec(rho), on coordinates closed under a <-> b.
 
-    U has at most two entries per row, so on that set x = alpha v + beta
-    v[partner], with v the row-major vec restricted to the set and partner
-    the position of entry ba for entry ab.  Returns (alpha, beta, partner).
+    The Hermitian coordinates have x[a*d + a] = rho_aa and, for a < b,
+    x[a*d + b] = sqrt(2) Re rho_ab and x[b*d + a] = sqrt(2) Im rho_ab, so x
+    is real exactly when rho is Hermitian, and U is unitary.  U has at most
+    two entries per row, so on that set x = alpha v + beta v[partner], with
+    v the row-major vec restricted to the set and partner the position of
+    entry ba for entry ab.  Returns (alpha, beta, partner); this is the one
+    place U is written.
     """
     a, b = np.divmod(reached, d)
     scale = np.sqrt(0.5)
     alpha = np.where(a < b, scale, np.where(a > b, 1j * scale, 1.0))
     beta = np.where(a < b, scale, np.where(a > b, -1j * scale, 0.0))
     return alpha, beta, np.searchsorted(reached, b * d + a)
+
+
+def _hermitian_vec(x: np.ndarray, weights) -> np.ndarray:
+    """vec(rho) = U^dagger x on a coordinate set, from its rows of U (_coordinate_weights).
+
+    x holds real coordinates on its last axis (leading axes are a stack).
+    Through the adjoint of each orbit's 2 x 2 block, v_i = conj(alpha_i) x_i
+    + conj(beta[partner_i]) x[partner_i]: exactly Hermitian, and C-ordered
+    whatever the layout of x, so each state's vec is one contiguous row.
+    """
+    alpha, beta, partner = weights
+    vec = np.multiply(alpha.conj(), x, order="C")
+    vec += beta.conj()[partner] * x[..., partner]
+    return vec
 
 
 def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
@@ -406,18 +389,32 @@ def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
     return at[order], generator.real[order]
 
 
-def _reached_block(left: np.ndarray, right: np.ndarray, states: np.ndarray):
-    """The coordinates evolution can fill from a stack of states, and the real generator on them.
+def _reached_block(model: LindbladModel, rho: np.ndarray):
+    """The coordinates evolution can fill from a state or stack, A on them, and the start.
 
-    L feeds rho_ab from rho_a'b' with sum_t A[t, a, a'] B[t, b, b']
+    rho is a complex d x d state or m x d x d stack: ValueError unless d is
+    the model's dimension and each state is Hermitian within 1e-10 (NaN
+    fails).  L feeds rho_ab from rho_a'b' with sum_t A[t, a, a'] B[t, b, b']
     (_kron_terms).  The reached pairs (a, b) are a boolean fixed point on a
-    d x d matrix R, from every entry rho_ab or rho_ba nonzero in some state
-    of the (m, d, d) stack, each step adding P(A[t]) R P(B[t])^T for every
-    term (P: nonzero pattern).  Entries never reached stay exactly zero.
-    The terms mirror each other under a <-> b, so the set is closed under
-    a <-> b, the same in the vec and in Hermitian coordinates.  Returns the
-    sorted reached indices a*d + b and the dense block of A on them.
+    d x d matrix R, from every entry rho_ab or rho_ba nonzero in some
+    state, each step adding P(A[t]) R P(B[t])^T for every term (P: nonzero
+    pattern).  Entries never reached stay exactly zero.  The terms mirror
+    each other under a <-> b, so the set is closed under a <-> b, the same
+    in the vec and in Hermitian coordinates.  Returns the sorted reached
+    indices a*d + b, the dense block of A on them, the rows of U on them
+    (_coordinate_weights) and the (m, n) start coordinates x0 = U vec(rho).
     """
+    d = model.dimension
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+        raise ValueError("initial state dimension mismatch")
+    states = rho.reshape(-1, d, d)
+    deviation = np.abs(states - np.swapaxes(states, 1, 2).conj()).max(axis=(1, 2))
+    bad = np.flatnonzero(~(deviation <= 1e-10))
+    if bad.size:
+        k = bad[0]
+        which = "initial state" if rho.ndim == 2 else f"initial state {k} of the stack"
+        raise ValueError(f"{which} is not Hermitian within 1e-10 (deviation {deviation[k]:.3e})")
+    left, right = _kron_terms(model)
     support = (states != 0).any(axis=0)
     reached = support | support.T
     # 0/1 patterns in float32: exact for these counts (at most d^2), half the memory
@@ -432,11 +429,24 @@ def _reached_block(left: np.ndarray, right: np.ndarray, states: np.ndarray):
     flat, values = _real_generator(left, right, index)
     block = np.zeros((index.size, index.size))
     block.flat[flat] = values
-    return index, block
+    alpha, beta, partner = weights = _coordinate_weights(index, d)
+    vecs = states.reshape(-1, d * d)[:, index]
+    return index, block, weights, (alpha * vecs + beta * vecs[:, partner]).real
+
+
+def _lowest_eigenvalues(stack: np.ndarray, axes: tuple) -> np.ndarray:
+    """Lowest eigenvalue over axes per point of a (points, ..., k, k) stack; NaN if not finite."""
+    try:
+        return np.linalg.eigvalsh(stack).min(axis=axes)
+    except np.linalg.LinAlgError:  # on NaN: finite points then read inf, unchecked
+        finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+        if finite.all():
+            raise
+        return np.where(finite, np.inf, np.nan)
 
 
 def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
-    """ValueError unless each state has unit trace and no eigenvalue below -1e-8.
+    """ValueError unless each state has unit trace and no eigenvalue below -1e-8 (NaN fails both).
 
     states is a (len(points), ..., d, d) stack with one leading entry per
     point; the message names the first failing point as where.format(point),
@@ -449,7 +459,7 @@ def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
     once per nonzero block on the whole stack.
     """
     traces = np.trace(states, axis1=-2, axis2=-1).real
-    bad = np.argwhere(np.abs(traces - 1.0) > 1e-9)
+    bad = np.argwhere(~(np.abs(traces - 1.0) <= 1e-9))  # NaN fails too
     if bad.size:
         k = tuple(bad[0])
         raise ValueError(
@@ -457,7 +467,7 @@ def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
         )
     axes = tuple(range(1, states.ndim - 1))  # all but the point axis of the eigenvalues
     if reached is None:
-        lowest = np.linalg.eigvalsh(states).min(axis=axes)
+        lowest = _lowest_eigenvalues(states, axes)
     else:
         d = states.shape[-1]
         a, b = np.divmod(reached, d)
@@ -475,8 +485,8 @@ def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
             members = np.flatnonzero(linked[np.argmax(pending)])
             pending[members] = False
             block = states[..., members[:, None], members]
-            lowest = np.minimum(lowest, np.linalg.eigvalsh(block).min(axis=axes))
-    bad = np.flatnonzero(lowest < -1e-8)
+            lowest = np.minimum(lowest, _lowest_eigenvalues(block, axes))
+    bad = np.flatnonzero(~(lowest >= -1e-8))
     if bad.size:
         k = bad[0]
         raise ValueError(
@@ -496,28 +506,25 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     one excitation among five qubits it reaches 26 of the 1024 coordinates
     at n_th = 0 and 252 with thermal excitation, while a drive reaches all.
     Each step multiplies by the exponential of the block; steps equal
-    within 1e-12 relative share one exponential.  ValueError unless rho0
-    (each state of a stack) is Hermitian within 1e-10.  States are
-    gathered from real x, so they are exactly Hermitian, and each one, rho0
-    included, must have unit trace within 1e-9 and no eigenvalue below
-    -1e-8 (_check_states).
+    within 1e-12 relative share one exponential.  ValueError unless the
+    times are finite and rho0 (each state of a stack) is Hermitian within
+    1e-10.  States are read back as U^dagger x from real x (_hermitian_vec),
+    so they are exactly Hermitian, and each one, rho0 included, must have
+    unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1D grid")
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ValueError(f"times must be finite: t = {times[~finite][0]:g} us")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     rho = np.asarray(rho0, dtype=complex)
     d = model.dimension
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
-        raise ValueError("initial state dimension mismatch")
-    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
-        raise ValueError("initial state is not Hermitian within 1e-10")
-    reached, block = _reached_block(*_kron_terms(model), rho.reshape(-1, d, d))
-    alpha, beta, partner = _coordinate_weights(reached, d)
-    vecs = rho.reshape(-1, d * d)[:, reached]
+    reached, block, weights, x0 = _reached_block(model, rho)
     exponentials: list[tuple[float, np.ndarray]] = []
-    path = [(alpha * vecs + beta * vecs[:, partner]).real.T]  # one column per state
+    path = [x0.T]  # one column per state
     for step in np.diff(times):
         for known, exponential in exponentials:
             if abs(step - known) <= 1e-12 * known:
@@ -526,16 +533,10 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
             exponential = _expm(block * step)
             exponentials.append((step, exponential))
         path.append(exponential @ path[-1])
-    # gather rho from the reached coordinates alone: every other coordinate
-    # reads the zero column appended after them
-    position = np.full(d * d, reached.size)
-    position[reached] = np.arange(reached.size)
-    x = np.zeros((times.size, vecs.shape[0], reached.size + 1))
-    x[..., :-1] = np.swapaxes(path, 1, 2)
-    real_at, real_scale, imag_at, imag_scale = _hermitian_gather(d)
-    local = (position[real_at], real_scale, position[imag_at], imag_scale)
-    states = _hermitian_matrix(x, local).reshape(times.size, -1, d, d)
-    _check_states(states, times, "t = {:g} us", reached)
+    # U^dagger x on the reached coordinates; every other entry stays zero
+    states = np.zeros((times.size, len(x0), d * d), dtype=complex)
+    states[..., reached] = _hermitian_vec(np.swapaxes(path, 1, 2), weights)
+    _check_states(states.reshape(times.size, -1, d, d), times, "t = {:g} us", reached)
     return states.reshape((times.size,) + rho.shape)
 
 
@@ -583,11 +584,12 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     Then, once per sweep, y = (A + delta K_r) x = U L vec(rho) from one
     sparse product; max |U^dagger y| = max |L vec(rho)| above 1e-10 of the
     1-norm of that point's bordered matrix raises DegenerateSteadyStateError.
-    The states, gathered from the real x and so exactly Hermitian, must have
-    unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states,
-    ValueError).  Messages name the drive detuning (MHz) of the first failing
-    point.  Returns a complex (len(detunings), d, d) array.  A nonzero
-    detuning needs the model's qubit basis (ValueError without one).
+    The states, U^dagger x from the real x (_hermitian_vec) and so exactly
+    Hermitian, must have unit trace within 1e-9 and no eigenvalue below
+    -1e-8 (_check_states, ValueError).  Messages name the drive detuning
+    (MHz) of the first failing point.  Returns a complex (len(detunings),
+    d, d) array.  A nonzero detuning needs the model's qubit basis
+    (ValueError without one).
     """
     detunings = np.asarray(detunings, dtype=float).reshape(-1)
     d = model.dimension
@@ -640,14 +642,10 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     shift *= detunings
     y[rotation_rows] += shift
     del shift
-    real_at, real_scale, imag_at, imag_scale = gather = _hermitian_gather(d)
+    weights = _coordinate_weights(np.arange(n), d)
     # |L vec(rho)| entry by entry: the moduli of U^dagger y
-    real, imag = y[real_at], y[imag_at]
+    residuals = np.abs(_hermitian_vec(y.T, weights)).max(axis=1)
     del y
-    real *= real_scale[:, None]
-    imag *= imag_scale[:, None]
-    residuals = np.hypot(real, imag, out=real).max(axis=0)
-    del real, imag
     bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
     if bad.size:
         k = bad[0]
@@ -655,7 +653,7 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
             f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
             f"{detunings[k]:g} MHz"
         )
-    states = _hermitian_matrix(x.T, gather).reshape(detunings.size, d, d)
+    states = _hermitian_vec(x.T, weights).reshape(detunings.size, d, d)
     _check_states(states, detunings, "drive detuning {:g} MHz")
     return states
 
@@ -670,15 +668,12 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     d x d state, which gives one (frequency, damping) pair, or an m x d x d
     stack, which gives a list of m pairs from one eigendecomposition.  The
     modes are those of the real generator block on the coordinates the
-    stack reaches (_reached_block): no other mode carries amplitude.
+    stack reaches (_reached_block, which checks the states as evolve does):
+    no other mode carries amplitude.
     """
     rho = np.asarray(rho0, dtype=complex)
-    d = model.dimension
-    reached, block = _reached_block(*_kron_terms(model), rho.reshape(-1, d, d))
+    reached, block, (alpha, beta, partner), starts = _reached_block(model, rho)
     values, left, right = eig(block, left=True)
-    alpha, beta, partner = _coordinate_weights(reached, d)
-    vecs = rho.reshape(-1, d * d)[:, reached]
-    starts = (alpha * vecs + beta * vecs[:, partner]).real
     # tr(O rho) = o . vec(rho) with o = vec(O^T), and vec(rho) = U^dagger x
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
     obs_vec = obs_vec * alpha.conj() + obs_vec[partner] * beta.conj()

@@ -371,11 +371,6 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     return CompoundResult(tuple(traces), splitting, dark_freqs)
 
 
-def _rate_from_lifetime(lifetime_ns, sigma_ns):
-    rate = 1e3 / (TWO_PI * lifetime_ns)
-    return rate, rate * sigma_ns / lifetime_ns if lifetime_ns > 0 else math.inf
-
-
 def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]:
     """Times and values of a trace fit: all finite, at least 8 points."""
     t, y = trace.times, trace.values
@@ -385,6 +380,52 @@ def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]
     if t.size < 8:
         raise FitError(f"need at least 8 points for {model} fit")
     return t, y
+
+
+def _solve(model, jacobian, t, y, p0, name: str):
+    """One unbounded MINPACK Levenberg-Marquardt solve of model to (t, y) from p0.
+
+    curve_fit with the analytic jacobian and FIT_TOLERANCE, warnings
+    silenced: a covariance it cannot estimate comes back infinite and fails
+    _report's amplitude test.  Returns the parameters as a list, their
+    standard errors and the residual norm; FitError carrying p0 as best if
+    the solve fails.
+    """
+    # imported at the first fit: scipy.optimize is a quarter of the CLI's import
+    # time, and most runs fit nothing
+    from scipy.optimize import curve_fit
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            params, cov = curve_fit(
+                model, t, y, p0=p0, jac=jacobian, method="lm", maxfev=20000,
+                xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+            )
+        except RuntimeError as err:
+            raise FitError(f"{name} fit failed: {err}", best=tuple(p0)) from err
+        residual = float(np.linalg.norm(model(t, *params) - y))
+    return list(params), np.sqrt(np.abs(np.diag(cov))), residual
+
+
+def _report(model: str, names, params, sigmas, residual: float, signal: str) -> FitResult:
+    """The FitResult of a solve, named parameter by parameter, plus rate_mhz.
+
+    params[0] is the amplitude and params[1] the lifetime (ns), whose rate
+    1/(2 pi T) in MHz is added.  FitError if the amplitude is below
+    MIN_AMPLITUDE_SIGMAS of its own standard error: no significant signal.
+    """
+    if not abs(params[0]) >= MIN_AMPLITUDE_SIGMAS * sigmas[0]:
+        raise FitError(
+            f"fitted amplitude {params[0]:.3g} is below {MIN_AMPLITUDE_SIGMAS:g} "
+            f"standard errors ({sigmas[0]:.3g}): no significant {signal}",
+            best=tuple(params),
+        )
+    parameters = {name: (float(p), float(sigma)) for name, p, sigma in zip(names, params, sigmas)}
+    lifetime, sigma = params[1], sigmas[1]
+    rate = 1e3 / (TWO_PI * lifetime)
+    parameters["rate_mhz"] = (rate, rate * sigma / lifetime if lifetime > 0 else math.inf)
+    return FitResult(model=model, parameters=parameters, residual_norm=residual)
 
 
 def fit_exponential(trace: TimeTrace) -> FitResult:
@@ -415,35 +456,11 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
         decay = np.exp(-t / lifetime)
         return np.column_stack((decay, amp * decay * t / lifetime**2, np.ones_like(t)))
 
-    # imported at the first fit: scipy.optimize is a quarter of the CLI's import
-    # time, and most runs fit nothing
-    from scipy.optimize import curve_fit
-
-    try:
-        params, cov = curve_fit(
-            model, t, y, p0=[amp0, lifetime0, offset0], jac=jacobian, method="lm", maxfev=20000,
-            xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
-        )
-    except RuntimeError as err:
-        raise FitError(f"exponential fit failed: {err}") from err
-    sigmas = np.sqrt(np.abs(np.diag(cov)))
-    if not abs(params[0]) >= MIN_AMPLITUDE_SIGMAS * sigmas[0]:
-        raise FitError(
-            f"fitted amplitude {params[0]:.3g} is below {MIN_AMPLITUDE_SIGMAS:g} "
-            f"standard errors ({sigmas[0]:.3g}): no significant decay",
-            best=tuple(params),
-        )
-    residual = float(np.linalg.norm(model(t, *params) - y))
-    rate, rate_sigma = _rate_from_lifetime(params[1], sigmas[1])
-    return FitResult(
-        model="exponential",
-        parameters={
-            "amplitude": (float(params[0]), float(sigmas[0])),
-            "lifetime_ns": (float(params[1]), float(sigmas[1])),
-            "offset": (float(params[2]), float(sigmas[2])),
-            "rate_mhz": (rate, rate_sigma),
-        },
-        residual_norm=residual,
+    params, sigmas, residual = _solve(
+        model, jacobian, t, y, [amp0, lifetime0, offset0], "exponential"
+    )
+    return _report(
+        "exponential", ("amplitude", "lifetime_ns", "offset"), params, sigmas, residual, "decay"
     )
 
 
@@ -566,21 +583,9 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         d_lifetime, d_f = amp * d_amp * t / lifetime**2, d_phi * TWO_PI * t * 1e-3
         return np.column_stack((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
 
-    from scipy.optimize import curve_fit  # imported here, as in fit_exponential
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            params, cov = curve_fit(
-                model, t_fit, y_fit, p0=p0, jac=jacobian, method="lm", maxfev=20000,
-                xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
-            )
-        except RuntimeError as err:
-            raise FitError(f"sinusoid fit failed: {err}", best=tuple(p0)) from err
-    params = list(params)
+    params, sigmas, residual = _solve(model, jacobian, t_fit, y_fit, p0, "sinusoid")
     if not params[1] > 0:
         raise FitError(f"fitted lifetime {params[1]:.3g} ns is not positive", best=tuple(params))
-    residual = float(np.linalg.norm(model(t_fit, *params) - y_fit))
     if params[2] < 0:  # cos is even: fold the frequency sign into the phase
         params[2], params[3] = -params[2], -params[3]
     if params[0] < 0:  # fold the sign into the phase
@@ -593,23 +598,5 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
             f"over {span_us:.3g} us)",
             best=tuple(params),
         )
-    sigmas = np.sqrt(np.abs(np.diag(cov)))
-    if not params[0] >= MIN_AMPLITUDE_SIGMAS * sigmas[0]:
-        raise FitError(
-            f"fitted amplitude {params[0]:.3g} is below {MIN_AMPLITUDE_SIGMAS:g} "
-            f"standard errors ({sigmas[0]:.3g}): no significant oscillation",
-            best=tuple(params),
-        )
-    rate, rate_sigma = _rate_from_lifetime(params[1], sigmas[1])
-    return FitResult(
-        model="damped-sinusoid",
-        parameters={
-            "amplitude": (float(params[0]), float(sigmas[0])),
-            "lifetime_ns": (float(params[1]), float(sigmas[1])),
-            "frequency_mhz": (float(params[2]), float(sigmas[2])),
-            "phase_rad": (float(params[3]), float(sigmas[3])),
-            "offset": (float(params[4]), float(sigmas[4])),
-            "rate_mhz": (rate, rate_sigma),
-        },
-        residual_norm=residual,
-    )
+    names = ("amplitude", "lifetime_ns", "frequency_mhz", "phase_rad", "offset")
+    return _report("damped-sinusoid", names, params, sigmas, residual, "oscillation")

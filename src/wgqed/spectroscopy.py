@@ -175,7 +175,8 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     (lindblad.steady_states).  The emitted field is the linear functional
     w . vec(rho) of _emission_functional, so t = 1 + w . vec(rho) / a_in
     for the waveguide port.  For that port the scan is checked to stay
-    passive (|t| <= 1); the xy port returns w . vec(rho) normalized to the
+    passive (|t| <= 1; RuntimeError naming the first failing detuning, NaN
+    included); the xy port returns w . vec(rho) normalized to the
     local drive Omega_xy/2, which resolves the hybridized probe-dark
     resonances without the bright-state background.
     """
@@ -194,8 +195,13 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     emitted = np.array([emission @ vec for vec in states.reshape(detunings.size, -1)])
     if drive.port == "waveguide":
         t_values = 1.0 + emitted / a_in
-        if np.max(np.abs(t_values)) > 1.0 + 1e-9:
-            raise RuntimeError("non-passive transmission amplitude; check the drive model")
+        active = np.flatnonzero(~(np.abs(t_values) <= 1.0 + 1e-9))  # NaN fails too
+        if active.size:
+            k = active[0]
+            raise RuntimeError(
+                f"non-passive transmission amplitude |t| = {abs(t_values[k]):.6g} at drive "
+                f"detuning {detunings[k]:g} MHz; check the drive model"
+            )
     else:
         t_values = emitted / (amplitudes[drive.xy_qubit] / 2.0)
     metadata = {

@@ -76,6 +76,22 @@ class TestValidation:
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize("literal, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e999", "inf"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, literal, shown):
+        # json.loads reads these literals; run would sweep a NaN grid to NaN rows
+        config = json.loads(Path(bundled("fig1c_q1")).read_text())
+        config["params"]["start_mhz"] = "@"
+        path = tmp_path / "nan.cfg"
+        path.write_text(json.dumps(config).replace('"@"', literal))
+        message = f"config error at $.params.start_mhz: {shown} is not a finite number\n"
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == message
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == message
+        assert not list(tmp_path.glob("run*"))
+
     def test_bundled_configs_all_validate(self):
         for entry in files("wgqed").joinpath("configs").iterdir():
             assert cli.main(["validate", str(entry)]) == 0

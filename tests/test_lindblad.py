@@ -19,6 +19,7 @@ from wgqed.lindblad import (
     assemble_liouvillian,
     build_model,
     dark_state_rates,
+    dominant_oscillation,
     evolve,
     steady_states,
     thermal_qubit_steady,
@@ -320,8 +321,7 @@ class TestPropagatorAgainstODEOracle:
 
 def reached_block(model, rho):
     """The coordinates evolve runs over from the states rho (d x d or a stack), and A on them."""
-    d = model.dimension
-    return lindblad._reached_block(*lindblad._kron_terms(model), np.reshape(rho, (-1, d, d)))
+    return lindblad._reached_block(model, np.asarray(rho, dtype=complex))[:2]
 
 
 def reached_coordinates(model, rho) -> np.ndarray:
@@ -571,6 +571,38 @@ class TestReachedCoordinates:
         with pytest.raises(ValueError, match="increasing"):
             evolve(model, np.eye(4) / 4, [0.0, 0.1, 0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_named(self, bad):
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        for times in ([0.0, 0.1, bad], [bad, 0.1]):
+            with pytest.raises(ValueError, match=rf"times must be finite: t = {bad:g} us"):
+                evolve(model, np.eye(4) / 4, times)
+
+    def test_nan_initial_state_names_the_state(self):
+        # NaN - conj(NaN) is NaN, which must fail the Hermiticity check
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        good = basis_projector(model.basis, 0b01)
+        bad = good.copy()
+        bad[2, 2] = math.nan
+        with pytest.raises(ValueError, match=r"^initial state is not Hermitian within 1e-10 \(deviation nan\)"):
+            evolve(model, bad, [0.0, 0.1])
+        with pytest.raises(ValueError, match=r"^initial state 1 of the stack is not Hermitian"):
+            evolve(model, np.stack([good, bad]), [0.0, 0.1])
+
+    def test_dominant_oscillation_checks_the_state(self):
+        # the preamble evolve shares: a non-Hermitian or wrong-size state is named
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        observable = model.basis.number(0)
+        good = basis_projector(model.basis, 0b01)
+        bad = good.copy()
+        bad[2, 0] = 0.5j
+        with pytest.raises(ValueError, match=r"^initial state is not Hermitian within 1e-10"):
+            dominant_oscillation(model, bad, observable)
+        with pytest.raises(ValueError, match=r"^initial state 1 of the stack is not Hermitian"):
+            dominant_oscillation(model, np.stack([good, bad]), observable)
+        with pytest.raises(ValueError, match="initial state dimension mismatch"):
+            dominant_oscillation(model, np.eye(3) / 3, observable)
+
 
 class TestSteadyState:
     def test_undriven_qubit_relaxes_to_ground(self):
@@ -668,15 +700,18 @@ class TestSteadyStateSweep:
 
     @staticmethod
     def perturb_point(monkeypatch, point, change):
-        """Make _hermitian_matrix apply change to the vec of one sweep point."""
-        hermitian_matrix = lindblad._hermitian_matrix
+        """Make the state check of a sweep see change applied to the vec of one point.
 
-        def patched(x, gather):
-            vecs = hermitian_matrix(x, gather)
-            vecs[point] = change(vecs[point])
-            return vecs
+        The states reach _check_states after the residual check, so only the
+        state check sees the change.
+        """
+        check_states = lindblad._check_states
 
-        monkeypatch.setattr(lindblad, "_hermitian_matrix", patched)
+        def patched(states, points, where, reached=None):
+            states[point] = change(states[point].reshape(-1)).reshape(states[point].shape)
+            check_states(states, points, where, reached)
+
+        monkeypatch.setattr(lindblad, "_check_states", patched)
 
     def test_off_trace_point_raises(self, monkeypatch):
         # twice a null vector leaves a small residual; only the trace check sees it
@@ -695,6 +730,23 @@ class TestSteadyStateSweep:
         self.perturb_point(monkeypatch, 1, lambda vec: vec + shift)
         message = r"eigenvalue -1\.000e-03 below -1e-8 at drive detuning 2.5 MHz"
         with pytest.raises(ValueError, match=message):
+            steady_states(model, [-1.0, 2.5, 4.0])
+
+    def test_nan_detuning_names_the_point(self):
+        # a NaN point solves to a NaN state, whose trace must fail the check
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        with pytest.raises(ValueError, match=r"trace nan differs from 1 beyond 1e-9 at drive detuning nan MHz"):
+            steady_states(model, [1.0, math.nan])
+
+    def test_nan_state_names_the_point(self, monkeypatch):
+        # NaN coherences leave the trace at 1; only the eigenvalue check sees them
+        def nan_coherences(vec):
+            d = math.isqrt(vec.size)
+            return np.where(np.eye(d, dtype=bool).reshape(-1), vec, math.nan)
+
+        self.perturb_point(monkeypatch, 1, nan_coherences)
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        with pytest.raises(ValueError, match=r"eigenvalue nan below -1e-8 at drive detuning 2.5 MHz"):
             steady_states(model, [-1.0, 2.5, 4.0])
 
     def test_nonzero_detuning_needs_a_basis(self):
@@ -758,23 +810,44 @@ class TestHermitianCoordinates:
         with pytest.raises(ValueError, match="Hermitian"):
             lindblad._real_generator(1j * eye, eye, np.arange(9))
 
-    def test_cached_per_dimension_and_read_only(self):
-        gather = lindblad._hermitian_gather(6)
-        assert lindblad._hermitian_gather(6) is gather
-        for array in gather:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-
     @pytest.mark.parametrize("d", [2, 5, 32])
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
         x = rng.normal(size=d * d)
-        rho = lindblad._hermitian_matrix(x, lindblad._hermitian_gather(d)).reshape(d, d)
+        weights = lindblad._coordinate_weights(np.arange(d * d), d)
+        vec = lindblad._hermitian_vec(x, weights)
+        rho = vec.reshape(d, d)
         assert np.array_equal(rho, rho.conj().T)
-        vec = rho.reshape(-1)
-        assert np.max(np.abs(reach_oracle.hermitian_unitary(d) @ vec - x)) < 1e-15
-        alpha, beta, partner = lindblad._coordinate_weights(np.arange(d * d), d)
+        unitary = reach_oracle.hermitian_unitary(d)
+        assert np.max(np.abs(unitary.conj().T @ x - vec)) < 1e-15
+        assert np.max(np.abs(unitary @ vec - x)) < 1e-15
+        alpha, beta, partner = weights
         assert np.max(np.abs(alpha * vec + beta * vec[partner] - x)) < 1e-15
+
+    def test_inverse_on_a_stack_is_c_contiguous(self):
+        # the steady-state sweep maps x.T, a Fortran-ordered view; each
+        # state's vec must still be one contiguous row
+        rng = np.random.default_rng(33)
+        d = 4
+        weights = lindblad._coordinate_weights(np.arange(d * d), d)
+        x = rng.normal(size=(d * d, 7))
+        vecs = lindblad._hermitian_vec(x.T, weights)
+        assert vecs.flags.c_contiguous
+        unitary = reach_oracle.hermitian_unitary(d)
+        assert np.max(np.abs(vecs - (unitary.conj().T @ x).T)) < 1e-15
+
+    def test_inverse_on_a_reached_set(self):
+        # on the coordinates a pair's one-excitation hold reaches, U^dagger x
+        # is the oracle's U^dagger on all d^2 coordinates, restricted
+        rng = np.random.default_rng(34)
+        d = 4
+        reached = np.array([5, 6, 9, 10])
+        x = np.zeros(d * d)
+        x[reached] = rng.normal(size=reached.size)
+        vec = lindblad._hermitian_vec(x[reached], lindblad._coordinate_weights(reached, d))
+        full = reach_oracle.hermitian_unitary(d).conj().T @ x
+        assert np.max(np.abs(vec - full[reached])) < 1e-15
+        assert not np.any(np.delete(full, reached))
 
     def test_detuning_generator_only_rotates_coherences(self):
         basis = ProductBasis(4)

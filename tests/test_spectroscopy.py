@@ -121,6 +121,20 @@ class TestMultiQubitTransmission:
                 )
                 assert np.max(scan.abs_t) <= 1.0 + 1e-9
 
+    def test_nan_transmission_names_the_point(self, monkeypatch):
+        # a NaN state must fail the passivity check, not pass it as |t| <= 1
+        steady_states = lindblad.steady_states
+
+        def nan_at_second_point(model, detunings):
+            states = steady_states(model, detunings)
+            states[1] = np.nan
+            return states
+
+        monkeypatch.setattr(lindblad, "steady_states", nan_at_second_point)
+        spec = core.mirror_pair_spec(MIRROR1)
+        with pytest.raises(RuntimeError, match=r"non-passive .* \|t\| = nan at drive detuning 0 MHz"):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), [-5.0, 0.0, 5.0])
+
     def test_transparency_far_from_resonance(self):
         spec = core.mirror_pair_spec(MIRROR1)
         linewidth = 2 * 13.4
