@@ -30,6 +30,7 @@ Liouvillian for outside checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ class LindbladModel:
     channels arrive already diagonalized into collective jumps (see
     build_model).  ``basis``, when present, is the qubit product space the
     matrices act on; the dimension is read from the Hamiltonian.
+    ValueError names a non-finite Hamiltonian entry or rate, a
+    non-Hermitian Hamiltonian and a negative rate.
     """
 
     hamiltonian: np.ndarray
@@ -130,16 +133,22 @@ class LindbladModel:
         ham = np.asarray(self.hamiltonian, dtype=complex)
         if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
             raise ValueError("hamiltonian must be square")
+        finite = np.isfinite(ham)
+        if not finite.all():
+            a, b = np.argwhere(~finite)[0]
+            raise ValueError(f"hamiltonian entry ({a}, {b}) is not finite: {ham[a, b]}")
         scale = max(1.0, float(np.max(np.abs(ham)))) if ham.size else 1.0
-        if np.max(np.abs(ham - ham.conj().T)) > 1e-12 * scale:
+        if not np.max(np.abs(ham - ham.conj().T)) <= 1e-12 * scale:
             raise ValueError("hamiltonian is not Hermitian within 1e-12")
         object.__setattr__(self, "hamiltonian", ham)
         checked = []
-        for op, rate in self.dissipators:
+        for k, (op, rate) in enumerate(self.dissipators):
             op = np.asarray(op, dtype=complex)
             if op.shape != ham.shape:
                 raise ValueError("jump operator shape does not match the hamiltonian")
-            if rate < 0:
+            if not math.isfinite(rate):
+                raise ValueError(f"dissipator {k} rate {rate} is not finite")
+            if not rate >= 0:
                 raise ValueError(f"negative dissipator rate {rate}")
             checked.append((op, float(rate)))
         object.__setattr__(self, "dissipators", tuple(checked))
@@ -155,15 +164,20 @@ def _collective_jumps(rate_matrix, site_operators) -> list[tuple[np.ndarray, flo
     Each eigenvector v_k of the symmetric PSD matrix becomes one collective
     jump at its eigenvalue rate lambda_k, which keeps the generator in
     manifestly completely positive form; eigenvalues at or below 1e-12 of
-    the largest carry none.  An eigenvalue below -1e-9 raises ValueError.
+    the largest carry none.  A non-finite entry, an asymmetric matrix or an
+    eigenvalue below -1e-9 raises ValueError.
     """
     mat = np.asarray(rate_matrix, dtype=float)
     if mat.ndim != 2 or mat.shape != (len(site_operators),) * 2:
         raise ValueError("rate matrix must be square with one row per site operator")
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
+    finite = np.isfinite(mat)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"rate matrix entry ({i}, {j}) is not finite: {mat[i, j]}")
+    if not np.max(np.abs(mat - mat.T)) <= 1e-12 * max(1.0, np.max(np.abs(mat))):
         raise ValueError("rate matrix must be symmetric")
     rates, vectors = np.linalg.eigh(mat)
-    if rates.min() < -1e-9:
+    if not rates.min() >= -1e-9:
         raise ValueError(f"rate matrix is not positive semidefinite; eigenvalues {rates}")
     scale = max(1.0, float(np.max(np.abs(rates))))
     return [
@@ -345,12 +359,13 @@ def _hermitian_vec(x: np.ndarray, weights) -> np.ndarray:
     return vec
 
 
-def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
+def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray, weights):
     """The real generator A = U L U^dagger on a coordinate set closed under a <-> b.
 
     The set splits into orbits {ab, ba} led by the entry with a <= b (aa
     alone), and U maps an orbit's vec entries to its coordinates by a 2 x 2
-    block W (_coordinate_weights), so A between orbits I and K is W_I L_IK
+    block W, read from weights, the rows of U on the set
+    (_coordinate_weights); so A between orbits I and K is W_I L_IK
     W_K^dagger.  np.bincount sums the entries of L (_kron_entries) into the
     blocks present in term order; then all blocks are transformed at once,
     with no n x n array.  Returns the ascending flat indices i*n + k into
@@ -359,7 +374,7 @@ def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
     """
     n = reached.size
     rows, cols, values = _kron_entries(left, right, reached)
-    alpha, beta, partner = _coordinate_weights(reached, left.shape[-1])
+    alpha, beta, partner = weights
     index = np.arange(n)
     lead, second = np.minimum(index, partner), partner < index
     pairs, slot = lead[rows] * n + lead[cols], second[rows] * 2 + second[cols]
@@ -426,10 +441,10 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
             break
         reached = fed
     index = np.flatnonzero(reached)
-    flat, values = _real_generator(left, right, index)
+    alpha, beta, partner = weights = _coordinate_weights(index, d)
+    flat, values = _real_generator(left, right, index, weights)
     block = np.zeros((index.size, index.size))
     block.flat[flat] = values
-    alpha, beta, partner = weights = _coordinate_weights(index, d)
     vecs = states.reshape(-1, d * d)[:, index]
     return index, block, weights, (alpha * vecs + beta * vecs[:, partner]).real
 
@@ -600,7 +615,8 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
         generator = np.zeros(n)
     else:
         generator = _detuning_generator(model.basis)
-    flat, values = _real_generator(*_kron_terms(model), np.arange(n))
+    weights = _coordinate_weights(np.arange(n), d)
+    flat, values = _real_generator(*_kron_terms(model), np.arange(n), weights)
     indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
     real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
     body = real_generator.indptr[1]
@@ -642,7 +658,6 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     shift *= detunings
     y[rotation_rows] += shift
     del shift
-    weights = _coordinate_weights(np.arange(n), d)
     # |L vec(rho)| entry by entry: the moduli of U^dagger y
     residuals = np.abs(_hermitian_vec(y.T, weights)).max(axis=1)
     del y

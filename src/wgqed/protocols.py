@@ -385,27 +385,37 @@ def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]
 def _solve(model, jacobian, t, y, p0, name: str):
     """One unbounded MINPACK Levenberg-Marquardt solve of model to (t, y) from p0.
 
-    curve_fit with the analytic jacobian and FIT_TOLERANCE, warnings
-    silenced: a covariance it cannot estimate comes back infinite and fails
-    _report's amplitude test.  Returns the parameters as a list, their
-    standard errors and the residual norm; FitError carrying p0 as best if
-    the solve fails.
+    A single leastsq call with the analytic jacobian (its columns returned
+    as rows, col_deriv=1), FIT_TOLERANCE as xtol, ftol and gtol and at most
+    20000 evaluations; numerical warnings silenced.  The standard errors
+    are the roots of the diagonal of cov_x times the residual variance
+    sum(r**2) / (m - n); they are infinite when cov_x cannot be estimated
+    or m <= n, and then fail _report's amplitude test.  Returns the
+    parameters as a list, their standard errors and the residual norm;
+    FitError carrying p0 as best unless MINPACK reports convergence
+    (status 1-4).
     """
     # imported at the first fit: scipy.optimize is a quarter of the CLI's import
     # time, and most runs fit nothing
-    from scipy.optimize import curve_fit
+    from scipy.optimize import leastsq
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            params, cov = curve_fit(
-                model, t, y, p0=p0, jac=jacobian, method="lm", maxfev=20000,
-                xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
-            )
-        except RuntimeError as err:
-            raise FitError(f"{name} fit failed: {err}", best=tuple(p0)) from err
-        residual = float(np.linalg.norm(model(t, *params) - y))
-    return list(params), np.sqrt(np.abs(np.diag(cov))), residual
+        params, cov, info, message, status = leastsq(
+            lambda p: model(t, *p) - y, p0, Dfun=lambda p: jacobian(t, *p), full_output=1,
+            col_deriv=1, maxfev=20000, xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+        )
+    if status not in (1, 2, 3, 4):
+        raise FitError(
+            f"{name} fit failed: Optimal parameters not found: {message}", best=tuple(p0)
+        )
+    fvec = info["fvec"]
+    dof = fvec.size - len(params)
+    if cov is None or np.isnan(cov).any() or dof <= 0:
+        sigmas = np.full(len(params), math.inf)
+    else:
+        sigmas = np.sqrt(np.abs(np.diag(cov) * (np.sum(fvec**2) / dof)))
+    return list(params), sigmas, float(np.linalg.norm(fvec))
 
 
 def _report(model: str, names, params, sigmas, residual: float, signal: str) -> FitResult:
@@ -431,12 +441,12 @@ def _report(model: str, names, params, sigmas, residual: float, signal: str) -> 
 def fit_exponential(trace: TimeTrace) -> FitResult:
     """Least-squares fit of a * exp(-t/T) + c to a time trace.
 
-    One unbounded MINPACK Levenberg-Marquardt solve (curve_fit, analytic
-    Jacobian, FIT_TOLERANCE) from the first and last values and the 1/e
-    crossing.  A constant trace is rejected before it, and a fit whose
-    amplitude is below MIN_AMPLITUDE_SIGMAS of its own standard error (a
-    growing or flat trace, fitted as a lifetime far beyond the span)
-    after it, with FitError.
+    One unbounded MINPACK Levenberg-Marquardt solve (_solve: one leastsq
+    call, analytic Jacobian, FIT_TOLERANCE) from the first and last
+    values and the 1/e crossing.  A constant trace is rejected before it,
+    and a fit whose amplitude is below MIN_AMPLITUDE_SIGMAS of its own
+    standard error (a growing or flat trace, fitted as a lifetime far
+    beyond the span) after it, with FitError.
     """
     t, y = _finite_trace(trace, "an exponential")
     spread = float(np.ptp(y))
@@ -454,7 +464,7 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
 
     def jacobian(t, amp, lifetime, offset):
         decay = np.exp(-t / lifetime)
-        return np.column_stack((decay, amp * decay * t / lifetime**2, np.ones_like(t)))
+        return np.array((decay, amp * decay * t / lifetime**2, np.ones_like(t)))
 
     params, sigmas, residual = _solve(
         model, jacobian, t, y, [amp0, lifetime0, offset0], "exponential"
@@ -499,9 +509,9 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     must show at least two periods over the span, else FitError is
     raised at once.  A one-period moving average, its length taken from
     the refined FFT peak of the trace, is subtracted to remove the
-    baseline.  One unbounded MINPACK Levenberg-Marquardt solve
-    (curve_fit, analytic Jacobian, FIT_TOLERANCE) on the detrended data
-    then starts from the pencil pair's frequency and lifetime, with
+    baseline.  One unbounded MINPACK Levenberg-Marquardt solve (_solve:
+    one leastsq call, analytic Jacobian, FIT_TOLERANCE) on the detrended
+    data then starts from the pencil pair's frequency and lifetime, with
     amplitude, phase and offset solved linearly at those values.  A
     non-positive fitted lifetime raises FitError.  cos is even, so a
     negative frequency is folded into the phase, (f, phi) -> (-f, -phi),
@@ -581,7 +591,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         angle = TWO_PI * f * t * 1e-3 + phi
         d_amp, d_phi = decay * np.cos(angle), -amp * decay * np.sin(angle)
         d_lifetime, d_f = amp * d_amp * t / lifetime**2, d_phi * TWO_PI * t * 1e-3
-        return np.column_stack((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
+        return np.array((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
 
     params, sigmas, residual = _solve(model, jacobian, t_fit, y_fit, p0, "sinusoid")
     if not params[1] > 0:

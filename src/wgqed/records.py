@@ -130,7 +130,8 @@ def write_scan_csv(scan: SpectrumScan, path) -> None:
 
 
 def write_trace_csv(trace: TimeTrace, path) -> None:
-    write_table_csv(("time_ns", "value"), zip(trace.times, trace.values), path, trace.metadata)
+    rows = zip(trace.times.tolist(), trace.values.tolist())
+    write_table_csv(("time_ns", "value"), rows, path, trace.metadata)
 
 
 def fit_result_json(fit: FitResult) -> str:

@@ -343,14 +343,20 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
 
     Returns (f0, gamma_1d, gamma_prime, residual norm).  The fit operates
     on the amplitude |t| (linear signal chain, near-Gaussian noise).  It
-    is one unbounded MINPACK Levenberg-Marquardt solve with the analytic
-    Jacobian of |t|, started from the dip position, depth and half width.
+    is one unbounded MINPACK Levenberg-Marquardt solve, a single leastsq
+    call with the analytic Jacobian of |t|, ftol = xtol = gtol = 1e-8 and
+    at most 2000 evaluations, started from the dip position, depth and
+    half width; a MINPACK status outside 1-4 raises FitError.
     |t| is unchanged when both widths flip sign, so the solve may leave
     the physical region: a resonance outside the scan or a negative
-    width raises FitError.  The scan may run in either direction.
+    width raises FitError, as does a scan holding NaN or inf.  The scan
+    may run in either direction.
     """
     order = np.argsort(scan.detunings, kind="stable")
     detunings, amplitude = scan.detunings[order], scan.abs_t[order]
+    bad = int(np.count_nonzero(~np.isfinite(detunings)) + np.count_nonzero(~np.isfinite(amplitude)))
+    if bad:
+        raise FitError(f"scan holds {bad} non-finite detunings or amplitudes (NaN or inf)")
     dip = 1.0 - amplitude
     depth = float(dip.max())
     if depth < 1e-6:
@@ -367,25 +373,24 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     g1d_guess = max(depth * 2.0 * gamma2_guess, 1e-6)
     gprime_guess = max(2.0 * gamma2_guess - g1d_guess, 1e-6)
     # imported here: scipy.optimize is a quarter of the CLI's import time
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
-    result = least_squares(
+    x, _, info, message, status = leastsq(
         lambda p: np.abs(_lorentzian_transmission(p, detunings)[0]) - amplitude,
-        x0=[f0_guess, g1d_guess, gprime_guess],
-        jac=lambda p: _lorentzian_jacobian(p, detunings),
-        method="lm",
-        max_nfev=2000,
+        [f0_guess, g1d_guess, gprime_guess],
+        Dfun=lambda p: _lorentzian_jacobian(p, detunings),
+        full_output=1, ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=2000,
     )
-    residual = float(np.linalg.norm(result.fun))
-    if not result.success:
-        raise FitError(f"lineshape fit did not converge: {result.message}", best=tuple(result.x))
-    f0, g1d, gprime = result.x
+    residual = float(np.linalg.norm(info["fvec"]))
+    if status not in (1, 2, 3, 4):
+        raise FitError(f"lineshape fit did not converge: {message}", best=tuple(x))
+    f0, g1d, gprime = x
     if not (detunings[0] <= f0 <= detunings[-1] and g1d >= 0 and gprime >= 0):
         raise FitError(
             f"lineshape fit left the physical region: f0 = {f0:.4g} MHz (scan "
             f"{detunings[0]:.4g} to {detunings[-1]:.4g}), gamma_1d = {g1d:.4g} MHz, "
             f"gamma_prime = {gprime:.4g} MHz",
-            best=tuple(result.x),
+            best=tuple(x),
         )
     return float(f0), float(g1d), float(gprime), residual
 

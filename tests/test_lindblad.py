@@ -150,6 +150,27 @@ class TestLiouvillian:
         with pytest.raises(ValueError):
             LindbladModel(np.zeros((2, 2)), ((np.zeros((3, 3)), 1.0),))
 
+    # unchecked, each was accepted: evolve then failed inside the exponential
+    # and steady_states blamed the state's trace
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_hamiltonian_rejected_by_name(self, bad):
+        lower = ProductBasis(1).lowering(0)
+        with pytest.raises(ValueError, match=rf"hamiltonian entry \(1, 0\) is not finite: \({bad}"):
+            LindbladModel([[0.0, 0.0], [bad, 0.0]], ((lower, 1.0),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected_by_name(self, bad):
+        lower = ProductBasis(1).lowering(0)
+        with pytest.raises(ValueError, match=rf"dissipator 1 rate {bad} is not finite"):
+            LindbladModel(np.zeros((2, 2)), ((lower, 1.0), (lower, bad)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_matrix_rejected_by_name(self, bad):
+        basis = ProductBasis(2)
+        lower = [basis.lowering(0), basis.lowering(1)]
+        with pytest.raises(ValueError, match=rf"rate matrix entry \(0, 1\) is not finite: {bad}"):
+            lindblad._collective_jumps([[1.0, bad], [bad, 1.0]], lower)
+
     def test_half_wavelength_pair_collective_jumps(self):
         model = build_model(pair_spec(13.4))
         # one bright collective jump at 2*g1d, no dark jump
@@ -788,7 +809,9 @@ class TestHermitianCoordinates:
         # the oracle asserts U L U^dagger has no imaginary part beyond 1e-12
         for model in self.random_models():
             d = model.dimension
-            flat, values = lindblad._real_generator(*lindblad._kron_terms(model), np.arange(d * d))
+            index = np.arange(d * d)
+            weights = lindblad._coordinate_weights(index, d)
+            flat, values = lindblad._real_generator(*lindblad._kron_terms(model), index, weights)
             assert values.dtype == np.float64
             assert np.all(np.diff(flat) > 0)
             reference = reach_oracle.real_generator(model).toarray().reshape(-1)
@@ -807,8 +830,9 @@ class TestHermitianCoordinates:
     def test_non_hermitian_map_rejected(self):
         # rho -> i rho maps Hermitian matrices to anti-Hermitian ones
         eye = np.eye(3, dtype=complex)[None]
+        index = np.arange(9)
         with pytest.raises(ValueError, match="Hermitian"):
-            lindblad._real_generator(1j * eye, eye, np.arange(9))
+            lindblad._real_generator(1j * eye, eye, index, lindblad._coordinate_weights(index, 3))
 
     @pytest.mark.parametrize("d", [2, 5, 32])
     def test_round_trip(self, d):
@@ -953,7 +977,8 @@ class TestRealGenerator:
         terms = lindblad._kron_terms(model)
         tracemalloc.start()
         try:
-            lindblad._real_generator(*terms, np.arange(1024))
+            index = np.arange(1024)
+            lindblad._real_generator(*terms, index, lindblad._coordinate_weights(index, 32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,9 +7,9 @@ from dense_oracle import propagator
 from fit_oracle import central_differences, multistart_sinusoid
 from ode_oracle import dop853_states
 
-from wgqed import core, lindblad, protocols as pr
+from wgqed import core, lindblad, protocols as pr, spectroscopy
 from wgqed.core import QubitParams, SystemSpec
-from wgqed.records import FitError, TimeTrace
+from wgqed.records import FitError, SpectrumScan, TimeTrace
 
 GLOSS = 0.0065
 MIRROR1 = QubitParams("M1", 13.4, GLOSS, 0.210)
@@ -102,11 +102,11 @@ class TestFits:
     def test_rejections_decided_before_any_iteration(self, monkeypatch):
         calls = []
 
-        def no_curve_fit(*args, **kwargs):
+        def no_leastsq(*args, **kwargs):
             calls.append(args)
-            raise AssertionError("curve_fit called on an unidentifiable trace")
+            raise AssertionError("leastsq called on an unidentifiable trace")
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", no_curve_fit)
+        monkeypatch.setattr(scipy.optimize, "leastsq", no_leastsq)
         t = np.linspace(0, 100, 40)
         half = 2 * math.pi * 0.005 * t  # 5 MHz over 0.1 us: half a period
         traces = [np.sin(half), np.cos(half), np.exp(-t / 60.0)]
@@ -188,46 +188,67 @@ class TestFits:
 
     def test_fits_are_unbounded_lm_with_exact_jacobians(self, monkeypatch):
         calls = []
-        real_curve_fit = scipy.optimize.curve_fit
+        real_leastsq = scipy.optimize.leastsq
 
-        def recording_curve_fit(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real_curve_fit(*args, **kwargs)
+        def recording_leastsq(func, x0, **kwargs):
+            calls.append((func, x0, kwargs))
+            return real_leastsq(func, x0, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", recording_curve_fit)
+        monkeypatch.setattr(scipy.optimize, "leastsq", recording_leastsq)
         t = np.linspace(0, 1000, 120)
         pr.fit_exponential(TimeTrace(t, 0.2 + 0.7 * np.exp(-t / 300.0)))
         y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
         pr.fit_damped_sinusoid(TimeTrace(t, y))
         assert len(calls) == 2
         rng = np.random.default_rng(3)
-        for (model, t_fit, *_), kwargs in calls:
+        for func, x0, kwargs in calls:
             assert "bounds" not in kwargs
-            assert kwargs["method"] == "lm"
+            assert kwargs["full_output"] and kwargs["col_deriv"]
+            assert kwargs["maxfev"] == 20000
+            assert kwargs["xtol"] == kwargs["ftol"] == kwargs["gtol"] == pr.FIT_TOLERANCE
             for _ in range(5):
                 amp, lifetime, offset = rng.uniform(-1, 1), rng.uniform(50, 2000), rng.uniform(-1, 1)
-                if len(kwargs["p0"]) == 3:
+                if len(x0) == 3:
                     params = [amp, lifetime, offset]
                 else:
                     params = [amp, lifetime, rng.uniform(1, 20), rng.uniform(-3, 3), offset]
-                exact = kwargs["jac"](t_fit, *params)
-                numeric = central_differences(lambda p: model(t_fit, *p), params)
+                # col_deriv: the Jacobian comes back as rows, one per parameter
+                exact = kwargs["Dfun"](np.array(params)).T
+                numeric = central_differences(func, params)
                 column_error = np.linalg.norm(exact - numeric, axis=0)
                 assert np.all(column_error <= 1e-6 * np.linalg.norm(exact, axis=0))
 
-    def patched_sinusoid_fit(self, monkeypatch, change):
-        """fit_damped_sinusoid of a known fringe, with change applied to curve_fit's result."""
-        real_curve_fit = scipy.optimize.curve_fit
+    def test_fits_call_no_scipy_front_end(self, monkeypatch):
+        def front_end(*args, **kwargs):
+            raise AssertionError("a fit went through a scipy.optimize front-end")
 
-        def changed_curve_fit(*args, **kwargs):
-            params, cov = real_curve_fit(*args, **kwargs)
-            return change(params.copy()), cov
+        monkeypatch.setattr(scipy.optimize, "curve_fit", front_end)
+        monkeypatch.setattr(scipy.optimize, "least_squares", front_end)
+        t = np.linspace(0, 1000, 120)
+        fit = pr.fit_exponential(TimeTrace(t, 0.2 + 0.7 * np.exp(-t / 300.0)))
+        assert fit.value("lifetime_ns") == pytest.approx(300.0, rel=1e-9)
+        y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
+        fit = pr.fit_damped_sinusoid(TimeTrace(t, y))
+        assert fit.value("frequency_mhz") == pytest.approx(5.65, rel=1e-9)
+        q = QubitParams.from_gamma_prime("Q", 18.1, 0.185)
+        grid = np.linspace(-150, 150, 801)
+        t_scan = [spectroscopy.single_qubit_transmission(q, delta=d - 1.3) for d in grid]
+        f0, g1d, _, _ = spectroscopy.lorentzian_fit(SpectrumScan(grid, t_scan))
+        assert (f0, g1d) == (pytest.approx(1.3, abs=1e-6), pytest.approx(18.1, rel=1e-6))
+
+    def patched_sinusoid_fit(self, monkeypatch, change):
+        """fit_damped_sinusoid of a known fringe, with change applied to leastsq's solution."""
+        real_leastsq = scipy.optimize.leastsq
+
+        def changed_leastsq(*args, **kwargs):
+            params, *rest = real_leastsq(*args, **kwargs)
+            return (change(params.copy()), *rest)
 
         t = np.linspace(0, 1000, 120)
         y = 0.5 + 0.4 * np.cos(2 * math.pi * 5.65 * t * 1e-3 + 1.0) * np.exp(-t / 400.0)
         trace = TimeTrace(t, y)
         reference = pr.fit_damped_sinusoid(trace)
-        monkeypatch.setattr(scipy.optimize, "curve_fit", changed_curve_fit)
+        monkeypatch.setattr(scipy.optimize, "leastsq", changed_leastsq)
         return reference, lambda: pr.fit_damped_sinusoid(trace)
 
     def test_negative_frequency_folded_into_phase(self, monkeypatch):

@@ -376,21 +376,23 @@ class TestLorentzianFit:
 
     def test_unbounded_lm_with_exact_jacobian(self, monkeypatch):
         calls = []
-        real_least_squares = scipy.optimize.least_squares
+        real_leastsq = scipy.optimize.leastsq
 
-        def recording_least_squares(fun, **kwargs):
-            calls.append((fun, kwargs))
-            return real_least_squares(fun, **kwargs)
+        def recording_leastsq(func, x0, **kwargs):
+            calls.append((func, kwargs))
+            return real_leastsq(func, x0, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", recording_least_squares)
+        monkeypatch.setattr(scipy.optimize, "leastsq", recording_leastsq)
         sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
         ((fun, kwargs),) = calls
         assert "bounds" not in kwargs
-        assert kwargs["method"] == "lm"
+        assert kwargs["full_output"] and not kwargs.get("col_deriv", 0)
+        assert kwargs["maxfev"] == 2000
+        assert kwargs["xtol"] == kwargs["ftol"] == kwargs["gtol"] == 1e-8
         rng = np.random.default_rng(5)
         for _ in range(10):
             params = [rng.uniform(-5, 5), rng.uniform(1, 30), rng.uniform(0.05, 2)]
-            exact = kwargs["jac"](params)
+            exact = kwargs["Dfun"](params)
             numeric = central_differences(fun, params)
             column_error = np.linalg.norm(exact - numeric, axis=0)
             assert np.all(column_error <= 1e-6 * np.linalg.norm(exact, axis=0))
@@ -401,13 +403,25 @@ class TestLorentzianFit:
         ids=["f0_above_scan", "f0_below_scan", "negative_gamma_1d", "negative_gamma_prime"],
     )
     def test_unphysical_solution_rejected(self, monkeypatch, index, value):
-        real_least_squares = scipy.optimize.least_squares
+        real_leastsq = scipy.optimize.leastsq
 
-        def moved_least_squares(fun, **kwargs):
-            result = real_least_squares(fun, **kwargs)
-            result.x[index] = value
-            return result
+        def moved_leastsq(*args, **kwargs):
+            x, *rest = real_leastsq(*args, **kwargs)
+            x[index] = value
+            return (x, *rest)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", moved_least_squares)
+        monkeypatch.setattr(scipy.optimize, "leastsq", moved_leastsq)
         with pytest.raises(FitError, match="physical region"):
             sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scan_rejected_by_name(self, bad):
+        scan = self.synthetic_scan(18.1, 0.185, f0=1.3)
+        amplitude = scan.abs_t.copy()
+        amplitude[7] = bad
+        with pytest.raises(FitError, match="non-finite"):
+            sp.lorentzian_fit(SpectrumScan(scan.detunings, amplitude.astype(complex)))
+        detunings = scan.detunings.copy()
+        detunings[7] = bad
+        with pytest.raises(FitError, match="non-finite"):
+            sp.lorentzian_fit(SpectrumScan(detunings, scan.t_complex))
