@@ -17,15 +17,16 @@ _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it; evolve
 exponentiates the block once per distinct grid step.
-:func:`steady_states` uses all d^2 coordinates, once per sweep over the
-drive detuning delta, which only shifts the diagonal: L(delta) = L0 +
-delta K with K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation
-number.  Each point is one real dense LU solve of the trace-bordered
-generator, whose LAPACK condition estimate flags a degenerate null space.
-Both solvers check their stack of states once (_check_states: unit
-trace, no eigenvalue below -1e-8, NaN failing) and name the failing time
-or drive detuning.  :func:`assemble_liouvillian` gives the complex CSR
-Liouvillian for outside checks.
+:func:`steady_state_solver` uses all d^2 coordinates, prepared once per
+model and then called with any drive detunings delta, which only shift
+the diagonal: L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a -
+N_b), N the total excitation number.  Each point is one real dense LU
+solve of the trace-bordered generator, whose LAPACK condition estimate
+flags a degenerate null space; :func:`steady_states` is that solver
+applied once.  Both solvers check their stack of states once
+(_check_states: unit trace, no eigenvalue below -1e-8, NaN failing) and
+name the failing time or drive detuning.  :func:`assemble_liouvillian`
+gives the complex CSR Liouvillian for outside checks.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "assemble_liouvillian",
     "evolve",
     "steady_states",
+    "steady_state_solver",
     "dominant_oscillation",
     "thermal_qubit_steady",
     "dark_state_rates",
@@ -580,41 +582,40 @@ def _detuning_rotation(generator: np.ndarray, d: int):
     return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
 
 
-def steady_states(model: LindbladModel, detunings) -> np.ndarray:
-    """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
+def steady_state_solver(model: LindbladModel):
+    """The steady-state solve of one model, prepared once: a function of the drive detunings.
 
     delta (MHz) lowers every qubit detuning of ``model``, which changes
     only the diagonal of the Liouvillian (_detuning_generator).  The solve
     runs over the real Hermitian coordinates x = U vec(rho), with A = U L0
-    U^dagger (_real_generator on all d^2, once per sweep) and K_r = U K
-    U^dagger, which only couples the two coordinates of each coherence.
-    Row 0 of A (d rho_00/dt, dependent on the other population rows as L
-    preserves trace) becomes the trace row sum_a x_aa in the entries.  Each
-    point refills one dense work array from them and the pairs of K_r and
-    solves (A + delta K_r) x = e_0 by one real LAPACK LU, a unitary
-    similarity of the complex bordered matrix: DegenerateSteadyStateError
-    when its reciprocal 1-norm condition number, estimated from the LU, is
-    below STEADY_RCOND_MIN (e.g. a dark subspace with no decay path).
+    U^dagger (_real_generator on all d^2) and K_r = U K U^dagger, which
+    only couples the two coordinates of each coherence.  Row 0 of A (d
+    rho_00/dt, dependent on the other population rows as L preserves
+    trace) becomes the trace row sum_a x_aa in the entries.  All of that,
+    the LAPACK handles and the one dense work array are prepared here, so a
+    sweep that solves its points in several calls builds nothing twice.
 
-    Then, once per sweep, y = (A + delta K_r) x = U L vec(rho) from one
-    sparse product; max |U^dagger y| = max |L vec(rho)| above 1e-10 of the
-    1-norm of that point's bordered matrix raises DegenerateSteadyStateError.
-    The states, U^dagger x from the real x (_hermitian_vec) and so exactly
-    Hermitian, must have unit trace within 1e-9 and no eigenvalue below
-    -1e-8 (_check_states, ValueError).  Messages name the drive detuning
-    (MHz) of the first failing point.  Returns a complex (len(detunings),
-    d, d) array.  A nonzero detuning needs the model's qubit basis
-    (ValueError without one).
+    The returned solve(detunings) rejects a non-finite detuning up front
+    (ValueError naming it).  Each point refills the work array from the
+    entries and the pairs of K_r and solves (A + delta K_r) x = e_0 by one
+    real LAPACK LU, a unitary similarity of the complex bordered matrix:
+    DegenerateSteadyStateError when its reciprocal 1-norm condition number,
+    estimated from the LU, is below STEADY_RCOND_MIN (e.g. a dark subspace
+    with no decay path).  Then, once per call, y = (A + delta K_r) x = U L
+    vec(rho) from one sparse product; max |U^dagger y| = max |L vec(rho)|
+    above 1e-10 of the 1-norm of that point's bordered matrix raises
+    DegenerateSteadyStateError.  The states, U^dagger x from the real x
+    (_hermitian_vec) and so exactly Hermitian, must have unit trace within
+    1e-9 and no eigenvalue below -1e-8 (_check_states, ValueError).
+    Messages name the drive detuning (MHz) of the first failing point.
+    Points are solved independently, so a point's state does not depend
+    on the other detunings of the call.  solve returns a complex
+    (len(detunings), d, d) array.  A nonzero detuning needs the model's
+    qubit basis (ValueError without one).
     """
-    detunings = np.asarray(detunings, dtype=float).reshape(-1)
     d = model.dimension
     n = d * d
-    if model.basis is None:
-        if np.any(detunings != 0.0):
-            raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
-        generator = np.zeros(n)
-    else:
-        generator = _detuning_generator(model.basis)
+    generator = np.zeros(n) if model.basis is None else _detuning_generator(model.basis)
     weights = _coordinate_weights(np.arange(n), d)
     flat, values = _real_generator(*_kron_terms(model), np.arange(n), weights)
     indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
@@ -636,41 +637,59 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     work_flat = work.ravel(order="F")
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    x = np.empty((n, detunings.size))  # one column per point
-    anorms = np.empty(detunings.size)
-    for k, delta in enumerate(detunings):
-        work_flat.fill(0.0)
-        work_flat[fill_at] = fill
-        if delta:
-            work_flat[rotation_at] += delta * rotation
-        anorms[k] = lange("1", work)
-        lu, piv, info = getrf(work, overwrite_a=True)
-        rcond = gecon(lu, anorms[k])[0] if info == 0 else 0.0
-        if rcond < STEADY_RCOND_MIN:
+
+    def solve(detunings) -> np.ndarray:
+        detunings = np.asarray(detunings, dtype=float).reshape(-1)
+        non_finite = ~np.isfinite(detunings)
+        if non_finite.any():
+            raise ValueError(f"drive detuning {detunings[non_finite][0]:g} MHz is not finite")
+        if model.basis is None and np.any(detunings != 0.0):
+            raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
+        x = np.empty((n, detunings.size))  # one column per point
+        anorms = np.empty(detunings.size)
+        for k, delta in enumerate(detunings):
+            work_flat.fill(0.0)
+            work_flat[fill_at] = fill
+            if delta:
+                work_flat[rotation_at] += delta * rotation
+            anorms[k] = lange("1", work)
+            lu, piv, info = getrf(work, overwrite_a=True)
+            rcond = gecon(lu, anorms[k])[0] if info == 0 else 0.0
+            if rcond < STEADY_RCOND_MIN:
+                raise DegenerateSteadyStateError(
+                    f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
+                    f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
+                )
+            x[:, k], _ = getrs(lu, piv, rhs)
+        y = real_generator @ x
+        shift = x[rotation_cols] * rotation[:, None]
+        shift *= detunings
+        y[rotation_rows] += shift
+        del shift
+        # |L vec(rho)| entry by entry: the moduli of U^dagger y
+        residuals = np.abs(_hermitian_vec(y.T, weights)).max(axis=1)
+        del y
+        bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
+        if bad.size:
+            k = bad[0]
             raise DegenerateSteadyStateError(
-                f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
-                f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
+                f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
+                f"{detunings[k]:g} MHz"
             )
-        x[:, k], _ = getrs(lu, piv, rhs)
-    del work, work_flat, lu
-    y = real_generator @ x
-    shift = x[rotation_cols] * rotation[:, None]
-    shift *= detunings
-    y[rotation_rows] += shift
-    del shift
-    # |L vec(rho)| entry by entry: the moduli of U^dagger y
-    residuals = np.abs(_hermitian_vec(y.T, weights)).max(axis=1)
-    del y
-    bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
-    if bad.size:
-        k = bad[0]
-        raise DegenerateSteadyStateError(
-            f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
-            f"{detunings[k]:g} MHz"
-        )
-    states = _hermitian_vec(x.T, weights).reshape(detunings.size, d, d)
-    _check_states(states, detunings, "drive detuning {:g} MHz")
-    return states
+        states = _hermitian_vec(x.T, weights).reshape(detunings.size, d, d)
+        _check_states(states, detunings, "drive detuning {:g} MHz")
+        return states
+
+    return solve
+
+
+def steady_states(model: LindbladModel, detunings) -> np.ndarray:
+    """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
+
+    steady_state_solver(model) applied once: every check and message of
+    that solve holds.  Returns a complex (len(detunings), d, d) array.
+    """
+    return steady_state_solver(model)(detunings)
 
 
 def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float = 0.05):

@@ -754,10 +754,16 @@ class TestSteadyStateSweep:
             steady_states(model, [-1.0, 2.5, 4.0])
 
     def test_nan_detuning_names_the_point(self):
-        # a NaN point solves to a NaN state, whose trace must fail the check
+        # rejected before any solve, not blamed on the trace of a NaN state
         model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
-        with pytest.raises(ValueError, match=r"trace nan differs from 1 beyond 1e-9 at drive detuning nan MHz"):
+        with pytest.raises(ValueError, match=r"^drive detuning nan MHz is not finite$"):
             steady_states(model, [1.0, math.nan])
+
+    def test_inf_detuning_names_the_point(self):
+        # rejected before any solve, not reported as a degenerate null space
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        with pytest.raises(ValueError, match=r"^drive detuning -inf MHz is not finite$"):
+            steady_states(model, [1.0, -math.inf, math.inf])
 
     def test_nan_state_names_the_point(self, monkeypatch):
         # NaN coherences leave the trace at 1; only the eigenvalue check sees them

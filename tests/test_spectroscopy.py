@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -7,13 +9,40 @@ import scipy.optimize
 from fit_oracle import central_differences
 from sweep_oracle import pointwise_transmission, shifted_model
 
-from wgqed import core, lindblad, spectroscopy as sp
+from wgqed import cli, core, lindblad, spectroscopy as sp
 from wgqed.core import Placement, QubitParams, SystemSpec
 from wgqed.records import FitError, SpectrumScan
 
 MIRROR1 = QubitParams.from_gamma_prime("M1", 13.4, 0.0065 + 2 * 0.210, 0.0065)
 PROBE = QubitParams.from_gamma_prime("P", 1.19, 0.0065 + 2 * 0.191, 0.0065)
 TWO_J = core.coupling_rate_2j(2, 13.4, 1.19)
+
+
+def record_solved_detunings(monkeypatch) -> list:
+    """Make lindblad.steady_state_solver append every detuning it solves to the list returned."""
+    solved = []
+    steady_state_solver = lindblad.steady_state_solver
+
+    def recording(model):
+        solve = steady_state_solver(model)
+
+        def recorded(detunings):
+            solved.extend(detunings)
+            return solve(detunings)
+
+        return recorded
+
+    monkeypatch.setattr(lindblad, "steady_state_solver", recording)
+    return solved
+
+
+def per_point_readout(spec, drive, grid):
+    """Waveguide t from one exact steady state per grid point, read by one dot product each."""
+    amplitudes, a_in = sp._drive_amplitudes(spec, drive)
+    model = sp._driven_model(spec, amplitudes)
+    states = lindblad.steady_states(model, grid)
+    emission = sp._emission_functional(spec, model.basis)
+    return 1.0 + np.array([emission @ rho.reshape(-1) for rho in states]) / a_in
 
 
 class TestSingleQubitTransmission:
@@ -123,14 +152,20 @@ class TestMultiQubitTransmission:
 
     def test_nan_transmission_names_the_point(self, monkeypatch):
         # a NaN state must fail the passivity check, not pass it as |t| <= 1
-        steady_states = lindblad.steady_states
+        steady_state_solver = lindblad.steady_state_solver
 
-        def nan_at_second_point(model, detunings):
-            states = steady_states(model, detunings)
-            states[1] = np.nan
-            return states
+        def nan_at_second_point(model):
+            solve = steady_state_solver(model)
 
-        monkeypatch.setattr(lindblad, "steady_states", nan_at_second_point)
+            def patched(detunings):
+                states = solve(detunings)
+                states[1] = np.nan
+                return states
+
+            return patched
+
+        # three points are all seeds, so the one solve takes them in grid order
+        monkeypatch.setattr(lindblad, "steady_state_solver", nan_at_second_point)
         spec = core.mirror_pair_spec(MIRROR1)
         with pytest.raises(RuntimeError, match=r"non-passive .* \|t\| = nan at drive detuning 0 MHz"):
             sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), [-5.0, 0.0, 5.0])
@@ -206,26 +241,146 @@ class TestSweepAgainstPointwise:
             rho = sp.driven_steady_state(spec, drive, offset)
             assert np.max(np.abs(rho - reference)) < 1e-12
 
-    def test_readout_is_one_dot_product_per_point(self):
+    def test_readout_is_one_dot_product_per_point(self, monkeypatch):
         # a stacked states @ emission sums in another order and differs in
-        # the last bits at most of these 201 points
+        # the last bits at most of these 201 points; every exactly solved
+        # point must match the per-point readout bit for bit, and every
+        # interpolated point the sweep gate
+        solved = record_solved_detunings(monkeypatch)
         spec = core.cavity_spec(MIRROR1, PROBE)
         drive = sp.DriveSpec(omega_rabi=0.02)
         grid = np.linspace(-10, 10, 201)
         scan = sp.multi_qubit_transmission(spec, drive, grid)
-        amplitudes, a_in = sp._drive_amplitudes(spec, drive)
-        model = sp._driven_model(spec, amplitudes)
-        states = lindblad.steady_states(model, grid)
-        assert states.shape == (201, 8, 8)
-        emission = sp._emission_functional(spec, model.basis)
-        emitted = np.array([emission @ rho.reshape(-1) for rho in states])
-        assert np.array_equal(scan.t_complex, 1.0 + emitted / a_in)
+        monkeypatch.undo()
+        reference = per_point_readout(spec, drive, grid)
+        exact = np.isin(grid, solved)
+        assert len(solved) == np.count_nonzero(exact) < grid.size
+        assert np.array_equal(scan.t_complex[exact], reference[exact])
+        error = np.max(np.abs(scan.t_complex - reference))
+        assert error < 1e-12 * max(1.0, np.abs(reference).max())
 
     def test_lossless_pair_sweep_is_degenerate(self):
         mirror = QubitParams("M", 13.4)
         spec = core.mirror_pair_spec(mirror)
         with pytest.raises(lindblad.DegenerateSteadyStateError):
             sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), np.linspace(-5, 5, 5))
+
+
+def loguniform(rng, low, high):
+    return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+
+class TestInterpolatedSweep:
+    """Exact seeds plus AAA interpolation against one model build and solve per point."""
+
+    @staticmethod
+    def assert_matches_pointwise(spec, drive, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            scan = sp.multi_qubit_transmission(spec, drive, grid)
+        reference = pointwise_transmission(spec, drive, grid)
+        error = np.max(np.abs(scan.t_complex - reference))
+        assert error < 1e-12 * max(1.0, np.abs(reference).max())
+
+    @staticmethod
+    def random_case(rng, n, port, omega, points):
+        # half the arrays sit on a lambda/4 or lambda/2 lattice, where
+        # modes with nearly no radiative decay form
+        lattice = rng.random() < 0.5
+        qubits = tuple(
+            (
+                QubitParams(
+                    f"Q{j}", rng.uniform(0.5, 30), loguniform(rng, 1e-7, 0.3),
+                    0.0 if rng.random() < 0.3 else loguniform(rng, 1e-7, 0.3),
+                ),
+                Placement(math.pi / 2 * j * rng.integers(1, 3) if lattice else rng.uniform(0, 7)),
+            )
+            for j in range(n)
+        )
+        spec = SystemSpec(
+            qubits=qubits,
+            detunings=tuple(rng.uniform(-3, 3, n)),
+            n_th=0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.05),
+        )
+        if port == "xy":
+            drive = sp.DriveSpec(port="xy", xy_qubit=int(rng.integers(n)), omega_rabi=omega)
+        else:
+            drive = sp.DriveSpec(omega_rabi=omega)
+        span = rng.uniform(5.0, 60.0)
+        return spec, drive, np.linspace(-span, span * rng.uniform(0.5, 1.0), points)
+
+    @pytest.mark.parametrize("n, port, omega", [
+        (1, "waveguide", 0.001), (1, "waveguide", 5.0), (2, "waveguide", 0.02), (2, "xy", 3.0),
+        (3, "waveguide", 2.0), (3, "xy", 0.05), (4, "waveguide", 0.01), (4, "xy", 5.0),
+    ])
+    def test_random_specs(self, n, port, omega):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(2 if n < 4 else 1):
+            points = int(rng.integers(101, 302))
+            self.assert_matches_pointwise(*self.random_case(rng, n, port, omega, points))
+
+    def test_five_qubits(self):
+        rng = np.random.default_rng(45)
+        self.assert_matches_pointwise(*self.random_case(rng, 5, "waveguide", 0.3, 61))
+
+    def test_narrow_dark_resonance(self):
+        # a co-located pair with direct coupling g: the antisymmetric mode at
+        # -g radiates only through a 1e-6 MHz detuning asymmetry, so it is
+        # 1e-7 MHz wide and shows at the grid point on it alone (3e-8 in t);
+        # the seed at the mode's centre is what solves that point
+        q = QubitParams("M", 13.4, 1e-7, 0.0)
+        spec = SystemSpec(
+            qubits=((q, Placement(0.0)), (q, Placement(0.0))),
+            detunings=(1e-6, -1e-6),
+            direct_couplings=((0, 1, 24.0),),
+        )
+        self.assert_matches_pointwise(spec, sp.DriveSpec(omega_rabi=0.02), np.linspace(-60, 60, 301))
+
+    @pytest.mark.parametrize(
+        "name", ["fig1c_q1", "fig1c_q4", "fig1c_q6", "fig2a_pair", "fig2c_cavity", "fig2e_xy"]
+    )
+    def test_bundled_spectrum_configs(self, name):
+        config = json.loads(files("wgqed").joinpath(f"configs/{name}.cfg").read_text())
+        experiment, spec, params = cli._checked(config)
+        if config["experiment"] == "xy-spectrum":
+            xy_qubit = cli._xy_qubit(spec, params)
+            drive = sp.DriveSpec(port="xy", xy_qubit=xy_qubit, omega_rabi=params["omega_rabi"])
+        else:
+            drive = cli._drive_from_params(params)
+        grid = cli._grid(params)
+        assert 801 <= grid.size <= 1201
+        self.assert_matches_pointwise(spec, drive, grid)
+
+    def test_seed_sized_grid_is_the_exact_readout(self):
+        # five points are all seeds: every one is solved, bit for bit
+        spec = core.cavity_spec(MIRROR1, PROBE)
+        drive = sp.DriveSpec(omega_rabi=0.02)
+        grid = np.linspace(-10, 10, 5)
+        scan = sp.multi_qubit_transmission(spec, drive, grid)
+        assert np.array_equal(scan.t_complex, per_point_readout(spec, drive, grid))
+
+    def test_unsorted_grid_with_repeats(self, monkeypatch):
+        # the same t as the per-point sweep, in grid order, each distinct
+        # detuning solved once (a repeated node would divide by zero)
+        solved = record_solved_detunings(monkeypatch)
+        spec = core.cavity_spec(MIRROR1, PROBE)
+        drive = sp.DriveSpec(omega_rabi=0.02)
+        rng = np.random.default_rng(46)
+        grid = np.concatenate([[1.0, -1.0, 1.0], rng.permutation(np.linspace(-10, 10, 151)), [-1.0]])
+        scan = sp.multi_qubit_transmission(spec, drive, grid)
+        assert len(solved) == len(set(solved))
+        assert scan.t_complex[0] == scan.t_complex[2] and scan.t_complex[1] == scan.t_complex[-1]
+        monkeypatch.undo()
+        reference = pointwise_transmission(spec, drive, grid)
+        assert np.max(np.abs(scan.t_complex - reference)) < 1e-12 * max(1.0, np.abs(reference).max())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_detuning_is_named(self, bad):
+        spec = core.mirror_pair_spec(MIRROR1)
+        grid = np.linspace(-30, 30, 61)
+        grid[20] = bad
+        with pytest.raises(ValueError, match=rf"^drive detuning {bad:g} MHz is not finite$"):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), grid)
 
 
 class TestDriveSpec:
