@@ -52,7 +52,8 @@ MIN_AMPLITUDE_SIGMAS = 5.0
 PENCIL_ORDER = 4
 
 # cap on the matrix-pencil parameter (n // 3 below it): the Hankel matrix
-# keeps at most 101 columns, so a long trace's SVD costs O(n), not O(n^3)
+# keeps at most 101 columns, so a long trace's Gram matrix costs O(n) to
+# form and its eigenproblem is at most 101 x 101, not O(n^3)
 PENCIL_PARAMETER_MAX = 100
 
 # a conjugate pole pair that turns through less than this many periods over
@@ -477,21 +478,28 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
 def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrix-pencil poles of y[k] = sum_i c_i z_i**k and the size of each term.
 
-    Hua and Sarkar, IEEE Trans. ASSP 38, 814 (1990): one SVD of the Hankel
-    matrix of y (pencil parameter n // 3, at most PENCIL_PARAMETER_MAX)
-    keeps at most PENCIL_ORDER right singular vectors, dropping those whose
-    singular value is numerically zero, so a bare exponential yields a
-    single real pole.  The poles are the eigenvalues of the pencil of the
-    shifted subspaces, and one Vandermonde least-squares solve gives the
-    amplitudes c_i; a term's size is its norm over the trace,
-    |c_i| * ||z_i**k||.
+    Hua and Sarkar, IEEE Trans. ASSP 38, 814 (1990), with the right
+    singular vectors of the L x W Hankel matrix H of y (pencil parameter
+    W - 1 = n // 3, at most PENCIL_PARAMETER_MAX) taken from one symmetric
+    eigenproblem of its W x W Gram matrix H^T H: its eigenvalues are the
+    squared singular values s_i**2.  At most PENCIL_ORDER leading
+    eigenvectors are kept, dropping those whose eigenvalue is at or below
+    s_0**2 * max(L, W) * eps, eigh's rounding floor on the Gram matrix, so a
+    bare exponential yields a single real pole.  Squaring halves the
+    resolution of the order: a term counts when s_i / s_0 exceeds
+    sqrt(max(L, W) * eps), about 1.6e-7 at 121 x 61, where an SVD of H
+    itself resolves about 2.7e-14.  The poles are the eigenvalues of the
+    pencil of the shifted subspaces, and one Vandermonde least-squares
+    solve gives the amplitudes c_i; a term's size is its norm over the
+    trace, |c_i| * ||z_i**k||.
     """
     width = min(y.size // 3, PENCIL_PARAMETER_MAX) + 1
     hankel = np.lib.stride_tricks.sliding_window_view(y, width)
-    _, singular, vh = np.linalg.svd(hankel, full_matrices=False)
-    cutoff = singular[0] * max(hankel.shape) * np.finfo(float).eps
-    order = int(np.count_nonzero(singular[:PENCIL_ORDER] > cutoff))
-    subspace = vh[:order].T
+    squares, vectors = np.linalg.eigh(hankel.T @ hankel)
+    squares, vectors = squares[::-1], vectors[:, ::-1]  # descending, as s_i**2
+    cutoff = squares[0] * max(hankel.shape) * np.finfo(float).eps
+    order = int(np.count_nonzero(squares[:PENCIL_ORDER] > cutoff))
+    subspace = vectors[:, :order]
     shift = np.linalg.lstsq(subspace[:-1], subspace[1:], rcond=None)[0]
     poles = np.linalg.eigvals(shift)
     vandermonde = poles[np.newaxis, :] ** np.arange(y.size)[:, np.newaxis]

@@ -204,7 +204,9 @@ def _aaa(z, f, known, support, tol):
     while True:
         zs, fs = z[support], f[support]
         loewner = (f[rest, np.newaxis] - fs) / (z[rest, np.newaxis] - zs)
-        weights = np.linalg.svd(loewner)[2][-1].conj()
+        # rest keeps at least as many nodes as the support, so the reduced
+        # vh is square and its last row is still the least singular vector
+        weights = np.linalg.svd(loewner, full_matrices=False)[2][-1].conj()
         miss = np.abs(_barycentric(z[rest], zs, fs, weights) - f[rest])
         if miss.max(initial=0.0) <= tol or 2 * (len(support) + 1) > np.count_nonzero(known):
             return support, weights

@@ -1,4 +1,4 @@
-"""References for the fits: a multi-start sinusoid search and central differences.
+"""References for the fits: a multi-start sinusoid search, the SVD pencil and central differences.
 
 multistart_sinusoid is the search protocols.fit_damped_sinusoid used
 before its matrix-pencil start: the strongest FFT peak at or above bin 2
@@ -6,6 +6,9 @@ gives the frequency and the phase, a one-period moving average is
 subtracted, and a bounded curve_fit runs from 5 phases x 2 lifetimes,
 keeping the smallest residual.  It uses the fit's tolerances, so a
 comparison isolates the choice of start and of solver.
+svd_pencil_poles is the matrix pencil of protocols._pencil_poles with
+its right singular vectors from one SVD of the Hankel matrix itself, not
+from the Gram eigenproblem, and the order cutoff on the singular values.
 central_differences checks the fits' analytic Jacobians.
 """
 
@@ -16,7 +19,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from wgqed.core import TWO_PI
-from wgqed.protocols import FIT_TOLERANCE
+from wgqed.protocols import FIT_TOLERANCE, PENCIL_ORDER, PENCIL_PARAMETER_MAX
 
 
 def _model(t, amp, lifetime, f, phi, offset):
@@ -86,6 +89,26 @@ def multistart_sinusoid(t, y):
         params[3] += math.pi
     params[3] = math.pi - (math.pi - params[3]) % TWO_PI
     return tuple(params)
+
+
+def svd_pencil_poles(y):
+    """Matrix-pencil poles and term sizes of y from one SVD of its Hankel matrix.
+
+    The same pencil parameter, order limit, shift-invariance solve and
+    Vandermonde amplitudes as protocols._pencil_poles; a right singular
+    vector is kept while its singular value exceeds s_0 * max(L, W) * eps.
+    """
+    width = min(y.size // 3, PENCIL_PARAMETER_MAX) + 1
+    hankel = np.lib.stride_tricks.sliding_window_view(y, width)
+    _, singular, vh = np.linalg.svd(hankel, full_matrices=False)
+    cutoff = singular[0] * max(hankel.shape) * np.finfo(float).eps
+    order = int(np.count_nonzero(singular[:PENCIL_ORDER] > cutoff))
+    subspace = vh[:order].T
+    shift = np.linalg.lstsq(subspace[:-1], subspace[1:], rcond=None)[0]
+    poles = np.linalg.eigvals(shift)
+    vandermonde = poles[np.newaxis, :] ** np.arange(y.size)[:, np.newaxis]
+    amplitudes = np.linalg.lstsq(vandermonde, y, rcond=None)[0]
+    return poles, np.abs(amplitudes) * np.linalg.norm(vandermonde, axis=0)
 
 
 def central_differences(func, params, rel_step=1e-6):

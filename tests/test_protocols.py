@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from dense_oracle import propagator
-from fit_oracle import central_differences, multistart_sinusoid
+from fit_oracle import central_differences, multistart_sinusoid, svd_pencil_poles
 from ode_oracle import dop853_states
 
 from wgqed import core, lindblad, protocols as pr, spectroscopy
@@ -44,6 +44,42 @@ def fringe_on_baseline(seed):
     baseline = rng.uniform(-0.3, 0.3) * np.exp(-t / (rng.uniform(0.5, 3.0) * span))
     baseline += rng.uniform(0.3, 0.6)
     return t, fringe + baseline + rng.normal(0.0, rng.uniform(0.002, 0.01), points)
+
+
+def pencil_trace(rng):
+    """1-4 of a decay, a constant, a damped pair (0.2-12 turns) and a fast baseline, 40-301 points."""
+    points = int(rng.integers(40, 302))
+    span = rng.uniform(100.0, 5000.0)
+    t = np.linspace(0.0, span, points)
+    y = np.zeros(points)
+    for kind in rng.permutation(4)[: int(rng.integers(1, 5))]:
+        if kind == 0:
+            y += rng.uniform(0.1, 1.0) * np.exp(-t / (rng.uniform(0.2, 3.0) * span))
+        elif kind == 1:
+            y += rng.uniform(-1.0, 1.0)
+        elif kind == 2:
+            turns = rng.uniform(0.2, 12.0)
+            y += rng.uniform(0.05, 0.5) * np.exp(-t / (rng.uniform(0.3, 3.0) * span)) * np.cos(
+                2 * math.pi * turns * t / span + rng.uniform(-math.pi, math.pi)
+            )
+        else:
+            y += rng.uniform(0.1, 1.0) * np.exp(-t / (rng.uniform(0.01, 0.1) * span))
+    return t, y
+
+
+def noisy(rng, y, noise):
+    """y plus Gaussian noise of standard deviation noise * max |y|."""
+    return y + noise * np.max(np.abs(y)) * rng.standard_normal(y.size)
+
+
+@pytest.fixture
+def no_leastsq(monkeypatch):
+    """Fails the test if any fit reaches scipy.optimize.leastsq."""
+
+    def spy(*args, **kwargs):
+        raise AssertionError("leastsq called on an unidentifiable trace")
+
+    monkeypatch.setattr(scipy.optimize, "leastsq", spy)
 
 
 class TestFits:
@@ -99,14 +135,7 @@ class TestFits:
             with pytest.raises(FitError, match="periods"):
                 pr.fit_damped_sinusoid(TimeTrace(t, noisy))
 
-    def test_rejections_decided_before_any_iteration(self, monkeypatch):
-        calls = []
-
-        def no_leastsq(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("leastsq called on an unidentifiable trace")
-
-        monkeypatch.setattr(scipy.optimize, "leastsq", no_leastsq)
+    def test_rejections_decided_before_any_iteration(self, no_leastsq):
         t = np.linspace(0, 100, 40)
         half = 2 * math.pi * 0.005 * t  # 5 MHz over 0.1 us: half a period
         traces = [np.sin(half), np.cos(half), np.exp(-t / 60.0)]
@@ -116,7 +145,18 @@ class TestFits:
         for y in traces:
             with pytest.raises(FitError, match="periods"):
                 pr.fit_damped_sinusoid(TimeTrace(t, y))
-        assert calls == []
+
+    def test_sub_resolution_noise_rejected_before_any_iteration(self, no_leastsq):
+        # noise of 1e-10 lies below the Gram pencil's resolution (s_i / s_0
+        # ~ 1.6e-7 at 121 x 61), so a constant or a bare decay keeps one real
+        # pole; an SVD pencil resolves the noise into a pole pair and sends
+        # these traces into leastsq, to be rejected only after it
+        t = np.linspace(0, 1000, 121)
+        for y in (np.full(t.size, 0.3), np.exp(-t / 400.0)):
+            for seed in range(5):
+                trace = TimeTrace(t, noisy(np.random.default_rng(seed), y, 1e-10))
+                with pytest.raises(FitError, match="fewer than two visible periods .no oscillating"):
+                    pr.fit_damped_sinusoid(trace)
 
     def test_single_start_matches_multistart_search(self):
         for seed in range(24):
@@ -128,22 +168,88 @@ class TestFits:
 
     def test_pencil_parameter_is_capped(self, monkeypatch):
         # a long trace keeps a Hankel matrix of at most 101 columns, so its
-        # SVD grows linearly with the trace; short ones keep n // 3 + 1
+        # Gram eigenproblem stays 101 x 101; short ones keep n // 3 + 1
         shapes = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def recording_svd(a, *args, **kwargs):
+        def recording_eigh(a, *args, **kwargs):
             shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(pr.np.linalg, "svd", recording_svd)
-        for points, shape in ((3001, (2901, 101)), (281, (188, 94))):
+        monkeypatch.setattr(pr.np.linalg, "eigh", recording_eigh)
+        for points, shape in ((3001, (101, 101)), (281, (94, 94))):
             shapes.clear()
             t = np.linspace(0, 1000, points)
             y = 0.5 * (1 + np.cos(2 * math.pi * 5.65 * t * 1e-3) * np.exp(-t / 400.0))
             fit = pr.fit_damped_sinusoid(TimeTrace(t, y))
             assert fit.value("frequency_mhz") == pytest.approx(5.65, rel=1e-6)
             assert shapes == [shape]
+
+    def test_gram_pencil_matches_svd_oracle(self):
+        # the Gram matrix carries rounding of ~max(L, W) * eps * s_0**2, which
+        # moves a pole by about that over the squared gap to the noise floor:
+        # the poles must agree within 1e4 * eps / noise**2 (2e-2 at 1e-5,
+        # 2e-8 at 1e-2; the worst of 6000 traces was 3.7e-3 and 4.3e-10)
+        rng = np.random.default_rng(11)
+        for k in range(200):
+            noise = (1e-5, 1e-4, 1e-3, 1e-2)[k % 4]
+            y = noisy(rng, pencil_trace(rng)[1], noise)
+            poles, _ = pr._pencil_poles(y)
+            expected, _ = svd_pencil_poles(y)
+            assert poles.size == expected.size
+            gap = np.abs(poles[:, np.newaxis] - expected)
+            tol = 1e4 * np.finfo(float).eps / noise**2
+            assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= tol
+
+    def test_exact_low_rank_traces_keep_their_order(self):
+        # the Gram matrix's rounding puts the eigenvalues past a trace's rank
+        # at up to ~0.05 * max(L, W) * eps * s_0**2 (above eps * s_0**2 in
+        # most of these traces), so only a cutoff at max(L, W) * eps keeps a
+        # bare decay at one real pole and a decay on a constant at two
+        rng = np.random.default_rng(13)
+        for rank in (1, 2) * 20:
+            t = np.arange(int(rng.integers(40, 400)))
+            y = rng.uniform(0.1, 1.0) * np.exp(-t / (rng.uniform(0.05, 3.0) * t.size))
+            if rank == 2:
+                y += rng.uniform(-1.0, 1.0)
+            poles, _ = pr._pencil_poles(y)
+            assert poles.size == rank
+            assert np.all(poles.imag == 0)
+
+    def test_fit_outcomes_match_svd_oracle(self, monkeypatch):
+        # every trace is accepted or rejected as with the SVD pencil, and an
+        # accepted fit agrees within 1e-7: the amplitude and frequency
+        # relative, the phase in rad, the offset relative to max |y| and the
+        # decay over the span, span / T, relative to max(span / T, 1), since
+        # a lifetime far beyond the span is not resolved
+        rng = np.random.default_rng(12)
+        traces = []
+        for k in range(56):
+            t, y = pencil_trace(rng)
+            traces.append((t, noisy(rng, y, (0.0, 1e-10, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2)[k % 7])))
+        names = ("amplitude", "lifetime_ns", "frequency_mhz", "phase_rad", "offset")
+
+        def outcomes():
+            results = []
+            for t, y in traces:
+                try:
+                    fit = pr.fit_damped_sinusoid(TimeTrace(t, y))
+                except FitError:
+                    results.append(None)
+                else:
+                    amp, lifetime, freq, phase, offset = (fit.value(name) for name in names)
+                    results.append(np.array([amp, (t[-1] - t[0]) / lifetime, freq, phase, offset]))
+            return results
+
+        fits = outcomes()
+        monkeypatch.setattr(pr, "_pencil_poles", svd_pencil_poles)
+        for (t, y), fit, expected in zip(traces, fits, outcomes()):
+            assert (fit is None) == (expected is None)
+            if fit is not None:
+                scale = np.abs(expected)
+                scale[1], scale[3], scale[4] = max(scale[1], 1.0), 1.0, np.max(np.abs(y))
+                assert np.all(np.abs(fit - expected) <= 1e-7 * scale)
+        assert 0 < sum(fit is None for fit in fits) < len(fits)
 
     def test_slow_baseline_pair_is_no_fringe(self):
         # in this trace noise merges the constant and the baseline into a
