@@ -16,16 +16,18 @@ on a set of coordinates; U is written once, as its rows on such a set
 _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it; evolve
-exponentiates the block once per distinct grid step.
+exponentiates the block once per distinct grid step, and its states stay
+vec entries on those coordinates (_propagate) until they are returned.
 :func:`steady_state_solver` uses all d^2 coordinates, prepared once per
 model and then called with any drive detunings delta, which only shift
 the diagonal: L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a -
 N_b), N the total excitation number.  Each point is one real dense LU
 solve of the trace-bordered generator, whose LAPACK condition estimate
 flags a degenerate null space; :func:`steady_states` is that solver
-applied once.  Both solvers check their stack of states once
-(_check_states: unit trace, no eigenvalue below -1e-8, NaN failing) and
-name the failing time or drive detuning.  :func:`assemble_liouvillian`
+applied once.  Both solvers check their stack of states once, on its
+vec entries (_check_states: unit trace, no eigenvalue below -1e-8 by a
+Cholesky certificate per block, NaN failing) and name the failing time
+or drive detuning.  :func:`assemble_liouvillian`
 gives the complex CSR Liouvillian for outside checks.
 """
 
@@ -58,6 +60,11 @@ __all__ = [
 # A trace-bordered Liouvillian with LAPACK reciprocal condition number
 # below this has a degenerate null space (more than one steady state).
 STEADY_RCOND_MIN = 1e-13
+
+# A Hermitian block B whose B + CERTIFICATE_SHIFT I has a finite Cholesky
+# factor has no eigenvalue below -1e-8: the factorization's rounding, about
+# k eps |B| for a k x k block, is far inside the remaining 0.5e-8.
+CERTIFICATE_SHIFT = 0.5e-8
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -406,7 +413,7 @@ def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray, we
     return at[order], generator.real[order]
 
 
-def _reached_block(model: LindbladModel, rho: np.ndarray):
+def _reached_block(model: LindbladModel, rho: np.ndarray, memo: dict | None = None):
     """The coordinates evolution can fill from a state or stack, A on them, and the start.
 
     rho is a complex d x d state or m x d x d stack: ValueError unless d is
@@ -417,9 +424,13 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     state, each step adding P(A[t]) R P(B[t])^T for every term (P: nonzero
     pattern).  Entries never reached stay exactly zero.  The terms mirror
     each other under a <-> b, so the set is closed under a <-> b, the same
-    in the vec and in Hermitian coordinates.  Returns the sorted reached
-    indices a*d + b, the dense block of A on them, the rows of U on them
-    (_coordinate_weights) and the (m, n) start coordinates x0 = U vec(rho).
+    in the vec and in Hermitian coordinates.  memo, a dict a caller keeps
+    for one model, carries the factors and their patterns, and the last
+    reached set with its rows of U and its block, from call to call: a
+    start that reaches exactly that set reuses them.  Returns the sorted
+    reached indices a*d + b, the dense block of A on them, the rows of U on
+    them (_coordinate_weights) and the (m, n) start coordinates x0 = U
+    vec(rho).
     """
     d = model.dimension
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -431,28 +442,49 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
         k = bad[0]
         which = "initial state" if rho.ndim == 2 else f"initial state {k} of the stack"
         raise ValueError(f"{which} is not Hermitian within 1e-10 (deviation {deviation[k]:.3e})")
-    left, right = _kron_terms(model)
+    memo = {} if memo is None else memo
+    if "terms" not in memo:
+        left, right = _kron_terms(model)
+        # 0/1 patterns in float32: exact for these counts (at most d^2), half the memory
+        patterns = (left != 0).astype(np.float32), np.swapaxes(right != 0, 1, 2).astype(np.float32)
+        memo["terms"] = left, right, patterns
+    left, right, (left_p, right_t) = memo["terms"]
     support = (states != 0).any(axis=0)
     reached = support | support.T
-    # 0/1 patterns in float32: exact for these counts (at most d^2), half the memory
-    left_p = (left != 0).astype(np.float32)
-    right_t = np.swapaxes(right != 0, 1, 2).astype(np.float32)
     while True:
         fed = reached | (left_p @ reached @ right_t).any(axis=0)
         if np.array_equal(fed, reached):
             break
         reached = fed
     index = np.flatnonzero(reached)
-    alpha, beta, partner = weights = _coordinate_weights(index, d)
-    flat, values = _real_generator(left, right, index, weights)
-    block = np.zeros((index.size, index.size))
-    block.flat[flat] = values
+    if not np.array_equal(memo.get("reached"), index):
+        weights = _coordinate_weights(index, d)
+        flat, values = _real_generator(left, right, index, weights)
+        block = np.zeros((index.size, index.size))
+        block.flat[flat] = values
+        memo.update(reached=index, weights=weights, block=block, exponentials={})
+    alpha, beta, partner = weights = memo["weights"]
     vecs = states.reshape(-1, d * d)[:, index]
-    return index, block, weights, (alpha * vecs + beta * vecs[:, partner]).real
+    return index, memo["block"], weights, (alpha * vecs + beta * vecs[:, partner]).real
 
 
 def _lowest_eigenvalues(stack: np.ndarray, axes: tuple) -> np.ndarray:
-    """Lowest eigenvalue over axes per point of a (points, ..., k, k) stack; NaN if not finite."""
+    """Lowest eigenvalue over axes per point of a (points, ..., k, k) Hermitian stack, or inf.
+
+    One batched Cholesky certificate comes first: if stack +
+    CERTIFICATE_SHIFT I factors with a finite factor (numpy returns NaN
+    factors for NaN entries without raising), no eigenvalue is below -1e-8
+    and every point reads inf.  Otherwise eigvalsh gives every point's
+    lowest eigenvalue; NaN for a point that is not finite.  Both read the
+    lower triangle alone.
+    """
+    try:
+        factor = np.linalg.cholesky(stack + CERTIFICATE_SHIFT * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.isfinite(factor).all():
+            return np.full(len(stack), np.inf)
     try:
         return np.linalg.eigvalsh(stack).min(axis=axes)
     except np.linalg.LinAlgError:  # on NaN: finite points then read inf, unchecked
@@ -462,53 +494,130 @@ def _lowest_eigenvalues(stack: np.ndarray, axes: tuple) -> np.ndarray:
         return np.where(finite, np.inf, np.nan)
 
 
-def _check_states(states: np.ndarray, points, where: str, reached=None) -> None:
+def _state_layout(reached: np.ndarray, d: int):
+    """Where the diagonal and the nonzero blocks of d x d states sit among their entries on reached.
+
+    reached holds sorted coordinates a*d + b, closed under a <-> b, and the
+    states are zero off them.  A reached coordinate ab links basis states a
+    and b, so every state is block diagonal over the connected components
+    of those links: its eigenvalues are those of its blocks, and a block
+    that holds no reached coordinate is zero.  Returns the positions in
+    reached of the d diagonal coordinates aa and one k x k array of
+    positions per nonzero block, -1 marking a coordinate that is not
+    reached (_gather reads it as zero).  It depends on the set alone, so a
+    caller that checks many stacks on one set prepares it once.
+    """
+    position = np.full((d, d), -1)
+    position.flat[reached] = np.arange(reached.size)
+    linked = (position >= 0) | np.eye(d, dtype=bool)
+    while True:  # boolean closure: linked[i, j] once i and j share a block
+        closed = linked @ linked
+        if np.array_equal(closed, linked):
+            break
+        linked = closed
+    blocks = []
+    pending = np.zeros(d, dtype=bool)
+    pending[reached // d] = True  # basis states of the nonzero blocks
+    while pending.any():
+        members = np.flatnonzero(linked[np.argmax(pending)])
+        pending[members] = False
+        blocks.append(position[members[:, None], members])
+    return position.diagonal(), blocks
+
+
+def _gather(entries: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """entries[..., at] with a zero where at is -1 (a coordinate that is not reached)."""
+    values = np.zeros(entries.shape[:-1] + at.shape, dtype=entries.dtype)
+    inside = at >= 0
+    values[..., inside] = entries[..., at[inside]]
+    return values
+
+
+def _check_states(entries: np.ndarray, layout, points, where: str) -> None:
     """ValueError unless each state has unit trace and no eigenvalue below -1e-8 (NaN fails both).
 
-    states is a (len(points), ..., d, d) stack with one leading entry per
-    point; the message names the first failing point as where.format(point),
-    e.g. "t = {:g} us" or "drive detuning {:g} MHz".  Without reached,
-    eigvalsh runs once on the whole stack.  With reached, the states are
-    zero outside those coordinates.  A reached coordinate ab links basis
-    states a and b, so every state is block diagonal over the connected
-    components of those links: its eigenvalues are those of its blocks, and
-    a block that holds no reached coordinate is zero.  So eigvalsh runs
-    once per nonzero block on the whole stack.
+    entries is a (len(points), ..., n) stack of the vec entries of d x d
+    states on n coordinates, one leading entry per point, and layout
+    (_state_layout) places their diagonal and nonzero blocks; every other
+    entry of the states is zero.  The message names the first failing
+    point as where.format(point), e.g. "t = {:g} us" or "drive detuning
+    {:g} MHz".  The traces sum each diagonal, zeros included, in the order
+    of np.trace on the d x d states.  Each nonzero block is gathered and
+    checked once on the whole stack (_lowest_eigenvalues: one Cholesky
+    certificate, eigvalsh only where it fails).  The certificate's rounding
+    is far inside its margin: with unit trace and no eigenvalue below
+    -1e-8, no entry exceeds about 1.
     """
-    traces = np.trace(states, axis1=-2, axis2=-1).real
+    diagonal, blocks = layout
+    traces = _gather(entries, diagonal).sum(axis=-1).real
     bad = np.argwhere(~(np.abs(traces - 1.0) <= 1e-9))  # NaN fails too
     if bad.size:
         k = tuple(bad[0])
         raise ValueError(
             f"trace {traces[k]} differs from 1 beyond 1e-9 at {where.format(points[k[0]])}"
         )
-    axes = tuple(range(1, states.ndim - 1))  # all but the point axis of the eigenvalues
-    if reached is None:
-        lowest = _lowest_eigenvalues(states, axes)
-    else:
-        d = states.shape[-1]
-        a, b = np.divmod(reached, d)
-        linked = np.eye(d, dtype=bool)
-        linked[a, b] = linked[b, a] = True
-        while True:  # boolean closure: linked[i, j] once i and j share a block
-            closed = linked @ linked
-            if np.array_equal(closed, linked):
-                break
-            linked = closed
-        lowest = np.full(len(points), np.inf)
-        pending = np.zeros(d, dtype=bool)
-        pending[a] = True  # basis states of the nonzero blocks
-        while pending.any():
-            members = np.flatnonzero(linked[np.argmax(pending)])
-            pending[members] = False
-            block = states[..., members[:, None], members]
-            lowest = np.minimum(lowest, _lowest_eigenvalues(block, axes))
+    axes = tuple(range(1, entries.ndim))  # all but the point axis of the eigenvalues
+    lowest = np.full(len(points), np.inf)
+    for at in blocks:
+        lowest = np.minimum(lowest, _lowest_eigenvalues(_gather(entries, at), axes))
     bad = np.flatnonzero(~(lowest >= -1e-8))
     if bad.size:
         k = bad[0]
         raise ValueError(
             f"state has an eigenvalue {lowest[k]:.3e} below -1e-8 at {where.format(points[k])}"
         )
+
+
+def _propagate(model: LindbladModel, rho, times, memo: dict | None = None):
+    """The evolution of evolve on the reached coordinates alone: (reached, entries).
+
+    rho is a d x d state or an m x d x d stack at times[0] (us).  Returns
+    the sorted reached coordinates a*d + b (_reached_block) and the complex
+    (len(times), m, n) vec entries of every state on them (m = 1 for a
+    single state), U^dagger x from real x (_hermitian_vec); every other vec
+    entry is exactly zero.  The path x is one preallocated (len(times), n,
+    m) array, each step one product with the exponential of the block into
+    the next slot.  Each step takes the exponential of the first step in
+    grid order that it equals within 1e-12 relative, so every class of
+    equal steps is found once; memo (_reached_block) also keeps the
+    exponentials, by exact step, for a later call that reaches the same
+    set.  ValueError unless the times are finite and strictly increasing,
+    and each state, rho included, must pass _check_states.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a non-empty 1D grid")
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ValueError(f"times must be finite: t = {times[~finite][0]:g} us")
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise ValueError("times must be strictly increasing")
+    memo = {} if memo is None else memo
+    reached, block, weights, x0 = _reached_block(model, np.asarray(rho, dtype=complex), memo)
+    exponentials, distinct = memo["exponentials"], []
+    chosen = np.full(steps.size, -1)
+    while (chosen < 0).any():
+        step = steps[np.argmax(chosen < 0)]
+        chosen[(chosen < 0) & (np.abs(steps - step) <= 1e-12 * step)] = len(distinct)
+        if step not in exponentials:
+            exponentials[step] = _expm(block * step)
+        distinct.append(exponentials[step])
+    path = np.empty((times.size,) + x0.T.shape)  # one column per state
+    path[0] = x0.T
+    for k, which in enumerate(chosen):
+        np.matmul(distinct[which], path[k], out=path[k + 1])
+    entries = _hermitian_vec(np.swapaxes(path, 1, 2), weights)
+    _check_states(entries, _state_layout(reached, model.dimension), times, "t = {:g} us")
+    return reached, entries
+
+
+def _evolve(model: LindbladModel, rho0, times, memo: dict | None = None) -> np.ndarray:
+    """evolve, sharing memo (_propagate) with other calls on the same model."""
+    reached, entries = _propagate(model, rho0, times, memo)
+    states = np.zeros(entries.shape[:-1] + (model.dimension**2,), dtype=complex)
+    states[..., reached] = entries
+    return states.reshape((len(entries),) + np.shape(rho0))
 
 
 def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
@@ -525,36 +634,14 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     Each step multiplies by the exponential of the block; steps equal
     within 1e-12 relative share one exponential.  ValueError unless the
     times are finite and rho0 (each state of a stack) is Hermitian within
-    1e-10.  States are read back as U^dagger x from real x (_hermitian_vec),
-    so they are exactly Hermitian, and each one, rho0 included, must have
-    unit trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
+    1e-10.  _propagate does all of that and returns each state's vec
+    entries on the reached coordinates, U^dagger x from real x, so exactly
+    Hermitian; each one, rho0 included, must have unit trace within 1e-9
+    and no eigenvalue below -1e-8, checked on those entries
+    (_check_states).  evolve only scatters them into zeros; a readout of
+    a few entries, such as a population, can read them from _propagate.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1D grid")
-    finite = np.isfinite(times)
-    if not finite.all():
-        raise ValueError(f"times must be finite: t = {times[~finite][0]:g} us")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    rho = np.asarray(rho0, dtype=complex)
-    d = model.dimension
-    reached, block, weights, x0 = _reached_block(model, rho)
-    exponentials: list[tuple[float, np.ndarray]] = []
-    path = [x0.T]  # one column per state
-    for step in np.diff(times):
-        for known, exponential in exponentials:
-            if abs(step - known) <= 1e-12 * known:
-                break
-        else:
-            exponential = _expm(block * step)
-            exponentials.append((step, exponential))
-        path.append(exponential @ path[-1])
-    # U^dagger x on the reached coordinates; every other entry stays zero
-    states = np.zeros((times.size, len(x0), d * d), dtype=complex)
-    states[..., reached] = _hermitian_vec(np.swapaxes(path, 1, 2), weights)
-    _check_states(states.reshape(times.size, -1, d, d), times, "t = {:g} us", reached)
-    return states.reshape((times.size,) + rho.shape)
+    return _evolve(model, rho0, times)
 
 
 def _detuning_generator(basis: ProductBasis) -> np.ndarray:
@@ -592,8 +679,9 @@ def steady_state_solver(model: LindbladModel):
     only couples the two coordinates of each coherence.  Row 0 of A (d
     rho_00/dt, dependent on the other population rows as L preserves
     trace) becomes the trace row sum_a x_aa in the entries.  All of that,
-    the LAPACK handles and the one dense work array are prepared here, so a
-    sweep that solves its points in several calls builds nothing twice.
+    the state layout of the checks, the LAPACK handles and the one dense
+    work array are prepared here, so a sweep that solves its points in
+    several calls builds nothing twice.
 
     The returned solve(detunings) rejects a non-finite detuning up front
     (ValueError naming it).  Each point refills the work array from the
@@ -616,8 +704,10 @@ def steady_state_solver(model: LindbladModel):
     d = model.dimension
     n = d * d
     generator = np.zeros(n) if model.basis is None else _detuning_generator(model.basis)
-    weights = _coordinate_weights(np.arange(n), d)
-    flat, values = _real_generator(*_kron_terms(model), np.arange(n), weights)
+    coordinates = np.arange(n)
+    weights = _coordinate_weights(coordinates, d)
+    layout = _state_layout(coordinates, d)
+    flat, values = _real_generator(*_kron_terms(model), coordinates, weights)
     indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
     real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
     body = real_generator.indptr[1]
@@ -676,9 +766,9 @@ def steady_state_solver(model: LindbladModel):
                 f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
                 f"{detunings[k]:g} MHz"
             )
-        states = _hermitian_vec(x.T, weights).reshape(detunings.size, d, d)
-        _check_states(states, detunings, "drive detuning {:g} MHz")
-        return states
+        vecs = _hermitian_vec(x.T, weights)
+        _check_states(vecs, layout, detunings, "drive detuning {:g} MHz")
+        return vecs.reshape(detunings.size, d, d)
 
     return solve
 

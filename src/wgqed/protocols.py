@@ -5,7 +5,9 @@ detuning changes, and state preparation pulses are idealized as
 instantaneous rotations of the probe.  Each hold is one exact
 lindblad.evolve call on the full product space of the spec; evolve itself
 keeps to the coordinates the state can reach, so a hold that starts with
-one excitation at n_th = 0 costs about as much as that sector.  Public
+one excitation at n_th = 0 costs about as much as that sector.  A hold
+that is only read out as a population reads it off those coordinates
+(lindblad._propagate) and never forms the d x d states.  Public
 time arguments and TimeTrace records are in ns; the underlying
 master-equation work runs in us.
 """
@@ -64,6 +66,14 @@ BASELINE_TURNS = 0.4
 # xtol, ftol and gtol of every trace fit; at scipy's defaults the fitted
 # offsets and the covariance still move with where the optimizer stops
 FIT_TOLERANCE = 1e-12
+
+# evaluation caps of the trace fits, each at least 8x the most that an
+# accepted fit of a 900-trace randomized panel needed (74 for the sinusoid,
+# 87 for the exponential): the sinusoid's is MINPACK's own lmder default
+# 100 (n + 1) for its five parameters; the exponential's default, 400,
+# would be only 4.6x, so it gets twice that
+SINUSOID_MAX_EVALUATIONS = 600
+EXPONENTIAL_MAX_EVALUATIONS = 800
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,23 @@ def _populations(number_op: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("...ii,i->...", states, np.diag(number_op)).real
 
 
+def _held_populations(model, number_op: np.ndarray, rho0: np.ndarray, times_us, memo=None):
+    """_populations of the states that rho0 evolves into, read off its diagonal coordinates.
+
+    tr(N rho) for a diagonal N sums N_aa rho_aa, and rho_aa is the reached
+    coordinate x_aa or zero (lindblad._propagate, sharing memo).  The
+    reached terms are added one by one from zero in ascending a, as the
+    einsum of _populations adds them, so the trace is the same bit for bit.
+    """
+    reached, entries = lindblad._propagate(model, rho0, times_us, memo)
+    a, b = np.divmod(reached, model.dimension)
+    weights = np.diag(number_op)
+    populations = np.zeros(len(entries))
+    for k in np.flatnonzero((a == b) & (weights[a] != 0)):
+        populations += entries[:, 0, k].real * weights[a[k]]
+    return populations
+
+
 def interaction_detuning(spec: core.SystemSpec) -> float:
     """Probe detuning from the mean mirror frequency (MHz)."""
     probe = spec.probe_index
@@ -158,21 +185,20 @@ def iswap(spec: core.SystemSpec) -> np.ndarray:
     return _iswap(spec, lindblad.build_model(spec))
 
 
-def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
-    """iswap on the already built model of spec."""
+def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel, memo=None) -> np.ndarray:
+    """iswap on the already built model of spec, sharing memo (lindblad._evolve)."""
     hold_us = iswap_duration_ns(spec) * 1e-3
-    return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
+    return lindblad._evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us], memo)[-1]
 
 
 def _excite_hold_read(spec: core.SystemSpec, taus, metadata) -> TimeTrace:
     """Probe population after preparing |e>_p and holding spec for each tau (ns)."""
     taus = np.asarray(taus, dtype=float)
     model = lindblad.build_model(spec)
-    states = lindblad.evolve(model, _probe_excited(spec, model.basis), taus * 1e-3)
-    return TimeTrace(
-        taus, _populations(model.basis.number(spec.probe_index), states),
-        metadata={"observable": "probe_population", **metadata},
+    populations = _held_populations(
+        model, model.basis.number(spec.probe_index), _probe_excited(spec, model.basis), taus * 1e-3
     )
+    return TimeTrace(taus, populations, metadata={"observable": "probe_population", **metadata})
 
 
 def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> TimeTrace:
@@ -197,19 +223,23 @@ def _staged_wait_protocol(spec, wait_spec, delays_ns, rho0, closing_angle) -> Ti
     for each delay (ns), then swapped back; a nonzero closing_angle
     rotates the probe about x before the readout.  That is three evolve
     calls: the swap in, one wait over the delay grid that gives every
-    waited state, and one swap back of that whole stack.  Returns the
-    probe population versus delay.
+    waited state, and one swap back of that whole stack.  The two swaps
+    share one memo (lindblad._evolve): the factors of the swap model are
+    built once, and its block and exponential too when the waited stack
+    reaches the same coordinates as the swap in.  Returns the probe
+    population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
     delays_us = delays_ns * 1e-3
     model = lindblad.build_model(spec)
     wait = lindblad.build_model(wait_spec)
     swap_us = [0.0, iswap_duration_ns(spec) * 1e-3]
-    swapped = lindblad.evolve(model, rho0, swap_us)[-1]
+    swap_memo: dict = {}
+    swapped = lindblad._evolve(model, rho0, swap_us, swap_memo)[-1]
     # the wait starts at zero delay; a grid that starts there has no extra point
     hold = delays_us if delays_us[0] == 0.0 else np.concatenate(([0.0], delays_us))
     waited = lindblad.evolve(wait, swapped, hold)[-delays_us.size :]
-    finals = lindblad.evolve(model, waited, swap_us)[-1]
+    finals = lindblad._evolve(model, waited, swap_us, swap_memo)[-1]
     if closing_angle:
         finals = rotate_qubit(finals, model.basis, spec.probe_index, closing_angle)
     return TimeTrace(
@@ -276,20 +306,19 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     probe = _require_probe(spec)
     taus = np.asarray(taus, dtype=float)
     model = lindblad.build_model(spec)
-    rho = rotate_qubit(_iswap(spec, model), model.basis, probe, math.pi)
-    states = lindblad.evolve(model, rho, taus * 1e-3)
+    memo: dict = {}  # the swap and the re-excited hold build the model's factors once
+    rho = rotate_qubit(_iswap(spec, model, memo), model.basis, probe, math.pi)
     atomic = TimeTrace(
         taus,
-        _populations(model.basis.number(probe), states),
+        _held_populations(model, model.basis.number(probe), rho, taus * 1e-3, memo),
         metadata={"observable": "probe_population", "system": "atomic_cavity"},
     )
 
     cavity_model, ops = linear_cavity_model(spec)
     rho_c = np.outer(ops["excited_one_photon"], ops["excited_one_photon"].conj())
-    states = lindblad.evolve(cavity_model, rho_c, taus * 1e-3)
     companion = TimeTrace(
         taus,
-        _populations(ops["probe_number"], states),
+        _held_populations(cavity_model, ops["probe_number"], rho_c, taus * 1e-3),
         metadata={"observable": "probe_population", "system": "linear_cavity"},
     )
     return atomic, companion
@@ -383,12 +412,14 @@ def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]
     return t, y
 
 
-def _solve(model, jacobian, t, y, p0, name: str):
+def _solve(model, jacobian, t, y, p0, name: str, max_evaluations: int):
     """One unbounded MINPACK Levenberg-Marquardt solve of model to (t, y) from p0.
 
     A single leastsq call with the analytic jacobian (its columns returned
     as rows, col_deriv=1), FIT_TOLERANCE as xtol, ftol and gtol and at most
-    20000 evaluations; numerical warnings silenced.  The standard errors
+    max_evaluations evaluations (SINUSOID_MAX_EVALUATIONS or
+    EXPONENTIAL_MAX_EVALUATIONS), so a solve that wanders off is rejected
+    within tens of milliseconds; numerical warnings silenced.  The standard errors
     are the roots of the diagonal of cov_x times the residual variance
     sum(r**2) / (m - n); they are infinite when cov_x cannot be estimated
     or m <= n, and then fail _report's amplitude test.  Returns the
@@ -404,7 +435,8 @@ def _solve(model, jacobian, t, y, p0, name: str):
         warnings.simplefilter("ignore")
         params, cov, info, message, status = leastsq(
             lambda p: model(t, *p) - y, p0, Dfun=lambda p: jacobian(t, *p), full_output=1,
-            col_deriv=1, maxfev=20000, xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+            col_deriv=1, maxfev=max_evaluations,
+            xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
         )
     if status not in (1, 2, 3, 4):
         raise FitError(
@@ -468,7 +500,8 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
         return np.array((decay, amp * decay * t / lifetime**2, np.ones_like(t)))
 
     params, sigmas, residual = _solve(
-        model, jacobian, t, y, [amp0, lifetime0, offset0], "exponential"
+        model, jacobian, t, y, [amp0, lifetime0, offset0], "exponential",
+        EXPONENTIAL_MAX_EVALUATIONS,
     )
     return _report(
         "exponential", ("amplitude", "lifetime_ns", "offset"), params, sigmas, residual, "decay"
@@ -601,7 +634,9 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         d_lifetime, d_f = amp * d_amp * t / lifetime**2, d_phi * TWO_PI * t * 1e-3
         return np.array((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
 
-    params, sigmas, residual = _solve(model, jacobian, t_fit, y_fit, p0, "sinusoid")
+    params, sigmas, residual = _solve(
+        model, jacobian, t_fit, y_fit, p0, "sinusoid", SINUSOID_MAX_EVALUATIONS
+    )
     if not params[1] > 0:
         raise FitError(f"fitted lifetime {params[1]:.3g} ns is not positive", best=tuple(params))
     if params[2] < 0:  # cos is even: fold the frequency sign into the phase

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import reach_oracle
 from dense_oracle import dense_liouvillian, propagated_states, propagator, svd_steady_state
+from evolve_oracle import listed_path_states
 from ode_oracle import dop853_states
 from sweep_oracle import shifted_model
 from scipy import sparse
@@ -545,22 +546,27 @@ class TestReachedCoordinates:
             evolve(model, rho0, [0.0, 0.1])
 
     @pytest.mark.parametrize("n_th, sizes", [(0.0, [1, 5]), (0.02, [1, 1, 5, 5, 10, 10])])
-    def test_one_eigvalsh_per_nonzero_block(self, monkeypatch, n_th, sizes):
+    def test_one_certificate_per_nonzero_block(self, monkeypatch, n_th, sizes):
         # from an excited probe, each reached excitation manifold is a block
         # of its own; at n_th = 0 the two- to five-excitation blocks stay
-        # zero and are skipped
+        # zero and are skipped.  Every block passes its Cholesky
+        # certificate, so no eigvalsh runs
         spec = self.five_qubit_cavity(n_th)
         model = build_model(spec)
         rho0 = basis_projector(model.basis, 1 << spec.probe_index)
         shapes = []
-        eigvalsh = np.linalg.eigvalsh
+        cholesky = np.linalg.cholesky
 
-        def recording_eigvalsh(a, *args, **kwargs):
+        def recording_cholesky(a, *args, **kwargs):
             shapes.append(a.shape[-2:])
-            return eigvalsh(a, *args, **kwargs)
+            return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", recording_eigvalsh)
-        evolve(model, rho0, [0.0, 0.1])
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("eigvalsh ran on a certified block")
+
+        monkeypatch.setattr(lindblad.np.linalg, "cholesky", recording_cholesky)
+        monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", forbidden)
+        evolve(model, rho0, np.linspace(0.0, 0.1, 5))
         assert sorted(shapes) == [(size, size) for size in sizes]
 
     def test_bad_trace_raises(self):
@@ -623,6 +629,112 @@ class TestReachedCoordinates:
             dominant_oscillation(model, np.stack([good, bad]), observable)
         with pytest.raises(ValueError, match="initial state dimension mismatch"):
             dominant_oscillation(model, np.eye(3) / 3, observable)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def block_with_lowest(rng, k, lowest) -> np.ndarray:
+    """A Hermitian k x k block whose lowest eigenvalue is lowest, the rest positive; unit trace if k > 1."""
+    values = np.concatenate(([lowest], rng.uniform(0.5, 1.0, k - 1)))
+    if k > 1:
+        values[1:] *= (1.0 - lowest) / values[1:].sum()
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    block = (q * values) @ q.conj().T
+    return 0.5 * (block + block.conj().T)
+
+
+class TestCoordinateStates:
+    """evolve's states stay vec entries on the reached coordinates until they are returned."""
+
+    @staticmethod
+    def random_cases():
+        # driven holds reach all d^2 coordinates, so at N = 5 only the
+        # undriven holds run: a 1024 x 1024 exponential takes seconds
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 3, 4, 5):
+            for n_th, driven in ((0.0, False), (0.05, False), (0.0, True), (0.05, True)):
+                if n == 5 and driven:
+                    continue
+                model = build_model(random_spec(rng, n, n_th=n_th),
+                                    drives=random_drives(rng, n) if driven else ())
+                d = model.dimension
+                picks = rng.choice(d, size=min(2, d), replace=False)
+                single = basis_projector(model.basis, *picks)
+                stack = np.array([basis_projector(model.basis, p) for p in picks])
+                times = np.linspace(0.0, rng.uniform(0.02, 0.1), 7)
+                for rho in (single, stack):
+                    yield model, rho, times
+                if n <= 3:
+                    uneven = np.cumsum(rng.choice([0.01, 0.02, 0.01 * (1 + 1e-13)], 6))
+                    yield model, random_mixed_state(rng, d), uneven
+
+    def test_evolve_scatters_the_propagated_entries(self):
+        for model, rho, times in self.random_cases():
+            reached, entries = lindblad._propagate(model, rho, times)
+            m = 1 if rho.ndim == 2 else len(rho)
+            assert entries.shape == (len(times), m, reached.size)
+            states = np.zeros((len(times), m, model.dimension**2), dtype=complex)
+            states[..., reached] = entries
+            assert same_bits(evolve(model, rho, times), states.reshape((len(times),) + rho.shape))
+
+    def test_evolve_matches_the_listed_path_bitwise(self):
+        # one preallocated path and one search per class of equal steps give
+        # the states of a list of columns searched step by step, bit for bit
+        for model, rho, times in self.random_cases():
+            assert same_bits(evolve(model, rho, times), listed_path_states(model, rho, times))
+
+    def test_memo_reuses_only_an_equal_reach(self):
+        # a memo shared by calls on one model: a start with another reach
+        # rebuilds the block, one with the same reach reuses it, and every
+        # call returns what a fresh evolve does, bit for bit
+        rng = np.random.default_rng(72)
+        model = build_model(random_spec(rng, 3, n_th=0.05))
+        basis = model.basis
+        first, other = basis_projector(basis, 0b001), basis_projector(basis, 0b000, 0b011)
+        grids = (np.linspace(0.0, 0.05, 6), np.linspace(0.0, 0.05, 3), np.linspace(0.0, 0.05, 6))
+        starts = (first, other, first, first)
+        fresh = [evolve(model, rho, times) for rho, times in zip(starts, grids + grids[:1])]
+        memo, built = {}, []
+        real_generator = lindblad._real_generator
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lindblad, "_real_generator",
+                          lambda *args: built.append(1) or real_generator(*args))
+            for rho, times, expected in zip(starts, grids + grids[:1], fresh):
+                assert same_bits(lindblad._evolve(model, rho, times, memo), expected)
+        # first, other, first again: three builds; the last call reuses the third
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("lowest", [-1e-8 * (1 + 1e-6), -1e-8 * (1 - 1e-6), -0.5e-8, 0.0])
+    def test_certificate_decides_as_eigvalsh(self, lowest):
+        rng = np.random.default_rng(73)
+        for k in (1, 2, 5, 10):
+            stack = np.array([block_with_lowest(rng, k, lowest) for _ in range(3)])
+            exact = np.linalg.eigvalsh(stack).min(axis=1)
+            assert np.all(np.abs(exact - lowest) < 1e-15)
+            certified = lindblad._lowest_eigenvalues(stack, (1,))
+            assert np.array_equal(certified >= -1e-8, exact >= -1e-8)
+            # a failed certificate falls back to the exact values
+            assert np.all((certified == np.inf) | (certified == exact))
+            if lowest == 0.0:
+                assert np.all(certified == np.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_certificate_fails_non_finite_blocks(self, bad):
+        # numpy's Cholesky returns NaN factors for NaN entries without
+        # raising; only the finite-factor test keeps such a block uncertified
+        rng = np.random.default_rng(74)
+        for row, col in ((1, 0), (2, 2)):
+            stack = np.array([block_with_lowest(rng, 3, 0.1) for _ in range(3)])
+            stack[1, row, col] = bad
+            stack[1, col, row] = np.conj(bad)
+            lowest = lindblad._lowest_eigenvalues(stack, (1,))
+            assert np.isnan(lowest[1])
+            if row != col:  # a non-finite diagonal fails the trace check first
+                with pytest.raises(ValueError, match=r"eigenvalue nan below -1e-8 at t = 0\.2 us"):
+                    lindblad._check_states(stack.reshape(3, 9), lindblad._state_layout(np.arange(9), 3),
+                                           [0.1, 0.2, 0.3], "t = {:g} us")
 
 
 class TestSteadyState:
@@ -723,14 +835,14 @@ class TestSteadyStateSweep:
     def perturb_point(monkeypatch, point, change):
         """Make the state check of a sweep see change applied to the vec of one point.
 
-        The states reach _check_states after the residual check, so only the
-        state check sees the change.
+        The states reach _check_states, as one vec per point, after the
+        residual check, so only the state check sees the change.
         """
         check_states = lindblad._check_states
 
-        def patched(states, points, where, reached=None):
-            states[point] = change(states[point].reshape(-1)).reshape(states[point].shape)
-            check_states(states, points, where, reached)
+        def patched(vecs, *args):
+            vecs[point] = change(vecs[point])
+            check_states(vecs, *args)
 
         monkeypatch.setattr(lindblad, "_check_states", patched)
 

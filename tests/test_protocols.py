@@ -310,7 +310,8 @@ class TestFits:
         for func, x0, kwargs in calls:
             assert "bounds" not in kwargs
             assert kwargs["full_output"] and kwargs["col_deriv"]
-            assert kwargs["maxfev"] == 20000
+            cap = pr.EXPONENTIAL_MAX_EVALUATIONS if len(x0) == 3 else pr.SINUSOID_MAX_EVALUATIONS
+            assert kwargs["maxfev"] == cap
             assert kwargs["xtol"] == kwargs["ftol"] == kwargs["gtol"] == pr.FIT_TOLERANCE
             for _ in range(5):
                 amp, lifetime, offset = rng.uniform(-1, 1), rng.uniform(50, 2000), rng.uniform(-1, 1)
@@ -323,6 +324,29 @@ class TestFits:
                 numeric = central_differences(func, params)
                 column_error = np.linalg.norm(exact - numeric, axis=0)
                 assert np.all(column_error <= 1e-6 * np.linalg.norm(exact, axis=0))
+
+    def test_runaway_fit_rejected_at_the_cap(self, monkeypatch):
+        # the slowest reject of the rng-12 panel above: a 41-point trace
+        # whose refinement ran to 20000 evaluations (0.7 s) before failing;
+        # the cap stops it at 600, and it is still a named FitError
+        rng = np.random.default_rng(12)
+        for k in range(26):
+            t, y = pencil_trace(rng)
+            y = noisy(rng, y, (0.0, 1e-10, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2)[k % 7])
+        assert t.size == 41
+        calls = []
+        real_leastsq = scipy.optimize.leastsq
+
+        def recording_leastsq(func, x0, **kwargs):
+            result = real_leastsq(func, x0, **kwargs)
+            calls.append((kwargs["maxfev"], result[2]["nfev"]))
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "leastsq", recording_leastsq)
+        with pytest.raises(FitError, match=r"^sinusoid fit failed: .* maxfev = 600\."):
+            pr.fit_damped_sinusoid(TimeTrace(t, y))
+        assert pr.SINUSOID_MAX_EVALUATIONS == 600
+        assert calls == [(600, 600)]
 
     def test_fits_call_no_scipy_front_end(self, monkeypatch):
         def front_end(*args, **kwargs):
@@ -428,6 +452,89 @@ class TestVacuumRabi:
         number = full.basis.number(spec.probe_index)
         expected = [np.real(np.trace(number @ rho)) for rho in reference]
         assert np.max(np.abs(trace.values - expected)) < 1e-9
+
+
+class TestCoordinateReadouts:
+    """Traces read off the diagonal coordinates or built with shared swaps, bit for bit as before."""
+
+    @staticmethod
+    def evolved_populations(model, number, rho0, taus):
+        return pr._populations(number, lindblad.evolve(model, rho0, taus * 1e-3))
+
+    @pytest.mark.parametrize("n_mirrors, n_th", [(2, 0.0), (4, 0.0), (2, 0.05)])
+    def test_vacuum_rabi(self, n_mirrors, n_th):
+        spec = core.cavity_spec(MIRROR1, PROBE, n_mirrors=n_mirrors, probe_detuning=0.5, n_th=n_th)
+        taus = np.linspace(0, 400, 81)
+        model = lindblad.build_model(spec)
+        expected = self.evolved_populations(
+            model, model.basis.number(spec.probe_index), pr._probe_excited(spec, model.basis), taus
+        )
+        assert pr.simulate_vacuum_rabi(spec, taus).values.tobytes() == expected.tobytes()
+
+    def test_compound_mirrors(self):
+        spec = core.compound_mirror_spec(
+            QubitParams("M", 13.4, GLOSS, 0.146), PROBE, direct_g=46.0, pair_detuning=20.0
+        )
+        taus = np.linspace(0, 400, 81)
+        result = pr.simulate_compound_mirrors(spec, taus)
+        for trace, freq in zip(result.traces, result.dark_frequencies):
+            detunings = list(spec.detunings)
+            detunings[spec.probe_index] = freq
+            model = lindblad.build_model(spec.with_detunings(detunings))
+            expected = self.evolved_populations(
+                model, model.basis.number(spec.probe_index), pr._probe_excited(spec, model.basis), taus
+            )
+            assert trace.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.05])
+    def test_two_excitation(self, monkeypatch, n_th):
+        # the swap and the re-excited hold share the spec model's factors:
+        # one _kron_terms for it and one for the linear cavity
+        spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=0.3, n_th=n_th)
+        taus = np.linspace(0, 500, 101)
+        built, kron_terms = [], lindblad._kron_terms
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_kron_terms", lambda m: built.append(m) or kron_terms(m))
+            atomic, companion = pr.simulate_two_excitation(spec, taus)
+        assert len(built) == 2
+        model = lindblad.build_model(spec)
+        probe = spec.probe_index
+        rho = pr.rotate_qubit(pr._iswap(spec, model), model.basis, probe, math.pi)
+        expected = self.evolved_populations(model, model.basis.number(probe), rho, taus)
+        assert atomic.values.tobytes() == expected.tobytes()
+        cavity_model, ops = pr.linear_cavity_model(spec)
+        rho_c = np.outer(ops["excited_one_photon"], ops["excited_one_photon"].conj())
+        expected = self.evolved_populations(cavity_model, ops["probe_number"], rho_c, taus)
+        assert companion.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ramsey", [False, True])
+    def test_staged_swaps_build_one_block(self, monkeypatch, ramsey):
+        # the swap back reaches the coordinates of the swap in, so the swap
+        # model's factors and block are built once: two of each (swap and
+        # wait) instead of three, and the trace keeps its bits
+        spec = inverted_dephasing_spec(13.4, 0.36275, 0.15925)
+        delays = np.linspace(0, 1500, 31)
+
+        def trace():
+            if ramsey:
+                return pr.simulate_ramsey_dark(spec, delays)[0].values
+            return pr.simulate_t1_dark(spec, delays, fit=False)[0].values
+
+        evolve_alone = lindblad._evolve
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_evolve", lambda m, rho, t, memo=None: evolve_alone(m, rho, t))
+            expected = trace()
+        counts = {"_kron_terms": 0, "_real_generator": 0}
+        for name in counts:
+            real = getattr(lindblad, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lindblad, name, counting)
+        assert trace().tobytes() == expected.tobytes()
+        assert counts == {"_kron_terms": 2, "_real_generator": 2}
 
 
 class TestIswap:
