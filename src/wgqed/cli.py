@@ -60,8 +60,10 @@ _QUBIT_SCHEMA = _object_schema(
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
 
-# (i, j, value) entries of a pairwise table
-_TRIPLES = {"type": "array", "items": {**_NUMBERS, "minItems": 3, "maxItems": 3}}
+# (i, j, value) entries of a pairwise table over qubit indices i and j
+_INDEX = {"type": "integer", "minimum": 0}
+_TRIPLE = {"type": "array", "prefixItems": [_INDEX, _INDEX, {"type": "number"}]}
+_TRIPLES = {"type": "array", "items": {**_TRIPLE, "minItems": 3, "maxItems": 3}}
 
 _SYSTEM_SCHEMA = _object_schema(
     {
@@ -95,9 +97,9 @@ def _schema_errors(schema: dict, instance, path=()):
     """(key path, message) of each way instance fails schema, in jsonschema's order.
 
     Checks only the keywords the config schemas use (type, enum, minimum,
-    exclusiveMinimum, maximum, minItems, maxItems, items, required,
-    properties, additionalProperties: false) and passes over any other,
-    such as description.  Keywords are checked in the schema's order,
+    exclusiveMinimum, maximum, minItems, maxItems, items, prefixItems,
+    required, properties, additionalProperties: false) and passes over any
+    other, such as description.  Keywords are checked in the schema's order,
     descending into properties and items as they come, and each message is
     that of jsonschema's Draft 2020-12 validator, so the first error at the
     smallest key path is the one jsonschema would name.
@@ -130,6 +132,10 @@ def _schema_errors(schema: dict, instance, path=()):
             if isinstance(instance, list):
                 for index, item in enumerate(instance):
                     yield from _schema_errors(value, item, path + (index,))
+        elif keyword == "prefixItems":
+            if isinstance(instance, list):
+                for index, (subschema, item) in enumerate(zip(value, instance)):
+                    yield from _schema_errors(subschema, item, path + (index,))
         elif keyword == "required":
             if isinstance(instance, dict):
                 for name in value:
@@ -242,11 +248,10 @@ def build_system(system: dict) -> core.SystemSpec:
             probe_index=probe_index,
             detunings=system.get("detunings"),
             direct_couplings=tuple(
-                (int(i), int(j), float(g)) for i, j, g in system.get("direct_couplings", ())
+                (i, j, float(g)) for i, j, g in system.get("direct_couplings", ())
             ),
             dephasing_correlations=tuple(
-                (int(i), int(j), float(r))
-                for i, j, r in system.get("dephasing_correlations", ())
+                (i, j, float(r)) for i, j, r in system.get("dephasing_correlations", ())
             ),
             n_th=system.get("n_th", 0.0),
             working_frequency=system.get("working_frequency_ghz", 6.6),
@@ -427,9 +432,7 @@ def _run_shelve(spec, params) -> dict:
 def _run_two_excitation(spec, params) -> dict:
     atomic, companion = protocols.simulate_two_excitation(spec, _taus(params))
     model, ops = protocols.linear_cavity_model(spec)
-    ground_one = np.zeros(model.dimension, dtype=complex)
-    ground_one[3] = 1.0
-    starts = [np.outer(vec, vec.conj()) for vec in (ground_one, ops["excited_one_photon"])]
+    starts = [np.outer(ops[k], ops[k].conj()) for k in ("excited_no_photon", "excited_one_photon")]
     (f_first, _), (f_second, _) = lindblad.dominant_oscillation(
         model, np.array(starts), ops["probe_number"]
     )

@@ -17,24 +17,26 @@ _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it; evolve
 exponentiates the block once per distinct grid step, and its states stay
-vec entries on those coordinates (_propagate) until they are returned.
-:func:`steady_state_solver` uses all d^2 coordinates, prepared once per
-model and then called with any drive detunings delta, which only shift
-the diagonal: L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a -
-N_b), N the total excitation number.  Each point is one real dense LU
-solve of the trace-bordered generator, whose LAPACK condition estimate
-flags a degenerate null space; :func:`steady_states` is that solver
-applied once.  Both solvers check their stack of states once, on its
-vec entries (_check_states: unit trace, no eigenvalue below -1e-8 by a
-Cholesky certificate per block, NaN failing) and name the failing time
-or drive detuning.  :func:`assemble_liouvillian`
-gives the complex CSR Liouvillian for outside checks.
+vec entries on those coordinates (_propagate) until they are returned or
+read as populations (_held_populations); the model caches its factors and
+its last block and exponentials.  :func:`steady_state_solver` uses all
+d^2 coordinates, prepared once per model and then called with any drive
+detunings delta, which only shift the diagonal: L(delta) = L0 + delta K
+with K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation number.
+Each point is one real dense LU solve of the trace-bordered generator,
+whose LAPACK condition estimate flags a degenerate null space;
+:func:`steady_states` is that solver applied once.  Both solvers check
+their stack of states once, on its vec entries (_check_states: unit
+trace, no eigenvalue below -1e-8 by a Cholesky certificate per block,
+NaN failing) and name the failing time or drive detuning.
+:func:`assemble_liouvillian` gives the complex CSR Liouvillian for
+outside checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -65,6 +67,9 @@ STEADY_RCOND_MIN = 1e-13
 # factor has no eigenvalue below -1e-8: the factorization's rounding, about
 # k eps |B| for a k x k block, is far inside the remaining 0.5e-8.
 CERTIFICATE_SHIFT = 0.5e-8
+
+# floor (MHz) of a fringe's frequency in dominant_oscillation
+OSCILLATION_MIN_FREQ = 0.05
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -131,15 +136,17 @@ class LindbladModel:
     build_model).  ``basis``, when present, is the qubit product space the
     matrices act on; the dimension is read from the Hamiltonian.
     ValueError names a non-finite Hamiltonian entry or rate, a
-    non-Hermitian Hamiltonian and a negative rate.
+    non-Hermitian Hamiltonian and a negative rate.  The matrices are
+    read-only copies, so what _cache derives from them cannot go stale.
     """
 
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, float], ...] = ()
     basis: ProductBasis | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ham = np.asarray(self.hamiltonian, dtype=complex)
+        ham = np.array(self.hamiltonian, dtype=complex)
         if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
             raise ValueError("hamiltonian must be square")
         finite = np.isfinite(ham)
@@ -149,16 +156,18 @@ class LindbladModel:
         scale = max(1.0, float(np.max(np.abs(ham)))) if ham.size else 1.0
         if not np.max(np.abs(ham - ham.conj().T)) <= 1e-12 * scale:
             raise ValueError("hamiltonian is not Hermitian within 1e-12")
+        ham.setflags(write=False)
         object.__setattr__(self, "hamiltonian", ham)
         checked = []
         for k, (op, rate) in enumerate(self.dissipators):
-            op = np.asarray(op, dtype=complex)
+            op = np.array(op, dtype=complex)
             if op.shape != ham.shape:
                 raise ValueError("jump operator shape does not match the hamiltonian")
             if not math.isfinite(rate):
                 raise ValueError(f"dissipator {k} rate {rate} is not finite")
             if not rate >= 0:
                 raise ValueError(f"negative dissipator rate {rate}")
+            op.setflags(write=False)
             checked.append((op, float(rate)))
         object.__setattr__(self, "dissipators", tuple(checked))
 
@@ -413,7 +422,7 @@ def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray, we
     return at[order], generator.real[order]
 
 
-def _reached_block(model: LindbladModel, rho: np.ndarray, memo: dict | None = None):
+def _reached_block(model: LindbladModel, rho: np.ndarray):
     """The coordinates evolution can fill from a state or stack, A on them, and the start.
 
     rho is a complex d x d state or m x d x d stack: ValueError unless d is
@@ -424,13 +433,13 @@ def _reached_block(model: LindbladModel, rho: np.ndarray, memo: dict | None = No
     state, each step adding P(A[t]) R P(B[t])^T for every term (P: nonzero
     pattern).  Entries never reached stay exactly zero.  The terms mirror
     each other under a <-> b, so the set is closed under a <-> b, the same
-    in the vec and in Hermitian coordinates.  memo, a dict a caller keeps
-    for one model, carries the factors and their patterns, and the last
-    reached set with its rows of U and its block, from call to call: a
-    start that reaches exactly that set reuses them.  Returns the sorted
-    reached indices a*d + b, the dense block of A on them, the rows of U on
-    them (_coordinate_weights) and the (m, n) start coordinates x0 = U
-    vec(rho).
+    in the vec and in Hermitian coordinates.  model._cache keeps the
+    factors and patterns, and the last _propagate's tuple (reached, block,
+    weights, exponentials), read once and replaced whole: a start that
+    reaches exactly that set reuses it.  Returns the sorted reached indices
+    a*d + b, the dense block of A on them, the rows of U on them
+    (_coordinate_weights), the (m, n) start coordinates x0 = U vec(rho) and
+    the block's exponentials by exact step (empty for a new block).
     """
     d = model.dimension
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -442,13 +451,13 @@ def _reached_block(model: LindbladModel, rho: np.ndarray, memo: dict | None = No
         k = bad[0]
         which = "initial state" if rho.ndim == 2 else f"initial state {k} of the stack"
         raise ValueError(f"{which} is not Hermitian within 1e-10 (deviation {deviation[k]:.3e})")
-    memo = {} if memo is None else memo
-    if "terms" not in memo:
+    terms = model._cache.get("terms")
+    if terms is None:
         left, right = _kron_terms(model)
         # 0/1 patterns in float32: exact for these counts (at most d^2), half the memory
         patterns = (left != 0).astype(np.float32), np.swapaxes(right != 0, 1, 2).astype(np.float32)
-        memo["terms"] = left, right, patterns
-    left, right, (left_p, right_t) = memo["terms"]
+        terms = model._cache["terms"] = left, right, patterns
+    left, right, (left_p, right_t) = terms
     support = (states != 0).any(axis=0)
     reached = support | support.T
     while True:
@@ -457,15 +466,17 @@ def _reached_block(model: LindbladModel, rho: np.ndarray, memo: dict | None = No
             break
         reached = fed
     index = np.flatnonzero(reached)
-    if not np.array_equal(memo.get("reached"), index):
+    known = model._cache.get("reach")
+    if known is None or not np.array_equal(known[0], index):
         weights = _coordinate_weights(index, d)
         flat, values = _real_generator(left, right, index, weights)
         block = np.zeros((index.size, index.size))
         block.flat[flat] = values
-        memo.update(reached=index, weights=weights, block=block, exponentials={})
-    alpha, beta, partner = weights = memo["weights"]
+        known = index, block, weights, {}
+    index, block, weights, exponentials = known
+    alpha, beta, partner = weights
     vecs = states.reshape(-1, d * d)[:, index]
-    return index, memo["block"], weights, (alpha * vecs + beta * vecs[:, partner]).real
+    return index, block, weights, (alpha * vecs + beta * vecs[:, partner]).real, exponentials
 
 
 def _lowest_eigenvalues(stack: np.ndarray, axes: tuple) -> np.ndarray:
@@ -568,7 +579,7 @@ def _check_states(entries: np.ndarray, layout, points, where: str) -> None:
         )
 
 
-def _propagate(model: LindbladModel, rho, times, memo: dict | None = None):
+def _propagate(model: LindbladModel, rho, times):
     """The evolution of evolve on the reached coordinates alone: (reached, entries).
 
     rho is a d x d state or an m x d x d stack at times[0] (us).  Returns
@@ -579,10 +590,10 @@ def _propagate(model: LindbladModel, rho, times, memo: dict | None = None):
     m) array, each step one product with the exponential of the block into
     the next slot.  Each step takes the exponential of the first step in
     grid order that it equals within 1e-12 relative, so every class of
-    equal steps is found once; memo (_reached_block) also keeps the
-    exponentials, by exact step, for a later call that reaches the same
-    set.  ValueError unless the times are finite and strictly increasing,
-    and each state, rho included, must pass _check_states.
+    equal steps is found once, or taken from the model's cache at the exact
+    step; the cache then keeps this call's exponentials alone.  ValueError
+    unless the times are finite and strictly increasing, and each state,
+    rho included, must pass _check_states.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -593,16 +604,15 @@ def _propagate(model: LindbladModel, rho, times, memo: dict | None = None):
     steps = np.diff(times)
     if np.any(steps <= 0):
         raise ValueError("times must be strictly increasing")
-    memo = {} if memo is None else memo
-    reached, block, weights, x0 = _reached_block(model, np.asarray(rho, dtype=complex), memo)
-    exponentials, distinct = memo["exponentials"], []
+    reached, block, weights, x0, cached = _reached_block(model, np.asarray(rho, dtype=complex))
+    exponentials = {}  # by the first step of each class, in grid order
     chosen = np.full(steps.size, -1)
     while (chosen < 0).any():
         step = steps[np.argmax(chosen < 0)]
-        chosen[(chosen < 0) & (np.abs(steps - step) <= 1e-12 * step)] = len(distinct)
-        if step not in exponentials:
-            exponentials[step] = _expm(block * step)
-        distinct.append(exponentials[step])
+        chosen[(chosen < 0) & (np.abs(steps - step) <= 1e-12 * step)] = len(exponentials)
+        exponentials[step] = cached[step] if step in cached else _expm(block * step)
+    model._cache["reach"] = reached, block, weights, exponentials
+    distinct = list(exponentials.values())
     path = np.empty((times.size,) + x0.T.shape)  # one column per state
     path[0] = x0.T
     for k, which in enumerate(chosen):
@@ -612,12 +622,19 @@ def _propagate(model: LindbladModel, rho, times, memo: dict | None = None):
     return reached, entries
 
 
-def _evolve(model: LindbladModel, rho0, times, memo: dict | None = None) -> np.ndarray:
-    """evolve, sharing memo (_propagate) with other calls on the same model."""
-    reached, entries = _propagate(model, rho0, times, memo)
-    states = np.zeros(entries.shape[:-1] + (model.dimension**2,), dtype=complex)
-    states[..., reached] = entries
-    return states.reshape((len(entries),) + np.shape(rho0))
+def _held_populations(model: LindbladModel, number_op: np.ndarray, rho0, times) -> np.ndarray:
+    """tr(N rho(t)) for one state rho0 and a diagonal N, summed off the x_aa of _propagate.
+
+    The terms are added from zero in ascending a, as an einsum over the
+    diagonals of evolve's states adds them, so the sums are bitwise equal.
+    """
+    reached, entries = _propagate(model, rho0, times)
+    a, b = np.divmod(reached, model.dimension)
+    weights = np.diag(number_op)
+    populations = np.zeros(len(entries))
+    for k in np.flatnonzero((a == b) & (weights[a] != 0)):
+        populations += entries[:, 0, k].real * weights[a[k]]
+    return populations
 
 
 def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
@@ -632,16 +649,17 @@ def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
     one excitation among five qubits it reaches 26 of the 1024 coordinates
     at n_th = 0 and 252 with thermal excitation, while a drive reaches all.
     Each step multiplies by the exponential of the block; steps equal
-    within 1e-12 relative share one exponential.  ValueError unless the
+    within 1e-12 relative share one exponential, which the model keeps
+    for its next call on the same coordinates.  ValueError unless the
     times are finite and rho0 (each state of a stack) is Hermitian within
-    1e-10.  _propagate does all of that and returns each state's vec
-    entries on the reached coordinates, U^dagger x from real x, so exactly
-    Hermitian; each one, rho0 included, must have unit trace within 1e-9
-    and no eigenvalue below -1e-8, checked on those entries
-    (_check_states).  evolve only scatters them into zeros; a readout of
-    a few entries, such as a population, can read them from _propagate.
+    1e-10, and unless each state, rho0 included, has unit trace within
+    1e-9 and no eigenvalue below -1e-8 (_check_states).  _propagate does
+    all of that on the reached coordinates; evolve scatters its entries.
     """
-    return _evolve(model, rho0, times)
+    reached, entries = _propagate(model, rho0, times)
+    states = np.zeros(entries.shape[:-1] + (model.dimension**2,), dtype=complex)
+    states[..., reached] = entries
+    return states.reshape((len(entries),) + np.shape(rho0))
 
 
 def _detuning_generator(basis: ProductBasis) -> np.ndarray:
@@ -782,11 +800,11 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     return steady_state_solver(model)(detunings)
 
 
-def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float = 0.05):
+def dominant_oscillation(model: LindbladModel, rho0, observable):
     """Frequency and damping (MHz) of the strongest fringe in a signal.
 
     Decomposes tr(O rho(t)) into Liouvillian eigenmodes and returns the
-    oscillating mode (|Im lambda|/2pi > min_freq) with the largest
+    oscillating mode (|Im lambda|/2pi > OSCILLATION_MIN_FREQ) with the largest
     amplitude for the given initial state; exact where a least-squares
     fit of a multi-component damped signal would be biased.  rho0 is one
     d x d state, which gives one (frequency, damping) pair, or an m x d x d
@@ -796,7 +814,7 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     no other mode carries amplitude.
     """
     rho = np.asarray(rho0, dtype=complex)
-    reached, block, (alpha, beta, partner), starts = _reached_block(model, rho)
+    reached, block, (alpha, beta, partner), starts, _ = _reached_block(model, rho)
     values, left, right = eig(block, left=True)
     # tr(O rho) = o . vec(rho) with o = vec(O^T), and vec(rho) = U^dagger x
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
@@ -804,7 +822,7 @@ def dominant_oscillation(model: LindbladModel, rho0, observable, min_freq: float
     best = [None] * len(starts)
     for k in range(values.size):
         freq = abs(values[k].imag) / TWO_PI
-        if freq <= min_freq:
+        if freq <= OSCILLATION_MIN_FREQ:
             continue
         norm = left[:, k].conj() @ right[:, k]
         if abs(norm) < 1e-12:

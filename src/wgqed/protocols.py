@@ -7,8 +7,9 @@ lindblad.evolve call on the full product space of the spec; evolve itself
 keeps to the coordinates the state can reach, so a hold that starts with
 one excitation at n_th = 0 costs about as much as that sector.  A hold
 that is only read out as a population reads it off those coordinates
-(lindblad._propagate) and never forms the d x d states.  Public
-time arguments and TimeTrace records are in ns; the underlying
+(lindblad._held_populations) and never forms the d x d states.  Holds on
+one model share what it caches, so a protocol builds each model once.
+Public time arguments and TimeTrace records are in ns; the underlying
 master-equation work runs in us.
 """
 
@@ -91,12 +92,10 @@ def _require_probe(spec: core.SystemSpec) -> int:
     return spec.probe_index
 
 
-def rotate_qubit(rho: np.ndarray, basis, qubit: int, angle: float, axis_phase: float = 0.0):
-    """Instantly rotate one qubit of a state (or a stack of them) about an equatorial axis."""
+def rotate_qubit(rho: np.ndarray, basis, qubit: int, angle: float):
+    """Instantly rotate one qubit of a state (or a stack of them) about x."""
     sx = basis.lowering(qubit) + basis.raising(qubit)
-    sy = 1j * (basis.raising(qubit) - basis.lowering(qubit))
-    axis = math.cos(axis_phase) * sx + math.sin(axis_phase) * sy
-    unitary = math.cos(angle / 2.0) * np.eye(basis.dimension) - 1j * math.sin(angle / 2.0) * axis
+    unitary = math.cos(angle / 2.0) * np.eye(basis.dimension) - 1j * math.sin(angle / 2.0) * sx
     return unitary @ rho @ unitary.conj().T
 
 
@@ -124,32 +123,12 @@ def dark_population(spec: core.SystemSpec, basis, rho: np.ndarray) -> float:
 
 
 def _probe_excited(spec, basis):
-    return np.outer(
-        basis.basis_vector(1 << spec.probe_index),
-        basis.basis_vector(1 << spec.probe_index).conj(),
-    )
+    return np.diag(basis.basis_vector(1 << spec.probe_index))
 
 
 def _populations(number_op: np.ndarray, states: np.ndarray) -> np.ndarray:
     """tr(N rho) of every state matrix rho in a stack, for a diagonal N (a number operator)."""
     return np.einsum("...ii,i->...", states, np.diag(number_op)).real
-
-
-def _held_populations(model, number_op: np.ndarray, rho0: np.ndarray, times_us, memo=None):
-    """_populations of the states that rho0 evolves into, read off its diagonal coordinates.
-
-    tr(N rho) for a diagonal N sums N_aa rho_aa, and rho_aa is the reached
-    coordinate x_aa or zero (lindblad._propagate, sharing memo).  The
-    reached terms are added one by one from zero in ascending a, as the
-    einsum of _populations adds them, so the trace is the same bit for bit.
-    """
-    reached, entries = lindblad._propagate(model, rho0, times_us, memo)
-    a, b = np.divmod(reached, model.dimension)
-    weights = np.diag(number_op)
-    populations = np.zeros(len(entries))
-    for k in np.flatnonzero((a == b) & (weights[a] != 0)):
-        populations += entries[:, 0, k].real * weights[a[k]]
-    return populations
 
 
 def interaction_detuning(spec: core.SystemSpec) -> float:
@@ -185,17 +164,17 @@ def iswap(spec: core.SystemSpec) -> np.ndarray:
     return _iswap(spec, lindblad.build_model(spec))
 
 
-def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel, memo=None) -> np.ndarray:
-    """iswap on the already built model of spec, sharing memo (lindblad._evolve)."""
+def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
+    """iswap on the already built model of spec."""
     hold_us = iswap_duration_ns(spec) * 1e-3
-    return lindblad._evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us], memo)[-1]
+    return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
 
 
 def _excite_hold_read(spec: core.SystemSpec, taus, metadata) -> TimeTrace:
     """Probe population after preparing |e>_p and holding spec for each tau (ns)."""
     taus = np.asarray(taus, dtype=float)
     model = lindblad.build_model(spec)
-    populations = _held_populations(
+    populations = lindblad._held_populations(
         model, model.basis.number(spec.probe_index), _probe_excited(spec, model.basis), taus * 1e-3
     )
     return TimeTrace(taus, populations, metadata={"observable": "probe_population", **metadata})
@@ -224,22 +203,20 @@ def _staged_wait_protocol(spec, wait_spec, delays_ns, rho0, closing_angle) -> Ti
     rotates the probe about x before the readout.  That is three evolve
     calls: the swap in, one wait over the delay grid that gives every
     waited state, and one swap back of that whole stack.  The two swaps
-    share one memo (lindblad._evolve): the factors of the swap model are
-    built once, and its block and exponential too when the waited stack
-    reaches the same coordinates as the swap in.  Returns the probe
-    population versus delay.
+    run on one model, which builds its factors once, and its block and
+    exponential too when the waited stack reaches the same coordinates as
+    the swap in.  Returns the probe population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
     delays_us = delays_ns * 1e-3
     model = lindblad.build_model(spec)
     wait = lindblad.build_model(wait_spec)
     swap_us = [0.0, iswap_duration_ns(spec) * 1e-3]
-    swap_memo: dict = {}
-    swapped = lindblad._evolve(model, rho0, swap_us, swap_memo)[-1]
+    swapped = lindblad.evolve(model, rho0, swap_us)[-1]
     # the wait starts at zero delay; a grid that starts there has no extra point
     hold = delays_us if delays_us[0] == 0.0 else np.concatenate(([0.0], delays_us))
     waited = lindblad.evolve(wait, swapped, hold)[-delays_us.size :]
-    finals = lindblad._evolve(model, waited, swap_us, swap_memo)[-1]
+    finals = lindblad.evolve(model, waited, swap_us)[-1]
     if closing_angle:
         finals = rotate_qubit(finals, model.basis, spec.probe_index, closing_angle)
     return TimeTrace(
@@ -284,14 +261,9 @@ def simulate_ramsey_dark(
     wait = [d + artificial_detuning for d in spec.detunings]
     wait[probe] = park_detuning
     basis = lindblad.ProductBasis(spec.n_qubits)
-    rho0 = rotate_qubit(_ground_state(basis), basis, probe, math.pi / 2.0)
+    rho0 = rotate_qubit(np.diag(basis.ground_vector()), basis, probe, math.pi / 2.0)
     trace = _staged_wait_protocol(spec, spec.with_detunings(wait), delays, rho0, math.pi / 2.0)
     return trace, fit_damped_sinusoid(trace)
-
-
-def _ground_state(basis):
-    vec = basis.ground_vector()
-    return np.outer(vec, vec.conj())
 
 
 def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, TimeTrace]:
@@ -305,12 +277,11 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     """
     probe = _require_probe(spec)
     taus = np.asarray(taus, dtype=float)
-    model = lindblad.build_model(spec)
-    memo: dict = {}  # the swap and the re-excited hold build the model's factors once
-    rho = rotate_qubit(_iswap(spec, model, memo), model.basis, probe, math.pi)
+    model = lindblad.build_model(spec)  # the swap and the re-excited hold build its factors once
+    rho = rotate_qubit(_iswap(spec, model), model.basis, probe, math.pi)
     atomic = TimeTrace(
         taus,
-        _held_populations(model, model.basis.number(probe), rho, taus * 1e-3, memo),
+        lindblad._held_populations(model, model.basis.number(probe), rho, taus * 1e-3),
         metadata={"observable": "probe_population", "system": "atomic_cavity"},
     )
 
@@ -318,7 +289,7 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     rho_c = np.outer(ops["excited_one_photon"], ops["excited_one_photon"].conj())
     companion = TimeTrace(
         taus,
-        _held_populations(cavity_model, ops["probe_number"], rho_c, taus * 1e-3),
+        lindblad._held_populations(cavity_model, ops["probe_number"], rho_c, taus * 1e-3),
         metadata={"observable": "probe_population", "system": "linear_cavity"},
     )
     return atomic, companion
@@ -328,7 +299,9 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     """Equivalent linear-cavity system: probe qubit + 3-level bosonic mode.
 
     The mode inherits the probe-dark coupling (2J) and the dark-state
-    loss of the mirror array; returns the model and its operators.
+    loss of the mirror array; returns the model and its operators, with
+    the state vectors |e, 0> ("excited_no_photon") and |e, 1>
+    ("excited_one_photon") of its basis |qubit, photons>.
     """
     probe = _require_probe(spec)
     params = spec.params[probe]
@@ -355,12 +328,12 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
         sz_q = np.kron(np.diag([-1.0, 1.0]), mode_eye)
         dissipators.append((sz_q, params.gamma_phi / 2.0))
     model = lindblad.LindbladModel(ham, tuple(dissipators))
-    excited_one = np.zeros(6, dtype=complex)
-    excited_one[1 * 3 + 1] = 1.0
+    excited = np.zeros((2, 6), dtype=complex)  # |e, 0> and |e, 1>
+    excited[0, 1 * 3 + 0] = excited[1, 1 * 3 + 1] = 1.0
     ops = {
         "probe_number": number_q,
-        "mode_number": annihilate.T @ annihilate,
-        "excited_one_photon": excited_one,
+        "excited_no_photon": excited[0],
+        "excited_one_photon": excited[1],
     }
     return model, ops
 

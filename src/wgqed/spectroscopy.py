@@ -14,11 +14,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import h, hbar, k as k_boltzmann
 
 from . import core, lindblad
 from .core import TWO_PI
 from .records import FitError, SpectrumScan
+
+# exact SI values (2019 definition), bit for bit those of scipy.constants
+h = 6.62607015e-34  # Planck constant (J s)
+hbar = h / (2 * math.pi)
+k_boltzmann = 1.380649e-23  # Boltzmann constant (J/K)
 
 __all__ = [
     "DriveSpec",

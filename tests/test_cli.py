@@ -123,8 +123,32 @@ class TestValidation:
                 ),
                 "$.system",
             ),
+            # int() ran each of these as qubit 0
+            (
+                "fig4_compound",
+                lambda config: config["system"]["direct_couplings"][0].__setitem__(0, 0.9),
+                "$.system.direct_couplings[0][0]",
+            ),
+            (
+                "fig4_compound",
+                lambda config: config["system"]["direct_couplings"][1].__setitem__(1, -0.5),
+                "$.system.direct_couplings[1][1]",
+            ),
+            (
+                "fig3b_t1dark_type2",
+                lambda config: config["system"]["dephasing_correlations"][0].__setitem__(0, 0.5),
+                "$.system.dephasing_correlations[0][0]",
+            ),
+            (
+                "fig3b_t1dark_type2",
+                lambda config: config["system"]["dephasing_correlations"][0].__setitem__(1, -1),
+                "$.system.dephasing_correlations[0][1]",
+            ),
         ],
-        ids=["calib-no-block", "calib-no-eta", "shelve-third-qubit"],
+        ids=[
+            "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
+            "coupling-negative-fraction", "correlation-fraction", "correlation-negative",
+        ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
         config = json.loads(Path(bundled(name)).read_text())
@@ -156,8 +180,13 @@ class TestValidation:
                 lambda config: config["system"].update(probe=1.0),
                 "$.system.probe: 1.0 is not of type 'string', 'integer'",
             ),
+            (
+                "fig4_compound",
+                lambda config: config["system"]["direct_couplings"][0].__setitem__(1, 1.0),
+                "$.system.direct_couplings[0][1]: 1.0 is not of type 'integer'",
+            ),
         ],
-        ids=["points", "seed", "flux_points", "probe"],
+        ids=["points", "seed", "flux_points", "probe", "coupling-index"],
     )
     def test_integer_written_as_float_rejected(self, tmp_path, capsys, name, edit, message):
         # jsonschema counts 181.0 as an integer; run then failed on points = 181.0
@@ -461,8 +490,11 @@ class TestShelveExperiment:
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal is only needed by peak_splitting, which no experiment
     # calls; scipy.optimize loads at the first fit, jsonschema only in the
-    # tests, and evolve finds its blocks without scipy.sparse.csgraph
-    lazy = ("scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph")
+    # tests, evolve finds its blocks without scipy.sparse.csgraph, and
+    # spectroscopy writes out its SI constants
+    lazy = (
+        "scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph", "scipy.constants"
+    )
     code = f"import sys, wgqed.cli; print([name for name in {lazy!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(

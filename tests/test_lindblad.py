@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -340,6 +344,12 @@ class TestPropagatorAgainstODEOracle:
         model = build_model(random_spec(rng, 2, n_th=0.2), drives=random_drives(rng, 2))
         rho = evolve(model, random_mixed_state(rng, model.dimension), [0.0, 50.0])[-1]
         assert np.max(np.abs(rho - steady_states(model, [0.0])[0])) < 1e-9
+
+
+def uncached(model):
+    """A copy of model with an empty cache."""
+    return dataclasses.replace(model)
+
 
 def reached_block(model, rho):
     """The coordinates evolve runs over from the states rho (d x d or a stack), and A on them."""
@@ -686,23 +696,23 @@ class TestCoordinateStates:
             assert same_bits(evolve(model, rho, times), listed_path_states(model, rho, times))
 
     def test_memo_reuses_only_an_equal_reach(self):
-        # a memo shared by calls on one model: a start with another reach
+        # the model's cache across calls: a start with another reach
         # rebuilds the block, one with the same reach reuses it, and every
-        # call returns what a fresh evolve does, bit for bit
+        # call returns what evolve on a fresh, uncached copy does, bit for bit
         rng = np.random.default_rng(72)
         model = build_model(random_spec(rng, 3, n_th=0.05))
         basis = model.basis
         first, other = basis_projector(basis, 0b001), basis_projector(basis, 0b000, 0b011)
         grids = (np.linspace(0.0, 0.05, 6), np.linspace(0.0, 0.05, 3), np.linspace(0.0, 0.05, 6))
         starts = (first, other, first, first)
-        fresh = [evolve(model, rho, times) for rho, times in zip(starts, grids + grids[:1])]
-        memo, built = {}, []
+        fresh = [evolve(uncached(model), rho, times) for rho, times in zip(starts, grids + grids[:1])]
+        built = []
         real_generator = lindblad._real_generator
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lindblad, "_real_generator",
                           lambda *args: built.append(1) or real_generator(*args))
             for rho, times, expected in zip(starts, grids + grids[:1], fresh):
-                assert same_bits(lindblad._evolve(model, rho, times, memo), expected)
+                assert same_bits(evolve(model, rho, times), expected)
         # first, other, first again: three builds; the last call reuses the third
         assert len(built) == 3
 
@@ -735,6 +745,96 @@ class TestCoordinateStates:
                 with pytest.raises(ValueError, match=r"eigenvalue nan below -1e-8 at t = 0\.2 us"):
                     lindblad._check_states(stack.reshape(3, 9), lindblad._state_layout(np.arange(9), 3),
                                            [0.1, 0.2, 0.3], "t = {:g} us")
+
+
+class TestModelCache:
+    """What a model caches for evolve is its own, bounded, and safe to share between threads."""
+
+    @staticmethod
+    def cases(model):
+        # two reaches and three grids, so consecutive calls change the reach or the steps
+        basis = model.basis
+        first, other = basis_projector(basis, 0b001), basis_projector(basis, 0b000, 0b011)
+        grids = (np.linspace(0.0, 0.05, 6), np.linspace(0.0, 0.04, 3), np.linspace(0.0, 0.06, 7))
+        return [(rho, times) for rho in (first, other) for times in grids]
+
+    def test_interleaved_models_keep_their_own_blocks(self):
+        # two models of one dimension, called in turn: no call sees the
+        # other model's block or exponentials
+        rng = np.random.default_rng(74)
+        model = build_model(random_spec(rng, 3, n_th=0.05))
+        # the same nonzero pattern, so the same reach, but another block
+        models = [model, LindbladModel(2.0 * model.hamiltonian, model.dissipators, model.basis)]
+        cases = self.cases(model)
+        fresh = [[evolve(uncached(model), *case) for case in cases] for model in models]
+        assert not any(same_bits(a, b) for a, b in zip(*fresh))
+        for k, case in enumerate(cases + cases):
+            for model, expected in zip(models, fresh):
+                assert same_bits(evolve(model, *case), expected[k % len(cases)])
+
+    def test_matrices_are_read_only_copies(self):
+        basis = ProductBasis(1)
+        ham, lower = np.zeros((2, 2), dtype=complex), basis.lowering(0)
+        model = LindbladModel(ham, ((lower, 1.0),), basis)
+        for matrix in (model.hamiltonian, model.dissipators[0][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+        ham[0, 0], lower[0, 0] = 1.0, 1.0  # the caller's arrays stay writable
+        assert model.hamiltonian[0, 0] == 0.0 and model.dissipators[0][0][0, 0] == 0.0
+
+    def test_cache_holds_the_last_call_exponentials_alone(self):
+        rng = np.random.default_rng(75)
+        model = build_model(random_spec(rng, 3))
+        rho = basis_projector(model.basis, 0b001)
+        evolve(model, rho, np.linspace(0.0, 0.035, 6))
+        times = np.array([0.0, 0.02, 0.05, 0.06, 0.09])  # steps 0.02, 0.03, 0.01 and 0.03 again
+        evolve(model, rho, times)
+        steps = np.diff(times)
+        _, block, _, exponentials = model._cache["reach"]
+        assert list(exponentials) == list(steps[:3])
+        for step, exponential in exponentials.items():
+            assert same_bits(exponential, lindblad._expm(block * step))
+        # a call on the same reach keeps the exponential it reuses, and only that
+        evolve(model, rho, times[1:3])
+        kept = model._cache["reach"][3]
+        assert list(kept) == [steps[1]] and kept[steps[1]] is exponentials[steps[1]]
+
+    def test_threads_sharing_a_model_match_an_uncached_copy(self):
+        # four threads (more than two cores) on one model, switching every
+        # microsecond, each call a short hold on one of two reaches: a block
+        # paired with another reach, or exponentials with another block,
+        # change the bits (a _reached_block that reads the cache twice fails)
+        rng = np.random.default_rng(76)
+        model = build_model(random_spec(rng, 2, n_th=0.05))
+        starts = basis_projector(model.basis, 0b01), basis_projector(model.basis, 0b00, 0b11)
+        grids = np.linspace(0.0, 0.05, 2), np.linspace(0.0, 0.04, 3)
+        cases = [(rho, times) for rho in starts for times in grids]
+        fresh = [evolve(uncached(model), *case) for case in cases]
+        failures, deadline = [], time.monotonic() + 10.0
+
+        def worker(offset):
+            for k in range(offset, offset + 600):
+                if time.monotonic() > deadline:
+                    break
+                rho, times = cases[k % len(cases)]
+                try:
+                    if not same_bits(evolve(model, rho, times), fresh[k % len(cases)]):
+                        failures.append(k)
+                except Exception as err:  # a torn cache can also mismatch shapes
+                    failures.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestSteadyState:
