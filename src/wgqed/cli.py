@@ -341,7 +341,7 @@ def _delays(params: dict) -> np.ndarray:
 
 
 def _fit_payload(fit, extra=None) -> dict:
-    payload = json.loads(records.fit_result_json(fit))
+    payload = records.fit_result_payload(fit)
     if extra:
         payload["derived"] = extra
     return payload
@@ -430,8 +430,7 @@ def _run_shelve(spec, params) -> dict:
 
 
 def _run_two_excitation(spec, params) -> dict:
-    atomic, companion = protocols.simulate_two_excitation(spec, _taus(params))
-    model, ops = protocols.linear_cavity_model(spec)
+    atomic, companion, (model, ops) = protocols.simulate_two_excitation(spec, _taus(params))
     starts = [np.outer(ops[k], ops[k].conj()) for k in ("excited_no_photon", "excited_one_photon")]
     (f_first, _), (f_second, _) = lindblad.dominant_oscillation(
         model, np.array(starts), ops["probe_number"]

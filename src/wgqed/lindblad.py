@@ -19,16 +19,20 @@ shows up as a small block without any rule that names it; evolve
 exponentiates the block once per distinct grid step, and its states stay
 vec entries on those coordinates (_propagate) until they are returned or
 read as populations (_held_populations); the model caches its factors and
-its last block and exponentials.  :func:`steady_state_solver` uses all
+its last block and exponentials.  :class:`SteadyStateSolver` uses all
 d^2 coordinates, prepared once per model and then called with any drive
 detunings delta, which only shift the diagonal: L(delta) = L0 + delta K
 with K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation number.
 Each point is one real dense LU solve of the trace-bordered generator,
-whose LAPACK condition estimate flags a degenerate null space;
-:func:`steady_states` is that solver applied once.  Both solvers check
-their stack of states once, on its vec entries (_check_states: unit
-trace, no eigenvalue below -1e-8 by a Cholesky certificate per block,
-NaN failing) and name the failing time or drive detuning.
+whose LAPACK condition estimate flags a degenerate null space at once
+(SteadyStateSolver.points); the residual and state checks are a
+separate pass (SteadyStateSolver.check), so a spectrum sweep that
+solves in rounds checks its solved states once, in solve order, after
+its last round; :func:`steady_states` is that solver applied once.  Both
+solvers check their stack of states once, on its vec entries
+(_check_states: unit trace, no eigenvalue below -1e-8 by a Cholesky
+certificate per block, NaN failing) and name the failing time or drive
+detuning.
 :func:`assemble_liouvillian` gives the complex CSR Liouvillian for
 outside checks.
 """
@@ -53,7 +57,7 @@ __all__ = [
     "assemble_liouvillian",
     "evolve",
     "steady_states",
-    "steady_state_solver",
+    "SteadyStateSolver",
     "dominant_oscillation",
     "thermal_qubit_steady",
     "dark_state_rates",
@@ -127,7 +131,7 @@ class ProductBasis:
         return np.diag(2.0 * self._excited(j) - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Hamiltonian (angular, rad/us) plus jump operators (rates in MHz).
 
@@ -138,12 +142,13 @@ class LindbladModel:
     ValueError names a non-finite Hamiltonian entry or rate, a
     non-Hermitian Hamiltonian and a negative rate.  The matrices are
     read-only copies, so what _cache derives from them cannot go stale.
+    A model equals only itself and hashes by identity.
     """
 
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, float], ...] = ()
     basis: ProductBasis | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ham = np.array(self.hamiltonian, dtype=complex)
@@ -687,7 +692,7 @@ def _detuning_rotation(generator: np.ndarray, d: int):
     return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
 
 
-def steady_state_solver(model: LindbladModel):
+class SteadyStateSolver:
     """The steady-state solve of one model, prepared once: a function of the drive detunings.
 
     delta (MHz) lowers every qubit detuning of ``model``, which changes
@@ -701,59 +706,66 @@ def steady_state_solver(model: LindbladModel):
     work array are prepared here, so a sweep that solves its points in
     several calls builds nothing twice.
 
-    The returned solve(detunings) rejects a non-finite detuning up front
-    (ValueError naming it).  Each point refills the work array from the
-    entries and the pairs of K_r and solves (A + delta K_r) x = e_0 by one
-    real LAPACK LU, a unitary similarity of the complex bordered matrix:
-    DegenerateSteadyStateError when its reciprocal 1-norm condition number,
-    estimated from the LU, is below STEADY_RCOND_MIN (e.g. a dark subspace
-    with no decay path).  Then, once per call, y = (A + delta K_r) x = U L
-    vec(rho) from one sparse product; max |U^dagger y| = max |L vec(rho)|
-    above 1e-10 of the 1-norm of that point's bordered matrix raises
-    DegenerateSteadyStateError.  The states, U^dagger x from the real x
-    (_hermitian_vec) and so exactly Hermitian, must have unit trace within
-    1e-9 and no eigenvalue below -1e-8 (_check_states, ValueError).
-    Messages name the drive detuning (MHz) of the first failing point.
-    Points are solved independently, so a point's state does not depend
-    on the other detunings of the call.  solve returns a complex
-    (len(detunings), d, d) array.  A nonzero detuning needs the model's
-    qubit basis (ValueError without one).
+    A call solver(detunings) is :meth:`points` followed by :meth:`check`
+    on the same detunings and returns a complex (len(detunings), d, d)
+    array.  A sweep that solves in rounds may run points per round and
+    check every solved point once, at the end: check judges each point on
+    its own, so a set of points fails exactly when one of them would fail
+    alone.  Messages name the drive detuning (MHz) of the first failing
+    point.  A nonzero detuning needs the model's qubit basis (ValueError
+    without one).
     """
-    d = model.dimension
-    n = d * d
-    generator = np.zeros(n) if model.basis is None else _detuning_generator(model.basis)
-    coordinates = np.arange(n)
-    weights = _coordinate_weights(coordinates, d)
-    layout = _state_layout(coordinates, d)
-    flat, values = _real_generator(*_kron_terms(model), coordinates, weights)
-    indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
-    real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
-    body = real_generator.indptr[1]
-    # the bordered matrix at column-major positions column * n + row: the
-    # trace row (0, aa), then rows 1.. of A
-    fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
-    fill = np.concatenate([np.ones(d), values[body:]])
-    del flat
-    rotation_rows, rotation_cols, rotation = _detuning_rotation(generator, d)
-    rotation_at = rotation_cols * n + rotation_rows
-    getrf, gecon, getrs, lange = get_lapack_funcs(
-        ("getrf", "gecon", "getrs", "lange"), dtype=np.float64
-    )
-    # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
-    # getrf factors it in place.  work_flat is its column-major ravel, a view.
-    work = np.empty((n, n), order="F")
-    work_flat = work.ravel(order="F")
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
 
-    def solve(detunings) -> np.ndarray:
+    def __init__(self, model: LindbladModel):
+        d = self.dimension = model.dimension
+        n = d * d
+        self.has_basis = model.basis is not None
+        generator = np.zeros(n) if model.basis is None else _detuning_generator(model.basis)
+        coordinates = np.arange(n)
+        self.weights = _coordinate_weights(coordinates, d)
+        # _state_layout of all d^2 coordinates: one block of every basis state
+        self.layout = np.arange(d) * (d + 1), [coordinates.reshape(d, d)]
+        flat, values = _real_generator(*_kron_terms(model), coordinates, self.weights)
+        indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
+        self.real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
+        body = indptr[1]
+        # the bordered matrix at column-major positions column * n + row: the
+        # trace row (0, aa), then rows 1.. of A
+        self.fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
+        self.fill = np.concatenate([np.ones(d), values[body:]])
+        self.rotation_rows, self.rotation_cols, self.rotation = _detuning_rotation(generator, d)
+        self.rotation_at = self.rotation_cols * n + self.rotation_rows
+        self.lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), dtype=np.float64)
+        # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
+        # getrf factors it in place.  work_flat is its column-major ravel, a view.
+        self.work = np.empty((n, n), order="F")
+        self.work_flat = self.work.ravel(order="F")
+        self.rhs = np.zeros(n)
+        self.rhs[0] = 1.0
+
+    def points(self, detunings) -> tuple[np.ndarray, np.ndarray]:
+        """The real solutions x, one column per point, and the 1-norms of their bordered matrices.
+
+        Rejects a non-finite detuning up front (ValueError naming it).  Each
+        point refills the work array from the entries and the pairs of K_r
+        and solves (A + delta K_r) x = e_0 by one real LAPACK LU, a unitary
+        similarity of the complex bordered matrix: DegenerateSteadyStateError
+        at once when its reciprocal 1-norm condition number, estimated from
+        the LU, is below STEADY_RCOND_MIN (e.g. a dark subspace with no decay
+        path).  Points are solved independently, so a point's x does not
+        depend on the other detunings of the call.  Returns the real (d^2,
+        len(detunings)) x and the points' 1-norms, which check takes.
+        """
         detunings = np.asarray(detunings, dtype=float).reshape(-1)
         non_finite = ~np.isfinite(detunings)
         if non_finite.any():
             raise ValueError(f"drive detuning {detunings[non_finite][0]:g} MHz is not finite")
-        if model.basis is None and np.any(detunings != 0.0):
+        if not self.has_basis and np.any(detunings != 0.0):
             raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
-        x = np.empty((n, detunings.size))  # one column per point
+        getrf, gecon, getrs, lange = self.lapack
+        work, work_flat, fill_at, fill = self.work, self.work_flat, self.fill_at, self.fill
+        rotation_at, rotation = self.rotation_at, self.rotation
+        x = np.empty((self.dimension**2, detunings.size))
         anorms = np.empty(detunings.size)
         for k, delta in enumerate(detunings):
             work_flat.fill(0.0)
@@ -768,14 +780,33 @@ def steady_state_solver(model: LindbladModel):
                     f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
                     f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
                 )
-            x[:, k], _ = getrs(lu, piv, rhs)
-        y = real_generator @ x
-        shift = x[rotation_cols] * rotation[:, None]
+            x[:, k], _ = getrs(lu, piv, self.rhs)
+        return x, anorms
+
+    def vecs(self, x: np.ndarray) -> np.ndarray:
+        """The (points, d^2) vec(rho) = U^dagger x of points' solutions, exactly Hermitian."""
+        return _hermitian_vec(x.T, self.weights)
+
+    def check(self, detunings, x: np.ndarray, anorms: np.ndarray) -> np.ndarray:
+        """The states of solved points, checked: their (points, d^2) vecs, in the order given.
+
+        detunings, x and anorms are what points returned, or several of its
+        returns joined along the point axis.  y = (A + delta K_r) x = U L
+        vec(rho) from one sparse product; max |U^dagger y| = max |L vec(rho)|
+        above 1e-10 of the 1-norm of a point's bordered matrix raises
+        DegenerateSteadyStateError.  Then the states (vecs) must have unit
+        trace within 1e-9 and no eigenvalue below -1e-8 (_check_states,
+        ValueError).  Each check names the first point that fails it, in
+        the order given, and the residual check runs over all points first.
+        """
+        detunings = np.asarray(detunings, dtype=float).reshape(-1)
+        y = self.real_generator @ x
+        shift = x[self.rotation_cols] * self.rotation[:, None]
         shift *= detunings
-        y[rotation_rows] += shift
+        y[self.rotation_rows] += shift
         del shift
         # |L vec(rho)| entry by entry: the moduli of U^dagger y
-        residuals = np.abs(_hermitian_vec(y.T, weights)).max(axis=1)
+        residuals = np.abs(self.vecs(y)).max(axis=1)
         del y
         bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
         if bad.size:
@@ -784,20 +815,23 @@ def steady_state_solver(model: LindbladModel):
                 f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
                 f"{detunings[k]:g} MHz"
             )
-        vecs = _hermitian_vec(x.T, weights)
-        _check_states(vecs, layout, detunings, "drive detuning {:g} MHz")
-        return vecs.reshape(detunings.size, d, d)
+        vecs = self.vecs(x)
+        _check_states(vecs, self.layout, detunings, "drive detuning {:g} MHz")
+        return vecs
 
-    return solve
+    def __call__(self, detunings) -> np.ndarray:
+        x, anorms = self.points(detunings)
+        vecs = self.check(detunings, x, anorms)
+        return vecs.reshape(-1, self.dimension, self.dimension)
 
 
 def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
 
-    steady_state_solver(model) applied once: every check and message of
+    SteadyStateSolver(model) applied once: every check and message of
     that solve holds.  Returns a complex (len(detunings), d, d) array.
     """
-    return steady_state_solver(model)(detunings)
+    return SteadyStateSolver(model)(detunings)
 
 
 def dominant_oscillation(model: LindbladModel, rho0, observable):

@@ -266,14 +266,15 @@ def simulate_ramsey_dark(
     return trace, fit_damped_sinusoid(trace)
 
 
-def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, TimeTrace]:
+def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, TimeTrace, tuple]:
     """Probe dynamics with a second excitation loaded into the cavity.
 
     After a swap stores one excitation in the dark state, the probe is
     re-excited and evolved for each tau (ns).  The companion trace runs
     the same protocol against an equivalent linear cavity (bosonic mode
     with the same coupling and dark-state loss), which oscillates sqrt(2)
-    faster instead of damping out.
+    faster instead of damping out.  Returns both traces and the
+    companion's linear_cavity_model (model, operators).
     """
     probe = _require_probe(spec)
     taus = np.asarray(taus, dtype=float)
@@ -292,7 +293,7 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
         lindblad._held_populations(cavity_model, ops["probe_number"], rho_c, taus * 1e-3),
         metadata={"observable": "probe_population", "system": "linear_cavity"},
     )
-    return atomic, companion
+    return atomic, companion, (cavity_model, ops)
 
 
 def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, dict]:
@@ -377,9 +378,9 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
 def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]:
     """Times and values of a trace fit: all finite, at least 8 points."""
     t, y = trace.times, trace.values
-    bad = int(np.count_nonzero(~np.isfinite(t)) + np.count_nonzero(~np.isfinite(y)))
+    bad = np.count_nonzero(~np.isfinite(y))  # TimeTrace rejects non-finite times
     if bad:
-        raise FitError(f"trace holds {bad} non-finite times or values (NaN or inf)")
+        raise FitError(f"trace holds {bad} non-finite values (NaN or inf)")
     if t.size < 8:
         raise FitError(f"need at least 8 points for {model} fit")
     return t, y

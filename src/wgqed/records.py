@@ -18,6 +18,7 @@ __all__ = [
     "write_table_csv",
     "write_scan_csv",
     "write_trace_csv",
+    "fit_result_payload",
     "fit_result_json",
 ]
 
@@ -74,8 +75,15 @@ class TimeTrace:
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be equal-length 1D arrays")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise ValueError(f"times must be finite: time {t[~finite][0]:g} ns")
+        step = np.flatnonzero(~(np.diff(t) > 0))
+        if step.size:
+            k = step[0]
+            raise ValueError(
+                f"times must be strictly increasing: time {t[k + 1]:g} ns follows {t[k]:g} ns"
+            )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -134,8 +142,9 @@ def write_trace_csv(trace: TimeTrace, path) -> None:
     write_table_csv(("time_ns", "value"), rows, path, trace.metadata)
 
 
-def fit_result_json(fit: FitResult) -> str:
-    payload = {
+def fit_result_payload(fit: FitResult) -> dict:
+    """The JSON object of a fit: model, parameters with their uncertainties, residual norm."""
+    return {
         "model": fit.model,
         "parameters": {
             name: {"value": value, "uncertainty": sigma}
@@ -143,4 +152,7 @@ def fit_result_json(fit: FitResult) -> str:
         },
         "residual_norm": fit.residual_norm,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def fit_result_json(fit: FitResult) -> str:
+    return json.dumps(fit_result_payload(fit), indent=2, sort_keys=True)

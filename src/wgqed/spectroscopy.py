@@ -270,7 +270,7 @@ def _sweep(solve, nodes, poles) -> np.ndarray:
             values[free] = guess
             return values
         # one batch spreads over several features: local maxima of the gap first
-        peak = np.r_[True, gap[1:] >= gap[:-1]] & np.r_[gap[:-1] >= gap[1:], True]
+        peak = np.concatenate(([True], gap[1:] >= gap[:-1])) & np.concatenate((gap[:-1] >= gap[1:], [True]))
         pick = free[np.lexsort((-gap, ~peak))[:batch]]
         prior[free] = guess
         batch = max(batch, np.count_nonzero(solved) // 4)
@@ -282,7 +282,7 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     detunings is a 1-D grid of drive offsets (MHz) from the working
     frequency, in any order and possibly repeated.  The driven model is
     built once, at zero offset, and its steady-state solver prepared once
-    (lindblad.steady_state_solver): each exact point is the steady state
+    (lindblad.SteadyStateSolver): each exact point is the steady state
     of L0 + delta K, where the diagonal generator K moves the drive frame.
     The emitted field is the linear functional w . vec(rho) of
     _emission_functional, read per point, so t = 1 + w . vec(rho) / a_in
@@ -298,9 +298,16 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     interpolant's values once it agrees with every fresh exact value and
     with the interpolant before it within SWEEP_RTOL * max(1, max |t|)
     (_sweep).  A repeated detuning is solved once.  A grid of at most the
-    seeds is solved at every point.  For the waveguide port the scan is
-    checked to stay passive at every point (|t| <= 1 + 1e-9; RuntimeError
-    naming the first failing detuning, NaN included).
+    seeds is solved at every point.  Each round only solves its points
+    (SteadyStateSolver.points, which raises on a degenerate null space at
+    once); every solved state passes the residual, trace and eigenvalue
+    checks (SteadyStateSolver.check) once, over all solved points in
+    solve order, after the last round.  A round whose t is not finite
+    runs those checks at once, so the interpolant never sees it, and
+    raises RuntimeError naming the point if they pass.  For the waveguide
+    port the scan is then checked to stay passive at every point (|t| <=
+    1 + 1e-9; RuntimeError naming the first failing detuning, NaN
+    included).
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1:
@@ -313,22 +320,36 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
                       "expect saturation effects", stacklevel=2)
     model = _driven_model(spec, amplitudes)
     emission = _emission_functional(spec, model.basis)
-    solve_states = lindblad.steady_state_solver(model)
+    solver = lindblad.SteadyStateSolver(model)
+    solved = []  # (points, x, 1-norms) of each solve, in solve order
+
+    def check_solved():
+        solver.check(*(np.concatenate(part, axis=-1) for part in zip(*solved)))
 
     def solve(points):
-        states = solve_states(points)
+        x, anorms = solver.points(points)
+        solved.append((points, x, anorms))
         # one dot product per point: a stacked product sums in another order
         # and moves the last printed digit of the spectrum CSVs
-        emitted = np.array([emission @ vec for vec in states.reshape(points.size, -1)])
+        emitted = np.array([emission @ vec for vec in solver.vecs(x)])
         if drive.port == "waveguide":
-            return 1.0 + emitted / a_in
-        return emitted / (amplitudes[drive.xy_qubit] / 2.0)
+            t = 1.0 + emitted / a_in
+        else:
+            t = emitted / (amplitudes[drive.xy_qubit] / 2.0)
+        non_finite = np.flatnonzero(~np.isfinite(t))
+        if non_finite.size:  # the failing state is named before the interpolant sees it
+            check_solved()
+            k = non_finite[0]
+            raise RuntimeError(f"transmission t = {t[k]} is not finite at drive detuning {points[k]:g} MHz")
+        return t
 
     # np.unique sorts -inf first and inf and NaN last, so a non-finite
     # detuning is a grid end, a seed, and the solver rejects it
     nodes, inverse = np.unique(detunings, return_inverse=True)
     poles = np.linalg.eigvals(core.build_effective_hamiltonian(spec))
     t_values = _sweep(solve, nodes, poles)[inverse] if nodes.size else np.zeros(0, dtype=complex)
+    if solved:
+        check_solved()
     if drive.port == "waveguide":
         active = np.flatnonzero(~(np.abs(t_values) <= 1.0 + 1e-9))  # NaN fails too
         if active.size:

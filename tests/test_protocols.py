@@ -275,6 +275,18 @@ class TestFits:
             with pytest.raises(FitError, match="non-finite"):
                 fit(TimeTrace(t, y))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_by_name(self, bad):
+        t = np.linspace(0, 1000, 120)
+        t[17] = bad
+        with pytest.raises(ValueError, match=rf"^times must be finite: time {bad:g} ns$"):
+            TimeTrace(t, np.ones(120))
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_non_increasing_time_rejected_by_name(self, times):
+        with pytest.raises(ValueError, match=rf"^times must be strictly increasing: time {times[2]:g} ns follows 2 ns$"):
+            TimeTrace(times, [1.0, 2.0, 3.0, 4.0])
+
     def test_phase_in_half_open_interval(self):
         # the sign fold and a start near +-pi can land the fit a period away
         t = np.linspace(0, 1000, 120)
@@ -496,7 +508,7 @@ class TestCoordinateReadouts:
         built, kron_terms = [], lindblad._kron_terms
         with monkeypatch.context() as patch:
             patch.setattr(lindblad, "_kron_terms", lambda m: built.append(m) or kron_terms(m))
-            atomic, companion = pr.simulate_two_excitation(spec, taus)
+            atomic, companion, (returned_model, returned_ops) = pr.simulate_two_excitation(spec, taus)
         assert len(built) == 2
         model = lindblad.build_model(spec)
         probe = spec.probe_index
@@ -507,6 +519,11 @@ class TestCoordinateReadouts:
         rho_c = np.outer(ops["excited_one_photon"], ops["excited_one_photon"].conj())
         expected = self.evolved_populations(cavity_model, ops["probe_number"], rho_c, taus)
         assert companion.values.tobytes() == expected.tobytes()
+        # the returned companion model is the one the trace ran on, equal to a fresh build
+        assert built[1] is returned_model
+        assert np.array_equal(returned_model.hamiltonian, cavity_model.hamiltonian)
+        assert returned_ops.keys() == ops.keys()
+        assert all(np.array_equal(returned_ops[key], ops[key]) for key in ops)
 
     @pytest.mark.parametrize("ramsey", [False, True])
     def test_staged_swaps_build_one_block(self, monkeypatch, ramsey):
@@ -721,7 +738,7 @@ class TestTwoExcitation:
     def test_trace_contrast_collapses(self):
         spec = core.cavity_spec(MIRROR1, PROBE)
         taus = np.linspace(0, 700, 141)
-        atomic, _ = pr.simulate_two_excitation(spec, taus)
+        atomic, _, _ = pr.simulate_two_excitation(spec, taus)
         single = pr.simulate_vacuum_rabi(spec, taus)
         fit_atomic = pr.fit_damped_sinusoid(atomic)
         fit_single = pr.fit_damped_sinusoid(single)
@@ -776,7 +793,7 @@ class TestTwoExcitation:
     def test_companion_trace_persists(self):
         spec = core.cavity_spec(MIRROR1, PROBE)
         taus = np.linspace(0, 700, 141)
-        atomic, companion = pr.simulate_two_excitation(spec, taus)
+        atomic, companion, _ = pr.simulate_two_excitation(spec, taus)
         late = taus > 250
         assert np.ptp(companion.values[late]) > 3.0 * np.ptp(atomic.values[late])
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from importlib.resources import files
 
@@ -19,21 +20,29 @@ TWO_J = core.coupling_rate_2j(2, 13.4, 1.19)
 
 
 def record_solved_detunings(monkeypatch) -> list:
-    """Make lindblad.steady_state_solver append every detuning it solves to the list returned."""
+    """Make lindblad.SteadyStateSolver.points append every detuning it solves to the list returned."""
     solved = []
-    steady_state_solver = lindblad.steady_state_solver
-
-    def recording(model):
-        solve = steady_state_solver(model)
-
-        def recorded(detunings):
-            solved.extend(detunings)
-            return solve(detunings)
-
-        return recorded
-
-    monkeypatch.setattr(lindblad, "steady_state_solver", recording)
+    patch_solved_points(monkeypatch, lambda _, detunings, __: solved.extend(detunings))
     return solved
+
+
+def patch_solved_points(monkeypatch, change) -> list:
+    """Make SteadyStateSolver.points pass (round, detunings, x) to change before it returns.
+
+    Rounds count from 1, one per call; change may write to x.  Returns the
+    list of each call's detunings.
+    """
+    rounds = []
+    points = lindblad.SteadyStateSolver.points
+
+    def patched(self, detunings):
+        x, anorms = points(self, detunings)
+        rounds.append(np.array(detunings))
+        change(len(rounds), rounds[-1], x)
+        return x, anorms
+
+    monkeypatch.setattr(lindblad.SteadyStateSolver, "points", patched)
+    return rounds
 
 
 def per_point_readout(spec, drive, grid):
@@ -151,24 +160,22 @@ class TestMultiQubitTransmission:
                 assert np.max(scan.abs_t) <= 1.0 + 1e-9
 
     def test_nan_transmission_names_the_point(self, monkeypatch):
-        # a NaN state must fail the passivity check, not pass it as |t| <= 1
-        steady_state_solver = lindblad.steady_state_solver
-
-        def nan_at_second_point(model):
-            solve = steady_state_solver(model)
-
-            def patched(detunings):
-                states = solve(detunings)
-                states[1] = np.nan
-                return states
-
-            return patched
+        # a NaN state must fail a check by name, not pass the passivity check as |t| <= 1
+        def nan_at_second_point(_, __, x):
+            x[:, 1] = np.nan
 
         # three points are all seeds, so the one solve takes them in grid order
-        monkeypatch.setattr(lindblad, "steady_state_solver", nan_at_second_point)
+        patch_solved_points(monkeypatch, nan_at_second_point)
         spec = core.mirror_pair_spec(MIRROR1)
-        with pytest.raises(RuntimeError, match=r"non-passive .* \|t\| = nan at drive detuning 0 MHz"):
+        with pytest.raises(ValueError, match=r"^trace nan differs from 1 beyond 1e-9 at drive detuning 0 MHz$"):
             sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), [-5.0, 0.0, 5.0])
+
+    def test_non_finite_readout_of_checked_states_is_named(self, monkeypatch):
+        # states that pass every check but read a NaN t stop the sweep at the point
+        monkeypatch.setattr(sp, "_emission_functional", lambda spec, basis: np.full(basis.dimension**2, np.nan))
+        spec = core.mirror_pair_spec(MIRROR1)
+        with pytest.raises(RuntimeError, match=r"^transmission t = .* is not finite at drive detuning -30 MHz$"):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), np.linspace(-30, 30, 61))
 
     def test_transparency_far_from_resonance(self):
         spec = core.mirror_pair_spec(MIRROR1)
@@ -258,6 +265,64 @@ class TestSweepAgainstPointwise:
         assert np.array_equal(scan.t_complex[exact], reference[exact])
         error = np.max(np.abs(scan.t_complex - reference))
         assert error < 1e-12 * max(1.0, np.abs(reference).max())
+
+    CAVITY_CASE = core.cavity_spec(MIRROR1, PROBE), sp.DriveSpec(omega_rabi=0.02), np.linspace(-10, 10, 201)
+
+    def test_states_are_checked_once_per_sweep(self, monkeypatch):
+        # every round solves, one pass checks every solved state, in solve order
+        checked = []
+        check_states = lindblad._check_states
+
+        def counted(vecs, layout, points, where):
+            checked.append(np.array(points))
+            check_states(vecs, layout, points, where)
+
+        monkeypatch.setattr(lindblad, "_check_states", counted)
+        rounds = patch_solved_points(monkeypatch, lambda *_: None)
+        sp.multi_qubit_transmission(*self.CAVITY_CASE)
+        assert len(rounds) >= 3 and len(checked) == 1
+        assert np.array_equal(checked[0], np.concatenate(rounds))
+
+    def test_residual_failure_in_a_late_round_names_its_node(self, monkeypatch):
+        # the check pass after the last round still sees a bad solution of round 3
+        with monkeypatch.context() as patch:
+            rounds = patch_solved_points(patch, lambda *_: None)
+            sp.multi_qubit_transmission(*self.CAVITY_CASE)
+        assert len(rounds) > 3
+        target = sum(map(len, rounds[:2]))  # getrs call of the first node of round 3
+        get_lapack_funcs = lindblad.get_lapack_funcs
+        calls = []
+
+        def perturbed(names, dtype):
+            getrf, gecon, getrs, lange = get_lapack_funcs(names, dtype=dtype)
+
+            def getrs_off(lu, piv, rhs):
+                x, info = getrs(lu, piv, rhs)
+                calls.append(1)
+                return (x + 1e-3 if len(calls) == target + 1 else x), info
+
+            return getrf, gecon, getrs_off, lange
+
+        monkeypatch.setattr(lindblad, "get_lapack_funcs", perturbed)
+        node = re.escape(f"{rounds[2][0]:g}")
+        with pytest.raises(lindblad.DegenerateSteadyStateError, match=rf"residual .* at drive detuning {node} MHz$"):
+            sp.multi_qubit_transmission(*self.CAVITY_CASE)
+        assert len(calls) > sum(map(len, rounds[:3]))  # the sweep went on past round 3
+
+    def test_nan_state_stops_the_round_before_the_interpolant(self, monkeypatch):
+        # a NaN in round 2 is named by the state check, not met by AAA as a LinAlgError
+        def nan_in_round_two(round_, _, x):
+            if round_ == 2:
+                x[:, 0] = np.nan
+
+        rounds = patch_solved_points(monkeypatch, nan_in_round_two)
+        fits = []
+        aaa = sp._aaa
+        monkeypatch.setattr(sp, "_aaa", lambda *args: fits.append(1) or aaa(*args))
+        with pytest.raises(ValueError, match=r"^trace nan differs from 1 beyond 1e-9") as error:
+            sp.multi_qubit_transmission(*self.CAVITY_CASE)
+        assert len(rounds) == 2 and len(fits) == 1
+        assert str(error.value).endswith(f"at drive detuning {rounds[1][0]:g} MHz")
 
     def test_lossless_pair_sweep_is_degenerate(self):
         mirror = QubitParams("M", 13.4)
