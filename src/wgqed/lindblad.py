@@ -20,7 +20,7 @@ exponentiates the block once per distinct grid step, and its states stay
 vec entries on those coordinates (_propagate) until they are returned or
 read as populations (_held_populations); the model caches its factors and
 its last block and exponentials.  :class:`SteadyStateSolver` uses all
-d^2 coordinates, prepared once per model and then called with any drive
+d^2 coordinates, prepared once per model and then solving at any drive
 detunings delta, which only shift the diagonal: L(delta) = L0 + delta K
 with K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation number.
 Each point is one real dense LU solve of the trace-bordered generator,
@@ -28,11 +28,11 @@ whose LAPACK condition estimate flags a degenerate null space at once
 (SteadyStateSolver.points); the residual and state checks are a
 separate pass (SteadyStateSolver.check), so a spectrum sweep that
 solves in rounds checks its solved states once, in solve order, after
-its last round; :func:`steady_states` is that solver applied once.  Both
-solvers check their stack of states once, on its vec entries
-(_check_states: unit trace, no eigenvalue below -1e-8 by a Cholesky
-certificate per block, NaN failing) and name the failing time or drive
-detuning.
+its last round; :func:`steady_states` runs both on one set of
+detunings.  Both solvers check their stack of states once, on its vec
+entries (_check_states: unit trace, no eigenvalue below -1e-8 by a
+Cholesky certificate per block, NaN failing) and name the failing time
+or drive detuning.
 :func:`assemble_liouvillian` gives the complex CSR Liouvillian for
 outside checks.
 """
@@ -693,7 +693,7 @@ def _detuning_rotation(generator: np.ndarray, d: int):
 
 
 class SteadyStateSolver:
-    """The steady-state solve of one model, prepared once: a function of the drive detunings.
+    """The steady-state solve of one model, prepared once for any drive detunings.
 
     delta (MHz) lowers every qubit detuning of ``model``, which changes
     only the diagonal of the Liouvillian (_detuning_generator).  The solve
@@ -706,9 +706,8 @@ class SteadyStateSolver:
     work array are prepared here, so a sweep that solves its points in
     several calls builds nothing twice.
 
-    A call solver(detunings) is :meth:`points` followed by :meth:`check`
-    on the same detunings and returns a complex (len(detunings), d, d)
-    array.  A sweep that solves in rounds may run points per round and
+    steady_states is :meth:`points` followed by :meth:`check` on the same
+    detunings.  A sweep that solves in rounds may run points per round and
     check every solved point once, at the end: check judges each point on
     its own, so a set of points fails exactly when one of them would fail
     alone.  Messages name the drive detuning (MHz) of the first failing
@@ -717,31 +716,30 @@ class SteadyStateSolver:
     """
 
     def __init__(self, model: LindbladModel):
-        d = self.dimension = model.dimension
+        d = self._dimension = model.dimension
         n = d * d
-        self.has_basis = model.basis is not None
+        self._has_basis = model.basis is not None
         generator = np.zeros(n) if model.basis is None else _detuning_generator(model.basis)
         coordinates = np.arange(n)
-        self.weights = _coordinate_weights(coordinates, d)
-        # _state_layout of all d^2 coordinates: one block of every basis state
-        self.layout = np.arange(d) * (d + 1), [coordinates.reshape(d, d)]
-        flat, values = _real_generator(*_kron_terms(model), coordinates, self.weights)
+        self._weights = _coordinate_weights(coordinates, d)
+        self._layout = _state_layout(coordinates, d)
+        flat, values = _real_generator(*_kron_terms(model), coordinates, self._weights)
         indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
-        self.real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
+        self._real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
         body = indptr[1]
         # the bordered matrix at column-major positions column * n + row: the
         # trace row (0, aa), then rows 1.. of A
-        self.fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
-        self.fill = np.concatenate([np.ones(d), values[body:]])
-        self.rotation_rows, self.rotation_cols, self.rotation = _detuning_rotation(generator, d)
-        self.rotation_at = self.rotation_cols * n + self.rotation_rows
-        self.lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), dtype=np.float64)
+        self._fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
+        self._fill = np.concatenate([np.ones(d), values[body:]])
+        self._rotation_rows, self._rotation_cols, self._rotation = _detuning_rotation(generator, d)
+        self._rotation_at = self._rotation_cols * n + self._rotation_rows
+        self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), dtype=np.float64)
         # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
-        # getrf factors it in place.  work_flat is its column-major ravel, a view.
-        self.work = np.empty((n, n), order="F")
-        self.work_flat = self.work.ravel(order="F")
-        self.rhs = np.zeros(n)
-        self.rhs[0] = 1.0
+        # getrf factors it in place.  _work_flat is its column-major ravel, a view.
+        self._work = np.empty((n, n), order="F")
+        self._work_flat = self._work.ravel(order="F")
+        self._rhs = np.zeros(n)
+        self._rhs[0] = 1.0
 
     def points(self, detunings) -> tuple[np.ndarray, np.ndarray]:
         """The real solutions x, one column per point, and the 1-norms of their bordered matrices.
@@ -760,12 +758,12 @@ class SteadyStateSolver:
         non_finite = ~np.isfinite(detunings)
         if non_finite.any():
             raise ValueError(f"drive detuning {detunings[non_finite][0]:g} MHz is not finite")
-        if not self.has_basis and np.any(detunings != 0.0):
+        if not self._has_basis and np.any(detunings != 0.0):
             raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
-        getrf, gecon, getrs, lange = self.lapack
-        work, work_flat, fill_at, fill = self.work, self.work_flat, self.fill_at, self.fill
-        rotation_at, rotation = self.rotation_at, self.rotation
-        x = np.empty((self.dimension**2, detunings.size))
+        getrf, gecon, getrs, lange = self._lapack
+        work, work_flat, fill_at, fill = self._work, self._work_flat, self._fill_at, self._fill
+        rotation_at, rotation = self._rotation_at, self._rotation
+        x = np.empty((self._dimension**2, detunings.size))
         anorms = np.empty(detunings.size)
         for k, delta in enumerate(detunings):
             work_flat.fill(0.0)
@@ -780,12 +778,12 @@ class SteadyStateSolver:
                     f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
                     f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
                 )
-            x[:, k], _ = getrs(lu, piv, self.rhs)
+            x[:, k], _ = getrs(lu, piv, self._rhs)
         return x, anorms
 
     def vecs(self, x: np.ndarray) -> np.ndarray:
         """The (points, d^2) vec(rho) = U^dagger x of points' solutions, exactly Hermitian."""
-        return _hermitian_vec(x.T, self.weights)
+        return _hermitian_vec(x.T, self._weights)
 
     def check(self, detunings, x: np.ndarray, anorms: np.ndarray) -> np.ndarray:
         """The states of solved points, checked: their (points, d^2) vecs, in the order given.
@@ -800,10 +798,10 @@ class SteadyStateSolver:
         the order given, and the residual check runs over all points first.
         """
         detunings = np.asarray(detunings, dtype=float).reshape(-1)
-        y = self.real_generator @ x
-        shift = x[self.rotation_cols] * self.rotation[:, None]
+        y = self._real_generator @ x
+        shift = x[self._rotation_cols] * self._rotation[:, None]
         shift *= detunings
-        y[self.rotation_rows] += shift
+        y[self._rotation_rows] += shift
         del shift
         # |L vec(rho)| entry by entry: the moduli of U^dagger y
         residuals = np.abs(self.vecs(y)).max(axis=1)
@@ -816,22 +814,21 @@ class SteadyStateSolver:
                 f"{detunings[k]:g} MHz"
             )
         vecs = self.vecs(x)
-        _check_states(vecs, self.layout, detunings, "drive detuning {:g} MHz")
+        _check_states(vecs, self._layout, detunings, "drive detuning {:g} MHz")
         return vecs
-
-    def __call__(self, detunings) -> np.ndarray:
-        x, anorms = self.points(detunings)
-        vecs = self.check(detunings, x, anorms)
-        return vecs.reshape(-1, self.dimension, self.dimension)
 
 
 def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
 
-    SteadyStateSolver(model) applied once: every check and message of
-    that solve holds.  Returns a complex (len(detunings), d, d) array.
+    SteadyStateSolver(model).points, then check on the same detunings:
+    every check and message of that solve holds.  Returns a complex
+    (len(detunings), d, d) array.
     """
-    return SteadyStateSolver(model)(detunings)
+    solver = SteadyStateSolver(model)
+    x, anorms = solver.points(detunings)
+    d = model.dimension
+    return solver.check(detunings, x, anorms).reshape(-1, d, d)
 
 
 def dominant_oscillation(model: LindbladModel, rho0, observable):

@@ -920,14 +920,6 @@ class TestSteadyStateSweep:
         with pytest.raises(DegenerateSteadyStateError, match=r"rcond .* at drive detuning -5 MHz"):
             steady_states(build_model(pair_spec(13.4)), np.linspace(-5.0, 5.0, 5))
 
-    @pytest.mark.parametrize("d", [2, 4, 8, 32])
-    def test_solver_layout_is_the_all_coordinate_layout(self, d):
-        model = LindbladModel(np.zeros((d, d)))
-        diagonal, blocks = lindblad.SteadyStateSolver(model).layout
-        expected_diagonal, expected_blocks = lindblad._state_layout(np.arange(d * d), d)
-        assert np.array_equal(diagonal, expected_diagonal) and len(blocks) == len(expected_blocks) == 1
-        assert np.array_equal(blocks[0], expected_blocks[0])
-
     def test_points_checked_together_are_the_states_of_each_call(self):
         # rounds of points, joined and checked once, give each call's states bit for bit
         rng = np.random.default_rng(79)
@@ -936,7 +928,8 @@ class TestSteadyStateSweep:
         rounds = [np.array([0.0, 2.5]), np.array([-4.0]), np.array([1.0, -1.5, 7.0])]
         parts = [solver.points(grid) for grid in rounds]
         vecs = solver.check(np.concatenate(rounds), *(np.concatenate(p, axis=-1) for p in zip(*parts)))
-        assert np.array_equal(vecs, np.concatenate([solver(grid).reshape(len(grid), -1) for grid in rounds]))
+        each = np.concatenate([steady_states(model, grid).reshape(len(grid), -1) for grid in rounds])
+        assert np.array_equal(vecs, each)
         assert np.array_equal(vecs, np.concatenate([solver.vecs(x) for x, _ in parts]))
 
     def test_residual_failure_names_the_point(self, monkeypatch):

@@ -170,6 +170,15 @@ class TestMultiQubitTransmission:
         with pytest.raises(ValueError, match=r"^trace nan differs from 1 beyond 1e-9 at drive detuning 0 MHz$"):
             sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), [-5.0, 0.0, 5.0])
 
+    def test_non_passive_transmission_names_the_point(self, monkeypatch):
+        # checked states read through a tripled functional: |t| > 1, first at -500 MHz in grid order
+        emission_functional = sp._emission_functional
+        monkeypatch.setattr(sp, "_emission_functional", lambda spec, basis: 3.0 * emission_functional(spec, basis))
+        spec = core.mirror_pair_spec(MIRROR1)
+        with pytest.raises(RuntimeError, match=r"^non-passive transmission amplitude \|t\| = 1\.00104 at drive "
+                           r"detuning -500 MHz; check the drive model$"):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), [-500.0, -5.0, 0.0, 5.0])
+
     def test_non_finite_readout_of_checked_states_is_named(self, monkeypatch):
         # states that pass every check but read a NaN t stop the sweep at the point
         monkeypatch.setattr(sp, "_emission_functional", lambda spec, basis: np.full(basis.dimension**2, np.nan))
