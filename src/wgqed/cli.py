@@ -392,6 +392,15 @@ def _run_rabi(spec, params) -> dict:
 _DARK_OPTIONS = dict(park_detuning_mhz="park_detuning", artificial_detuning_mhz="artificial_detuning")
 
 
+def _check_delays(_spec, params) -> None:
+    """The delay grid must increase: its times would not otherwise."""
+    if not params["delay_min_ns"] < params["delay_max_ns"]:
+        raise ConfigError(
+            f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
+            f"delay_max_ns {params['delay_max_ns']:g} ns"
+        )
+
+
 def _run_dark(simulate, kind: int, spec, params) -> dict:
     """A dark-state sequence's trace and fit, which gives gamma<kind> and T<kind>."""
     options = {name: params[key] for key, name in _DARK_OPTIONS.items() if key in params}
@@ -566,6 +575,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
         _DELAYS,
         partial(_run_dark, protocols.simulate_t1_dark, 1),
         required=("delay_min_ns", "delay_max_ns", "points"),
+        check=_check_delays,
     ),
     "ramsey-dark": Experiment(
         "dark-state Ramsey fringes via half-swaps",
@@ -577,6 +587,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
         },
         partial(_run_dark, protocols.simulate_ramsey_dark, 2),
         required=("delay_min_ns", "delay_max_ns", "points"),
+        check=_check_delays,
     ),
     "shelve": Experiment(
         "mirror-pair transmission with shelved dark population",

@@ -18,11 +18,17 @@ symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it; evolve
 exponentiates the block once per distinct grid step, and its states stay
 vec entries on those coordinates (_propagate) until they are returned or
-read as populations (_held_populations); the model caches its factors and
-its last block and exponentials.  :class:`SteadyStateSolver` uses all
-d^2 coordinates, prepared once per model and then solving at any drive
-detunings delta, which only shift the diagonal: L(delta) = L0 + delta K
-with K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation number.
+read as populations (_held_populations); the model caches its factors,
+its last block at zero offset with its state layout, and the last hold's
+exponentials.  A detuning change only moves the diagonal of L, by one
+per-qubit generator K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b))
+(_detuning_generator), which in Hermitian coordinates rotates each pair
+(ab, ba) (_detuning_rotation).  A hold at per-qubit detuning offsets
+adds K(-offsets) to the cached block, so one model serves holds at
+several detunings.  :class:`SteadyStateSolver` uses all d^2 coordinates,
+prepared once per model and then solving at any drive detunings delta:
+L(delta) = L0 + delta K with K the same generator at unit weights,
+K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation number.
 Each point is one real dense LU solve of the trace-bordered generator,
 whose LAPACK condition estimate flags a degenerate null space at once
 (SteadyStateSolver.points); the residual and state checks are a
@@ -438,13 +444,16 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     state, each step adding P(A[t]) R P(B[t])^T for every term (P: nonzero
     pattern).  Entries never reached stay exactly zero.  The terms mirror
     each other under a <-> b, so the set is closed under a <-> b, the same
-    in the vec and in Hermitian coordinates.  model._cache keeps the
+    in the vec and in Hermitian coordinates; a detuning offset only moves
+    the diagonal of L, so it reaches the same set.  model._cache keeps the
     factors and patterns, and the last _propagate's tuple (reached, block,
-    weights, exponentials), read once and replaced whole: a start that
-    reaches exactly that set reuses it.  Returns the sorted reached indices
-    a*d + b, the dense block of A on them, the rows of U on them
-    (_coordinate_weights), the (m, n) start coordinates x0 = U vec(rho) and
-    the block's exponentials by exact step (empty for a new block).
+    weights, layout, (offsets, exponentials)), read once and replaced
+    whole: a start that reaches exactly that set reuses it.  Returns that
+    tuple, with the sorted reached indices a*d + b, the dense block of A
+    on them at zero offset, the rows of U on them (_coordinate_weights),
+    their _state_layout and the last hold's offsets and exponentials by
+    exact step (None and empty for a new block), and the (m, n) start
+    coordinates x0 = U vec(rho).
     """
     d = model.dimension
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -477,11 +486,10 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
         flat, values = _real_generator(left, right, index, weights)
         block = np.zeros((index.size, index.size))
         block.flat[flat] = values
-        known = index, block, weights, {}
-    index, block, weights, exponentials = known
-    alpha, beta, partner = weights
+        known = index, block, weights, _state_layout(index, d), (None, {})
+    alpha, beta, partner = known[2]
     vecs = states.reshape(-1, d * d)[:, index]
-    return index, block, weights, (alpha * vecs + beta * vecs[:, partner]).real, exponentials
+    return known, (alpha * vecs + beta * vecs[:, partner]).real
 
 
 def _lowest_eigenvalues(stack: np.ndarray, axes: tuple) -> np.ndarray:
@@ -584,21 +592,50 @@ def _check_states(entries: np.ndarray, layout, points, where: str) -> None:
         )
 
 
-def _propagate(model: LindbladModel, rho, times):
+def _hold_offsets(model: LindbladModel, offsets):
+    """Per-qubit detuning offsets (MHz) of a hold as a tuple, or None for none or all zero.
+
+    ValueError names a non-finite offset, a count that is not one per
+    qubit of the model's basis, and nonzero offsets on a model with no
+    basis (it has no qubits to shift).
+    """
+    if offsets is None:
+        return None
+    offsets = np.asarray(offsets, dtype=float).reshape(-1)
+    finite = np.isfinite(offsets)
+    if not finite.all():
+        raise ValueError(f"detuning offset {offsets[~finite][0]:g} MHz is not finite")
+    if model.basis is None:
+        if offsets.any():
+            raise ValueError("nonzero detuning offsets need a model with a qubit basis")
+        return None
+    if offsets.size != model.basis.n_qubits:
+        raise ValueError(
+            f"{offsets.size} detuning offsets for {model.basis.n_qubits} qubits: need one per qubit"
+        )
+    return tuple(offsets.tolist()) if offsets.any() else None
+
+
+def _propagate(model: LindbladModel, rho, times, offsets=None):
     """The evolution of evolve on the reached coordinates alone: (reached, entries).
 
-    rho is a d x d state or an m x d x d stack at times[0] (us).  Returns
-    the sorted reached coordinates a*d + b (_reached_block) and the complex
+    rho is a d x d state or an m x d x d stack at times[0] (us), held at
+    the model's detunings plus offsets (evolve).  Returns the sorted
+    reached coordinates a*d + b (_reached_block) and the complex
     (len(times), m, n) vec entries of every state on them (m = 1 for a
     single state), U^dagger x from real x (_hermitian_vec); every other vec
-    entry is exactly zero.  The path x is one preallocated (len(times), n,
-    m) array, each step one product with the exponential of the block into
-    the next slot.  Each step takes the exponential of the first step in
-    grid order that it equals within 1e-12 relative, so every class of
-    equal steps is found once, or taken from the model's cache at the exact
-    step; the cache then keeps this call's exponentials alone.  ValueError
-    unless the times are finite and strictly increasing, and each state,
-    rho included, must pass _check_states.
+    entry is exactly zero.  The block is the cached one at zero offset plus
+    the rotation of the offsets (_detuning_rotation) on its pairs (ab, ba).
+    The path x is one preallocated (len(times), n, m) array, each step one
+    product with the exponential of the block into the next slot.  Each
+    step takes the exponential of the first step in grid order that it
+    equals within 1e-12 relative, so every class of equal steps is found
+    once, or taken from the model's cache at the exact step when the last
+    hold on these coordinates had the same offsets; the cache then keeps
+    this call's offsets and exponentials alone.
+    ValueError unless the times are finite and strictly increasing (naming
+    the first time that does not increase), and each state, rho included,
+    must pass _check_states.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -607,33 +644,50 @@ def _propagate(model: LindbladModel, rho, times):
     if not finite.all():
         raise ValueError(f"times must be finite: t = {times[~finite][0]:g} us")
     steps = np.diff(times)
-    if np.any(steps <= 0):
-        raise ValueError("times must be strictly increasing")
-    reached, block, weights, x0, cached = _reached_block(model, np.asarray(rho, dtype=complex))
+    stalled = np.flatnonzero(~(steps > 0))
+    if stalled.size:
+        k = stalled[0]
+        raise ValueError(
+            f"times must be strictly increasing: time {times[k + 1]:g} us follows {times[k]:g} us"
+        )
+    offsets = _hold_offsets(model, offsets)
+    known, x0 = _reached_block(model, np.asarray(rho, dtype=complex))
+    reached, block, weights, layout, (held, cached) = known
+    if held != offsets:
+        cached = {}
+    shifted = block
+    if offsets is not None:
+        rows, cols, values = _detuning_rotation(
+            _detuning_generator(model.basis, -np.array(offsets)), reached, model.dimension
+        )
+        shifted = block.copy()
+        shifted[rows, cols] += values
     exponentials = {}  # by the first step of each class, in grid order
     chosen = np.full(steps.size, -1)
     while (chosen < 0).any():
         step = steps[np.argmax(chosen < 0)]
         chosen[(chosen < 0) & (np.abs(steps - step) <= 1e-12 * step)] = len(exponentials)
-        exponentials[step] = cached[step] if step in cached else _expm(block * step)
-    model._cache["reach"] = reached, block, weights, exponentials
+        exponentials[step] = cached[step] if step in cached else _expm(shifted * step)
+    model._cache["reach"] = reached, block, weights, layout, (offsets, exponentials)
     distinct = list(exponentials.values())
     path = np.empty((times.size,) + x0.T.shape)  # one column per state
     path[0] = x0.T
     for k, which in enumerate(chosen):
         np.matmul(distinct[which], path[k], out=path[k + 1])
     entries = _hermitian_vec(np.swapaxes(path, 1, 2), weights)
-    _check_states(entries, _state_layout(reached, model.dimension), times, "t = {:g} us")
+    _check_states(entries, layout, times, "t = {:g} us")
     return reached, entries
 
 
-def _held_populations(model: LindbladModel, number_op: np.ndarray, rho0, times) -> np.ndarray:
+def _held_populations(
+    model: LindbladModel, number_op: np.ndarray, rho0, times, offsets=None
+) -> np.ndarray:
     """tr(N rho(t)) for one state rho0 and a diagonal N, summed off the x_aa of _propagate.
 
     The terms are added from zero in ascending a, as an einsum over the
     diagonals of evolve's states adds them, so the sums are bitwise equal.
     """
-    reached, entries = _propagate(model, rho0, times)
+    reached, entries = _propagate(model, rho0, times, offsets)
     a, b = np.divmod(reached, model.dimension)
     weights = np.diag(number_op)
     populations = np.zeros(len(entries))
@@ -642,53 +696,68 @@ def _held_populations(model: LindbladModel, number_op: np.ndarray, rho0, times) 
     return populations
 
 
-def evolve(model: LindbladModel, rho0, times) -> np.ndarray:
+def evolve(model: LindbladModel, rho0, times, offsets=None) -> np.ndarray:
     """Exact master-equation evolution of one state or a stack of states.
 
     rho0 is a d x d state or an m x d x d stack of states, taken at
     times[0] (us); returns the state at every grid time as one complex
     array of shape (len(times), d, d), or (len(times), m, d, d) for a stack.
-    It runs in the real Hermitian coordinates x = U vec(rho), only over
-    those the state can fill (_reached_block); every other one stays
-    exactly zero.  An undriven hold conserves N_a - N_b on rho_ab, so from
-    one excitation among five qubits it reaches 26 of the 1024 coordinates
-    at n_th = 0 and 252 with thermal excitation, while a drive reaches all.
-    Each step multiplies by the exponential of the block; steps equal
-    within 1e-12 relative share one exponential, which the model keeps
-    for its next call on the same coordinates.  ValueError unless the
-    times are finite and rho0 (each state of a stack) is Hermitian within
-    1e-10, and unless each state, rho0 included, has unit trace within
-    1e-9 and no eigenvalue below -1e-8 (_check_states).  _propagate does
-    all of that on the reached coordinates; evolve scatters its entries.
+    offsets (MHz, one per qubit of the model's basis) raise the qubit
+    detunings of the hold above the model's, as a model built at the
+    summed detunings would hold them: they only move the diagonal of L,
+    by K(-offsets) (_detuning_generator), so one model serves holds at
+    several detunings.  Zero offsets are no offsets.  It runs in the real
+    Hermitian coordinates x = U vec(rho), only over those the state can
+    fill (_reached_block); every other one stays exactly zero.  An
+    undriven hold conserves N_a - N_b on rho_ab, so from one excitation
+    among five qubits it reaches 26 of the 1024 coordinates at n_th = 0
+    and 252 with thermal excitation, while a drive reaches all.  Each step
+    multiplies by the exponential of the block; steps equal within 1e-12
+    relative share one exponential, which the model keeps for its next
+    call on the same coordinates at the same offsets.  ValueError unless
+    the times are finite and strictly increasing, the offsets are finite
+    and one per qubit (_hold_offsets), and rho0 (each state of a stack) is
+    Hermitian within 1e-10, and unless each state, rho0 included, has unit
+    trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
+    _propagate does all of that on the reached coordinates; evolve
+    scatters its entries.
     """
-    reached, entries = _propagate(model, rho0, times)
+    reached, entries = _propagate(model, rho0, times, offsets)
     states = np.zeros(entries.shape[:-1] + (model.dimension**2,), dtype=complex)
     states[..., reached] = entries
     return states.reshape((len(entries),) + np.shape(rho0))
 
 
-def _detuning_generator(basis: ProductBasis) -> np.ndarray:
-    """Diagonal of K = dL/d(delta) in the row-major vec basis (rad/us per MHz).
+def _detuning_generator(basis: ProductBasis, weights) -> np.ndarray:
+    """Diagonal of K(w) = dL/ds in the row-major vec basis (rad/us per MHz), per-qubit weights w.
 
-    Moving the drive frame by delta (MHz) lowers every qubit detuning by
-    delta, i.e. H -> H - 2 pi delta N with N the total excitation number,
-    so L(delta) = L0 + delta K with K[a*d + b] = i 2 pi (N_a - N_b).
+    Lowering qubit j's detuning by s w_j (MHz) changes H by -2 pi s
+    sum_j w_j n_j, so L(s) = L0 + s K(w) with K[a*d + b] = i 2 pi
+    sum_j w_j (n_j(a) - n_j(b)).  Unit weights move the drive frame by s =
+    delta (every qubit, H -> H - 2 pi delta N); a hold raises qubit j by
+    offsets_j through K(-offsets) at s = 1.  The level sums run in qubit
+    order, so integer weights give exact integer levels.
     """
-    counts = np.array([bin(s).count("1") for s in range(basis.dimension)], dtype=float)
-    return 1j * TWO_PI * (counts[:, None] - counts[None, :]).reshape(-1)
+    levels = np.zeros(basis.dimension)
+    for j, weight in enumerate(weights):
+        levels += weight * basis._excited(j)
+    return 1j * TWO_PI * (levels[:, None] - levels[None, :]).reshape(-1)
 
 
-def _detuning_rotation(generator: np.ndarray, d: int):
-    """K_r = U diag(generator) U^dagger in Hermitian coordinates, as (row, column, value) arrays.
+def _detuning_rotation(generator: np.ndarray, reached: np.ndarray, d: int):
+    """K_r = U diag(generator) U^dagger on coordinates closed under a <-> b, as (row, column, value).
 
-    The generator entries i w at ab and -i w at ba (a < b) turn rho_ab at
-    rate w, i.e. dx_ab/dt = -w x_ba and dx_ba/dt = w x_ab: K_r has entries
-    at (ab, ba) and (ba, ab) only, never on the diagonal or in row 0.
+    generator is a diagonal on the row-major vec (_detuning_generator);
+    rows and columns are positions in reached, the sorted coordinates
+    a*d + b.  The generator entries i w at ab and -i w at ba (a < b) turn
+    rho_ab at rate w, i.e. dx_ab/dt = -w x_ba and dx_ba/dt = w x_ab: K_r
+    has entries at (ab, ba) and (ba, ab) only, never on the diagonal or at
+    a population.
     """
-    a, b = np.divmod(np.arange(d * d), d)
-    upper = np.flatnonzero((a < b) & (generator != 0))
-    lower = (b * d + a)[upper]
-    rate = generator[upper].imag
+    a, b = np.divmod(reached, d)
+    upper = np.flatnonzero((a < b) & (generator[reached] != 0))
+    lower = np.searchsorted(reached, (b * d + a)[upper])
+    rate = generator[reached[upper]].imag
     return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
 
 
@@ -719,8 +788,10 @@ class SteadyStateSolver:
         d = self._dimension = model.dimension
         n = d * d
         self._has_basis = model.basis is not None
-        generator = np.zeros(n) if model.basis is None else _detuning_generator(model.basis)
         coordinates = np.arange(n)
+        generator = np.zeros(n)
+        if model.basis is not None:  # the drive frame: every qubit at unit weight
+            generator = _detuning_generator(model.basis, np.ones(model.basis.n_qubits))
         self._weights = _coordinate_weights(coordinates, d)
         self._layout = _state_layout(coordinates, d)
         flat, values = _real_generator(*_kron_terms(model), coordinates, self._weights)
@@ -731,7 +802,9 @@ class SteadyStateSolver:
         # trace row (0, aa), then rows 1.. of A
         self._fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
         self._fill = np.concatenate([np.ones(d), values[body:]])
-        self._rotation_rows, self._rotation_cols, self._rotation = _detuning_rotation(generator, d)
+        self._rotation_rows, self._rotation_cols, self._rotation = _detuning_rotation(
+            generator, coordinates, d
+        )
         self._rotation_at = self._rotation_cols * n + self._rotation_rows
         self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), dtype=np.float64)
         # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
@@ -845,7 +918,7 @@ def dominant_oscillation(model: LindbladModel, rho0, observable):
     no other mode carries amplitude.
     """
     rho = np.asarray(rho0, dtype=complex)
-    reached, block, (alpha, beta, partner), starts, _ = _reached_block(model, rho)
+    (reached, block, (alpha, beta, partner), _, _), starts = _reached_block(model, rho)
     values, left, right = eig(block, left=True)
     # tr(O rho) = o . vec(rho) with o = vec(O^T), and vec(rho) = U^dagger x
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)[reached]

@@ -7,8 +7,11 @@ lindblad.evolve call on the full product space of the spec; evolve itself
 keeps to the coordinates the state can reach, so a hold that starts with
 one excitation at n_th = 0 costs about as much as that sector.  A hold
 that is only read out as a population reads it off those coordinates
-(lindblad._held_populations) and never forms the d x d states.  Holds on
-one model share what it caches, so a protocol builds each model once.
+(lindblad._held_populations) and never forms the d x d states.  A flux
+step is a hold at per-qubit detuning offsets (MHz) on the same model,
+which only shift its cached block, so the dark-state T1 and Ramsey
+sequences and the compound-mirror traces build one model of the spec;
+vacuum Rabi builds its model at the overridden probe detuning.
 Public time arguments and TimeTrace records are in ns; the underlying
 master-equation work runs in us.
 """
@@ -170,12 +173,16 @@ def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
     return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
 
 
-def _excite_hold_read(spec: core.SystemSpec, taus, metadata) -> TimeTrace:
-    """Probe population after preparing |e>_p and holding spec for each tau (ns)."""
+def _excite_hold_read(spec: core.SystemSpec, model, taus, metadata, offsets=None) -> TimeTrace:
+    """Probe population after preparing |e>_p and holding model, built from spec, for each tau (ns).
+
+    offsets (MHz per qubit) raise the hold's detunings above the model's
+    (lindblad.evolve).
+    """
     taus = np.asarray(taus, dtype=float)
-    model = lindblad.build_model(spec)
     populations = lindblad._held_populations(
-        model, model.basis.number(spec.probe_index), _probe_excited(spec, model.basis), taus * 1e-3
+        model, model.basis.number(spec.probe_index), _probe_excited(spec, model.basis), taus * 1e-3,
+        offsets,
     )
     return TimeTrace(taus, populations, metadata={"observable": "probe_population", **metadata})
 
@@ -191,31 +198,31 @@ def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> Ti
         detunings = list(spec.detunings)
         detunings[probe] = probe_detuning
         spec = spec.with_detunings(detunings)
-    return _excite_hold_read(spec, taus, {})
+    return _excite_hold_read(spec, lindblad.build_model(spec), taus, {})
 
 
-def _staged_wait_protocol(spec, wait_spec, delays_ns, rho0, closing_angle) -> TimeTrace:
+def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) -> TimeTrace:
     """Shared engine: resonant swap, variable wait, resonant swap, probe readout.
 
     rho0 is a state of the full product space of spec.  It is held at the
-    spec detunings for one swap time (iswap_duration_ns), under wait_spec
-    for each delay (ns), then swapped back; a nonzero closing_angle
-    rotates the probe about x before the readout.  That is three evolve
-    calls: the swap in, one wait over the delay grid that gives every
-    waited state, and one swap back of that whole stack.  The two swaps
-    run on one model, which builds its factors once, and its block and
-    exponential too when the waited stack reaches the same coordinates as
-    the swap in.  Returns the probe population versus delay.
+    spec detunings for one swap time (iswap_duration_ns), at the spec
+    detunings plus wait_offsets (MHz per qubit) for each delay (ns), then
+    swapped back; a nonzero closing_angle rotates the probe about x before
+    the readout.  That is three evolve calls on one model of spec: the swap
+    in, one wait over the delay grid that gives every waited state, and
+    one swap back of that whole stack.  The model builds its factors once,
+    and its block once when the waited stack reaches the same coordinates
+    as the swap in; the wait shifts that block and the swap back
+    exponentiates it again.  Returns the probe population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
     delays_us = delays_ns * 1e-3
     model = lindblad.build_model(spec)
-    wait = lindblad.build_model(wait_spec)
     swap_us = [0.0, iswap_duration_ns(spec) * 1e-3]
     swapped = lindblad.evolve(model, rho0, swap_us)[-1]
     # the wait starts at zero delay; a grid that starts there has no extra point
     hold = delays_us if delays_us[0] == 0.0 else np.concatenate(([0.0], delays_us))
-    waited = lindblad.evolve(wait, swapped, hold)[-delays_us.size :]
+    waited = lindblad.evolve(model, swapped, hold, wait_offsets)[-delays_us.size :]
     finals = lindblad.evolve(model, waited, swap_us)[-1]
     if closing_angle:
         finals = rotate_qubit(finals, model.basis, spec.probe_index, closing_angle)
@@ -236,10 +243,10 @@ def simulate_t1_dark(
     failures propagate unless fit=False (e.g. a decay-free trace).
     """
     probe = _require_probe(spec)
-    park = list(spec.detunings)
-    park[probe] = park_detuning
+    park = np.zeros(spec.n_qubits)
+    park[probe] = park_detuning - spec.detunings[probe]
     rho0 = _probe_excited(spec, lindblad.ProductBasis(spec.n_qubits))
-    trace = _staged_wait_protocol(spec, spec.with_detunings(park), delays, rho0, 0.0)
+    trace = _staged_wait_protocol(spec, park, delays, rho0, 0.0)
     return trace, fit_exponential(trace) if fit else None
 
 
@@ -258,11 +265,11 @@ def simulate_ramsey_dark(
     damped-sinusoid fit rate_mhz estimates the dark-state decoherence.
     """
     probe = _require_probe(spec)
-    wait = [d + artificial_detuning for d in spec.detunings]
-    wait[probe] = park_detuning
+    wait = np.full(spec.n_qubits, artificial_detuning, dtype=float)
+    wait[probe] = park_detuning - spec.detunings[probe]
     basis = lindblad.ProductBasis(spec.n_qubits)
     rho0 = rotate_qubit(np.diag(basis.ground_vector()), basis, probe, math.pi / 2.0)
-    trace = _staged_wait_protocol(spec, spec.with_detunings(wait), delays, rho0, math.pi / 2.0)
+    trace = _staged_wait_protocol(spec, wait, delays, rho0, math.pi / 2.0)
     return trace, fit_damped_sinusoid(trace)
 
 
@@ -365,13 +372,13 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     dark_freqs = tuple(sorted(float(values[k].real) for k in ranked))
     splitting = abs(dark_freqs[1] - dark_freqs[0])
 
+    # both holds on the spec's model, the probe moved onto each dark frequency
+    model = lindblad.build_model(spec)
     traces = []
     for freq in dark_freqs:
-        detunings = list(spec.detunings)
-        detunings[probe] = freq
-        traces.append(
-            _excite_hold_read(spec.with_detunings(detunings), taus, {"dark_frequency_mhz": freq})
-        )
+        offsets = np.zeros(spec.n_qubits)
+        offsets[probe] = freq - spec.detunings[probe]
+        traces.append(_excite_hold_read(spec, model, taus, {"dark_frequency_mhz": freq}, offsets))
     return CompoundResult(tuple(traces), splitting, dark_freqs)
 
 

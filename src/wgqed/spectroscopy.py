@@ -97,12 +97,25 @@ def single_qubit_transmission(
 
 
 def _input_amplitude(spec: core.SystemSpec, drive: DriveSpec) -> float:
-    """Input field amplitude a_in in sqrt(photons/us) for a waveguide drive."""
+    """Input field amplitude a_in in sqrt(photons/us) for a waveguide drive.
+
+    ValueError names a power_dbm whose a_in is zero, subnormal or not
+    finite: t divides the emitted field by a_in.
+    """
     g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
     if drive.power_dbm is not None:
-        power_w = 1e-3 * 10 ** (drive.power_dbm / 10.0)
+        try:
+            power_w = 1e-3 * 10 ** (drive.power_dbm / 10.0)
+        except OverflowError:
+            power_w = math.inf
         flux_per_us = power_w / (hbar * TWO_PI * spec.working_frequency * 1e9) * 1e-6
-        return math.sqrt(flux_per_us)
+        a_in = math.sqrt(flux_per_us)
+        if not (math.isfinite(a_in) and a_in >= np.finfo(float).tiny):
+            raise ValueError(
+                f"power_dbm {drive.power_dbm:g} gives an input field a_in = {a_in:g} "
+                "sqrt(photons/us), which is zero, subnormal or not finite"
+            )
+        return a_in
     if drive.omega_rabi is not None:
         ref = int(np.argmax(g1d_ang))
         if g1d_ang[ref] <= 0:

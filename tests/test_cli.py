@@ -144,10 +144,22 @@ class TestValidation:
                 lambda config: config["system"]["dephasing_correlations"][0].__setitem__(1, -1),
                 "$.system.dephasing_correlations[0][1]",
             ),
+            # run stopped on "times must be strictly increasing" (exit 2)
+            (
+                "fig3b_t1dark_type1",
+                lambda config: config["params"].update(delay_min_ns=2500.0),
+                "$.params.delay_min_ns",
+            ),
+            (
+                "fig3c_ramsey_type2",
+                lambda config: config["params"].update(delay_min_ns=700.0),
+                "$.params.delay_min_ns",
+            ),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
             "coupling-negative-fraction", "correlation-fraction", "correlation-negative",
+            "t1-equal-delays", "ramsey-decreasing-delays",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):

@@ -353,7 +353,7 @@ def uncached(model):
 
 def reached_block(model, rho):
     """The coordinates evolve runs over from the states rho (d x d or a stack), and A on them."""
-    return lindblad._reached_block(model, np.asarray(rho, dtype=complex))[:2]
+    return lindblad._reached_block(model, np.asarray(rho, dtype=complex))[0][:2]
 
 
 def reached_coordinates(model, rho) -> np.ndarray:
@@ -615,6 +615,13 @@ class TestReachedCoordinates:
             with pytest.raises(ValueError, match=rf"times must be finite: t = {bad:g} us"):
                 evolve(model, np.eye(4) / 4, times)
 
+    def test_non_increasing_time_named(self):
+        model = build_model(pair_spec(13.4, 0.01, 0.2))
+        cases = (([0.0, 0.1, 0.1, 0.2], "0.1 us follows 0.1"), ([0.0, 0.2, 0.3, 0.25], "0.25 us follows 0.3"))
+        for times, first in cases:
+            with pytest.raises(ValueError, match=rf"^times must be strictly increasing: time {first} us$"):
+                evolve(model, np.eye(4) / 4, times)
+
     def test_nan_initial_state_names_the_state(self):
         # NaN - conj(NaN) is NaN, which must fail the Hermiticity check
         model = build_model(pair_spec(13.4, 0.01, 0.2))
@@ -797,25 +804,29 @@ class TestModelCache:
         times = np.array([0.0, 0.02, 0.05, 0.06, 0.09])  # steps 0.02, 0.03, 0.01 and 0.03 again
         evolve(model, rho, times)
         steps = np.diff(times)
-        _, block, _, exponentials = model._cache["reach"]
+        _, block, _, _, (_, exponentials) = model._cache["reach"]
         assert list(exponentials) == list(steps[:3])
         for step, exponential in exponentials.items():
             assert same_bits(exponential, lindblad._expm(block * step))
         # a call on the same reach keeps the exponential it reuses, and only that
         evolve(model, rho, times[1:3])
-        kept = model._cache["reach"][3]
+        kept = model._cache["reach"][4][1]
         assert list(kept) == [steps[1]] and kept[steps[1]] is exponentials[steps[1]]
 
     def test_threads_sharing_a_model_match_an_uncached_copy(self):
         # four threads (more than two cores) on one model, switching every
-        # microsecond, each call a short hold on one of two reaches: a block
-        # paired with another reach, or exponentials with another block,
-        # change the bits (a _reached_block that reads the cache twice fails)
+        # microsecond, each call a short hold on one of two reaches, with or
+        # without detuning offsets: a block paired with another reach, or
+        # exponentials with another block or other offsets, change the bits
+        # (a _reached_block that reads the cache twice fails)
         rng = np.random.default_rng(76)
         model = build_model(random_spec(rng, 2, n_th=0.05))
         starts = basis_projector(model.basis, 0b01), basis_projector(model.basis, 0b00, 0b11)
         grids = np.linspace(0.0, 0.05, 2), np.linspace(0.0, 0.04, 3)
-        cases = [(rho, times) for rho in starts for times in grids]
+        cases = [
+            (rho, times, offsets)
+            for rho in starts for times in grids for offsets in (None, [3.0, -1.5])
+        ]
         fresh = [evolve(uncached(model), *case) for case in cases]
         failures, deadline = [], time.monotonic() + 10.0
 
@@ -823,9 +834,9 @@ class TestModelCache:
             for k in range(offset, offset + 600):
                 if time.monotonic() > deadline:
                     break
-                rho, times = cases[k % len(cases)]
+                rho, times, offsets = cases[k % len(cases)]
                 try:
-                    if not same_bits(evolve(model, rho, times), fresh[k % len(cases)]):
+                    if not same_bits(evolve(model, rho, times, offsets), fresh[k % len(cases)]):
                         failures.append(k)
                 except Exception as err:  # a torn cache can also mismatch shapes
                     failures.append(err)
@@ -842,6 +853,101 @@ class TestModelCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+class TestHoldOffsets:
+    """A hold at detuning offsets is the hold of a model built at the summed detunings."""
+
+    @staticmethod
+    def random_cases():
+        # what a model of spec.with_detunings(detunings + offsets) would hold;
+        # driven holds reach all d^2 coordinates, so at N = 5 only undriven ones run
+        rng = np.random.default_rng(77)
+        for n in (1, 2, 3, 4, 5):
+            for n_th, driven in ((0.0, False), (0.05, False), (0.0, True), (0.05, True)):
+                if n == 5 and driven:
+                    continue
+                spec = random_spec(rng, n, n_th=n_th)
+                drives = random_drives(rng, n) if driven else ()
+                offsets = rng.uniform(-20, 20, n)
+                model = build_model(spec, drives=drives)
+                rebuilt = build_model(spec.with_detunings(np.add(spec.detunings, offsets)), drives=drives)
+                picks = rng.choice(model.dimension, size=min(2, model.dimension), replace=False)
+                single = basis_projector(model.basis, *picks)
+                stack = np.array([basis_projector(model.basis, p) for p in picks])
+                times = np.linspace(0.0, rng.uniform(0.02, 0.1), 7)
+                starts = (single, stack) + ((random_mixed_state(rng, model.dimension),) if n <= 3 else ())
+                for rho in starts:
+                    yield model, rebuilt, offsets, rho, times
+
+    def test_offsets_match_a_rebuilt_model(self):
+        # the same coordinates as a hold without offsets (the offsets only move
+        # the diagonal of L, which feeds none), and the states of the rebuilt model
+        for model, rebuilt, offsets, rho, times in self.random_cases():
+            reached, entries = lindblad._propagate(model, rho, times, offsets)
+            assert np.array_equal(reached, reached_coordinates(uncached(model), rho))
+            expected_reached, expected = lindblad._propagate(rebuilt, rho, times)
+            assert np.array_equal(reached, expected_reached)
+            assert np.max(np.abs(entries - expected)) < 1e-12
+            # evolve and the populations read the same hold (the cached exponentials)
+            states = evolve(model, rho, times, offsets)
+            assert np.max(np.abs(states - evolve(rebuilt, rho, times))) < 1e-12
+            if rho.ndim == 2:
+                for j in range(model.basis.n_qubits):
+                    number = model.basis.number(j)
+                    held = lindblad._held_populations(model, number, rho, times, offsets)
+                    reference = lindblad._held_populations(rebuilt, number, rho, times)
+                    assert np.max(np.abs(held - reference)) < 1e-12
+
+    def test_zero_offsets_are_no_offsets(self):
+        rng = np.random.default_rng(78)
+        model = build_model(random_spec(rng, 3, n_th=0.05), drives=random_drives(rng, 3))
+        rho, times = random_mixed_state(rng, model.dimension), np.linspace(0.0, 0.05, 6)
+        expected = evolve(uncached(model), rho, times)
+        for offsets in (None, np.zeros(3), [0.0, -0.0, 0.0]):
+            assert same_bits(evolve(uncached(model), rho, times, offsets), expected)
+            assert same_bits(evolve(model, rho, times, offsets), expected)
+
+    def test_other_offsets_rebuild_only_the_shift_and_its_exponentials(self, monkeypatch):
+        # one block per reach at zero offset; each change of offsets forms the
+        # shifted block's exponentials again, equal offsets reuse them, and
+        # every call gives the bits of a fresh, uncached copy
+        rng = np.random.default_rng(79)
+        model = build_model(random_spec(rng, 3, n_th=0.05))
+        rho, times = basis_projector(model.basis, 0b001), np.linspace(0.0, 0.05, 6)
+        calls = [None, [1.0, 0.0, -2.0], [1.0, 0.0, -2.0], [0.5, 0.0, 0.0], None]
+        fresh = [evolve(uncached(model), rho, times, offsets) for offsets in calls]
+        counts = {"_real_generator": 0, "_expm": 0}
+        for name in counts:
+            real = getattr(lindblad, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lindblad, name, counting)
+        seen = []
+        for offsets, expected in zip(calls, fresh):
+            assert same_bits(evolve(model, rho, times, offsets), expected)
+            seen.append(dict(counts))
+        assert [c["_real_generator"] for c in seen] == [1, 1, 1, 1, 1]
+        assert [c["_expm"] for c in seen] == [1, 2, 2, 3, 4]
+        assert model._cache["reach"][4][0] is None
+
+    def test_offset_errors_are_named(self):
+        rng = np.random.default_rng(80)
+        model = build_model(random_spec(rng, 2))
+        rho, times = basis_projector(model.basis, 0b01), [0.0, 0.01]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"detuning offset (nan|inf|-inf) MHz is not finite"):
+                evolve(model, rho, times, [0.0, bad])
+        for offsets in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match=rf"{len(offsets)} detuning offsets for 2 qubits"):
+                evolve(model, rho, times, offsets)
+        bare = LindbladModel(model.hamiltonian, model.dissipators)
+        with pytest.raises(ValueError, match="nonzero detuning offsets need a model with a qubit basis"):
+            evolve(bare, rho, times, [0.0, 1.0])
+        assert same_bits(evolve(bare, rho, times, [0.0, 0.0]), evolve(model, rho, times))
 
 
 class TestSteadyState:
@@ -1113,8 +1219,8 @@ class TestHermitianCoordinates:
     def test_detuning_generator_only_rotates_coherences(self):
         basis = ProductBasis(4)
         d = basis.dimension
-        generator = lindblad._detuning_generator(basis)
-        rows, cols, values = lindblad._detuning_rotation(generator, d)
+        generator = lindblad._detuning_generator(basis, np.ones(basis.n_qubits))
+        rows, cols, values = lindblad._detuning_rotation(generator, np.arange(d * d), d)
         unitary = reach_oracle.hermitian_unitary(d)
         reference = (unitary @ sparse.diags(generator) @ unitary.conj().T).toarray()
         rotation = np.zeros((d * d, d * d))

@@ -467,6 +467,20 @@ class TestVacuumRabi:
         assert np.max(np.abs(trace.values - expected)) < 1e-9
 
 
+def count_calls(monkeypatch, *names) -> dict:
+    """Count the calls of lindblad functions by name while monkeypatch holds."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(lindblad, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, name, counting)
+    return counts
+
+
 class TestCoordinateReadouts:
     """Traces read off the diagonal coordinates or built with shared swaps, bit for bit as before."""
 
@@ -484,20 +498,31 @@ class TestCoordinateReadouts:
         )
         assert pr.simulate_vacuum_rabi(spec, taus).values.tobytes() == expected.tobytes()
 
-    def test_compound_mirrors(self):
+    def test_compound_mirrors(self, monkeypatch):
+        # both dark holds run on the spec's one model, the probe moved by an
+        # offset: bit for bit the same offsets on a fresh model, and within
+        # 1e-12 a model built with the probe at the dark frequency
         spec = core.compound_mirror_spec(
             QubitParams("M", 13.4, GLOSS, 0.146), PROBE, direct_g=46.0, pair_detuning=20.0
         )
         taus = np.linspace(0, 400, 81)
-        result = pr.simulate_compound_mirrors(spec, taus)
+        with monkeypatch.context() as patch:
+            counts = count_calls(patch, "build_model", "_kron_terms", "_real_generator")
+            result = pr.simulate_compound_mirrors(spec, taus)
+        assert counts == {"build_model": 1, "_kron_terms": 1, "_real_generator": 1}
+        probe = spec.probe_index
         for trace, freq in zip(result.traces, result.dark_frequencies):
-            detunings = list(spec.detunings)
-            detunings[spec.probe_index] = freq
-            model = lindblad.build_model(spec.with_detunings(detunings))
-            expected = self.evolved_populations(
-                model, model.basis.number(spec.probe_index), pr._probe_excited(spec, model.basis), taus
-            )
+            offsets = np.zeros(spec.n_qubits)
+            offsets[probe] = freq - spec.detunings[probe]
+            model = lindblad.build_model(spec)
+            number, excited = model.basis.number(probe), pr._probe_excited(spec, model.basis)
+            expected = pr._populations(number, lindblad.evolve(model, excited, taus * 1e-3, offsets))
             assert trace.values.tobytes() == expected.tobytes()
+            detunings = list(spec.detunings)
+            detunings[probe] = freq
+            rebuilt = lindblad.build_model(spec.with_detunings(detunings))
+            reference = self.evolved_populations(rebuilt, number, excited, taus)
+            assert np.max(np.abs(trace.values - reference)) < 1e-12
 
     @pytest.mark.parametrize("n_th", [0.0, 0.05])
     def test_two_excitation(self, monkeypatch, n_th):
@@ -527,10 +552,14 @@ class TestCoordinateReadouts:
 
     @pytest.mark.parametrize("ramsey", [False, True])
     def test_staged_swaps_build_one_block(self, monkeypatch, ramsey):
-        # the swap back reaches the coordinates of the swap in, so the swap
-        # model's factors and block are built once: two of each (swap and
-        # wait) instead of three, and the trace keeps its bits
-        spec = inverted_dephasing_spec(13.4, 0.36275, 0.15925)
+        # the swap in, the wait (the spec's detunings plus offsets) and the
+        # swap back run on one model of the spec and reach one set of
+        # coordinates, so its factors and block are built once; the trace
+        # is that of the same holds on fresh models, bit for bit, and within
+        # 1e-12 that of a wait on a model built at the wait's detunings.  The
+        # mirrors are slightly detuned: at zero detunings the exchange graph is
+        # bipartite, and the trace would not tell an offset from its negative
+        spec = inverted_dephasing_spec(13.4, 0.36275, 0.15925).with_detunings((0.4, 0.0, -0.3))
         delays = np.linspace(0, 1500, 31)
 
         def trace():
@@ -538,22 +567,26 @@ class TestCoordinateReadouts:
                 return pr.simulate_ramsey_dark(spec, delays)[0].values
             return pr.simulate_t1_dark(spec, delays, fit=False)[0].values
 
-        evolve = lindblad.evolve
+        evolve, build_model = lindblad.evolve, lindblad.build_model
+
+        def fresh(model, rho, times, offsets=None):
+            return evolve(dataclasses.replace(model), rho, times, offsets)
+
+        def rebuilt(model, rho, times, offsets=None):
+            if offsets is not None:
+                model = build_model(spec.with_detunings(np.add(spec.detunings, offsets)))
+            return evolve(model, rho, times)
+
         with monkeypatch.context() as patch:
-            # every hold on a fresh, uncached copy of its model
-            patch.setattr(lindblad, "evolve", lambda m, rho, t: evolve(dataclasses.replace(m), rho, t))
+            patch.setattr(lindblad, "evolve", fresh)
             expected = trace()
-        counts = {"_kron_terms": 0, "_real_generator": 0}
-        for name in counts:
-            real = getattr(lindblad, name)
-
-            def counting(*args, name=name, real=real):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(lindblad, name, counting)
-        assert trace().tobytes() == expected.tobytes()
-        assert counts == {"_kron_terms": 2, "_real_generator": 2}
+            patch.setattr(lindblad, "evolve", rebuilt)
+            reference = trace()
+        counts = count_calls(monkeypatch, "build_model", "_kron_terms", "_real_generator")
+        values = trace()
+        assert values.tobytes() == expected.tobytes()
+        assert counts == {"build_model": 1, "_kron_terms": 1, "_real_generator": 1}
+        assert np.max(np.abs(values - reference)) < 1e-12
 
 
 class TestIswap:

@@ -485,6 +485,16 @@ class TestDriveSpec:
         assert abs(scan.t_complex[0] - expected) < 1e-9
 
 
+    @pytest.mark.parametrize("power", [-4000.0, 3100.0, math.nan])
+    def test_out_of_range_power_is_named(self, power):
+        # -4000 dBm underflows a_in to 0 (t = 1 + 0/0); +3100 dBm overflowed
+        # 10 ** (p / 10) with a bare OverflowError
+        q = QubitParams.from_gamma_prime("Q1", 94.1, 0.430)
+        spec = SystemSpec(qubits=((q, Placement(0.0)),))
+        with pytest.raises(ValueError, match=rf"^power_dbm {power:g} gives an input field a_in = "):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(power_dbm=power), np.array([-5.0, 0.0]))
+
+
 class TestShelving:
     def test_fully_shelved_is_transparent(self):
         for delta in (0.0, 5.0, -20.0):
