@@ -25,19 +25,17 @@ per-qubit generator K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b))
 (_detuning_generator), which in Hermitian coordinates rotates each pair
 (ab, ba) (_detuning_rotation).  A hold at per-qubit detuning offsets
 adds K(-offsets) to the cached block, so one model serves holds at
-several detunings.  :class:`SteadyStateSolver` uses all d^2 coordinates,
-prepared once per model and then solving at any drive detunings delta:
-L(delta) = L0 + delta K with K the same generator at unit weights,
-K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation number.
-Each point is one real dense LU solve of the trace-bordered generator,
-whose LAPACK condition estimate flags a degenerate null space at once
-(SteadyStateSolver.points); the residual and state checks are a
-separate pass (SteadyStateSolver.check), so a spectrum sweep that
-solves in rounds checks its solved states once, in solve order, after
-its last round; :func:`steady_states` runs both on one set of
-detunings.  Both solvers check their stack of states once, on its vec
-entries (_check_states: unit trace, no eigenvalue below -1e-8 by a
-Cholesky certificate per block, NaN failing) and name the failing time
+several detunings.  :func:`steady_states` uses all d^2 coordinates, at
+drive detunings delta: L(delta) = L0 + delta K with K the same generator
+at unit weights, K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation
+number.  Its trace-bordered real generator M(delta) = B + delta R
+(_BorderedGenerator) is prepared once per call; a few detunings are
+solved by one dense LU each, many from the one LU of a shift-invert
+pencil in closed form, and every LU's LAPACK condition estimate flags a
+degenerate null space at once; then the residual and state checks run
+at every detuning.  Both solvers check their stack of states once, on
+its vec entries (_check_states: unit trace, no eigenvalue below -1e-8 by
+a Cholesky certificate per block, NaN failing) and name the failing time
 or drive detuning.
 :func:`assemble_liouvillian` gives the complex CSR Liouvillian for
 outside checks.
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eig, get_lapack_funcs
+from scipy.linalg import eig, get_blas_funcs, get_lapack_funcs, solve
 
 from . import core
 from .core import TWO_PI
@@ -63,7 +61,6 @@ __all__ = [
     "assemble_liouvillian",
     "evolve",
     "steady_states",
-    "SteadyStateSolver",
     "dominant_oscillation",
     "thermal_qubit_steady",
     "dark_state_rates",
@@ -72,6 +69,13 @@ __all__ = [
 # A trace-bordered Liouvillian with LAPACK reciprocal condition number
 # below this has a degenerate null space (more than one steady state).
 STEADY_RCOND_MIN = 1e-13
+
+# steady_states solves at most this many distinct drive detunings by one LU
+# each, and more from the one LU of a shift-invert pencil, whose setup costs
+# about as many per-point LUs: on 2 cores the pencil took 0.9-1.2 ms against
+# 47-75 us per point at N = 3 (crossover 16-20 points), and 0.53-0.68 s
+# against 25-30 ms per point at N = 5 (crossover 24-28)
+POINTWISE_MAX = 24
 
 # A Hermitian block B whose B + CERTIFICATE_SHIFT I has a finite Cholesky
 # factor has no eigenvalue below -1e-8: the factorization's rounding, about
@@ -87,9 +91,10 @@ class DegenerateSteadyStateError(RuntimeError):
 
     Detected by :func:`steady_states` as a trace-bordered Liouvillian, real
     in Hermitian coordinates, whose reciprocal condition number (LAPACK
-    dgecon on its LU factors) is below STEADY_RCOND_MIN, or as a solution
-    with a large residual.  The message names the drive detuning (MHz) of
-    the sweep point that failed.
+    dgecon on its LU factors) is below STEADY_RCOND_MIN, as a shift-invert
+    pencil singular at a detuning, or as a solution with a large residual.
+    The message names the drive detuning (MHz) of the sweep point that
+    failed.
     """
 
 
@@ -761,33 +766,25 @@ def _detuning_rotation(generator: np.ndarray, reached: np.ndarray, d: int):
     return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
 
 
-class SteadyStateSolver:
-    """The steady-state solve of one model, prepared once for any drive detunings.
+class _BorderedGenerator:
+    """The trace-bordered generator M(delta) = B + delta R of one model, its solves and checks.
 
-    delta (MHz) lowers every qubit detuning of ``model``, which changes
-    only the diagonal of the Liouvillian (_detuning_generator).  The solve
-    runs over the real Hermitian coordinates x = U vec(rho), with A = U L0
-    U^dagger (_real_generator on all d^2) and K_r = U K U^dagger, which
-    only couples the two coordinates of each coherence.  Row 0 of A (d
+    delta (MHz) lowers every qubit detuning of the model, which changes
+    only the diagonal of the Liouvillian (_detuning_generator).  In the
+    real Hermitian coordinates x = U vec(rho), A = U L0 U^dagger
+    (_real_generator on all d^2) and R = K_r = U K U^dagger, which only
+    couples the two coordinates of each coherence whose excitation numbers
+    differ (the set P, _detuning_rotation).  B is A with row 0 (d
     rho_00/dt, dependent on the other population rows as L preserves
-    trace) becomes the trace row sum_a x_aa in the entries.  All of that,
-    the state layout of the checks, the LAPACK handles and the one dense
-    work array are prepared here, so a sweep that solves its points in
-    several calls builds nothing twice.
-
-    steady_states is :meth:`points` followed by :meth:`check` on the same
-    detunings.  A sweep that solves in rounds may run points per round and
-    check every solved point once, at the end: check judges each point on
-    its own, so a set of points fails exactly when one of them would fail
-    alone.  Messages name the drive detuning (MHz) of the first failing
-    point.  A nonzero detuning needs the model's qubit basis (ValueError
-    without one).
+    trace) replaced by the trace row sum_a x_aa; R has no entry there.
+    The steady state at delta solves M(delta) x = e_0.  All of that, the
+    1-norm terms, the state layout of the checks, the LAPACK handles and
+    the one dense work array are prepared once per steady_states call.
     """
 
     def __init__(self, model: LindbladModel):
         d = self._dimension = model.dimension
         n = d * d
-        self._has_basis = model.basis is not None
         coordinates = np.arange(n)
         generator = np.zeros(n)
         if model.basis is not None:  # the drive frame: every qubit at unit weight
@@ -798,110 +795,167 @@ class SteadyStateSolver:
         indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
         self._real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
         body = indptr[1]
-        # the bordered matrix at column-major positions column * n + row: the
-        # trace row (0, aa), then rows 1.. of A
+        # B at column-major positions column * n + row: the trace row (0, aa), then rows 1.. of A
         self._fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
         self._fill = np.concatenate([np.ones(d), values[body:]])
-        self._rotation_rows, self._rotation_cols, self._rotation = _detuning_rotation(
-            generator, coordinates, d
-        )
-        self._rotation_at = self._rotation_cols * n + self._rotation_rows
-        self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), dtype=np.float64)
-        # the only dense d^2 x d^2 array, refilled per point; Fortran order, so
-        # getrf factors it in place.  _work_flat is its column-major ravel, a view.
+        rows, cols, self._rotation = _detuning_rotation(generator, coordinates, d)
+        self._rotation_rows, self._rotation_cols = rows, cols
+        self._rotation_at = cols * n + rows
+        # the 1-norm of M(delta): column sums of |B|, each column of P moved
+        # by its one entry of delta R, at (ab, ba) beside B's entry there
+        self._column_sums = np.bincount(self._fill_at // n, np.abs(self._fill), n)
+        self._rotation_base = np.asarray(self._real_generator[rows, cols]).reshape(-1)
+        self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "getri"), dtype=np.float64)
+        # the only dense d^2 x d^2 array, refilled per factorization; Fortran
+        # order, so getrf factors it in place.  _work_flat is its column-major ravel, a view.
         self._work = np.empty((n, n), order="F")
         self._work_flat = self._work.ravel(order="F")
-        self._rhs = np.zeros(n)
-        self._rhs[0] = 1.0
 
-    def points(self, detunings) -> tuple[np.ndarray, np.ndarray]:
-        """The real solutions x, one column per point, and the 1-norms of their bordered matrices.
+    def norms(self, nodes: np.ndarray) -> np.ndarray:
+        """The 1-norm of M(delta) at each node."""
+        base = self._rotation_base[:, None]
+        moved = self._column_sums[self._rotation_cols, None] - np.abs(base)
+        moved = moved + np.abs(base + self._rotation[:, None] * nodes)
+        still = np.delete(self._column_sums, self._rotation_cols).max(initial=0.0)
+        return np.maximum(moved.max(axis=0, initial=0.0), still)
 
-        Rejects a non-finite detuning up front (ValueError naming it).  Each
-        point refills the work array from the entries and the pairs of K_r
-        and solves (A + delta K_r) x = e_0 by one real LAPACK LU, a unitary
-        similarity of the complex bordered matrix: DegenerateSteadyStateError
-        at once when its reciprocal 1-norm condition number, estimated from
-        the LU, is below STEADY_RCOND_MIN (e.g. a dark subspace with no decay
-        path).  Points are solved independently, so a point's x does not
-        depend on the other detunings of the call.  Returns the real (d^2,
-        len(detunings)) x and the points' 1-norms, which check takes.
+    def _factor(self, delta: float, anorm: float):
+        """The LU factors of M(delta), factored in the work array.
+
+        DegenerateSteadyStateError when the reciprocal 1-norm condition
+        number, estimated from the LU, is below STEADY_RCOND_MIN (e.g. a dark
+        subspace with no decay path).
         """
-        detunings = np.asarray(detunings, dtype=float).reshape(-1)
-        non_finite = ~np.isfinite(detunings)
-        if non_finite.any():
-            raise ValueError(f"drive detuning {detunings[non_finite][0]:g} MHz is not finite")
-        if not self._has_basis and np.any(detunings != 0.0):
-            raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
-        getrf, gecon, getrs, lange = self._lapack
-        work, work_flat, fill_at, fill = self._work, self._work_flat, self._fill_at, self._fill
-        rotation_at, rotation = self._rotation_at, self._rotation
-        x = np.empty((self._dimension**2, detunings.size))
-        anorms = np.empty(detunings.size)
-        for k, delta in enumerate(detunings):
-            work_flat.fill(0.0)
-            work_flat[fill_at] = fill
-            if delta:
-                work_flat[rotation_at] += delta * rotation
-            anorms[k] = lange("1", work)
-            lu, piv, info = getrf(work, overwrite_a=True)
-            rcond = gecon(lu, anorms[k])[0] if info == 0 else 0.0
-            if rcond < STEADY_RCOND_MIN:
-                raise DegenerateSteadyStateError(
-                    f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
-                    f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
-                )
-            x[:, k], _ = getrs(lu, piv, self._rhs)
-        return x, anorms
+        getrf, gecon = self._lapack[:2]
+        self._work_flat.fill(0.0)
+        self._work_flat[self._fill_at] = self._fill
+        if delta:
+            self._work_flat[self._rotation_at] += delta * self._rotation
+        lu, piv, info = getrf(self._work, overwrite_a=True)
+        rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+        if rcond < STEADY_RCOND_MIN:
+            raise DegenerateSteadyStateError(
+                f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
+                f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
+            )
+        return lu, piv
 
-    def vecs(self, x: np.ndarray) -> np.ndarray:
-        """The (points, d^2) vec(rho) = U^dagger x of points' solutions, exactly Hermitian."""
-        return _hermitian_vec(x.T, self._weights)
+    def pointwise(self, nodes: np.ndarray, anorms: np.ndarray) -> np.ndarray:
+        """The real solutions x, one column per node, by one LU of M(delta) each."""
+        getrs = self._lapack[2]
+        rhs = np.zeros(self._dimension**2)
+        rhs[0] = 1.0
+        x = np.empty((rhs.size, nodes.size))
+        for k, delta in enumerate(nodes):
+            x[:, k], _ = getrs(*self._factor(delta, anorms[k]), rhs)
+        return x
 
-    def check(self, detunings, x: np.ndarray, anorms: np.ndarray) -> np.ndarray:
-        """The states of solved points, checked: their (points, d^2) vecs, in the order given.
+    def pencil(self, nodes: np.ndarray, anorms: np.ndarray) -> np.ndarray:
+        """The real solutions x, one column per node, from the one LU of M(delta_0).
 
-        detunings, x and anorms are what points returned, or several of its
-        returns joined along the point axis.  y = (A + delta K_r) x = U L
-        vec(rho) from one sparse product; max |U^dagger y| = max |L vec(rho)|
-        above 1e-10 of the 1-norm of a point's bordered matrix raises
-        DegenerateSteadyStateError.  Then the states (vecs) must have unit
-        trace within 1e-9 and no eigenvalue below -1e-8 (_check_states,
-        ValueError).  Each check names the first point that fails it, in
-        the order given, and the residual check runs over all points first.
+        delta_0 is the node nearest the mean of the nodes.  With s = delta -
+        delta_0, M(delta) = M(delta_0) + s R, and R is R_PP on P alone.  The
+        inverse of M(delta_0), from its LU by getri, gives x_0 = M(delta_0)^-1
+        e_0 and W = M(delta_0)^-1 E_P; C = R_PP W_P = V Lambda V^-1 is
+        decomposed once, and by Woodbury x = x_0 - s W V (1 + s Lambda)^-1
+        V^-1 R_PP x_0,P, real (W is): the pole-residue form of the transfer
+        function (Antoulas, Approximation of Large-Scale Dynamical Systems,
+        SIAM 2005).  DegenerateSteadyStateError names delta_0 by the rcond
+        of its LU, and a node where some |1 + s lambda| is below
+        STEADY_RCOND_MIN, where M(delta) is singular.  Every product and
+        factorization runs on scipy's LAPACK and BLAS, as numpy's own
+        OpenBLAS between them waits on the other pool's spinning threads.
+        getri, not a getrs on the columns [e_0, E_P]: that solve sat 5-8 ms
+        in OpenBLAS's threads at d^2 = 64 and 256, where getri takes 0.04
+        and 0.9 ms on 2 cores.
         """
-        detunings = np.asarray(detunings, dtype=float).reshape(-1)
+        center = int(np.argmin(np.abs(nodes - nodes.mean())))
+        inverse, _ = self._lapack[3](*self._factor(nodes[center], anorms[center]), overwrite_lu=True)
+        rows, cols, rotation = self._rotation_rows, self._rotation_cols, self._rotation
+        x0, w = inverse[:, 0], inverse[:, rows]
+        values, vectors = eig(rotation[:, None] * w[cols], overwrite_a=True, check_finite=False)
+        s = nodes - nodes[center]
+        denominators = 1.0 + np.multiply.outer(values, s)
+        floor = np.abs(denominators).min(axis=0, initial=np.inf)
+        bad = np.flatnonzero(~(floor >= STEADY_RCOND_MIN))
+        if bad.size:
+            k = bad[0]
+            raise DegenerateSteadyStateError(
+                f"Liouvillian null space is degenerate (|1 + s lambda| {floor[k]:.3e} in the "
+                f"shift-invert pencil, below {STEADY_RCOND_MIN:.0e}) at drive detuning {nodes[k]:g} MHz"
+            )
+        weights = solve(vectors, rotation * x0[cols], check_finite=False)  # V^-1 R_PP x_0,P
+        residues = weights[:, None] * (s / denominators)
+        # Re(V residues) and W times it in real products: a threaded zgemm
+        # sat 4-16 ms at p = 44 where two dgemm take 0.04 ms
+        gemm = get_blas_funcs("gemm", dtype=np.float64)
+        coefficients = gemm(1.0, vectors.real, residues.real)
+        coefficients = gemm(-1.0, vectors.imag, residues.imag, 1.0, coefficients, overwrite_c=True)
+        return x0[:, None] - gemm(1.0, w, coefficients)
+
+    def checked(self, nodes: np.ndarray, x: np.ndarray, anorms: np.ndarray) -> np.ndarray:
+        """The states of the solutions x at the nodes, checked: their (nodes, d^2) vecs.
+
+        y = M(delta) x - e_0 = U L vec(rho) in every row but the trace row,
+        from one sparse product of A; max |U^dagger y| = max |L vec(rho)|
+        above 1e-10 of the node's 1-norm raises DegenerateSteadyStateError.
+        Then the states, U^dagger x (exactly Hermitian), must have unit trace
+        within 1e-9 and no eigenvalue below -1e-8 (_check_states,
+        ValueError).  Each check names the first node that fails it, and the
+        residual check runs over all nodes first.
+        """
         y = self._real_generator @ x
         shift = x[self._rotation_cols] * self._rotation[:, None]
-        shift *= detunings
+        shift *= nodes
         y[self._rotation_rows] += shift
         del shift
         # |L vec(rho)| entry by entry: the moduli of U^dagger y
-        residuals = np.abs(self.vecs(y)).max(axis=1)
+        residuals = np.abs(_hermitian_vec(y.T, self._weights)).max(axis=1)
         del y
         bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
         if bad.size:
             k = bad[0]
             raise DegenerateSteadyStateError(
-                f"steady-state residual {residuals[k]:.3e} too large at drive detuning "
-                f"{detunings[k]:g} MHz"
+                f"steady-state residual {residuals[k]:.3e} too large at drive detuning {nodes[k]:g} MHz"
             )
-        vecs = self.vecs(x)
-        _check_states(vecs, self._layout, detunings, "drive detuning {:g} MHz")
+        vecs = _hermitian_vec(x.T, self._weights)
+        _check_states(vecs, self._layout, nodes, "drive detuning {:g} MHz")
         return vecs
 
 
 def steady_states(model: LindbladModel, detunings) -> np.ndarray:
-    """Unique unit-trace null vectors of L0 + delta K, one per drive detuning.
+    """Unique unit-trace null vectors of L0 + delta K, one per drive detuning (MHz).
 
-    SteadyStateSolver(model).points, then check on the same detunings:
-    every check and message of that solve holds.  Returns a complex
-    (len(detunings), d, d) array.
+    delta lowers every qubit detuning of ``model`` (_BorderedGenerator).
+    A non-finite detuning is rejected before any solve (ValueError naming
+    it), and so is a nonzero one on a model with no qubit basis.  The
+    states are solved at the sorted distinct detunings, the nodes:
+    - at most POINTWISE_MAX nodes: one real LAPACK LU of the bordered
+      matrix per node (_BorderedGenerator.pointwise), so a state does not
+      depend on the other detunings;
+    - more: one LU at the node nearest their mean, and every node in
+      closed form from its shift-invert pencil
+      (_BorderedGenerator.pencil), so a state depends on the rest of the
+      grid only to rounding.
+    A degenerate null space raises DegenerateSteadyStateError naming the
+    detuning whose matrix is singular.  Then every node passes the
+    residual, trace and eigenvalue checks (_BorderedGenerator.checked),
+    each naming the first node that fails it.  Returns a complex
+    (len(detunings), d, d) array in the order given.
     """
-    solver = SteadyStateSolver(model)
-    x, anorms = solver.points(detunings)
+    detunings = np.asarray(detunings, dtype=float).reshape(-1)
+    non_finite = ~np.isfinite(detunings)
+    if non_finite.any():
+        raise ValueError(f"drive detuning {detunings[non_finite][0]:g} MHz is not finite")
+    if model.basis is None and np.any(detunings != 0.0):
+        raise ValueError("a nonzero drive detuning needs a model with a qubit basis")
+    system = _BorderedGenerator(model)
+    nodes, inverse = np.unique(detunings, return_inverse=True)
+    anorms = system.norms(nodes)
+    solve_nodes = system.pointwise if nodes.size <= POINTWISE_MAX else system.pencil
+    vecs = system.checked(nodes, solve_nodes(nodes, anorms), anorms)
     d = model.dimension
-    return solver.check(detunings, x, anorms).reshape(-1, d, d)
+    return vecs[inverse].reshape(-1, d, d)
 
 
 def dominant_oscillation(model: LindbladModel, rho0, observable):

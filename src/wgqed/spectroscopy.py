@@ -172,7 +172,7 @@ def driven_steady_state(
 ) -> np.ndarray:
     """Steady state (d x d) of the driven system at one drive detuning (MHz).
 
-    One exact solve, as at each solved point of a spectrum: the driven
+    One exact solve, as at each point of a small spectrum grid: the driven
     model is built at zero offset and the drive frame is moved by detuning
     through the diagonal generator of lindblad.steady_states, so every
     qubit sits at its spec detuning minus detuning.
@@ -181,146 +181,24 @@ def driven_steady_state(
     return lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
 
 
-# a swept spectrum is accepted when the fresh exact values and the last two
-# interpolants agree within this times max(1, max |t|) (_sweep)
-SWEEP_RTOL = 1e-13
-# evenly spaced exact seeds of a sweep, grid ends included
-_SPACED_SEEDS = 9
-
-
-def _barycentric(nodes, support, values, weights) -> np.ndarray:
-    """sum_j w_j f_j / (z - z_j) over sum_j w_j / (z - z_j) at each node z, none a support point.
-
-    Summed elementwise, not by a matrix product: numpy and scipy each load
-    their own OpenBLAS, and a threaded numpy product between scipy's LU
-    solves waits on the other pool's spinning threads: 16 ms against
-    0.2 ms summed, at 1,000 nodes and 20 support points on 2 cores.
-    """
-    cauchy = 1.0 / (nodes[:, np.newaxis] - support)
-    return (cauchy * (weights * values)).sum(axis=1) / (cauchy * weights).sum(axis=1)
-
-
-def _aaa(z, f, known, support, tol):
-    """Greedy AAA fit of the values f at the known nodes of z, from the support given.
-
-    AAA (Nakatsukasa, Sete and Trefethen, SIAM J. Sci. Comput. 40, A1494
-    (2018)) writes the rational interpolant in barycentric form on a
-    support, a subset of the known nodes; its weights are the right
-    singular vector of the least singular value of the Loewner matrix
-    (f_i - f_j) / (z_i - z_j) of the other known nodes i against the
-    support j.  While some other known value misses the fit by more than
-    tol, the worst one joins the support, up to half of the known nodes.
-    Starting from the previous round's support makes a round cost a few
-    steps.  Returns the support (node indices) and its weights.
-    """
-    support = list(support)
-    if not support:
-        support.append(int(np.flatnonzero(known)[np.argmax(np.abs(f[known] - f[known].mean()))]))
-    rest = known.copy()
-    rest[support] = False
-    while True:
-        zs, fs = z[support], f[support]
-        loewner = (f[rest, np.newaxis] - fs) / (z[rest, np.newaxis] - zs)
-        # rest keeps at least as many nodes as the support, so the reduced
-        # vh is square and its last row is still the least singular vector
-        weights = np.linalg.svd(loewner, full_matrices=False)[2][-1].conj()
-        miss = np.abs(_barycentric(z[rest], zs, fs, weights) - f[rest])
-        if miss.max(initial=0.0) <= tol or 2 * (len(support) + 1) > np.count_nonzero(known):
-            return support, weights
-        worst = int(np.flatnonzero(rest)[np.argmax(miss)])
-        support.append(worst)
-        rest[worst] = False
-
-
-def _seed_indices(nodes, poles) -> np.ndarray:
-    """The first exact nodes of a sweep: evenly spaced ones, ends included, and those at each mode.
-
-    For each eigenvalue lambda of the effective Hamiltonian, the nodes
-    nearest Re lambda and Re lambda +- |Im lambda| (the mode's centre and
-    half widths): a resonance narrower than the grid spacing shows up at
-    its nearest node and nowhere else.
-    """
-    targets = np.concatenate([poles.real, poles.real - np.abs(poles.imag), poles.real + np.abs(poles.imag)])
-    spaced = np.round(np.linspace(0, nodes.size - 1, _SPACED_SEEDS)).astype(int)
-    nearest = np.abs(nodes[:, np.newaxis] - targets).argmin(axis=0)
-    return np.unique(np.concatenate([spaced, nearest]))
-
-
-def _sweep(solve, nodes, poles) -> np.ndarray:
-    """t at each of the sorted distinct nodes, from exact solves at a few of them.
-
-    solve(detunings) returns the exact t at those detunings.  The seeds
-    (_seed_indices) are solved first.  Then each round fits an AAA
-    interpolant (_aaa) to every exact value, to a tenth of the tolerance
-    SWEEP_RTOL * max(1, max |t|), and compares it at every free node with
-    the previous round's interpolant (before the first round, the mean of
-    the seed values).  The sweep is accepted when both agree within the
-    tolerance at every free node and the values solved in the last round
-    matched the previous interpolant within it; the free nodes then take
-    the new interpolant's values.  Otherwise the free nodes where the two
-    differ most, local maxima of the difference first, are solved, as a
-    batch of 4 that grows to a quarter of the nodes solved.  A grid with no
-    free node left is the exact sweep.
-    """
-    values = np.empty(nodes.size, dtype=complex)
-    solved = np.zeros(nodes.size, dtype=bool)
-    prior = np.full(nodes.size, np.nan + 0j)  # the previous interpolant at the free nodes
-    pick, support, batch = _seed_indices(nodes, poles), [], 4
-    while True:
-        values[pick] = solve(nodes[pick])
-        fresh = np.abs(values[pick] - prior[pick]).max()  # NaN for the seeds
-        solved[pick] = True
-        free = np.flatnonzero(~solved)
-        if not free.size:
-            return values
-        if not support:
-            prior[free] = values[solved].mean()
-        tol = SWEEP_RTOL * max(1.0, np.abs(values[solved]).max())
-        support, weights = _aaa(nodes, values, solved, support, tol / 10.0)
-        guess = _barycentric(nodes[free], nodes[support], values[support], weights)
-        gap = np.abs(guess - prior[free])
-        if fresh <= tol and gap.max() <= tol:
-            values[free] = guess
-            return values
-        # one batch spreads over several features: local maxima of the gap first
-        peak = np.concatenate(([True], gap[1:] >= gap[:-1])) & np.concatenate((gap[:-1] >= gap[1:], [True]))
-        pick = free[np.lexsort((-gap, ~peak))[:batch]]
-        prior[free] = guess
-        batch = max(batch, np.count_nonzero(solved) // 4)
-
-
 def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings) -> SpectrumScan:
     """Steady-state transmission spectrum of the full driven master equation.
 
     detunings is a 1-D grid of drive offsets (MHz) from the working
     frequency, in any order and possibly repeated.  The driven model is
-    built once, at zero offset, and its steady-state solver prepared once
-    (lindblad.SteadyStateSolver): each exact point is the steady state
-    of L0 + delta K, where the diagonal generator K moves the drive frame.
+    built once, at zero offset, and lindblad.steady_states gives the exact
+    checked state at every detuning: the steady state of L0 + delta K,
+    where the diagonal generator K moves the drive frame, solved point by
+    point on a small grid and from one shift-invert pencil on a larger one.
     The emitted field is the linear functional w . vec(rho) of
-    _emission_functional, read per point, so t = 1 + w . vec(rho) / a_in
-    for the waveguide port; the xy port returns w . vec(rho) normalized to
-    the local drive Omega_xy/2, which resolves the hybridized probe-dark
-    resonances without the bright-state background.
-
-    t is a rational function of the detuning whose significant poles at
-    weak drive are the collective modes, the eigenvalues of
-    core.build_effective_hamiltonian.  So the distinct detunings are
-    solved exactly only at a few seeds and at the points a sequence of
-    AAA rational interpolants asks for, and the rest of the grid takes the
-    interpolant's values once it agrees with every fresh exact value and
-    with the interpolant before it within SWEEP_RTOL * max(1, max |t|)
-    (_sweep).  A repeated detuning is solved once.  A grid of at most the
-    seeds is solved at every point.  Each round only solves its points
-    (SteadyStateSolver.points, which raises on a degenerate null space at
-    once); every solved state passes the residual, trace and eigenvalue
-    checks (SteadyStateSolver.check) once, over all solved points in
-    solve order, after the last round.  A round whose t is not finite
-    runs those checks at once, so the interpolant never sees it, and
-    raises RuntimeError naming the point if they pass.  For the waveguide
-    port the scan is then checked to stay passive at every point (|t| <=
-    1 + 1e-9; RuntimeError naming the first failing detuning, NaN
-    included).
+    _emission_functional, one product-sum per point, so t = 1 + w .
+    vec(rho) / a_in for the waveguide port; the xy port returns w .
+    vec(rho) normalized to the local drive Omega_xy/2, which resolves the
+    hybridized probe-dark resonances without the bright-state background.
+    A t that is not finite raises RuntimeError naming its detuning.  For
+    the waveguide port the scan is then checked to stay passive at every
+    point (|t| <= 1 + 1e-9; RuntimeError naming the first failing
+    detuning).
     """
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1:
@@ -333,38 +211,22 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
                       "expect saturation effects", stacklevel=2)
     model = _driven_model(spec, amplitudes)
     emission = _emission_functional(spec, model.basis)
-    solver = lindblad.SteadyStateSolver(model)
-    solved = []  # (points, x, 1-norms) of each solve, in solve order
-
-    def check_solved():
-        solver.check(*(np.concatenate(part, axis=-1) for part in zip(*solved)))
-
-    def solve(points):
-        x, anorms = solver.points(points)
-        solved.append((points, x, anorms))
-        # one dot product per point: a stacked product sums in another order
-        # and moves the last printed digit of the spectrum CSVs
-        emitted = np.array([emission @ vec for vec in solver.vecs(x)])
-        if drive.port == "waveguide":
-            t = 1.0 + emitted / a_in
-        else:
-            t = emitted / (amplitudes[drive.xy_qubit] / 2.0)
-        non_finite = np.flatnonzero(~np.isfinite(t))
-        if non_finite.size:  # the failing state is named before the interpolant sees it
-            check_solved()
-            k = non_finite[0]
-            raise RuntimeError(f"transmission t = {t[k]} is not finite at drive detuning {points[k]:g} MHz")
-        return t
-
-    # np.unique sorts -inf first and inf and NaN last, so a non-finite
-    # detuning is a grid end, a seed, and the solver rejects it
-    nodes, inverse = np.unique(detunings, return_inverse=True)
-    poles = np.linalg.eigvals(core.build_effective_hamiltonian(spec))
-    t_values = _sweep(solve, nodes, poles)[inverse] if nodes.size else np.zeros(0, dtype=complex)
-    if solved:
-        check_solved()
+    states = lindblad.steady_states(model, detunings)
+    # one row sum per point, the same bits as the sum of a stack of that
+    # state alone; a matrix product or a 1-D sum adds in another order
+    emitted = (states.reshape(len(states), -1) * emission).sum(axis=1)
     if drive.port == "waveguide":
-        active = np.flatnonzero(~(np.abs(t_values) <= 1.0 + 1e-9))  # NaN fails too
+        t_values = 1.0 + emitted / a_in
+    else:
+        t_values = emitted / (amplitudes[drive.xy_qubit] / 2.0)
+    non_finite = np.flatnonzero(~np.isfinite(t_values))
+    if non_finite.size:
+        k = non_finite[0]
+        raise RuntimeError(
+            f"transmission t = {t_values[k]} is not finite at drive detuning {detunings[k]:g} MHz"
+        )
+    if drive.port == "waveguide":
+        active = np.flatnonzero(~(np.abs(t_values) <= 1.0 + 1e-9))
         if active.size:
             k = active[0]
             raise RuntimeError(

@@ -3,8 +3,7 @@
 import math
 
 import numpy as np
-
-from wgqed.lindblad import _expm
+from scipy.linalg import expm
 
 TWO_PI = 2 * math.pi
 
@@ -12,23 +11,27 @@ TWO_PI = 2 * math.pi
 def dense_liouvillian(model) -> np.ndarray:
     """Superoperator L with vec(drho/dt) = L vec(rho), row-major vec.
 
-    Term-by-term sum of dense Kronecker products: the commutator with H
-    and, per jump operator, L (x) L^* - (1/2) L^dag L (x) 1 - (1/2)
-    1 (x) (L^dag L)^T, rates multiplied by 2*pi.
+    Term-by-term sum of dense Kronecker products A (x) B, from the
+    commutator with H and, per jump operator, L (x) L^* - (1/2) L^dag L (x) 1
+    - (1/2) 1 (x) (L^dag L)^T, rates multiplied by 2*pi.  Entry (ik, jl) of
+    A (x) B is A[i, j] B[k, l], so all terms are summed at once as one
+    product over the term axis, and then moved to (ik, jl).
     """
     d = model.dimension
     eye = np.eye(d)
     ham = model.hamiltonian
-    liouville = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    terms = [(-1j * ham, eye), (eye, 1j * ham.T)]
     for op, rate in model.dissipators:
         op = np.asarray(op, dtype=complex)
         opdop = op.conj().T @ op
-        liouville += TWO_PI * rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(opdop, eye)
-            - 0.5 * np.kron(eye, opdop.T)
-        )
-    return liouville
+        terms += [
+            (TWO_PI * rate * op, op.conj()),
+            (-0.5 * TWO_PI * rate * opdop, eye),
+            (eye, -0.5 * TWO_PI * rate * opdop.T),
+        ]
+    left = np.array([a for a, _ in terms], dtype=complex).reshape(len(terms), d * d)
+    right = np.array([b for _, b in terms], dtype=complex).reshape(len(terms), d * d)
+    return (left.T @ right).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def svd_steady_state(model) -> np.ndarray:
@@ -40,8 +43,8 @@ def svd_steady_state(model) -> np.ndarray:
 
 
 def propagator(model, duration: float) -> np.ndarray:
-    """Dense exp(L duration) on the full row-major vec, duration in us."""
-    return _expm(dense_liouvillian(model) * duration)
+    """Dense exp(L duration) on the full row-major vec, duration in us (scipy's Pade expm)."""
+    return expm(dense_liouvillian(model) * duration)
 
 
 def propagated_states(model, rho0, times) -> np.ndarray:

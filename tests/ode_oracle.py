@@ -1,20 +1,19 @@
 """Adaptive ODE reference the exact propagator of the master equation is checked against."""
 
 import numpy as np
+from dense_oracle import dense_liouvillian
 from scipy.integrate import solve_ivp
-
-from wgqed.lindblad import assemble_liouvillian
 
 
 def dop853_states(model, rho0, times, rtol=1e-9, atol=1e-12) -> list[np.ndarray]:
     """Hermitized state matrices on a time grid, integrating vec(rho)' = L vec(rho) with DOP853.
 
-    The initial state is taken at times[0]; the Liouvillian is the CSR
-    matrix of assemble_liouvillian, applied as a dense array.
+    The initial state is taken at times[0]; the Liouvillian is the dense
+    np.kron one of dense_oracle.dense_liouvillian.
     """
     times = np.asarray(times, dtype=float)
     d = model.dimension
-    liouville = assemble_liouvillian(model).toarray()
+    liouville = dense_liouvillian(model)
     sol = solve_ivp(
         lambda _t, y: liouville @ y,
         (times[0], times[-1]),

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import reach_oracle
-from dense_oracle import dense_liouvillian, propagated_states, propagator, svd_steady_state
+from dense_oracle import dense_liouvillian, propagated_states, svd_steady_state
 from evolve_oracle import listed_path_states
 from ode_oracle import dop853_states
 from sweep_oracle import shifted_model
@@ -323,10 +323,15 @@ class TestPropagatorAgainstODEOracle:
     def test_propagator_composes(self):
         rng = np.random.default_rng(23)
         model = build_model(random_spec(rng, 2, n_th=0.1), drives=random_drives(rng, 2))
-        whole = propagator(model, 0.05)
-        halves = propagator(model, 0.02) @ propagator(model, 0.03)
+        liouville = dense_liouvillian(model)
+
+        def propagator(duration):
+            return lindblad._expm(liouville * duration)
+
+        whole = propagator(0.05)
+        halves = propagator(0.02) @ propagator(0.03)
         assert np.max(np.abs(whole - halves)) < 1e-12
-        assert np.max(np.abs(propagator(model, 0.0) - np.eye(model.dimension**2))) < 1e-14
+        assert np.max(np.abs(propagator(0.0) - np.eye(model.dimension**2))) < 1e-14
 
     def test_matches_scipy_expm_from_zero_to_ten_squarings(self):
         rng = np.random.default_rng(24)
@@ -1017,6 +1022,15 @@ class TestSteadyStateSweep:
             grid = np.concatenate([[0.0], rng.uniform(-20, 20, 3)])
             self.assert_sweep_matches(spec, random_drives(rng, n), grid)
 
+    def test_pencil_matches_pointwise_and_dense_oracle(self):
+        # more than POINTWISE_MAX distinct detunings, unsorted and repeated:
+        # every state of the pencil, in the order given
+        rng = np.random.default_rng(80)
+        spec = random_spec(rng, 3, n_th=0.05)
+        grid = rng.uniform(-20, 20, lindblad.POINTWISE_MAX + 10)
+        grid = np.concatenate([grid, grid[:3]])
+        self.assert_sweep_matches(spec, random_drives(rng, 3), grid)
+
     def test_five_qubits_two_points(self):
         rng = np.random.default_rng(78)
         spec = random_spec(rng, 5, n_th=0.05)
@@ -1025,18 +1039,25 @@ class TestSteadyStateSweep:
     def test_lossless_pair_sweep_is_degenerate(self):
         with pytest.raises(DegenerateSteadyStateError, match=r"rcond .* at drive detuning -5 MHz"):
             steady_states(build_model(pair_spec(13.4)), np.linspace(-5.0, 5.0, 5))
+        # the pencil's one LU is at the node nearest the mean
+        with pytest.raises(DegenerateSteadyStateError, match=r"rcond .* at drive detuning 10 MHz"):
+            steady_states(build_model(pair_spec(13.4)), np.linspace(-20.0, 40.0, 61))
 
-    def test_points_checked_together_are_the_states_of_each_call(self):
-        # rounds of points, joined and checked once, give each call's states bit for bit
-        rng = np.random.default_rng(79)
-        model = build_model(random_spec(rng, 3, n_th=0.05), drives=random_drives(rng, 3))
-        solver = lindblad.SteadyStateSolver(model)
-        rounds = [np.array([0.0, 2.5]), np.array([-4.0]), np.array([1.0, -1.5, 7.0])]
-        parts = [solver.points(grid) for grid in rounds]
-        vecs = solver.check(np.concatenate(rounds), *(np.concatenate(p, axis=-1) for p in zip(*parts)))
-        each = np.concatenate([steady_states(model, grid).reshape(len(grid), -1) for grid in rounds])
-        assert np.array_equal(vecs, each)
-        assert np.array_equal(vecs, np.concatenate([solver.vecs(x) for x, _ in parts]))
+    def test_pencil_names_a_singular_node(self, monkeypatch):
+        # an eigenvalue lambda = -1 / s of the pencil makes M(delta) singular
+        # at s = delta - delta_0; delta_0 = 10 MHz is the node nearest the mean
+        eig = lindblad.eig
+
+        def pole_at_35(a, **kwargs):
+            values, vectors = eig(a, **kwargs)
+            values[0] = -1.0 / (35.0 - 10.0)
+            return values, vectors
+
+        monkeypatch.setattr(lindblad, "eig", pole_at_35)
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        message = r"\|1 \+ s lambda\| 0\.000e\+00 in the shift-invert pencil, below 1e-13\) at drive detuning 35 MHz$"
+        with pytest.raises(DegenerateSteadyStateError, match=message):
+            steady_states(model, np.linspace(-20.0, 40.0, 61))
 
     def test_residual_failure_names_the_point(self, monkeypatch):
         # every solution off by 1e-3 in each coordinate: the residual check,
@@ -1044,13 +1065,13 @@ class TestSteadyStateSweep:
         get_lapack_funcs = lindblad.get_lapack_funcs
 
         def perturbed(names, dtype):
-            getrf, gecon, getrs, lange = get_lapack_funcs(names, dtype=dtype)
+            getrf, gecon, getrs, getri = get_lapack_funcs(names, dtype=dtype)
 
             def getrs_off(lu, piv, rhs):
                 x, info = getrs(lu, piv, rhs)
                 return x + 1e-3, info
 
-            return getrf, gecon, getrs_off, lange
+            return getrf, gecon, getrs_off, getri
 
         monkeypatch.setattr(lindblad, "get_lapack_funcs", perturbed)
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* at drive detuning 2.5 MHz"):

@@ -19,39 +19,47 @@ PROBE = QubitParams.from_gamma_prime("P", 1.19, 0.0065 + 2 * 0.191, 0.0065)
 TWO_J = core.coupling_rate_2j(2, 13.4, 1.19)
 
 
-def record_solved_detunings(monkeypatch) -> list:
-    """Make lindblad.SteadyStateSolver.points append every detuning it solves to the list returned."""
-    solved = []
-    patch_solved_points(monkeypatch, lambda _, detunings, __: solved.extend(detunings))
-    return solved
+def count_factorizations(monkeypatch) -> list:
+    """Make every LU that lindblad factors append one entry to the list returned."""
+    factored = []
+    get_lapack_funcs = lindblad.get_lapack_funcs
+
+    def counting(names, dtype):
+        getrf, *rest = get_lapack_funcs(names, dtype=dtype)
+
+        def counted(a, **kwargs):
+            factored.append(1)
+            return getrf(a, **kwargs)
+
+        return (counted, *rest)
+
+    monkeypatch.setattr(lindblad, "get_lapack_funcs", counting)
+    return factored
 
 
-def patch_solved_points(monkeypatch, change) -> list:
-    """Make SteadyStateSolver.points pass (round, detunings, x) to change before it returns.
+def patch_solutions(monkeypatch, path, change):
+    """Make the solve of a steady-state path ("pointwise" or "pencil") pass (nodes, x) to change.
 
-    Rounds count from 1, one per call; change may write to x.  Returns the
-    list of each call's detunings.
+    change may write to x, the real solutions, one column per node, before
+    the checks see them.
     """
-    rounds = []
-    points = lindblad.SteadyStateSolver.points
+    solve = getattr(lindblad._BorderedGenerator, path)
 
-    def patched(self, detunings):
-        x, anorms = points(self, detunings)
-        rounds.append(np.array(detunings))
-        change(len(rounds), rounds[-1], x)
-        return x, anorms
+    def patched(self, nodes, anorms):
+        x = solve(self, nodes, anorms)
+        change(nodes, x)
+        return x
 
-    monkeypatch.setattr(lindblad.SteadyStateSolver, "points", patched)
-    return rounds
+    monkeypatch.setattr(lindblad._BorderedGenerator, path, patched)
 
 
 def per_point_readout(spec, drive, grid):
-    """Waveguide t from one exact steady state per grid point, read by one dot product each."""
+    """Waveguide t from one exact steady state per call and grid point, each read as a stack of one."""
     amplitudes, a_in = sp._drive_amplitudes(spec, drive)
     model = sp._driven_model(spec, amplitudes)
-    states = lindblad.steady_states(model, grid)
     emission = sp._emission_functional(spec, model.basis)
-    return 1.0 + np.array([emission @ rho.reshape(-1) for rho in states]) / a_in
+    alone = [(lindblad.steady_states(model, [delta]).reshape(1, -1) * emission).sum(axis=1) for delta in grid]
+    return 1.0 + np.concatenate(alone) / a_in
 
 
 class TestSingleQubitTransmission:
@@ -161,11 +169,10 @@ class TestMultiQubitTransmission:
 
     def test_nan_transmission_names_the_point(self, monkeypatch):
         # a NaN state must fail a check by name, not pass the passivity check as |t| <= 1
-        def nan_at_second_point(_, __, x):
+        def nan_at_second_point(_, x):
             x[:, 1] = np.nan
 
-        # three points are all seeds, so the one solve takes them in grid order
-        patch_solved_points(monkeypatch, nan_at_second_point)
+        patch_solutions(monkeypatch, "pointwise", nan_at_second_point)
         spec = core.mirror_pair_spec(MIRROR1)
         with pytest.raises(ValueError, match=r"^trace nan differs from 1 beyond 1e-9 at drive detuning 0 MHz$"):
             sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), [-5.0, 0.0, 5.0])
@@ -257,87 +264,44 @@ class TestSweepAgainstPointwise:
             rho = sp.driven_steady_state(spec, drive, offset)
             assert np.max(np.abs(rho - reference)) < 1e-12
 
-    def test_readout_is_one_dot_product_per_point(self, monkeypatch):
+    def test_readout_is_one_dot_product_per_point(self):
         # a stacked states @ emission sums in another order and differs in
-        # the last bits at most of these 201 points; every exactly solved
-        # point must match the per-point readout bit for bit, and every
-        # interpolated point the sweep gate
-        solved = record_solved_detunings(monkeypatch)
+        # the last bits at most of these 201 points; every point must read
+        # the sweep's own states as each alone, bit for bit, and match the
+        # per-point solve
         spec = core.cavity_spec(MIRROR1, PROBE)
         drive = sp.DriveSpec(omega_rabi=0.02)
         grid = np.linspace(-10, 10, 201)
         scan = sp.multi_qubit_transmission(spec, drive, grid)
-        monkeypatch.undo()
+        amplitudes, a_in = sp._drive_amplitudes(spec, drive)
+        model = sp._driven_model(spec, amplitudes)
+        emission = sp._emission_functional(spec, model.basis)
+        states = lindblad.steady_states(model, grid)
+        alone = np.concatenate([(rho.reshape(1, -1) * emission).sum(axis=1) for rho in states])
+        assert np.array_equal(scan.t_complex, 1.0 + alone / a_in)
         reference = per_point_readout(spec, drive, grid)
-        exact = np.isin(grid, solved)
-        assert len(solved) == np.count_nonzero(exact) < grid.size
-        assert np.array_equal(scan.t_complex[exact], reference[exact])
-        error = np.max(np.abs(scan.t_complex - reference))
-        assert error < 1e-12 * max(1.0, np.abs(reference).max())
+        assert np.max(np.abs(scan.t_complex - reference)) < 1e-12 * max(1.0, np.abs(reference).max())
 
-    CAVITY_CASE = core.cavity_spec(MIRROR1, PROBE), sp.DriveSpec(omega_rabi=0.02), np.linspace(-10, 10, 201)
+    def test_residual_failure_at_a_pencil_node_names_it(self, monkeypatch):
+        # the residual check runs at every node of the pencil, not only at its reference
+        grid = np.linspace(-10, 10, 201)
 
-    def test_states_are_checked_once_per_sweep(self, monkeypatch):
-        # every round solves, one pass checks every solved state, in solve order
-        checked = []
-        check_states = lindblad._check_states
+        def perturb_node(nodes, x):
+            x[:, 170] += 1e-3
 
-        def counted(vecs, layout, points, where):
-            checked.append(np.array(points))
-            check_states(vecs, layout, points, where)
-
-        monkeypatch.setattr(lindblad, "_check_states", counted)
-        rounds = patch_solved_points(monkeypatch, lambda *_: None)
-        sp.multi_qubit_transmission(*self.CAVITY_CASE)
-        assert len(rounds) >= 3 and len(checked) == 1
-        assert np.array_equal(checked[0], np.concatenate(rounds))
-
-    def test_residual_failure_in_a_late_round_names_its_node(self, monkeypatch):
-        # the check pass after the last round still sees a bad solution of round 3
-        with monkeypatch.context() as patch:
-            rounds = patch_solved_points(patch, lambda *_: None)
-            sp.multi_qubit_transmission(*self.CAVITY_CASE)
-        assert len(rounds) > 3
-        target = sum(map(len, rounds[:2]))  # getrs call of the first node of round 3
-        get_lapack_funcs = lindblad.get_lapack_funcs
-        calls = []
-
-        def perturbed(names, dtype):
-            getrf, gecon, getrs, lange = get_lapack_funcs(names, dtype=dtype)
-
-            def getrs_off(lu, piv, rhs):
-                x, info = getrs(lu, piv, rhs)
-                calls.append(1)
-                return (x + 1e-3 if len(calls) == target + 1 else x), info
-
-            return getrf, gecon, getrs_off, lange
-
-        monkeypatch.setattr(lindblad, "get_lapack_funcs", perturbed)
-        node = re.escape(f"{rounds[2][0]:g}")
-        with pytest.raises(lindblad.DegenerateSteadyStateError, match=rf"residual .* at drive detuning {node} MHz$"):
-            sp.multi_qubit_transmission(*self.CAVITY_CASE)
-        assert len(calls) > sum(map(len, rounds[:3]))  # the sweep went on past round 3
-
-    def test_nan_state_stops_the_round_before_the_interpolant(self, monkeypatch):
-        # a NaN in round 2 is named by the state check, not met by AAA as a LinAlgError
-        def nan_in_round_two(round_, _, x):
-            if round_ == 2:
-                x[:, 0] = np.nan
-
-        rounds = patch_solved_points(monkeypatch, nan_in_round_two)
-        fits = []
-        aaa = sp._aaa
-        monkeypatch.setattr(sp, "_aaa", lambda *args: fits.append(1) or aaa(*args))
-        with pytest.raises(ValueError, match=r"^trace nan differs from 1 beyond 1e-9") as error:
-            sp.multi_qubit_transmission(*self.CAVITY_CASE)
-        assert len(rounds) == 2 and len(fits) == 1
-        assert str(error.value).endswith(f"at drive detuning {rounds[1][0]:g} MHz")
+        patch_solutions(monkeypatch, "pencil", perturb_node)
+        spec = core.cavity_spec(MIRROR1, PROBE)
+        node = re.escape(f"{grid[170]:g}")
+        with pytest.raises(lindblad.DegenerateSteadyStateError, match=rf"^steady-state residual .* at drive detuning {node} MHz$"):
+            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), grid)
 
     def test_lossless_pair_sweep_is_degenerate(self):
+        # point by point the first node is named; on the pencil, its reference node
         mirror = QubitParams("M", 13.4)
         spec = core.mirror_pair_spec(mirror)
-        with pytest.raises(lindblad.DegenerateSteadyStateError):
-            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), np.linspace(-5, 5, 5))
+        for grid, node in ((np.linspace(-5, 5, 5), -5), (np.linspace(-20, 40, 61), 10)):
+            with pytest.raises(lindblad.DegenerateSteadyStateError, match=rf"rcond .* at drive detuning {node} MHz$"):
+                sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), grid)
 
 
 def loguniform(rng, low, high):
@@ -345,7 +309,7 @@ def loguniform(rng, low, high):
 
 
 class TestInterpolatedSweep:
-    """Exact seeds plus AAA interpolation against one model build and solve per point."""
+    """Sweeps on both steady-state paths against the dense per-point oracle."""
 
     @staticmethod
     def assert_matches_pointwise(spec, drive, grid):
@@ -426,35 +390,50 @@ class TestInterpolatedSweep:
         self.assert_matches_pointwise(spec, drive, grid)
 
     def test_seed_sized_grid_is_the_exact_readout(self):
-        # five points are all seeds: every one is solved, bit for bit
+        # a grid solved point by point reads each state exactly as one solve of its own
         spec = core.cavity_spec(MIRROR1, PROBE)
         drive = sp.DriveSpec(omega_rabi=0.02)
         grid = np.linspace(-10, 10, 5)
         scan = sp.multi_qubit_transmission(spec, drive, grid)
         assert np.array_equal(scan.t_complex, per_point_readout(spec, drive, grid))
 
+    @pytest.mark.parametrize("points", [lindblad.POINTWISE_MAX, lindblad.POINTWISE_MAX + 1])
+    def test_dispatch_edge_matches_the_oracle(self, monkeypatch, points):
+        # K distinct points take one LU each, K + 1 the one LU of the pencil
+        spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=1.0)
+        drive = sp.DriveSpec(omega_rabi=0.2)
+        grid = np.linspace(-12, 9, points)
+        with monkeypatch.context() as patch:
+            factored = count_factorizations(patch)
+            scan = sp.multi_qubit_transmission(spec, drive, grid)
+        assert len(factored) == (points if points <= lindblad.POINTWISE_MAX else 1)
+        reference = pointwise_transmission(spec, drive, grid)
+        assert np.max(np.abs(scan.t_complex - reference)) < 1e-12 * max(1.0, np.abs(reference).max())
+
     def test_unsorted_grid_with_repeats(self, monkeypatch):
-        # the same t as the per-point sweep, in grid order, each distinct
-        # detuning solved once (a repeated node would divide by zero)
-        solved = record_solved_detunings(monkeypatch)
+        # the same t as the per-point sweep, in grid order, from one LU; a
+        # repeated detuning reads the same state
         spec = core.cavity_spec(MIRROR1, PROBE)
         drive = sp.DriveSpec(omega_rabi=0.02)
         rng = np.random.default_rng(46)
         grid = np.concatenate([[1.0, -1.0, 1.0], rng.permutation(np.linspace(-10, 10, 151)), [-1.0]])
-        scan = sp.multi_qubit_transmission(spec, drive, grid)
-        assert len(solved) == len(set(solved))
+        with monkeypatch.context() as patch:
+            factored = count_factorizations(patch)
+            scan = sp.multi_qubit_transmission(spec, drive, grid)
+        assert len(factored) == 1
         assert scan.t_complex[0] == scan.t_complex[2] and scan.t_complex[1] == scan.t_complex[-1]
-        monkeypatch.undo()
         reference = pointwise_transmission(spec, drive, grid)
         assert np.max(np.abs(scan.t_complex - reference)) < 1e-12 * max(1.0, np.abs(reference).max())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_detuning_is_named(self, bad):
+        # rejected before any solve, on both paths
         spec = core.mirror_pair_spec(MIRROR1)
-        grid = np.linspace(-30, 30, 61)
-        grid[20] = bad
-        with pytest.raises(ValueError, match=rf"^drive detuning {bad:g} MHz is not finite$"):
-            sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), grid)
+        for points in (lindblad.POINTWISE_MAX, 61):
+            grid = np.linspace(-30, 30, points)
+            grid[20] = bad
+            with pytest.raises(ValueError, match=rf"^drive detuning {bad:g} MHz is not finite$"):
+                sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), grid)
 
 
 class TestDriveSpec:
