@@ -114,7 +114,9 @@ class SystemSpec:
     direct_couplings lists near-field (non-waveguide) exchange couplings
     (i, j, g) in MHz; dephasing_correlations lists correlated pure
     dephasing entries (i, j, rate) off the per-qubit diagonal.  detunings
-    are per-qubit offsets (MHz) from the working frequency.
+    are per-qubit offsets (MHz) from the working frequency (GHz).
+    ValueError names an n_th that is negative or not finite and a
+    working_frequency that is not finite and positive.
     """
 
     qubits: tuple[tuple[QubitParams, Placement], ...]
@@ -148,8 +150,10 @@ class SystemSpec:
             object.__setattr__(self, "detunings", tuple(float(d) for d in self.detunings))
             if len(self.detunings) != n:
                 raise ValueError("detunings length must match qubit count")
-        if self.n_th < 0:
-            raise ValueError("n_th must be >= 0")
+        if not 0 <= self.n_th < math.inf:  # NaN fails too
+            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
+        if not 0 < self.working_frequency < math.inf:
+            raise ValueError(f"working_frequency must be finite and > 0 (GHz), got {self.working_frequency}")
 
     @property
     def n_qubits(self) -> int:

@@ -16,12 +16,13 @@ on a set of coordinates; U is written once, as its rows on such a set
 _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it; evolve
-exponentiates the block once per distinct grid step, and its states stay
-vec entries on those coordinates (_propagate) until they are returned or
-read as populations (_held_populations); the model caches its factors,
-its last block at zero offset with its state layout, and the last hold's
-exponentials.  A detuning change only moves the diagonal of L, by one
-per-qubit generator K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b))
+exponentiates the block once per distinct grid step of the call, and its
+states stay vec entries on those coordinates (_propagate) until they are
+returned or read as populations (_held_populations).  The model caches
+its factors and its last block at zero offset with its state layout,
+which _reached_block alone reads and writes; no exponential outlives the
+call that formed it.  A detuning change only moves the diagonal of L, by
+one per-qubit generator K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b))
 (_detuning_generator), which in Hermitian coordinates rotates each pair
 (ab, ba) (_detuning_rotation).  A hold at per-qubit detuning offsets
 adds K(-offsets) to the cached block, so one model serves holds at
@@ -450,15 +451,14 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     pattern).  Entries never reached stay exactly zero.  The terms mirror
     each other under a <-> b, so the set is closed under a <-> b, the same
     in the vec and in Hermitian coordinates; a detuning offset only moves
-    the diagonal of L, so it reaches the same set.  model._cache keeps the
-    factors and patterns, and the last _propagate's tuple (reached, block,
-    weights, layout, (offsets, exponentials)), read once and replaced
-    whole: a start that reaches exactly that set reuses it.  Returns that
-    tuple, with the sorted reached indices a*d + b, the dense block of A
-    on them at zero offset, the rows of U on them (_coordinate_weights),
-    their _state_layout and the last hold's offsets and exponentials by
-    exact step (None and empty for a new block), and the (m, n) start
-    coordinates x0 = U vec(rho).
+    the diagonal of L, so it reaches the same set.  This is the one
+    function that reads or writes model._cache: it keeps the factors and
+    patterns under "terms", and under "reach" the last tuple (reached,
+    block, weights, layout), read once and replaced whole, so a start that
+    reaches exactly that set reuses it.  Returns that tuple, with the
+    sorted reached indices a*d + b, the dense block of A on them at zero
+    offset, the rows of U on them (_coordinate_weights) and their
+    _state_layout, and the (m, n) start coordinates x0 = U vec(rho).
     """
     d = model.dimension
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -491,7 +491,7 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
         flat, values = _real_generator(left, right, index, weights)
         block = np.zeros((index.size, index.size))
         block.flat[flat] = values
-        known = index, block, weights, _state_layout(index, d), (None, {})
+        known = model._cache["reach"] = index, block, weights, _state_layout(index, d)
     alpha, beta, partner = known[2]
     vecs = states.reshape(-1, d * d)[:, index]
     return known, (alpha * vecs + beta * vecs[:, partner]).real
@@ -598,7 +598,7 @@ def _check_states(entries: np.ndarray, layout, points, where: str) -> None:
 
 
 def _hold_offsets(model: LindbladModel, offsets):
-    """Per-qubit detuning offsets (MHz) of a hold as a tuple, or None for none or all zero.
+    """Per-qubit detuning offsets (MHz) of a hold as a float array, or None for none or all zero.
 
     ValueError names a non-finite offset, a count that is not one per
     qubit of the model's basis, and nonzero offsets on a model with no
@@ -618,7 +618,7 @@ def _hold_offsets(model: LindbladModel, offsets):
         raise ValueError(
             f"{offsets.size} detuning offsets for {model.basis.n_qubits} qubits: need one per qubit"
         )
-    return tuple(offsets.tolist()) if offsets.any() else None
+    return offsets if offsets.any() else None
 
 
 def _propagate(model: LindbladModel, rho, times, offsets=None):
@@ -634,17 +634,15 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
     The path x is one preallocated (len(times), n, m) array, each step one
     product with the exponential of the block into the next slot.  Each
     step takes the exponential of the first step in grid order that it
-    equals within 1e-12 relative, so every class of equal steps is found
-    once, or taken from the model's cache at the exact step when the last
-    hold on these coordinates had the same offsets; the cache then keeps
-    this call's offsets and exponentials alone.
+    equals within 1e-12 relative, so every class of equal steps is
+    exponentiated once per call; none is kept after it returns.
     ValueError unless the times are finite and strictly increasing (naming
     the first time that does not increase), and each state, rho included,
     must pass _check_states.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1D grid")
+        raise ValueError("times must be a non-empty 1-D grid")
     finite = np.isfinite(times)
     if not finite.all():
         raise ValueError(f"times must be finite: t = {times[~finite][0]:g} us")
@@ -656,29 +654,22 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
             f"times must be strictly increasing: time {times[k + 1]:g} us follows {times[k]:g} us"
         )
     offsets = _hold_offsets(model, offsets)
-    known, x0 = _reached_block(model, np.asarray(rho, dtype=complex))
-    reached, block, weights, layout, (held, cached) = known
-    if held != offsets:
-        cached = {}
-    shifted = block
+    (reached, block, weights, layout), x0 = _reached_block(model, np.asarray(rho, dtype=complex))
     if offsets is not None:
-        rows, cols, values = _detuning_rotation(
-            _detuning_generator(model.basis, -np.array(offsets)), reached, model.dimension
-        )
-        shifted = block.copy()
-        shifted[rows, cols] += values
-    exponentials = {}  # by the first step of each class, in grid order
+        generator = _detuning_generator(model.basis, -offsets)
+        rows, cols, values = _detuning_rotation(generator, reached, model.dimension)
+        block = block.copy()
+        block[rows, cols] += values
+    exponentials = []  # one per class of equal steps, in grid order
     chosen = np.full(steps.size, -1)
     while (chosen < 0).any():
         step = steps[np.argmax(chosen < 0)]
         chosen[(chosen < 0) & (np.abs(steps - step) <= 1e-12 * step)] = len(exponentials)
-        exponentials[step] = cached[step] if step in cached else _expm(shifted * step)
-    model._cache["reach"] = reached, block, weights, layout, (offsets, exponentials)
-    distinct = list(exponentials.values())
+        exponentials.append(_expm(block * step))
     path = np.empty((times.size,) + x0.T.shape)  # one column per state
     path[0] = x0.T
     for k, which in enumerate(chosen):
-        np.matmul(distinct[which], path[k], out=path[k + 1])
+        np.matmul(exponentials[which], path[k], out=path[k + 1])
     entries = _hermitian_vec(np.swapaxes(path, 1, 2), weights)
     _check_states(entries, layout, times, "t = {:g} us")
     return reached, entries
@@ -718,12 +709,13 @@ def evolve(model: LindbladModel, rho0, times, offsets=None) -> np.ndarray:
     among five qubits it reaches 26 of the 1024 coordinates at n_th = 0
     and 252 with thermal excitation, while a drive reaches all.  Each step
     multiplies by the exponential of the block; steps equal within 1e-12
-    relative share one exponential, which the model keeps for its next
-    call on the same coordinates at the same offsets.  ValueError unless
-    the times are finite and strictly increasing, the offsets are finite
-    and one per qubit (_hold_offsets), and rho0 (each state of a stack) is
-    Hermitian within 1e-10, and unless each state, rho0 included, has unit
-    trace within 1e-9 and no eigenvalue below -1e-8 (_check_states).
+    relative share one exponential, formed once per call.  The model keeps
+    its factors and its block at zero offset for later calls on the same
+    coordinates, at any offsets.  ValueError unless the times are finite
+    and strictly increasing, the offsets are finite and one per qubit
+    (_hold_offsets), and rho0 (each state of a stack) is Hermitian within
+    1e-10, and unless each state, rho0 included, has unit trace within
+    1e-9 and no eigenvalue below -1e-8 (_check_states).
     _propagate does all of that on the reached coordinates; evolve
     scatters its entries.
     """
@@ -909,8 +901,11 @@ class _BorderedGenerator:
         shift *= nodes
         y[self._rotation_rows] += shift
         del shift
-        # |L vec(rho)| entry by entry: the moduli of U^dagger y
-        residuals = np.abs(_hermitian_vec(y.T, self._weights)).max(axis=1)
+        # |L vec(rho)| entry by entry, the moduli of U^dagger y, in real
+        # arithmetic: sqrt((y_ab^2 + y_ba^2) / 2) on a coherence pair, and
+        # |y_aa| on a population, which is its own partner
+        y *= y
+        residuals = np.sqrt(0.5 * (y + y[self._weights[2]]).max(axis=0))
         del y
         bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
         if bad.size:
@@ -972,7 +967,7 @@ def dominant_oscillation(model: LindbladModel, rho0, observable):
     no other mode carries amplitude.
     """
     rho = np.asarray(rho0, dtype=complex)
-    (reached, block, (alpha, beta, partner), _, _), starts = _reached_block(model, rho)
+    (reached, block, (alpha, beta, partner), _), starts = _reached_block(model, rho)
     values, left, right = eig(block, left=True)
     # tr(O rho) = o . vec(rho) with o = vec(O^T), and vec(rho) = U^dagger x
     obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)[reached]

@@ -212,8 +212,9 @@ def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) ->
     in, one wait over the delay grid that gives every waited state, and
     one swap back of that whole stack.  The model builds its factors once,
     and its block once when the waited stack reaches the same coordinates
-    as the swap in; the wait shifts that block and the swap back
-    exponentiates it again.  Returns the probe population versus delay.
+    as the swap in; the wait shifts that block.  Each hold forms its own
+    exponentials, so the swap back exponentiates the swap step again.
+    Returns the probe population versus delay.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
     delays_us = delays_ns * 1e-3

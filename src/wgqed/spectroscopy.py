@@ -201,8 +201,8 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     detuning).
     """
     detunings = np.asarray(detunings, dtype=float)
-    if detunings.ndim != 1:
-        raise ValueError("detunings must be a 1-D grid")
+    if detunings.ndim != 1 or detunings.size < 1:
+        raise ValueError("detunings must be a non-empty 1-D grid")
     amplitudes, a_in = _drive_amplitudes(spec, drive)
     radiative = np.linalg.eigvalsh(core.waveguide_decay_matrix(spec))
     bright_rates = radiative[radiative > 1e-6]

@@ -15,7 +15,7 @@ def listed_path_states(model, rho0, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     rho = np.asarray(rho0, dtype=complex)
     d = model.dimension
-    (reached, block, weights, _, _), x0 = lindblad._reached_block(model, rho)
+    (reached, block, weights, _), x0 = lindblad._reached_block(model, rho)
     exponentials = []
     path = [x0.T]
     for step in np.diff(times):

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wgqed import cli
+from wgqed import cli, lindblad
 
 
 def bundled(name):
@@ -453,6 +453,32 @@ class TestBundledConfigs:
             manifest = json.loads((workdir / "run_manifest.json").read_text())
             for name in manifest["outputs"]:
                 assert (workdir / name).exists()
+
+    def test_time_domain_configs_form_these_exponentials(self, tmp_path, monkeypatch):
+        # every hold forms its own exponentials, one per class of equal steps:
+        # a T1 run exponentiates its swap twice, a Ramsey run's first delay is
+        # its grid step, and a cache that reuses work must lower these counts
+        expected = {
+            "fig3a_freedecay": (1, 1), "fig3a_type1": (1, 1), "fig3a_type2": (1, 1),
+            "fig3b_t1dark_type1": (4, 1), "fig3b_t1dark_type2": (4, 1),
+            "fig3c_ramsey_type1": (3, 1), "fig3c_ramsey_type2": (3, 1),
+            "fig3f_twoexc": (3, 3), "fig4_compound": (2, 1),
+        }
+        counts = {}
+        for name in ("_expm", "_real_generator"):
+            real = getattr(lindblad, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lindblad, name, counting)
+        seen = {}
+        for config in expected:
+            counts.update(_expm=0, _real_generator=0)
+            cli.run_config(cli.load_config(bundled(config)), str(tmp_path / config))
+            seen[config] = counts["_expm"], counts["_real_generator"]
+        assert seen == expected
 
 
 class TestReproducibility:

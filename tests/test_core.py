@@ -240,6 +240,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SystemSpec(qubits=((q, Placement(0.0)),), probe_index=3)
 
+    @pytest.mark.parametrize("n_th", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_n_th_by_name(self, n_th):
+        # a NaN n_th would build no thermal jumps: a silent zero temperature
+        q = QubitParams("Q", 1.0)
+        with pytest.raises(ValueError, match=r"n_th must be finite and >= 0"):
+            SystemSpec(qubits=((q, Placement(0.0)),), n_th=n_th)
+
+    @pytest.mark.parametrize("frequency", [-6.6, 0.0, math.nan, math.inf])
+    def test_rejects_bad_working_frequency_by_name(self, frequency):
+        # the photon flux of a power_dbm drive divides by it
+        q = QubitParams("Q", 1.0)
+        with pytest.raises(ValueError, match=r"working_frequency must be finite and > 0 \(GHz\)"):
+            SystemSpec(qubits=((q, Placement(0.0)),), working_frequency=frequency)
+
     def test_rejects_self_coupling(self):
         q = QubitParams("Q", 1.0)
         with pytest.raises(ValueError):

@@ -801,22 +801,36 @@ class TestModelCache:
         ham[0, 0], lower[0, 0] = 1.0, 1.0  # the caller's arrays stay writable
         assert model.hamiltonian[0, 0] == 0.0 and model.dissipators[0][0][0, 0] == 0.0
 
-    def test_cache_holds_the_last_call_exponentials_alone(self):
+    def test_cache_holds_the_factors_and_the_last_block_alone(self, monkeypatch):
+        # after holds at several steps and offsets the model keeps its factors
+        # and the zero-offset block of the last reach; no exponential a hold
+        # formed is reachable from it
         rng = np.random.default_rng(75)
         model = build_model(random_spec(rng, 3))
         rho = basis_projector(model.basis, 0b001)
-        evolve(model, rho, np.linspace(0.0, 0.035, 6))
+        formed, expm = [], lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", lambda a: formed.append(expm(a)) or formed[-1])
         times = np.array([0.0, 0.02, 0.05, 0.06, 0.09])  # steps 0.02, 0.03, 0.01 and 0.03 again
-        evolve(model, rho, times)
-        steps = np.diff(times)
-        _, block, _, _, (_, exponentials) = model._cache["reach"]
-        assert list(exponentials) == list(steps[:3])
-        for step, exponential in exponentials.items():
-            assert same_bits(exponential, lindblad._expm(block * step))
-        # a call on the same reach keeps the exponential it reuses, and only that
-        evolve(model, rho, times[1:3])
-        kept = model._cache["reach"][4][1]
-        assert list(kept) == [steps[1]] and kept[steps[1]] is exponentials[steps[1]]
+        for offsets in (None, [1.0, 0.0, -2.0], [1.0, 0.0, -2.0], None):
+            evolve(model, rho, times, offsets)
+        evolve(model, rho, np.linspace(0.0, 0.035, 6))
+        assert len(formed) == 4 * 3 + 1
+        assert set(model._cache) == {"terms", "reach"}
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        reach = model._cache["reach"]
+        assert len(reach) == 4  # (reached, block, weights, layout)
+        expected, _ = lindblad._reached_block(uncached(model), rho)
+        assert all(same_bits(a, b) for a, b in zip(arrays(reach), arrays(expected), strict=True))
+        kept = list(arrays(list(model._cache.values())))
+        assert not any(np.shares_memory(a, e) for a in kept for e in formed)
+        assert not any(a.shape == e.shape and np.array_equal(a, e) for a in kept for e in formed)
 
     def test_threads_sharing_a_model_match_an_uncached_copy(self):
         # four threads (more than two cores) on one model, switching every
@@ -914,9 +928,9 @@ class TestHoldOffsets:
             assert same_bits(evolve(model, rho, times, offsets), expected)
 
     def test_other_offsets_rebuild_only_the_shift_and_its_exponentials(self, monkeypatch):
-        # one block per reach at zero offset; each change of offsets forms the
-        # shifted block's exponentials again, equal offsets reuse them, and
-        # every call gives the bits of a fresh, uncached copy
+        # one block per reach at zero offset; every call forms its own
+        # exponential, of the shifted block at offsets, and gives the bits
+        # of a fresh, uncached copy
         rng = np.random.default_rng(79)
         model = build_model(random_spec(rng, 3, n_th=0.05))
         rho, times = basis_projector(model.basis, 0b001), np.linspace(0.0, 0.05, 6)
@@ -936,8 +950,7 @@ class TestHoldOffsets:
             assert same_bits(evolve(model, rho, times, offsets), expected)
             seen.append(dict(counts))
         assert [c["_real_generator"] for c in seen] == [1, 1, 1, 1, 1]
-        assert [c["_expm"] for c in seen] == [1, 2, 2, 3, 4]
-        assert model._cache["reach"][4][0] is None
+        assert [c["_expm"] for c in seen] == [1, 2, 3, 4, 5]
 
     def test_offset_errors_are_named(self):
         rng = np.random.default_rng(80)

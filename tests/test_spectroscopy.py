@@ -435,6 +435,13 @@ class TestInterpolatedSweep:
             with pytest.raises(ValueError, match=rf"^drive detuning {bad:g} MHz is not finite$"):
                 sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=0.02), grid)
 
+    def test_grid_must_be_non_empty_and_1d(self):
+        # checked before the model and the solver are built
+        spec = core.mirror_pair_spec(MIRROR1)
+        for grid in ([], np.zeros((0, 3)), 1.0, np.zeros((2, 3))):
+            with pytest.raises(ValueError, match=r"^detunings must be a non-empty 1-D grid$"):
+                sp.multi_qubit_transmission(spec, sp.DriveSpec(), grid)
+
 
 class TestDriveSpec:
     def test_rejects_both_strengths(self):
