@@ -672,7 +672,7 @@ def _write(record, path: Path) -> None:
     elif isinstance(record, tuple):
         records.write_table_csv(*record, path)
     else:
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        records.write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict]:
@@ -686,7 +686,7 @@ def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict]:
 
 def run_config(config: dict, output_prefix: str | None = None) -> list[Path]:
     """Execute a validated config, returning all artifact paths."""
-    started = time.time()
+    started = time.perf_counter()
     experiment, spec, params = _checked(config)
     prefix = Path(output_prefix or config.get("output") or config["experiment"])
     if prefix.parent != Path("."):
@@ -703,7 +703,7 @@ def run_config(config: dict, output_prefix: str | None = None) -> list[Path]:
         "tool_version": __version__,
         "experiment": config["experiment"],
         "seed": config.get("seed"),
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         "outputs": [p.name for p in outputs],
     }
     manifest_path = prefix.with_name(prefix.name + "_manifest.json")

@@ -1,12 +1,14 @@
 """Result records (spectra, time traces, fits) and their file formats.
 
 CSV files are UTF-8 with LF line endings and %.12e numeric formatting so
-repeated runs of the same configuration are byte-identical.
+repeated runs of the same configuration are byte-identical.  Every artifact
+goes through write_text, which rewrites an existing file in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,7 @@ __all__ = [
     "SpectrumScan",
     "TimeTrace",
     "FitResult",
+    "write_text",
     "write_table_csv",
     "write_scan_csv",
     "write_trace_csv",
@@ -108,6 +111,28 @@ class FitResult:
         return self.parameters[name][1]
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 bytes, rewriting an existing file in place.
+
+    The file is opened without O_TRUNC, written from its start and then cut
+    to the new length, so a rerun reuses the file's blocks instead of freeing
+    and allocating them again; a shorter rewrite leaves no stale tail.  As
+    with a text file opened for writing, an existing file keeps its inode
+    and mode, a new file gets 0o666 & ~umask, and a missing directory raises
+    FileNotFoundError.  Nothing is fsynced and the write is not atomic: a
+    reader, or a crash, during the write can see a mix of old and new bytes.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
     """Write one CSV table: optional "# key=value" lines, header, data rows.
 
@@ -124,8 +149,7 @@ def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
         fmt = ",".join("%s" if isinstance(x, (int, np.integer)) else _FMT for x in first)
         lines.append(fmt % first)
         lines.extend(fmt % tuple(row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_scan_csv(scan: SpectrumScan, path) -> None:

@@ -508,6 +508,42 @@ class TestReproducibility:
             m1.pop("wall_time_s"), m2.pop("wall_time_s")
             assert m1 == m2
 
+    def test_rerun_into_same_prefix_rewrites_in_place(self, tmp_path):
+        # a rerun writes over the first run's files, keeping each inode; a
+        # junk tail appended in between must be cut, and the bytes match a
+        # run into an empty directory
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        fresh.mkdir(), again.mkdir()
+        configs = {
+            entry.name.replace(".cfg", ""): cli.load_config(str(entry))
+            for entry in sorted(files("wgqed").joinpath("configs").iterdir())
+        }
+        for directory in (fresh, again):
+            for name, config in configs.items():
+                cli.run_config(config, str(directory / name))
+        inodes = {path.name: path.stat().st_ino for path in again.iterdir()}
+        for path in again.iterdir():
+            with open(path, "ab") as fh:
+                fh.write(b"stale tail\n")
+        for name, config in configs.items():
+            cli.run_config(config, str(again / name))
+        bodies = self.numeric_bodies(fresh)
+        assert len(bodies) == 30 and bodies == self.numeric_bodies(again)
+        assert {path.name: path.stat().st_ino for path in again.iterdir()} == inodes
+
+    def test_wall_time_ignores_a_system_clock_step(self, tmp_path, monkeypatch):
+        # the system clock is set back an hour during the run
+        real, calls = cli.time.time, []
+
+        def stepped():
+            calls.append(None)
+            return real() - (3600.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(cli.time, "time", stepped)
+        cli.run_config(cli.load_config(bundled("fig1c_q1")), str(tmp_path / "q1"))
+        manifest = json.loads((tmp_path / "q1_manifest.json").read_text())
+        assert manifest["wall_time_s"] >= 0
+
 
 class TestShelveExperiment:
     def test_transparency_jump_artifacts(self, tmp_path):
