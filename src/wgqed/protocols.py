@@ -394,20 +394,21 @@ def _finite_trace(trace: TimeTrace, model: str) -> tuple[np.ndarray, np.ndarray]
     return t, y
 
 
-def _solve(model, jacobian, t, y, p0, name: str, max_evaluations: int):
+def _solve(model, jacobian, t, y, p0, name: str, max_evaluations: int, tolerance: float):
     """One unbounded MINPACK Levenberg-Marquardt solve of model to (t, y) from p0.
 
-    A single leastsq call with the analytic jacobian (its columns returned
-    as rows, col_deriv=1), FIT_TOLERANCE as xtol, ftol and gtol and at most
-    max_evaluations evaluations (SINUSOID_MAX_EVALUATIONS or
-    EXPONENTIAL_MAX_EVALUATIONS), so a solve that wanders off is rejected
-    within tens of milliseconds; numerical warnings silenced.  The standard errors
-    are the roots of the diagonal of cov_x times the residual variance
-    sum(r**2) / (m - n); they are infinite when cov_x cannot be estimated
-    or m <= n, and then fail _report's amplitude test.  Returns the
-    parameters as a list, their standard errors and the residual norm;
-    FitError carrying p0 as best unless MINPACK reports convergence
-    (status 1-4).
+    The one least-squares solve of every fit, the trace fits' and
+    spectroscopy.lorentzian_fit's: a single leastsq call with the analytic
+    jacobian (its columns returned as rows, col_deriv=1), the fit's own
+    tolerance as xtol, ftol and gtol (FIT_TOLERANCE for the trace fits) and
+    at most its own max_evaluations evaluations, so a solve that wanders off
+    is rejected within tens of milliseconds; numerical warnings silenced.
+    The standard errors are the roots of the diagonal of cov_x times the
+    residual variance sum(r**2) / (m - n); they are infinite when cov_x
+    cannot be estimated or m <= n, and then fail _report's amplitude test.
+    Returns the parameters as a list, their standard errors and the
+    residual norm; FitError("<name> fit failed: ...") carrying the last
+    iterate as best unless MINPACK reports convergence (status 1-4).
     """
     # imported at the first fit: scipy.optimize is a quarter of the CLI's import
     # time, and most runs fit nothing
@@ -417,12 +418,11 @@ def _solve(model, jacobian, t, y, p0, name: str, max_evaluations: int):
         warnings.simplefilter("ignore")
         params, cov, info, message, status = leastsq(
             lambda p: model(t, *p) - y, p0, Dfun=lambda p: jacobian(t, *p), full_output=1,
-            col_deriv=1, maxfev=max_evaluations,
-            xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+            col_deriv=1, maxfev=max_evaluations, xtol=tolerance, ftol=tolerance, gtol=tolerance,
         )
     if status not in (1, 2, 3, 4):
         raise FitError(
-            f"{name} fit failed: Optimal parameters not found: {message}", best=tuple(p0)
+            f"{name} fit failed: Optimal parameters not found: {message}", best=tuple(params)
         )
     fvec = info["fvec"]
     dof = fvec.size - len(params)
@@ -483,7 +483,7 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
 
     params, sigmas, residual = _solve(
         model, jacobian, t, y, [amp0, lifetime0, offset0], "exponential",
-        EXPONENTIAL_MAX_EVALUATIONS,
+        EXPONENTIAL_MAX_EVALUATIONS, FIT_TOLERANCE,
     )
     return _report(
         "exponential", ("amplitude", "lifetime_ns", "offset"), params, sigmas, residual, "decay"
@@ -530,9 +530,9 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     decaying baseline + constant") must hold a conjugate pair turning
     through at least BASELINE_TURNS periods, and the strongest such pair
     must show at least two periods over the span, else FitError is
-    raised at once.  A one-period moving average, its length taken from
-    the refined FFT peak of the trace, is subtracted to remove the
-    baseline.  One unbounded MINPACK Levenberg-Marquardt solve (_solve:
+    raised at once.  A one-period moving average, its length the period
+    of that pair in samples, 2 pi / arg z rounded, is subtracted to remove
+    the baseline.  One unbounded MINPACK Levenberg-Marquardt solve (_solve:
     one leastsq call, analytic Jacobian, FIT_TOLERANCE) on the detrended
     data then starts from the pencil pair's frequency and lifetime, with
     amplitude, phase and offset solved linearly at those values.  A
@@ -572,22 +572,8 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     # are eigenfunctions of the filter); half a window is trimmed at each
     # edge, and a plain constant-offset model would instead let the
     # optimizer absorb the baseline into a spurious detuned cosine.  The
-    # period is the strongest FFT local maximum at or above bin 2 (bins
-    # 0-1 hold the leakage of any decaying baseline), refined parabolically
-    magnitude = np.abs(np.fft.rfft(y - np.mean(y)))
-    interior = np.arange(2, magnitude.size - 1)
-    local_max = interior[
-        (magnitude[interior] >= magnitude[interior - 1])
-        & (magnitude[interior] >= magnitude[interior + 1])
-    ]
-    if local_max.size:
-        peak = int(local_max[np.argmax(magnitude[local_max])])
-        left, centre, right = magnitude[peak - 1 : peak + 2]
-        denom = left - 2 * centre + right
-        offset_bins = 0.5 * (left - right) / denom if denom else 0.0
-    else:
-        peak, offset_bins = int(np.argmax(magnitude[2:])) + 2, 0.0
-    period_samples = int(round(t.size / (peak + offset_bins)))
+    # period is that of the strongest pencil pair, in samples
+    period_samples = int(round(TWO_PI / np.angle(poles[strongest])))
     period_samples = max(3, min(period_samples, t.size // 2))
     if t.size - period_samples >= 12:
         smooth = np.convolve(y, np.ones(period_samples) / period_samples, mode="valid")
@@ -617,7 +603,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         return np.array((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
 
     params, sigmas, residual = _solve(
-        model, jacobian, t_fit, y_fit, p0, "sinusoid", SINUSOID_MAX_EVALUATIONS
+        model, jacobian, t_fit, y_fit, p0, "sinusoid", SINUSOID_MAX_EVALUATIONS, FIT_TOLERANCE
     )
     if not params[1] > 0:
         raise FitError(f"fitted lifetime {params[1]:.3g} ns is not positive", best=tuple(params))

@@ -2,10 +2,12 @@
 
 multistart_sinusoid is the search protocols.fit_damped_sinusoid used
 before its matrix-pencil start: the strongest FFT peak at or above bin 2
-gives the frequency and the phase, a one-period moving average is
-subtracted, and a bounded curve_fit runs from 5 phases x 2 lifetimes,
-keeping the smallest residual.  It uses the fit's tolerances, so a
-comparison isolates the choice of start and of solver.
+gives the frequency and the phase, and a bounded curve_fit runs from 5
+phases x 2 lifetimes, keeping the smallest residual.  It detrends as the
+fit does, with a moving average over the period of the strongest pole
+pair of svd_pencil_poles that turns through at least BASELINE_TURNS
+periods, and uses the fit's tolerances, so a comparison isolates the
+choice of start and of solver.
 svd_pencil_poles is the matrix pencil of protocols._pencil_poles with
 its right singular vectors from one SVD of the Hankel matrix itself, not
 from the Gram eigenproblem, and the order cutoff on the singular values.
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from wgqed.core import TWO_PI
-from wgqed.protocols import FIT_TOLERANCE, PENCIL_ORDER, PENCIL_PARAMETER_MAX
+from wgqed.protocols import BASELINE_TURNS, FIT_TOLERANCE, PENCIL_ORDER, PENCIL_PARAMETER_MAX
 
 
 def _model(t, amp, lifetime, f, phi, offset):
@@ -30,7 +32,8 @@ def multistart_sinusoid(t, y):
     """Best (amplitude, lifetime_ns, frequency_mhz, phase_rad, offset) over 10 starts.
 
     The sign of the amplitude is folded into the phase, which is wrapped
-    into (-pi, pi]; returns None when every start fails.
+    into (-pi, pi]; returns None when the pencil holds no fringe pair or
+    every start fails.
     """
     step = float(t[1] - t[0])
     spectrum = np.fft.rfft(y - np.mean(y))
@@ -53,7 +56,13 @@ def multistart_sinusoid(t, y):
         f0 += shift * (freqs_mhz[1] - freqs_mhz[0])
     phi0 = float(np.angle(spectrum[peak]))
 
-    period_samples = max(3, min(int(round(1e3 / (f0 * step))), t.size // 2))
+    poles, sizes = svd_pencil_poles(y)
+    turns = np.angle(poles) / TWO_PI * (t.size - 1)
+    pairs = np.flatnonzero((poles.imag > 0) & (turns >= BASELINE_TURNS))
+    if not pairs.size:
+        return None
+    fringe = poles[pairs[np.argmax(sizes[pairs])]]
+    period_samples = max(3, min(int(round(TWO_PI / np.angle(fringe))), t.size // 2))
     if t.size - period_samples >= 12:
         smooth = np.convolve(y, np.ones(period_samples) / period_samples, mode="valid")
         start = (period_samples - 1) // 2

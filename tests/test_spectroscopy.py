@@ -127,6 +127,17 @@ class TestMultiQubitTransmission:
         assert sp.peak_splitting(scan) > TWO_J
         assert sp.peak_splitting(scan, scattered=True) == pytest.approx(TWO_J, rel=0.05)
 
+    def test_descending_scan_gives_the_same_splitting(self):
+        spec = core.cavity_spec(MIRROR1, PROBE)
+        scan = sp.multi_qubit_transmission(
+            spec, sp.DriveSpec(omega_rabi=0.02), np.linspace(-10, 10, 1001)
+        )
+        descending = SpectrumScan(scan.detunings[::-1], scan.t_complex[::-1])
+        for scattered in (False, True):
+            splitting = sp.peak_splitting(scan, scattered=scattered)
+            assert splitting > 0
+            assert sp.peak_splitting(descending, scattered=scattered) == splitting
+
     def test_fano_splitting_tracks_generalized_rabi(self):
         for detuning in (0.0, TWO_J / 4, TWO_J / 2):
             spec = core.cavity_spec(MIRROR1, PROBE, probe_detuning=detuning)
@@ -454,6 +465,13 @@ class TestDriveSpec:
         with pytest.raises(ValueError):
             sp.DriveSpec(port="xy", xy_qubit=0)
 
+    @pytest.mark.parametrize("omega", [0.0, -0.02, math.nan, math.inf])
+    def test_rejects_omega_rabi_not_finite_and_positive(self, omega):
+        # 0 gave t = 0/0 and NaN a non-finite Hamiltonian; -0.02 ran
+        for port in ({}, {"port": "xy", "xy_qubit": 0}):
+            with pytest.raises(ValueError, match=r"^omega_rabi must be finite and positive"):
+                sp.DriveSpec(omega_rabi=omega, **port)
+
     def test_power_to_rabi_conversion(self):
         # a -150 dBm tone drives the qubit at omega = sqrt(2 g1d P / hbar w)
         from scipy.constants import hbar
@@ -558,6 +576,17 @@ class TestPulseBandwidthAverage:
         averaged = sp.pulse_bandwidth_average(scan, 260.0)
         assert averaged.abs_t_sq.min() > scan.abs_t_sq.min()
 
+    def test_descending_grid_averages_as_ascending(self):
+        # the span of a grid that runs downward is negative; it was
+        # rejected as narrower than 3 bandwidths
+        scan = self.narrow_dip_scan()
+        averaged = sp.pulse_bandwidth_average(scan, 260.0)
+        descending = sp.pulse_bandwidth_average(
+            SpectrumScan(scan.detunings[::-1], scan.t_complex[::-1]), 260.0
+        )
+        assert np.array_equal(descending.detunings, scan.detunings[::-1])
+        assert descending.abs_t_sq[::-1] == pytest.approx(averaged.abs_t_sq, rel=1e-12, abs=1e-15)
+
     def test_rejects_narrow_grid(self):
         q = QubitParams.from_gamma_prime("Q1", 94.1, 0.430)
         grid = np.linspace(-4, 4, 101)
@@ -611,16 +640,25 @@ class TestLorentzianFit:
         sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
         ((fun, kwargs),) = calls
         assert "bounds" not in kwargs
-        assert kwargs["full_output"] and not kwargs.get("col_deriv", 0)
-        assert kwargs["maxfev"] == 2000
-        assert kwargs["xtol"] == kwargs["ftol"] == kwargs["gtol"] == 1e-8
+        assert kwargs["full_output"] and kwargs["col_deriv"]
+        assert kwargs["maxfev"] == sp.LORENTZIAN_MAX_EVALUATIONS == 2000
+        assert kwargs["xtol"] == kwargs["ftol"] == kwargs["gtol"] == sp.LORENTZIAN_TOLERANCE == 1e-8
         rng = np.random.default_rng(5)
         for _ in range(10):
             params = [rng.uniform(-5, 5), rng.uniform(1, 30), rng.uniform(0.05, 2)]
-            exact = kwargs["Dfun"](params)
+            # col_deriv: the Jacobian comes back as rows, one per parameter
+            exact = kwargs["Dfun"](np.array(params)).T
             numeric = central_differences(fun, params)
             column_error = np.linalg.norm(exact - numeric, axis=0)
             assert np.all(column_error <= 1e-6 * np.linalg.norm(exact, axis=0))
+
+    def test_unconverged_solve_is_named(self, monkeypatch):
+        # a solve stopped by the evaluation cap fails as every fit's solve
+        # does, carrying its last iterate
+        monkeypatch.setattr(sp, "LORENTZIAN_MAX_EVALUATIONS", 3)
+        with pytest.raises(FitError, match=r"^lineshape fit failed: .* maxfev = 3\.") as failure:
+            sp.lorentzian_fit(self.synthetic_scan(18.1, 0.185, f0=1.3))
+        assert len(failure.value.best) == 3
 
     @pytest.mark.parametrize(
         "index, value",
