@@ -392,8 +392,14 @@ def _run_rabi(spec, params) -> dict:
 _DARK_OPTIONS = dict(park_detuning_mhz="park_detuning", artificial_detuning_mhz="artificial_detuning")
 
 
-def _check_delays(_spec, params) -> None:
-    """The delay grid must increase: its times would not otherwise."""
+def _check_probe(spec, _params=None) -> None:
+    if spec.probe_index is None:
+        raise ConfigError("config error at $.system.probe: this experiment needs a probe qubit")
+
+
+def _check_dark(spec, params) -> None:
+    """A dark sequence needs a probe and an increasing delay grid (its times would not increase)."""
+    _check_probe(spec)
     if not params["delay_min_ns"] < params["delay_max_ns"]:
         raise ConfigError(
             f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
@@ -452,6 +458,12 @@ def _run_two_excitation(spec, params) -> dict:
     return {"atomic.csv": atomic, "linear.csv": companion, "summary.json": summary}
 
 
+def _check_compound(spec, _params) -> None:
+    _check_probe(spec)
+    if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
+        raise ConfigError("config error at $.system: compound needs four directly coupled mirrors")
+
+
 def _run_compound(spec, params) -> dict:
     result = protocols.simulate_compound_mirrors(spec, _taus(params))
     artifacts = {f"dark{k}.csv": trace for k, trace in enumerate(result.traces, start=1)}
@@ -462,7 +474,8 @@ def _run_compound(spec, params) -> dict:
     return artifacts
 
 
-def _check_calib(_spec, params) -> None:
+def _check_calib(spec, params) -> None:
+    """A calib run only evaluates closed forms, so its check is the run itself, artifacts unused."""
     if not params:
         raise ConfigError("config error at $.params: calib needs at least one block")
     resonator = params.get("resonator")
@@ -470,47 +483,52 @@ def _check_calib(_spec, params) -> None:
         raise ConfigError(
             "config error at $.params.resonator.eta_mhz: give eta or a transmon block"
         )
+    _run_calib(spec, params)
 
 
 def _run_calib(_spec, params) -> dict:
+    """Each block's report; a block calibration rejects is a ConfigError at $.params.<block>."""
     report: dict = {}
     artifacts: dict = {}
-    transmon = None
-    if "transmon" in params:
-        block = params["transmon"]
-        transmon = calibration.TransmonModel(block["ej1"], block["ej2"], block["ec"])
-        report["transmon"] = {
-            "f_max_ghz": calibration.transmon_frequency(transmon, 0.0),
-            "f_min_ghz": calibration.transmon_frequency(transmon, 0.5),
-            "asymmetry": transmon.asymmetry,
-            "ej_over_ec": (transmon.ej1 + transmon.ej2) / transmon.ec,
-        }
-        if "flux_points" in block:
-            flux = np.linspace(0.0, 1.0, block["flux_points"])
-            artifacts["flux.csv"] = (
-                ("flux_phi0", "f01_ghz"),
-                ((value, calibration.transmon_frequency(transmon, value)) for value in flux),
+    transmon = name = None
+    try:
+        if "transmon" in params:
+            name, block = "transmon", params["transmon"]
+            transmon = calibration.TransmonModel(block["ej1"], block["ej2"], block["ec"])
+            report[name] = {
+                "f_max_ghz": calibration.transmon_frequency(transmon, 0.0),
+                "f_min_ghz": calibration.transmon_frequency(transmon, 0.5),
+                "asymmetry": transmon.asymmetry,
+                "ej_over_ec": (transmon.ej1 + transmon.ej2) / transmon.ec,
+            }
+            if "flux_points" in block:
+                flux = np.linspace(0.0, 1.0, block["flux_points"])
+                artifacts["flux.csv"] = (
+                    ("flux_phi0", "f01_ghz"),
+                    ((value, calibration.transmon_frequency(transmon, value)) for value in flux),
+                )
+        if "resonator" in params:
+            name, block = "resonator", params["resonator"]
+            resonator = calibration.ReadoutResonator(block["f_r"], block["g_mhz"], block["qi"], block["qe"])
+            eta = block["eta_mhz"] if "eta_mhz" in block else -transmon.ec * 1e3
+            report[name] = {
+                "chi_mhz": calibration.dispersive_shift(
+                    block["g_mhz"], block["f_q"] - block["f_r"], eta
+                ),
+                "purcell_estimate_khz": calibration.resonator_purcell_estimate(resonator, block["f_q"]),
+            }
+        if "crosstalk" in params:
+            name, block = "crosstalk", params["crosstalk"]
+            ct = calibration.CrosstalkMatrix(
+                m=np.asarray(block["m"], dtype=float).reshape(len(block["f0"]), len(block["f0"])),
+                f0=block["f0"],
+                v0=block["v0"],
             )
-    if "resonator" in params:
-        block = params["resonator"]
-        resonator = calibration.ReadoutResonator(block["f_r"], block["g_mhz"], block["qi"], block["qe"])
-        eta = block["eta_mhz"] if "eta_mhz" in block else -transmon.ec * 1e3
-        report["resonator"] = {
-            "chi_mhz": calibration.dispersive_shift(
-                block["g_mhz"], block["f_q"] - block["f_r"], eta
-            ),
-            "purcell_estimate_khz": calibration.resonator_purcell_estimate(resonator, block["f_q"]),
-        }
-    if "crosstalk" in params:
-        block = params["crosstalk"]
-        ct = calibration.CrosstalkMatrix(
-            m=np.asarray(block["m"], dtype=float).reshape(len(block["f0"]), len(block["f0"])),
-            f0=block["f0"],
-            v0=block["v0"],
-        )
-        report["crosstalk"] = {
-            "bias_v": list(calibration.crosstalk_bias(ct, np.asarray(block["targets"]))),
-        }
+            report[name] = {
+                "bias_v": list(calibration.crosstalk_bias(ct, np.asarray(block["targets"]))),
+            }
+    except (ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"config error at $.params.{name}: {err}") from err
     artifacts["calib.json"] = report
     return artifacts
 
@@ -569,13 +587,14 @@ _EXPERIMENTS: dict[str, Experiment] = {
         },
         _run_rabi,
         required=("tau_max_ns", "points"),
+        check=_check_probe,
     ),
     "t1-dark": Experiment(
         "dark-state population decay via swap-in / wait / swap-out",
         _DELAYS,
         partial(_run_dark, protocols.simulate_t1_dark, 1),
         required=("delay_min_ns", "delay_max_ns", "points"),
-        check=_check_delays,
+        check=_check_dark,
     ),
     "ramsey-dark": Experiment(
         "dark-state Ramsey fringes via half-swaps",
@@ -587,7 +606,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
         },
         partial(_run_dark, protocols.simulate_ramsey_dark, 2),
         required=("delay_min_ns", "delay_max_ns", "points"),
-        check=_check_delays,
+        check=_check_dark,
     ),
     "shelve": Experiment(
         "mirror-pair transmission with shelved dark population",
@@ -608,12 +627,14 @@ _EXPERIMENTS: dict[str, Experiment] = {
         _TAUS,
         _run_two_excitation,
         required=("tau_max_ns", "points"),
+        check=_check_probe,
     ),
     "compound": Experiment(
         "probe Rabi traces against the dark states of compound mirrors",
         _TAUS,
         _run_compound,
         required=("tau_max_ns", "points"),
+        check=_check_compound,
     ),
     "calib": Experiment(
         "transmon frequency model, dispersive shift and flux crosstalk",

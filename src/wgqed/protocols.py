@@ -491,7 +491,7 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
 
 
 def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-pencil poles of y[k] = sum_i c_i z_i**k and the size of each term.
+    """Matrix-pencil poles z_i of y[k] = sum_i c_i z_i**k and the terms c_i z_i**k.
 
     Hua and Sarkar, IEEE Trans. ASSP 38, 814 (1990), with the right
     singular vectors of the L x W Hankel matrix H of y (pencil parameter
@@ -505,8 +505,8 @@ def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sqrt(max(L, W) * eps), about 1.6e-7 at 121 x 61, where an SVD of H
     itself resolves about 2.7e-14.  The poles are the eigenvalues of the
     pencil of the shifted subspaces, and one Vandermonde least-squares
-    solve gives the amplitudes c_i; a term's size is its norm over the
-    trace, |c_i| * ||z_i**k||.
+    solve gives the amplitudes c_i.  The terms come back as an n x order
+    array, one column per pole; a term's size is its column norm.
     """
     width = min(y.size // 3, PENCIL_PARAMETER_MAX) + 1
     hankel = np.lib.stride_tricks.sliding_window_view(y, width)
@@ -519,7 +519,7 @@ def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     poles = np.linalg.eigvals(shift)
     vandermonde = poles[np.newaxis, :] ** np.arange(y.size)[:, np.newaxis]
     amplitudes = np.linalg.lstsq(vandermonde, y, rcond=None)[0]
-    return poles, np.abs(amplitudes) * np.linalg.norm(vandermonde, axis=0)
+    return poles, vandermonde * amplitudes
 
 
 def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
@@ -529,19 +529,19 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     matrix-pencil poles of the trace (_pencil_poles, model "damped pair +
     decaying baseline + constant") must hold a conjugate pair turning
     through at least BASELINE_TURNS periods, and the strongest such pair
-    must show at least two periods over the span, else FitError is
-    raised at once.  A one-period moving average, its length the period
-    of that pair in samples, 2 pi / arg z rounded, is subtracted to remove
-    the baseline.  One unbounded MINPACK Levenberg-Marquardt solve (_solve:
-    one leastsq call, analytic Jacobian, FIT_TOLERANCE) on the detrended
-    data then starts from the pencil pair's frequency and lifetime, with
-    amplitude, phase and offset solved linearly at those values.  A
-    non-positive fitted lifetime raises FitError.  cos is even, so a
-    negative frequency is folded into the phase, (f, phi) -> (-f, -phi),
-    and a negative amplitude adds pi to it; the phase is then wrapped
-    into (-pi, pi].  The fit is rejected if it lands below two periods
-    or its amplitude is below MIN_AMPLITUDE_SIGMAS of its own standard
-    errors.
+    (by the norm of its term) must show at least two periods over the
+    span, else FitError is raised at once.  The pencil is also the fit's
+    one model of the baseline: the real sum of its terms other than that
+    pair and its conjugate is subtracted from the whole trace.  One
+    unbounded MINPACK Levenberg-Marquardt solve (_solve: one leastsq call,
+    analytic Jacobian, FIT_TOLERANCE) on the remainder then starts from
+    the pencil pair's frequency and lifetime, with amplitude, phase and
+    offset solved linearly at those values.  A non-positive fitted
+    lifetime raises FitError.  cos is even, so a negative frequency is
+    folded into the phase, (f, phi) -> (-f, -phi), and a negative
+    amplitude adds pi to it; the phase is then wrapped into (-pi, pi].
+    The fit is rejected if it lands below two periods or its amplitude is
+    below MIN_AMPLITUDE_SIGMAS of its own standard errors.
     """
     t, y = _finite_trace(trace, "a sinusoid")
     steps = np.diff(t)
@@ -550,7 +550,8 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         raise FitError("sinusoid fit needs a uniform time grid")
     span_ns = float(t[-1] - t[0])
     span_us = span_ns * 1e-3
-    poles, sizes = _pencil_poles(y)
+    poles, terms = _pencil_poles(y)
+    sizes = np.linalg.norm(terms, axis=0)
     turns = np.angle(poles) / TWO_PI * (t.size - 1)  # periods over the span
     pairs = np.flatnonzero((poles.imag > 0) & (turns >= BASELINE_TURNS))
     if not pairs.size:
@@ -566,28 +567,17 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
     # a pair whose estimate does not decay within 100 spans starts there
     lifetime0 = 1.0 / max(-math.log(abs(poles[strongest])) / step, 0.01 / span_ns)
 
-    # subtract a one-period moving average before fitting: baselines of
-    # any slowly varying shape are suppressed, while the fringe passes
-    # through with its frequency and envelope intact (damped exponentials
-    # are eigenfunctions of the filter); half a window is trimmed at each
-    # edge, and a plain constant-offset model would instead let the
-    # optimizer absorb the baseline into a spurious detuned cosine.  The
-    # period is that of the strongest pencil pair, in samples
-    period_samples = int(round(TWO_PI / np.angle(poles[strongest])))
-    period_samples = max(3, min(period_samples, t.size // 2))
-    if t.size - period_samples >= 12:
-        smooth = np.convolve(y, np.ones(period_samples) / period_samples, mode="valid")
-        start = (period_samples - 1) // 2
-        window = slice(start, start + smooth.size)
-        t_fit = t[window]
-        y_fit = y[window] - smooth
-    else:
-        t_fit, y_fit = t, y - float(np.mean(y))
+    # the pencil's other terms, the baseline and the constant, are its own
+    # model of everything but the fringe: subtract their real sum
+    baseline = np.ones(poles.size, dtype=bool)
+    baseline[strongest] = False
+    baseline[np.argmin(np.abs(poles - poles[strongest].conj()))] = False
+    y_fit = y - terms[:, baseline].sum(axis=1).real
 
     omega = TWO_PI * f0 * 1e-3
-    envelope = np.exp(-t_fit / lifetime0)
+    envelope = np.exp(-t / lifetime0)
     design = np.column_stack(
-        (envelope * np.cos(omega * t_fit), envelope * np.sin(omega * t_fit), np.ones_like(t_fit))
+        (envelope * np.cos(omega * t), envelope * np.sin(omega * t), np.ones_like(t))
     )
     (cos_part, sin_part, offset0), *_ = np.linalg.lstsq(design, y_fit, rcond=None)
     p0 = [math.hypot(cos_part, sin_part), lifetime0, f0, math.atan2(-sin_part, cos_part), offset0]
@@ -603,7 +593,7 @@ def fit_damped_sinusoid(trace: TimeTrace) -> FitResult:
         return np.array((d_amp, d_lifetime, d_f, d_phi, np.ones_like(t)))
 
     params, sigmas, residual = _solve(
-        model, jacobian, t_fit, y_fit, p0, "sinusoid", SINUSOID_MAX_EVALUATIONS, FIT_TOLERANCE
+        model, jacobian, t, y_fit, p0, "sinusoid", SINUSOID_MAX_EVALUATIONS, FIT_TOLERANCE
     )
     if not params[1] > 0:
         raise FitError(f"fitted lifetime {params[1]:.3g} ns is not positive", best=tuple(params))

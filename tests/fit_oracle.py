@@ -4,13 +4,14 @@ multistart_sinusoid is the search protocols.fit_damped_sinusoid used
 before its matrix-pencil start: the strongest FFT peak at or above bin 2
 gives the frequency and the phase, and a bounded curve_fit runs from 5
 phases x 2 lifetimes, keeping the smallest residual.  It detrends as the
-fit does, with a moving average over the period of the strongest pole
-pair of svd_pencil_poles that turns through at least BASELINE_TURNS
-periods, and uses the fit's tolerances, so a comparison isolates the
-choice of start and of solver.
+fit does: it subtracts the real sum of the terms of svd_pencil_poles
+other than the strongest pole pair turning through at least
+BASELINE_TURNS periods and its conjugate.  With the fit's tolerances, a
+comparison isolates the choice of start and of solver.
 svd_pencil_poles is the matrix pencil of protocols._pencil_poles with
 its right singular vectors from one SVD of the Hankel matrix itself, not
-from the Gram eigenproblem, and the order cutoff on the singular values.
+from the Gram eigenproblem, and the order cutoff on the singular values;
+like it, it returns the poles and their terms, one column per pole.
 central_differences checks the fits' analytic Jacobians.
 """
 
@@ -56,20 +57,16 @@ def multistart_sinusoid(t, y):
         f0 += shift * (freqs_mhz[1] - freqs_mhz[0])
     phi0 = float(np.angle(spectrum[peak]))
 
-    poles, sizes = svd_pencil_poles(y)
+    poles, terms = svd_pencil_poles(y)
+    sizes = np.linalg.norm(terms, axis=0)
     turns = np.angle(poles) / TWO_PI * (t.size - 1)
     pairs = np.flatnonzero((poles.imag > 0) & (turns >= BASELINE_TURNS))
     if not pairs.size:
         return None
-    fringe = poles[pairs[np.argmax(sizes[pairs])]]
-    period_samples = max(3, min(int(round(TWO_PI / np.angle(fringe))), t.size // 2))
-    if t.size - period_samples >= 12:
-        smooth = np.convolve(y, np.ones(period_samples) / period_samples, mode="valid")
-        start = (period_samples - 1) // 2
-        window = slice(start, start + smooth.size)
-        t_fit, y_fit = t[window], y[window] - smooth
-    else:
-        t_fit, y_fit = t, y - float(np.mean(y))
+    fringe = pairs[np.argmax(sizes[pairs])]
+    others = np.arange(poles.size) != fringe
+    others[np.argmin(np.abs(poles - poles[fringe].conj()))] = False
+    y_fit = y - terms[:, others].sum(axis=1).real
     amp0 = float(np.ptp(y_fit)) / 2.0
 
     span_ns = float(t[-1] - t[0])
@@ -81,13 +78,13 @@ def multistart_sinusoid(t, y):
             for lifetime_guess in (span_ns / 2.0, span_ns * 5.0):
                 try:
                     params, _ = curve_fit(
-                        _model, t_fit, y_fit, p0=[amp0, lifetime_guess, f0, phase_guess, 0.0],
+                        _model, t, y_fit, p0=[amp0, lifetime_guess, f0, phase_guess, 0.0],
                         bounds=bounds, maxfev=20000,
                         xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
                     )
                 except RuntimeError:
                     continue
-                residual = float(np.linalg.norm(_model(t_fit, *params) - y_fit))
+                residual = float(np.linalg.norm(_model(t, *params) - y_fit))
                 if best is None or residual < best[1]:
                     best = (list(params), residual)
     if best is None:
@@ -101,7 +98,7 @@ def multistart_sinusoid(t, y):
 
 
 def svd_pencil_poles(y):
-    """Matrix-pencil poles and term sizes of y from one SVD of its Hankel matrix.
+    """Matrix-pencil poles and terms of y from one SVD of its Hankel matrix.
 
     The same pencil parameter, order limit, shift-invariance solve and
     Vandermonde amplitudes as protocols._pencil_poles; a right singular
@@ -117,7 +114,7 @@ def svd_pencil_poles(y):
     poles = np.linalg.eigvals(shift)
     vandermonde = poles[np.newaxis, :] ** np.arange(y.size)[:, np.newaxis]
     amplitudes = np.linalg.lstsq(vandermonde, y, rcond=None)[0]
-    return poles, np.abs(amplitudes) * np.linalg.norm(vandermonde, axis=0)
+    return poles, vandermonde * amplitudes
 
 
 def central_differences(func, params, rel_step=1e-6):

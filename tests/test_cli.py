@@ -155,11 +155,57 @@ class TestValidation:
                 lambda config: config["params"].update(delay_min_ns=700.0),
                 "$.params.delay_min_ns",
             ),
+            # each of these validated, then failed the run (exit 2)
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["crosstalk"]["m"].pop(),
+                "$.params.crosstalk",
+            ),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["crosstalk"]["targets"].pop(),
+                "$.params.crosstalk",
+            ),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["crosstalk"].update(m=[0.0] * 9),
+                "$.params.crosstalk",
+            ),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["transmon"].update(ej1=3.0),
+                "$.params.transmon",
+            ),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["transmon"].update(ec=0.0),
+                "$.params.transmon",
+            ),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["resonator"].update(qi=0.0),
+                "$.params.resonator",
+            ),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["resonator"].update(f_q=5.156),
+                "$.params.resonator",
+            ),
+            ("fig3a_type1", lambda config: config["system"].pop("probe"), "$.system.probe"),
+            ("fig3b_t1dark_type1", lambda config: config["system"].pop("probe"), "$.system.probe"),
+            ("fig3c_ramsey_type1", lambda config: config["system"].pop("probe"), "$.system.probe"),
+            ("fig3f_twoexc", lambda config: config["system"].pop("probe"), "$.system.probe"),
+            ("fig4_compound", lambda config: config["system"].pop("probe"), "$.system.probe"),
+            ("fig4_compound", lambda config: config["system"].pop("direct_couplings"), "$.system"),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
             "coupling-negative-fraction", "correlation-fraction", "correlation-negative",
-            "t1-equal-delays", "ramsey-decreasing-delays",
+            "t1-equal-delays", "ramsey-decreasing-delays", "crosstalk-m-short",
+            "crosstalk-targets-short", "crosstalk-singular", "transmon-ej1-below-ej2",
+            "transmon-no-charging", "resonator-no-qi", "resonator-on-qubit", "rabi-no-probe",
+            "t1-no-probe", "ramsey-no-probe", "two-excitation-no-probe", "compound-no-probe",
+            "compound-no-couplings",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
