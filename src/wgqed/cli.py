@@ -397,9 +397,16 @@ def _check_probe(spec, _params=None) -> None:
         raise ConfigError("config error at $.system.probe: this experiment needs a probe qubit")
 
 
-def _check_dark(spec, params) -> None:
-    """A dark sequence needs a probe and an increasing delay grid (its times would not increase)."""
+def _check_mirrored_probe(spec, _params=None) -> None:
+    """A probe and at least one mirror, whose dark state the probe swaps with."""
     _check_probe(spec)
+    if not spec.mirror_indices:
+        raise ConfigError("config error at $.system: this experiment needs at least one mirror qubit")
+
+
+def _check_dark(spec, params) -> None:
+    """A dark sequence needs a mirrored probe and an increasing delay grid (its times would not increase)."""
+    _check_mirrored_probe(spec)
     if not params["delay_min_ns"] < params["delay_max_ns"]:
         raise ConfigError(
             f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
@@ -627,7 +634,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
         _TAUS,
         _run_two_excitation,
         required=("tau_max_ns", "points"),
-        check=_check_probe,
+        check=_check_mirrored_probe,
     ),
     "compound": Experiment(
         "probe Rabi traces against the dark states of compound mirrors",

@@ -30,20 +30,24 @@ several detunings.  :func:`steady_states` uses all d^2 coordinates, at
 drive detunings delta: L(delta) = L0 + delta K with K the same generator
 at unit weights, K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation
 number.  Its trace-bordered real generator M(delta) = B + delta R
-(_BorderedGenerator) is prepared once per call; a few detunings are
-solved by one dense LU each, many from the one LU of a shift-invert
-pencil in closed form, and every LU's LAPACK condition estimate flags a
-degenerate null space at once; then the residual and state checks run
-at every detuning.  Both solvers check their stack of states once, on
-its vec entries (_check_states: unit trace, no eigenvalue below -1e-8 by
-a Cholesky certificate per block, NaN failing) and name the failing time
-or drive detuning.
+(_BorderedGenerator) is prepared once per call.  Only the drive moves
+|N_a - N_b| on rho_ab, by one, so M(delta) is block tridiagonal over
+these sectors, and it is factored by one block LU over runs of adjacent
+sectors; a few detunings are solved by one block LU each, many from the
+one block LU of a shift-invert pencil in closed form, and the LAPACK
+condition estimate of every pivot block flags a degenerate null space
+at once; then the residual and state checks run at every detuning.
+Both solvers check their stack of states once, on its vec entries
+(_check_states: unit trace, no eigenvalue below -1e-8 by a Cholesky
+certificate per block, NaN failing) and name the failing time or drive
+detuning.
 :func:`assemble_liouvillian` gives the complex CSR Liouvillian for
 outside checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,12 +75,22 @@ __all__ = [
 # below this has a degenerate null space (more than one steady state).
 STEADY_RCOND_MIN = 1e-13
 
-# steady_states solves at most this many distinct drive detunings by one LU
-# each, and more from the one LU of a shift-invert pencil, whose setup costs
-# about as many per-point LUs: on 2 cores the pencil took 0.9-1.2 ms against
-# 47-75 us per point at N = 3 (crossover 16-20 points), and 0.53-0.68 s
-# against 25-30 ms per point at N = 5 (crossover 24-28)
+# steady_states solves at most this many distinct drive detunings by one
+# block LU each, and more from the one block LU of a shift-invert pencil,
+# whose setup costs about as many per-point solves: on 2 cores the pencil
+# took 1.5-1.9 ms against 0.09-0.11 ms per point at N = 3 (crossover 16-21
+# points, as with the dense LU), and 0.65-0.79 s against 17-20 ms per point
+# at N = 5 (crossover 38-41, where the dense LU's was 23-28)
 POINTWISE_MAX = 24
+
+# steady_states factors its bordered generator by pivot blocks: runs of
+# adjacent sectors |N_a - N_b|, each closed, from the top sector down, once
+# it holds this many coordinates.  On 2 cores one block per sector took
+# 0.08-0.12 ms per point at N = 2 and 3 against 0.02-0.07 ms as one block,
+# where a LAPACK call costs more than its flops; at N = 4 and 5 merging the
+# small top sectors cost nothing (0.9 and 18 ms per point), and the dense
+# LU took 1.3 and 34 ms.
+PIVOT_MIN = 64
 
 # A Hermitian block B whose B + CERTIFICATE_SHIFT I has a finite Cholesky
 # factor has no eigenvalue below -1e-8: the factorization's rounding, about
@@ -90,12 +104,13 @@ OSCILLATION_MIN_FREQ = 0.05
 class DegenerateSteadyStateError(RuntimeError):
     """The Liouvillian null space is not one-dimensional.
 
-    Detected by :func:`steady_states` as a trace-bordered Liouvillian, real
-    in Hermitian coordinates, whose reciprocal condition number (LAPACK
-    dgecon on its LU factors) is below STEADY_RCOND_MIN, as a shift-invert
-    pencil singular at a detuning, or as a solution with a large residual.
-    The message names the drive detuning (MHz) of the sweep point that
-    failed.
+    Detected by :func:`steady_states` as a pivot block of the block LU of
+    the trace-bordered Liouvillian, real in Hermitian coordinates, that
+    LAPACK finds singular or whose reciprocal condition number (dgecon on
+    its LU factors) is below STEADY_RCOND_MIN; as a shift-invert pencil
+    singular at a detuning; or as a solution with a large residual.  The
+    message names the drive detuning (MHz) of the sweep point that failed,
+    and for a pivot block its sectors |N_a - N_b|.
     """
 
 
@@ -759,7 +774,7 @@ def _detuning_rotation(generator: np.ndarray, reached: np.ndarray, d: int):
 
 
 class _BorderedGenerator:
-    """The trace-bordered generator M(delta) = B + delta R of one model, its solves and checks.
+    """The trace-bordered generator M(delta) = B + delta R of one model, its block LU and checks.
 
     delta (MHz) lowers every qubit detuning of the model, which changes
     only the diagonal of the Liouvillian (_detuning_generator).  In the
@@ -769,9 +784,24 @@ class _BorderedGenerator:
     differ (the set P, _detuning_rotation).  B is A with row 0 (d
     rho_00/dt, dependent on the other population rows as L preserves
     trace) replaced by the trace row sum_a x_aa; R has no entry there.
-    The steady state at delta solves M(delta) x = e_0.  All of that, the
-    1-norm terms, the state layout of the checks, the LAPACK handles and
-    the one dense work array are prepared once per steady_states call.
+    The steady state at delta solves M(delta) x = e_0.
+
+    Every term of L but the coherent drive conserves N_a - N_b on rho_ab,
+    and the drive moves it by one, so M(delta) is block tridiagonal over
+    the sectors s = |N_a - N_b| of the coordinates (the two coordinates of
+    a coherence, and the trace row, each lie in one sector; a model with
+    no basis is one sector).  ValueError names an entry that couples
+    sectors more than one apart.  The pivot blocks are runs of adjacent
+    sectors, each closed, from the top sector down, once it holds
+    PIVOT_MIN coordinates, so M(delta) is block tridiagonal over them too
+    and small sectors share one LAPACK call.  On the coordinates stably
+    sorted by block (self._members), the blocks M[k, k - 1], M[k, k] and
+    M[k, k + 1] are adjacent column ranges of one dense band per block;
+    each entry of B and of R has its place in the bands.  The entries,
+    those places, the 1-norm terms, the state layout of the checks and
+    the LAPACK and BLAS handles are prepared once per steady_states call.
+    The solve runs in the bands; everything else, x included, is on the
+    coordinates in row-major order.
     """
 
     def __init__(self, model: LindbladModel):
@@ -781,27 +811,67 @@ class _BorderedGenerator:
         generator = np.zeros(n)
         if model.basis is not None:  # the drive frame: every qubit at unit weight
             generator = _detuning_generator(model.basis, np.ones(model.basis.n_qubits))
+        sector = np.rint(np.abs(generator.imag) / TWO_PI).astype(int)  # |N_a - N_b|
         self._weights = _coordinate_weights(coordinates, d)
         self._layout = _state_layout(coordinates, d)
         flat, values = _real_generator(*_kron_terms(model), coordinates, self._weights)
         indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
         self._real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
-        body = indptr[1]
-        # B at column-major positions column * n + row: the trace row (0, aa), then rows 1.. of A
-        self._fill_at = np.concatenate([np.arange(d) * (d + 1) * n, flat[body:] % n * n + flat[body:] // n])
-        self._fill = np.concatenate([np.ones(d), values[body:]])
         rows, cols, self._rotation = _detuning_rotation(generator, coordinates, d)
         self._rotation_rows, self._rotation_cols = rows, cols
-        self._rotation_at = cols * n + rows
+        at = rows * n + cols  # A's entries there, zero where A has none
+        k = np.searchsorted(flat, at)
+        self._rotation_base = np.where(np.append(flat, -1)[k] == at, np.append(values, 0.0)[k], 0.0)
+        body = indptr[1]
+        # B: the trace row (0, aa), then rows 1.. of A
+        b_rows = np.concatenate([np.zeros(d, dtype=int), flat[body:] // n])
+        b_cols = np.concatenate([coordinates[:: d + 1], flat[body:] % n])
+        self._fill = np.concatenate([np.ones(d), values[body:]])
         # the 1-norm of M(delta): column sums of |B|, each column of P moved
         # by its one entry of delta R, at (ab, ba) beside B's entry there
-        self._column_sums = np.bincount(self._fill_at // n, np.abs(self._fill), n)
-        self._rotation_base = np.asarray(self._real_generator[rows, cols]).reshape(-1)
-        self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "getri"), dtype=np.float64)
-        # the only dense d^2 x d^2 array, refilled per factorization; Fortran
-        # order, so getrf factors it in place.  _work_flat is its column-major ravel, a view.
-        self._work = np.empty((n, n), order="F")
-        self._work_flat = self._work.ravel(order="F")
+        self._column_sums = np.bincount(b_cols, np.abs(self._fill), n)
+        far = np.flatnonzero(np.abs(sector[b_rows] - sector[b_cols]) > 1)
+        if far.size:
+            k = far[0]
+            raise ValueError(
+                f"bordered generator entry ({b_rows[k]}, {b_cols[k]}) couples sectors "
+                f"{sector[b_rows[k]]} and {sector[b_cols[k]]} of |N_a - N_b|, more than one apart"
+            )
+        # each sector's pivot block, counted from the top sector down
+        from_top, runs, filled = [], 0, 0
+        for count in np.bincount(sector)[::-1].tolist():
+            from_top.append(runs)
+            filled += count
+            if filled >= PIVOT_MIN:
+                runs, filled = runs + 1, 0
+        self._sector_block = np.array([from_top[-1] - k for k in reversed(from_top)])
+        # the coordinates stably sorted by block, and each one's place among them
+        block = self._sector_block[sector]
+        order = np.argsort(block, kind="stable")
+        position = np.empty(n, dtype=int)
+        position[order] = coordinates
+        sizes = np.bincount(block).tolist()
+        start = [0, *itertools.accumulate(sizes)]
+        self._members = [order[a:b] for a, b in zip(start, start[1:])]
+        # the band of block k: its rows over the columns of blocks k - 1 to
+        # k + 1, column-major; all bands end to end in one flat array
+        first = [start[max(k - 1, 0)] for k in range(len(sizes))]
+        width = [start[min(k + 2, len(sizes))] - first[k] for k in range(len(sizes))]
+        bands = [0, *itertools.accumulate(size * w for size, w in zip(sizes, width))]
+        self._size = bands[-1]
+        # per block: its band's slice and shape, and the columns of the block below
+        self._band_of = [
+            (slice(bands[k], bands[k + 1]), (sizes[k], width[k]), sizes[k - 1] if k else 0)
+            for k in range(len(sizes))
+        ]
+        # entry (i, j) sits at offset[i] + position[j] * sizes[block[i]] in the bands
+        base = [bands[k] - start[k] - first[k] * sizes[k] for k in range(len(sizes))]
+        offset = np.array(base)[block] + position
+        scale = np.array(sizes)[block]
+        self._fill_band_at = offset[b_rows] + position[b_cols] * scale[b_rows]
+        self._rotation_band_at = offset[rows] + position[cols] * scale[rows]
+        self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "getri", "lange"), dtype=np.float64)
+        self._gemm = get_blas_funcs("gemm", dtype=np.float64)
 
     def norms(self, nodes: np.ndarray) -> np.ndarray:
         """The 1-norm of M(delta) at each node."""
@@ -811,60 +881,128 @@ class _BorderedGenerator:
         still = np.delete(self._column_sums, self._rotation_cols).max(initial=0.0)
         return np.maximum(moved.max(axis=0, initial=0.0), still)
 
-    def _factor(self, delta: float, anorm: float):
-        """The LU factors of M(delta), factored in the work array.
+    def blocks(self, delta: float):
+        """The pivot-block partition of M(delta): lists of M[k, k], M[k, k - 1] and M[k, k + 1] by block k.
 
-        DegenerateSteadyStateError when the reciprocal 1-norm condition
-        number, estimated from the LU, is below STEADY_RCOND_MIN (e.g. a dark
-        subspace with no decay path).
+        Each block is a Fortran-order view into the band of its rows, over
+        the coordinates of its two pivot blocks (self._members, each
+        ascending); past the first or the last block the list holds None.
         """
-        getrf, gecon = self._lapack[:2]
-        self._work_flat.fill(0.0)
-        self._work_flat[self._fill_at] = self._fill
+        bands = np.zeros(self._size)
+        bands[self._fill_band_at] = self._fill
         if delta:
-            self._work_flat[self._rotation_at] += delta * self._rotation
-        lu, piv, info = getrf(self._work, overwrite_a=True)
-        rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
-        if rcond < STEADY_RCOND_MIN:
-            raise DegenerateSteadyStateError(
-                f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the trace-bordered "
-                f"matrix, below {STEADY_RCOND_MIN:.0e}) at drive detuning {delta:g} MHz"
-            )
-        return lu, piv
+            bands[self._rotation_band_at] += delta * self._rotation
+        last = len(self._band_of) - 1
+        diagonal, lower, upper = [], [], []
+        for k, (at, (size, width), below) in enumerate(self._band_of):
+            band = bands[at].reshape((size, width), order="F")
+            lower.append(band[:, :below] if k else None)
+            diagonal.append(band[:, below : below + size])
+            upper.append(band[:, below + size :] if k < last else None)
+        return diagonal, lower, upper
 
-    def pointwise(self, nodes: np.ndarray, anorms: np.ndarray) -> np.ndarray:
-        """The real solutions x, one column per node, by one LU of M(delta) each."""
-        getrs = self._lapack[2]
-        rhs = np.zeros(self._dimension**2)
+    def _factor(self, delta: float):
+        """The block LU of M(delta), eliminating its pivot blocks from the last, K, down to k = 0.
+
+        With D_K = M[K, K] and, down to k = 1, G_k = D_k^-1 M[k, k - 1] and
+        D_{k-1} = M[k-1, k-1] - M[k-1, k] G_k (block tridiagonal LU; Golub
+        and Van Loan, Matrix Computations, sec. 4.5), det M(delta) is the
+        product of the det D_k, so a singular M(delta) shows as a singular
+        D_k.  The elimination does not pivot across blocks, so a D_k above
+        sector 0 can also be singular with M(delta) regular: a coherence
+        between two states that decay only through the drive would be
+        reported as degenerate.  Each D_k is factored in place (getrf), G_k
+        is one getrs and the update one gemm.
+        DegenerateSteadyStateError names the sectors of D_k and delta when
+        getrf finds D_k singular or its reciprocal 1-norm condition number
+        (gecon) is below STEADY_RCOND_MIN (e.g. a dark subspace with no
+        decay path).  Returns the (LU, pivots) of each D_k, the G_k and the
+        M[k, k + 1], by block.
+        """
+        getrf, gecon, getrs, _, lange = self._lapack
+        pivots, couplings, upper = self.blocks(delta)
+        for k in reversed(range(len(pivots))):
+            anorm = lange("1", pivots[k])
+            lu, piv, info = getrf(pivots[k], overwrite_a=True)
+            rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+            if rcond < STEADY_RCOND_MIN:
+                low, high = np.flatnonzero(self._sector_block == k)[[0, -1]]
+                sectors = f"sector {low}" if low == high else f"sectors {low}-{high}"
+                raise DegenerateSteadyStateError(
+                    f"Liouvillian null space is degenerate (rcond {rcond:.3e} of the pivot block of "
+                    f"{sectors} of the trace-bordered matrix, below {STEADY_RCOND_MIN:.0e}) "
+                    f"at drive detuning {delta:g} MHz"
+                )
+            pivots[k] = lu, piv
+            if k:
+                couplings[k], _ = getrs(lu, piv, couplings[k], overwrite_b=True)
+                pivots[k - 1] = self._gemm(
+                    -1.0, upper[k - 1], couplings[k], 1.0, pivots[k - 1], overwrite_c=True
+                )
+        return pivots, couplings, upper
+
+    def solve(self, factors, rhs: np.ndarray) -> np.ndarray:
+        """x with M(delta) x = rhs, from the block LU of M(delta) (_factor); rhs is (d^2, m).
+
+        z_K = D_K^-1 rhs_K and, down to k = 0, z_k = D_k^-1 (rhs_k - M[k, k
+        + 1] z_{k+1}); then x_0 = z_0 and, up from k = 1, x_k = z_k - G_k
+        x_{k-1}.  Each D_k^-1 is applied by getrs on its LU, or by gemm when
+        the factors hold its inverse (pencil).
+        """
+        pivots, couplings, upper = factors
+        getrs, gemm = self._lapack[2], self._gemm
+        parts = [rhs[members] for members in self._members]
+        for k in reversed(range(len(parts))):
+            pivot = pivots[k]
+            parts[k] = getrs(*pivot, parts[k])[0] if isinstance(pivot, tuple) else gemm(1.0, pivot, parts[k])
+            if k:
+                parts[k - 1] = gemm(-1.0, upper[k - 1], parts[k], 1.0, parts[k - 1])
+        for k in range(1, len(parts)):
+            parts[k] = gemm(-1.0, couplings[k], parts[k - 1], 1.0, parts[k], overwrite_c=True)
+        x = np.empty(rhs.shape)
+        for members, part in zip(self._members, parts):
+            x[members] = part
+        return x
+
+    def pointwise(self, nodes: np.ndarray) -> np.ndarray:
+        """The real solutions x, one column per node, by one block LU of M(delta) each."""
+        rhs = np.zeros((self._dimension**2, 1))
         rhs[0] = 1.0
         x = np.empty((rhs.size, nodes.size))
         for k, delta in enumerate(nodes):
-            x[:, k], _ = getrs(*self._factor(delta, anorms[k]), rhs)
+            x[:, k] = self.solve(self._factor(delta), rhs)[:, 0]
         return x
 
-    def pencil(self, nodes: np.ndarray, anorms: np.ndarray) -> np.ndarray:
-        """The real solutions x, one column per node, from the one LU of M(delta_0).
+    def pencil(self, nodes: np.ndarray) -> np.ndarray:
+        """The real solutions x, one column per node, from the one block LU of M(delta_0).
 
         delta_0 is the node nearest the mean of the nodes.  With s = delta -
-        delta_0, M(delta) = M(delta_0) + s R, and R is R_PP on P alone.  The
-        inverse of M(delta_0), from its LU by getri, gives x_0 = M(delta_0)^-1
-        e_0 and W = M(delta_0)^-1 E_P; C = R_PP W_P = V Lambda V^-1 is
-        decomposed once, and by Woodbury x = x_0 - s W V (1 + s Lambda)^-1
-        V^-1 R_PP x_0,P, real (W is): the pole-residue form of the transfer
-        function (Antoulas, Approximation of Large-Scale Dynamical Systems,
-        SIAM 2005).  DegenerateSteadyStateError names delta_0 by the rcond
-        of its LU, and a node where some |1 + s lambda| is below
+        delta_0, M(delta) = M(delta_0) + s R, and R is R_PP on P alone.  One
+        solve on the columns [e_0, E_P] gives x_0 = M(delta_0)^-1 e_0 and W =
+        M(delta_0)^-1 E_P; C = R_PP W_P = V Lambda V^-1 is decomposed once,
+        and by Woodbury x = x_0 - s W V (1 + s Lambda)^-1 V^-1 R_PP x_0,P,
+        real (W is): the pole-residue form of the transfer function
+        (Antoulas, Approximation of Large-Scale Dynamical Systems, SIAM
+        2005).  DegenerateSteadyStateError names delta_0 by the rcond of a
+        pivot block, and a node where some |1 + s lambda| is below
         STEADY_RCOND_MIN, where M(delta) is singular.  Every product and
         factorization runs on scipy's LAPACK and BLAS, as numpy's own
         OpenBLAS between them waits on the other pool's spinning threads.
-        getri, not a getrs on the columns [e_0, E_P]: that solve sat 5-8 ms
-        in OpenBLAS's threads at d^2 = 64 and 256, where getri takes 0.04
-        and 0.9 ms on 2 cores.
+        The solve multiplies by each pivot block's inverse (getri), not a
+        getrs on the columns [e_0, E_P]: at d^2 = 4 and 16 that getrs sat
+        about 8 ms in OpenBLAS's threads, and at d^2 = 64 and 256 5-8 ms,
+        where getri takes 0.002-0.9 ms on 2 cores.
         """
         center = int(np.argmin(np.abs(nodes - nodes.mean())))
-        inverse, _ = self._lapack[3](*self._factor(nodes[center], anorms[center]), overwrite_lu=True)
         rows, cols, rotation = self._rotation_rows, self._rotation_cols, self._rotation
-        x0, w = inverse[:, 0], inverse[:, rows]
+        pivots, couplings, upper = self._factor(nodes[center])
+        getri = self._lapack[3]
+        pivots = [getri(lu, piv, overwrite_lu=True)[0] for lu, piv in pivots]
+        rhs = np.zeros((self._dimension**2, 1 + rows.size))
+        rhs[0, 0] = 1.0
+        rhs[rows, np.arange(1, rhs.shape[1])] = 1.0
+        columns = self.solve((pivots, couplings, upper), rhs)
+        x0, w = columns[:, 0], columns[:, 1:]
         values, vectors = eig(rotation[:, None] * w[cols], overwrite_a=True, check_finite=False)
         s = nodes - nodes[center]
         denominators = 1.0 + np.multiply.outer(values, s)
@@ -880,7 +1018,7 @@ class _BorderedGenerator:
         residues = weights[:, None] * (s / denominators)
         # Re(V residues) and W times it in real products: a threaded zgemm
         # sat 4-16 ms at p = 44 where two dgemm take 0.04 ms
-        gemm = get_blas_funcs("gemm", dtype=np.float64)
+        gemm = self._gemm
         coefficients = gemm(1.0, vectors.real, residues.real)
         coefficients = gemm(-1.0, vectors.imag, residues.imag, 1.0, coefficients, overwrite_c=True)
         return x0[:, None] - gemm(1.0, w, coefficients)
@@ -924,19 +1062,24 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     delta lowers every qubit detuning of ``model`` (_BorderedGenerator).
     A non-finite detuning is rejected before any solve (ValueError naming
     it), and so is a nonzero one on a model with no qubit basis.  The
-    states are solved at the sorted distinct detunings, the nodes:
-    - at most POINTWISE_MAX nodes: one real LAPACK LU of the bordered
-      matrix per node (_BorderedGenerator.pointwise), so a state does not
-      depend on the other detunings;
-    - more: one LU at the node nearest their mean, and every node in
+    bordered matrix is block tridiagonal over the sectors |N_a - N_b| of
+    its coordinates; each factorization is one real block LU over runs of
+    adjacent sectors on scipy's LAPACK (_BorderedGenerator), and an entry
+    that couples sectors more than one apart raises ValueError naming it.
+    The states are solved at the sorted distinct detunings, the nodes:
+    - at most POINTWISE_MAX nodes: one block LU per node
+      (_BorderedGenerator.pointwise), so a state does not depend on the
+      other detunings;
+    - more: one block LU at the node nearest their mean, and every node in
       closed form from its shift-invert pencil
       (_BorderedGenerator.pencil), so a state depends on the rest of the
       grid only to rounding.
     A degenerate null space raises DegenerateSteadyStateError naming the
-    detuning whose matrix is singular.  Then every node passes the
-    residual, trace and eigenvalue checks (_BorderedGenerator.checked),
-    each naming the first node that fails it.  Returns a complex
-    (len(detunings), d, d) array in the order given.
+    detuning whose matrix is singular and the sectors of the pivot block
+    that shows it.  Then every node passes the residual, trace and
+    eigenvalue checks (_BorderedGenerator.checked), each naming the first
+    node that fails it.  Returns a complex (len(detunings), d, d) array in
+    the order given.
     """
     detunings = np.asarray(detunings, dtype=float).reshape(-1)
     non_finite = ~np.isfinite(detunings)
@@ -948,7 +1091,7 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     nodes, inverse = np.unique(detunings, return_inverse=True)
     anorms = system.norms(nodes)
     solve_nodes = system.pointwise if nodes.size <= POINTWISE_MAX else system.pencil
-    vecs = system.checked(nodes, solve_nodes(nodes, anorms), anorms)
+    vecs = system.checked(nodes, solve_nodes(nodes), anorms)
     d = model.dimension
     return vecs[inverse].reshape(-1, d, d)
 

@@ -27,6 +27,14 @@ def read_csv(path, skip_comments=True):
     return header, rows
 
 
+def probe_only(config):
+    """Keep only the probe qubit of a config's system, and drop what names the others."""
+    system = config["system"]
+    system["qubits"] = [q for q in system["qubits"] if q["label"] == system["probe"]]
+    for key in ("dephasing_correlations", "direct_couplings"):
+        system.pop(key, None)
+
+
 class TestValidation:
     def test_empty_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
@@ -197,6 +205,9 @@ class TestValidation:
             ("fig3f_twoexc", lambda config: config["system"].pop("probe"), "$.system.probe"),
             ("fig4_compound", lambda config: config["system"].pop("probe"), "$.system.probe"),
             ("fig4_compound", lambda config: config["system"].pop("direct_couplings"), "$.system"),
+            ("fig3b_t1dark_type1", probe_only, "$.system"),
+            ("fig3c_ramsey_type1", probe_only, "$.system"),
+            ("fig3f_twoexc", probe_only, "$.system"),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
@@ -205,7 +216,7 @@ class TestValidation:
             "crosstalk-targets-short", "crosstalk-singular", "transmon-ej1-below-ej2",
             "transmon-no-charging", "resonator-no-qi", "resonator-on-qubit", "rabi-no-probe",
             "t1-no-probe", "ramsey-no-probe", "two-excitation-no-probe", "compound-no-probe",
-            "compound-no-couplings",
+            "compound-no-couplings", "t1-no-mirror", "ramsey-no-mirror", "two-excitation-no-mirror",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):

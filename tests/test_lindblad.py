@@ -11,7 +11,7 @@ import reach_oracle
 from dense_oracle import dense_liouvillian, propagated_states, svd_steady_state
 from evolve_oracle import listed_path_states
 from ode_oracle import dop853_states
-from sweep_oracle import shifted_model
+from sweep_oracle import dense_steady_state, shifted_model
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -1073,18 +1073,19 @@ class TestSteadyStateSweep:
             steady_states(model, np.linspace(-20.0, 40.0, 61))
 
     def test_residual_failure_names_the_point(self, monkeypatch):
-        # every solution off by 1e-3 in each coordinate: the residual check,
-        # which runs before the trace check, must see it
+        # every solve of the block LU off by 1e-3 in each entry, so every
+        # solution is off: the residual check, which runs before the trace
+        # check, must see it
         get_lapack_funcs = lindblad.get_lapack_funcs
 
         def perturbed(names, dtype):
-            getrf, gecon, getrs, getri = get_lapack_funcs(names, dtype=dtype)
+            getrf, gecon, getrs, getri, lange = get_lapack_funcs(names, dtype=dtype)
 
-            def getrs_off(lu, piv, rhs):
-                x, info = getrs(lu, piv, rhs)
+            def getrs_off(lu, piv, rhs, **kwargs):
+                x, info = getrs(lu, piv, rhs, **kwargs)
                 return x + 1e-3, info
 
-            return getrf, gecon, getrs_off, getri
+            return getrf, gecon, getrs_off, getri, lange
 
         monkeypatch.setattr(lindblad, "get_lapack_funcs", perturbed)
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* at drive detuning 2.5 MHz"):
@@ -1266,8 +1267,9 @@ class TestHermitianCoordinates:
         assert np.array_equal(cols, b * d + a) and not np.any(a == b)
 
     def test_five_qubit_solve_peak_memory(self):
-        # one real dense 1024 x 1024 matrix is 8 MiB; a complex one (16 MiB),
-        # a second real one, or one kept from the previous point exceeds 12 MiB
+        # the pivot-block bands of one point hold 777,088 entries (5.9 MiB),
+        # a real dense 1024 x 1024 matrix 8 MiB: a dense copy of M(delta), a
+        # complex one, or the bands kept from the previous point exceeds 12 MiB
         rng = np.random.default_rng(32)
         model = build_model(random_spec(rng, 5, n_th=0.05), drives=random_drives(rng, 5))
         tracemalloc.start()
@@ -1277,6 +1279,77 @@ class TestHermitianCoordinates:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+
+class TestSectorBlocks:
+    """M(delta) is block tridiagonal over the sectors |N_a - N_b|, and one block LU solves it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_block_solve_matches_the_dense_oracle(self, n):
+        # thermal, with a direct coupling and random drives: no entry of the
+        # oracle's bordered generator couples sectors more than one apart,
+        # the drive couples neighbours, and the state is the dense solve's
+        rng = np.random.default_rng(90 + n)
+        spec = random_spec(rng, n, n_th=rng.uniform(0.01, 0.2))
+        model = build_model(spec, drives=random_drives(rng, n))
+        d = model.dimension
+        excitations = np.array([bin(k).count("1") for k in range(d)])
+        sector = np.abs(np.subtract.outer(excitations, excitations)).reshape(-1)
+        generator = reach_oracle.real_generator(model).tocoo()
+        apart = np.abs(sector[generator.row] - sector[generator.col])
+        assert apart.max() == 1  # the trace row (0, aa) lies in sector 0
+        rho = steady_states(model, [0.0])[0]
+        assert np.max(np.abs(rho - dense_steady_state(model))) < 1e-12
+
+    def test_entry_two_sectors_apart_is_named(self, monkeypatch):
+        # |11><11| (coordinate 15, sector 0) fed from |00><11| (3, sector 2)
+        real_generator = lindblad._real_generator
+
+        def with_far_entry(left, right, reached, weights):
+            flat, values = real_generator(left, right, reached, weights)
+            row, col = (np.flatnonzero(reached == c)[0] for c in (15, 3))
+            at = row * reached.size + col
+            assert at not in flat
+            k = np.searchsorted(flat, at)
+            return np.insert(flat, k, at), np.insert(values, k, 1.0)
+
+        monkeypatch.setattr(lindblad, "_real_generator", with_far_entry)
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        message = r"^bordered generator entry \(15, 3\) couples sectors 0 and 2 of \|N_a - N_b\|, more than one apart$"
+        with pytest.raises(ValueError, match=message):
+            steady_states(model, [2.5])
+
+    def test_pivot_blocks_at_four_qubits(self):
+        # sectors of 70, 112, 56, 16 and 2 coordinates: the top three share a pivot block
+        rng = np.random.default_rng(94)
+        model = build_model(random_spec(rng, 4, n_th=0.05), drives=random_drives(rng, 4))
+        system = lindblad._BorderedGenerator(model)
+        assert [members.size for members in system._members] == [70, 112, 74]
+        assert system._sector_block.tolist() == [0, 1, 2, 2, 2]
+
+    def test_singular_pivot_block_names_the_detuning(self, monkeypatch):
+        # the pivot block of sector 1 at four qubits (112 coordinates) reads an
+        # rcond below the floor; it is factored before sector 0's
+        get_lapack_funcs = lindblad.get_lapack_funcs
+
+        def ill_conditioned(names, dtype):
+            getrf, gecon, getrs, getri, lange = get_lapack_funcs(names, dtype=dtype)
+
+            def gecon_low(lu, anorm):
+                rcond, info = gecon(lu, anorm)
+                return (1e-14 if lu.shape == (112, 112) else rcond), info
+
+            return getrf, gecon_low, getrs, getri, lange
+
+        monkeypatch.setattr(lindblad, "get_lapack_funcs", ill_conditioned)
+        rng = np.random.default_rng(94)
+        model = build_model(random_spec(rng, 4, n_th=0.05), drives=random_drives(rng, 4))
+        message = (
+            r"^Liouvillian null space is degenerate \(rcond 1\.000e-14 of the pivot block of sector 1 "
+            r"of the trace-bordered matrix, below 1e-13\) at drive detuning 2\.5 MHz$"
+        )
+        with pytest.raises(DegenerateSteadyStateError, match=message):
+            steady_states(model, [2.5, 4.0])
 
 
 def probe_cavity(n_mirrors, n_th):
@@ -1302,9 +1375,10 @@ class TestRealGenerator:
 
     @pytest.mark.parametrize("n_mirrors", [0, 2, 4])
     def test_bordered_matrix_matches_oracle(self, monkeypatch, n_mirrors):
-        # the matrices steady_states factors at d = 2, 8 and 32 for a thermal
-        # driven spec: the oracle generator of the model with its qubits
-        # detuned by delta, row 0 replaced by the trace row sum_a x_aa
+        # the pivot blocks steady_states factors at d = 2, 8 and 32 for a
+        # thermal driven spec, put back at their coordinates: the oracle
+        # generator of the model with its qubits detuned by delta, row 0
+        # replaced by the trace row sum_a x_aa
         q = QubitParams("Q", 13.4, 0.0065, 0.21)
         if n_mirrors:
             spec = probe_cavity(n_mirrors, 0.03)
@@ -1313,18 +1387,23 @@ class TestRealGenerator:
         drives = tuple((j, 2.0 + j) for j in range(spec.n_qubits))
         grid = [0.0, 1.5]
         factored = []
-        get_lapack_funcs = lindblad.get_lapack_funcs
+        blocks = lindblad._BorderedGenerator.blocks
 
-        def recording(names, dtype):
-            getrf, *rest = get_lapack_funcs(names, dtype=dtype)
+        def recording(self, delta):
+            # the pivot blocks put back at their coordinates, before the block LU overwrites them
+            diagonal, lower, upper = blocks(self, delta)
+            members = self._members
+            matrix = np.zeros((self._dimension**2,) * 2)
+            for k, rows in enumerate(members):
+                matrix[np.ix_(rows, rows)] = diagonal[k]
+                if k:
+                    matrix[np.ix_(rows, members[k - 1])] = lower[k]
+                if k + 1 < len(members):
+                    matrix[np.ix_(rows, members[k + 1])] = upper[k]
+            factored.append(matrix)
+            return diagonal, lower, upper
 
-            def recording_getrf(a, **kwargs):
-                factored.append(np.array(a))
-                return getrf(a, **kwargs)
-
-            return (recording_getrf, *rest)
-
-        monkeypatch.setattr(lindblad, "get_lapack_funcs", recording)
+        monkeypatch.setattr(lindblad._BorderedGenerator, "blocks", recording)
         steady_states(build_model(spec, drives=drives), grid)
         assert len(factored) == len(grid)
         d = 2**spec.n_qubits
@@ -1335,9 +1414,9 @@ class TestRealGenerator:
             assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_one_point_peak_memory(self):
-        # one d = 32 point: the 8 MiB work array and the entries; summing
-        # the entries into d^4 bins, or a dense copy of the bordered matrix
-        # beside the work array, exceeds 12 MiB
+        # one d = 32 point: the 5.9 MiB of pivot-block bands and the entries;
+        # summing the entries into d^4 bins, or a dense copy of the bordered
+        # matrix (8 MiB) beside the bands, exceeds 12 MiB
         model = build_model(probe_cavity(4, 0.03), drives=((2, 3.0), (0, 1.0)))
         tracemalloc.start()
         try:

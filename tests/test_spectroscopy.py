@@ -20,20 +20,15 @@ TWO_J = core.coupling_rate_2j(2, 13.4, 1.19)
 
 
 def count_factorizations(monkeypatch) -> list:
-    """Make every LU that lindblad factors append one entry to the list returned."""
+    """Make every factorization of M(delta), one block LU over its sectors, append delta to the list returned."""
     factored = []
-    get_lapack_funcs = lindblad.get_lapack_funcs
+    factor = lindblad._BorderedGenerator._factor
 
-    def counting(names, dtype):
-        getrf, *rest = get_lapack_funcs(names, dtype=dtype)
+    def counted(self, delta):
+        factored.append(delta)
+        return factor(self, delta)
 
-        def counted(a, **kwargs):
-            factored.append(1)
-            return getrf(a, **kwargs)
-
-        return (counted, *rest)
-
-    monkeypatch.setattr(lindblad, "get_lapack_funcs", counting)
+    monkeypatch.setattr(lindblad._BorderedGenerator, "_factor", counted)
     return factored
 
 
@@ -45,8 +40,8 @@ def patch_solutions(monkeypatch, path, change):
     """
     solve = getattr(lindblad._BorderedGenerator, path)
 
-    def patched(self, nodes, anorms):
-        x = solve(self, nodes, anorms)
+    def patched(self, nodes):
+        x = solve(self, nodes)
         change(nodes, x)
         return x
 
