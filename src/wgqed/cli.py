@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, calibration, core, lindblad, protocols, records, spectroscopy
+from . import __version__, calibration, core, protocols, records, spectroscopy
 
 
 class ConfigError(ValueError):
@@ -270,8 +270,10 @@ class Experiment:
 
     params maps each parameter to its JSON schema, with a "description"
     that ``wgqed list`` prints.  check(spec, params) raises ConfigError for
-    what the schema cannot express (qubit references, block combinations);
-    ``validate`` and ``run`` both call it.  run(spec, params) returns the
+    what the schema cannot express (qubit references, block combinations),
+    building with the run's own code what the run builds before its heavy
+    work (the drive, the swap, the pulse average); ``validate`` and ``run``
+    both call it.  run(spec, params) returns the
     artifacts in order as {file suffix: record}, where a record is a
     TimeTrace, a SpectrumScan, a (header, rows) table or a JSON-ready dict.
     """
@@ -322,12 +324,6 @@ _DELAYS = {
 }
 
 
-def _drive_from_params(params: dict) -> spectroscopy.DriveSpec:
-    return spectroscopy.DriveSpec(
-        omega_rabi=params.get("omega_rabi"), power_dbm=params.get("power_dbm")
-    )
-
-
 def _grid(params: dict) -> np.ndarray:
     return np.linspace(params["start_mhz"], params["stop_mhz"], params["points"])
 
@@ -347,26 +343,33 @@ def _fit_payload(fit, extra=None) -> dict:
     return payload
 
 
-def _run_spectrum(spec, params) -> dict:
-    scan = spectroscopy.multi_qubit_transmission(spec, _drive_from_params(params), _grid(params))
-    return {"spectrum.csv": scan}
+def _drive(port: str, spec, params: dict) -> spectroscopy.DriveSpec:
+    """The drive of a spectrum, xy-spectrum or steady run, built as the run builds it.
 
-
-def _xy_qubit(spec, params: dict) -> int:
-    """Index of the xy-driven qubit: params.xy_qubit, or the probe by default."""
-    target = params.get("xy_qubit")
-    if target is None:
-        if spec.probe_index is None:
+    An xy drive acts on params.xy_qubit, or on the probe by default.  The
+    DriveSpec and its per-qubit amplitudes (spectroscopy._drive_amplitudes)
+    are formed here, so a drive they reject, such as both omega_rabi and
+    power_dbm, an input field that underflows or no waveguide-coupled
+    qubit, is a ConfigError at $.params; this is also the check of those runs.
+    """
+    xy_qubit = None
+    if port == "xy":
+        target = params.get("xy_qubit", spec.probe_index)
+        if target is None:
             raise ConfigError("config error at $.params.xy_qubit: no probe to default to")
-        return spec.probe_index
-    return _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
+        xy_qubit = _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
+    try:
+        # the strengths omega_rabi and power_dbm (_DRIVE), None where unset
+        drive = spectroscopy.DriveSpec(port, xy_qubit, **{key: params.get(key) for key in _DRIVE})
+        spectroscopy._drive_amplitudes(spec, drive)
+    except ValueError as err:
+        raise ConfigError(f"config error at $.params: {err}") from err
+    return drive
 
 
-def _run_xy_spectrum(spec, params) -> dict:
-    drive = spectroscopy.DriveSpec(
-        port="xy", xy_qubit=_xy_qubit(spec, params), omega_rabi=params["omega_rabi"]
-    )
-    return {"spectrum.csv": spectroscopy.multi_qubit_transmission(spec, drive, _grid(params))}
+def _run_spectrum(port: str, spec, params) -> dict:
+    scan = spectroscopy.multi_qubit_transmission(spec, _drive(port, spec, params), _grid(params))
+    return {"spectrum.csv": scan}
 
 
 def _run_rabi(spec, params) -> dict:
@@ -397,16 +400,18 @@ def _check_probe(spec, _params=None) -> None:
         raise ConfigError("config error at $.system.probe: this experiment needs a probe qubit")
 
 
-def _check_mirrored_probe(spec, _params=None) -> None:
-    """A probe and at least one mirror, whose dark state the probe swaps with."""
+def _check_swap(spec, _params=None) -> None:
+    """A probe whose excitation swaps into the mirrors' dark state: protocols.iswap_duration_ns."""
     _check_probe(spec)
-    if not spec.mirror_indices:
-        raise ConfigError("config error at $.system: this experiment needs at least one mirror qubit")
+    try:
+        protocols.iswap_duration_ns(spec)
+    except ValueError as err:
+        raise ConfigError(f"config error at $.system: {err}") from err
 
 
 def _check_dark(spec, params) -> None:
-    """A dark sequence needs a mirrored probe and an increasing delay grid (its times would not increase)."""
-    _check_mirrored_probe(spec)
+    """A dark sequence needs a swap and an increasing delay grid (its times would not increase)."""
+    _check_swap(spec)
     if not params["delay_min_ns"] < params["delay_max_ns"]:
         raise ConfigError(
             f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
@@ -414,10 +419,11 @@ def _check_dark(spec, params) -> None:
         )
 
 
-def _run_dark(simulate, kind: int, spec, params) -> dict:
-    """A dark-state sequence's trace and fit, which gives gamma<kind> and T<kind>."""
+def _run_dark(simulate, fit_trace, kind: int, spec, params) -> dict:
+    """A dark-state sequence's trace and its fit_trace, which gives gamma<kind> and T<kind>."""
     options = {name: params[key] for key, name in _DARK_OPTIONS.items() if key in params}
-    trace, fit = simulate(spec, _delays(params), **options)
+    trace = simulate(spec, _delays(params), **options)
+    fit = fit_trace(trace)
     derived = {
         f"gamma{kind}_dark_mhz": fit.value("rate_mhz"),
         f"t{kind}_dark_ns": fit.value("lifetime_ns"),
@@ -430,6 +436,18 @@ def _mirror_pair(spec, _params=None) -> list:
     if len(mirrors) != 2:
         raise ConfigError("config error at $.system: shelving needs a two-mirror pair")
     return mirrors
+
+
+def _check_shelve(spec, params) -> None:
+    """A two-mirror pair, and a pulse_ns whose bandwidth average the grid admits."""
+    _mirror_pair(spec)
+    if "pulse_ns" in params:
+        grid = _grid(params)
+        try:
+            unit = spectroscopy.SpectrumScan(grid, np.ones(grid.size))
+            spectroscopy.pulse_bandwidth_average(unit, params["pulse_ns"])
+        except ValueError as err:
+            raise ConfigError(f"config error at $.params.pulse_ns: {err}") from err
 
 
 def _run_shelve(spec, params) -> dict:
@@ -452,11 +470,7 @@ def _run_shelve(spec, params) -> dict:
 
 
 def _run_two_excitation(spec, params) -> dict:
-    atomic, companion, (model, ops) = protocols.simulate_two_excitation(spec, _taus(params))
-    starts = [np.outer(ops[k], ops[k].conj()) for k in ("excited_no_photon", "excited_one_photon")]
-    (f_first, _), (f_second, _) = lindblad.dominant_oscillation(
-        model, np.array(starts), ops["probe_number"]
-    )
+    atomic, companion, (f_first, f_second) = protocols.simulate_two_excitation(spec, _taus(params))
     summary = {
         "companion_first_manifold_mhz": f_first,
         "companion_second_manifold_mhz": f_second,
@@ -542,7 +556,7 @@ def _run_calib(_spec, params) -> dict:
 
 def _run_steady(spec, params) -> dict:
     rho = spectroscopy.driven_steady_state(
-        spec, _drive_from_params(params), params["detuning_mhz"]
+        spec, _drive("waveguide", spec, params), params["detuning_mhz"]
     )
     rows = ((i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(rho))
     return {"state.csv": (("row", "col", "re", "im"), rows)}
@@ -565,8 +579,9 @@ _EXPERIMENTS: dict[str, Experiment] = {
     "spectrum": Experiment(
         "waveguide transmission spectrum over a detuning grid",
         {**_GRID, **_DRIVE},
-        _run_spectrum,
+        partial(_run_spectrum, "waveguide"),
         required=("start_mhz", "stop_mhz", "points"),
+        check=partial(_drive, "waveguide"),
     ),
     "xy-spectrum": Experiment(
         "local-drive to waveguide-output spectrum (no bright background)",
@@ -578,9 +593,9 @@ _EXPERIMENTS: dict[str, Experiment] = {
                 "description": "driven qubit label or index (default: the probe)",
             },
         },
-        _run_xy_spectrum,
+        partial(_run_spectrum, "xy"),
         required=("start_mhz", "stop_mhz", "points", "omega_rabi"),
-        check=_xy_qubit,
+        check=partial(_drive, "xy"),
     ),
     "rabi": Experiment(
         "probe excited-state population versus interaction time",
@@ -599,7 +614,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
     "t1-dark": Experiment(
         "dark-state population decay via swap-in / wait / swap-out",
         _DELAYS,
-        partial(_run_dark, protocols.simulate_t1_dark, 1),
+        partial(_run_dark, protocols.simulate_t1_dark, protocols.fit_exponential, 1),
         required=("delay_min_ns", "delay_max_ns", "points"),
         check=_check_dark,
     ),
@@ -611,7 +626,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
                 "fringe detuning applied to the mirrors (MHz; default 2)"
             ),
         },
-        partial(_run_dark, protocols.simulate_ramsey_dark, 2),
+        partial(_run_dark, protocols.simulate_ramsey_dark, protocols.fit_damped_sinusoid, 2),
         required=("delay_min_ns", "delay_max_ns", "points"),
         check=_check_dark,
     ),
@@ -627,14 +642,14 @@ _EXPERIMENTS: dict[str, Experiment] = {
         },
         _run_shelve,
         required=("start_mhz", "stop_mhz", "points", "rho_dd"),
-        check=_mirror_pair,
+        check=_check_shelve,
     ),
     "two-excitation": Experiment(
         "probe dynamics with a second excitation, plus linear-cavity companion",
         _TAUS,
         _run_two_excitation,
         required=("tau_max_ns", "points"),
-        check=_check_mirrored_probe,
+        check=_check_swap,
     ),
     "compound": Experiment(
         "probe Rabi traces against the dark states of compound mirrors",
@@ -672,6 +687,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
         {"detuning_mhz": _number("drive detuning from the working frequency (MHz)"), **_DRIVE},
         _run_steady,
         required=("detuning_mhz",),
+        check=partial(_drive, "waveguide"),
     ),
     "modes": Experiment("collective-mode decomposition of the emitter array", {}, _run_modes),
 }

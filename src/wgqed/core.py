@@ -367,13 +367,9 @@ def phase_mismatch_decay(g1d: float, phase: float) -> float:
     return g1d * (1.0 - abs(math.cos(phase)))
 
 
-def mirror_pair_spec(mirror: QubitParams, probe: QubitParams | None = None, **kw) -> SystemSpec:
-    """Half-wavelength mirror pair, optionally with a centered probe."""
-    if probe is None:
-        return SystemSpec(
-            qubits=((mirror, Placement(0.0)), (mirror, Placement(math.pi))), **kw
-        )
-    return cavity_spec(mirror, probe, **kw)
+def mirror_pair_spec(mirror: QubitParams, **kw) -> SystemSpec:
+    """Half-wavelength mirror pair of identical qubits; kw go to SystemSpec."""
+    return SystemSpec(qubits=((mirror, Placement(0.0)), (mirror, Placement(math.pi))), **kw)
 
 
 def cavity_spec(

@@ -12,6 +12,10 @@ step is a hold at per-qubit detuning offsets (MHz) on the same model,
 which only shift its cached block, so the dark-state T1 and Ramsey
 sequences and the compound-mirror traces build one model of the spec;
 vacuum Rabi builds its model at the overridden probe detuning.
+The simulate_* functions return what they simulate, the TimeTrace records
+(and, for the two-excitation run, the linear cavity's exact frequencies);
+none of them fits.  Fitting a trace is the caller's step, with
+fit_exponential or fit_damped_sinusoid.
 Public time arguments and TimeTrace records are in ns; the underlying
 master-equation work runs in us.
 """
@@ -48,6 +52,12 @@ __all__ = [
 
 # default parking offset (MHz) that decouples the probe during waits
 PARK_DETUNING = -50.0
+
+# a probe-dark coupling 2J at or below this fraction of the norm of the
+# probe's exchange row over the mirrors is rounding, not a coupling: a probe
+# placed where it is exactly dark to the mirrors reads about 1e-16 of it,
+# and its swap would take some 1e18 ns
+DARK_COUPLING_FLOOR = 1e-9
 
 # a trace fit is accepted only if its amplitude is at least this many of
 # its own standard errors; below that the fringe or decay is fitted noise
@@ -147,11 +157,16 @@ def iswap_duration_ns(spec: core.SystemSpec) -> float:
     At zero probe-dark detuning this is 1/(4J) in us, i.e. the hold time
     that transfers the probe excitation into the dark state; with a
     residual detuning the first transfer maximum arrives at the
-    generalized frequency sqrt((2J)^2 + delta^2) instead.
+    generalized frequency sqrt((2J)^2 + delta^2) instead.  ValueError if
+    the spec has no probe or no mirror, or if 2J is at or below
+    DARK_COUPLING_FLOOR of the norm of the probe's exchange row over the
+    mirrors (a probe the dark state does not see).
     """
     two_j = core.probe_dark_coupling(spec)
-    if two_j <= 0:
-        raise ValueError("probe is not coupled to the dark state")
+    row = core.exchange_matrix(spec)[spec.probe_index, list(spec.mirror_indices)]
+    exchange = float(np.linalg.norm(row))
+    if not two_j > DARK_COUPLING_FLOOR * exchange:
+        raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
     f_osc = math.hypot(two_j, interaction_detuning(spec))
     return 1e3 / (2.0 * f_osc)
 
@@ -173,17 +188,14 @@ def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
     return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
 
 
-def _excite_hold_read(spec: core.SystemSpec, model, taus, metadata, offsets=None) -> TimeTrace:
-    """Probe population after preparing |e>_p and holding model, built from spec, for each tau (ns).
+def _hold_trace(model, number_op, rho0, taus, metadata, offsets=None) -> TimeTrace:
+    """Probe population tr(number_op rho) after holding rho0 on model for each tau (ns).
 
     offsets (MHz per qubit) raise the hold's detunings above the model's
-    (lindblad.evolve).
+    (lindblad.evolve); metadata follows the "observable" entry.
     """
     taus = np.asarray(taus, dtype=float)
-    populations = lindblad._held_populations(
-        model, model.basis.number(spec.probe_index), _probe_excited(spec, model.basis), taus * 1e-3,
-        offsets,
-    )
+    populations = lindblad._held_populations(model, number_op, rho0, taus * 1e-3, offsets)
     return TimeTrace(taus, populations, metadata={"observable": "probe_population", **metadata})
 
 
@@ -198,7 +210,9 @@ def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> Ti
         detunings = list(spec.detunings)
         detunings[probe] = probe_detuning
         spec = spec.with_detunings(detunings)
-    return _excite_hold_read(spec, lindblad.build_model(spec), taus, {})
+    model = lindblad.build_model(spec)
+    rho0 = _probe_excited(spec, model.basis)
+    return _hold_trace(model, model.basis.number(probe), rho0, taus, {})
 
 
 def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) -> TimeTrace:
@@ -234,21 +248,19 @@ def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) ->
 
 
 def simulate_t1_dark(
-    spec: core.SystemSpec, delays, park_detuning: float = PARK_DETUNING, fit: bool = True
-) -> tuple[TimeTrace, FitResult | None]:
+    spec: core.SystemSpec, delays, park_detuning: float = PARK_DETUNING
+) -> TimeTrace:
     """Dark-state population decay: excite, swap in, wait, swap out, read.
 
     The probe is parked at park_detuning (MHz) during the wait.  Returns
-    the probe-population trace over the delays (ns) and its exponential
-    fit; the fitted rate_mhz estimates the dark-state decay rate.  Fit
-    failures propagate unless fit=False (e.g. a decay-free trace).
+    the probe-population trace over the delays (ns); the rate_mhz of its
+    fit_exponential estimates the dark-state decay rate.
     """
     probe = _require_probe(spec)
     park = np.zeros(spec.n_qubits)
     park[probe] = park_detuning - spec.detunings[probe]
     rho0 = _probe_excited(spec, lindblad.ProductBasis(spec.n_qubits))
-    trace = _staged_wait_protocol(spec, park, delays, rho0, 0.0)
-    return trace, fit_exponential(trace) if fit else None
+    return _staged_wait_protocol(spec, park, delays, rho0, 0.0)
 
 
 def simulate_ramsey_dark(
@@ -256,22 +268,22 @@ def simulate_ramsey_dark(
     delays,
     artificial_detuning: float = 2.0,
     park_detuning: float = PARK_DETUNING,
-) -> tuple[TimeTrace, FitResult]:
+) -> TimeTrace:
     """Dark-state Ramsey fringes: half swap in, wait, half swap out.
 
     A half-rotation puts the probe in superposition, a full swap maps its
     excited component onto the dark state, the mirrors run at the
     artificial detuning (MHz) during the wait, and the returning
-    coherence is converted to population by a final half-rotation.  The
-    damped-sinusoid fit rate_mhz estimates the dark-state decoherence.
+    coherence is converted to population by a final half-rotation.
+    Returns the probe-population trace over the delays (ns); the rate_mhz
+    of its fit_damped_sinusoid estimates the dark-state decoherence.
     """
     probe = _require_probe(spec)
     wait = np.full(spec.n_qubits, artificial_detuning, dtype=float)
     wait[probe] = park_detuning - spec.detunings[probe]
     basis = lindblad.ProductBasis(spec.n_qubits)
     rho0 = rotate_qubit(np.diag(basis.ground_vector()), basis, probe, math.pi / 2.0)
-    trace = _staged_wait_protocol(spec, wait, delays, rho0, math.pi / 2.0)
-    return trace, fit_damped_sinusoid(trace)
+    return _staged_wait_protocol(spec, wait, delays, rho0, math.pi / 2.0)
 
 
 def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, TimeTrace, tuple]:
@@ -282,26 +294,22 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     the same protocol against an equivalent linear cavity (bosonic mode
     with the same coupling and dark-state loss), which oscillates sqrt(2)
     faster instead of damping out.  Returns both traces and the
-    companion's linear_cavity_model (model, operators).
+    companion's first- and second-manifold frequencies (MHz): the
+    lindblad.dominant_oscillation of its linear_cavity_model from |e, 0>
+    and from |e, 1>.
     """
     probe = _require_probe(spec)
-    taus = np.asarray(taus, dtype=float)
     model = lindblad.build_model(spec)  # the swap and the re-excited hold build its factors once
     rho = rotate_qubit(_iswap(spec, model), model.basis, probe, math.pi)
-    atomic = TimeTrace(
-        taus,
-        lindblad._held_populations(model, model.basis.number(probe), rho, taus * 1e-3),
-        metadata={"observable": "probe_population", "system": "atomic_cavity"},
-    )
+    atomic = _hold_trace(model, model.basis.number(probe), rho, taus, {"system": "atomic_cavity"})
 
-    cavity_model, ops = linear_cavity_model(spec)
-    rho_c = np.outer(ops["excited_one_photon"], ops["excited_one_photon"].conj())
-    companion = TimeTrace(
-        taus,
-        lindblad._held_populations(cavity_model, ops["probe_number"], rho_c, taus * 1e-3),
-        metadata={"observable": "probe_population", "system": "linear_cavity"},
-    )
-    return atomic, companion, (cavity_model, ops)
+    cavity, ops = linear_cavity_model(spec)
+    number = ops["probe_number"]
+    excited = (ops["excited_no_photon"], ops["excited_one_photon"])
+    starts = np.array([np.outer(state, state.conj()) for state in excited])
+    companion = _hold_trace(cavity, number, starts[1], taus, {"system": "linear_cavity"})
+    (f_first, _), (f_second, _) = lindblad.dominant_oscillation(cavity, starts, number)
+    return atomic, companion, (f_first, f_second)
 
 
 def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, dict]:
@@ -375,11 +383,12 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
 
     # both holds on the spec's model, the probe moved onto each dark frequency
     model = lindblad.build_model(spec)
+    number, rho0 = model.basis.number(probe), _probe_excited(spec, model.basis)
     traces = []
     for freq in dark_freqs:
         offsets = np.zeros(spec.n_qubits)
         offsets[probe] = freq - spec.detunings[probe]
-        traces.append(_excite_hold_read(spec, model, taus, {"dark_frequency_mhz": freq}, offsets))
+        traces.append(_hold_trace(model, number, rho0, taus, {"dark_frequency_mhz": freq}, offsets))
     return CompoundResult(tuple(traces), splitting, dark_freqs)
 
 

@@ -86,17 +86,17 @@ def test_criterion_04_vacuum_rabi():
 
 def test_criterion_05_dark_state_lifetimes():
     spec = correlated_spec(13.4, 0.36275, 0.15925, PROBE1)
-    _, fit = protocols.simulate_t1_dark(spec, np.linspace(250, 2500, 26))
+    fit = protocols.fit_exponential(protocols.simulate_t1_dark(spec, np.linspace(250, 2500, 26)))
     report(5, "dark-state T1 (slow mirrors)", fit.value("lifetime_ns"), 757.0, 0.10)
-    _, fit = protocols.simulate_ramsey_dark(
-        spec, np.linspace(20, 1300, 65), artificial_detuning=3.0
+    fit = protocols.fit_damped_sinusoid(
+        protocols.simulate_ramsey_dark(spec, np.linspace(20, 1300, 65), artificial_detuning=3.0)
     )
     report(5, "dark-state T2* (slow mirrors)", fit.value("lifetime_ns"), 435.0, 0.10)
     spec = correlated_spec(96.7, 0.83475, 0.26025, PROBE2)
-    _, fit = protocols.simulate_t1_dark(spec, np.linspace(120, 1000, 23))
+    fit = protocols.fit_exponential(protocols.simulate_t1_dark(spec, np.linspace(120, 1000, 23)))
     report(5, "dark-state T1 (fast mirrors)", fit.value("lifetime_ns"), 274.0, 0.10)
-    _, fit = protocols.simulate_ramsey_dark(
-        spec, np.linspace(10, 600, 60), artificial_detuning=6.0
+    fit = protocols.fit_damped_sinusoid(
+        protocols.simulate_ramsey_dark(spec, np.linspace(10, 600, 60), artificial_detuning=6.0)
     )
     report(5, "dark-state T2* (fast mirrors)", fit.value("lifetime_ns"), 191.0, 0.10)
 

@@ -35,6 +35,18 @@ def probe_only(config):
         system.pop(key, None)
 
 
+def dark_probe(config):
+    """Move the probe to phase pi, where it exchanges only with the bright state of mirrors at +-pi/2."""
+    system = config["system"]
+    next(q for q in system["qubits"] if q["label"] == system["probe"]).update(phase_pi=1.0)
+
+
+def underflowing_power(config):
+    """Drive by a power_dbm alone, whose input field underflows to zero."""
+    del config["params"]["omega_rabi"]
+    config["params"]["power_dbm"] = -4000.0
+
+
 class TestValidation:
     def test_empty_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
@@ -208,6 +220,28 @@ class TestValidation:
             ("fig3b_t1dark_type1", probe_only, "$.system"),
             ("fig3c_ramsey_type1", probe_only, "$.system"),
             ("fig3f_twoexc", probe_only, "$.system"),
+            # the swap took about 1e18 ns: the run failed on a constant trace,
+            # on no visible periods or on no oscillating mode (exit 2)
+            ("fig3b_t1dark_type1", dark_probe, "$.system"),
+            ("fig3c_ramsey_type1", dark_probe, "$.system"),
+            ("fig3f_twoexc", dark_probe, "$.system"),
+            # the run's own drive and pulse average rejected these (exit 2)
+            ("fig1c_q1", lambda config: config["params"].update(power_dbm=-120.0), "$.params"),
+            ("fig1c_q1", underflowing_power, "$.params"),
+            (
+                "fig1c_q1",
+                lambda config: config["system"]["qubits"][0].update(gamma_1d=0.0, gamma_loss=1.0),
+                "$.params",
+            ),
+            (
+                "fig1c_q1",
+                lambda config: config.update(
+                    experiment="steady",
+                    params={"detuning_mhz": 0.0, "omega_rabi": 0.001, "power_dbm": -120.0},
+                ),
+                "$.params",
+            ),
+            ("fig3d_shelve", lambda config: config["params"].update(pulse_ns=10.0), "$.params.pulse_ns"),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
@@ -217,6 +251,9 @@ class TestValidation:
             "transmon-no-charging", "resonator-no-qi", "resonator-on-qubit", "rabi-no-probe",
             "t1-no-probe", "ramsey-no-probe", "two-excitation-no-probe", "compound-no-probe",
             "compound-no-couplings", "t1-no-mirror", "ramsey-no-mirror", "two-excitation-no-mirror",
+            "t1-dark-probe", "ramsey-dark-probe", "two-excitation-dark-probe",
+            "spectrum-two-strengths", "spectrum-power-underflow", "spectrum-no-coupled-qubit",
+            "steady-two-strengths", "shelve-short-pulse",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):

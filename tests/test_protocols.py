@@ -572,7 +572,7 @@ class TestCoordinateReadouts:
         built, kron_terms = [], lindblad._kron_terms
         with monkeypatch.context() as patch:
             patch.setattr(lindblad, "_kron_terms", lambda m: built.append(m) or kron_terms(m))
-            atomic, companion, (returned_model, returned_ops) = pr.simulate_two_excitation(spec, taus)
+            atomic, companion, frequencies = pr.simulate_two_excitation(spec, taus)
         assert len(built) == 2
         model = lindblad.build_model(spec)
         probe = spec.probe_index
@@ -583,11 +583,14 @@ class TestCoordinateReadouts:
         rho_c = np.outer(ops["excited_one_photon"], ops["excited_one_photon"].conj())
         expected = self.evolved_populations(cavity_model, ops["probe_number"], rho_c, taus)
         assert companion.values.tobytes() == expected.tobytes()
-        # the returned companion model is the one the trace ran on, equal to a fresh build
-        assert built[1] is returned_model
-        assert np.array_equal(returned_model.hamiltonian, cavity_model.hamiltonian)
-        assert returned_ops.keys() == ops.keys()
-        assert all(np.array_equal(returned_ops[key], ops[key]) for key in ops)
+        # the companion frequencies are the exact modes of a fresh linear
+        # cavity, seen from |e, 0> and from |e, 1>
+        fresh, ops = pr.linear_cavity_model(spec)
+        starts = [np.outer(ops[k], ops[k].conj()) for k in ("excited_no_photon", "excited_one_photon")]
+        (first, _), (second, _) = lindblad.dominant_oscillation(
+            fresh, np.array(starts), ops["probe_number"]
+        )
+        assert frequencies == (first, second)
 
     @pytest.mark.parametrize("ramsey", [False, True])
     def test_staged_swaps_build_one_block(self, monkeypatch, ramsey):
@@ -603,8 +606,8 @@ class TestCoordinateReadouts:
 
         def trace():
             if ramsey:
-                return pr.simulate_ramsey_dark(spec, delays)[0].values
-            return pr.simulate_t1_dark(spec, delays, fit=False)[0].values
+                return pr.simulate_ramsey_dark(spec, delays).values
+            return pr.simulate_t1_dark(spec, delays).values
 
         evolve, build_model = lindblad.evolve, lindblad.build_model
 
@@ -726,14 +729,21 @@ class TestIswap:
 
 
 class TestDarkStateLifetimes:
+    @staticmethod
+    def dark_fits(spec, t1_delays):
+        """Exponential fit of a T1 run parked at -100 MHz, damped-sinusoid fit of a 3 MHz Ramsey run."""
+        t1 = pr.simulate_t1_dark(spec, t1_delays, park_detuning=-100.0)
+        ramsey = pr.simulate_ramsey_dark(spec, np.linspace(20, 1100, 55), artificial_detuning=3.0)
+        return pr.fit_exponential(t1), pr.fit_damped_sinusoid(ramsey)
+
     def test_slow_mirror_pair_t1(self):
         spec = inverted_dephasing_spec(13.4, 0.36275, 0.15925)
-        _, fit = pr.simulate_t1_dark(spec, np.linspace(250, 2500, 26))
+        fit = pr.fit_exponential(pr.simulate_t1_dark(spec, np.linspace(250, 2500, 26)))
         assert fit.value("lifetime_ns") == pytest.approx(757.0, rel=0.10)
 
     def test_fast_mirror_pair_t1(self):
         spec = inverted_dephasing_spec(96.7, 0.83475, 0.26025, probe=PROBE2)
-        _, fit = pr.simulate_t1_dark(spec, np.linspace(120, 1000, 23))
+        fit = pr.fit_exponential(pr.simulate_t1_dark(spec, np.linspace(120, 1000, 23)))
         assert fit.value("lifetime_ns") == pytest.approx(274.0, rel=0.10)
 
     def test_decay_free_pair_stays_flat(self):
@@ -742,37 +752,37 @@ class TestDarkStateLifetimes:
         # protocol only the probe's radiative transient and the finite
         # parking detuning remain, at the percent level
         spec = core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19))
-        trace, _ = pr.simulate_t1_dark(spec, np.linspace(100, 1500, 15), fit=False)
+        trace = pr.simulate_t1_dark(spec, np.linspace(100, 1500, 15))
         assert np.ptp(trace.values) < 0.02
         lossy = core.cavity_spec(QubitParams("M", 13.4, GLOSS, 0.36), QubitParams("P", 1.19))
-        reference, _ = pr.simulate_t1_dark(lossy, np.linspace(100, 1500, 15), fit=False)
+        reference = pr.simulate_t1_dark(lossy, np.linspace(100, 1500, 15))
         assert np.ptp(reference.values) > 10 * np.ptp(trace.values)
 
     def test_slow_mirror_pair_ramsey(self):
         spec = inverted_dephasing_spec(13.4, 0.36275, 0.15925)
-        _, fit = pr.simulate_ramsey_dark(spec, np.linspace(20, 1300, 65), artificial_detuning=3.0)
+        trace = pr.simulate_ramsey_dark(spec, np.linspace(20, 1300, 65), artificial_detuning=3.0)
+        fit = pr.fit_damped_sinusoid(trace)
         assert fit.value("lifetime_ns") == pytest.approx(435.0, rel=0.10)
         assert fit.value("frequency_mhz") == pytest.approx(3.0, abs=0.3)
 
     def test_fast_mirror_pair_ramsey(self):
         spec = inverted_dephasing_spec(96.7, 0.83475, 0.26025, probe=PROBE2)
-        _, fit = pr.simulate_ramsey_dark(spec, np.linspace(10, 600, 60), artificial_detuning=6.0)
+        trace = pr.simulate_ramsey_dark(spec, np.linspace(10, 600, 60), artificial_detuning=6.0)
+        fit = pr.fit_damped_sinusoid(trace)
         assert fit.value("lifetime_ns") == pytest.approx(191.0, rel=0.10)
 
     def test_rate_ordering_follows_correlation(self):
         # uncorrelated dephasing: population decays faster than coherence
         # by gloss/2 (large enough loss here to resolve the ordering)
         spec = inverted_dephasing_spec(13.4, 0.3, 0.0, gloss=0.05)
-        _, fit_t1 = pr.simulate_t1_dark(spec, np.linspace(400, 2000, 24), park_detuning=-100.0)
-        _, fit_t2 = pr.simulate_ramsey_dark(spec, np.linspace(20, 1100, 55), artificial_detuning=3.0)
+        fit_t1, fit_t2 = self.dark_fits(spec, np.linspace(400, 2000, 24))
         assert fit_t1.value("rate_mhz") > fit_t2.value("rate_mhz")
         g1_closed, g2_closed = lindblad.dark_state_rates(0.05, 0.3, 0.0)
         assert fit_t1.value("rate_mhz") == pytest.approx(g1_closed, rel=0.05)
         assert fit_t2.value("rate_mhz") == pytest.approx(g2_closed, rel=0.05)
         # common-mode correlation above gloss/2 inverts the ordering
         spec = inverted_dephasing_spec(13.4, 0.3, 0.2, gloss=0.05)
-        _, fit_t1 = pr.simulate_t1_dark(spec, np.linspace(400, 3000, 24), park_detuning=-100.0)
-        _, fit_t2 = pr.simulate_ramsey_dark(spec, np.linspace(20, 1100, 55), artificial_detuning=3.0)
+        fit_t1, fit_t2 = self.dark_fits(spec, np.linspace(400, 3000, 24))
         assert fit_t1.value("rate_mhz") < fit_t2.value("rate_mhz")
         g1_closed, g2_closed = lindblad.dark_state_rates(0.05, 0.3, 0.2)
         assert fit_t1.value("rate_mhz") == pytest.approx(g1_closed, rel=0.05)

@@ -386,11 +386,7 @@ class TestInterpolatedSweep:
     def test_bundled_spectrum_configs(self, name):
         config = json.loads(files("wgqed").joinpath(f"configs/{name}.cfg").read_text())
         experiment, spec, params = cli._checked(config)
-        if config["experiment"] == "xy-spectrum":
-            xy_qubit = cli._xy_qubit(spec, params)
-            drive = sp.DriveSpec(port="xy", xy_qubit=xy_qubit, omega_rabi=params["omega_rabi"])
-        else:
-            drive = cli._drive_from_params(params)
+        drive = cli._drive("xy" if config["experiment"] == "xy-spectrum" else "waveguide", spec, params)
         grid = cli._grid(params)
         assert 801 <= grid.size <= 1201
         self.assert_matches_pointwise(spec, drive, grid)
