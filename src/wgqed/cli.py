@@ -480,9 +480,12 @@ def _run_two_excitation(spec, params) -> dict:
 
 
 def _check_compound(spec, _params) -> None:
+    """A probe beside compound mirrors: protocols.check_compound_mirrors."""
     _check_probe(spec)
-    if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
-        raise ConfigError("config error at $.system: compound needs four directly coupled mirrors")
+    try:
+        protocols.check_compound_mirrors(spec)
+    except ValueError as err:
+        raise ConfigError(f"config error at $.system: {err}") from err
 
 
 def _run_compound(spec, params) -> dict:
@@ -558,7 +561,10 @@ def _run_steady(spec, params) -> dict:
     rho = spectroscopy.driven_steady_state(
         spec, _drive("waveguide", spec, params), params["detuning_mhz"]
     )
-    rows = ((i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(rho))
+    # Python ints and floats, in the row-major order of np.ndenumerate
+    row, col = np.indices(rho.shape).reshape(2, -1).tolist()
+    values = rho.reshape(-1)
+    rows = zip(row, col, values.real.tolist(), values.imag.tolist())
     return {"state.csv": (("row", "col", "re", "im"), rows)}
 
 

@@ -7,11 +7,11 @@ stacked Kronecker factors.  Times are in us.  A model is a Hamiltonian and
 a list of independent jumps: :func:`build_model` turns each correlated
 rate matrix into collective jumps once.
 
-Every solver works in Hermitian coordinates, the d^2 real parameters of
-rho, where the generator A = U L U^dagger is real, and gets A from one
-construction, _real_generator, which reads it from the factors' nonzeros
-on a set of coordinates; U is written once, as its rows on such a set
-(_coordinate_weights), which also give vec(rho) = U^dagger x.
+The time-domain solvers work in Hermitian coordinates, the d^2 real
+parameters of rho, where the generator A = U L U^dagger is real, and get A
+from one construction, _real_generator, which reads it from the factors'
+nonzeros on a set of coordinates; U is written once, as its rows on such
+a set (_coordinate_weights), which also give vec(rho) = U^dagger x.
 :func:`evolve` and :func:`dominant_oscillation` share one preamble,
 _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
@@ -29,14 +29,17 @@ adds K(-offsets) to the cached block, so one model serves holds at
 several detunings.  :func:`steady_states` uses all d^2 coordinates, at
 drive detunings delta: L(delta) = L0 + delta K with K the same generator
 at unit weights, K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation
-number.  Its trace-bordered real generator M(delta) = B + delta R
-(_BorderedGenerator) is prepared once per call.  Only the drive moves
-|N_a - N_b| on rho_ab, by one, so M(delta) is block tridiagonal over
-these sectors, and it is factored by one block LU over runs of adjacent
-sectors; a few detunings are solved by one block LU each, many from the
-one block LU of a shift-invert pencil in closed form, and the LAPACK
-condition estimate of every pivot block flags a degenerate null space
-at once; then the residual and state checks run at every detuning.
+number.  Only the drive moves |N_a - N_b| on rho_ab, by one, so its
+trace-bordered system M(delta) (_BorderedGenerator, prepared once per
+call) is block tridiagonal over these sectors: sector 0 in Hermitian
+coordinates, real, and each sector above it in the complex entries rho_ab
+with N_a > N_b, where L is complex-linear (rho_ba is their conjugate).
+It is factored by one block LU over runs of adjacent sectors, complex
+above sector 0; a few detunings are solved by one block LU each, many
+from the one block LU of a shift-invert pencil in closed form, and the
+LAPACK condition estimate of every pivot block flags a degenerate null
+space at once; then the residual, from the sparse L itself, and the state
+checks run at every detuning.
 Both solvers check their stack of states once, on its vec entries
 (_check_states: unit trace, no eigenvalue below -1e-8 by a Cholesky
 certificate per block, NaN failing) and name the failing time or drive
@@ -78,18 +81,23 @@ STEADY_RCOND_MIN = 1e-13
 # steady_states solves at most this many distinct drive detunings by one
 # block LU each, and more from the one block LU of a shift-invert pencil,
 # whose setup costs about as many per-point solves: on 2 cores the pencil
-# took 1.5-1.9 ms against 0.09-0.11 ms per point at N = 3 (crossover 16-21
-# points, as with the dense LU), and 0.65-0.79 s against 17-20 ms per point
-# at N = 5 (crossover 38-41, where the dense LU's was 23-28)
+# took 1.0-1.8 ms against 0.07-0.13 ms per point at N = 3 (crossover 14-16
+# points), and 0.49-0.55 s against 8.4-10.4 ms per point at N = 5
+# (crossover 50-58; 38-41 with every sector in real form, and 23-28 with
+# the dense LU)
 POINTWISE_MAX = 24
 
-# steady_states factors its bordered generator by pivot blocks: runs of
-# adjacent sectors |N_a - N_b|, each closed, from the top sector down, once
-# it holds this many coordinates.  On 2 cores one block per sector took
-# 0.08-0.12 ms per point at N = 2 and 3 against 0.02-0.07 ms as one block,
-# where a LAPACK call costs more than its flops; at N = 4 and 5 merging the
-# small top sectors cost nothing (0.9 and 18 ms per point), and the dense
-# LU took 1.3 and 34 ms.
+# steady_states factors its bordered generator by pivot blocks: sector 0,
+# and runs of adjacent sectors |N_a - N_b| above it, each closed, from the
+# top sector down, once it holds this many real coordinates (a complex
+# unknown counts two).  On 2 cores one block per sector took 0.08-0.12 ms
+# per point at N = 2 and 3 against 0.02-0.07 ms as one block, where a
+# LAPACK call costs more than its flops; at N = 4 and 5 merging the small
+# top sectors cost nothing.  Only the run that reaches sector 1 can stay
+# below it (at N <= 3), and such a block is applied through its inverse
+# (getri): OpenBLAS threads every getrs on several columns, and there its
+# 22 x 20 coupling solve sat 6-8 ms per call on 2 cores in some processes,
+# where getri and one gemm take 0.02 ms on one core.
 PIVOT_MIN = 64
 
 # A Hermitian block B whose B + CERTIFICATE_SHIFT I has a finite Cholesky
@@ -105,8 +113,8 @@ class DegenerateSteadyStateError(RuntimeError):
     """The Liouvillian null space is not one-dimensional.
 
     Detected by :func:`steady_states` as a pivot block of the block LU of
-    the trace-bordered Liouvillian, real in Hermitian coordinates, that
-    LAPACK finds singular or whose reciprocal condition number (dgecon on
+    the trace-bordered Liouvillian (real in sector 0, complex above) that
+    LAPACK finds singular or whose reciprocal condition number (gecon on
     its LU factors) is below STEADY_RCOND_MIN; as a shift-invert pencil
     singular at a detuning; or as a solution with a large residual.  The
     message names the drive detuning (MHz) of the sweep point that failed,
@@ -353,7 +361,8 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
         L = K (x) 1 + 1 (x) K^* + sum_k 2 pi gamma_k L_k (x) L_k^*,
 
     summed from _kron_entries by the CSR conversion.  Output is angular
-    (rad/us).  No solver uses it; it serves checks from outside.
+    (rad/us).  steady_states reads its entries into the blocks of its LU
+    and checks every state's residual against it.
     """
     d = model.dimension
     rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d))
@@ -773,132 +782,204 @@ def _detuning_rotation(generator: np.ndarray, reached: np.ndarray, d: int):
     return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
 
 
+def _real_view(z: np.ndarray) -> np.ndarray:
+    """A Fortran-ordered (n, m) complex array as (2n, m) reals, Re and Im of each row in turn; no copy."""
+    return z.T.view(np.float64).T
+
+
+def _complex_view(u: np.ndarray) -> np.ndarray:
+    """The (n, m) complex array whose _real_view is the (2n, m) real u, Fortran-ordered."""
+    return np.asfortranarray(u).T.view(np.complex128).T
+
+
 class _BorderedGenerator:
-    """The trace-bordered generator M(delta) = B + delta R of one model, its block LU and checks.
+    """The trace-bordered steady-state system M(delta) u = e_0 of one model, its block LU and checks.
 
     delta (MHz) lowers every qubit detuning of the model, which changes
-    only the diagonal of the Liouvillian (_detuning_generator).  In the
-    real Hermitian coordinates x = U vec(rho), A = U L0 U^dagger
-    (_real_generator on all d^2) and R = K_r = U K U^dagger, which only
-    couples the two coordinates of each coherence whose excitation numbers
-    differ (the set P, _detuning_rotation).  B is A with row 0 (d
-    rho_00/dt, dependent on the other population rows as L preserves
-    trace) replaced by the trace row sum_a x_aa; R has no entry there.
-    The steady state at delta solves M(delta) x = e_0.
-
-    Every term of L but the coherent drive conserves N_a - N_b on rho_ab,
-    and the drive moves it by one, so M(delta) is block tridiagonal over
-    the sectors s = |N_a - N_b| of the coordinates (the two coordinates of
-    a coherence, and the trace row, each lie in one sector; a model with
-    no basis is one sector).  ValueError names an entry that couples
-    sectors more than one apart.  The pivot blocks are runs of adjacent
-    sectors, each closed, from the top sector down, once it holds
-    PIVOT_MIN coordinates, so M(delta) is block tridiagonal over them too
-    and small sectors share one LAPACK call.  On the coordinates stably
-    sorted by block (self._members), the blocks M[k, k - 1], M[k, k] and
-    M[k, k + 1] are adjacent column ranges of one dense band per block;
-    each entry of B and of R has its place in the bands.  The entries,
-    those places, the 1-norm terms, the state layout of the checks and
-    the LAPACK and BLAS handles are prepared once per steady_states call.
-    The solve runs in the bands; everything else, x included, is on the
-    coordinates in row-major order.
+    only the diagonal of the Liouvillian: L(delta) = L0 + delta K, K[a*d +
+    b] = i 2 pi (N_a - N_b) (_detuning_generator).  Every term of L but
+    the coherent drive conserves N_a - N_b on rho_ab, and the drive moves
+    it by one, so L couples each sector s = |N_a - N_b| of its entries to
+    its neighbours alone (a model with no basis is sector 0); ValueError
+    names an entry that couples sectors more than one apart.  A row with
+    N_a < N_b is the conjugate of a row above sector 0, so the unknowns u
+    are:
+    - in sector 0 (populations, and coherences of equal N), the real
+      Hermitian coordinates x0 = U0 vec(rho) (_coordinate_weights), with
+      the rows of U0 L, row 0 (d rho_00/dt, dependent on the other
+      population rows as L preserves trace) replaced by the trace row
+      sum_a x_aa; a sector-1 entry rho_c enters them with its conjugate,
+      as 2 Re((U0 L)[:, c] rho_c);
+    - in each sector s >= 1, the complex entries z = rho_ab with N_a - N_b
+      = s, with the rows of L, sector-0 columns taken through U0^dagger,
+      and i 2 pi s delta on the diagonal: there M(delta) is
+      complex-linear, so its blocks have half the order of a real form.
+    The pivot blocks are sector 0 alone, then runs of adjacent sectors,
+    each closed, from the top sector down, once it holds PIVOT_MIN real
+    coordinates (a complex unknown counts two), so M(delta) is block
+    tridiagonal over them.  Block k's rows over the columns of blocks k - 1
+    to k + 1 are one dense Fortran band: real for sector 0, where block 1
+    enters by its real view (_real_view), and complex above.  The complex
+    CSR of L0 (assemble_liouvillian), which the residual check multiplies,
+    the places of its entries and of delta K in the bands, the 1-norm
+    terms, the state layout and the LAPACK and BLAS handles are prepared
+    once per steady_states call.  A solution u is real: x0, then the real
+    views of the blocks above in order (self._real_at).
     """
 
     def __init__(self, model: LindbladModel):
         d = self._dimension = model.dimension
         n = d * d
-        coordinates = np.arange(n)
-        generator = np.zeros(n)
+        generator = np.zeros(n, dtype=complex)
         if model.basis is not None:  # the drive frame: every qubit at unit weight
             generator = _detuning_generator(model.basis, np.ones(model.basis.n_qubits))
-        sector = np.rint(np.abs(generator.imag) / TWO_PI).astype(int)  # |N_a - N_b|
-        self._weights = _coordinate_weights(coordinates, d)
-        self._layout = _state_layout(coordinates, d)
-        flat, values = _real_generator(*_kron_terms(model), coordinates, self._weights)
-        indptr = np.searchsorted(flat, np.arange(n + 1) * n)  # the entries are in CSR order
-        self._real_generator = sparse.csr_matrix((values, flat % n, indptr), shape=(n, n))
-        rows, cols, self._rotation = _detuning_rotation(generator, coordinates, d)
-        self._rotation_rows, self._rotation_cols = rows, cols
-        at = rows * n + cols  # A's entries there, zero where A has none
-        k = np.searchsorted(flat, at)
-        self._rotation_base = np.where(np.append(flat, -1)[k] == at, np.append(values, 0.0)[k], 0.0)
-        body = indptr[1]
-        # B: the trace row (0, aa), then rows 1.. of A
-        b_rows = np.concatenate([np.zeros(d, dtype=int), flat[body:] // n])
-        b_cols = np.concatenate([coordinates[:: d + 1], flat[body:] % n])
-        self._fill = np.concatenate([np.ones(d), values[body:]])
-        # the 1-norm of M(delta): column sums of |B|, each column of P moved
-        # by its one entry of delta R, at (ab, ba) beside B's entry there
-        self._column_sums = np.bincount(b_cols, np.abs(self._fill), n)
-        far = np.flatnonzero(np.abs(sector[b_rows] - sector[b_cols]) > 1)
+        signed = np.rint(generator.imag / TWO_PI).astype(int)  # N_a - N_b
+        sector = np.abs(signed)
+        self._liouvillian = liouvillian = assemble_liouvillian(model)
+        rows = np.repeat(np.arange(n), np.diff(liouvillian.indptr))
+        cols, values = liouvillian.indices, liouvillian.data
+        far = np.flatnonzero(np.abs(sector[rows] - sector[cols]) > 1)
         if far.size:
             k = far[0]
             raise ValueError(
-                f"bordered generator entry ({b_rows[k]}, {b_cols[k]}) couples sectors "
-                f"{sector[b_rows[k]]} and {sector[b_cols[k]]} of |N_a - N_b|, more than one apart"
+                f"bordered generator entry ({rows[k]}, {cols[k]}) couples sectors "
+                f"{sector[rows[k]]} and {sector[cols[k]]} of |N_a - N_b|, more than one apart"
             )
-        # each sector's pivot block, counted from the top sector down
+
+        # each sector's pivot block: sector 0 alone, then runs from the top sector down
         from_top, runs, filled = [], 0, 0
-        for count in np.bincount(sector)[::-1].tolist():
+        for count in np.bincount(sector)[:0:-1].tolist():
             from_top.append(runs)
             filled += count
             if filled >= PIVOT_MIN:
                 runs, filled = runs + 1, 0
-        self._sector_block = np.array([from_top[-1] - k for k in reversed(from_top)])
-        # the coordinates stably sorted by block, and each one's place among them
-        block = self._sector_block[sector]
-        order = np.argsort(block, kind="stable")
-        position = np.empty(n, dtype=int)
-        position[order] = coordinates
-        sizes = np.bincount(block).tolist()
+        top = runs if filled else runs - 1
+        self._sector_block = np.array([0] + [top + 1 - run for run in reversed(from_top)])
+        # the unknowns stably sorted by block, and each one's slot among them
+        block = np.where(signed >= 0, self._sector_block[np.maximum(signed, 0)], -1)
+        kept = np.flatnonzero(block >= 0)
+        order = kept[np.argsort(block[kept], kind="stable")]
+        sizes = np.bincount(block[kept]).tolist()
         start = [0, *itertools.accumulate(sizes)]
+        # a complex block below PIVOT_MIN real coordinates is inverted (PIVOT_MIN)
+        self._inverted = [k > 0 and 2 * size < PIVOT_MIN for k, size in enumerate(sizes)]
         self._members = [order[a:b] for a, b in zip(start, start[1:])]
-        # the band of block k: its rows over the columns of blocks k - 1 to
-        # k + 1, column-major; all bands end to end in one flat array
-        first = [start[max(k - 1, 0)] for k in range(len(sizes))]
-        width = [start[min(k + 2, len(sizes))] - first[k] for k in range(len(sizes))]
-        bands = [0, *itertools.accumulate(size * w for size, w in zip(sizes, width))]
-        self._size = bands[-1]
-        # per block: its band's slice and shape, and the columns of the block below
+        slot = np.full(n, -1)  # -1 below sector 0
+        slot[order] = np.arange(order.size)
+        n0 = sizes[0]
+        # where each block lies in a real solution: x0, then real views
+        self._real_at = [slice(0, n0)]
+        self._real_at += [slice(2 * start[k] - n0, 2 * start[k + 1] - n0) for k in range(1, len(sizes))]
+        self._coherences = order[n0:]
+        a, b = np.divmod(self._coherences, d)
+        self._conjugates = b * d + a
+        self._weights = alpha, beta, partner = _coordinate_weights(self._members[0], d)
+        self._layout = _state_layout(np.arange(n), d)
+        # the 1-norm of L(delta): the column sums of |L0|, delta K moving the
+        # diagonal entry of each coherence column; as L maps Hermitian
+        # matrices to Hermitian ones, the columns ab and ba have equal sums
+        column_sums = np.bincount(liouvillian.indices, np.abs(liouvillian.data), n)
+        self._diagonal = liouvillian.diagonal()[self._coherences]
+        self._off_diagonal = column_sums[self._coherences] - np.abs(self._diagonal)
+        self._still = column_sums[self._members[0]].max()
+
+        # the entries on the rows of the unknowns, a column below sector 0 dropped
+        keep = (signed[rows] >= 0) & (signed[cols] >= 0)
+        rows, cols, values = slot[rows[keep]], slot[cols[keep]], values[keep]
+
+        def split(index, other, values, first, second):
+            """The entries at sector-0 slots of index split over their orbits.
+
+            An entry at slot i takes the weight first[i] there and
+            second[partner_i] at partner_i; a diagonal orbit is one slot.
+            """
+            inside = np.flatnonzero(index < n0)
+            inside = inside[partner[index[inside]] != index[inside]]
+            to = partner[index[inside]]
+            values = np.concatenate([values, values[inside] * second[to]])
+            values[inside] *= first[index[inside]]
+            return np.append(index, to), np.append(other, other[inside]), values
+
+        # one flat complex array holds every band: block 0's real band as
+        # float64 pairs, then the band of each block k above over the
+        # columns of blocks k - 1 to k + 1, in complex units
+        last = len(sizes) - 1
+        width = [2 * start[min(2, last + 1)] - n0]
+        width += [start[min(k + 2, last + 1)] - start[k - 1] for k in range(1, last + 1)]
+        lengths = [(n0 * width[0] + 1) // 2] + [sizes[k] * width[k] for k in range(1, last + 1)]
+        ends = list(itertools.accumulate(lengths))
+        self._size = ends[-1]
         self._band_of = [
-            (slice(bands[k], bands[k + 1]), (sizes[k], width[k]), sizes[k - 1] if k else 0)
-            for k in range(len(sizes))
+            (slice(ends[k - 1], ends[k]), (sizes[k], width[k]), sizes[k - 1]) for k in range(1, last + 1)
         ]
-        # entry (i, j) sits at offset[i] + position[j] * sizes[block[i]] in the bands
-        base = [bands[k] - start[k] - first[k] * sizes[k] for k in range(len(sizes))]
-        offset = np.array(base)[block] + position
-        scale = np.array(sizes)[block]
-        self._fill_band_at = offset[b_rows] + position[b_cols] * scale[b_rows]
-        self._rotation_band_at = offset[rows] + position[cols] * scale[rows]
-        self._lapack = get_lapack_funcs(("getrf", "gecon", "getrs", "getri", "lange"), dtype=np.float64)
-        self._gemm = get_blas_funcs("gemm", dtype=np.float64)
+        # entry (row, col) of block k >= 1 sits at base[k] + row + col * sizes[k]
+        base = [0] + [ends[k - 1] - start[k] - start[k - 1] * sizes[k] for k in range(1, last + 1)]
+        base = np.array(base)
+        size = np.array(sizes)
+
+        # the columns of sector 0 through U0^dagger
+        cols, rows, values = split(cols, rows, values, alpha.conj(), beta.conj())
+        upper = rows >= n0
+        block_of = np.searchsorted(start, rows[upper], side="right") - 1
+        self._complex_entries = base[block_of] + rows[upper] + cols[upper] * size[block_of], values[upper]
+        # the diagonal of delta K, i 2 pi s on each complex unknown
+        self._shift = 1j * TWO_PI * signed[self._coherences]
+        block_of = np.repeat(np.arange(1, last + 1), sizes[1:])
+        self._shift_at = base[block_of] + np.arange(n0, order.size) * (1 + size[block_of])
+
+        # the rows of sector 0 through U0, real parts: a column of block 1
+        # enters at the two columns of its real view, as 2 Re and -2 Im
+        rows, cols, values = split(rows[~upper], cols[~upper], values[~upper], alpha, beta)
+        coherent = np.flatnonzero(cols >= n0)
+        values[coherent] *= 2.0
+        column = np.where(cols >= n0, 2 * cols - n0, cols)
+        rows = np.append(rows, rows[coherent])
+        column = np.append(column, column[coherent] + 1)
+        values = np.append(values.real, -values[coherent].imag)
+        # row 0 is the trace row, sum_a x_aa
+        body = rows > 0
+        diagonal = np.flatnonzero(self._members[0] % (d + 1) == 0)
+        at = np.append(diagonal * n0, rows[body] + column[body] * n0)
+        self._real_entries = at, np.append(np.ones(diagonal.size), values[body]), (n0, width[0])
+        names = ("getrf", "gecon", "getrs", "getri", "lange")
+        self._lapack = [get_lapack_funcs(names, dtype=dtype) for dtype in (np.float64, np.complex128)]
+        self._gemm = [get_blas_funcs("gemm", dtype=dtype) for dtype in (np.float64, np.complex128)]
 
     def norms(self, nodes: np.ndarray) -> np.ndarray:
-        """The 1-norm of M(delta) at each node."""
-        base = self._rotation_base[:, None]
-        moved = self._column_sums[self._rotation_cols, None] - np.abs(base)
-        moved = moved + np.abs(base + self._rotation[:, None] * nodes)
-        still = np.delete(self._column_sums, self._rotation_cols).max(initial=0.0)
-        return np.maximum(moved.max(axis=0, initial=0.0), still)
+        """The 1-norm of L(delta) at each node, the scale of its residual check."""
+        moved = self._diagonal.imag[:, None] + self._shift.imag[:, None] * nodes
+        moved = np.hypot(self._diagonal.real[:, None], moved, out=moved)
+        moved += self._off_diagonal[:, None]
+        return np.maximum(moved.max(axis=0, initial=0.0), self._still)
 
     def blocks(self, delta: float):
         """The pivot-block partition of M(delta): lists of M[k, k], M[k, k - 1] and M[k, k + 1] by block k.
 
-        Each block is a Fortran-order view into the band of its rows, over
-        the coordinates of its two pivot blocks (self._members, each
-        ascending); past the first or the last block the list holds None.
+        Each block is a Fortran-order view into the band of its rows, filled
+        afresh for each call, over the unknowns of its two pivot blocks
+        (self._members); M[0, 0] and M[0, 1] are real, M[0, 1] on the real
+        view of block 1, and the rest complex.  Past the first or the last
+        block the list holds None.
         """
-        bands = np.zeros(self._size)
-        bands[self._fill_band_at] = self._fill
+        # one allocation for all bands: at N = 5 one array per kind of band
+        # cost about 2,000 page faults per steady_states call on a 2-core
+        # host, as the freed bands went back to the system between calls
+        bands = np.zeros(self._size, dtype=complex)
+        at, weights, shape = self._real_entries
+        count = shape[0] * shape[1]
+        band0 = bands[: (count + 1) // 2].view(np.float64)[:count]
+        np.add.at(band0, at, weights)
+        band0 = band0.reshape(shape, order="F")
+        np.add.at(bands, *self._complex_entries)
         if delta:
-            bands[self._rotation_band_at] += delta * self._rotation
-        last = len(self._band_of) - 1
-        diagonal, lower, upper = [], [], []
-        for k, (at, (size, width), below) in enumerate(self._band_of):
+            bands[self._shift_at] += delta * self._shift
+        n0 = shape[0]
+        diagonal, lower, upper = [band0[:, :n0]], [None], [band0[:, n0:] if self._band_of else None]
+        for k, (at, (size, width), below) in enumerate(self._band_of, start=1):
             band = bands[at].reshape((size, width), order="F")
-            lower.append(band[:, :below] if k else None)
+            lower.append(band[:, :below])
             diagonal.append(band[:, below : below + size])
-            upper.append(band[:, below + size :] if k < last else None)
+            upper.append(band[:, below + size :] if k < len(self._band_of) else None)
         return diagonal, lower, upper
 
     def _factor(self, delta: float):
@@ -911,17 +992,19 @@ class _BorderedGenerator:
         D_k.  The elimination does not pivot across blocks, so a D_k above
         sector 0 can also be singular with M(delta) regular: a coherence
         between two states that decay only through the drive would be
-        reported as degenerate.  Each D_k is factored in place (getrf), G_k
-        is one getrs and the update one gemm.
-        DegenerateSteadyStateError names the sectors of D_k and delta when
-        getrf finds D_k singular or its reciprocal 1-norm condition number
-        (gecon) is below STEADY_RCOND_MIN (e.g. a dark subspace with no
-        decay path).  Returns the (LU, pivots) of each D_k, the G_k and the
-        M[k, k + 1], by block.
+        reported as degenerate.  Each D_k is factored in place (zgetrf above
+        sector 0, dgetrf there), G_k is one getrs, or one gemm by the
+        inverse of a block below PIVOT_MIN, and the update one gemm:
+        complex above, and for sector 0 one real product of M[0, 1] with
+        the real view of G_1.  DegenerateSteadyStateError names the sectors
+        of D_k and delta when getrf finds D_k singular or its reciprocal
+        1-norm condition number (gecon) is below STEADY_RCOND_MIN (e.g. a
+        dark subspace with no decay path).  Returns the (LU, pivots), or
+        the inverse, of each D_k, the G_k and the M[k, k + 1], by block.
         """
-        getrf, gecon, getrs, _, lange = self._lapack
         pivots, couplings, upper = self.blocks(delta)
         for k in reversed(range(len(pivots))):
+            getrf, gecon, getrs, getri, lange = self._lapack[k > 0]
             anorm = lange("1", pivots[k])
             lu, piv, info = getrf(pivots[k], overwrite_a=True)
             rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
@@ -933,76 +1016,100 @@ class _BorderedGenerator:
                     f"{sectors} of the trace-bordered matrix, below {STEADY_RCOND_MIN:.0e}) "
                     f"at drive detuning {delta:g} MHz"
                 )
-            pivots[k] = lu, piv
+            if self._inverted[k]:
+                pivots[k] = getri(lu, piv, overwrite_lu=True)[0]
+                couplings[k] = self._gemm[1](1.0, pivots[k], couplings[k])
+            else:
+                pivots[k] = lu, piv
+                if k:
+                    couplings[k], _ = getrs(lu, piv, couplings[k], overwrite_b=True)
             if k:
-                couplings[k], _ = getrs(lu, piv, couplings[k], overwrite_b=True)
-                pivots[k - 1] = self._gemm(
-                    -1.0, upper[k - 1], couplings[k], 1.0, pivots[k - 1], overwrite_c=True
+                below = couplings[k] if k > 1 else _real_view(couplings[k])
+                pivots[k - 1] = self._gemm[k > 1](
+                    -1.0, upper[k - 1], below, 1.0, pivots[k - 1], overwrite_c=True
                 )
         return pivots, couplings, upper
 
     def solve(self, factors, rhs: np.ndarray) -> np.ndarray:
-        """x with M(delta) x = rhs, from the block LU of M(delta) (_factor); rhs is (d^2, m).
+        """u with M(delta) u = rhs, from the block LU of M(delta) (_factor); rhs and u are real (d^2, m).
 
         z_K = D_K^-1 rhs_K and, down to k = 0, z_k = D_k^-1 (rhs_k - M[k, k
-        + 1] z_{k+1}); then x_0 = z_0 and, up from k = 1, x_k = z_k - G_k
-        x_{k-1}.  Each D_k^-1 is applied by getrs on its LU, or by gemm when
-        the factors hold its inverse (pencil).
+        + 1] z_{k+1}); then u_0 = z_0 and, up from k = 1, u_k = z_k - G_k
+        u_{k-1}.  Each D_k^-1 is applied by getrs on its LU, or by gemm when
+        the factors hold its inverse (pencil).  Above sector 0 each part is
+        complex, and M[0, 1] and G_1 act through the real views of block 1.
         """
         pivots, couplings, upper = factors
-        getrs, gemm = self._lapack[2], self._gemm
-        parts = [rhs[members] for members in self._members]
+        parts = [rhs[at] for at in self._real_at]
+        parts[1:] = [_complex_view(part) for part in parts[1:]]
         for k in reversed(range(len(parts))):
             pivot = pivots[k]
-            parts[k] = getrs(*pivot, parts[k])[0] if isinstance(pivot, tuple) else gemm(1.0, pivot, parts[k])
+            if isinstance(pivot, tuple):
+                parts[k] = self._lapack[k > 0][2](*pivot, parts[k])[0]
+            else:
+                parts[k] = self._gemm[k > 0](1.0, pivot, parts[k])
             if k:
-                parts[k - 1] = gemm(-1.0, upper[k - 1], parts[k], 1.0, parts[k - 1])
+                above = parts[k] if k > 1 else _real_view(parts[k])
+                parts[k - 1] = self._gemm[k > 1](-1.0, upper[k - 1], above, 1.0, parts[k - 1])
         for k in range(1, len(parts)):
-            parts[k] = gemm(-1.0, couplings[k], parts[k - 1], 1.0, parts[k], overwrite_c=True)
-        x = np.empty(rhs.shape)
-        for members, part in zip(self._members, parts):
-            x[members] = part
-        return x
+            if k == 1:
+                moved = self._gemm[0](
+                    -1.0, _real_view(couplings[1]), parts[0], 1.0, _real_view(parts[1]), overwrite_c=True
+                )
+                parts[1] = _complex_view(moved)
+            else:
+                parts[k] = self._gemm[1](-1.0, couplings[k], parts[k - 1], 1.0, parts[k], overwrite_c=True)
+        u = np.empty(rhs.shape)
+        for at, part in zip(self._real_at, parts):
+            u[at] = part if part.dtype == np.float64 else _real_view(part)
+        return u
 
     def pointwise(self, nodes: np.ndarray) -> np.ndarray:
-        """The real solutions x, one column per node, by one block LU of M(delta) each."""
+        """The real solutions u, one column per node, by one block LU of M(delta) each."""
         rhs = np.zeros((self._dimension**2, 1))
         rhs[0] = 1.0
-        x = np.empty((rhs.size, nodes.size))
+        u = np.empty((rhs.size, nodes.size))
         for k, delta in enumerate(nodes):
-            x[:, k] = self.solve(self._factor(delta), rhs)[:, 0]
-        return x
+            u[:, k] = self.solve(self._factor(delta), rhs)[:, 0]
+        return u
 
     def pencil(self, nodes: np.ndarray) -> np.ndarray:
-        """The real solutions x, one column per node, from the one block LU of M(delta_0).
+        """The real solutions u, one column per node, from the one block LU of M(delta_0).
 
         delta_0 is the node nearest the mean of the nodes.  With s = delta -
-        delta_0, M(delta) = M(delta_0) + s R, and R is R_PP on P alone.  One
-        solve on the columns [e_0, E_P] gives x_0 = M(delta_0)^-1 e_0 and W =
-        M(delta_0)^-1 E_P; C = R_PP W_P = V Lambda V^-1 is decomposed once,
-        and by Woodbury x = x_0 - s W V (1 + s Lambda)^-1 V^-1 R_PP x_0,P,
-        real (W is): the pole-residue form of the transfer function
-        (Antoulas, Approximation of Large-Scale Dynamical Systems, SIAM
-        2005).  DegenerateSteadyStateError names delta_0 by the rcond of a
-        pivot block, and a node where some |1 + s lambda| is below
-        STEADY_RCOND_MIN, where M(delta) is singular.  Every product and
-        factorization runs on scipy's LAPACK and BLAS, as numpy's own
-        OpenBLAS between them waits on the other pool's spinning threads.
-        The solve multiplies by each pivot block's inverse (getri), not a
-        getrs on the columns [e_0, E_P]: at d^2 = 4 and 16 that getrs sat
-        about 8 ms in OpenBLAS's threads, and at d^2 = 64 and 256 5-8 ms,
-        where getri takes 0.002-0.9 ms on 2 cores.
+        delta_0, M(delta) = M(delta_0) + s R, and R is real on the real
+        views P of the complex unknowns alone: it turns each (Re z, Im z) at
+        rate 2 pi |N_a - N_b|.  One solve on the columns [e_0, E_P] gives
+        u_0 = M(delta_0)^-1 e_0 and W = M(delta_0)^-1 E_P; C = R_PP W_P = V
+        Lambda V^-1 is decomposed once, and by Woodbury u = u_0 - s W V (1 +
+        s Lambda)^-1 V^-1 R_PP u_0,P, real (W is): the pole-residue form of
+        the transfer function (Antoulas, Approximation of Large-Scale
+        Dynamical Systems, SIAM 2005).  DegenerateSteadyStateError names
+        delta_0 by the rcond of a pivot block, and a node where some |1 + s
+        lambda| is below STEADY_RCOND_MIN, where M(delta) is singular.
+        Every product and factorization runs on scipy's LAPACK and BLAS, as
+        numpy's own OpenBLAS between them waits on the other pool's spinning
+        threads.  The solve multiplies by each pivot block's inverse
+        (getri), not a getrs on the columns [e_0, E_P]: at d^2 = 4 and 16
+        that getrs sat about 8 ms in OpenBLAS's threads, and at d^2 = 64 and
+        256 5-8 ms, where getri takes 0.002-0.9 ms on 2 cores.
         """
         center = int(np.argmin(np.abs(nodes - nodes.mean())))
-        rows, cols, rotation = self._rotation_rows, self._rotation_cols, self._rotation
+        n0 = self._real_at[0].stop
+        rows = np.arange(n0, self._dimension**2)
+        cols = rows.reshape(-1, 2)[:, ::-1].reshape(-1)  # Re z and Im z of one unknown swapped
+        rotation = np.repeat(self._shift.imag, 2)
+        rotation[::2] *= -1.0  # d(Re z, Im z) = w (-Im z, Re z)
         pivots, couplings, upper = self._factor(nodes[center])
-        getri = self._lapack[3]
-        pivots = [getri(lu, piv, overwrite_lu=True)[0] for lu, piv in pivots]
+        pivots = [
+            self._lapack[k > 0][3](*pivot, overwrite_lu=True)[0] if isinstance(pivot, tuple) else pivot
+            for k, pivot in enumerate(pivots)
+        ]
         rhs = np.zeros((self._dimension**2, 1 + rows.size))
         rhs[0, 0] = 1.0
         rhs[rows, np.arange(1, rhs.shape[1])] = 1.0
         columns = self.solve((pivots, couplings, upper), rhs)
-        x0, w = columns[:, 0], columns[:, 1:]
+        u0, w = columns[:, 0], columns[:, 1:]
         values, vectors = eig(rotation[:, None] * w[cols], overwrite_a=True, check_finite=False)
         s = nodes - nodes[center]
         denominators = 1.0 + np.multiply.outer(values, s)
@@ -1014,44 +1121,46 @@ class _BorderedGenerator:
                 f"Liouvillian null space is degenerate (|1 + s lambda| {floor[k]:.3e} in the "
                 f"shift-invert pencil, below {STEADY_RCOND_MIN:.0e}) at drive detuning {nodes[k]:g} MHz"
             )
-        weights = solve(vectors, rotation * x0[cols], check_finite=False)  # V^-1 R_PP x_0,P
+        weights = solve(vectors, rotation * u0[cols], check_finite=False)  # V^-1 R_PP u_0,P
         residues = weights[:, None] * (s / denominators)
         # Re(V residues) and W times it in real products: a threaded zgemm
         # sat 4-16 ms at p = 44 where two dgemm take 0.04 ms
-        gemm = self._gemm
+        gemm = self._gemm[0]
         coefficients = gemm(1.0, vectors.real, residues.real)
         coefficients = gemm(-1.0, vectors.imag, residues.imag, 1.0, coefficients, overwrite_c=True)
-        return x0[:, None] - gemm(1.0, w, coefficients)
+        return u0[:, None] - gemm(1.0, w, coefficients)
 
-    def checked(self, nodes: np.ndarray, x: np.ndarray, anorms: np.ndarray) -> np.ndarray:
-        """The states of the solutions x at the nodes, checked: their (nodes, d^2) vecs.
+    def checked(self, nodes: np.ndarray, u: np.ndarray, anorms: np.ndarray) -> np.ndarray:
+        """The states of the solutions u at the nodes, checked: their (nodes, d^2) vecs.
 
-        y = M(delta) x - e_0 = U L vec(rho) in every row but the trace row,
-        from one sparse product of A; max |U^dagger y| = max |L vec(rho)|
-        above 1e-10 of the node's 1-norm raises DegenerateSteadyStateError.
-        Then the states, U^dagger x (exactly Hermitian), must have unit trace
+        Each vec is U0^dagger x0 on sector 0, z above it and conj(z) at the
+        transposed entries, so exactly Hermitian.  Its residual, max |L(delta)
+        vec(rho)| from one sparse product of L0 and the diagonal delta K,
+        above 1e-10 of the node's 1-norm (norms) raises
+        DegenerateSteadyStateError.  Then the states must have unit trace
         within 1e-9 and no eigenvalue below -1e-8 (_check_states,
-        ValueError).  Each check names the first node that fails it, and the
-        residual check runs over all nodes first.
+        ValueError).  Each check names the first node that fails it, and
+        the residual check runs over all nodes first.
         """
-        y = self._real_generator @ x
-        shift = x[self._rotation_cols] * self._rotation[:, None]
-        shift *= nodes
-        y[self._rotation_rows] += shift
-        del shift
-        # |L vec(rho)| entry by entry, the moduli of U^dagger y, in real
-        # arithmetic: sqrt((y_ab^2 + y_ba^2) / 2) on a coherence pair, and
-        # |y_aa| on a population, which is its own partner
-        y *= y
-        residuals = np.sqrt(0.5 * (y + y[self._weights[2]]).max(axis=0))
-        del y
+        n0 = self._real_at[0].stop
+        vecs = np.empty((self._dimension**2, u.shape[1]), dtype=complex)  # one column per node
+        vecs[self._members[0]] = _hermitian_vec(u[:n0].T, self._weights).T
+        coherences = _complex_view(u[n0:])
+        vecs[self._coherences] = coherences
+        vecs[self._conjugates] = coherences.conj()
+        y = self._liouvillian @ vecs
+        shift = coherences * (self._shift[:, None] * nodes)
+        y[self._coherences] += shift
+        y[self._conjugates] += shift.conj()
+        residuals = np.abs(y).max(axis=0)
+        del y, shift
+        vecs = vecs.T
         bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
         if bad.size:
             k = bad[0]
             raise DegenerateSteadyStateError(
                 f"steady-state residual {residuals[k]:.3e} too large at drive detuning {nodes[k]:g} MHz"
             )
-        vecs = _hermitian_vec(x.T, self._weights)
         _check_states(vecs, self._layout, nodes, "drive detuning {:g} MHz")
         return vecs
 
@@ -1063,9 +1172,12 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     A non-finite detuning is rejected before any solve (ValueError naming
     it), and so is a nonzero one on a model with no qubit basis.  The
     bordered matrix is block tridiagonal over the sectors |N_a - N_b| of
-    its coordinates; each factorization is one real block LU over runs of
-    adjacent sectors on scipy's LAPACK (_BorderedGenerator), and an entry
-    that couples sectors more than one apart raises ValueError naming it.
+    its entries: sector 0 in real Hermitian coordinates, and above it the
+    complex rho_ab with N_a > N_b, whose conjugates rho_ba are no unknowns;
+    each factorization is one block LU over runs of adjacent sectors on
+    scipy's LAPACK, real for sector 0 and complex above
+    (_BorderedGenerator), and an entry that couples sectors more than one
+    apart raises ValueError naming it.
     The states are solved at the sorted distinct detunings, the nodes:
     - at most POINTWISE_MAX nodes: one block LU per node
       (_BorderedGenerator.pointwise), so a state does not depend on the

@@ -45,6 +45,7 @@ __all__ = [
     "simulate_ramsey_dark",
     "simulate_two_excitation",
     "linear_cavity_model",
+    "check_compound_mirrors",
     "simulate_compound_mirrors",
     "fit_exponential",
     "fit_damped_sinusoid",
@@ -355,6 +356,12 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     return model, ops
 
 
+def check_compound_mirrors(spec: core.SystemSpec) -> None:
+    """ValueError unless the spec's mirrors are four directly coupled qubits, two compound pairs."""
+    if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
+        raise ValueError("compound-mirror spec needs four directly coupled mirrors")
+
+
 def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     """Probe Rabi traces against each dark state of compound mirror pairs.
 
@@ -365,8 +372,7 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     the taus grid (ns).
     """
     probe = _require_probe(spec)
-    if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
-        raise ValueError("compound-mirror spec needs four directly coupled mirrors")
+    check_compound_mirrors(spec)
     mirrors = list(spec.mirror_indices)
     block = core.build_effective_hamiltonian(spec)[np.ix_(mirrors, mirrors)]
     values, vectors = np.linalg.eig(block)

@@ -1267,9 +1267,10 @@ class TestHermitianCoordinates:
         assert np.array_equal(cols, b * d + a) and not np.any(a == b)
 
     def test_five_qubit_solve_peak_memory(self):
-        # the pivot-block bands of one point hold 777,088 entries (5.9 MiB),
-        # a real dense 1024 x 1024 matrix 8 MiB: a dense copy of M(delta), a
-        # complex one, or the bands kept from the previous point exceeds 12 MiB
+        # the pivot-block bands of one point take 4.0 MiB (real for sector 0,
+        # complex above), a real dense 1024 x 1024 matrix 8 MiB: a dense copy
+        # of M(delta), a complex one, or a real form of the complex blocks
+        # beside the bands exceeds 12 MiB
         rng = np.random.default_rng(32)
         model = build_model(random_spec(rng, 5, n_th=0.05), drives=random_drives(rng, 5))
         tracemalloc.start()
@@ -1286,50 +1287,68 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_block_solve_matches_the_dense_oracle(self, n):
-        # thermal, with a direct coupling and random drives: no entry of the
-        # oracle's bordered generator couples sectors more than one apart,
-        # the drive couples neighbours, and the state is the dense solve's
+        # thermal, strongly driven on every qubit, with a direct coupling and
+        # a correlated dephasing pair: no entry of the oracle's bordered
+        # generator couples sectors more than one apart, the drive couples
+        # neighbours, and every state is the dense solve's within 1e-12,
+        # point by point and, up to three qubits, from the pencil
         rng = np.random.default_rng(90 + n)
         spec = random_spec(rng, n, n_th=rng.uniform(0.01, 0.2))
-        model = build_model(spec, drives=random_drives(rng, n))
+        drives = tuple((j, complex(rng.uniform(2, 8), rng.uniform(-2, 2))) for j in range(n))
+        model = build_model(spec, drives=drives)
         d = model.dimension
         excitations = np.array([bin(k).count("1") for k in range(d)])
         sector = np.abs(np.subtract.outer(excitations, excitations)).reshape(-1)
         generator = reach_oracle.real_generator(model).tocoo()
         apart = np.abs(sector[generator.row] - sector[generator.col])
         assert apart.max() == 1  # the trace row (0, aa) lies in sector 0
-        rho = steady_states(model, [0.0])[0]
+        grids = [np.concatenate([[0.0], rng.uniform(-20, 20, 2)])]
+        if n <= 3:
+            grids.append(rng.uniform(-20, 20, lindblad.POINTWISE_MAX + 6))
+        for grid in grids:
+            for delta, rho in zip(grid, steady_states(model, grid)):
+                assert np.max(np.abs(rho - dense_steady_state(shifted_model(spec, drives, delta)))) < 1e-12
+
+    def test_model_without_a_basis_is_sector_zero(self):
+        # every coordinate lies in sector 0: one real pivot block, no complex one
+        rng = np.random.default_rng(96)
+        ham = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        jumps = tuple((rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), rate) for rate in (0.4, 1.1))
+        model = LindbladModel(ham + ham.conj().T, jumps)
+        system = lindblad._BorderedGenerator(model)
+        assert [members.size for members in system._members] == [9]
+        (rho,) = steady_states(model, [0.0])
         assert np.max(np.abs(rho - dense_steady_state(model))) < 1e-12
 
     def test_entry_two_sectors_apart_is_named(self, monkeypatch):
         # |11><11| (coordinate 15, sector 0) fed from |00><11| (3, sector 2)
-        real_generator = lindblad._real_generator
+        kron_entries = lindblad._kron_entries
 
-        def with_far_entry(left, right, reached, weights):
-            flat, values = real_generator(left, right, reached, weights)
-            row, col = (np.flatnonzero(reached == c)[0] for c in (15, 3))
-            at = row * reached.size + col
-            assert at not in flat
-            k = np.searchsorted(flat, at)
-            return np.insert(flat, k, at), np.insert(values, k, 1.0)
+        def with_far_entry(left, right, reached):
+            rows, cols, values = kron_entries(left, right, reached)
+            assert not np.any((rows == 15) & (cols == 3))
+            return np.append(rows, 15), np.append(cols, 3), np.append(values, 1.0)
 
-        monkeypatch.setattr(lindblad, "_real_generator", with_far_entry)
+        monkeypatch.setattr(lindblad, "_kron_entries", with_far_entry)
         model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
         message = r"^bordered generator entry \(15, 3\) couples sectors 0 and 2 of \|N_a - N_b\|, more than one apart$"
         with pytest.raises(ValueError, match=message):
             steady_states(model, [2.5])
 
     def test_pivot_blocks_at_four_qubits(self):
-        # sectors of 70, 112, 56, 16 and 2 coordinates: the top three share a pivot block
+        # sectors of 70, 112, 56, 16 and 2 real coordinates: the top three
+        # share a pivot block; above sector 0 a complex unknown counts two
         rng = np.random.default_rng(94)
         model = build_model(random_spec(rng, 4, n_th=0.05), drives=random_drives(rng, 4))
         system = lindblad._BorderedGenerator(model)
-        assert [members.size for members in system._members] == [70, 112, 74]
+        assert [members.size for members in system._members] == [70, 56, 37]
+        assert [members.size * (2 if k else 1) for k, members in enumerate(system._members)] == [70, 112, 74]
         assert system._sector_block.tolist() == [0, 1, 2, 2, 2]
 
     def test_singular_pivot_block_names_the_detuning(self, monkeypatch):
-        # the pivot block of sector 1 at four qubits (112 coordinates) reads an
-        # rcond below the floor; it is factored before sector 0's
+        # the pivot block of sector 1 at four qubits (56 complex unknowns, 112
+        # real coordinates) reads an rcond below the floor; it is factored
+        # before sector 0's
         get_lapack_funcs = lindblad.get_lapack_funcs
 
         def ill_conditioned(names, dtype):
@@ -1337,7 +1356,7 @@ class TestSectorBlocks:
 
             def gecon_low(lu, anorm):
                 rcond, info = gecon(lu, anorm)
-                return (1e-14 if lu.shape == (112, 112) else rcond), info
+                return (1e-14 if lu.shape == (56, 56) else rcond), info
 
             return getrf, gecon_low, getrs, getri, lange
 
@@ -1376,9 +1395,10 @@ class TestRealGenerator:
     @pytest.mark.parametrize("n_mirrors", [0, 2, 4])
     def test_bordered_matrix_matches_oracle(self, monkeypatch, n_mirrors):
         # the pivot blocks steady_states factors at d = 2, 8 and 32 for a
-        # thermal driven spec, put back at their coordinates: the oracle
-        # generator of the model with its qubits detuned by delta, row 0
-        # replaced by the trace row sum_a x_aa
+        # thermal driven spec, against the oracle Liouvillian of the model
+        # with its qubits detuned by delta: in sector 0 its real generator,
+        # row 0 replaced by the trace row sum_a x_aa, and above it the
+        # complex entries
         q = QubitParams("Q", 13.4, 0.0065, 0.21)
         if n_mirrors:
             spec = probe_cavity(n_mirrors, 0.03)
@@ -1390,31 +1410,47 @@ class TestRealGenerator:
         blocks = lindblad._BorderedGenerator.blocks
 
         def recording(self, delta):
-            # the pivot blocks put back at their coordinates, before the block LU overwrites them
-            diagonal, lower, upper = blocks(self, delta)
-            members = self._members
-            matrix = np.zeros((self._dimension**2,) * 2)
-            for k, rows in enumerate(members):
-                matrix[np.ix_(rows, rows)] = diagonal[k]
-                if k:
-                    matrix[np.ix_(rows, members[k - 1])] = lower[k]
-                if k + 1 < len(members):
-                    matrix[np.ix_(rows, members[k + 1])] = upper[k]
-            factored.append(matrix)
-            return diagonal, lower, upper
+            # copies of the pivot blocks, before the block LU overwrites them
+            parts = blocks(self, delta)
+            copies = [[None if block is None else block.copy() for block in part] for part in parts]
+            factored.append((self._members, copies))
+            return parts
 
         monkeypatch.setattr(lindblad._BorderedGenerator, "blocks", recording)
         steady_states(build_model(spec, drives=drives), grid)
         assert len(factored) == len(grid)
         d = 2**spec.n_qubits
-        for delta, matrix in zip(grid, factored):
-            reference = reach_oracle.real_generator(shifted_model(spec, drives, delta)).toarray()
-            reference[0] = 0.0
-            reference[0, np.arange(d) * (d + 1)] = 1.0
-            assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
+        unitary = reach_oracle.hermitian_unitary(d).toarray()
+        for delta, (members, (diagonal, lower, upper)) in zip(grid, factored):
+            model = shifted_model(spec, drives, delta)
+            liouvillian = dense_liouvillian(model)
+            zero = members[0]
+            # sector 0: U L U^dagger, row 0 replaced by the trace row; a
+            # sector-1 column c of U L enters as 2 Re and -2 Im of rho_c
+            real = reach_oracle.real_generator(model).toarray()[np.ix_(zero, zero)]
+            real[0] = 0.0
+            real[0, np.flatnonzero(zero % (d + 1) == 0)] = 1.0
+            coupling = (unitary @ liouvillian)[np.ix_(zero, members[1])]
+            coupling[0] = 0.0
+            expected = {
+                (0, 0): real,
+                (0, 1): np.stack([2 * coupling.real, -2 * coupling.imag], axis=2).reshape(zero.size, -1),
+                (1, 0): liouvillian[np.ix_(members[1], zero)] @ unitary.conj().T[np.ix_(zero, zero)],
+            }
+            # above sector 0: the complex entries of L between rho_ab with N_a > N_b
+            for k in range(1, len(members)):
+                for j in range(max(k - 1, 1), min(k + 2, len(members))):
+                    expected[k, j] = liouvillian[np.ix_(members[k], members[j])]
+            found = {(k, k): block for k, block in enumerate(diagonal)}
+            found.update({(k, k - 1): block for k, block in enumerate(lower) if k})
+            found.update({(k, k + 1): block for k, block in enumerate(upper) if k + 1 < len(upper)})
+            assert found.keys() == expected.keys()
+            scale = np.max(np.abs(liouvillian))
+            for key, block in found.items():
+                assert np.max(np.abs(block - expected[key])) <= 1e-13 * scale, key
 
     def test_one_point_peak_memory(self):
-        # one d = 32 point: the 5.9 MiB of pivot-block bands and the entries;
+        # one d = 32 point: the 4.0 MiB of pivot-block bands and the entries;
         # summing the entries into d^4 bins, or a dense copy of the bordered
         # matrix (8 MiB) beside the bands, exceeds 12 MiB
         model = build_model(probe_cavity(4, 0.03), drives=((2, 3.0), (0, 1.0)))

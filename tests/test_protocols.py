@@ -881,6 +881,20 @@ class TestTwoExcitation:
 
 
 class TestCompoundMirrors:
+    def test_one_rule_for_the_mirrors(self):
+        # a lambda/2 pair, and four mirrors with no direct coupling, fail the
+        # one public check, and the simulator raises its error unchanged
+        uncoupled = dataclasses.replace(
+            core.compound_mirror_spec(QubitParams("M", 13.4, GLOSS, 0.146), PROBE, direct_g=46.0),
+            direct_couplings=(),
+        )
+        for spec in (core.cavity_spec(MIRROR1, PROBE), uncoupled):
+            message = r"^compound-mirror spec needs four directly coupled mirrors$"
+            with pytest.raises(ValueError, match=message):
+                pr.check_compound_mirrors(spec)
+            with pytest.raises(ValueError, match=message):
+                pr.simulate_compound_mirrors(spec, np.linspace(0, 400, 41))
+
     def test_splitting_at_degeneracy(self):
         spec = core.compound_mirror_spec(
             QubitParams("M", 13.4, GLOSS, 0.146), PROBE, direct_g=46.0
