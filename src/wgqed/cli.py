@@ -270,12 +270,14 @@ class Experiment:
 
     params maps each parameter to its JSON schema, with a "description"
     that ``wgqed list`` prints.  check(spec, params) raises ConfigError for
-    what the schema cannot express (qubit references, block combinations),
-    building with the run's own code what the run builds before its heavy
-    work (the drive, the swap, the pulse average); ``validate`` and ``run``
-    both call it.  run(spec, params) returns the
-    artifacts in order as {file suffix: record}, where a record is a
-    TimeTrace, a SpectrumScan, a (header, rows) table or a JSON-ready dict.
+    what the schema cannot express (qubit references, block combinations,
+    the library's own preconditions) and returns what the run takes: the
+    DriveSpec of spectrum, xy-spectrum and steady, shelve's mirror pair,
+    calib's artifacts, or None.  ``run`` calls check once and hands its
+    product to run(spec, params, checked), which returns the artifacts in
+    order as {file suffix: record}, where a record is a TimeTrace, a
+    SpectrumScan, a (header, rows) table or a JSON-ready dict;
+    ``validate`` calls check alone and discards its product.
     """
 
     description: str
@@ -344,13 +346,13 @@ def _fit_payload(fit, extra=None) -> dict:
 
 
 def _drive(port: str, spec, params: dict) -> spectroscopy.DriveSpec:
-    """The drive of a spectrum, xy-spectrum or steady run, built as the run builds it.
+    """The check of a spectrum, xy-spectrum or steady run: the DriveSpec the run takes.
 
     An xy drive acts on params.xy_qubit, or on the probe by default.  The
-    DriveSpec and its per-qubit amplitudes (spectroscopy._drive_amplitudes)
+    DriveSpec and its per-qubit amplitudes (spectroscopy.drive_amplitudes)
     are formed here, so a drive they reject, such as both omega_rabi and
     power_dbm, an input field that underflows or no waveguide-coupled
-    qubit, is a ConfigError at $.params; this is also the check of those runs.
+    qubit, is a ConfigError at $.params.
     """
     xy_qubit = None
     if port == "xy":
@@ -361,18 +363,17 @@ def _drive(port: str, spec, params: dict) -> spectroscopy.DriveSpec:
     try:
         # the strengths omega_rabi and power_dbm (_DRIVE), None where unset
         drive = spectroscopy.DriveSpec(port, xy_qubit, **{key: params.get(key) for key in _DRIVE})
-        spectroscopy._drive_amplitudes(spec, drive)
+        spectroscopy.drive_amplitudes(spec, drive)
     except ValueError as err:
         raise ConfigError(f"config error at $.params: {err}") from err
     return drive
 
 
-def _run_spectrum(port: str, spec, params) -> dict:
-    scan = spectroscopy.multi_qubit_transmission(spec, _drive(port, spec, params), _grid(params))
-    return {"spectrum.csv": scan}
+def _run_spectrum(spec, params, drive) -> dict:
+    return {"spectrum.csv": spectroscopy.multi_qubit_transmission(spec, drive, _grid(params))}
 
 
-def _run_rabi(spec, params) -> dict:
+def _run_rabi(spec, params, _none) -> dict:
     detuning = params.get("probe_detuning_mhz")
     trace = protocols.simulate_vacuum_rabi(spec, _taus(params), probe_detuning=detuning)
     mode = params.get("fit", "sinusoid")
@@ -419,7 +420,7 @@ def _check_dark(spec, params) -> None:
         )
 
 
-def _run_dark(simulate, fit_trace, kind: int, spec, params) -> dict:
+def _run_dark(simulate, fit_trace, kind: int, spec, params, _none) -> dict:
     """A dark-state sequence's trace and its fit_trace, which gives gamma<kind> and T<kind>."""
     options = {name: params[key] for key, name in _DARK_OPTIONS.items() if key in params}
     trace = simulate(spec, _delays(params), **options)
@@ -431,27 +432,20 @@ def _run_dark(simulate, fit_trace, kind: int, spec, params) -> dict:
     return {"trace.csv": trace, "fit.json": _fit_payload(fit, derived)}
 
 
-def _mirror_pair(spec, _params=None) -> list:
+def _check_shelve(spec, params) -> list:
+    """The two-mirror pair the run takes, and a pulse_ns whose bandwidth average the grid admits."""
     mirrors = [spec.params[m] for m in (spec.mirror_indices or range(spec.n_qubits))]
     if len(mirrors) != 2:
         raise ConfigError("config error at $.system: shelving needs a two-mirror pair")
+    if "pulse_ns" in params:
+        try:
+            spectroscopy.check_pulse_average(_grid(params), params["pulse_ns"])
+        except ValueError as err:
+            raise ConfigError(f"config error at $.params.pulse_ns: {err}") from err
     return mirrors
 
 
-def _check_shelve(spec, params) -> None:
-    """A two-mirror pair, and a pulse_ns whose bandwidth average the grid admits."""
-    _mirror_pair(spec)
-    if "pulse_ns" in params:
-        grid = _grid(params)
-        try:
-            unit = spectroscopy.SpectrumScan(grid, np.ones(grid.size))
-            spectroscopy.pulse_bandwidth_average(unit, params["pulse_ns"])
-        except ValueError as err:
-            raise ConfigError(f"config error at $.params.pulse_ns: {err}") from err
-
-
-def _run_shelve(spec, params) -> dict:
-    mirrors = _mirror_pair(spec)
+def _run_shelve(spec, params, mirrors) -> dict:
     g1d = float(np.mean([q.gamma_1d for q in mirrors]))
     gamma_b = sum(q.gamma_1d for q in mirrors) + float(np.mean([q.gamma_prime for q in mirrors]))
     grid = _grid(params)
@@ -469,7 +463,7 @@ def _run_shelve(spec, params) -> dict:
     return artifacts
 
 
-def _run_two_excitation(spec, params) -> dict:
+def _run_two_excitation(spec, params, _none) -> dict:
     atomic, companion, (f_first, f_second) = protocols.simulate_two_excitation(spec, _taus(params))
     summary = {
         "companion_first_manifold_mhz": f_first,
@@ -488,7 +482,7 @@ def _check_compound(spec, _params) -> None:
         raise ConfigError(f"config error at $.system: {err}") from err
 
 
-def _run_compound(spec, params) -> dict:
+def _run_compound(spec, params, _none) -> dict:
     result = protocols.simulate_compound_mirrors(spec, _taus(params))
     artifacts = {f"dark{k}.csv": trace for k, trace in enumerate(result.traces, start=1)}
     artifacts["summary.json"] = {
@@ -498,8 +492,11 @@ def _run_compound(spec, params) -> dict:
     return artifacts
 
 
-def _check_calib(spec, params) -> None:
-    """A calib run only evaluates closed forms, so its check is the run itself, artifacts unused."""
+def _check_calib(_spec, params) -> dict:
+    """Each block's report, the artifacts of the run: a calib run only evaluates closed forms.
+
+    A block that calibration rejects is a ConfigError at $.params.<block>.
+    """
     if not params:
         raise ConfigError("config error at $.params: calib needs at least one block")
     resonator = params.get("resonator")
@@ -507,11 +504,6 @@ def _check_calib(spec, params) -> None:
         raise ConfigError(
             "config error at $.params.resonator.eta_mhz: give eta or a transmon block"
         )
-    _run_calib(spec, params)
-
-
-def _run_calib(_spec, params) -> dict:
-    """Each block's report; a block calibration rejects is a ConfigError at $.params.<block>."""
     report: dict = {}
     artifacts: dict = {}
     transmon = name = None
@@ -557,10 +549,8 @@ def _run_calib(_spec, params) -> dict:
     return artifacts
 
 
-def _run_steady(spec, params) -> dict:
-    rho = spectroscopy.driven_steady_state(
-        spec, _drive("waveguide", spec, params), params["detuning_mhz"]
-    )
+def _run_steady(spec, params, drive) -> dict:
+    rho = spectroscopy.driven_steady_state(spec, drive, params["detuning_mhz"])
     # Python ints and floats, in the row-major order of np.ndenumerate
     row, col = np.indices(rho.shape).reshape(2, -1).tolist()
     values = rho.reshape(-1)
@@ -568,7 +558,7 @@ def _run_steady(spec, params) -> dict:
     return {"state.csv": (("row", "col", "re", "im"), rows)}
 
 
-def _run_modes(spec, _params) -> dict:
+def _run_modes(spec, _params, _none) -> dict:
     header = ["mode", "decay_mhz", "shift_mhz"]
     for j in range(spec.n_qubits):
         header += [f"re_amp{j}", f"im_amp{j}"]
@@ -585,7 +575,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
     "spectrum": Experiment(
         "waveguide transmission spectrum over a detuning grid",
         {**_GRID, **_DRIVE},
-        partial(_run_spectrum, "waveguide"),
+        _run_spectrum,
         required=("start_mhz", "stop_mhz", "points"),
         check=partial(_drive, "waveguide"),
     ),
@@ -599,7 +589,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
                 "description": "driven qubit label or index (default: the probe)",
             },
         },
-        partial(_run_spectrum, "xy"),
+        _run_spectrum,
         required=("start_mhz", "stop_mhz", "points", "omega_rabi"),
         check=partial(_drive, "xy"),
     ),
@@ -684,7 +674,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
                 required=("m", "f0", "v0", "targets"),
             ),
         },
-        _run_calib,
+        lambda _spec, _params, artifacts: artifacts,  # built by _check_calib
         needs_system=False,
         check=_check_calib,
     ),
@@ -725,23 +715,22 @@ def _write(record, path: Path) -> None:
         records.write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict]:
-    """The experiment, system and params of a config that passes the experiment's check."""
+def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict, object]:
+    """The experiment, system and params of a config, and what the experiment's check returns."""
     experiment = _EXPERIMENTS[config["experiment"]]
     spec = build_system(config["system"]) if "system" in config else None
     params = config.get("params", {})
-    experiment.check(spec, params)
-    return experiment, spec, params
+    return experiment, spec, params, experiment.check(spec, params)
 
 
 def run_config(config: dict, output_prefix: str | None = None) -> list[Path]:
     """Execute a validated config, returning all artifact paths."""
     started = time.perf_counter()
-    experiment, spec, params = _checked(config)
+    experiment, spec, params, checked = _checked(config)
     prefix = Path(output_prefix or config.get("output") or config["experiment"])
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    artifacts = experiment.run(spec, params)
+    artifacts = experiment.run(spec, params, checked)
     outputs = [prefix.with_name(f"{prefix.name}_{suffix}") for suffix in artifacts]
     for record, path in zip(artifacts.values(), outputs):
         _write(record, path)

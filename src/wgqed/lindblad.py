@@ -941,7 +941,7 @@ class _BorderedGenerator:
         diagonal = np.flatnonzero(self._members[0] % (d + 1) == 0)
         at = np.append(diagonal * n0, rows[body] + column[body] * n0)
         self._real_entries = at, np.append(np.ones(diagonal.size), values[body]), (n0, width[0])
-        names = ("getrf", "gecon", "getrs", "getri", "lange")
+        names = ("getrf", "gecon", "getrs", "getri")
         self._lapack = [get_lapack_funcs(names, dtype=dtype) for dtype in (np.float64, np.complex128)]
         self._gemm = [get_blas_funcs("gemm", dtype=dtype) for dtype in (np.float64, np.complex128)]
 
@@ -1004,8 +1004,9 @@ class _BorderedGenerator:
         """
         pivots, couplings, upper = self.blocks(delta)
         for k in reversed(range(len(pivots))):
-            getrf, gecon, getrs, getri, lange = self._lapack[k > 0]
-            anorm = lange("1", pivots[k])
+            getrf, gecon, getrs, getri = self._lapack[k > 0]
+            # the 1-norm, the largest column sum of |D_k|, which gecon takes
+            anorm = np.abs(pivots[k]).sum(axis=0).max()
             lu, piv, info = getrf(pivots[k], overwrite_a=True)
             rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
             if rcond < STEADY_RCOND_MIN:

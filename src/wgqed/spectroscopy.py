@@ -26,6 +26,7 @@ k_boltzmann = 1.380649e-23  # Boltzmann constant (J/K)
 
 __all__ = [
     "DriveSpec",
+    "drive_amplitudes",
     "single_qubit_transmission",
     "multi_qubit_transmission",
     "driven_steady_state",
@@ -34,6 +35,7 @@ __all__ = [
     "saturation_power_bound",
     "thermal_bound",
     "waveguide_temperature",
+    "check_pulse_average",
     "pulse_bandwidth_average",
     "lorentzian_fit",
     "peak_splitting",
@@ -142,8 +144,17 @@ def _input_amplitude(spec: core.SystemSpec, drive: DriveSpec) -> float:
     return math.sqrt(DEFAULT_SATURATION / s_per_a2)
 
 
-def _drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
-    """Complex per-qubit Rabi amplitudes (angular) and input field a_in."""
+def drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
+    """Complex per-qubit Rabi amplitudes (angular) and the input field a_in.
+
+    A waveguide drive reaches qubit j with amplitude 2 a_in sqrt(gamma_1d,j
+    / 2) (-i) e^{i phi_j}, where a_in (sqrt(photons/us)) is set by
+    power_dbm, by omega_rabi on the most strongly coupled qubit, or by the
+    default saturation; an xy drive reaches xy_qubit alone with 2 pi
+    omega_rabi, and a_in is None.  ValueError names a drive this spec
+    cannot take: an input field that is zero, subnormal or not finite, no
+    waveguide-coupled qubit, or an xy qubit out of range.
+    """
     n = spec.n_qubits
     g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
     if drive.port == "waveguide":
@@ -186,7 +197,7 @@ def driven_steady_state(
     through the diagonal generator of lindblad.steady_states, so every
     qubit sits at its spec detuning minus detuning.
     """
-    amplitudes, _ = _drive_amplitudes(spec, drive)
+    amplitudes, _ = drive_amplitudes(spec, drive)
     return lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
 
 
@@ -212,7 +223,7 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size < 1:
         raise ValueError("detunings must be a non-empty 1-D grid")
-    amplitudes, a_in = _drive_amplitudes(spec, drive)
+    amplitudes, a_in = drive_amplitudes(spec, drive)
     radiative = np.linalg.eigvalsh(core.waveguide_decay_matrix(spec))
     bright_rates = radiative[radiative > 1e-6]
     if bright_rates.size and np.max(np.abs(amplitudes)) / TWO_PI > 0.3 * bright_rates.min():
@@ -280,7 +291,7 @@ def shelved_pair_quasi_steady(
     spec = core.mirror_pair_spec(mirror, detunings=(-delta, -delta))
     gamma_b_ang = TWO_PI * (2.0 * mirror.gamma_1d + mirror.gamma_prime)
     omega_1 = x_ratio * gamma_b_ang / math.sqrt(2.0)
-    amplitudes, a_in = _drive_amplitudes(spec, DriveSpec(omega_rabi=omega_1 / TWO_PI))
+    amplitudes, a_in = drive_amplitudes(spec, DriveSpec(omega_rabi=omega_1 / TWO_PI))
     model = _driven_model(spec, amplitudes)
     basis = model.basis
     dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2.0)
@@ -322,31 +333,43 @@ def waveguide_temperature(f_ghz: float, n_th: float) -> float:
     return (h * f_ghz * 1e9 / k_boltzmann) / math.log1p(1.0 / n_th)
 
 
+def check_pulse_average(grid: np.ndarray, pulse_ns: float) -> None:
+    """Raise ValueError unless pulse_bandwidth_average can average a scan on grid.
+
+    The pulse duration pulse_ns must be positive, and the detuning grid
+    (MHz, a 1-D array) must hold at least 3 points, be uniform (steps
+    equal within 1e-9 relative) and span at least 3 bandwidths 1/pulse_ns.
+    The grid may run in either direction.
+    """
+    if pulse_ns <= 0:
+        raise ValueError("pulse duration must be positive")
+    if grid.size < 3:
+        raise ValueError("scan too short to average")
+    steps = np.diff(grid)
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
+        raise ValueError("bandwidth averaging needs a uniform detuning grid")
+    bandwidth = 1.0 / (pulse_ns * 1e-3)
+    span = abs(grid[-1] - grid[0])  # a scan may run downward
+    if span < 3.0 * bandwidth:
+        raise ValueError(
+            f"grid span {span:.3g} MHz narrower than 3 bandwidths ({3 * bandwidth:.3g} MHz)"
+        )
+
+
 def pulse_bandwidth_average(scan: SpectrumScan, pulse_duration: float) -> SpectrumScan:
     """Intensity spectrum averaged over a rectangular pulse's bandwidth.
 
     |t|^2 is convolved with the sinc^2 spectral intensity of a rectangular
     pulse of the given duration (ns), whose main lobe spans +/- 1/duration;
     the output amplitudes are the square roots of the averaged intensity
-    (the phase is discarded by the incoherent average).  The uniform grid
-    may run in either direction.
+    (the phase is discarded by the incoherent average).  The scan must
+    pass check_pulse_average.
     """
-    if pulse_duration <= 0:
-        raise ValueError("pulse duration must be positive")
     grid = scan.detunings
-    if grid.size < 3:
-        raise ValueError("scan too short to average")
-    steps = np.diff(grid)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
-        raise ValueError("bandwidth averaging needs a uniform detuning grid")
+    check_pulse_average(grid, pulse_duration)
     tau_us = pulse_duration * 1e-3
     bandwidth = 1.0 / tau_us
-    span = abs(grid[-1] - grid[0])  # a scan may run downward
-    if span < 3.0 * bandwidth:
-        raise ValueError(
-            f"grid span {span:.3g} MHz narrower than 3 bandwidths ({3 * bandwidth:.3g} MHz)"
-        )
-    offsets = np.arange(-(grid.size - 1), grid.size) * steps[0]
+    offsets = np.arange(-(grid.size - 1), grid.size) * (grid[1] - grid[0])
     kernel = np.sinc(offsets * tau_us) ** 2
     kernel /= kernel.sum()
     # full convolution sliced back to the grid, renormalized at the edges

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import math
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wgqed import cli, lindblad
+from wgqed import calibration, cli, lindblad, spectroscopy
 
 
 def bundled(name):
@@ -653,6 +654,66 @@ class TestShelveExperiment:
         gamma_b = 2 * 13.4 + 0.0065 + 2 * 0.210
         cw = abs(1 - (1 - 0.0) * 13.4 / (gamma_b / 2)) ** 2
         assert reference[mid, 4] > cw
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """The arguments of each call of module.name from here on."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneBuildPerRun:
+    # run_config hands what an experiment's check built to its run, which
+    # builds it no second time; validate runs the check alone
+
+    @pytest.mark.parametrize("name", ["fig1c_q1", "fig2e_xy", "steady"])
+    def test_drive_is_built_once(self, tmp_path, monkeypatch, name):
+        if name == "steady":
+            config = {
+                "experiment": "steady",
+                "system": {"qubits": [{"label": "Q", "gamma_1d": 13.4, "phase_pi": 0.0}]},
+                "params": {"detuning_mhz": 0.5, "omega_rabi": 1.0},
+            }
+        else:
+            config = cli.load_config(bundled(name))
+            config["params"]["points"] = 11
+        built = count_calls(monkeypatch, spectroscopy, "DriveSpec")
+        cli.run_config(config, str(tmp_path / "run"))
+        assert len(built) == 1
+
+    def test_calibration_is_evaluated_once(self, tmp_path, monkeypatch):
+        config = cli.load_config(bundled("tableS1_calib"))
+        names = ("TransmonModel", "dispersive_shift", "crosstalk_bias")
+        calls = {name: count_calls(monkeypatch, calibration, name) for name in names}
+        cli.run_config(config, str(tmp_path / "calib"))
+        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, 1)
+
+    def test_shelve_check_averages_no_scan(self, tmp_path, monkeypatch, capsys):
+        averaged = count_calls(monkeypatch, spectroscopy, "pulse_bandwidth_average")
+        assert cli.main(["validate", bundled("fig3d_shelve")]) == 0
+        assert averaged == []
+        cli.run_config(cli.load_config(bundled("fig3d_shelve")), str(tmp_path / "shelve"))
+        assert len(averaged) == 2
+
+
+def test_cli_uses_public_library_names_alone():
+    # the checks reach the library through its public preconditions
+    modules = {"calibration", "core", "lindblad", "protocols", "records", "spectroscopy"}
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -1079,13 +1079,13 @@ class TestSteadyStateSweep:
         get_lapack_funcs = lindblad.get_lapack_funcs
 
         def perturbed(names, dtype):
-            getrf, gecon, getrs, getri, lange = get_lapack_funcs(names, dtype=dtype)
+            getrf, gecon, getrs, getri = get_lapack_funcs(names, dtype=dtype)
 
             def getrs_off(lu, piv, rhs, **kwargs):
                 x, info = getrs(lu, piv, rhs, **kwargs)
                 return x + 1e-3, info
 
-            return getrf, gecon, getrs_off, getri, lange
+            return getrf, gecon, getrs_off, getri
 
         monkeypatch.setattr(lindblad, "get_lapack_funcs", perturbed)
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* at drive detuning 2.5 MHz"):
@@ -1352,13 +1352,13 @@ class TestSectorBlocks:
         get_lapack_funcs = lindblad.get_lapack_funcs
 
         def ill_conditioned(names, dtype):
-            getrf, gecon, getrs, getri, lange = get_lapack_funcs(names, dtype=dtype)
+            getrf, gecon, getrs, getri = get_lapack_funcs(names, dtype=dtype)
 
             def gecon_low(lu, anorm):
                 rcond, info = gecon(lu, anorm)
                 return (1e-14 if lu.shape == (56, 56) else rcond), info
 
-            return getrf, gecon_low, getrs, getri, lange
+            return getrf, gecon_low, getrs, getri
 
         monkeypatch.setattr(lindblad, "get_lapack_funcs", ill_conditioned)
         rng = np.random.default_rng(94)

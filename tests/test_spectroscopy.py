@@ -50,7 +50,7 @@ def patch_solutions(monkeypatch, path, change):
 
 def per_point_readout(spec, drive, grid):
     """Waveguide t from one exact steady state per call and grid point, each read as a stack of one."""
-    amplitudes, a_in = sp._drive_amplitudes(spec, drive)
+    amplitudes, a_in = sp.drive_amplitudes(spec, drive)
     model = sp._driven_model(spec, amplitudes)
     emission = sp._emission_functional(spec, model.basis)
     alone = [(lindblad.steady_states(model, [delta]).reshape(1, -1) * emission).sum(axis=1) for delta in grid]
@@ -264,7 +264,7 @@ class TestSweepAgainstPointwise:
             (self.random_spec(rng, 3), sp.DriveSpec(port="xy", xy_qubit=1, omega_rabi=1.5), -0.9),
         ]
         for spec, drive, offset in cases:
-            amplitudes, _ = sp._drive_amplitudes(spec, drive)
+            amplitudes, _ = sp.drive_amplitudes(spec, drive)
             drives = tuple((j, amplitudes[j] / (2 * math.pi)) for j in range(spec.n_qubits))
             reference = lindblad.steady_states(shifted_model(spec, drives, offset), [0.0])[0]
             rho = sp.driven_steady_state(spec, drive, offset)
@@ -279,7 +279,7 @@ class TestSweepAgainstPointwise:
         drive = sp.DriveSpec(omega_rabi=0.02)
         grid = np.linspace(-10, 10, 201)
         scan = sp.multi_qubit_transmission(spec, drive, grid)
-        amplitudes, a_in = sp._drive_amplitudes(spec, drive)
+        amplitudes, a_in = sp.drive_amplitudes(spec, drive)
         model = sp._driven_model(spec, amplitudes)
         emission = sp._emission_functional(spec, model.basis)
         states = lindblad.steady_states(model, grid)
@@ -385,8 +385,7 @@ class TestInterpolatedSweep:
     )
     def test_bundled_spectrum_configs(self, name):
         config = json.loads(files("wgqed").joinpath(f"configs/{name}.cfg").read_text())
-        experiment, spec, params = cli._checked(config)
-        drive = cli._drive("xy" if config["experiment"] == "xy-spectrum" else "waveguide", spec, params)
+        experiment, spec, params, drive = cli._checked(config)
         grid = cli._grid(params)
         assert 801 <= grid.size <= 1201
         self.assert_matches_pointwise(spec, drive, grid)
