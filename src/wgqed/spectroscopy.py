@@ -333,13 +333,14 @@ def waveguide_temperature(f_ghz: float, n_th: float) -> float:
     return (h * f_ghz * 1e9 / k_boltzmann) / math.log1p(1.0 / n_th)
 
 
-def check_pulse_average(grid: np.ndarray, pulse_ns: float) -> None:
-    """Raise ValueError unless pulse_bandwidth_average can average a scan on grid.
+def check_pulse_average(grid: np.ndarray, pulse_ns: float) -> float:
+    """The pulse bandwidth 1/pulse_ns (MHz); ValueError unless
+    pulse_bandwidth_average can average a scan on grid.
 
     The pulse duration pulse_ns must be positive, and the detuning grid
     (MHz, a 1-D array) must hold at least 3 points, be uniform (steps
-    equal within 1e-9 relative) and span at least 3 bandwidths 1/pulse_ns.
-    The grid may run in either direction.
+    equal within 1e-9 relative) and span at least 3 bandwidths.  The grid
+    may run in either direction.
     """
     if pulse_ns <= 0:
         raise ValueError("pulse duration must be positive")
@@ -354,9 +355,10 @@ def check_pulse_average(grid: np.ndarray, pulse_ns: float) -> None:
         raise ValueError(
             f"grid span {span:.3g} MHz narrower than 3 bandwidths ({3 * bandwidth:.3g} MHz)"
         )
+    return bandwidth
 
 
-def pulse_bandwidth_average(scan: SpectrumScan, pulse_duration: float) -> SpectrumScan:
+def pulse_bandwidth_average(scan: SpectrumScan, pulse_ns: float) -> SpectrumScan:
     """Intensity spectrum averaged over a rectangular pulse's bandwidth.
 
     |t|^2 is convolved with the sinc^2 spectral intensity of a rectangular
@@ -366,18 +368,16 @@ def pulse_bandwidth_average(scan: SpectrumScan, pulse_duration: float) -> Spectr
     pass check_pulse_average.
     """
     grid = scan.detunings
-    check_pulse_average(grid, pulse_duration)
-    tau_us = pulse_duration * 1e-3
-    bandwidth = 1.0 / tau_us
+    bandwidth = check_pulse_average(grid, pulse_ns)
     offsets = np.arange(-(grid.size - 1), grid.size) * (grid[1] - grid[0])
-    kernel = np.sinc(offsets * tau_us) ** 2
+    kernel = np.sinc(offsets * (pulse_ns * 1e-3)) ** 2
     kernel /= kernel.sum()
     # full convolution sliced back to the grid, renormalized at the edges
     center = slice(grid.size - 1, 2 * grid.size - 1)
     weights = np.convolve(np.ones(grid.size), kernel)[center]
     averaged = np.convolve(scan.abs_t_sq, kernel)[center] / weights
     metadata = dict(scan.metadata)
-    metadata["pulse_duration_ns"] = pulse_duration
+    metadata["pulse_duration_ns"] = pulse_ns
     metadata["bandwidth_mhz"] = bandwidth
     return SpectrumScan(grid, np.sqrt(np.maximum(averaged, 0.0)), metadata)
 

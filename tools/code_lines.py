@@ -1,20 +1,20 @@
-"""Count the code lines of a Python package, module by module.
+"""Count the code lines of the wgqed package, module by module.
 
 A code line holds a token that is neither a comment nor part of a
 docstring (a string literal that is the first statement of a module,
 class or function); blank lines hold none.  A string that spans lines
 counts on every line it covers.
 
-    python3 tools/code_lines.py [package directory, default src/wgqed]
+    python3 tools/code_lines.py
 
-prints each module's count, then the total.
+prints the count of each module under src/wgqed, then the total; it
+finds the package from its own location, whatever the working directory.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -54,16 +54,17 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0] if argv else "src/wgqed")
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wgqed"
+
+
+def main() -> None:
     total = 0
-    for path in sorted(package.rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{count:6d}  {path.relative_to(package)}")
+        print(f"{count:6d}  {path.relative_to(PACKAGE)}")
     print(f"{total:6d}  total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
