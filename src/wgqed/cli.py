@@ -203,11 +203,11 @@ def validate_config(config: dict) -> None:
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # nesting past the parser's depth
         raise ConfigError(f"config is not valid JSON: {err}") from err
     validate_config(config)
     return config

@@ -7,45 +7,51 @@ stacked Kronecker factors.  Times are in us.  A model is a Hamiltonian and
 a list of independent jumps: :func:`build_model` turns each correlated
 rate matrix into collective jumps once.
 
-The time-domain solvers work in Hermitian coordinates, the d^2 real
-parameters of rho, where the generator A = U L U^dagger is real, and get A
-from one construction, _real_generator, which reads it from the factors'
-nonzeros on a set of coordinates; U is written once, as its rows on such
-a set (_coordinate_weights), which also give vec(rho) = U^dagger x.
+Both solvers take L from one builder, _sector_generator, in sector
+coordinates (_Sectors), on any set of coordinates a*d + b closed under
+a <-> b.  Only the coherent drive moves N_a - N_b on rho_ab (N the total
+excitation number), by one, so the sectors s = |N_a - N_b| order the
+unknowns: sector 0 in real Hermitian coordinates x0 = U0 vec(rho), and
+above it the complex entries z = rho_ab with N_a > N_b, where L is
+complex-linear; rho_ba = conj(z) is no unknown and its row is never
+formed.  The builder sums L's entries on the rows N_a >= N_b from the
+stacked factors (_kron_entries) and moves them into these coordinates; a
+state is the real u = (x0, Re z, Im z, ...), and _Sectors.vec alone maps
+u back to vec(rho) = U0^dagger x0, z and conj(z) for both solvers.  A
+detuning change only moves the diagonal of L, by one per-qubit generator
+K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b)) (_detuning_generator),
+which in sector coordinates turns pairs (x_ab, x_ba) and (Re z, Im z)
+(_Sectors.rotation).
 :func:`evolve` and :func:`dominant_oscillation` share one preamble,
 _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
-shows up as a small block without any rule that names it; evolve
-exponentiates the block once per distinct grid step of the call, and its
-states stay vec entries on those coordinates (_propagate) until they are
-returned or read as populations (_held_populations).  The model caches
-its factors and its last block at zero offset with its state layout,
-which _reached_block alone reads and writes; no exponential outlives the
-call that formed it.  A detuning change only moves the diagonal of L, by
-one per-qubit generator K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b))
-(_detuning_generator), which in Hermitian coordinates rotates each pair
-(ab, ba) (_detuning_rotation).  A hold at per-qubit detuning offsets
-adds K(-offsets) to the cached block, so one model serves holds at
-several detunings.  :func:`steady_states` uses all d^2 coordinates, at
-drive detunings delta: L(delta) = L0 + delta K with K the same generator
-at unit weights, K[a*d + b] = i 2 pi (N_a - N_b), N the total excitation
-number.  Only the drive moves |N_a - N_b| on rho_ab, by one, so its
+shows up as a small block without any rule that names it: the real form
+(_real_form) of the builder's entries there.  evolve exponentiates the
+block once per distinct grid step of the call, and its states stay vec
+entries on those coordinates (_propagate) until they are returned or
+read as populations (_held_populations).  The model caches its factors
+and its last block at zero offset with its sector coordinates and state
+layout, which _reached_block alone reads and writes; no exponential
+outlives the call that formed it.  A hold at per-qubit detuning offsets
+adds the rotation of K(-offsets) to the cached block, so one model serves
+holds at several detunings.
+:func:`steady_states` takes the builder's entries on all d^2
+coordinates, at drive detunings delta: L(delta) = L0 + delta K with K
+the same generator at unit weights, K[a*d + b] = i 2 pi (N_a - N_b).  Its
 trace-bordered system M(delta) (_BorderedGenerator, prepared once per
-call) is block tridiagonal over these sectors: sector 0 in Hermitian
-coordinates, real, and each sector above it in the complex entries rho_ab
-with N_a > N_b, where L is complex-linear (rho_ba is their conjugate).
-It is factored by one block LU over runs of adjacent sectors, complex
-above sector 0; a few detunings are solved by one block LU each, many
-from the one block LU of a shift-invert pencil in closed form, and the
-LAPACK condition estimate of every pivot block flags a degenerate null
-space at once; then the residual, from the sparse L itself, and the state
+call) is block tridiagonal over the sectors, real in sector 0 and
+complex above, and is factored by one block LU over runs of adjacent
+sectors; a few detunings are solved by one block LU each, many from the
+one block LU of a shift-invert pencil in closed form, and the LAPACK
+condition estimate of every pivot block flags a degenerate null space at
+once; then the residual, from L's own complex entries, and the state
 checks run at every detuning.
 Both solvers check their stack of states once, on its vec entries
 (_check_states: unit trace, no eigenvalue below -1e-8 by a Cholesky
 certificate per block, NaN failing) and name the failing time or drive
 detuning.
 :func:`assemble_liouvillian` gives the complex CSR Liouvillian for
-outside checks.
+outside checks; no solver calls it.
 """
 
 from __future__ import annotations
@@ -321,19 +327,22 @@ def _kron_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
-    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set.
+def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray, rows_kept: np.ndarray):
+    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set, on some of its rows.
 
     reached holds sorted indices a*d + b, closed under a <-> b.  Nonzeros
     (a, a') of A[t] and (b, b') of B[t] between basis states of reached
     pairs give A[t, a, a'] B[t, b, b'] at (ab, a'b'), all terms at once;
-    pairs outside the set are dropped.  Returns rows and columns as
-    positions in reached, and complex values in term order, unsummed.
+    pairs outside the set are dropped, and so are rows where rows_kept (a
+    boolean over reached) is False, before their values are formed.
+    Returns rows and columns as positions in reached, and complex values in
+    term order, unsummed.
     """
     d = left.shape[-1]
     states = np.flatnonzero(np.bincount(reached // d, minlength=d))
-    position = np.full((d, d), -1)
+    position, row_position = np.full((2, d, d), -1)
     position.flat[reached] = np.arange(reached.size)
+    row_position.flat[reached[rows_kept]] = np.flatnonzero(rows_kept)
     lt, li, lj = (left[:, states[:, None], states] != 0).nonzero()
     rt, ri, rj = (right[:, states[:, None], states] != 0).nonzero()
     li, lj, ri, rj = states[li], states[lj], states[ri], states[rj]
@@ -343,12 +352,14 @@ def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray):
     # the k-th pair in the run of a left entry takes the k-th right entry of its term
     first = (count.cumsum() - count)[lt] - reps.cumsum() + reps
     pair_r = np.arange(reps.sum()) + np.repeat(first, reps)
-    rows = position[li[pair_l], ri[pair_r]]
-    cols = position[lj[pair_l], rj[pair_r]]
+    rows = row_position.ravel()[li[pair_l] * d + ri[pair_r]]  # flat indexing: 2-D fancy is slower
+    kept = rows >= 0
+    pair_l, pair_r, rows = pair_l[kept], pair_r[kept], rows[kept]
+    cols = position.ravel()[lj[pair_l] * d + rj[pair_r]]
     values = left[lt, li, lj][pair_l]
     values *= right[rt, ri, rj][pair_r]
     del pair_l, pair_r
-    keep = (rows >= 0) & (cols >= 0)
+    keep = cols >= 0
     return rows[keep], cols[keep], values[keep]
 
 
@@ -360,12 +371,12 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
 
         L = K (x) 1 + 1 (x) K^* + sum_k 2 pi gamma_k L_k (x) L_k^*,
 
-    summed from _kron_entries by the CSR conversion.  Output is angular
-    (rad/us).  steady_states reads its entries into the blocks of its LU
-    and checks every state's residual against it.
+    summed from _kron_entries, on every row, by the CSR conversion.
+    Output is angular (rad/us).  It is for outside checks; no solver calls
+    it (they take L from _sector_generator).
     """
     d = model.dimension
-    rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d))
+    rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d), np.ones(d * d, dtype=bool))
     return sparse.csr_matrix((values, (rows, cols)), shape=(d * d, d * d))
 
 
@@ -386,85 +397,167 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _coordinate_weights(reached: np.ndarray, d: int):
-    """The rows of U, x = U vec(rho), on coordinates closed under a <-> b.
+class _Sectors:
+    """Sector coordinates of a model's states on sorted coordinates a*d + b closed under a <-> b.
 
-    The Hermitian coordinates have x[a*d + a] = rho_aa and, for a < b,
-    x[a*d + b] = sqrt(2) Re rho_ab and x[b*d + a] = sqrt(2) Im rho_ab, so x
-    is real exactly when rho is Hermitian, and U is unitary.  U has at most
-    two entries per row, so on that set x = alpha v + beta v[partner], with
-    v the row-major vec restricted to the set and partner the position of
-    entry ba for entry ab.  Returns (alpha, beta, partner); this is the one
-    place U is written.
+    A state rho is the real vector u = (x0, Re z_1, Im z_1, Re z_2, ...):
+    - x0, on the set's coordinates of sector 0 (N_a = N_b; all of them for
+      a model with no qubit basis) in ascending order, is Hermitian: x_aa =
+      rho_aa and, for a < b, x_ab = sqrt(2) Re rho_ab and x_ba = sqrt(2) Im
+      rho_ab, so x0 = U0 vec(rho) with U0 unitary, at most two entries per
+      row: x_i = alpha_i v_i + beta_i v_partner(i), with v the vec on these
+      coordinates and partner(i) the place of ba for ab;
+    - z holds the entries rho_ab with N_a > N_b, ordered by N_a - N_b and
+      then by index; rho_ba = conj(z) is no coordinate.
+    Attributes: the set (reached), N_a - N_b on it (signed), the places in
+    the set of x0 (zero) and of z (upper) and conj(z) (lower), the rows of
+    U0 (alpha, beta, partner, the latter among x0) and each place's unknown
+    among x0 then z (slot; -1 for a conjugate).  This is the one place U0
+    is written.
     """
-    a, b = np.divmod(reached, d)
-    scale = np.sqrt(0.5)
-    alpha = np.where(a < b, scale, np.where(a > b, 1j * scale, 1.0))
-    beta = np.where(a < b, scale, np.where(a > b, -1j * scale, 0.0))
-    return alpha, beta, np.searchsorted(reached, b * d + a)
+
+    def __init__(self, reached: np.ndarray, model: LindbladModel):
+        d = model.dimension
+        a, b = np.divmod(reached, d)
+        excitations = np.zeros(d, dtype=int)  # N; without a qubit basis every coordinate is in sector 0
+        for j in range(model.basis.n_qubits if model.basis is not None else 0):
+            excitations += model.basis._excited(j)
+        self.reached, self.signed = reached, excitations[a] - excitations[b]
+        self.zero, upper = np.flatnonzero(self.signed == 0), np.flatnonzero(self.signed > 0)
+        self.upper = upper[np.argsort(self.signed[upper], kind="stable")]
+        self.lower = np.searchsorted(reached, (b * d + a)[self.upper])
+        self.slot = np.full(reached.size, -1)
+        self.slot[np.append(self.zero, self.upper)] = np.arange(self.zero.size + self.upper.size)
+        a, b = a[self.zero], b[self.zero]
+        self.alpha = np.where(a < b, np.sqrt(0.5), np.where(a > b, 1j * np.sqrt(0.5), 1.0))
+        self.beta = np.where(a == b, 0.0, self.alpha.conj())
+        self.partner = np.searchsorted(reached[self.zero], b * d + a)
+
+    def coordinates(self, vecs: np.ndarray) -> np.ndarray:
+        """The real u of the Hermitian parts of states given as (m, n) vec entries on the set."""
+        x0 = (self.alpha * vecs[:, self.zero] + self.beta * vecs[:, self.zero[self.partner]]).real
+        z = 0.5 * (vecs[:, self.upper] + vecs[:, self.lower].conj())
+        return np.concatenate([x0, np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)], axis=1)
+
+    def vec(self, u: np.ndarray) -> np.ndarray:
+        """The vec entries on the set, U0^dagger x0 then z and conj(z), of real u on the last axis.
+
+        Leading axes of u are a stack.  The entries are exactly Hermitian,
+        and C-ordered whatever the layout of u, so each state's vec is one
+        contiguous row.  Linear in u, so u = e_k gives the weight of u_k in
+        a linear readout.
+        """
+        n0 = self.zero.size
+        vec = np.empty(u.shape, dtype=complex)
+        x = u[..., :n0]
+        vec[..., self.zero] = self.alpha.conj() * x + self.beta.conj()[self.partner] * x[..., self.partner]
+        z = np.ascontiguousarray(u[..., n0:]).view(complex)
+        vec[..., self.upper] = z
+        vec[..., self.lower] = z.conj()
+        return vec
+
+    def rotation(self, rates: np.ndarray):
+        """A diagonal generator K, i rates on the set's coordinates, on u as (row, column, value).
+
+        K turns rho_ab at its rate w: each pair (x_ab, x_ba), a < b, in
+        sector 0 and each (Re z, Im z) above moves as d(first, second)/dt =
+        w (-second, first).  Pairs at rate 0 are left out; the rest come in
+        order, x0 first.
+        """
+        n0 = self.zero.size
+        lead = np.flatnonzero(self.partner > np.arange(n0))
+        first = np.append(lead, n0 + 2 * np.arange(self.upper.size))
+        second = np.append(self.partner[lead], first[lead.size :] + 1)
+        rate = rates[np.append(self.zero[lead], self.upper)]
+        first, second, rate = first[rate != 0], second[rate != 0], rate[rate != 0]
+        return (np.column_stack([first, second]).ravel(), np.column_stack([second, first]).ravel(),
+                np.column_stack([-rate, rate]).ravel())
 
 
-def _hermitian_vec(x: np.ndarray, weights) -> np.ndarray:
-    """vec(rho) = U^dagger x on a coordinate set, from its rows of U (_coordinate_weights).
+def _summed(key: np.ndarray, values: np.ndarray):
+    """Values with equal keys summed in their order: the distinct keys ascending, and their sums."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(key != np.append(-1, key[:-1]))
+    return key[start], np.add.reduceat(values[order], start)
 
-    x holds real coordinates on its last axis (leading axes are a stack).
-    Through the adjoint of each orbit's 2 x 2 block, v_i = conj(alpha_i) x_i
-    + conj(beta[partner_i]) x[partner_i]: exactly Hermitian, and C-ordered
-    whatever the layout of x, so each state's vec is one contiguous row.
+
+def _through_orbits(index, other, values, here, there, partner):
+    """Entries with index at an x0 slot moved through its orbit: weight here[i] at i, there[partner_i] at partner_i."""
+    inside = np.flatnonzero(index < partner.size)
+    to = partner[index[inside]]
+    values = np.append(values, values[inside] * there[to])
+    values[inside] *= here[index[inside]]
+    return np.append(index, to), np.append(other, other[inside]), values
+
+
+def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
+    """L on the coordinates of sectors: its summed entries on the rows N_a >= N_b, and in sector coordinates.
+
+    The entries come from the stacked factors (_kron_terms, _kron_entries),
+    formed only on the rows with N_a >= N_b (a row with N_a < N_b is the
+    conjugate of one above sector 0) and summed.  Only the coherent drive
+    moves N_a - N_b, by one: ValueError names an entry that couples sectors
+    |N_a - N_b| more than one apart, or that feeds a z from a conj(z), where
+    L would not be complex-linear in z.  In sector coordinates (_Sectors)
+    the rows of sector 0 are those of U0 L and the columns of sector 0 those
+    of L U0^dagger (_through_orbits); columns with N_a < N_b are dropped, as
+    a sector-0 row reads rho_c and its conjugate together, as 2 Re((U0
+    L)[:, c] z_c).  The sector-0 block U0 L U0^dagger, summed, must be real:
+    ValueError if an imaginary part exceeds 1e-10 of its largest entry.  No
+    n x n array is formed.  Returns (rows, cols, values) of L, positions in
+    the set sorted by row, each once; and (rows, cols, values) in sector
+    coordinates, the unknowns' slots, where a place can repeat (its users
+    add them up), values complex and real in the sector-0 block.
     """
-    alpha, beta, partner = weights
-    vec = np.multiply(alpha.conj(), x, order="C")
-    vec += beta.conj()[partner] * x[..., partner]
-    return vec
-
-
-def _real_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray, weights):
-    """The real generator A = U L U^dagger on a coordinate set closed under a <-> b.
-
-    The set splits into orbits {ab, ba} led by the entry with a <= b (aa
-    alone), and U maps an orbit's vec entries to its coordinates by a 2 x 2
-    block W, read from weights, the rows of U on the set
-    (_coordinate_weights); so A between orbits I and K is W_I L_IK
-    W_K^dagger.  np.bincount sums the entries of L (_kron_entries) into the
-    blocks present in term order; then all blocks are transformed at once,
-    with no n x n array.  Returns the ascending flat indices i*n + k into
-    the n x n block (n = reached.size) and the real values.  ValueError if
-    an imaginary part exceeds 1e-10 of the largest entry.
-    """
-    n = reached.size
-    rows, cols, values = _kron_entries(left, right, reached)
-    alpha, beta, partner = weights
-    index = np.arange(n)
-    lead, second = np.minimum(index, partner), partner < index
-    pairs, slot = lead[rows] * n + lead[cols], second[rows] * 2 + second[cols]
-    del rows, cols
-    pairs, block_of = np.unique(pairs, return_inverse=True)
-    slot = slot * pairs.size + block_of
-    block = np.empty((2, 2, pairs.size), dtype=complex)
-    block.real.flat = np.bincount(slot, values.real, block.size)
-    block.imag.flat = np.bincount(slot, values.imag, block.size)
-    del slot, block_of, values
-    i, k = np.divmod(pairs, n)
-    # rows i and partner_i of U, read at columns i and partner_i, for every lead i
-    weights = np.array([[alpha, beta], [beta[partner], alpha[partner]]])
-    generator = np.einsum("rsg,stg->rtg", weights.take(i, axis=2), block)
-    del block
-    generator = np.einsum("rtg,ctg->rcg", generator, weights.conj().take(k, axis=2))
-    at = np.array([i, partner[i]])[:, None] * n + np.array([k, partner[k]])
-    # a diagonal orbit has no second coordinate
-    real = np.ones(at.shape, dtype=bool)
-    real[1] = partner[i] != i
-    real[:, 1] &= partner[k] != k
-    at, generator = at[real], generator[real]
-    largest = max(1.0, float(np.abs(generator).max(initial=0.0)))
-    if np.abs(generator.imag).max(initial=0.0) > 1e-10 * largest:
+    reached, signed, n = sectors.reached, sectors.signed, sectors.reached.size
+    rows, cols, values = _kron_entries(left, right, reached, signed >= 0)
+    key = rows * n + cols
+    del rows, cols  # each temporary goes once used (see _BorderedGenerator on memory)
+    key, values = _summed(key, values)
+    rows, cols = np.divmod(key, n)
+    del key
+    # an entry two apart in N_a - N_b couples sectors two apart, or feeds a z from a conj(z)
+    bad = np.flatnonzero(np.abs(signed[rows] - signed[cols]) > 1)
+    if bad.size:
+        r, c = rows[bad[0]], cols[bad[0]]
+        s, t = abs(signed[r]), abs(signed[c])
+        why = f"couples sectors {s} and {t} of |N_a - N_b|, more than one apart" if abs(s - t) > 1 else (
+            "feeds rho_ab with N_a > N_b from a conjugate: L is not complex-linear in z")
+        raise ValueError(f"bordered generator entry ({reached[r]}, {reached[c]}) {why}")
+    inside = sectors.slot[cols] >= 0
+    i, j, v = sectors.slot[rows[inside]], sectors.slot[cols[inside]], values[inside]
+    alpha, beta, partner = sectors.alpha, sectors.beta, sectors.partner
+    j, i, v = _through_orbits(j, i, v, alpha.conj(), beta.conj(), partner)
+    i, j, v = _through_orbits(i, j, v, alpha, beta, partner)
+    square = np.flatnonzero((i < partner.size) & (j < partner.size))
+    block = _summed(i[square] * n + j[square], v[square])[1]
+    if np.abs(block.imag).max(initial=0.0) > 1e-10 * max(1.0, float(np.abs(block).max(initial=0.0))):
         raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
-    order = np.argsort(at)
-    return at[order], generator.real[order]
+    v[square] = v[square].real
+    return (rows, cols, values), (i, j, v)
+
+
+def _real_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n0: int):
+    """Sector-coordinate entries (_sector_generator) on the real u = (x0, Re z, Im z, ...), as (row, column, value).
+
+    A sector-0 row is real and reads z_c as 2 Re(v z_c); a z row reads x0
+    as v x and z as v z, complex-linear.  Places repeat where the entries
+    do; users add the values up.
+    """
+    upper_row, upper_col = rows >= n0, cols >= n0
+    row, col = np.where(upper_row, 2 * rows - n0, rows), np.where(upper_col, 2 * cols - n0, cols)
+    both = upper_row & upper_col
+    values = np.where(upper_col & ~upper_row, 2.0, 1.0) * values
+    return (
+        np.concatenate([row, row[upper_col], row[upper_row] + 1, row[both] + 1]),
+        np.concatenate([col, col[upper_col] + 1, col[upper_row], col[both] + 1]),
+        np.concatenate([values.real, -values.imag[upper_col], values.imag[upper_row], values.real[both]]),
+    )
 
 
 def _reached_block(model: LindbladModel, rho: np.ndarray):
-    """The coordinates evolution can fill from a state or stack, A on them, and the start.
+    """The coordinates evolution can fill from a state or stack, the generator on them, and the start.
 
     rho is a complex d x d state or m x d x d stack: ValueError unless d is
     the model's dimension and each state is Hermitian within 1e-10 (NaN
@@ -473,16 +566,20 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     d x d matrix R, from every entry rho_ab or rho_ba nonzero in some
     state, each step adding P(A[t]) R P(B[t])^T for every term (P: nonzero
     pattern).  Entries never reached stay exactly zero.  The terms mirror
-    each other under a <-> b, so the set is closed under a <-> b, the same
-    in the vec and in Hermitian coordinates; a detuning offset only moves
-    the diagonal of L, so it reaches the same set.  This is the one
-    function that reads or writes model._cache: it keeps the factors and
-    patterns under "terms", and under "reach" the last tuple (reached,
-    block, weights, layout), read once and replaced whole, so a start that
-    reaches exactly that set reuses it.  Returns that tuple, with the
-    sorted reached indices a*d + b, the dense block of A on them at zero
-    offset, the rows of U on them (_coordinate_weights) and their
-    _state_layout, and the (m, n) start coordinates x0 = U vec(rho).
+    each other under a <-> b, so the set is closed under a <-> b; a
+    detuning offset only moves the diagonal of L, so it reaches the same
+    set.  The block is the real form (_real_form) of the builder's sector
+    entries there (_sector_generator): the rows of the bordered system of
+    steady_states without its trace row, on u = (x0, Re z, Im z, ...)
+    (_Sectors).  It is the Hermitian-coordinate block U L U^dagger up to a
+    permutation and a diagonal rescaling (sqrt(2), and a sign where a > b).
+    This is the one function that reads or writes model._cache: it keeps
+    the factors and patterns under "terms", and under "reach" the last
+    tuple (reached, block, sectors, layout), read once and replaced whole,
+    so a start that reaches exactly that set reuses it.  Returns that
+    tuple, with the sorted reached indices a*d + b, the dense block at zero
+    offset, the _Sectors of the set and its _state_layout, and the (m, n)
+    start coordinates u of the states' Hermitian parts.
     """
     d = model.dimension
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -511,14 +608,11 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     index = np.flatnonzero(reached)
     known = model._cache.get("reach")
     if known is None or not np.array_equal(known[0], index):
-        weights = _coordinate_weights(index, d)
-        flat, values = _real_generator(left, right, index, weights)
-        block = np.zeros((index.size, index.size))
-        block.flat[flat] = values
-        known = model._cache["reach"] = index, block, weights, _state_layout(index, d)
-    alpha, beta, partner = known[2]
-    vecs = states.reshape(-1, d * d)[:, index]
-    return known, (alpha * vecs + beta * vecs[:, partner]).real
+        sectors = _Sectors(index, model)
+        rows, cols, values = _real_form(*_sector_generator(left, right, sectors)[1], sectors.zero.size)
+        block = np.bincount(rows * index.size + cols, values, index.size**2).reshape(index.size, index.size)
+        known = model._cache["reach"] = index, block, sectors, _state_layout(index, d)
+    return known, known[2].coordinates(states.reshape(-1, d * d)[:, index])
 
 
 def _lowest_eigenvalues(stack: np.ndarray, axes: tuple) -> np.ndarray:
@@ -652,14 +746,15 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
     the model's detunings plus offsets (evolve).  Returns the sorted
     reached coordinates a*d + b (_reached_block) and the complex
     (len(times), m, n) vec entries of every state on them (m = 1 for a
-    single state), U^dagger x from real x (_hermitian_vec); every other vec
-    entry is exactly zero.  The block is the cached one at zero offset plus
-    the rotation of the offsets (_detuning_rotation) on its pairs (ab, ba).
-    The path x is one preallocated (len(times), n, m) array, each step one
-    product with the exponential of the block into the next slot.  Each
-    step takes the exponential of the first step in grid order that it
-    equals within 1e-12 relative, so every class of equal steps is
-    exponentiated once per call; none is kept after it returns.
+    single state), from the real sector coordinates u by _Sectors.vec;
+    every other vec entry is exactly zero.  The block is the cached one at
+    zero offset plus the rotation of the offsets (_Sectors.rotation) on its
+    pairs (x_ab, x_ba) and (Re z, Im z).  The path u is one preallocated
+    (len(times), n, m) array, each step one product with the exponential of
+    the block into the next slot.  Each step takes the exponential of the
+    first step in grid order that it equals within 1e-12 relative, so every
+    class of equal steps is exponentiated once per call; none is kept after
+    it returns.
     ValueError unless the times are finite and strictly increasing (naming
     the first time that does not increase), and each state, rho included,
     must pass _check_states.
@@ -678,10 +773,9 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
             f"times must be strictly increasing: time {times[k + 1]:g} us follows {times[k]:g} us"
         )
     offsets = _hold_offsets(model, offsets)
-    (reached, block, weights, layout), x0 = _reached_block(model, np.asarray(rho, dtype=complex))
+    (reached, block, sectors, layout), x0 = _reached_block(model, np.asarray(rho, dtype=complex))
     if offsets is not None:
-        generator = _detuning_generator(model.basis, -offsets)
-        rows, cols, values = _detuning_rotation(generator, reached, model.dimension)
+        rows, cols, values = sectors.rotation(_detuning_generator(model.basis, -offsets)[reached].imag)
         block = block.copy()
         block[rows, cols] += values
     exponentials = []  # one per class of equal steps, in grid order
@@ -694,7 +788,7 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
     path[0] = x0.T
     for k, which in enumerate(chosen):
         np.matmul(exponentials[which], path[k], out=path[k + 1])
-    entries = _hermitian_vec(np.swapaxes(path, 1, 2), weights)
+    entries = sectors.vec(np.swapaxes(path, 1, 2))
     _check_states(entries, layout, times, "t = {:g} us")
     return reached, entries
 
@@ -702,7 +796,7 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
 def _held_populations(
     model: LindbladModel, number_op: np.ndarray, rho0, times, offsets=None
 ) -> np.ndarray:
-    """tr(N rho(t)) for one state rho0 and a diagonal N, summed off the x_aa of _propagate.
+    """tr(N rho(t)) for one state rho0 and a diagonal N, summed off the entries rho_aa of _propagate.
 
     The terms are added from zero in ascending a, as an einsum over the
     diagonals of evolve's states adds them, so the sums are bitwise equal.
@@ -727,8 +821,10 @@ def evolve(model: LindbladModel, rho0, times, offsets=None) -> np.ndarray:
     summed detunings would hold them: they only move the diagonal of L,
     by K(-offsets) (_detuning_generator), so one model serves holds at
     several detunings.  Zero offsets are no offsets.  It runs in the real
-    Hermitian coordinates x = U vec(rho), only over those the state can
-    fill (_reached_block); every other one stays exactly zero.  An
+    sector coordinates u of the steady-state solver (x0 = U0 vec(rho) in
+    sector 0, then Re and Im of each rho_ab with N_a > N_b; _Sectors), only
+    over those the state can fill (_reached_block), on the generator of the
+    one builder (_sector_generator); every other one stays exactly zero.  An
     undriven hold conserves N_a - N_b on rho_ab, so from one excitation
     among five qubits it reaches 26 of the 1024 coordinates at n_th = 0
     and 252 with thermal excitation, while a drive reaches all.  Each step
@@ -765,23 +861,6 @@ def _detuning_generator(basis: ProductBasis, weights) -> np.ndarray:
     return 1j * TWO_PI * (levels[:, None] - levels[None, :]).reshape(-1)
 
 
-def _detuning_rotation(generator: np.ndarray, reached: np.ndarray, d: int):
-    """K_r = U diag(generator) U^dagger on coordinates closed under a <-> b, as (row, column, value).
-
-    generator is a diagonal on the row-major vec (_detuning_generator);
-    rows and columns are positions in reached, the sorted coordinates
-    a*d + b.  The generator entries i w at ab and -i w at ba (a < b) turn
-    rho_ab at rate w, i.e. dx_ab/dt = -w x_ba and dx_ba/dt = w x_ab: K_r
-    has entries at (ab, ba) and (ba, ab) only, never on the diagonal or at
-    a population.
-    """
-    a, b = np.divmod(reached, d)
-    upper = np.flatnonzero((a < b) & (generator[reached] != 0))
-    lower = np.searchsorted(reached, (b * d + a)[upper])
-    rate = generator[reached[upper]].imag
-    return np.concatenate([upper, lower]), np.concatenate([lower, upper]), np.concatenate([-rate, rate])
-
-
 def _real_view(z: np.ndarray) -> np.ndarray:
     """A Fortran-ordered (n, m) complex array as (2n, m) reals, Re and Im of each row in turn; no copy."""
     return z.T.view(np.float64).T
@@ -800,16 +879,16 @@ class _BorderedGenerator:
     b] = i 2 pi (N_a - N_b) (_detuning_generator).  Every term of L but
     the coherent drive conserves N_a - N_b on rho_ab, and the drive moves
     it by one, so L couples each sector s = |N_a - N_b| of its entries to
-    its neighbours alone (a model with no basis is sector 0); ValueError
-    names an entry that couples sectors more than one apart.  A row with
-    N_a < N_b is the conjugate of a row above sector 0, so the unknowns u
-    are:
+    its neighbours alone (a model with no basis is sector 0).  The entries
+    come from the one builder (_sector_generator) on all d^2 coordinates,
+    which names an entry that couples sectors more than one apart; the
+    unknowns u are its sector coordinates (_Sectors):
     - in sector 0 (populations, and coherences of equal N), the real
-      Hermitian coordinates x0 = U0 vec(rho) (_coordinate_weights), with
-      the rows of U0 L, row 0 (d rho_00/dt, dependent on the other
-      population rows as L preserves trace) replaced by the trace row
-      sum_a x_aa; a sector-1 entry rho_c enters them with its conjugate,
-      as 2 Re((U0 L)[:, c] rho_c);
+      Hermitian coordinates x0 = U0 vec(rho), with the rows of U0 L in
+      their real form (_real_form: a sector-1 entry rho_c enters with its
+      conjugate, as 2 Re((U0 L)[:, c] rho_c)), row 0 (d rho_00/dt,
+      dependent on the other population rows as L preserves trace)
+      replaced by the trace row sum_a x_aa;
     - in each sector s >= 1, the complex entries z = rho_ab with N_a - N_b
       = s, with the rows of L, sector-0 columns taken through U0^dagger,
       and i 2 pi s delta on the diagonal: there M(delta) is
@@ -817,88 +896,65 @@ class _BorderedGenerator:
     The pivot blocks are sector 0 alone, then runs of adjacent sectors,
     each closed, from the top sector down, once it holds PIVOT_MIN real
     coordinates (a complex unknown counts two), so M(delta) is block
-    tridiagonal over them.  Block k's rows over the columns of blocks k - 1
-    to k + 1 are one dense Fortran band: real for sector 0, where block 1
-    enters by its real view (_real_view), and complex above.  The complex
-    CSR of L0 (assemble_liouvillian), which the residual check multiplies,
-    the places of its entries and of delta K in the bands, the 1-norm
-    terms, the state layout and the LAPACK and BLAS handles are prepared
-    once per steady_states call.  A solution u is real: x0, then the real
-    views of the blocks above in order (self._real_at).
+    tridiagonal over them; the builder orders z by sector, so each block's
+    unknowns are contiguous.  Block k's rows over the columns of blocks k -
+    1 to k + 1 are one dense Fortran band: real for sector 0, where block 1
+    enters by its real view (_real_view), and complex above.  L's own
+    complex entries on the rows N_a >= N_b (a CSR the residual check
+    multiplies; a row N_a < N_b is the conjugate of one above sector 0),
+    the places of the sector entries and of delta K in the bands, the
+    1-norm terms, the rotation of delta K for the pencil, the state layout
+    and the LAPACK and BLAS handles are prepared once per steady_states
+    call.  A solution u is real: x0, then the real views of the blocks
+    above in order (self._real_at).
     """
 
     def __init__(self, model: LindbladModel):
         d = self._dimension = model.dimension
         n = d * d
-        generator = np.zeros(n, dtype=complex)
-        if model.basis is not None:  # the drive frame: every qubit at unit weight
-            generator = _detuning_generator(model.basis, np.ones(model.basis.n_qubits))
-        signed = np.rint(generator.imag / TWO_PI).astype(int)  # N_a - N_b
-        sector = np.abs(signed)
-        self._liouvillian = liouvillian = assemble_liouvillian(model)
-        rows = np.repeat(np.arange(n), np.diff(liouvillian.indptr))
-        cols, values = liouvillian.indices, liouvillian.data
-        far = np.flatnonzero(np.abs(sector[rows] - sector[cols]) > 1)
-        if far.size:
-            k = far[0]
-            raise ValueError(
-                f"bordered generator entry ({rows[k]}, {cols[k]}) couples sectors "
-                f"{sector[rows[k]]} and {sector[cols[k]]} of |N_a - N_b|, more than one apart"
-            )
+        sectors = self._sectors = _Sectors(np.arange(n), model)
+        (rows, cols, values), (i, j, v) = _sector_generator(*_kron_terms(model), sectors)
 
         # each sector's pivot block: sector 0 alone, then runs from the top sector down
         from_top, runs, filled = [], 0, 0
-        for count in np.bincount(sector)[:0:-1].tolist():
+        for count in np.bincount(np.abs(sectors.signed))[:0:-1].tolist():
             from_top.append(runs)
             filled += count
             if filled >= PIVOT_MIN:
                 runs, filled = runs + 1, 0
         top = runs if filled else runs - 1
         self._sector_block = np.array([0] + [top + 1 - run for run in reversed(from_top)])
-        # the unknowns stably sorted by block, and each one's slot among them
-        block = np.where(signed >= 0, self._sector_block[np.maximum(signed, 0)], -1)
-        kept = np.flatnonzero(block >= 0)
-        order = kept[np.argsort(block[kept], kind="stable")]
-        sizes = np.bincount(block[kept]).tolist()
+        # the unknowns, x0 then z by sector, are contiguous by block
+        n0 = sectors.zero.size
+        sizes = [n0] + np.bincount(self._sector_block[sectors.signed[sectors.upper]]).tolist()[1:]
         start = [0, *itertools.accumulate(sizes)]
         # a complex block below PIVOT_MIN real coordinates is inverted (PIVOT_MIN)
         self._inverted = [k > 0 and 2 * size < PIVOT_MIN for k, size in enumerate(sizes)]
+        order = np.append(sectors.zero, sectors.upper)
         self._members = [order[a:b] for a, b in zip(start, start[1:])]
-        slot = np.full(n, -1)  # -1 below sector 0
-        slot[order] = np.arange(order.size)
-        n0 = sizes[0]
         # where each block lies in a real solution: x0, then real views
         self._real_at = [slice(0, n0)]
         self._real_at += [slice(2 * start[k] - n0, 2 * start[k + 1] - n0) for k in range(1, len(sizes))]
-        self._coherences = order[n0:]
-        a, b = np.divmod(self._coherences, d)
-        self._conjugates = b * d + a
-        self._weights = alpha, beta, partner = _coordinate_weights(self._members[0], d)
         self._layout = _state_layout(np.arange(n), d)
-        # the 1-norm of L(delta): the column sums of |L0|, delta K moving the
-        # diagonal entry of each coherence column; as L maps Hermitian
-        # matrices to Hermitian ones, the columns ab and ba have equal sums
-        column_sums = np.bincount(liouvillian.indices, np.abs(liouvillian.data), n)
-        self._diagonal = liouvillian.diagonal()[self._coherences]
-        self._off_diagonal = column_sums[self._coherences] - np.abs(self._diagonal)
-        self._still = column_sums[self._members[0]].max()
-
-        # the entries on the rows of the unknowns, a column below sector 0 dropped
-        keep = (signed[rows] >= 0) & (signed[cols] >= 0)
-        rows, cols, values = slot[rows[keep]], slot[cols[keep]], values[keep]
-
-        def split(index, other, values, first, second):
-            """The entries at sector-0 slots of index split over their orbits.
-
-            An entry at slot i takes the weight first[i] there and
-            second[partner_i] at partner_i; a diagonal orbit is one slot.
-            """
-            inside = np.flatnonzero(index < n0)
-            inside = inside[partner[index[inside]] != index[inside]]
-            to = partner[index[inside]]
-            values = np.concatenate([values, values[inside] * second[to]])
-            values[inside] *= first[index[inside]]
-            return np.append(index, to), np.append(other, other[inside]), values
+        # L's own entries on the rows N_a >= N_b, which the residual check multiplies
+        self._liouvillian = sparse.csr_matrix((values, cols, np.searchsorted(rows, np.arange(n + 1))), (n, n))
+        # the 1-norm of L(delta): the column sums of |L0| over every row, a
+        # row r* with N_a < N_b read off the row r above sector 0 as |L[r*,
+        # c]| = |L[r, c*]|, and delta K moving the diagonal entry of each
+        # coherence column; as L maps Hermitian matrices to Hermitian ones,
+        # the columns c and c* have equal sums
+        magnitude, above = np.abs(values), sectors.signed[rows] > 0
+        conjugate = (cols % d) * d + cols // d
+        column_sums = np.bincount(cols, magnitude, n) + np.bincount(conjugate[above], magnitude[above], n)
+        diagonal = np.zeros(n, dtype=complex)
+        diagonal[rows[rows == cols]] = values[rows == cols]
+        self._diagonal = diagonal[sectors.upper]
+        self._off_diagonal = column_sums[sectors.upper] - np.abs(self._diagonal)
+        self._still = column_sums[sectors.zero].max()
+        # each temporary goes once used: in a benchmark pass a higher memory
+        # high-water per call had the allocator return its top and fault
+        # 1,600-2,800 pages back in per N = 5 call (getrusage, 2-core host)
+        del rows, cols, values, magnitude, above, conjugate, column_sums, diagonal
 
         # one flat complex array holds every band: block 0's real band as
         # float64 pairs, then the band of each block k above over the
@@ -913,33 +969,25 @@ class _BorderedGenerator:
             (slice(ends[k - 1], ends[k]), (sizes[k], width[k]), sizes[k - 1]) for k in range(1, last + 1)
         ]
         # entry (row, col) of block k >= 1 sits at base[k] + row + col * sizes[k]
-        base = [0] + [ends[k - 1] - start[k] - start[k - 1] * sizes[k] for k in range(1, last + 1)]
-        base = np.array(base)
+        base = np.array([0] + [ends[k - 1] - start[k] - start[k - 1] * sizes[k] for k in range(1, last + 1)])
         size = np.array(sizes)
 
-        # the columns of sector 0 through U0^dagger
-        cols, rows, values = split(cols, rows, values, alpha.conj(), beta.conj())
-        upper = rows >= n0
-        block_of = np.searchsorted(start, rows[upper], side="right") - 1
-        self._complex_entries = base[block_of] + rows[upper] + cols[upper] * size[block_of], values[upper]
-        # the diagonal of delta K, i 2 pi s on each complex unknown
-        self._shift = 1j * TWO_PI * signed[self._coherences]
+        # the rows of z, complex
+        upper = i >= n0
+        block_of = np.searchsorted(start, i[upper], side="right") - 1
+        self._complex_entries = base[block_of] + i[upper] + j[upper] * size[block_of], v[upper]
+        # the diagonal of delta K, i 2 pi s on each z, and its rotation of (Re z, Im z)
+        self._shift = 1j * TWO_PI * sectors.signed[sectors.upper]
         block_of = np.repeat(np.arange(1, last + 1), sizes[1:])
         self._shift_at = base[block_of] + np.arange(n0, order.size) * (1 + size[block_of])
+        self._rotation = sectors.rotation(TWO_PI * sectors.signed)
 
-        # the rows of sector 0 through U0, real parts: a column of block 1
-        # enters at the two columns of its real view, as 2 Re and -2 Im
-        rows, cols, values = split(rows[~upper], cols[~upper], values[~upper], alpha, beta)
-        coherent = np.flatnonzero(cols >= n0)
-        values[coherent] *= 2.0
-        column = np.where(cols >= n0, 2 * cols - n0, cols)
-        rows = np.append(rows, rows[coherent])
-        column = np.append(column, column[coherent] + 1)
-        values = np.append(values.real, -values[coherent].imag)
-        # row 0 is the trace row, sum_a x_aa
+        # the rows of x0, real (_real_form); row 0 is the trace row, sum_a x_aa
+        i, j, v = i[~upper], j[~upper], v[~upper]
+        rows, cols, values = _real_form(i, j, v, n0)
         body = rows > 0
-        diagonal = np.flatnonzero(self._members[0] % (d + 1) == 0)
-        at = np.append(diagonal * n0, rows[body] + column[body] * n0)
+        diagonal = np.flatnonzero(sectors.zero % (d + 1) == 0)
+        at = np.append(diagonal * n0, rows[body] + cols[body] * n0)
         self._real_entries = at, np.append(np.ones(diagonal.size), values[body]), (n0, width[0])
         names = ("getrf", "gecon", "getrs", "getri")
         self._lapack = [get_lapack_funcs(names, dtype=dtype) for dtype in (np.float64, np.complex128)]
@@ -1080,8 +1128,9 @@ class _BorderedGenerator:
         delta_0 is the node nearest the mean of the nodes.  With s = delta -
         delta_0, M(delta) = M(delta_0) + s R, and R is real on the real
         views P of the complex unknowns alone: it turns each (Re z, Im z) at
-        rate 2 pi |N_a - N_b|.  One solve on the columns [e_0, E_P] gives
-        u_0 = M(delta_0)^-1 e_0 and W = M(delta_0)^-1 E_P; C = R_PP W_P = V
+        rate 2 pi |N_a - N_b| (_Sectors.rotation, as a hold's offsets).  One
+        solve on the columns [e_0, E_P] gives u_0 = M(delta_0)^-1 e_0 and W =
+        M(delta_0)^-1 E_P; C = R_PP W_P = V
         Lambda V^-1 is decomposed once, and by Woodbury u = u_0 - s W V (1 +
         s Lambda)^-1 V^-1 R_PP u_0,P, real (W is): the pole-residue form of
         the transfer function (Antoulas, Approximation of Large-Scale
@@ -1096,11 +1145,7 @@ class _BorderedGenerator:
         256 5-8 ms, where getri takes 0.002-0.9 ms on 2 cores.
         """
         center = int(np.argmin(np.abs(nodes - nodes.mean())))
-        n0 = self._real_at[0].stop
-        rows = np.arange(n0, self._dimension**2)
-        cols = rows.reshape(-1, 2)[:, ::-1].reshape(-1)  # Re z and Im z of one unknown swapped
-        rotation = np.repeat(self._shift.imag, 2)
-        rotation[::2] *= -1.0  # d(Re z, Im z) = w (-Im z, Re z)
+        rows, cols, rotation = self._rotation
         pivots, couplings, upper = self._factor(nodes[center])
         pivots = [
             self._lapack[k > 0][3](*pivot, overwrite_lu=True)[0] if isinstance(pivot, tuple) else pivot
@@ -1135,27 +1180,21 @@ class _BorderedGenerator:
         """The states of the solutions u at the nodes, checked: their (nodes, d^2) vecs.
 
         Each vec is U0^dagger x0 on sector 0, z above it and conj(z) at the
-        transposed entries, so exactly Hermitian.  Its residual, max |L(delta)
-        vec(rho)| from one sparse product of L0 and the diagonal delta K,
-        above 1e-10 of the node's 1-norm (norms) raises
+        transposed entries (_Sectors.vec), so exactly Hermitian.  Its
+        residual, max |L(delta) vec(rho)| over the rows N_a >= N_b, from one
+        sparse product of L0's own complex entries and the diagonal delta K
+        (not from the bands), above 1e-10 of the node's 1-norm (norms) raises
         DegenerateSteadyStateError.  Then the states must have unit trace
         within 1e-9 and no eigenvalue below -1e-8 (_check_states,
         ValueError).  Each check names the first node that fails it, and
         the residual check runs over all nodes first.
         """
-        n0 = self._real_at[0].stop
-        vecs = np.empty((self._dimension**2, u.shape[1]), dtype=complex)  # one column per node
-        vecs[self._members[0]] = _hermitian_vec(u[:n0].T, self._weights).T
-        coherences = _complex_view(u[n0:])
-        vecs[self._coherences] = coherences
-        vecs[self._conjugates] = coherences.conj()
-        y = self._liouvillian @ vecs
-        shift = coherences * (self._shift[:, None] * nodes)
-        y[self._coherences] += shift
-        y[self._conjugates] += shift.conj()
+        vecs = self._sectors.vec(u.T)
+        z = vecs[:, self._sectors.upper].T
+        y = self._liouvillian @ vecs.T
+        y[self._sectors.upper] += z * (self._shift[:, None] * nodes)
         residuals = np.abs(y).max(axis=0)
-        del y, shift
-        vecs = vecs.T
+        del y, z
         bad = np.flatnonzero(residuals > 1e-10 * np.maximum(1.0, anorms))
         if bad.size:
             k = bad[0]
@@ -1172,13 +1211,15 @@ def steady_states(model: LindbladModel, detunings) -> np.ndarray:
     delta lowers every qubit detuning of ``model`` (_BorderedGenerator).
     A non-finite detuning is rejected before any solve (ValueError naming
     it), and so is a nonzero one on a model with no qubit basis.  The
-    bordered matrix is block tridiagonal over the sectors |N_a - N_b| of
-    its entries: sector 0 in real Hermitian coordinates, and above it the
-    complex rho_ab with N_a > N_b, whose conjugates rho_ba are no unknowns;
-    each factorization is one block LU over runs of adjacent sectors on
-    scipy's LAPACK, real for sector 0 and complex above
+    bordered matrix takes its entries from the builder the holds share
+    (_sector_generator), and is block tridiagonal over the sectors |N_a -
+    N_b| of its entries: sector 0 in real Hermitian coordinates, and above
+    it the complex rho_ab with N_a > N_b, whose conjugates rho_ba are no
+    unknowns; each factorization is one block LU over runs of adjacent
+    sectors on scipy's LAPACK, real for sector 0 and complex above
     (_BorderedGenerator), and an entry that couples sectors more than one
-    apart raises ValueError naming it.
+    apart raises ValueError naming it.  assemble_liouvillian is not
+    called.
     The states are solved at the sorted distinct detunings, the nodes:
     - at most POINTWISE_MAX nodes: one block LU per node
       (_BorderedGenerator.pointwise), so a state does not depend on the
@@ -1218,16 +1259,16 @@ def dominant_oscillation(model: LindbladModel, rho0, observable):
     fit of a multi-component damped signal would be biased.  rho0 is one
     d x d state, which gives one (frequency, damping) pair, or an m x d x d
     stack, which gives a list of m pairs from one eigendecomposition.  The
-    modes are those of the real generator block on the coordinates the
-    stack reaches (_reached_block, which checks the states as evolve does):
-    no other mode carries amplitude.
+    modes are those of the real block evolve exponentiates, on the sector
+    coordinates u the stack reaches (_reached_block, which checks the
+    states as evolve does): no other mode carries amplitude.  The readout
+    is linear in u, its weight on u_k the readout of _Sectors.vec(e_k).
     """
     rho = np.asarray(rho0, dtype=complex)
-    (reached, block, (alpha, beta, partner), _), starts = _reached_block(model, rho)
+    (reached, block, sectors, _), starts = _reached_block(model, rho)
     values, left, right = eig(block, left=True)
-    # tr(O rho) = o . vec(rho) with o = vec(O^T), and vec(rho) = U^dagger x
-    obs_vec = np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
-    obs_vec = obs_vec * alpha.conj() + obs_vec[partner] * beta.conj()
+    # tr(O rho) = o . vec(rho) with o = vec(O^T), linear in u: u_k weighs o . vec(e_k)
+    obs_vec = sectors.vec(np.eye(reached.size)) @ np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
     best = [None] * len(starts)
     for k in range(values.size):
         freq = abs(values[k].imag) / TWO_PI

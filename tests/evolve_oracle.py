@@ -15,7 +15,7 @@ def listed_path_states(model, rho0, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     rho = np.asarray(rho0, dtype=complex)
     d = model.dimension
-    (reached, block, weights, _), x0 = lindblad._reached_block(model, rho)
+    (reached, block, sectors, _), x0 = lindblad._reached_block(model, rho)
     exponentials = []
     path = [x0.T]
     for step in np.diff(times):
@@ -27,5 +27,5 @@ def listed_path_states(model, rho0, times) -> np.ndarray:
             exponentials.append((step, exponential))
         path.append(exponential @ path[-1])
     states = np.zeros((times.size, len(x0), d * d), dtype=complex)
-    states[..., reached] = lindblad._hermitian_vec(np.swapaxes(path, 1, 2), weights)
+    states[..., reached] = sectors.vec(np.swapaxes(path, 1, 2))
     return states.reshape((times.size,) + rho.shape)

@@ -113,6 +113,21 @@ class TestValidation:
         assert capsys.readouterr().err == message
         assert not list(tmp_path.glob("run*"))
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"experiment": "rabi\xff"}', "cannot read config: 'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "config is not valid JSON: maximum recursion depth"),
+    ], ids=["not-utf8", "nested"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, content, message):
+        # a file that is not UTF-8, or JSON nested past the parser's depth,
+        # is a config error (exit 1, one line), not a failed run
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(content)
+        for command in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "run")]):
+            assert cli.main(command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_bundled_configs_all_validate(self):
         for entry in files("wgqed").joinpath("configs").iterdir():
             assert cli.main(["validate", str(entry)]) == 0
@@ -560,7 +575,7 @@ class TestBundledConfigs:
             "fig3f_twoexc": (3, 3), "fig4_compound": (2, 1),
         }
         counts = {}
-        for name in ("_expm", "_real_generator"):
+        for name in ("_expm", "_sector_generator"):
             real = getattr(lindblad, name)
 
             def counting(*args, name=name, real=real):
@@ -570,9 +585,9 @@ class TestBundledConfigs:
             monkeypatch.setattr(lindblad, name, counting)
         seen = {}
         for config in expected:
-            counts.update(_expm=0, _real_generator=0)
+            counts.update(_expm=0, _sector_generator=0)
             cli.run_config(cli.load_config(bundled(config)), str(tmp_path / config))
-            seen[config] = counts["_expm"], counts["_real_generator"]
+            seen[config] = counts["_expm"], counts["_sector_generator"]
         assert seen == expected
 
 

@@ -365,6 +365,44 @@ def reached_coordinates(model, rho) -> np.ndarray:
     return reached_block(model, rho)[0]
 
 
+def hold_coordinates(model, reached) -> np.ndarray:
+    """T with u = T vec(rho) on the reached coordinates, from the definition of the hold's coordinates.
+
+    First the Hermitian coordinates of sector 0 (N_a = N_b, every
+    coordinate without a qubit basis) in ascending order, rows of the
+    oracle's U; then, for each rho_ab with N_a > N_b, by N_a - N_b and then
+    by index, Re rho_ab = (rho_ab + rho_ba) / 2 and Im rho_ab = (rho_ab -
+    rho_ba) / 2i of a Hermitian rho.
+    """
+    d = model.dimension
+    excitations = np.array([bin(k).count("1") for k in range(d)]) if model.basis else np.zeros(d, int)
+    a, b = np.divmod(reached, d)
+    signed = excitations[a] - excitations[b]
+    unitary = reach_oracle.hermitian_unitary(d).toarray()[np.ix_(reached, reached)]
+    rows = list(unitary[signed == 0])
+    for k in sorted(np.flatnonzero(signed > 0), key=lambda k: signed[k]):
+        conjugate = np.searchsorted(reached, b[k] * d + a[k])
+        real, imag = np.zeros(reached.size, complex), np.zeros(reached.size, complex)
+        real[k], real[conjugate] = 0.5, 0.5
+        imag[k], imag[conjugate] = -0.5j, 0.5j
+        rows += [real, imag]
+    return np.array(rows)
+
+
+def oracle_block(model, reached, generator=None) -> np.ndarray:
+    """The oracle's U L U^dagger on the reached coordinates, moved into the hold's coordinates.
+
+    u = S x with S = T U^dagger (hold_coordinates), so the block is S A S^-1.
+    """
+    if generator is None:
+        generator = reach_oracle.real_generator(model)
+    unitary = reach_oracle.hermitian_unitary(model.dimension).toarray()[np.ix_(reached, reached)]
+    similarity = hold_coordinates(model, reached) @ unitary.conj().T
+    assert np.max(np.abs(similarity.imag)) < 1e-15
+    similarity = similarity.real
+    return similarity @ generator[reached][:, reached].toarray() @ np.linalg.inv(similarity)
+
+
 def assert_extra_coordinates_zero(states, extra, d):
     """Coordinates in extra (row-major ab) read exactly 0 in every state of the stack."""
     a, b = np.divmod(extra, d)
@@ -461,7 +499,7 @@ class TestReachedCoordinates:
                 picks = rng.choice(d, size=min(2, d), replace=False)
                 for rho in (basis_projector(model.basis, *picks), np.ones((d, d)) / d):
                     reached, block = reached_block(model, rho)
-                    reference = generator[reached][:, reached].toarray()
+                    reference = oracle_block(model, reached, generator)
                     assert block.dtype == np.float64
                     assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference))
 
@@ -523,26 +561,35 @@ class TestReachedCoordinates:
         assert np.array_equal(evolve(model, skew, times), evolve(model, hermitian, times))
 
     def test_evolve_builds_no_sparse_liouvillian(self, monkeypatch):
-        # evolve reads the model's factors alone: neither the sparse
-        # assembly nor anything else of scipy.sparse is used
+        # evolve and dominant_oscillation read the model's factors alone:
+        # neither the sparse assembly nor anything else of scipy.sparse is
+        # used; steady_states takes its entries from the same builder, and
+        # calls no assemble_liouvillian either
         rng = np.random.default_rng(66)
         models = [build_model(random_spec(rng, 3, n_th=0.1)),
                   build_model(random_spec(rng, 3), drives=random_drives(rng, 3))]
         rho0 = basis_projector(models[0].basis, 0b001)
         times = np.linspace(0.0, 0.05, 4)
         references = [propagated_states(model, rho0, times) for model in models]
+        number = models[0].basis.number(0)
+        modes = [dominant_oscillation(uncached(model), rho0, number) for model in models]
+        grid = [-1.0, 0.0, 2.5]
+        expected = steady_states(uncached(models[1]), grid)
 
         def forbidden(*_args, **_kwargs):
-            raise AssertionError("evolve built the sparse Liouvillian")
+            raise AssertionError("a solver built the sparse Liouvillian")
 
         class ForbiddenModule:
             def __getattr__(self, name):
                 forbidden()
 
         monkeypatch.setattr(lindblad, "assemble_liouvillian", forbidden)
-        monkeypatch.setattr(lindblad, "sparse", ForbiddenModule())
-        for model, reference in zip(models, references):
-            assert np.max(np.abs(evolve(model, rho0, times) - reference)) < 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "sparse", ForbiddenModule())
+            for model, reference, mode in zip(models, references, modes):
+                assert np.max(np.abs(evolve(model, rho0, times) - reference)) < 1e-12
+                assert dominant_oscillation(model, rho0, number) == mode
+        assert np.array_equal(steady_states(models[1], grid), expected)
 
     def test_states_are_exactly_hermitian(self):
         rng = np.random.default_rng(63)
@@ -719,10 +766,10 @@ class TestCoordinateStates:
         starts = (first, other, first, first)
         fresh = [evolve(uncached(model), rho, times) for rho, times in zip(starts, grids + grids[:1])]
         built = []
-        real_generator = lindblad._real_generator
+        sector_generator = lindblad._sector_generator
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lindblad, "_real_generator",
-                          lambda *args: built.append(1) or real_generator(*args))
+            patch.setattr(lindblad, "_sector_generator",
+                          lambda *args: built.append(1) or sector_generator(*args))
             for rho, times, expected in zip(starts, grids + grids[:1], fresh):
                 assert same_bits(evolve(model, rho, times), expected)
         # first, other, first again: three builds; the last call reuses the third
@@ -823,9 +870,11 @@ class TestModelCache:
             elif isinstance(value, (tuple, list)):
                 for item in value:
                     yield from arrays(item)
+            elif isinstance(value, lindblad._Sectors):
+                yield from arrays(list(vars(value).values()))
 
         reach = model._cache["reach"]
-        assert len(reach) == 4  # (reached, block, weights, layout)
+        assert len(reach) == 4  # (reached, block, sectors, layout)
         expected, _ = lindblad._reached_block(uncached(model), rho)
         assert all(same_bits(a, b) for a, b in zip(arrays(reach), arrays(expected), strict=True))
         kept = list(arrays(list(model._cache.values())))
@@ -936,7 +985,7 @@ class TestHoldOffsets:
         rho, times = basis_projector(model.basis, 0b001), np.linspace(0.0, 0.05, 6)
         calls = [None, [1.0, 0.0, -2.0], [1.0, 0.0, -2.0], [0.5, 0.0, 0.0], None]
         fresh = [evolve(uncached(model), rho, times, offsets) for offsets in calls]
-        counts = {"_real_generator": 0, "_expm": 0}
+        counts = {"_sector_generator": 0, "_expm": 0}
         for name in counts:
             real = getattr(lindblad, name)
 
@@ -949,7 +998,7 @@ class TestHoldOffsets:
         for offsets, expected in zip(calls, fresh):
             assert same_bits(evolve(model, rho, times, offsets), expected)
             seen.append(dict(counts))
-        assert [c["_real_generator"] for c in seen] == [1, 1, 1, 1, 1]
+        assert [c["_sector_generator"] for c in seen] == [1, 1, 1, 1, 1]
         assert [c["_expm"] for c in seen] == [1, 2, 3, 4, 5]
 
     def test_offset_errors_are_named(self):
@@ -1158,7 +1207,7 @@ class TestSteadyStateSweep:
 
 
 class TestHermitianCoordinates:
-    """The real generator A = U L U^dagger in the coordinates x = U vec(rho)."""
+    """The sector coordinates u: Hermitian x0 = U0 vec(rho) in sector 0, then Re z and Im z above."""
 
     @staticmethod
     def random_models():
@@ -1167,104 +1216,134 @@ class TestHermitianCoordinates:
             yield build_model(random_spec(rng, n), drives=random_drives(rng, n))
             yield build_model(random_spec(rng, n, n_th=rng.uniform(0.01, 0.2)))
 
+    @staticmethod
+    def bare_model(d):
+        """A model of dimension d, on a qubit basis where d is a power of two above 1."""
+        n = d.bit_length() - 1
+        basis = ProductBasis(n) if d > 1 and d == 2**n else None
+        return LindbladModel(np.zeros((d, d)), (), basis)
+
+    @staticmethod
+    def random_hermitian(rng, d, m):
+        rho = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+        return rho + np.swapaxes(rho, 1, 2).conj()
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
     def test_unitary(self, d):
-        # the rows _coordinate_weights gives on all d^2 coordinates are
-        # those of the oracle's U, built from the definition, which is unitary
+        # on all d^2 coordinates, u = T vec(rho) with T written from the
+        # definition (hold_coordinates), whose sector-0 rows are those of
+        # the oracle's U, which is unitary
+        model = self.bare_model(d)
         index = np.arange(d * d)
-        alpha, beta, partner = lindblad._coordinate_weights(index, d)
-        weights = sparse.csr_matrix(
-            (np.concatenate([alpha, beta]), (np.concatenate([index, index]),
-                                             np.concatenate([index, partner]))),
-            shape=(d * d, d * d),
-        )
+        sectors = lindblad._Sectors(index, model)
+        transform = hold_coordinates(model, index)
         unitary = reach_oracle.hermitian_unitary(d)
-        assert abs(weights - unitary).max() < 1e-15
         identity = (unitary @ unitary.conj().T).toarray()
         assert np.max(np.abs(identity - np.eye(d * d))) < 1e-15
+        zero = sectors.zero
+        assert np.max(np.abs(transform[: zero.size] - unitary.toarray()[zero])) < 1e-15
+        vecs = self.random_hermitian(np.random.default_rng(d), d, 3).reshape(3, -1)
+        expected = transform @ vecs.T
+        assert np.max(np.abs(expected.imag)) < 1e-14
+        assert np.max(np.abs(sectors.coordinates(vecs) - expected.real.T)) < 1e-14
 
     def test_liouvillian_is_real(self):
-        # the oracle asserts U L U^dagger has no imaginary part beyond 1e-12
+        # the builder's entries on all d^2 coordinates, in their real form and
+        # summed, against the oracle's U L U^dagger (which asserts no imaginary part
+        # beyond 1e-12) moved into the same coordinates
         for model in self.random_models():
             d = model.dimension
-            index = np.arange(d * d)
-            weights = lindblad._coordinate_weights(index, d)
-            flat, values = lindblad._real_generator(*lindblad._kron_terms(model), index, weights)
+            sectors = lindblad._Sectors(np.arange(d * d), model)
+            _, entries = lindblad._sector_generator(*lindblad._kron_terms(model), sectors)
+            rows, cols, values = lindblad._real_form(*entries, sectors.zero.size)
             assert values.dtype == np.float64
-            assert np.all(np.diff(flat) > 0)
-            reference = reach_oracle.real_generator(model).toarray().reshape(-1)
-            generator = np.zeros(d**4)
-            generator[flat] = values
+            generator = np.zeros((d * d, d * d))
+            np.add.at(generator, (rows, cols), values)
+            reference = oracle_block(model, np.arange(d * d))
             assert np.max(np.abs(generator - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_coordinates_of_a_qubit(self):
         rho = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
+        vec = rho.reshape(1, -1)
+        # no basis: every coordinate Hermitian, as the oracle's U
         expected = [0.7, math.sqrt(2) * 0.1, -math.sqrt(2) * 0.2, 0.3]
-        alpha, beta, partner = lindblad._coordinate_weights(np.arange(4), 2)
-        vec = rho.reshape(-1)
-        assert np.allclose(alpha * vec + beta * vec[partner], expected, atol=1e-15)
-        assert np.allclose(reach_oracle.hermitian_unitary(2) @ vec, expected, atol=1e-15)
+        sectors = lindblad._Sectors(np.arange(4), LindbladModel(np.zeros((2, 2))))
+        assert np.allclose(sectors.coordinates(vec)[0], expected, atol=1e-15)
+        assert np.allclose(reach_oracle.hermitian_unitary(2) @ vec[0], expected, atol=1e-15)
+        # a qubit: the populations, then rho_10 = rho_eg
+        sectors = lindblad._Sectors(np.arange(4), self.bare_model(2))
+        assert np.allclose(sectors.coordinates(vec)[0], [0.7, 0.3, 0.1, 0.2], atol=1e-15)
 
     def test_non_hermitian_map_rejected(self):
         # rho -> i rho maps Hermitian matrices to anti-Hermitian ones
         eye = np.eye(3, dtype=complex)[None]
-        index = np.arange(9)
+        sectors = lindblad._Sectors(np.arange(9), LindbladModel(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="Hermitian"):
-            lindblad._real_generator(1j * eye, eye, index, lindblad._coordinate_weights(index, 3))
+            lindblad._sector_generator(1j * eye, eye, sectors)
 
     @pytest.mark.parametrize("d", [2, 5, 32])
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
-        x = rng.normal(size=d * d)
-        weights = lindblad._coordinate_weights(np.arange(d * d), d)
-        vec = lindblad._hermitian_vec(x, weights)
+        model = self.bare_model(d)
+        index = np.arange(d * d)
+        sectors = lindblad._Sectors(index, model)
+        u = rng.normal(size=d * d)
+        vec = sectors.vec(u)
         rho = vec.reshape(d, d)
         assert np.array_equal(rho, rho.conj().T)
-        unitary = reach_oracle.hermitian_unitary(d)
-        assert np.max(np.abs(unitary.conj().T @ x - vec)) < 1e-15
-        assert np.max(np.abs(unitary @ vec - x)) < 1e-15
-        alpha, beta, partner = weights
-        assert np.max(np.abs(alpha * vec + beta * vec[partner] - x)) < 1e-15
+        transform = hold_coordinates(model, index)
+        assert np.max(np.abs(np.linalg.solve(transform, u) - vec)) < 1e-14
+        assert np.max(np.abs(transform @ vec - u)) < 1e-15
+        assert np.max(np.abs(sectors.coordinates(vec[None])[0] - u)) < 1e-15
 
     def test_inverse_on_a_stack_is_c_contiguous(self):
-        # the steady-state sweep maps x.T, a Fortran-ordered view; each
+        # the steady-state sweep maps u.T, a Fortran-ordered view; each
         # state's vec must still be one contiguous row
         rng = np.random.default_rng(33)
         d = 4
-        weights = lindblad._coordinate_weights(np.arange(d * d), d)
-        x = rng.normal(size=(d * d, 7))
-        vecs = lindblad._hermitian_vec(x.T, weights)
+        model = self.bare_model(d)
+        sectors = lindblad._Sectors(np.arange(d * d), model)
+        u = rng.normal(size=(d * d, 7))
+        vecs = sectors.vec(u.T)
         assert vecs.flags.c_contiguous
-        unitary = reach_oracle.hermitian_unitary(d)
-        assert np.max(np.abs(vecs - (unitary.conj().T @ x).T)) < 1e-15
+        transform = hold_coordinates(model, np.arange(d * d))
+        assert np.max(np.abs(vecs - np.linalg.solve(transform, u).T)) < 1e-15
 
     def test_inverse_on_a_reached_set(self):
-        # on the coordinates a pair's one-excitation hold reaches, U^dagger x
-        # is the oracle's U^dagger on all d^2 coordinates, restricted
+        # on the coordinates a pair's one-excitation hold reaches (sector 0
+        # alone), and on those of |00> and |01> (rho_10 above it), the vec
+        # is the inverse of hold_coordinates on the set, exactly Hermitian
         rng = np.random.default_rng(34)
-        d = 4
-        reached = np.array([5, 6, 9, 10])
-        x = np.zeros(d * d)
-        x[reached] = rng.normal(size=reached.size)
-        vec = lindblad._hermitian_vec(x[reached], lindblad._coordinate_weights(reached, d))
-        full = reach_oracle.hermitian_unitary(d).conj().T @ x
-        assert np.max(np.abs(vec - full[reached])) < 1e-15
-        assert not np.any(np.delete(full, reached))
+        model = self.bare_model(4)
+        for reached, upper in ((np.array([5, 6, 9, 10]), []), (np.array([0, 1, 4, 5]), [2])):
+            sectors = lindblad._Sectors(reached, model)
+            assert sectors.upper.tolist() == upper
+            u = rng.normal(size=reached.size)
+            vec = sectors.vec(u)
+            assert np.max(np.abs(vec - np.linalg.solve(hold_coordinates(model, reached), u))) < 1e-15
+            transposed = np.searchsorted(reached, (reached % 4) * 4 + reached // 4)
+            assert np.array_equal(vec[transposed], vec.conj())
 
     def test_detuning_generator_only_rotates_coherences(self):
-        basis = ProductBasis(4)
-        d = basis.dimension
-        generator = lindblad._detuning_generator(basis, np.ones(basis.n_qubits))
-        rows, cols, values = lindblad._detuning_rotation(generator, np.arange(d * d), d)
-        unitary = reach_oracle.hermitian_unitary(d)
-        reference = (unitary @ sparse.diags(generator) @ unitary.conj().T).toarray()
-        rotation = np.zeros((d * d, d * d))
-        rotation[rows, cols] = values
-        assert np.unique(rows).size == rows.size
-        assert np.max(np.abs(rotation - reference)) < 1e-12
-        assert rows.size > 0 and not np.any(rows == 0)
-        a, b = np.divmod(rows, d)
-        assert np.array_equal(cols, b * d + a) and not np.any(a == b)
+        # unit weights turn z alone; other weights also turn pairs of sector
+        # 0; against T diag(K) T^-1 on all d^2 coordinates (hold_coordinates)
+        model = self.bare_model(16)
+        d = model.dimension
+        sectors = lindblad._Sectors(np.arange(d * d), model)
+        transform = hold_coordinates(model, np.arange(d * d))
+        n0 = sectors.zero.size
+        for weights, in_sector_zero in ((np.ones(4), False), ([1.0, 0.0, -2.0, 0.5], True)):
+            generator = lindblad._detuning_generator(model.basis, weights)
+            rows, cols, values = sectors.rotation(generator.imag)
+            reference = transform @ np.diag(generator) @ np.linalg.inv(transform)
+            assert np.max(np.abs(reference.imag)) < 1e-12
+            rotation = np.zeros((d * d, d * d))
+            rotation[rows, cols] = values
+            assert np.unique(rows).size == rows.size
+            assert np.max(np.abs(rotation - reference.real)) < 1e-12
+            populations = np.flatnonzero(sectors.zero % (d + 1) == 0)
+            assert rows.size > 0 and not np.any(np.isin(rows, populations))
+            assert np.any(rows < n0) == in_sector_zero
 
     def test_five_qubit_solve_peak_memory(self):
         # the pivot-block bands of one point take 4.0 MiB (real for sector 0,
@@ -1324,8 +1403,8 @@ class TestSectorBlocks:
         # |11><11| (coordinate 15, sector 0) fed from |00><11| (3, sector 2)
         kron_entries = lindblad._kron_entries
 
-        def with_far_entry(left, right, reached):
-            rows, cols, values = kron_entries(left, right, reached)
+        def with_far_entry(*args):
+            rows, cols, values = kron_entries(*args)
             assert not np.any((rows == 15) & (cols == 3))
             return np.append(rows, 15), np.append(cols, 3), np.append(values, 1.0)
 
@@ -1334,6 +1413,18 @@ class TestSectorBlocks:
         message = r"^bordered generator entry \(15, 3\) couples sectors 0 and 2 of \|N_a - N_b\|, more than one apart$"
         with pytest.raises(ValueError, match=message):
             steady_states(model, [2.5])
+
+    def test_jump_that_conjugates_a_coherence_is_named(self):
+        # a bit-flip jump sigma_x feeds rho_10 (N_a - N_b = 1) from rho_01
+        # (-1): L is not complex-linear in z, for holds and steady states alike
+        basis = ProductBasis(1)
+        flip = basis.lowering(0) + basis.raising(0)
+        model = LindbladModel(np.diag([0.0, 1.0]), ((flip, 0.3), (basis.lowering(0), 1.0)), basis)
+        message = r"^bordered generator entry \(2, 1\) feeds rho_ab with N_a > N_b from a conjugate"
+        with pytest.raises(ValueError, match=message):
+            steady_states(model, [0.0])
+        with pytest.raises(ValueError, match=message):
+            evolve(model, pure_state([1.0, 1.0]), [0.0, 0.1])
 
     def test_pivot_blocks_at_four_qubits(self):
         # sectors of 70, 112, 56, 16 and 2 real coordinates: the top three
@@ -1379,7 +1470,7 @@ def probe_cavity(n_mirrors, n_th):
 
 
 class TestRealGenerator:
-    """_real_generator against the oracle's U L U^dagger, on a reached block and on all d^2."""
+    """The sector generator against the oracle's U L U^dagger, on a reached block and on all d^2."""
 
     @pytest.mark.parametrize("n_mirrors, n_th, drive, size", [
         (2, 0.0, 0.0, 10), (4, 0.0, 0.0, 26), (4, 0.02, 0.0, 252), (4, 0.0, 3.0, 1024),
@@ -1389,7 +1480,7 @@ class TestRealGenerator:
         model = build_model(spec, drives=((spec.probe_index, drive),) if drive else ())
         reached, block = reached_block(model, basis_projector(model.basis, 1 << spec.probe_index))
         assert reached.size == size
-        reference = reach_oracle.real_generator(model)[reached][:, reached].toarray()
+        reference = oracle_block(model, reached)
         assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("n_mirrors", [0, 2, 4])
@@ -1469,8 +1560,7 @@ class TestRealGenerator:
         terms = lindblad._kron_terms(model)
         tracemalloc.start()
         try:
-            index = np.arange(1024)
-            lindblad._real_generator(*terms, index, lindblad._coordinate_weights(index, 32))
+            lindblad._sector_generator(*terms, lindblad._Sectors(np.arange(1024), model))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

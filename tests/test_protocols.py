@@ -546,9 +546,9 @@ class TestCoordinateReadouts:
         )
         taus = np.linspace(0, 400, 81)
         with monkeypatch.context() as patch:
-            counts = count_calls(patch, "build_model", "_kron_terms", "_real_generator")
+            counts = count_calls(patch, "build_model", "_kron_terms", "_sector_generator")
             result = pr.simulate_compound_mirrors(spec, taus)
-        assert counts == {"build_model": 1, "_kron_terms": 1, "_real_generator": 1}
+        assert counts == {"build_model": 1, "_kron_terms": 1, "_sector_generator": 1}
         probe = spec.probe_index
         for trace, freq in zip(result.traces, result.dark_frequencies):
             offsets = np.zeros(spec.n_qubits)
@@ -624,10 +624,10 @@ class TestCoordinateReadouts:
             expected = trace()
             patch.setattr(lindblad, "evolve", rebuilt)
             reference = trace()
-        counts = count_calls(monkeypatch, "build_model", "_kron_terms", "_real_generator")
+        counts = count_calls(monkeypatch, "build_model", "_kron_terms", "_sector_generator")
         values = trace()
         assert values.tobytes() == expected.tobytes()
-        assert counts == {"build_model": 1, "_kron_terms": 1, "_real_generator": 1}
+        assert counts == {"build_model": 1, "_kron_terms": 1, "_sector_generator": 1}
         assert np.max(np.abs(values - reference)) < 1e-12
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 from fit_oracle import central_differences
 from sweep_oracle import pointwise_transmission, shifted_model
+from weak_drive_oracle import weak_drive_transmission
 
 from wgqed import cli, core, lindblad, spectroscopy as sp
 from wgqed.core import Placement, QubitParams, SystemSpec
@@ -442,6 +443,54 @@ class TestInterpolatedSweep:
         for grid in ([], np.zeros((0, 3)), 1.0, np.zeros((2, 3))):
             with pytest.raises(ValueError, match=r"^detunings must be a non-empty 1-D grid$"):
                 sp.multi_qubit_transmission(spec, sp.DriveSpec(), grid)
+
+
+class TestWeakDriveClosedForm:
+    """The sector block LU against the first-moment closed form of weak_drive_oracle."""
+
+    @staticmethod
+    def random_spec(rng, n):
+        # n_th = 0, a direct coupling and a correlated dephasing pair, which
+        # the first moments do not see (weak_drive_oracle)
+        qubits = tuple(
+            (QubitParams(f"Q{j}", rng.uniform(0.1, 50), rng.uniform(0, 1), rng.uniform(0, 1)),
+             Placement(rng.uniform(0, 7)))
+            for j in range(n)
+        )
+        corr = ((0, n - 1, 0.9 * rng.uniform(-1, 1) * min(q.gamma_phi for q, _ in qubits)),) if n > 1 else ()
+        couplings = ((0, n - 1, rng.uniform(-5, 5)),) if n > 1 else ()
+        return SystemSpec(qubits=qubits, direct_couplings=couplings, detunings=tuple(rng.uniform(-5, 5, n)),
+                          dephasing_correlations=corr)
+
+    def test_random_specs_both_ports(self):
+        # at omega = 1e-2 of the narrowest qubit floor gamma_loss + gamma_phi
+        # the gap is below 1e-6 of |t|, and it falls 100x with the drive
+        # (the O(omega^2) first saturation correction)
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 4, 5):
+            spec = self.random_spec(rng, n)
+            grid = rng.uniform(-30, 30, 5)
+            floor = min(q.gamma_loss + q.gamma_phi for q in spec.params)
+            for xy_qubit in (None, int(rng.integers(n))):
+                reference = weak_drive_transmission(spec, grid, xy_qubit)
+                gaps = []
+                for omega in (1e-2 * floor, 1e-3 * floor):
+                    drive = sp.DriveSpec("xy" if xy_qubit is not None else "waveguide", xy_qubit, omega_rabi=omega)
+                    scan = sp.multi_qubit_transmission(spec, drive, grid)
+                    gaps.append(np.max(np.abs(scan.t_complex - reference)) / np.max(np.abs(reference)))
+                assert gaps[0] < 1e-6
+                assert 80 < gaps[0] / gaps[1] < 120
+
+    @pytest.mark.parametrize("name, tolerance", [
+        ("fig1c_q1", 1e-9), ("fig1c_q4", 1e-5), ("fig1c_q6", 2e-8), ("fig2a_pair", 5e-6), ("fig2c_cavity", 1e-4),
+    ])
+    def test_bundled_spectra_at_their_own_drive(self, name, tolerance):
+        # measured gaps max |t - t_weak|: 2.2e-10, 2.0e-6, 6.0e-9, 1.3e-6 and 4.9e-5
+        config = json.loads(files("wgqed").joinpath(f"configs/{name}.cfg").read_text())
+        spec, params = cli.build_system(config["system"]), config["params"]
+        grid = np.linspace(params["start_mhz"], params["stop_mhz"], params["points"])
+        scan = sp.multi_qubit_transmission(spec, sp.DriveSpec(omega_rabi=params["omega_rabi"]), grid)
+        assert np.max(np.abs(scan.t_complex - weak_drive_transmission(spec, grid))) < tolerance
 
 
 class TestDriveSpec:
