@@ -5,6 +5,12 @@ two-level emitters coupled to a common waveguide, computes transmission
 spectra through input-output theory, simulates pulse-sequence protocols
 (vacuum Rabi, iSWAP, dark-state lifetimes, shelving, compound mirrors)
 and provides transmon calibration utilities.
+
+``import wgqed`` loads numpy, ``core`` and ``records`` only.  The other
+submodules, and the names exported from ``lindblad`` (``build_model``,
+``steady_states``, ``evolve`` and the rest), load at first access:
+``wgqed.protocols`` or ``from wgqed import steady_states`` imports
+``lindblad``, and with it ``scipy.linalg`` and ``scipy.sparse``.
 """
 
 __version__ = "0.1.0"
@@ -28,15 +34,32 @@ from .core import (
     purcell_factor,
     second_excitation_cooperativity,
 )
-from .lindblad import (
-    LindbladModel,
-    ProductBasis,
-    assemble_liouvillian,
-    build_model,
-    dark_state_rates,
-    dominant_oscillation,
-    evolve,
-    steady_states,
-    thermal_qubit_steady,
-)
 from .records import FitResult, SpectrumScan, TimeTrace
+
+# loaded at first access; core and records are bound by the imports above
+_SUBMODULES = ("calibration", "cli", "lindblad", "protocols", "spectroscopy")
+_LINDBLAD = (
+    "LindbladModel",
+    "ProductBasis",
+    "assemble_liouvillian",
+    "build_model",
+    "dark_state_rates",
+    "dominant_oscillation",
+    "evolve",
+    "steady_states",
+    "thermal_qubit_steady",
+)
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LINDBLAD:
+        return getattr(importlib.import_module(".lindblad", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES, *_LINDBLAD})

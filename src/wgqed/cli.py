@@ -24,7 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, calibration, core, protocols, records, spectroscopy
+# protocols, and with it lindblad and scipy.linalg, is imported by the checks
+# and runs that call it, so listing and loading configs and the checks of the
+# spectrum, rabi, shelve and calib experiments run without them
+from . import __version__, calibration, core, records, spectroscopy
 
 
 class ConfigError(ValueError):
@@ -321,7 +324,7 @@ _DELAYS = {
     "delay_max_ns": _number("last delay of the grid (ns)", exclusiveMinimum=0),
     "points": _points(8),
     "park_detuning_mhz": _number(
-        f"probe parking offset during the wait (MHz; default {protocols.PARK_DETUNING:g})"
+        f"probe parking offset during the wait (MHz; default {core.PARK_DETUNING:g})"
     ),
 }
 
@@ -374,6 +377,8 @@ def _run_spectrum(spec, params, drive) -> dict:
 
 
 def _run_rabi(spec, params, _none) -> dict:
+    from . import protocols
+
     detuning = params.get("probe_detuning_mhz")
     trace = protocols.simulate_vacuum_rabi(spec, _taus(params), probe_detuning=detuning)
     mode = params.get("fit", "sinusoid")
@@ -403,6 +408,8 @@ def _check_probe(spec, _params=None) -> None:
 
 def _check_swap(spec, _params=None) -> None:
     """A probe whose excitation swaps into the mirrors' dark state: protocols.iswap_duration_ns."""
+    from . import protocols
+
     _check_probe(spec)
     try:
         protocols.iswap_duration_ns(spec)
@@ -420,11 +427,17 @@ def _check_dark(spec, params) -> None:
         )
 
 
-def _run_dark(simulate, fit_trace, kind: int, spec, params, _none) -> dict:
-    """A dark-state sequence's trace and its fit_trace, which gives gamma<kind> and T<kind>."""
+def _run_dark(simulate: str, fit_trace: str, kind: int, spec, params, _none) -> dict:
+    """A dark-state sequence's trace and its fit, which gives gamma<kind> and T<kind>.
+
+    simulate and fit_trace name the protocols functions, looked up at run
+    time, so a traced or patched one is the one called.
+    """
+    from . import protocols
+
     options = {name: params[key] for key, name in _DARK_OPTIONS.items() if key in params}
-    trace = simulate(spec, _delays(params), **options)
-    fit = fit_trace(trace)
+    trace = getattr(protocols, simulate)(spec, _delays(params), **options)
+    fit = getattr(protocols, fit_trace)(trace)
     derived = {
         f"gamma{kind}_dark_mhz": fit.value("rate_mhz"),
         f"t{kind}_dark_ns": fit.value("lifetime_ns"),
@@ -464,6 +477,8 @@ def _run_shelve(spec, params, mirrors) -> dict:
 
 
 def _run_two_excitation(spec, params, _none) -> dict:
+    from . import protocols
+
     atomic, companion, (f_first, f_second) = protocols.simulate_two_excitation(spec, _taus(params))
     summary = {
         "companion_first_manifold_mhz": f_first,
@@ -475,6 +490,8 @@ def _run_two_excitation(spec, params, _none) -> dict:
 
 def _check_compound(spec, _params) -> None:
     """A probe beside compound mirrors: protocols.check_compound_mirrors."""
+    from . import protocols
+
     _check_probe(spec)
     try:
         protocols.check_compound_mirrors(spec)
@@ -483,6 +500,8 @@ def _check_compound(spec, _params) -> None:
 
 
 def _run_compound(spec, params, _none) -> dict:
+    from . import protocols
+
     result = protocols.simulate_compound_mirrors(spec, _taus(params))
     artifacts = {f"dark{k}.csv": trace for k, trace in enumerate(result.traces, start=1)}
     artifacts["summary.json"] = {
@@ -610,7 +629,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
     "t1-dark": Experiment(
         "dark-state population decay via swap-in / wait / swap-out",
         _DELAYS,
-        partial(_run_dark, protocols.simulate_t1_dark, protocols.fit_exponential, 1),
+        partial(_run_dark, "simulate_t1_dark", "fit_exponential", 1),
         required=("delay_min_ns", "delay_max_ns", "points"),
         check=_check_dark,
     ),
@@ -622,7 +641,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
                 "fringe detuning applied to the mirrors (MHz; default 2)"
             ),
         },
-        partial(_run_dark, protocols.simulate_ramsey_dark, protocols.fit_damped_sinusoid, 2),
+        partial(_run_dark, "simulate_ramsey_dark", "fit_damped_sinusoid", 2),
         required=("delay_min_ns", "delay_max_ns", "points"),
         check=_check_dark,
     ),

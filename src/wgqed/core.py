@@ -49,6 +49,10 @@ TWO_PI = 2.0 * math.pi
 # Eigen-decays below this (MHz) are reported as exactly dark.
 DARK_DECAY_CLIP = 1e-9
 
+# Default parking offset (MHz) that decouples the probe during the waits of
+# the dark-state sequences (protocols.simulate_t1_dark, simulate_ramsey_dark).
+PARK_DETUNING = -50.0
+
 
 @dataclass(frozen=True)
 class QubitParams:

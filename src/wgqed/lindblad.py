@@ -327,35 +327,41 @@ def _kron_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray, rows_kept: np.ndarray):
-    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set, on some of its rows.
+def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray, excitations: np.ndarray):
+    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set, on its rows N_a >= N_b.
 
-    reached holds sorted indices a*d + b, closed under a <-> b.  Nonzeros
+    reached holds sorted indices a*d + b, closed under a <-> b, and
+    excitations the excitation number N of each basis state.  Nonzeros
     (a, a') of A[t] and (b, b') of B[t] between basis states of reached
-    pairs give A[t, a, a'] B[t, b, b'] at (ab, a'b'), all terms at once;
-    pairs outside the set are dropped, and so are rows where rows_kept (a
-    boolean over reached) is False, before their values are formed.
-    Returns rows and columns as positions in reached, and complex values in
-    term order, unsummed.
+    pairs give A[t, a, a'] B[t, b, b'] at (ab, a'b'), all terms at once.
+    Each term's nonzeros of B are grouped by N_b, so a nonzero of A at row
+    a meets only those with N_b <= N_a; pairs outside the set are dropped
+    before their values are formed.  Returns rows and columns as positions
+    in reached, and complex values, unsummed; the nonzeros of A keep their
+    order, so the entries at one place come in term order.
     """
     d = left.shape[-1]
     states = np.flatnonzero(np.bincount(reached // d, minlength=d))
-    position, row_position = np.full((2, d, d), -1)
-    position.flat[reached] = np.arange(reached.size)
-    row_position.flat[reached[rows_kept]] = np.flatnonzero(rows_kept)
+    position = np.full(d * d, -1)
+    position[reached] = np.arange(reached.size)
     lt, li, lj = (left[:, states[:, None], states] != 0).nonzero()
     rt, ri, rj = (right[:, states[:, None], states] != 0).nonzero()
     li, lj, ri, rj = states[li], states[lj], states[ri], states[rj]
-    count = np.bincount(rt, minlength=len(right))
-    reps = count[lt]  # each nonzero of A[t] meets every nonzero of B[t]
+    levels = int(excitations.max(initial=0)) + 1
+    group = rt * levels + excitations[ri]
+    order = np.argsort(group, kind="stable")
+    rt, ri, rj = rt[order], ri[order], rj[order]
+    # below[t, N]: the nonzeros of B[t] with N_b <= N, which lead its run
+    below = np.bincount(group, minlength=len(right) * levels).reshape(len(right), levels).cumsum(axis=1)
+    start = below[:, -1].cumsum() - below[:, -1]
+    reps = below[lt, excitations[li]]
     pair_l = np.repeat(np.arange(lt.size), reps)
     # the k-th pair in the run of a left entry takes the k-th right entry of its term
-    first = (count.cumsum() - count)[lt] - reps.cumsum() + reps
-    pair_r = np.arange(reps.sum()) + np.repeat(first, reps)
-    rows = row_position.ravel()[li[pair_l] * d + ri[pair_r]]  # flat indexing: 2-D fancy is slower
+    pair_r = np.arange(reps.sum()) + np.repeat(start[lt] - reps.cumsum() + reps, reps)
+    rows = position[li[pair_l] * d + ri[pair_r]]  # flat indexing: 2-D fancy is slower
     kept = rows >= 0
     pair_l, pair_r, rows = pair_l[kept], pair_r[kept], rows[kept]
-    cols = position.ravel()[lj[pair_l] * d + rj[pair_r]]
+    cols = position[lj[pair_l] * d + rj[pair_r]]
     values = left[lt, li, lj][pair_l]
     values *= right[rt, ri, rj][pair_r]
     del pair_l, pair_r
@@ -376,7 +382,7 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
     it (they take L from _sector_generator).
     """
     d = model.dimension
-    rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d), np.ones(d * d, dtype=bool))
+    rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d), np.zeros(d, dtype=int))
     return sparse.csr_matrix((values, (rows, cols)), shape=(d * d, d * d))
 
 
@@ -409,11 +415,11 @@ class _Sectors:
       coordinates and partner(i) the place of ba for ab;
     - z holds the entries rho_ab with N_a > N_b, ordered by N_a - N_b and
       then by index; rho_ba = conj(z) is no coordinate.
-    Attributes: the set (reached), N_a - N_b on it (signed), the places in
-    the set of x0 (zero) and of z (upper) and conj(z) (lower), the rows of
-    U0 (alpha, beta, partner, the latter among x0) and each place's unknown
-    among x0 then z (slot; -1 for a conjugate).  This is the one place U0
-    is written.
+    Attributes: N of each basis state (excitations), the set (reached),
+    N_a - N_b on it (signed), the places in the set of x0 (zero) and of z
+    (upper) and conj(z) (lower), the rows of U0 (alpha, beta, partner, the
+    latter among x0) and each place's unknown among x0 then z (slot; -1 for
+    a conjugate).  This is the one place U0 is written.
     """
 
     def __init__(self, reached: np.ndarray, model: LindbladModel):
@@ -422,7 +428,7 @@ class _Sectors:
         excitations = np.zeros(d, dtype=int)  # N; without a qubit basis every coordinate is in sector 0
         for j in range(model.basis.n_qubits if model.basis is not None else 0):
             excitations += model.basis._excited(j)
-        self.reached, self.signed = reached, excitations[a] - excitations[b]
+        self.excitations, self.reached, self.signed = excitations, reached, excitations[a] - excitations[b]
         self.zero, upper = np.flatnonzero(self.signed == 0), np.flatnonzero(self.signed > 0)
         self.upper = upper[np.argsort(self.signed[upper], kind="stable")]
         self.lower = np.searchsorted(reached, (b * d + a)[self.upper])
@@ -511,7 +517,7 @@ def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
     add them up), values complex and real in the sector-0 block.
     """
     reached, signed, n = sectors.reached, sectors.signed, sectors.reached.size
-    rows, cols, values = _kron_entries(left, right, reached, signed >= 0)
+    rows, cols, values = _kron_entries(left, right, reached, sectors.excitations)
     key = rows * n + cols
     del rows, cols  # each temporary goes once used (see _BorderedGenerator on memory)
     key, values = _summed(key, values)
@@ -531,8 +537,10 @@ def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
     j, i, v = _through_orbits(j, i, v, alpha.conj(), beta.conj(), partner)
     i, j, v = _through_orbits(i, j, v, alpha, beta, partner)
     square = np.flatnonzero((i < partner.size) & (j < partner.size))
-    block = _summed(i[square] * n + j[square], v[square])[1]
-    if np.abs(block.imag).max(initial=0.0) > 1e-10 * max(1.0, float(np.abs(block).max(initial=0.0))):
+    place = i[square] * partner.size + j[square]
+    real, imag = np.bincount(place, v.real[square]), np.bincount(place, v.imag[square])
+    worst = max(imag.max(initial=0.0), -imag.min(initial=0.0))
+    if worst > 1e-10 * max(1.0, float(np.hypot(real[place], imag[place]).max(initial=0.0))):
         raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
     v[square] = v[square].real
     return (rows, cols, values), (i, j, v)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, lindblad
-from .core import TWO_PI
+from .core import PARK_DETUNING, TWO_PI
 from .records import FitError, FitResult, TimeTrace
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "fit_exponential",
     "fit_damped_sinusoid",
 ]
-
-# default parking offset (MHz) that decouples the probe during waits
-PARK_DETUNING = -50.0
 
 # a probe-dark coupling 2J at or below this fraction of the norm of the
 # probe's exchange row over the mirrors is rounding, not a coupling: a probe

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, lindblad, protocols
+# lindblad (and with it scipy.linalg) and protocols are imported in the
+# functions that solve or fit, so drives are built and checked without them
+from . import core
 from .core import TWO_PI
 from .records import FitError, SpectrumScan
 
@@ -169,6 +171,8 @@ def drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
 
 
 def _driven_model(spec, amplitudes_ang):
+    from . import lindblad
+
     return lindblad.build_model(
         spec, drives=tuple((j, amplitudes_ang[j] / TWO_PI) for j in range(spec.n_qubits))
     )
@@ -197,6 +201,8 @@ def driven_steady_state(
     through the diagonal generator of lindblad.steady_states, so every
     qubit sits at its spec detuning minus detuning.
     """
+    from . import lindblad
+
     amplitudes, _ = drive_amplitudes(spec, drive)
     return lindblad.steady_states(_driven_model(spec, amplitudes), (detuning,))[0]
 
@@ -220,6 +226,8 @@ def multi_qubit_transmission(spec: core.SystemSpec, drive: DriveSpec, detunings)
     point (|t| <= 1 + 1e-9; RuntimeError naming the first failing
     detuning).
     """
+    from . import lindblad
+
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size < 1:
         raise ValueError("detunings must be a non-empty 1-D grid")
@@ -286,6 +294,8 @@ def shelved_pair_quasi_steady(
     evaluates the output field exactly; the reduced shelved_transmission
     formula is recovered up to O(x_ratio^2).
     """
+    from . import lindblad
+
     if not 0.0 <= rho_dd <= 1.0:
         raise ValueError("rho_dd must lie in [0, 1]")
     spec = core.mirror_pair_spec(mirror, detunings=(-delta, -delta))
@@ -416,6 +426,8 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     width raises FitError, as does a scan holding NaN or inf.  The scan
     may run in either direction.
     """
+    from . import protocols
+
     order = np.argsort(scan.detunings, kind="stable")
     detunings, amplitude = scan.detunings[order], scan.abs_t[order]
     bad = int(np.count_nonzero(~np.isfinite(detunings)) + np.count_nonzero(~np.isfinite(amplitude)))
@@ -451,6 +463,30 @@ def lorentzian_fit(scan: SpectrumScan) -> tuple[float, float, float, float]:
     return float(f0), float(g1d), float(gprime), residual
 
 
+def _prominent_peaks(x: np.ndarray, minimum: float):
+    """Local maxima of x with a prominence of at least minimum, and those prominences.
+
+    As scipy.signal.find_peaks(x, prominence=minimum): a peak is a run of
+    equal values with a lower value on each side, placed at its middle (the
+    left one of two); its prominence is its height above the higher of the
+    lowest points on each side before x rises above it or ends.  A NaN
+    ends a run and a side.
+    """
+    start = np.flatnonzero(np.append(x.size > 0, x[1:] != x[:-1]))
+    level = x[start]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (start[top] + np.append(start, x.size)[top + 1] - 1) // 2
+    prominences = np.empty(peaks.size)
+    for k, peak in enumerate(peaks):
+        higher = np.flatnonzero(~(x <= x[peak]))
+        side = np.searchsorted(higher, peak)
+        first = higher[side - 1] + 1 if side else 0
+        stop = higher[side] if side < higher.size else x.size
+        prominences[k] = x[peak] - max(x[first : peak + 1].min(), x[peak:stop].min())
+    keep = prominences >= minimum
+    return peaks[keep], prominences[keep]
+
+
 def peak_splitting(scan: SpectrumScan, scattered: bool = False) -> float:
     """Separation (MHz) of the two most prominent spectral peaks.
 
@@ -460,13 +496,10 @@ def peak_splitting(scan: SpectrumScan, scattered: bool = False) -> float:
     displaced by Fano interference and overestimate the splitting.  The
     scan may run in either direction.
     """
-    # imported here: scipy.signal (with scipy.stats) nearly doubles the CLI's import time
-    from scipy import signal
-
     intensity = np.abs(1.0 - scan.t_complex) ** 2 if scattered else scan.abs_t_sq
-    peaks, properties = signal.find_peaks(intensity, prominence=1e-8)
+    peaks, prominences = _prominent_peaks(intensity, 1e-8)
     if peaks.size < 2:
         raise FitError("fewer than two spectral peaks found")
-    order = np.argsort(properties["prominences"])[::-1][:2]
+    order = np.argsort(prominences)[::-1][:2]
     chosen = np.sort(peaks[order])
     return float(abs(scan.detunings[chosen[1]] - scan.detunings[chosen[0]]))

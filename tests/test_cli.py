@@ -429,6 +429,15 @@ class TestListing:
         assert set(rabi["parameters"]) == {"tau_max_ns", "points", "probe_detuning_mhz", "fit"}
         assert all(rabi["parameters"].values())
 
+    def test_park_detuning_default_is_listed(self, capsys):
+        # the default lives in core, and protocols reads the same value
+        from wgqed import core, protocols
+
+        assert protocols.PARK_DETUNING is core.PARK_DETUNING
+        assert cli.main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "park_detuning_mhz: probe parking offset during the wait (MHz; default -50)" in out
+
 
 class TestRun:
     def test_rabi_artifact_recovers_coupling(self, tmp_path):
@@ -731,20 +740,105 @@ def test_cli_uses_public_library_names_alone():
     assert private == []
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is only needed by peak_splitting, which no experiment
-    # calls; scipy.optimize loads at the first fit, jsonschema only in the
-    # tests, evolve finds its blocks without scipy.sparse.csgraph, and
-    # spectroscopy writes out its SI constants
-    lazy = (
-        "scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph", "scipy.constants"
-    )
-    code = f"import sys, wgqed.cli; print([name for name in {lazy!r} if name in sys.modules])"
+def loaded_after(code: str, modules) -> list:
+    """The modules of this list that a fresh interpreter has loaded after running code."""
+    code += f"\nimport sys; print([name for name in {tuple(modules)!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # nothing of the package uses scipy.signal; scipy.optimize loads at the
+    # first fit, jsonschema only in the tests, evolve finds its blocks
+    # without scipy.sparse.csgraph, and spectroscopy writes out its SI
+    # constants; the Liouvillian layer (lindblad, and with it scipy.linalg
+    # and scipy.sparse) loads only where a check or run needs protocols or
+    # a solve, so loading every bundled config leaves it unloaded too
+    lazy = (
+        "scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph", "scipy.constants",
+        "scipy.linalg", "scipy.sparse", "wgqed.lindblad", "wgqed.protocols",
+    )
+    code = """
+from importlib.resources import files
+from wgqed import cli
+for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
+    cli.load_config(entry)
+"""
+    assert loaded_after("import wgqed.cli", lazy) == []
+    assert loaded_after(code, lazy) == []
+
+
+def test_checks_and_runs_without_protocols_leave_scipy_linalg_unloaded(tmp_path):
+    # the spectrum, xy-spectrum, rabi, shelve and calib checks, and the
+    # shelve and calib runs, call neither protocols nor a solver
+    experiments = ("spectrum", "xy-spectrum", "rabi", "shelve", "calib")
+    validated = [
+        path for path in sorted(Path(bundled("fig1c_q1")).parent.glob("*.cfg"))
+        if json.loads(path.read_text())["experiment"] in experiments
+    ]
+    assert len(validated) == 11
+    commands = [["validate", str(path)] for path in validated]
+    commands += [
+        ["run", bundled(name), "--output", str(tmp_path / name)] for name in ("fig3d_shelve", "tableS1_calib")
+    ]
+    code = f"""
+from wgqed import cli
+for argv in {commands!r}:
+    if cli.main(argv) != 0:
+        raise SystemExit(f"failed: {{argv}}")
+"""
+    assert loaded_after(code, ("scipy.linalg", "wgqed.lindblad")) == []
+    assert (tmp_path / "tableS1_calib_calib.json").is_file()
+
+
+def test_protocols_import_loads_the_liouvillian_layer():
+    # protocols imports lindblad, and lindblad scipy.linalg, at module level:
+    # whatever first touches protocols pays the import, so the first hold or
+    # steady state of a run does not
+    expected = ["wgqed.lindblad", "scipy.linalg", "scipy.sparse"]
+    assert loaded_after("import wgqed.protocols", expected) == expected
+    assert loaded_after("import wgqed; wgqed.protocols", expected) == expected
+
+
+# the names the package exports, by the module that defines them
+PACKAGE_EXPORTS = {
+    "core": (
+        "AsymmetricPair", "CollectiveMode", "Placement", "QubitParams", "SystemSpec",
+        "build_effective_hamiltonian", "cavity_spec", "collective_modes", "compound_mirror_spec",
+        "cooperativity", "coupling_rate_2j", "dark_bright_asymmetric", "mirror_pair_spec",
+        "phase_mismatch_decay", "probe_dark_coupling", "purcell_factor",
+        "second_excitation_cooperativity",
+    ),
+    "lindblad": (
+        "LindbladModel", "ProductBasis", "assemble_liouvillian", "build_model", "dark_state_rates",
+        "dominant_oscillation", "evolve", "steady_states", "thermal_qubit_steady",
+    ),
+    "records": ("FitResult", "SpectrumScan", "TimeTrace"),
+}
+
+
+def test_package_exports_resolve_to_their_modules():
+    import importlib
+
+    import wgqed
+
+    listed = dir(wgqed)
+    for module_name, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"wgqed.{module_name}")
+        assert getattr(wgqed, module_name) is module and module_name in listed
+        for name in names:
+            namespace = {}
+            exec(f"from wgqed import {name}", namespace)
+            assert namespace[name] is getattr(module, name), name
+            assert name in listed
+    for module_name in ("calibration", "cli", "protocols", "spectroscopy"):
+        assert getattr(wgqed, module_name) is importlib.import_module(f"wgqed.{module_name}")
+        assert module_name in listed
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        wgqed.no_such_name
 
 
 def test_cli_runs_without_jsonschema_or_scipy_optimize(tmp_path):

@@ -153,6 +153,30 @@ class TestMultiQubitTransmission:
         wings = np.abs(scan.t_complex[np.abs(scan.detunings) > 8.0])
         assert wings.max() < 0.2 * np.abs(scan.t_complex).max()
 
+    def test_peaks_match_scipy_find_peaks(self):
+        # random, plateau-bearing (repeated and few-valued) arrays and ones
+        # holding NaN, each forward and reversed: the same peaks, flat tops
+        # at their middle, and the same prominences bit for bit
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(37)
+        arrays = [np.array([]), np.array([1.0]), np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])]
+        for _ in range(100):
+            n = int(rng.integers(3, 80))
+            arrays += [
+                rng.normal(size=n),
+                np.repeat(rng.normal(size=n), rng.integers(1, 4, size=n)),
+                rng.integers(0, 4, size=n).astype(float),
+                np.where(rng.random(n) < 0.1, np.nan, rng.integers(0, 4, size=n)),
+            ]
+        for x in arrays:
+            for y in (x, x[::-1].copy()):
+                for minimum in (1e-8, 0.5):
+                    peaks, properties = find_peaks(y, prominence=minimum)
+                    ours, prominences = sp._prominent_peaks(y, minimum)
+                    assert np.array_equal(ours, peaks)
+                    assert np.array_equal(prominences, properties["prominences"])
+
     def test_passivity_random_specs(self):
         import warnings
 
