@@ -6,11 +6,13 @@ spectra through input-output theory, simulates pulse-sequence protocols
 (vacuum Rabi, iSWAP, dark-state lifetimes, shelving, compound mirrors)
 and provides transmon calibration utilities.
 
-``import wgqed`` loads numpy, ``core`` and ``records`` only.  The other
-submodules, and the names exported from ``lindblad`` (``build_model``,
-``steady_states``, ``evolve`` and the rest), load at first access:
-``wgqed.protocols`` or ``from wgqed import steady_states`` imports
-``lindblad``, and with it ``scipy.linalg`` and ``scipy.sparse``.
+``import wgqed`` loads numpy, ``core`` and ``records`` only; the closed
+forms ``dark_state_rates`` and ``thermal_qubit_steady`` are ``core``'s.
+The other submodules, and the master-equation names exported from
+``lindblad`` (``build_model``, ``steady_states``, ``evolve`` and the
+rest), load at first access: ``wgqed.protocols`` or ``from wgqed import
+steady_states`` imports ``lindblad``, and with it ``scipy.linalg`` and
+``scipy.sparse``.
 """
 
 __version__ = "0.1.0"
@@ -28,11 +30,13 @@ from .core import (
     cooperativity,
     coupling_rate_2j,
     dark_bright_asymmetric,
+    dark_state_rates,
     mirror_pair_spec,
     phase_mismatch_decay,
     probe_dark_coupling,
     purcell_factor,
     second_excitation_cooperativity,
+    thermal_qubit_steady,
 )
 from .records import FitResult, SpectrumScan, TimeTrace
 
@@ -43,11 +47,9 @@ _LINDBLAD = (
     "ProductBasis",
     "assemble_liouvillian",
     "build_model",
-    "dark_state_rates",
     "dominant_oscillation",
     "evolve",
     "steady_states",
-    "thermal_qubit_steady",
 )
 
 

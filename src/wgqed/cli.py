@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-# protocols, and with it lindblad and scipy.linalg, is imported by the checks
-# and runs that call it, so listing and loading configs and the checks of the
-# spectrum, rabi, shelve and calib experiments run without them
+# checks read core, spectroscopy and calibration, and only runs import
+# protocols (and with it lindblad and scipy.linalg), so listing, loading and
+# validating any config run without the Liouvillian layer
 from . import __version__, calibration, core, records, spectroscopy
 
 
@@ -388,7 +388,7 @@ def _run_rabi(spec, params, _none) -> dict:
         return {"trace.csv": trace, "fit.json": _fit_payload(protocols.fit_exponential(trace))}
     fit = protocols.fit_damped_sinusoid(trace)
     if detuning is None:
-        detuning = protocols.interaction_detuning(spec)
+        detuning = core.interaction_detuning(spec)
     frequency = fit.value("frequency_mhz")
     extra = {
         "coupling_2j_mhz": math.sqrt(max(frequency**2 - detuning**2, 0.0)),
@@ -406,20 +406,23 @@ def _check_probe(spec, _params=None) -> None:
         raise ConfigError("config error at $.system.probe: this experiment needs a probe qubit")
 
 
-def _check_swap(spec, _params=None) -> None:
-    """A probe whose excitation swaps into the mirrors' dark state: protocols.iswap_duration_ns."""
-    from . import protocols
+def _check_spec(precondition, spec, _params=None) -> None:
+    """A probe, and the simulator's precondition on the spec, one core function.
 
+    core.iswap_duration_ns for the swap of t1-dark, ramsey-dark and
+    two-excitation, core.check_compound_mirrors for compound; its ValueError
+    is a ConfigError at $.system.
+    """
     _check_probe(spec)
     try:
-        protocols.iswap_duration_ns(spec)
+        precondition(spec)
     except ValueError as err:
         raise ConfigError(f"config error at $.system: {err}") from err
 
 
 def _check_dark(spec, params) -> None:
     """A dark sequence needs a swap and an increasing delay grid (its times would not increase)."""
-    _check_swap(spec)
+    _check_spec(core.iswap_duration_ns, spec)
     if not params["delay_min_ns"] < params["delay_max_ns"]:
         raise ConfigError(
             f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
@@ -486,17 +489,6 @@ def _run_two_excitation(spec, params, _none) -> dict:
         "companion_frequency_ratio": f_second / f_first,
     }
     return {"atomic.csv": atomic, "linear.csv": companion, "summary.json": summary}
-
-
-def _check_compound(spec, _params) -> None:
-    """A probe beside compound mirrors: protocols.check_compound_mirrors."""
-    from . import protocols
-
-    _check_probe(spec)
-    try:
-        protocols.check_compound_mirrors(spec)
-    except ValueError as err:
-        raise ConfigError(f"config error at $.system: {err}") from err
 
 
 def _run_compound(spec, params, _none) -> dict:
@@ -664,14 +656,14 @@ _EXPERIMENTS: dict[str, Experiment] = {
         _TAUS,
         _run_two_excitation,
         required=("tau_max_ns", "points"),
-        check=_check_swap,
+        check=partial(_check_spec, core.iswap_duration_ns),
     ),
     "compound": Experiment(
         "probe Rabi traces against the dark states of compound mirrors",
         _TAUS,
         _run_compound,
         required=("tau_max_ns", "points"),
-        check=_check_compound,
+        check=partial(_check_spec, core.check_compound_mirrors),
     ),
     "calib": Experiment(
         "transmon frequency model, dispersive shift and flux crosstalk",

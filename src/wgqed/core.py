@@ -4,6 +4,11 @@ All rates are linear frequencies in MHz (a quoted decay rate gamma means
 gamma = Gamma/2pi); angular factors enter only when a Liouvillian is
 assembled in :mod:`wgqed.lindblad`.  Positions along the waveguide are
 stored as accumulated propagation phases k0*x at the working frequency.
+Everything here reads a SystemSpec or plain rates and needs no master
+equation: the spec's own preconditions (a positive semidefinite dephasing
+matrix, the probe's swap into the dark state, compound mirrors) and the
+closed forms of the dark-state and thermal-qubit rates, so a config is
+checked without the Liouvillian layer.
 """
 
 from __future__ import annotations
@@ -30,6 +35,12 @@ __all__ = [
     "coupling_rate_2j",
     "probe_dark_projection",
     "probe_dark_coupling",
+    "dephasing_matrix",
+    "interaction_detuning",
+    "iswap_duration_ns",
+    "check_compound_mirrors",
+    "dark_state_rates",
+    "thermal_qubit_steady",
     "cooperativity",
     "second_excitation_cooperativity",
     "purcell_factor",
@@ -48,6 +59,13 @@ TWO_PI = 2.0 * math.pi
 
 # Eigen-decays below this (MHz) are reported as exactly dark.
 DARK_DECAY_CLIP = 1e-9
+
+# a probe-dark coupling 2J at or below this fraction of the largest exchange
+# the probe could have with the mirrors (per mirror sqrt(g1d_p g1d_m)/2 plus
+# |g| of its direct couplings to the probe, normed over the mirrors) is
+# rounding, not a coupling: a probe at a node of every mirror, or exactly
+# dark to them, reads about 1e-16 of it, and its swap would take some 1e18 ns
+DARK_COUPLING_FLOOR = 1e-9
 
 # Default parking offset (MHz) that decouples the probe during the waits of
 # the dark-state sequences (protocols.simulate_t1_dark, simulate_ramsey_dark).
@@ -148,6 +166,8 @@ class SystemSpec:
         for i, j, r in self.dephasing_correlations:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad dephasing correlation indices ({i}, {j})")
+            if not math.isfinite(r):
+                raise ValueError("dephasing correlation must be finite")
         if self.detunings is None:
             object.__setattr__(self, "detunings", (0.0,) * n)
         else:
@@ -158,6 +178,12 @@ class SystemSpec:
             raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
         if not 0 < self.working_frequency < math.inf:
             raise ValueError(f"working_frequency must be finite and > 0 (GHz), got {self.working_frequency}")
+        # lindblad._collective_jumps' bound and wording, so a spec that passes
+        # builds its dephasing jumps; a diagonal of gamma_phi >= 0 is PSD
+        if self.dephasing_correlations:
+            rates = np.linalg.eigh(dephasing_matrix(self))[0]
+            if not rates.min() >= -1e-9:
+                raise ValueError(f"rate matrix is not positive semidefinite; eigenvalues {rates}")
 
     @property
     def n_qubits(self) -> int:
@@ -234,6 +260,15 @@ def waveguide_decay_matrix(spec: SystemSpec) -> np.ndarray:
     """Correlated waveguide decay rates (MHz, real symmetric, PSD)."""
     _, gamma_mat = _pair_rates(spec)
     return gamma_mat
+
+
+def dephasing_matrix(spec: SystemSpec) -> np.ndarray:
+    """Pure dephasing rates (MHz, real symmetric): gamma_phi on the diagonal plus the correlations."""
+    dephasing = np.diag([q.gamma_phi for q in spec.params]).astype(float)
+    for i, j, rate in spec.dephasing_correlations:
+        dephasing[i, j] += rate
+        dephasing[j, i] += rate
+    return dephasing
 
 
 def dissipation_matrix(spec: SystemSpec) -> np.ndarray:
@@ -329,6 +364,83 @@ def probe_dark_coupling(spec: SystemSpec) -> float:
     sqrt(N g1d_mirror g1d_probe).
     """
     return 2.0 * float(np.linalg.norm(probe_dark_projection(spec)))
+
+
+def interaction_detuning(spec: SystemSpec) -> float:
+    """Probe detuning from the mean mirror frequency (MHz)."""
+    probe = spec.probe_index
+    mirror_detunings = [spec.detunings[m] for m in spec.mirror_indices]
+    return spec.detunings[probe] - float(np.mean(mirror_detunings))
+
+
+def iswap_duration_ns(spec: SystemSpec) -> float:
+    """Half a Rabi period at the generalized oscillation frequency.
+
+    At zero probe-dark detuning this is 1/(4J) in us, i.e. the hold time
+    that transfers the probe excitation into the dark state; with a
+    residual detuning the first transfer maximum arrives at the
+    generalized frequency sqrt((2J)^2 + delta^2) instead.  ValueError if
+    the spec has no probe or no mirror, or if 2J is at or below
+    DARK_COUPLING_FLOOR of the largest exchange the probe could have with
+    the mirrors (a probe the dark state does not see).
+    """
+    two_j = probe_dark_coupling(spec)
+    probe, mirrors = spec.probe_index, spec.mirror_indices
+    g1d = [q.gamma_1d for q in spec.params]
+    largest = {m: math.sqrt(g1d[probe] * g1d[m]) / 2.0 for m in mirrors}
+    for i, j, g in spec.direct_couplings:
+        if probe in (i, j):
+            largest[i + j - probe] += abs(g)
+    if not two_j > DARK_COUPLING_FLOOR * math.hypot(*largest.values()):
+        raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
+    f_osc = math.hypot(two_j, interaction_detuning(spec))
+    return 1e3 / (2.0 * f_osc)
+
+
+def check_compound_mirrors(spec: SystemSpec) -> None:
+    """ValueError unless the spec's mirrors are four directly coupled qubits, two compound pairs."""
+    if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
+        raise ValueError("compound-mirror spec needs four directly coupled mirrors")
+
+
+def dark_state_rates(gloss: float, gphi: float, gphi_c: float) -> tuple[float, float]:
+    """Decay and decoherence rates of a half-wavelength pair's dark state.
+
+    gamma1_dark = gloss + gphi - gphi_c (differential dephasing leaks the
+    dark state into the fast-decaying bright state) and gamma2_dark =
+    gloss/2 + gphi, independent of the correlation.
+    """
+    if gloss < 0 or gphi < 0:
+        raise ValueError("gloss and gphi must be >= 0")
+    return gloss + gphi - gphi_c, gloss / 2.0 + gphi
+
+
+def thermal_qubit_steady(
+    g1d: float,
+    gloss: float,
+    gphi: float,
+    n_th: float,
+    omega_rabi: float,
+    delta: float,
+) -> tuple[float, complex]:
+    """Closed-form driven steady state of a single qubit in a thermal bath.
+
+    Returns (rho_ee, rho_eg) for drive detuning delta, using the thermally
+    enhanced rates gamma1_th = (2 n_th + 1)(g1d + gloss) and gamma2_th =
+    gamma1_th/2 + gphi.  All rates in MHz (ratios only).
+    """
+    if min(g1d, gloss, gphi, n_th) < 0:
+        raise ValueError("rates and occupancy must be >= 0")
+    gamma1_th = (2.0 * n_th + 1.0) * (g1d + gloss)
+    gamma2_th = gamma1_th / 2.0 + gphi
+    if gamma2_th <= 0:
+        raise ValueError("qubit without decoherence has no unique steady state")
+    x = delta / gamma2_th
+    saturation = omega_rabi**2 / (gamma1_th * gamma2_th) if omega_rabi else 0.0
+    denom = 1.0 + x**2 + saturation
+    rho_ee = (n_th / (2.0 * n_th + 1.0)) * (1.0 + x**2) / denom + 0.5 * saturation / denom
+    rho_eg = -1j * omega_rabi / (2.0 * gamma2_th * (2.0 * n_th + 1.0)) * (1.0 + 1j * x) / denom
+    return float(rho_ee), complex(rho_eg)
 
 
 def cooperativity(two_j: float, g1d_probe: float, gprime_probe: float, gprime_dark: float) -> float:

@@ -76,8 +76,6 @@ __all__ = [
     "evolve",
     "steady_states",
     "dominant_oscillation",
-    "thermal_qubit_steady",
-    "dark_state_rates",
 ]
 
 # A trace-bordered Liouvillian with LAPACK reciprocal condition number
@@ -229,7 +227,9 @@ def _collective_jumps(rate_matrix, site_operators) -> list[tuple[np.ndarray, flo
     jump at its eigenvalue rate lambda_k, which keeps the generator in
     manifestly completely positive form; eigenvalues at or below 1e-12 of
     the largest carry none.  A non-finite entry, an asymmetric matrix or an
-    eigenvalue below -1e-9 raises ValueError.
+    eigenvalue below -1e-9 raises ValueError (core.SystemSpec already
+    rejects a dephasing matrix below that bound; this check is for other
+    callers).
     """
     mat = np.asarray(rate_matrix, dtype=float)
     if mat.ndim != 2 or mat.shape != (len(site_operators),) * 2:
@@ -262,8 +262,8 @@ def build_model(
     enter the Hamiltonian as (omega/2) sigma+ + h.c. in the drive rotating
     frame.  The jumps are, in order: the collective jumps (_collective_jumps)
     of the waveguide decay matrix over the lowering operators, per-qubit
-    loss and thermal jumps, and those of the dephasing matrix (gamma_phi
-    plus the spec's correlations) over sigma_z at half rate.
+    loss and thermal jumps, and those of the dephasing matrix
+    (core.dephasing_matrix) over sigma_z at half rate.
     """
     if detunings is not None:
         spec = spec.with_detunings(detunings)
@@ -291,12 +291,9 @@ def build_model(
             dissipators.append((lower[j], spec.n_th * q.gamma_1))
             dissipators.append((lower[j].T, spec.n_th * q.gamma_1))
 
-    dephasing = np.diag([q.gamma_phi for q in spec.params]).astype(float)
-    for i, j, rate in spec.dephasing_correlations:
-        dephasing[i, j] += rate
-        dephasing[j, i] += rate
     sigma_z = [basis.sigma_z(j) for j in range(n)]
-    dissipators += [(op, rate / 2.0) for op, rate in _collective_jumps(dephasing, sigma_z)]
+    dephasing = _collective_jumps(core.dephasing_matrix(spec), sigma_z)
+    dissipators += [(op, rate / 2.0) for op, rate in dephasing]
 
     return LindbladModel(ham, tuple(dissipators), basis)
 
@@ -1293,43 +1290,3 @@ def dominant_oscillation(model: LindbladModel, rho0, observable):
         raise ValueError("no oscillating mode found above the frequency floor")
     pairs = [(freq, damping) for _, freq, damping in best]
     return pairs if rho.ndim == 3 else pairs[0]
-
-
-def thermal_qubit_steady(
-    g1d: float,
-    gloss: float,
-    gphi: float,
-    n_th: float,
-    omega_rabi: float,
-    delta: float,
-) -> tuple[float, complex]:
-    """Closed-form driven steady state of a single qubit in a thermal bath.
-
-    Returns (rho_ee, rho_eg) for drive detuning delta, using the thermally
-    enhanced rates gamma1_th = (2 n_th + 1)(g1d + gloss) and gamma2_th =
-    gamma1_th/2 + gphi.  All rates in MHz (ratios only).
-    """
-    if min(g1d, gloss, gphi, n_th) < 0:
-        raise ValueError("rates and occupancy must be >= 0")
-    gamma1_th = (2.0 * n_th + 1.0) * (g1d + gloss)
-    gamma2_th = gamma1_th / 2.0 + gphi
-    if gamma2_th <= 0:
-        raise ValueError("qubit without decoherence has no unique steady state")
-    x = delta / gamma2_th
-    saturation = omega_rabi**2 / (gamma1_th * gamma2_th) if omega_rabi else 0.0
-    denom = 1.0 + x**2 + saturation
-    rho_ee = (n_th / (2.0 * n_th + 1.0)) * (1.0 + x**2) / denom + 0.5 * saturation / denom
-    rho_eg = -1j * omega_rabi / (2.0 * gamma2_th * (2.0 * n_th + 1.0)) * (1.0 + 1j * x) / denom
-    return float(rho_ee), complex(rho_eg)
-
-
-def dark_state_rates(gloss: float, gphi: float, gphi_c: float) -> tuple[float, float]:
-    """Decay and decoherence rates of a half-wavelength pair's dark state.
-
-    gamma1_dark = gloss + gphi - gphi_c (differential dephasing leaks the
-    dark state into the fast-decaying bright state) and gamma2_dark =
-    gloss/2 + gphi, independent of the correlation.
-    """
-    if gloss < 0 or gphi < 0:
-        raise ValueError("gloss and gphi must be >= 0")
-    return gloss + gphi - gphi_c, gloss / 2.0 + gphi

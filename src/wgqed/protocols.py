@@ -16,6 +16,11 @@ The simulate_* functions return what they simulate, the TimeTrace records
 (and, for the two-excitation run, the linear cavity's exact frequencies);
 none of them fits.  Fitting a trace is the caller's step, with
 fit_exponential or fit_damped_sinusoid.
+What reads a spec without a master equation lives in core: the swap
+duration and its precondition (core.iswap_duration_ns), the compound
+mirrors' precondition, the probe's interaction detuning and the dark-state
+rates.  The simulators call them there, so a config is checked without
+this module.
 Public time arguments and TimeTrace records are in ns; the underlying
 master-equation work runs in us.
 """
@@ -37,25 +42,16 @@ __all__ = [
     "rotate_qubit",
     "dark_state_vector",
     "dark_population",
-    "interaction_detuning",
-    "iswap_duration_ns",
     "iswap",
     "simulate_vacuum_rabi",
     "simulate_t1_dark",
     "simulate_ramsey_dark",
     "simulate_two_excitation",
     "linear_cavity_model",
-    "check_compound_mirrors",
     "simulate_compound_mirrors",
     "fit_exponential",
     "fit_damped_sinusoid",
 ]
-
-# a probe-dark coupling 2J at or below this fraction of the norm of the
-# probe's exchange row over the mirrors is rounding, not a coupling: a probe
-# placed where it is exactly dark to the mirrors reads about 1e-16 of it,
-# and its swap would take some 1e18 ns
-DARK_COUPLING_FLOOR = 1e-9
 
 # a trace fit is accepted only if its amplitude is at least this many of
 # its own standard errors; below that the fringe or decay is fitted noise
@@ -142,39 +138,12 @@ def _populations(number_op: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("...ii,i->...", states, np.diag(number_op)).real
 
 
-def interaction_detuning(spec: core.SystemSpec) -> float:
-    """Probe detuning from the mean mirror frequency (MHz)."""
-    probe = spec.probe_index
-    mirror_detunings = [spec.detunings[m] for m in spec.mirror_indices]
-    return spec.detunings[probe] - float(np.mean(mirror_detunings))
-
-
-def iswap_duration_ns(spec: core.SystemSpec) -> float:
-    """Half a Rabi period at the generalized oscillation frequency.
-
-    At zero probe-dark detuning this is 1/(4J) in us, i.e. the hold time
-    that transfers the probe excitation into the dark state; with a
-    residual detuning the first transfer maximum arrives at the
-    generalized frequency sqrt((2J)^2 + delta^2) instead.  ValueError if
-    the spec has no probe or no mirror, or if 2J is at or below
-    DARK_COUPLING_FLOOR of the norm of the probe's exchange row over the
-    mirrors (a probe the dark state does not see).
-    """
-    two_j = core.probe_dark_coupling(spec)
-    row = core.exchange_matrix(spec)[spec.probe_index, list(spec.mirror_indices)]
-    exchange = float(np.linalg.norm(row))
-    if not two_j > DARK_COUPLING_FLOOR * exchange:
-        raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
-    f_osc = math.hypot(two_j, interaction_detuning(spec))
-    return 1e3 / (2.0 * f_osc)
-
-
 def iswap(spec: core.SystemSpec) -> np.ndarray:
     """State after the resonant hold that moves the probe excitation to the dark state.
 
-    Starts from an excited probe, holds for iswap_duration_ns at the spec
-    detunings and returns the d x d state of the full product space; the
-    transferred population approaches 1 - O(1/C) for a lossless system.
+    Starts from an excited probe, holds for core.iswap_duration_ns at the
+    spec detunings and returns the d x d state of the full product space;
+    the transferred population approaches 1 - O(1/C) for a lossless system.
     """
     _require_probe(spec)
     return _iswap(spec, lindblad.build_model(spec))
@@ -182,7 +151,7 @@ def iswap(spec: core.SystemSpec) -> np.ndarray:
 
 def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
     """iswap on the already built model of spec."""
-    hold_us = iswap_duration_ns(spec) * 1e-3
+    hold_us = core.iswap_duration_ns(spec) * 1e-3
     return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
 
 
@@ -217,7 +186,7 @@ def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) ->
     """Shared engine: resonant swap, variable wait, resonant swap, probe readout.
 
     rho0 is a state of the full product space of spec.  It is held at the
-    spec detunings for one swap time (iswap_duration_ns), at the spec
+    spec detunings for one swap time (core.iswap_duration_ns), at the spec
     detunings plus wait_offsets (MHz per qubit) for each delay (ns), then
     swapped back; a nonzero closing_angle rotates the probe about x before
     the readout.  That is three evolve calls on one model of spec: the swap
@@ -231,7 +200,7 @@ def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) ->
     delays_ns = np.asarray(delays_ns, dtype=float)
     delays_us = delays_ns * 1e-3
     model = lindblad.build_model(spec)
-    swap_us = [0.0, iswap_duration_ns(spec) * 1e-3]
+    swap_us = [0.0, core.iswap_duration_ns(spec) * 1e-3]
     swapped = lindblad.evolve(model, rho0, swap_us)[-1]
     # the wait starts at zero delay; a grid that starts there has no extra point
     hold = delays_us if delays_us[0] == 0.0 else np.concatenate(([0.0], delays_us))
@@ -325,9 +294,9 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     for i, j, rate in spec.dephasing_correlations:
         if probe not in (i, j):
             correlated = rate
-    kappa, _ = lindblad.dark_state_rates(mirror.gamma_loss, mirror.gamma_phi, correlated)
+    kappa, _ = core.dark_state_rates(mirror.gamma_loss, mirror.gamma_phi, correlated)
     coupling_j = core.probe_dark_coupling(spec) / 2.0
-    delta = interaction_detuning(spec)
+    delta = core.interaction_detuning(spec)
 
     qubit_eye, mode_eye = np.eye(2), np.eye(3)
     lower_q = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), mode_eye)
@@ -353,12 +322,6 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     return model, ops
 
 
-def check_compound_mirrors(spec: core.SystemSpec) -> None:
-    """ValueError unless the spec's mirrors are four directly coupled qubits, two compound pairs."""
-    if len(spec.mirror_indices) != 4 or not spec.direct_couplings:
-        raise ValueError("compound-mirror spec needs four directly coupled mirrors")
-
-
 def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     """Probe Rabi traces against each dark state of compound mirror pairs.
 
@@ -369,7 +332,7 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     the taus grid (ns).
     """
     probe = _require_probe(spec)
-    check_compound_mirrors(spec)
+    core.check_compound_mirrors(spec)
     mirrors = list(spec.mirror_indices)
     block = core.build_effective_hamiltonian(spec)[np.ix_(mirrors, mirrors)]
     values, vectors = np.linalg.eig(block)

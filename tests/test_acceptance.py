@@ -261,7 +261,7 @@ def test_criterion_12_oracle_suites():
                 spec = SystemSpec(qubits=((q, Placement(0.0)),), detunings=(-delta,), n_th=n_th)
                 model = lindblad.build_model(spec, drives=((0, omega),))
                 rho = lindblad.steady_states(model, [0.0])[0]
-                ee, eg = lindblad.thermal_qubit_steady(13.4, GLOSS, 0.21, n_th, omega, delta)
+                ee, eg = core.thermal_qubit_steady(13.4, GLOSS, 0.21, n_th, omega, delta)
                 worst = max(worst, abs(rho[1, 1].real - ee), abs(rho[1, 0] - eg))
     report(
         12,

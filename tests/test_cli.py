@@ -42,6 +42,18 @@ def dark_probe(config):
     next(q for q in system["qubits"] if q["label"] == system["probe"]).update(phase_pi=1.0)
 
 
+def node_probe(config):
+    """Move the probe to phase pi/2, onto M2 and pi from M1: a node of both mirrors' exchange."""
+    system = config["system"]
+    next(q for q in system["qubits"] if q["label"] == system["probe"]).update(phase_pi=0.5)
+
+
+def full_correlation(config):
+    """Correlate the dephasing of the first and last qubits at 1 MHz, above their own gamma_phi."""
+    system = config["system"]
+    system["dephasing_correlations"] = [[0, len(system["qubits"]) - 1, 1.0]]
+
+
 def underflowing_power(config):
     """Drive by a power_dbm alone, whose input field underflows to zero."""
     del config["params"]["omega_rabi"]
@@ -241,6 +253,15 @@ class TestValidation:
             ("fig3b_t1dark_type1", dark_probe, "$.system"),
             ("fig3c_ramsey_type1", dark_probe, "$.system"),
             ("fig3f_twoexc", dark_probe, "$.system"),
+            # the exchange row was itself rounding (5.6e-16 MHz), so 2J cleared
+            # a floor relative to it: a constant trace, a trace of 1.749 at
+            # t = 6.3e14 us or no oscillating mode (exit 2)
+            ("fig3b_t1dark_type1", node_probe, "$.system"),
+            ("fig3c_ramsey_type2", node_probe, "$.system"),
+            ("fig3f_twoexc", node_probe, "$.system"),
+            # build_model found the dephasing matrix not positive semidefinite (exit 2)
+            ("fig2a_pair", full_correlation, "$.system"),
+            ("fig3b_t1dark_type1", full_correlation, "$.system"),
             # the run's own drive and pulse average rejected these (exit 2)
             ("fig1c_q1", lambda config: config["params"].update(power_dbm=-120.0), "$.params"),
             ("fig1c_q1", underflowing_power, "$.params"),
@@ -268,6 +289,8 @@ class TestValidation:
             "t1-no-probe", "ramsey-no-probe", "two-excitation-no-probe", "compound-no-probe",
             "compound-no-couplings", "t1-no-mirror", "ramsey-no-mirror", "two-excitation-no-mirror",
             "t1-dark-probe", "ramsey-dark-probe", "two-excitation-dark-probe",
+            "t1-node-probe", "ramsey-node-probe", "two-excitation-node-probe",
+            "spectrum-dephasing-not-psd", "t1-dephasing-not-psd",
             "spectrum-two-strengths", "spectrum-power-underflow", "spectrum-no-coupled-qubit",
             "steady-two-strengths", "shelve-short-pulse",
         ],
@@ -513,7 +536,7 @@ class TestRun:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "st")]) == 0
         header, rows = read_csv(tmp_path / "st_state.csv")
         assert header == ["row", "col", "re", "im"]
-        from wgqed.lindblad import thermal_qubit_steady
+        from wgqed.core import thermal_qubit_steady
 
         rho_ee, _ = thermal_qubit_steady(13.4, 0.0065, 0.21, 0.0, 1.0, 0.0)
         excited = rows[(rows[:, 0] == 1) & (rows[:, 1] == 1)][0, 2]
@@ -755,15 +778,15 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     # first fit, jsonschema only in the tests, evolve finds its blocks
     # without scipy.sparse.csgraph, and spectroscopy writes out its SI
     # constants; the Liouvillian layer (lindblad, and with it scipy.linalg
-    # and scipy.sparse) loads only where a check or run needs protocols or
-    # a solve, so loading every bundled config leaves it unloaded too
+    # and scipy.sparse) loads only where a run needs protocols or a solve,
+    # so loading every bundled config and the closed forms leave it unloaded
     lazy = (
         "scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph", "scipy.constants",
         "scipy.linalg", "scipy.sparse", "wgqed.lindblad", "wgqed.protocols",
     )
     code = """
 from importlib.resources import files
-from wgqed import cli
+from wgqed import cli, dark_state_rates, thermal_qubit_steady
 for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
     cli.load_config(entry)
 """
@@ -772,14 +795,10 @@ for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
 
 
 def test_checks_and_runs_without_protocols_leave_scipy_linalg_unloaded(tmp_path):
-    # the spectrum, xy-spectrum, rabi, shelve and calib checks, and the
-    # shelve and calib runs, call neither protocols nor a solver
-    experiments = ("spectrum", "xy-spectrum", "rabi", "shelve", "calib")
-    validated = [
-        path for path in sorted(Path(bundled("fig1c_q1")).parent.glob("*.cfg"))
-        if json.loads(path.read_text())["experiment"] in experiments
-    ]
-    assert len(validated) == 11
+    # every check reads core, spectroscopy and calibration alone, and the
+    # shelve and calib runs call neither protocols nor a solver
+    validated = sorted(Path(bundled("fig1c_q1")).parent.glob("*.cfg"))
+    assert len(validated) == 17
     commands = [["validate", str(path)] for path in validated]
     commands += [
         ["run", bundled(name), "--output", str(tmp_path / name)] for name in ("fig3d_shelve", "tableS1_calib")
@@ -790,7 +809,7 @@ for argv in {commands!r}:
     if cli.main(argv) != 0:
         raise SystemExit(f"failed: {{argv}}")
 """
-    assert loaded_after(code, ("scipy.linalg", "wgqed.lindblad")) == []
+    assert loaded_after(code, ("scipy.linalg", "wgqed.lindblad", "wgqed.protocols")) == []
     assert (tmp_path / "tableS1_calib_calib.json").is_file()
 
 
@@ -808,13 +827,13 @@ PACKAGE_EXPORTS = {
     "core": (
         "AsymmetricPair", "CollectiveMode", "Placement", "QubitParams", "SystemSpec",
         "build_effective_hamiltonian", "cavity_spec", "collective_modes", "compound_mirror_spec",
-        "cooperativity", "coupling_rate_2j", "dark_bright_asymmetric", "mirror_pair_spec",
-        "phase_mismatch_decay", "probe_dark_coupling", "purcell_factor",
-        "second_excitation_cooperativity",
+        "cooperativity", "coupling_rate_2j", "dark_bright_asymmetric", "dark_state_rates",
+        "mirror_pair_spec", "phase_mismatch_decay", "probe_dark_coupling", "purcell_factor",
+        "second_excitation_cooperativity", "thermal_qubit_steady",
     ),
     "lindblad": (
-        "LindbladModel", "ProductBasis", "assemble_liouvillian", "build_model", "dark_state_rates",
-        "dominant_oscillation", "evolve", "steady_states", "thermal_qubit_steady",
+        "LindbladModel", "ProductBasis", "assemble_liouvillian", "build_model",
+        "dominant_oscillation", "evolve", "steady_states",
     ),
     "records": ("FitResult", "SpectrumScan", "TimeTrace"),
 }

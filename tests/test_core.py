@@ -191,6 +191,22 @@ class TestClosedFormRates:
             core.cavity_spec(QubitParams("M", 13.4), QubitParams("P", 1.19), n_mirrors=4)
         ) == pytest.approx(7.986, abs=5e-4)
 
+    def test_swap_floor_is_the_largest_probe_exchange(self):
+        # a probe on M2, pi from M1, exchanges with neither: its row over the
+        # mirrors is rounding (about 1e-16 MHz) and cannot set the floor
+        mirror, probe = QubitParams("M", 13.4), QubitParams("P", 1.19)
+        qubits = ((mirror, Placement(-math.pi / 2)), (probe, Placement(math.pi / 2)),
+                  (mirror, Placement(math.pi / 2)))
+        node = SystemSpec(qubits=qubits, probe_index=1)
+        assert 0.0 < core.probe_dark_coupling(node) < 1e-15
+        with pytest.raises(ValueError, match=r"^probe is not coupled to the dark state"):
+            core.iswap_duration_ns(node)
+        # a direct coupling g to M2 fills the dark state (M1 + M2)/sqrt(2) at 2J = sqrt(2) g
+        coupled = SystemSpec(qubits=qubits, probe_index=1, direct_couplings=((1, 2, 0.5),))
+        two_j = core.probe_dark_coupling(coupled)
+        assert two_j == pytest.approx(math.sqrt(2) * 0.5, rel=1e-12)
+        assert core.iswap_duration_ns(coupled) == pytest.approx(1e3 / (2 * two_j), rel=1e-12)
+
     def test_cooperativity_values(self):
         assert core.cooperativity(5.647, 1.19, 0.3885, 0.210) == pytest.approx(96.2, abs=0.1)
         assert core.cooperativity(12.97, 0.87, 0.6705, 0.581) == pytest.approx(187.9, abs=0.2)
@@ -261,6 +277,18 @@ class TestSpecValidation:
                 qubits=((q, Placement(0.0)), (q, Placement(1.0))),
                 direct_couplings=((1, 1, 10.0),),
             )
+
+    @pytest.mark.parametrize("correlation", [0.3, -0.3])
+    def test_dephasing_matrix_must_be_psd(self, correlation):
+        # fully correlated noise is the edge: eigenvalues 0 and 0.6 MHz
+        q = QubitParams("Q", 1.0, gamma_phi=0.3)
+        qubits = ((q, Placement(0.0)), (q, Placement(1.0)))
+        spec = SystemSpec(qubits=qubits, dephasing_correlations=((0, 1, correlation),))
+        assert np.array_equal(core.dephasing_matrix(spec), [[0.3, correlation], [correlation, 0.3]])
+        with pytest.raises(ValueError, match=r"^rate matrix is not positive semidefinite; eigenvalues"):
+            SystemSpec(qubits=qubits, dephasing_correlations=((0, 1, 1.01 * correlation),))
+        with pytest.raises(ValueError, match=r"^dephasing correlation must be finite$"):
+            SystemSpec(qubits=qubits, dephasing_correlations=((0, 1, math.nan),))
 
     def test_gamma_prime_split(self):
         q = QubitParams.from_gamma_prime("Q1", 94.1, 0.430)

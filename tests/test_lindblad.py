@@ -16,18 +16,16 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from wgqed import core, lindblad
-from wgqed.core import Placement, QubitParams, SystemSpec
+from wgqed.core import Placement, QubitParams, SystemSpec, dark_state_rates, thermal_qubit_steady
 from wgqed.lindblad import (
     DegenerateSteadyStateError,
     LindbladModel,
     ProductBasis,
     assemble_liouvillian,
     build_model,
-    dark_state_rates,
     dominant_oscillation,
     evolve,
     steady_states,
-    thermal_qubit_steady,
 )
 
 TWO_PI = 2 * math.pi

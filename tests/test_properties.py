@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgqed import core, lindblad, spectroscopy
+from wgqed import core, spectroscopy
 from wgqed.core import QubitParams
 from wgqed.records import FitResult
 
@@ -30,7 +30,7 @@ def test_doubly_excited_transfer_rate_identity(g1d_m, g1d_p):
 
 @given(small_rates, small_rates, st.floats(min_value=-5.0, max_value=5.0))
 def test_dark_state_rate_ordering(gloss, gphi, gphi_c):
-    gamma1, gamma2 = lindblad.dark_state_rates(gloss, gphi, gphi_c)
+    gamma1, gamma2 = core.dark_state_rates(gloss, gphi, gphi_c)
     assert gamma2 == pytest.approx(gloss / 2.0 + gphi)
     if gphi_c == 0.0:
         assert gamma1 >= gamma2
@@ -47,7 +47,7 @@ def test_dark_state_rate_ordering(gloss, gphi, gphi_c):
 )
 @settings(max_examples=200)
 def test_thermal_steady_state_is_physical(g1d, gloss, gphi, n_th, omega, delta):
-    rho_ee, rho_eg = lindblad.thermal_qubit_steady(g1d, gloss, gphi, n_th, omega, delta)
+    rho_ee, rho_eg = core.thermal_qubit_steady(g1d, gloss, gphi, n_th, omega, delta)
     assert 0.0 <= rho_ee <= 0.5 + 1e-12
     # coherence bounded by the Bloch sphere
     assert abs(rho_eg) <= math.sqrt(rho_ee * (1.0 - rho_ee)) + 1e-9

@@ -634,7 +634,7 @@ class TestCoordinateReadouts:
 class TestIswap:
     def test_duration_is_half_rabi_period(self):
         spec = core.cavity_spec(MIRROR1, PROBE)
-        assert pr.iswap_duration_ns(spec) == pytest.approx(1e3 / (2 * TWO_J1), rel=1e-12)
+        assert core.iswap_duration_ns(spec) == pytest.approx(1e3 / (2 * TWO_J1), rel=1e-12)
 
     def test_swap_unitarity_in_coherent_limit(self):
         # two consecutive swaps return the probe population when the
@@ -647,7 +647,7 @@ class TestIswap:
             basis.basis_vector(1 << spec.probe_index),
             basis.basis_vector(1 << spec.probe_index).conj(),
         )
-        swap_us = pr.iswap_duration_ns(spec) * 1e-3
+        swap_us = core.iswap_duration_ns(spec) * 1e-3
         for _ in range(2):
             rho = lindblad.evolve(coherent, rho, np.array([0.0, swap_us]))[-1]
         population = float(np.real(np.trace(basis.number(spec.probe_index) @ rho)))
@@ -695,7 +695,7 @@ class TestIswap:
         assert blocks == [reached]
         model = lindblad.build_model(spec)
         excited = pr._probe_excited(spec, model.basis).reshape(-1)
-        reference = propagator(model, pr.iswap_duration_ns(spec) * 1e-3) @ excited
+        reference = propagator(model, core.iswap_duration_ns(spec) * 1e-3) @ excited
         assert final.shape == (8, 8)
         assert np.max(np.abs(final - reference.reshape(8, 8))) < 1e-12
 
@@ -777,14 +777,14 @@ class TestDarkStateLifetimes:
         spec = inverted_dephasing_spec(13.4, 0.3, 0.0, gloss=0.05)
         fit_t1, fit_t2 = self.dark_fits(spec, np.linspace(400, 2000, 24))
         assert fit_t1.value("rate_mhz") > fit_t2.value("rate_mhz")
-        g1_closed, g2_closed = lindblad.dark_state_rates(0.05, 0.3, 0.0)
+        g1_closed, g2_closed = core.dark_state_rates(0.05, 0.3, 0.0)
         assert fit_t1.value("rate_mhz") == pytest.approx(g1_closed, rel=0.05)
         assert fit_t2.value("rate_mhz") == pytest.approx(g2_closed, rel=0.05)
         # common-mode correlation above gloss/2 inverts the ordering
         spec = inverted_dephasing_spec(13.4, 0.3, 0.2, gloss=0.05)
         fit_t1, fit_t2 = self.dark_fits(spec, np.linspace(400, 3000, 24))
         assert fit_t1.value("rate_mhz") < fit_t2.value("rate_mhz")
-        g1_closed, g2_closed = lindblad.dark_state_rates(0.05, 0.3, 0.2)
+        g1_closed, g2_closed = core.dark_state_rates(0.05, 0.3, 0.2)
         assert fit_t1.value("rate_mhz") == pytest.approx(g1_closed, rel=0.05)
         assert fit_t2.value("rate_mhz") == pytest.approx(g2_closed, rel=0.05)
 
@@ -891,7 +891,7 @@ class TestCompoundMirrors:
         for spec in (core.cavity_spec(MIRROR1, PROBE), uncoupled):
             message = r"^compound-mirror spec needs four directly coupled mirrors$"
             with pytest.raises(ValueError, match=message):
-                pr.check_compound_mirrors(spec)
+                core.check_compound_mirrors(spec)
             with pytest.raises(ValueError, match=message):
                 pr.simulate_compound_mirrors(spec, np.linspace(0, 400, 41))
 
