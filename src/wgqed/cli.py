@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -55,8 +56,6 @@ _QUBIT_SCHEMA = _object_schema(
         "gamma_loss": {"type": "number", "minimum": 0},
         "gamma_phi": {"type": "number", "minimum": 0},
         "phase_pi": {"type": "number"},
-        "f_max": {"type": "number"},
-        "f_min": {"type": "number"},
     },
     required=["label", "gamma_1d", "phase_pi"],
 )
@@ -171,6 +170,23 @@ def _config_error(path: tuple, message: str) -> ConfigError:
     return ConfigError(f"config error at ${where}: {message}")
 
 
+@contextmanager
+def _config_errors(where: str):
+    """Raise a library error from the block as a ConfigError at the key path where.
+
+    The library rejects an input by ValueError, and an input past float
+    range fails by ArithmeticError (an overflow, or a division by a value
+    that underflowed to zero); both are errors of the config.  A
+    ConfigError, itself a ValueError, passes unchanged.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ArithmeticError) as err:
+        raise ConfigError(f"config error at {where}: {err}") from err
+
+
 def _non_finite(document, path=()):
     """(key path, value) of each NaN or infinite number (json.loads reads NaN, Infinity, 1e999)."""
     if isinstance(document, float) and not math.isfinite(document):
@@ -231,7 +247,7 @@ def build_system(system: dict) -> core.SystemSpec:
     probe = system.get("probe")
     labels = [q["label"] for q in system["qubits"]]
     probe_index = None if probe is None else _resolve_qubit(labels, probe, "$.system.probe")
-    try:
+    with _config_errors("$.system"):
         qubits = tuple(
             (
                 core.QubitParams(
@@ -239,8 +255,6 @@ def build_system(system: dict) -> core.SystemSpec:
                     gamma_1d=q["gamma_1d"],
                     gamma_loss=q.get("gamma_loss", 0.0),
                     gamma_phi=q.get("gamma_phi", 0.0),
-                    f_max=q.get("f_max"),
-                    f_min=q.get("f_min"),
                 ),
                 core.Placement(q["phase_pi"] * math.pi),
             )
@@ -259,8 +273,6 @@ def build_system(system: dict) -> core.SystemSpec:
             n_th=system.get("n_th", 0.0),
             working_frequency=system.get("working_frequency_ghz", 6.6),
         )
-    except ValueError as err:
-        raise ConfigError(f"config error at $.system: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +288,10 @@ class Experiment:
     what the schema cannot express (qubit references, block combinations,
     the library's own preconditions) and returns what the run takes: the
     DriveSpec of spectrum, xy-spectrum and steady, shelve's mirror pair,
-    calib's artifacts, or None.  ``run`` calls check once and hands its
+    calib's artifacts, or None.  One rule, _config_errors, turns a library
+    error into a config error: a ValueError or ArithmeticError raised where
+    a check calls the library is a ConfigError at the key path the check
+    names for that call.  ``run`` calls check once and hands its
     product to run(spec, params, checked), which returns the artifacts in
     order as {file suffix: record}, where a record is a TimeTrace, a
     SpectrumScan, a (header, rows) table or a JSON-ready dict;
@@ -363,12 +378,10 @@ def _drive(port: str, spec, params: dict) -> spectroscopy.DriveSpec:
         if target is None:
             raise ConfigError("config error at $.params.xy_qubit: no probe to default to")
         xy_qubit = _resolve_qubit([q.label for q in spec.params], target, "$.params.xy_qubit")
-    try:
+    with _config_errors("$.params"):
         # the strengths omega_rabi and power_dbm (_DRIVE), None where unset
         drive = spectroscopy.DriveSpec(port, xy_qubit, **{key: params.get(key) for key in _DRIVE})
         spectroscopy.drive_amplitudes(spec, drive)
-    except ValueError as err:
-        raise ConfigError(f"config error at $.params: {err}") from err
     return drive
 
 
@@ -410,14 +423,12 @@ def _check_spec(precondition, spec, _params=None) -> None:
     """A probe, and the simulator's precondition on the spec, one core function.
 
     core.iswap_duration_ns for the swap of t1-dark, ramsey-dark and
-    two-excitation, core.check_compound_mirrors for compound; its ValueError
-    is a ConfigError at $.system.
+    two-excitation, core.check_compound_mirrors for compound; its error is
+    a ConfigError at $.system.
     """
     _check_probe(spec)
-    try:
+    with _config_errors("$.system"):
         precondition(spec)
-    except ValueError as err:
-        raise ConfigError(f"config error at $.system: {err}") from err
 
 
 def _check_dark(spec, params) -> None:
@@ -454,10 +465,8 @@ def _check_shelve(spec, params) -> list:
     if len(mirrors) != 2:
         raise ConfigError("config error at $.system: shelving needs a two-mirror pair")
     if "pulse_ns" in params:
-        try:
+        with _config_errors("$.params.pulse_ns"):
             spectroscopy.check_pulse_average(_grid(params), params["pulse_ns"])
-        except ValueError as err:
-            raise ConfigError(f"config error at $.params.pulse_ns: {err}") from err
     return mirrors
 
 
@@ -503,10 +512,18 @@ def _run_compound(spec, params, _none) -> dict:
     return artifacts
 
 
+def _finite_report(report: dict) -> dict:
+    """report, or ValueError naming its first NaN or infinite value."""
+    for path, value in _non_finite(report):
+        raise ValueError(f"{path[0]} is not finite ({value})")
+    return report
+
+
 def _check_calib(_spec, params) -> dict:
     """Each block's report, the artifacts of the run: a calib run only evaluates closed forms.
 
-    A block that calibration rejects is a ConfigError at $.params.<block>.
+    A block that calibration rejects, or whose report holds a NaN or an
+    infinity, is a ConfigError at $.params.<block>.
     """
     if not params:
         raise ConfigError("config error at $.params: calib needs at least one block")
@@ -517,47 +534,45 @@ def _check_calib(_spec, params) -> dict:
         )
     report: dict = {}
     artifacts: dict = {}
-    transmon = name = None
-    try:
-        if "transmon" in params:
-            name, block = "transmon", params["transmon"]
+    if "transmon" in params:
+        block = params["transmon"]
+        with _config_errors("$.params.transmon"):
             transmon = calibration.TransmonModel(block["ej1"], block["ej2"], block["ec"])
-            report[name] = {
+            report["transmon"] = _finite_report({
                 "f_max_ghz": calibration.transmon_frequency(transmon, 0.0),
                 "f_min_ghz": calibration.transmon_frequency(transmon, 0.5),
                 "asymmetry": transmon.asymmetry,
                 "ej_over_ec": (transmon.ej1 + transmon.ej2) / transmon.ec,
-            }
+            })
             if "flux_points" in block:
                 flux = np.linspace(0.0, 1.0, block["flux_points"])
                 artifacts["flux.csv"] = (
                     ("flux_phi0", "f01_ghz"),
                     ((value, calibration.transmon_frequency(transmon, value)) for value in flux),
                 )
-        if "resonator" in params:
-            name, block = "resonator", params["resonator"]
+    if "resonator" in params:
+        block = params["resonator"]
+        with _config_errors("$.params.resonator"):
             resonator = calibration.ReadoutResonator(block["f_r"], block["g_mhz"], block["qi"], block["qe"])
-            eta = block["eta_mhz"] if "eta_mhz" in block else -transmon.ec * 1e3
-            report[name] = {
+            eta = block["eta_mhz"] if "eta_mhz" in block else -params["transmon"]["ec"] * 1e3
+            report["resonator"] = _finite_report({
                 "chi_mhz": calibration.dispersive_shift(
                     block["g_mhz"], block["f_q"] - block["f_r"], eta
                 ),
                 "purcell_estimate_khz": calibration.resonator_purcell_estimate(resonator, block["f_q"]),
-            }
-        if "crosstalk" in params:
-            name, block = "crosstalk", params["crosstalk"]
+            })
+    if "crosstalk" in params:
+        block = params["crosstalk"]
+        with _config_errors("$.params.crosstalk"):
             ct = calibration.CrosstalkMatrix(
                 m=np.asarray(block["m"], dtype=float).reshape(len(block["f0"]), len(block["f0"])),
                 f0=block["f0"],
                 v0=block["v0"],
             )
-            report[name] = {
+            report["crosstalk"] = _finite_report({
                 "bias_v": list(calibration.crosstalk_bias(ct, np.asarray(block["targets"]))),
-            }
-    except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"config error at $.params.{name}: {err}") from err
-    artifacts["calib.json"] = report
-    return artifacts
+            })
+    return {**artifacts, "calib.json": report}
 
 
 def _run_steady(spec, params, drive) -> dict:
@@ -723,7 +738,7 @@ def _write(record, path: Path) -> None:
     elif isinstance(record, tuple):
         records.write_table_csv(*record, path)
     else:
-        records.write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+        records.write_text(path, json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict, object]:

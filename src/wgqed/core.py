@@ -74,7 +74,7 @@ PARK_DETUNING = -50.0
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Rates and frequency range of a single emitter.
+    """Rates of a single emitter.
 
     gamma_1d is the decay rate into the waveguide, gamma_loss the decay
     into all other channels and gamma_phi the pure dephasing rate, each
@@ -85,16 +85,12 @@ class QubitParams:
     gamma_1d: float
     gamma_loss: float = 0.0
     gamma_phi: float = 0.0
-    f_max: float | None = None
-    f_min: float | None = None
 
     def __post_init__(self):
         for name in ("gamma_1d", "gamma_loss", "gamma_phi"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{self.label}: {name} must be >= 0, got {value}")
-        if self.f_max is not None and self.f_min is not None and self.f_min > self.f_max:
-            raise ValueError(f"{self.label}: f_min {self.f_min} exceeds f_max {self.f_max}")
 
     @property
     def gamma_prime(self) -> float:

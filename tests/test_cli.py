@@ -60,6 +60,22 @@ def underflowing_power(config):
     config["params"]["power_dbm"] = -4000.0
 
 
+def underflowing_photon(config):
+    """Drive by a power_dbm alone at a working frequency whose photon energy underflows to zero."""
+    del config["params"]["omega_rabi"]
+    config["params"]["power_dbm"] = -30.0
+    config["system"]["working_frequency_ghz"] = 1e-320
+
+
+def float_leaves(node, path=()):
+    """The key path of every float in a JSON document."""
+    if isinstance(node, float):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from float_leaves(value, path + (key,))
+
+
 class TestValidation:
     def test_empty_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
@@ -279,6 +295,22 @@ class TestValidation:
                 "$.params",
             ),
             ("fig3d_shelve", lambda config: config["params"].update(pulse_ns=10.0), "$.params.pulse_ns"),
+            # each of these crashed validate with a traceback and failed the
+            # run (exit 2): 1/(pulse_ns * 1e-3) and the photon energy divide
+            # by an underflowed zero, and g_ghz**2 overflows
+            ("fig3d_shelve", lambda config: config["params"].update(pulse_ns=5e-324), "$.params.pulse_ns"),
+            ("fig1c_q1", underflowing_photon, "$.params"),
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["resonator"].update(g_mhz=1e200),
+                "$.params.resonator",
+            ),
+            # validated and ran, writing Infinity into calib.json and inf into the flux table
+            (
+                "tableS1_calib",
+                lambda config: config["params"]["transmon"].update(ej1=1e308, ej2=1e308),
+                "$.params.transmon",
+            ),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
@@ -292,7 +324,8 @@ class TestValidation:
             "t1-node-probe", "ramsey-node-probe", "two-excitation-node-probe",
             "spectrum-dephasing-not-psd", "t1-dephasing-not-psd",
             "spectrum-two-strengths", "spectrum-power-underflow", "spectrum-no-coupled-qubit",
-            "steady-two-strengths", "shelve-short-pulse",
+            "steady-two-strengths", "shelve-short-pulse", "shelve-pulse-underflow",
+            "spectrum-photon-underflow", "resonator-coupling-overflow", "transmon-report-overflow",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
@@ -330,8 +363,14 @@ class TestValidation:
                 lambda config: config["system"]["direct_couplings"][0].__setitem__(1, 1.0),
                 "$.system.direct_couplings[0][1]: 1.0 is not of type 'integer'",
             ),
+            # no computation reads a qubit's frequency range
+            (
+                "fig1c_q1",
+                lambda config: config["system"]["qubits"][0].update(f_max=7.1),
+                "$.system.qubits[0]: Additional properties are not allowed ('f_max' was unexpected)",
+            ),
         ],
-        ids=["points", "seed", "flux_points", "probe", "coupling-index"],
+        ids=["points", "seed", "flux_points", "probe", "coupling-index", "qubit-f-max"],
     )
     def test_integer_written_as_float_rejected(self, tmp_path, capsys, name, edit, message):
         # jsonschema counts 181.0 as an integer; run then failed on points = 181.0
@@ -348,6 +387,28 @@ class TestValidation:
         path = tmp_path / "broken.cfg"
         path.write_text("not json at all")
         assert cli.main(["validate", str(path)]) == 1
+
+    # numpy warns on overflow for such inputs; the subject here is what the
+    # checks raise, so its RuntimeWarnings are ignored in this test alone
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_extreme_finite_values_validate_or_name_a_key(self, tmp_path):
+        # every float of every bundled config set, one at a time, to the
+        # smallest subnormal and to +-1e308: validate accepts the config or
+        # rejects it by a ConfigError, and raises nothing else
+        path, swept = tmp_path / "extreme.cfg", 0
+        for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
+            config = json.loads(entry.read_text())
+            for leaf in list(float_leaves(config)):
+                for value in (5e-324, 1e308, -1e308):
+                    mutant = copy.deepcopy(config)
+                    target = mutant
+                    for step in leaf[:-1]:
+                        target = target[step]
+                    target[leaf[-1]] = value
+                    path.write_text(json.dumps(mutant))
+                    assert cli.main(["validate", str(path)]) in (0, 1), (entry.name, leaf, value)
+                    swept += 1
+        assert swept == 768
 
 
 def jsonschema_check(schema, document):
@@ -541,6 +602,13 @@ class TestRun:
         rho_ee, _ = thermal_qubit_steady(13.4, 0.0065, 0.21, 0.0, 1.0, 0.0)
         excited = rows[(rows[:, 0] == 1) & (rows[:, 1] == 1)][0, 2]
         assert excited == pytest.approx(rho_ee, abs=1e-9)
+
+    def test_json_artifact_is_strict(self, tmp_path):
+        # json.dumps writes NaN and Infinity by default, which a strict reader rejects
+        path = tmp_path / "record.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write({"chi_mhz": float("nan")}, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("target", [7, -1, "Q9"])
     def test_bad_xy_qubit_is_config_error(self, tmp_path, capsys, target):
