@@ -363,14 +363,29 @@ def _fit_payload(fit, extra=None) -> dict:
     return payload
 
 
+def _check_added_mhz(spec, params: dict, keys) -> None:
+    """The MHz values a run adds to the spec, each key in turn (core.require_representable).
+
+    Each value present is added to those before it, and the first that
+    takes the sum past core.MAX_MHZ is a ConfigError at $.params.<key>.
+    """
+    added = []
+    for key in keys:
+        if key in params:
+            added.append(params[key])
+            with _config_errors(f"$.params.{key}"):
+                core.require_representable(spec, *added)
+
+
 def _drive(port: str, spec, params: dict) -> spectroscopy.DriveSpec:
     """The check of a spectrum, xy-spectrum or steady run: the DriveSpec the run takes.
 
     An xy drive acts on params.xy_qubit, or on the probe by default.  The
     DriveSpec and its per-qubit amplitudes (spectroscopy.drive_amplitudes)
     are formed here, so a drive they reject, such as both omega_rabi and
-    power_dbm, an input field that underflows or no waveguide-coupled
-    qubit, is a ConfigError at $.params.
+    power_dbm, an input field that is zero, subnormal or not finite, or no
+    waveguide-coupled qubit, is a ConfigError at $.params.  The drive
+    detunings the run sweeps must be representable (_check_added_mhz).
     """
     xy_qubit = None
     if port == "xy":
@@ -382,6 +397,7 @@ def _drive(port: str, spec, params: dict) -> spectroscopy.DriveSpec:
         # the strengths omega_rabi and power_dbm (_DRIVE), None where unset
         drive = spectroscopy.DriveSpec(port, xy_qubit, **{key: params.get(key) for key in _DRIVE})
         spectroscopy.drive_amplitudes(spec, drive)
+    _check_added_mhz(spec, params, ("start_mhz", "stop_mhz", "detuning_mhz"))
     return drive
 
 
@@ -414,31 +430,34 @@ def _run_rabi(spec, params, _none) -> dict:
 _DARK_OPTIONS = dict(park_detuning_mhz="park_detuning", artificial_detuning_mhz="artificial_detuning")
 
 
-def _check_probe(spec, _params=None) -> None:
-    if spec.probe_index is None:
-        raise ConfigError("config error at $.system.probe: this experiment needs a probe qubit")
+def _check_holds(precondition, mhz_keys, spec, params) -> None:
+    """The check of a run of holds: the core rules its simulator applies, at their keys.
 
-
-def _check_spec(precondition, spec, _params=None) -> None:
-    """A probe, and the simulator's precondition on the spec, one core function.
-
-    core.iswap_duration_ns for the swap of t1-dark, ramsey-dark and
-    two-excitation, core.check_compound_mirrors for compound; its error is
-    a ConfigError at $.system.
+    A probe (core.require_probe) at $.system.probe; the simulator's
+    precondition on the spec, if any, at $.system: core.iswap_duration_ns
+    for the swap of t1-dark, ramsey-dark and two-excitation,
+    core.check_compound_mirrors for compound; the hold grid
+    (core.time_grid_us) of _taus at $.params.tau_max_ns, or of _delays at
+    $.params.delay_max_ns once delay_min_ns is below delay_max_ns; and the
+    MHz values of mhz_keys that the run adds (_check_added_mhz).
     """
-    _check_probe(spec)
-    with _config_errors("$.system"):
-        precondition(spec)
-
-
-def _check_dark(spec, params) -> None:
-    """A dark sequence needs a swap and an increasing delay grid (its times would not increase)."""
-    _check_spec(core.iswap_duration_ns, spec)
-    if not params["delay_min_ns"] < params["delay_max_ns"]:
-        raise ConfigError(
-            f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
-            f"delay_max_ns {params['delay_max_ns']:g} ns"
-        )
+    with _config_errors("$.system.probe"):
+        core.require_probe(spec)
+    if precondition is not None:
+        with _config_errors("$.system"):
+            precondition(spec)
+    if "tau_max_ns" in params:
+        grid, key = _taus(params), "tau_max_ns"
+    else:
+        if not params["delay_min_ns"] < params["delay_max_ns"]:
+            raise ConfigError(
+                f"config error at $.params.delay_min_ns: {params['delay_min_ns']:g} ns is not below "
+                f"delay_max_ns {params['delay_max_ns']:g} ns"
+            )
+        grid, key = _delays(params), "delay_max_ns"
+    with _config_errors(f"$.params.{key}"):
+        core.time_grid_us(grid, "ns")
+    _check_added_mhz(spec, params, mhz_keys)
 
 
 def _run_dark(simulate: str, fit_trace: str, kind: int, spec, params, _none) -> dict:
@@ -631,14 +650,14 @@ _EXPERIMENTS: dict[str, Experiment] = {
         },
         _run_rabi,
         required=("tau_max_ns", "points"),
-        check=_check_probe,
+        check=partial(_check_holds, None, ("probe_detuning_mhz",)),
     ),
     "t1-dark": Experiment(
         "dark-state population decay via swap-in / wait / swap-out",
         _DELAYS,
         partial(_run_dark, "simulate_t1_dark", "fit_exponential", 1),
         required=("delay_min_ns", "delay_max_ns", "points"),
-        check=_check_dark,
+        check=partial(_check_holds, core.iswap_duration_ns, tuple(_DARK_OPTIONS)),
     ),
     "ramsey-dark": Experiment(
         "dark-state Ramsey fringes via half-swaps",
@@ -650,7 +669,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
         },
         partial(_run_dark, "simulate_ramsey_dark", "fit_damped_sinusoid", 2),
         required=("delay_min_ns", "delay_max_ns", "points"),
-        check=_check_dark,
+        check=partial(_check_holds, core.iswap_duration_ns, tuple(_DARK_OPTIONS)),
     ),
     "shelve": Experiment(
         "mirror-pair transmission with shelved dark population",
@@ -671,14 +690,14 @@ _EXPERIMENTS: dict[str, Experiment] = {
         _TAUS,
         _run_two_excitation,
         required=("tau_max_ns", "points"),
-        check=partial(_check_spec, core.iswap_duration_ns),
+        check=partial(_check_holds, core.iswap_duration_ns, ()),
     ),
     "compound": Experiment(
         "probe Rabi traces against the dark states of compound mirrors",
         _TAUS,
         _run_compound,
         required=("tau_max_ns", "points"),
-        check=partial(_check_spec, core.check_compound_mirrors),
+        check=partial(_check_holds, core.check_compound_mirrors, ()),
     ),
     "calib": Experiment(
         "transmon frequency model, dispersive shift and flux crosstalk",

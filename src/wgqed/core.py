@@ -4,11 +4,18 @@ All rates are linear frequencies in MHz (a quoted decay rate gamma means
 gamma = Gamma/2pi); angular factors enter only when a Liouvillian is
 assembled in :mod:`wgqed.lindblad`.  Positions along the waveguide are
 stored as accumulated propagation phases k0*x at the working frequency.
-Everything here reads a SystemSpec or plain rates and needs no master
-equation: the spec's own preconditions (a positive semidefinite dephasing
-matrix, the probe's swap into the dark state, compound mirrors) and the
-closed forms of the dark-state and thermal-qubit rates, so a config is
-checked without the Liouvillian layer.
+Everything here reads a SystemSpec, plain rates or a time grid and needs
+no master equation, so a config is checked without the Liouvillian layer.
+Each precondition of a hold has one owner here, which the simulators, the
+master equation, the records and the config checks all call:
+require_probe (a designated probe; the dark-state functions also need a
+mirror), require_dark_coupling (a probe the mirrors' dark state sees, 2J
+above DARK_COUPLING_FLOOR) and time_grid_us (ns or us times as the finite,
+strictly increasing us grid the master equation steps).  The spec's own
+rules are applied by SystemSpec itself: a positive semidefinite dephasing
+matrix, and MHz values whose Liouvillian entries stay finite
+(require_representable, MAX_MHZ).  The compound mirrors' precondition and
+the closed forms of the dark-state and thermal-qubit rates live here too.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ __all__ = [
     "coupling_rate_2j",
     "probe_dark_projection",
     "probe_dark_coupling",
+    "require_probe",
+    "require_dark_coupling",
+    "require_representable",
+    "time_grid_us",
     "dephasing_matrix",
     "interaction_detuning",
     "iswap_duration_ns",
@@ -66,6 +77,21 @@ DARK_DECAY_CLIP = 1e-9
 # rounding, not a coupling: a probe at a node of every mirror, or exactly
 # dark to them, reads about 1e-16 of it, and its swap would take some 1e18 ns
 DARK_COUPLING_FLOOR = 1e-9
+
+# Largest sum of MHz magnitudes a spec, with the values its run adds, may
+# hold (require_representable).  With S the spec's sum over N qubits, a
+# Hamiltonian entry is a sum of detunings or one exchange (sqrt(g1d_i
+# g1d_j)/2 plus direct couplings), at most S; the jump rates add up to at
+# most 2 S (the waveguide and dephasing rates are eigenvalues of matrices of
+# trace at most S, loss and thermal rates come per qubit, the thermal ones
+# twice); and an entry of a jump operator L, of L (x) L* or of L^dagger L is
+# at most N.  So an entry of K = -iH - pi sum gamma L^dagger L is at most
+# 2 pi (1 + N) S, and one of the generator K (x) 1 + 1 (x) K* + 2 pi sum
+# gamma L (x) L* at most 2 pi 6 N S.  A drive detuning or a hold's offsets
+# add at most 2 pi N, and a drive amplitude 2 pi, times a sum checked against
+# the same bound, so every entry stays below 2 pi 10 N MAX_MHZ, the largest
+# float, after the 2 pi factor.
+MAX_MHZ = float(np.finfo(float).max) / (TWO_PI * 10 * MAX_QUBITS)
 
 # Default parking offset (MHz) that decouples the probe during the waits of
 # the dark-state sequences (protocols.simulate_t1_dark, simulate_ramsey_dark).
@@ -103,7 +129,7 @@ class QubitParams:
         return self.gamma_1d + self.gamma_loss
 
     @classmethod
-    def from_gamma_prime(cls, label, gamma_1d, gamma_prime, gamma_loss=0.0065, **kw):
+    def from_gamma_prime(cls, label, gamma_1d, gamma_prime, gamma_loss=0.0065):
         """Split a measured parasitic rate into loss + dephasing.
 
         The loss part defaults to the 6.5 kHz non-radiative decay assumed
@@ -111,7 +137,7 @@ class QubitParams:
         """
         if gamma_prime < gamma_loss:
             gamma_loss = gamma_prime
-        return cls(label, gamma_1d, gamma_loss, (gamma_prime - gamma_loss) / 2.0, **kw)
+        return cls(label, gamma_1d, gamma_loss, (gamma_prime - gamma_loss) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -133,8 +159,10 @@ class SystemSpec:
     (i, j, g) in MHz; dephasing_correlations lists correlated pure
     dephasing entries (i, j, rate) off the per-qubit diagonal.  detunings
     are per-qubit offsets (MHz) from the working frequency (GHz).
-    ValueError names an n_th that is negative or not finite and a
-    working_frequency that is not finite and positive.
+    ValueError names an n_th that is negative or not finite, a
+    working_frequency that is not finite and positive, a dephasing matrix
+    that is not positive semidefinite and MHz values whose Liouvillian
+    entries could overflow (require_representable).
     """
 
     qubits: tuple[tuple[QubitParams, Placement], ...]
@@ -174,6 +202,7 @@ class SystemSpec:
             raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
         if not 0 < self.working_frequency < math.inf:
             raise ValueError(f"working_frequency must be finite and > 0 (GHz), got {self.working_frequency}")
+        require_representable(self)
         # lindblad._collective_jumps' bound and wording, so a spec that passes
         # builds its dephasing jumps; a diagonal of gamma_phi >= 0 is PSD
         if self.dephasing_correlations:
@@ -338,17 +367,15 @@ def probe_dark_projection(spec: SystemSpec) -> np.ndarray:
     lies within 1e-9 (relative) of the smallest.  With N ideal
     half-wavelength mirrors it is (N-1)-dimensional, and this projection,
     not any one eigenvector, is the dark state the probe exchanges with.
+    ValueError if the spec has no probe or no mirror (require_probe).
     """
-    if spec.probe_index is None:
-        raise ValueError("spec has no designated probe")
-    mirrors = list(spec.mirror_indices)
-    if not mirrors:
-        raise ValueError("spec has no mirror qubits")
+    probe, mirrors = _probe_and_mirrors(spec)
+    mirrors = list(mirrors)
     gamma = waveguide_decay_matrix(spec)[np.ix_(mirrors, mirrors)]
     values, vectors = np.linalg.eigh(gamma)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     dark = vectors[:, values <= values.min() + tol]
-    j_row = exchange_matrix(spec)[spec.probe_index, mirrors]
+    j_row = exchange_matrix(spec)[probe, mirrors]
     return dark @ (dark.conj().T @ j_row)
 
 
@@ -362,10 +389,95 @@ def probe_dark_coupling(spec: SystemSpec) -> float:
     return 2.0 * float(np.linalg.norm(probe_dark_projection(spec)))
 
 
+def require_probe(spec: SystemSpec) -> int:
+    """The index of the spec's designated probe; ValueError if it has none."""
+    if spec.probe_index is None:
+        raise ValueError("spec has no designated probe")
+    return spec.probe_index
+
+
+def _probe_and_mirrors(spec: SystemSpec) -> tuple[int, tuple[int, ...]]:
+    """The probe (require_probe) and the mirrors a dark state needs; ValueError without one."""
+    probe = require_probe(spec)
+    if not spec.mirror_indices:
+        raise ValueError("spec has no mirror qubits")
+    return probe, spec.mirror_indices
+
+
+def require_dark_coupling(spec: SystemSpec) -> np.ndarray:
+    """probe_dark_projection of a probe that the mirrors' dark state sees.
+
+    ValueError if the spec has no probe or no mirror, or if 2J, twice the
+    norm of the projection, is at or below DARK_COUPLING_FLOOR of the
+    largest exchange the probe could have with the mirrors: per mirror
+    sqrt(g1d_p g1d_m)/2 plus |g| of its direct couplings to the probe,
+    normed over the mirrors.
+    """
+    projection = probe_dark_projection(spec)
+    two_j = 2.0 * float(np.linalg.norm(projection))
+    probe, mirrors = spec.probe_index, spec.mirror_indices
+    g1d = [q.gamma_1d for q in spec.params]
+    largest = {m: math.sqrt(g1d[probe] * g1d[m]) / 2.0 for m in mirrors}
+    for i, j, g in spec.direct_couplings:
+        if probe in (i, j):
+            largest[i + j - probe] += abs(g)
+    if not two_j > DARK_COUPLING_FLOOR * math.hypot(*largest.values()):
+        raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
+    return projection
+
+
+def require_representable(spec: SystemSpec, *added_mhz: float) -> None:
+    """ValueError unless the spec's MHz values and those its run adds stay within MAX_MHZ.
+
+    The sum of the magnitudes of every gamma_1d, gamma_loss, gamma_phi and
+    thermal rate n_th * gamma_1, every detuning, direct coupling and
+    dephasing correlation of the spec, plus added_mhz (a run's drive
+    detunings, hold detunings and offsets, drive amplitudes), must be at
+    most MAX_MHZ, so no Liouvillian entry overflows; NaN fails.
+    """
+    total = sum(q.gamma_1d + q.gamma_loss + q.gamma_phi + spec.n_th * q.gamma_1 for q in spec.params)
+    total += sum(abs(value) for value in spec.detunings)
+    total += sum(abs(g) for *_, g in (*spec.direct_couplings, *spec.dephasing_correlations))
+    total += sum(abs(float(value)) for value in added_mhz)  # Python floats overflow to inf silently
+    if not total <= MAX_MHZ:
+        raise ValueError(
+            f"rates, detunings and couplings add up to {total:g} MHz, above the {MAX_MHZ:.3g} MHz "
+            "at which a Liouvillian entry can overflow"
+        )
+
+
+# microseconds per unit of a time grid
+_MICROSECONDS = {"ns": 1e-3, "us": 1.0}
+
+
+def time_grid_us(times, unit: str) -> np.ndarray:
+    """A time grid in unit ("ns" or "us") as the us grid the master equation steps.
+
+    ValueError unless the times are finite and strictly increasing, both
+    as given and in us, where a ns grid finer than float resolution
+    collapses (5e-324 ns is 0 us); the message names the first time that
+    fails, and the one before it, in that grid's unit.  The us grid is
+    times_ns * 1e-3, or the us times themselves.
+    """
+    times = np.asarray(times, dtype=float)
+    grid_us = times * _MICROSECONDS[unit]
+    for name, grid in {unit: times, "us": grid_us}.items():  # one grid when unit is us
+        finite = np.isfinite(grid)
+        if not finite.all():
+            raise ValueError(f"times must be finite: time {grid[~finite][0]:g} {name}")
+        stalled = np.flatnonzero(~(np.diff(grid) > 0))
+        if stalled.size:
+            a, b = grid[stalled[0]], grid[stalled[0] + 1]
+            raise ValueError(
+                f"times must be strictly increasing: time {b:g} {name} follows {a:g} {name}"
+            )
+    return grid_us
+
+
 def interaction_detuning(spec: SystemSpec) -> float:
-    """Probe detuning from the mean mirror frequency (MHz)."""
-    probe = spec.probe_index
-    mirror_detunings = [spec.detunings[m] for m in spec.mirror_indices]
+    """Probe detuning from the mean mirror frequency (MHz); ValueError without a probe or a mirror."""
+    probe, mirrors = _probe_and_mirrors(spec)
+    mirror_detunings = [spec.detunings[m] for m in mirrors]
     return spec.detunings[probe] - float(np.mean(mirror_detunings))
 
 
@@ -375,20 +487,10 @@ def iswap_duration_ns(spec: SystemSpec) -> float:
     At zero probe-dark detuning this is 1/(4J) in us, i.e. the hold time
     that transfers the probe excitation into the dark state; with a
     residual detuning the first transfer maximum arrives at the
-    generalized frequency sqrt((2J)^2 + delta^2) instead.  ValueError if
-    the spec has no probe or no mirror, or if 2J is at or below
-    DARK_COUPLING_FLOOR of the largest exchange the probe could have with
-    the mirrors (a probe the dark state does not see).
+    generalized frequency sqrt((2J)^2 + delta^2) instead.  ValueError
+    unless the probe couples to the dark state (require_dark_coupling).
     """
-    two_j = probe_dark_coupling(spec)
-    probe, mirrors = spec.probe_index, spec.mirror_indices
-    g1d = [q.gamma_1d for q in spec.params]
-    largest = {m: math.sqrt(g1d[probe] * g1d[m]) / 2.0 for m in mirrors}
-    for i, j, g in spec.direct_couplings:
-        if probe in (i, j):
-            largest[i + j - probe] += abs(g)
-    if not two_j > DARK_COUPLING_FLOOR * math.hypot(*largest.values()):
-        raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
+    two_j = 2.0 * float(np.linalg.norm(require_dark_coupling(spec)))
     f_osc = math.hypot(two_j, interaction_detuning(spec))
     return 1e3 / (2.0 * f_osc)
 

@@ -760,23 +760,15 @@ def _propagate(model: LindbladModel, rho, times, offsets=None):
     first step in grid order that it equals within 1e-12 relative, so every
     class of equal steps is exponentiated once per call; none is kept after
     it returns.
-    ValueError unless the times are finite and strictly increasing (naming
-    the first time that does not increase), and each state, rho included,
-    must pass _check_states.
+    ValueError unless the times are finite and strictly increasing
+    (core.time_grid_us, naming the first time that is not), and each
+    state, rho included, must pass _check_states.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-D grid")
-    finite = np.isfinite(times)
-    if not finite.all():
-        raise ValueError(f"times must be finite: t = {times[~finite][0]:g} us")
+    times = core.time_grid_us(times, "us")
     steps = np.diff(times)
-    stalled = np.flatnonzero(~(steps > 0))
-    if stalled.size:
-        k = stalled[0]
-        raise ValueError(
-            f"times must be strictly increasing: time {times[k + 1]:g} us follows {times[k]:g} us"
-        )
     offsets = _hold_offsets(model, offsets)
     (reached, block, sectors, layout), x0 = _reached_block(model, np.asarray(rho, dtype=complex))
     if offsets is not None:

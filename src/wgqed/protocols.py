@@ -16,13 +16,16 @@ The simulate_* functions return what they simulate, the TimeTrace records
 (and, for the two-excitation run, the linear cavity's exact frequencies);
 none of them fits.  Fitting a trace is the caller's step, with
 fit_exponential or fit_damped_sinusoid.
-What reads a spec without a master equation lives in core: the swap
-duration and its precondition (core.iswap_duration_ns), the compound
-mirrors' precondition, the probe's interaction detuning and the dark-state
-rates.  The simulators call them there, so a config is checked without
-this module.
-Public time arguments and TimeTrace records are in ns; the underlying
-master-equation work runs in us.
+What reads a spec or a time grid without a master equation lives in
+core, and this module keeps no check of its own: the probe
+(core.require_probe), the probe's coupling to the dark state
+(core.require_dark_coupling, which the swap duration core.iswap_duration_ns
+also applies), the compound mirrors' precondition, the probe's interaction
+detuning and the dark-state rates.  Public time arguments and TimeTrace
+records are in ns; every hold turns them into the us grid the master
+equation steps by core.time_grid_us, which rejects a grid that is not
+finite and strictly increasing in either unit.  The config checks call the
+same core functions, so a config is checked without this module.
 """
 
 from __future__ import annotations
@@ -93,12 +96,6 @@ class CompoundResult:
     dark_frequencies: tuple[float, float]
 
 
-def _require_probe(spec: core.SystemSpec) -> int:
-    if spec.probe_index is None:
-        raise ValueError("spec has no designated probe qubit")
-    return spec.probe_index
-
-
 def rotate_qubit(rho: np.ndarray, basis, qubit: int, angle: float):
     """Instantly rotate one qubit of a state (or a stack of them) about x."""
     sx = basis.lowering(qubit) + basis.raising(qubit)
@@ -111,16 +108,14 @@ def dark_state_vector(spec: core.SystemSpec, basis) -> np.ndarray:
 
     The normalized core.probe_dark_projection: with more than two mirrors
     the dark subspace is degenerate, and this is the one state in it that
-    the probe exchange fills.  ValueError if the probe does not couple to it.
+    the probe exchange fills.  ValueError if the probe does not couple to it
+    (core.require_dark_coupling, the swap's own rule).
     """
-    weights = core.probe_dark_projection(spec)
-    norm = np.linalg.norm(weights)
-    if not norm > 0:
-        raise ValueError("probe is not coupled to the dark subspace")
+    weights = core.require_dark_coupling(spec)
     vec = np.zeros(basis.dimension, dtype=complex)
     for w, m in zip(weights, spec.mirror_indices):
         vec += w * basis.basis_vector(1 << m)
-    return vec / norm
+    return vec / np.linalg.norm(weights)
 
 
 def dark_population(spec: core.SystemSpec, basis, rho: np.ndarray) -> float:
@@ -145,14 +140,18 @@ def iswap(spec: core.SystemSpec) -> np.ndarray:
     spec detunings and returns the d x d state of the full product space;
     the transferred population approaches 1 - O(1/C) for a lossless system.
     """
-    _require_probe(spec)
+    core.require_probe(spec)
     return _iswap(spec, lindblad.build_model(spec))
+
+
+def _swap_us(spec: core.SystemSpec) -> np.ndarray:
+    """The us grid (0, core.iswap_duration_ns) of one swap hold."""
+    return core.time_grid_us([0.0, core.iswap_duration_ns(spec)], "ns")
 
 
 def _iswap(spec: core.SystemSpec, model: lindblad.LindbladModel) -> np.ndarray:
     """iswap on the already built model of spec."""
-    hold_us = core.iswap_duration_ns(spec) * 1e-3
-    return lindblad.evolve(model, _probe_excited(spec, model.basis), [0.0, hold_us])[-1]
+    return lindblad.evolve(model, _probe_excited(spec, model.basis), _swap_us(spec))[-1]
 
 
 def _hold_trace(model, number_op, rho0, taus, metadata, offsets=None) -> TimeTrace:
@@ -161,8 +160,9 @@ def _hold_trace(model, number_op, rho0, taus, metadata, offsets=None) -> TimeTra
     offsets (MHz per qubit) raise the hold's detunings above the model's
     (lindblad.evolve); metadata follows the "observable" entry.
     """
-    taus = np.asarray(taus, dtype=float)
-    populations = lindblad._held_populations(model, number_op, rho0, taus * 1e-3, offsets)
+    populations = lindblad._held_populations(
+        model, number_op, rho0, core.time_grid_us(taus, "ns"), offsets
+    )
     return TimeTrace(taus, populations, metadata={"observable": "probe_population", **metadata})
 
 
@@ -172,7 +172,7 @@ def simulate_vacuum_rabi(spec: core.SystemSpec, taus, probe_detuning=None) -> Ti
     probe_detuning (MHz) overrides the probe entry of spec.detunings; far
     detuning gives the free-decay reference trace.
     """
-    probe = _require_probe(spec)
+    probe = core.require_probe(spec)
     if probe_detuning is not None:
         detunings = list(spec.detunings)
         detunings[probe] = probe_detuning
@@ -197,10 +197,9 @@ def _staged_wait_protocol(spec, wait_offsets, delays_ns, rho0, closing_angle) ->
     exponentials, so the swap back exponentiates the swap step again.
     Returns the probe population versus delay.
     """
-    delays_ns = np.asarray(delays_ns, dtype=float)
-    delays_us = delays_ns * 1e-3
+    delays_us = core.time_grid_us(delays_ns, "ns")
     model = lindblad.build_model(spec)
-    swap_us = [0.0, core.iswap_duration_ns(spec) * 1e-3]
+    swap_us = _swap_us(spec)
     swapped = lindblad.evolve(model, rho0, swap_us)[-1]
     # the wait starts at zero delay; a grid that starts there has no extra point
     hold = delays_us if delays_us[0] == 0.0 else np.concatenate(([0.0], delays_us))
@@ -223,7 +222,7 @@ def simulate_t1_dark(
     the probe-population trace over the delays (ns); the rate_mhz of its
     fit_exponential estimates the dark-state decay rate.
     """
-    probe = _require_probe(spec)
+    probe = core.require_probe(spec)
     park = np.zeros(spec.n_qubits)
     park[probe] = park_detuning - spec.detunings[probe]
     rho0 = _probe_excited(spec, lindblad.ProductBasis(spec.n_qubits))
@@ -245,7 +244,7 @@ def simulate_ramsey_dark(
     Returns the probe-population trace over the delays (ns); the rate_mhz
     of its fit_damped_sinusoid estimates the dark-state decoherence.
     """
-    probe = _require_probe(spec)
+    probe = core.require_probe(spec)
     wait = np.full(spec.n_qubits, artificial_detuning, dtype=float)
     wait[probe] = park_detuning - spec.detunings[probe]
     basis = lindblad.ProductBasis(spec.n_qubits)
@@ -265,7 +264,7 @@ def simulate_two_excitation(spec: core.SystemSpec, taus) -> tuple[TimeTrace, Tim
     lindblad.dominant_oscillation of its linear_cavity_model from |e, 0>
     and from |e, 1>.
     """
-    probe = _require_probe(spec)
+    probe = core.require_probe(spec)
     model = lindblad.build_model(spec)  # the swap and the re-excited hold build its factors once
     rho = rotate_qubit(_iswap(spec, model), model.basis, probe, math.pi)
     atomic = _hold_trace(model, model.basis.number(probe), rho, taus, {"system": "atomic_cavity"})
@@ -285,9 +284,13 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     The mode inherits the probe-dark coupling (2J) and the dark-state
     loss of the mirror array; returns the model and its operators, with
     the state vectors |e, 0> ("excited_no_photon") and |e, 1>
-    ("excited_one_photon") of its basis |qubit, photons>.
+    ("excited_one_photon") of its basis |qubit, photons>.  ValueError
+    without a probe or a mirror, from the coupling and the detuning, which
+    are read first.
     """
-    probe = _require_probe(spec)
+    coupling_j = core.probe_dark_coupling(spec) / 2.0
+    delta = core.interaction_detuning(spec)
+    probe = spec.probe_index
     params = spec.params[probe]
     mirror = spec.params[spec.mirror_indices[0]]
     correlated = 0.0
@@ -295,8 +298,6 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
         if probe not in (i, j):
             correlated = rate
     kappa, _ = core.dark_state_rates(mirror.gamma_loss, mirror.gamma_phi, correlated)
-    coupling_j = core.probe_dark_coupling(spec) / 2.0
-    delta = core.interaction_detuning(spec)
 
     qubit_eye, mode_eye = np.eye(2), np.eye(3)
     lower_q = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), mode_eye)
@@ -331,7 +332,7 @@ def simulate_compound_mirrors(spec: core.SystemSpec, taus) -> CompoundResult:
     the probe is tuned onto each in turn and its population recorded over
     the taus grid (ns).
     """
-    probe = _require_probe(spec)
+    probe = core.require_probe(spec)
     core.check_compound_mirrors(spec)
     mirrors = list(spec.mirror_indices)
     block = core.build_effective_hamiltonian(spec)[np.ix_(mirrors, mirrors)]

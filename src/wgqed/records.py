@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
+
 __all__ = [
     "SpectrumScan",
     "TimeTrace",
@@ -67,7 +69,11 @@ class SpectrumScan:
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Real-valued observable (population or coherence) versus time in ns."""
+    """Real-valued observable (population or coherence) versus time in ns.
+
+    The times are a grid the master equation could step: finite and
+    strictly increasing in ns and in us (core.time_grid_us).
+    """
 
     times: np.ndarray
     values: np.ndarray
@@ -78,15 +84,7 @@ class TimeTrace:
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be equal-length 1D arrays")
-        finite = np.isfinite(t)
-        if not finite.all():
-            raise ValueError(f"times must be finite: time {t[~finite][0]:g} ns")
-        step = np.flatnonzero(~(np.diff(t) > 0))
-        if step.size:
-            k = step[0]
-            raise ValueError(
-                f"times must be strictly increasing: time {t[k + 1]:g} ns follows {t[k]:g} ns"
-            )
+        core.time_grid_us(t, "ns")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

@@ -112,8 +112,9 @@ def single_qubit_transmission(
 def _input_amplitude(spec: core.SystemSpec, drive: DriveSpec) -> float:
     """Input field amplitude a_in in sqrt(photons/us) for a waveguide drive.
 
-    ValueError names a power_dbm whose a_in is zero, subnormal or not
-    finite: t divides the emitted field by a_in.
+    Set by power_dbm, by omega_rabi or by the default saturation;
+    ValueError names the one whose a_in is zero, subnormal or not finite:
+    t divides the emitted field by a_in.
     """
     g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
     if drive.power_dbm is not None:
@@ -122,28 +123,30 @@ def _input_amplitude(spec: core.SystemSpec, drive: DriveSpec) -> float:
         except OverflowError:
             power_w = math.inf
         flux_per_us = power_w / (hbar * TWO_PI * spec.working_frequency * 1e9) * 1e-6
-        a_in = math.sqrt(flux_per_us)
-        if not (math.isfinite(a_in) and a_in >= np.finfo(float).tiny):
-            raise ValueError(
-                f"power_dbm {drive.power_dbm:g} gives an input field a_in = {a_in:g} "
-                "sqrt(photons/us), which is zero, subnormal or not finite"
-            )
-        return a_in
-    if drive.omega_rabi is not None:
+        a_in, source = math.sqrt(flux_per_us), f"power_dbm {drive.power_dbm:g}"
+    elif drive.omega_rabi is not None:
         ref = int(np.argmax(g1d_ang))
         if g1d_ang[ref] <= 0:
             raise ValueError("waveguide drive needs at least one coupled qubit")
-        return TWO_PI * drive.omega_rabi / (2.0 * math.sqrt(g1d_ang[ref] / 2.0))
-    # default: cap the saturation parameter over all qubits
-    s_per_a2 = 0.0
-    for q in spec.params:
-        gamma1 = TWO_PI * q.gamma_1
-        gamma2 = gamma1 / 2.0 + TWO_PI * q.gamma_phi
-        if q.gamma_1d > 0 and gamma1 > 0 and gamma2 > 0:
-            s_per_a2 = max(s_per_a2, 2.0 * TWO_PI * q.gamma_1d / (gamma1 * gamma2))
-    if s_per_a2 == 0.0:
-        raise ValueError("no waveguide-coupled qubit to drive")
-    return math.sqrt(DEFAULT_SATURATION / s_per_a2)
+        a_in = TWO_PI * drive.omega_rabi / (2.0 * math.sqrt(g1d_ang[ref] / 2.0))
+        source = f"omega_rabi {drive.omega_rabi:g}"
+    else:
+        # cap the saturation parameter over all qubits
+        s_per_a2 = 0.0
+        for q in spec.params:
+            gamma1 = TWO_PI * q.gamma_1
+            gamma2 = gamma1 / 2.0 + TWO_PI * q.gamma_phi
+            if q.gamma_1d > 0 and gamma1 > 0 and gamma2 > 0:
+                s_per_a2 = max(s_per_a2, 2.0 * TWO_PI * q.gamma_1d / (gamma1 * gamma2))
+        if s_per_a2 == 0.0:
+            raise ValueError("no waveguide-coupled qubit to drive")
+        a_in, source = math.sqrt(DEFAULT_SATURATION / s_per_a2), f"saturation {DEFAULT_SATURATION:g}"
+    if not (math.isfinite(a_in) and a_in >= np.finfo(float).tiny):
+        raise ValueError(
+            f"{source} gives an input field a_in = {a_in:g} "
+            "sqrt(photons/us), which is zero, subnormal or not finite"
+        )
+    return a_in
 
 
 def drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
@@ -154,20 +157,30 @@ def drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
     power_dbm, by omega_rabi on the most strongly coupled qubit, or by the
     default saturation; an xy drive reaches xy_qubit alone with 2 pi
     omega_rabi, and a_in is None.  ValueError names a drive this spec
-    cannot take: an input field that is zero, subnormal or not finite, no
-    waveguide-coupled qubit, or an xy qubit out of range.
+    cannot take: an input field a_in or a local Omega_xy/2 that is zero,
+    subnormal or not finite (t divides by it), no waveguide-coupled qubit,
+    an xy qubit out of range, or amplitudes (MHz) that are not finite or
+    whose Liouvillian entries could overflow with the spec's
+    (core.require_representable).
     """
     n = spec.n_qubits
     g1d_ang = TWO_PI * np.array([q.gamma_1d for q in spec.params])
     if drive.port == "waveguide":
         a_in = _input_amplitude(spec, drive)
         amplitudes = 2.0 * a_in * np.sqrt(g1d_ang / 2.0) * (-1j) * np.exp(1j * spec.phases)
-        return amplitudes, a_in
-    if not 0 <= drive.xy_qubit < n:
-        raise ValueError("xy qubit index out of range")
-    amplitudes = np.zeros(n, dtype=complex)
-    amplitudes[drive.xy_qubit] = TWO_PI * drive.omega_rabi
-    return amplitudes, None
+    else:
+        if not 0 <= drive.xy_qubit < n:
+            raise ValueError("xy qubit index out of range")
+        field = TWO_PI * drive.omega_rabi / 2.0  # t divides the emitted field by it, as by a_in
+        if not field >= np.finfo(float).tiny:
+            raise ValueError(
+                f"omega_rabi {drive.omega_rabi:g} gives a local drive Omega_xy/2 = {field:g} "
+                "rad/us, which is zero or subnormal"
+            )
+        a_in, amplitudes = None, np.zeros(n, dtype=complex)
+        amplitudes[drive.xy_qubit] = TWO_PI * drive.omega_rabi
+    core.require_representable(spec, *(np.abs(amplitudes) / TWO_PI))
+    return amplitudes, a_in
 
 
 def _driven_model(spec, amplitudes_ang):

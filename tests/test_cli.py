@@ -311,6 +311,57 @@ class TestValidation:
                 lambda config: config["params"]["transmon"].update(ej1=1e308, ej2=1e308),
                 "$.params.transmon",
             ),
+            # the ns grid collapses in us: "times must be strictly increasing:
+            # time 0 us follows 0 us" (exit 2)
+            ("fig3a_type1", lambda config: config["params"].update(tau_max_ns=1e-320), "$.params.tau_max_ns"),
+            ("fig3f_twoexc", lambda config: config["params"].update(tau_max_ns=5e-324), "$.params.tau_max_ns"),
+            # a Liouvillian entry overflowed: "rate matrix entry (0, 0) is not
+            # finite", "bordered generator entry (0, 3) couples sectors 0 and
+            # 2", "hamiltonian entry (1, 2) is not finite" (exit 2)
+            (
+                "fig1c_q1",
+                lambda config: config["system"]["qubits"][0].update(gamma_1d=1e308),
+                "$.system",
+            ),
+            (
+                "fig3b_t1dark_type1",
+                lambda config: config["system"]["qubits"][1].update(gamma_loss=1e308),
+                "$.system",
+            ),
+            (
+                "fig3c_ramsey_type2",
+                lambda config: config["system"]["qubits"][0].update(gamma_phi=1e308),
+                "$.system",
+            ),
+            (
+                "fig4_compound",
+                lambda config: config["system"]["direct_couplings"][0].__setitem__(2, 1e308),
+                "$.system",
+            ),
+            # a_in overflowed or underflowed: "hamiltonian entry (0, 0) is not
+            # finite", "transmission t = (nan+nanj) is not finite" (exit 2)
+            ("fig1c_q4", lambda config: config["params"].update(omega_rabi=1e308), "$.params"),
+            ("fig1c_q4", lambda config: config["params"].update(omega_rabi=5e-324), "$.params"),
+            ("fig2e_xy", lambda config: config["params"].update(omega_rabi=5e-324), "$.params"),
+            # a run's own MHz values overflowed: a hamiltonian entry, "cannot
+            # convert float infinity to integer", a degenerate steady state (exit 2)
+            (
+                "fig3a_type1",
+                lambda config: config["params"].update(probe_detuning_mhz=1e308),
+                "$.params.probe_detuning_mhz",
+            ),
+            (
+                "fig3b_t1dark_type1",
+                lambda config: config["params"].update(park_detuning_mhz=1e308),
+                "$.params.park_detuning_mhz",
+            ),
+            (
+                "fig3c_ramsey_type1",
+                lambda config: config["params"].update(artificial_detuning_mhz=-1e308),
+                "$.params.artificial_detuning_mhz",
+            ),
+            ("fig1c_q1", lambda config: config["params"].update(start_mhz=-1e308), "$.params.start_mhz"),
+            ("fig1c_q1", lambda config: config["params"].update(stop_mhz=-1e308), "$.params.stop_mhz"),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
@@ -326,6 +377,11 @@ class TestValidation:
             "spectrum-two-strengths", "spectrum-power-underflow", "spectrum-no-coupled-qubit",
             "steady-two-strengths", "shelve-short-pulse", "shelve-pulse-underflow",
             "spectrum-photon-underflow", "resonator-coupling-overflow", "transmon-report-overflow",
+            "rabi-grid-collapse", "two-excitation-grid-collapse", "spectrum-gamma-1d-overflow",
+            "t1-gamma-loss-overflow", "ramsey-gamma-phi-overflow", "compound-coupling-overflow",
+            "spectrum-omega-overflow", "spectrum-omega-underflow", "xy-omega-underflow",
+            "rabi-probe-detuning-overflow", "t1-park-overflow", "ramsey-artificial-overflow",
+            "spectrum-start-overflow", "spectrum-stop-overflow",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
@@ -388,9 +444,11 @@ class TestValidation:
         path.write_text("not json at all")
         assert cli.main(["validate", str(path)]) == 1
 
-    # numpy warns on overflow for such inputs; the subject here is what the
-    # checks raise, so its RuntimeWarnings are ignored in this test alone
+    # numpy warns on overflow for such inputs, and calibration.crosstalk_bias
+    # on a target far from its linearization point; the subject here is the
+    # exit code of the checks, so those warnings are ignored in this test alone
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:target is more than 100 MHz from the linearization point:UserWarning")
     def test_extreme_finite_values_validate_or_name_a_key(self, tmp_path):
         # every float of every bundled config set, one at a time, to the
         # smallest subnormal and to +-1e308: validate accepts the config or

@@ -294,3 +294,62 @@ class TestSpecValidation:
         q = QubitParams.from_gamma_prime("Q1", 94.1, 0.430)
         assert q.gamma_prime == pytest.approx(0.430, rel=1e-12)
         assert q.gamma_loss == pytest.approx(0.0065)
+
+
+class TestHoldRules:
+    """The probe, dark-coupling, time-grid and representability rules, each one core function."""
+
+    def lone_probe(self, probe_index=0):
+        return SystemSpec(qubits=((QubitParams("P", 1.19), Placement(0.0)),), probe_index=probe_index)
+
+    def test_interaction_detuning_names_a_missing_probe(self):
+        # indexed the detunings with None: TypeError
+        spec = self.lone_probe(None)
+        with pytest.raises(ValueError, match=r"^spec has no designated probe$"):
+            core.interaction_detuning(spec)
+        with pytest.raises(ValueError, match=r"^spec has no designated probe$"):
+            core.require_probe(spec)
+
+    def test_interaction_detuning_names_missing_mirrors(self):
+        # took the mean of no mirror detunings: a warning and NaN
+        with pytest.raises(ValueError, match=r"^spec has no mirror qubits$"):
+            core.interaction_detuning(self.lone_probe())
+        assert core.require_probe(self.lone_probe()) == 0
+
+    def test_time_grid_names_the_first_bad_time_in_its_unit(self):
+        for unit in ("ns", "us"):
+            with pytest.raises(ValueError, match=rf"^times must be finite: time nan {unit}$"):
+                core.time_grid_us([0.0, 1.0, math.nan], unit)
+            with pytest.raises(
+                ValueError, match=rf"^times must be strictly increasing: time 1 {unit} follows 2 {unit}$"
+            ):
+                core.time_grid_us([0.0, 2.0, 1.0, 3.0], unit)
+
+    def test_time_grid_rejects_a_ns_grid_that_collapses_in_us(self):
+        # distinct subnormal ns times are all 0 us: the hold would not advance
+        with pytest.raises(ValueError, match=r"^times must be strictly increasing: time 0 us follows 0 us$"):
+            core.time_grid_us([0.0, 1e-321, 2e-321], "ns")
+
+    def test_time_grid_is_the_ns_grid_times_1e_minus_3(self):
+        taus = np.linspace(0.0, 900.0, 181)
+        assert np.array_equal(core.time_grid_us(taus, "ns"), taus * 1e-3)
+        assert np.array_equal(core.time_grid_us(taus, "us"), taus)
+
+    def test_representable_spec_bound(self):
+        q = QubitParams("Q", 13.4)
+        qubits = ((q, Placement(0.0)), (q, Placement(math.pi)))
+        SystemSpec(qubits=qubits, detunings=(core.MAX_MHZ / 2, 0.0))
+        for spec_kw in (
+            {"detunings": (core.MAX_MHZ, 1e-3 * core.MAX_MHZ)},
+            {"direct_couplings": ((0, 1, -1e308),)},
+            {"n_th": 1e307},
+        ):
+            with pytest.raises(ValueError, match=r"^rates, detunings and couplings add up to"):
+                SystemSpec(qubits=qubits, **spec_kw)
+        big = QubitParams("Q", 1e308)
+        with pytest.raises(ValueError, match=r"add up to inf MHz"):
+            SystemSpec(qubits=((big, Placement(0.0)), (big, Placement(math.pi))))
+        spec = SystemSpec(qubits=qubits)
+        core.require_representable(spec, core.MAX_MHZ / 2)
+        with pytest.raises(ValueError, match=r"above the 5.72e\+305 MHz"):
+            core.require_representable(spec, core.MAX_MHZ / 2, -core.MAX_MHZ / 1.9)

@@ -662,7 +662,7 @@ class TestReachedCoordinates:
     def test_non_finite_time_named(self, bad):
         model = build_model(pair_spec(13.4, 0.01, 0.2))
         for times in ([0.0, 0.1, bad], [bad, 0.1]):
-            with pytest.raises(ValueError, match=rf"times must be finite: t = {bad:g} us"):
+            with pytest.raises(ValueError, match=rf"times must be finite: time {bad:g} us"):
                 evolve(model, np.eye(4) / 4, times)
 
     def test_non_increasing_time_named(self):

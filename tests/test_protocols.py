@@ -952,3 +952,36 @@ class TestSequences:
         rho0 = np.outer(basis.ground_vector(), basis.ground_vector())
         final = lindblad.evolve(model, rho0, np.array([0.0, 0.01]))[-1]
         assert final[1, 1].real == pytest.approx(1.0, abs=1e-3)
+
+
+class TestHoldRules:
+    """The simulators apply core's hold rules, with core's messages."""
+
+    def test_linear_cavity_model_names_missing_mirrors(self):
+        # read the first mirror of none: IndexError
+        lone = SystemSpec(qubits=((PROBE, core.Placement(0.0)),), probe_index=0)
+        with pytest.raises(ValueError, match=r"^spec has no mirror qubits$"):
+            pr.linear_cavity_model(lone)
+
+    def test_dark_state_vector_and_swap_reject_the_same_coupling(self):
+        # a probe on M2, pi from M1: 2J is rounding (about 1e-16 MHz), which the
+        # swap rejected and the dark state normalized into a state
+        qubits = ((MIRROR1, core.Placement(-math.pi / 2)), (PROBE, core.Placement(math.pi / 2)),
+                  (MIRROR1, core.Placement(math.pi / 2)))
+        node = SystemSpec(qubits=qubits, probe_index=1)
+        assert 0.0 < core.probe_dark_coupling(node)
+        message = r"^probe is not coupled to the dark state \(2J = "
+        with pytest.raises(ValueError, match=message):
+            core.iswap_duration_ns(node)
+        with pytest.raises(ValueError, match=message):
+            pr.dark_state_vector(node, lindblad.ProductBasis(3))
+
+    def test_trace_and_evolve_share_one_message_format(self):
+        # evolve said "t = nan us" where a trace said "time nan ns"
+        times = [0.0, 2.0, math.nan, 3.0]
+        with pytest.raises(ValueError, match=r"^times must be finite: time nan ns$"):
+            TimeTrace(times, np.ones(len(times)))
+        model = lindblad.build_model(core.cavity_spec(MIRROR1, PROBE))
+        rho0 = np.diag(model.basis.basis_vector(0b010)).astype(complex)
+        with pytest.raises(ValueError, match=r"^times must be finite: time nan us$"):
+            lindblad.evolve(model, rho0, times)

@@ -561,6 +561,21 @@ class TestDriveSpec:
         with pytest.raises(ValueError, match=rf"^power_dbm {power:g} gives an input field a_in = "):
             sp.multi_qubit_transmission(spec, sp.DriveSpec(power_dbm=power), np.array([-5.0, 0.0]))
 
+    @pytest.mark.parametrize("port, omega, message", [
+        ("waveguide", 5e-324, r"^omega_rabi 4.94066e-324 gives an input field a_in = "),
+        ("waveguide", 1e308, r"^omega_rabi 1e\+308 gives an input field a_in = inf "),
+        ("xy", 5e-324, r"^omega_rabi 4.94066e-324 gives a local drive Omega_xy/2 = "),
+        ("xy", 1e308, r"^rates, detunings and couplings add up to inf MHz"),
+    ])
+    def test_out_of_range_omega_rabi_is_named(self, port, omega, message):
+        # the field t divides by underflowed (t = nan), or a Hamiltonian entry
+        # overflowed, once the run had started
+        q = QubitParams.from_gamma_prime("Q1", 94.1, 0.430)
+        spec = SystemSpec(qubits=((q, Placement(0.0)),), probe_index=0)
+        drive = sp.DriveSpec(port, 0 if port == "xy" else None, omega_rabi=omega)
+        with pytest.raises(ValueError, match=message):
+            sp.drive_amplitudes(spec, drive)
+
 
 class TestShelving:
     def test_fully_shelved_is_transparent(self):
