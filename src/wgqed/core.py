@@ -9,11 +9,14 @@ no master equation, so a config is checked without the Liouvillian layer.
 Each precondition of a hold has one owner here, which the simulators, the
 master equation, the records and the config checks all call:
 require_probe (a designated probe; the dark-state functions also need a
-mirror), require_dark_coupling (a probe the mirrors' dark state sees, 2J
-above DARK_COUPLING_FLOOR) and time_grid_us (ns or us times as the finite,
-strictly increasing us grid the master equation steps).  The spec's own
-rules are applied by SystemSpec itself: a positive semidefinite dephasing
-matrix, and MHz values whose Liouvillian entries stay finite
+mirror), require_dark_coupling (the coupling 2J of a probe to the
+mirrors' dark state, formed once by probe_dark_coupling, above two floors:
+OSCILLATION_MIN_FREQ, the slowest frequency a hold resolves, and
+DARK_COUPLING_FLOOR of the probe's largest possible exchange, below which
+2J is rounding) and time_grid_us (ns or us times as the finite, strictly
+increasing us grid the master equation steps).  The spec's own rules are
+applied by SystemSpec itself: a positive semidefinite dephasing matrix,
+and MHz values whose Liouvillian entries stay finite
 (require_representable, MAX_MHZ).  The compound mirrors' precondition and
 the closed forms of the dark-state and thermal-qubit rates live here too.
 """
@@ -77,6 +80,11 @@ DARK_DECAY_CLIP = 1e-9
 # rounding, not a coupling: a probe at a node of every mirror, or exactly
 # dark to them, reads about 1e-16 of it, and its swap would take some 1e18 ns
 DARK_COUPLING_FLOOR = 1e-9
+
+# floor (MHz) of a frequency a hold resolves: lindblad.dominant_oscillation
+# reads no fringe at or below it, and require_dark_coupling rejects a 2J at
+# or below it (a swap of 1e4 ns or longer); the bundled 2J is about 5.6 MHz
+OSCILLATION_MIN_FREQ = 0.05
 
 # Largest sum of MHz magnitudes a spec, with the values its run adds, may
 # hold (require_representable).  With S the spec's sum over N qubits, a
@@ -258,11 +266,23 @@ class AsymmetricPair:
     j_bright: float
 
 
-def _pair_rates(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+def _pair_roots(spec: SystemSpec) -> np.ndarray:
+    """sqrt(g1d_i g1d_j) of every pair (MHz), finite for any float rates.
+
+    The unscaled product overflows once two rates pass about 1.3e154 MHz,
+    so it is taken at the rates over a power of two above the largest.
+    That scaling is exact: the roots are unchanged unless the product of
+    two rates over the largest's square underflows (below about 1e-307).
+    """
     g1d = np.array([q.gamma_1d for q in spec.params])
+    scale = 2.0 ** np.frexp(g1d.max())[1]
+    return np.sqrt(np.outer(g1d / scale, g1d / scale)) * scale
+
+
+def _pair_rates(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     phases = spec.phases
     sep = np.abs(phases[:, None] - phases[None, :])
-    root = np.sqrt(np.outer(g1d, g1d))
+    root = _pair_roots(spec)
     return root * np.sin(sep) / 2.0, root * np.cos(sep)
 
 
@@ -384,7 +404,8 @@ def probe_dark_coupling(spec: SystemSpec) -> float:
 
     Twice the norm of probe_dark_projection, for arbitrary mirror rates
     and placements.  With N ideal half-wavelength mirrors the result is
-    sqrt(N g1d_mirror g1d_probe).
+    sqrt(N g1d_mirror g1d_probe).  The one place 2J is formed; a hold
+    reads it through require_dark_coupling.
     """
     return 2.0 * float(np.linalg.norm(probe_dark_projection(spec)))
 
@@ -404,26 +425,27 @@ def _probe_and_mirrors(spec: SystemSpec) -> tuple[int, tuple[int, ...]]:
     return probe, spec.mirror_indices
 
 
-def require_dark_coupling(spec: SystemSpec) -> np.ndarray:
-    """probe_dark_projection of a probe that the mirrors' dark state sees.
+def require_dark_coupling(spec: SystemSpec) -> float:
+    """2J (probe_dark_coupling) of a probe whose exchange with the dark state a hold resolves.
 
-    ValueError if the spec has no probe or no mirror, or if 2J, twice the
-    norm of the projection, is at or below DARK_COUPLING_FLOOR of the
-    largest exchange the probe could have with the mirrors: per mirror
-    sqrt(g1d_p g1d_m)/2 plus |g| of its direct couplings to the probe,
-    normed over the mirrors.
+    ValueError if the spec has no probe or no mirror, or if 2J is at or
+    below the larger of two floors: OSCILLATION_MIN_FREQ, the slowest
+    frequency a hold resolves, and DARK_COUPLING_FLOOR of the largest
+    exchange the probe could have with the mirrors (per mirror sqrt(g1d_p
+    g1d_m)/2 plus |g| of its direct couplings to the probe, normed over the
+    mirrors), below which 2J is rounding at any rate.
     """
-    projection = probe_dark_projection(spec)
-    two_j = 2.0 * float(np.linalg.norm(projection))
+    two_j = probe_dark_coupling(spec)
     probe, mirrors = spec.probe_index, spec.mirror_indices
-    g1d = [q.gamma_1d for q in spec.params]
-    largest = {m: math.sqrt(g1d[probe] * g1d[m]) / 2.0 for m in mirrors}
+    roots = _pair_roots(spec)[probe]
+    largest = {m: roots[m] / 2.0 for m in mirrors}
     for i, j, g in spec.direct_couplings:
         if probe in (i, j):
             largest[i + j - probe] += abs(g)
-    if not two_j > DARK_COUPLING_FLOOR * math.hypot(*largest.values()):
+    floor = max(DARK_COUPLING_FLOOR * math.hypot(*largest.values()), OSCILLATION_MIN_FREQ)
+    if not two_j > floor:
         raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
-    return projection
+    return two_j
 
 
 def require_representable(spec: SystemSpec, *added_mhz: float) -> None:
@@ -490,8 +512,7 @@ def iswap_duration_ns(spec: SystemSpec) -> float:
     generalized frequency sqrt((2J)^2 + delta^2) instead.  ValueError
     unless the probe couples to the dark state (require_dark_coupling).
     """
-    two_j = 2.0 * float(np.linalg.norm(require_dark_coupling(spec)))
-    f_osc = math.hypot(two_j, interaction_detuning(spec))
+    f_osc = math.hypot(require_dark_coupling(spec), interaction_detuning(spec))
     return 1e3 / (2.0 * f_osc)
 
 

@@ -26,10 +26,13 @@ which in sector coordinates turns pairs (x_ab, x_ba) and (Re z, Im z)
 _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it: the real form
-(_real_form) of the builder's entries there.  evolve exponentiates the
-block once per distinct grid step of the call, and its states stay vec
-entries on those coordinates (_propagate) until they are returned or
-read as populations (_held_populations).  The model caches its factors
+(_real_form) of the builder's entries there.  dominant_oscillation
+decomposes that block by one numpy eig and one solve for all its starts,
+and reads no fringe at or below core.OSCILLATION_MIN_FREQ, the floor the
+swap's coupling rule shares.  evolve exponentiates the block once per
+distinct grid step of the call, and its states stay vec entries on those
+coordinates (_propagate) until they are returned or read as populations
+(_held_populations).  The model caches its factors
 and its last block at zero offset with its sector coordinates and state
 layout, which _reached_block alone reads and writes; no exponential
 outlives the call that formed it.  A hold at per-qubit detuning offsets
@@ -108,9 +111,6 @@ PIVOT_MIN = 64
 # factor has no eigenvalue below -1e-8: the factorization's rounding, about
 # k eps |B| for a k x k block, is far inside the remaining 0.5e-8.
 CERTIFICATE_SHIFT = 0.5e-8
-
-# floor (MHz) of a fringe's frequency in dominant_oscillation
-OSCILLATION_MIN_FREQ = 0.05
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -1251,34 +1251,30 @@ def dominant_oscillation(model: LindbladModel, rho0, observable):
     """Frequency and damping (MHz) of the strongest fringe in a signal.
 
     Decomposes tr(O rho(t)) into Liouvillian eigenmodes and returns the
-    oscillating mode (|Im lambda|/2pi > OSCILLATION_MIN_FREQ) with the largest
-    amplitude for the given initial state; exact where a least-squares
-    fit of a multi-component damped signal would be biased.  rho0 is one
-    d x d state, which gives one (frequency, damping) pair, or an m x d x d
+    oscillating mode (|Im lambda|/2pi > core.OSCILLATION_MIN_FREQ, the floor
+    the swap's coupling rule also applies) with the largest amplitude for
+    the given initial state; exact where a least-squares fit of a
+    multi-component damped signal would be biased.  rho0 is one d x d
+    state, which gives one (frequency, damping) pair, or an m x d x d
     stack, which gives a list of m pairs from one eigendecomposition.  The
     modes are those of the real block evolve exponentiates, on the sector
     coordinates u the stack reaches (_reached_block, which checks the
-    states as evolve does): no other mode carries amplitude.  The readout
-    is linear in u, its weight on u_k the readout of _Sectors.vec(e_k).
+    states as evolve does): no other mode carries amplitude.  With the
+    block's eigenvectors as the columns of V, the starts' weights on the
+    modes are V^-1 u, one numpy solve for the stack.  The readout is linear
+    in u, its weight on u_k the readout of _Sectors.vec(e_k).
     """
     rho = np.asarray(rho0, dtype=complex)
     (reached, block, sectors, _), starts = _reached_block(model, rho)
-    values, left, right = eig(block, left=True)
+    values, right = np.linalg.eig(block)
     # tr(O rho) = o . vec(rho) with o = vec(O^T), linear in u: u_k weighs o . vec(e_k)
     obs_vec = sectors.vec(np.eye(reached.size)) @ np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
-    best = [None] * len(starts)
-    for k in range(values.size):
-        freq = abs(values[k].imag) / TWO_PI
-        if freq <= OSCILLATION_MIN_FREQ:
-            continue
-        norm = left[:, k].conj() @ right[:, k]
-        if abs(norm) < 1e-12:
-            continue
-        for m, start in enumerate(starts):
-            amplitude = (obs_vec @ right[:, k]) * (left[:, k].conj() @ start) / norm
-            if best[m] is None or abs(amplitude) > best[m][0]:
-                best[m] = (abs(amplitude), freq, -values[k].real / TWO_PI)
-    if None in best:
+    freqs = np.abs(values.imag) / TWO_PI
+    oscillating = np.flatnonzero(freqs > core.OSCILLATION_MIN_FREQ)
+    if not oscillating.size:
         raise ValueError("no oscillating mode found above the frequency floor")
-    pairs = [(freq, damping) for _, freq, damping in best]
+    # amplitude of mode k in start m: (o . v_k) (V^-1 u_m)_k
+    amplitudes = np.abs((obs_vec @ right)[:, None] * np.linalg.solve(right, starts.T))[oscillating]
+    best = oscillating[np.argmax(amplitudes, axis=0)]
+    pairs = [(float(freqs[k]), float(-values[k].real / TWO_PI)) for k in best]
     return pairs if rho.ndim == 3 else pairs[0]

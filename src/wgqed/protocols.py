@@ -18,14 +18,16 @@ none of them fits.  Fitting a trace is the caller's step, with
 fit_exponential or fit_damped_sinusoid.
 What reads a spec or a time grid without a master equation lives in
 core, and this module keeps no check of its own: the probe
-(core.require_probe), the probe's coupling to the dark state
-(core.require_dark_coupling, which the swap duration core.iswap_duration_ns
-also applies), the compound mirrors' precondition, the probe's interaction
-detuning and the dark-state rates.  Public time arguments and TimeTrace
-records are in ns; every hold turns them into the us grid the master
-equation steps by core.time_grid_us, which rejects a grid that is not
-finite and strictly increasing in either unit.  The config checks call the
-same core functions, so a config is checked without this module.
+(core.require_probe), the probe's coupling 2J to the dark state
+(core.require_dark_coupling, through which the swap duration
+core.iswap_duration_ns and linear_cavity_model read it, and which
+dark_state_vector applies), the compound mirrors' precondition, the
+probe's interaction detuning and the dark-state rates.  Public time
+arguments and TimeTrace records are in ns; every hold turns them into the
+us grid the master equation steps by core.time_grid_us, which rejects a
+grid that is not finite and strictly increasing in either unit.  The
+config checks call the same core functions, so a config is checked
+without this module.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def dark_state_vector(spec: core.SystemSpec, basis) -> np.ndarray:
     the probe exchange fills.  ValueError if the probe does not couple to it
     (core.require_dark_coupling, the swap's own rule).
     """
-    weights = core.require_dark_coupling(spec)
+    core.require_dark_coupling(spec)
+    weights = core.probe_dark_projection(spec)
     vec = np.zeros(basis.dimension, dtype=complex)
     for w, m in zip(weights, spec.mirror_indices):
         vec += w * basis.basis_vector(1 << m)
@@ -284,11 +287,12 @@ def linear_cavity_model(spec: core.SystemSpec) -> tuple[lindblad.LindbladModel, 
     The mode inherits the probe-dark coupling (2J) and the dark-state
     loss of the mirror array; returns the model and its operators, with
     the state vectors |e, 0> ("excited_no_photon") and |e, 1>
-    ("excited_one_photon") of its basis |qubit, photons>.  ValueError
-    without a probe or a mirror, from the coupling and the detuning, which
-    are read first.
+    ("excited_one_photon") of its basis |qubit, photons>.  The coupling is
+    read through the swap's own rule (core.require_dark_coupling), so
+    ValueError without a probe or a mirror, or for a 2J no hold resolves,
+    before anything else is read.
     """
-    coupling_j = core.probe_dark_coupling(spec) / 2.0
+    coupling_j = core.require_dark_coupling(spec) / 2.0
     delta = core.interaction_detuning(spec)
     probe = spec.probe_index
     params = spec.params[probe]

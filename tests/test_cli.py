@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wgqed import calibration, cli, lindblad, spectroscopy
+from wgqed.records import FitError
 
 
 def bundled(name):
@@ -65,6 +66,12 @@ def underflowing_photon(config):
     del config["params"]["omega_rabi"]
     config["params"]["power_dbm"] = -30.0
     config["system"]["working_frequency_ghz"] = 1e-320
+
+
+def probe_rate_underflow(config):
+    """Set the probe's gamma_1d to the smallest subnormal, 5e-324 MHz."""
+    system = config["system"]
+    next(q for q in system["qubits"] if q["label"] == system["probe"]).update(gamma_1d=5e-324)
 
 
 def float_leaves(node, path=()):
@@ -362,6 +369,13 @@ class TestValidation:
             ),
             ("fig1c_q1", lambda config: config["params"].update(start_mhz=-1e308), "$.params.start_mhz"),
             ("fig1c_q1", lambda config: config["params"].update(stop_mhz=-1e308), "$.params.stop_mhz"),
+            # 2J passed the relative floor, which underflows with the probe's
+            # rate: "trace nan differs from 1 beyond 1e-9" after a 1.6e163 ns
+            # swap, and "no oscillating mode found above the frequency floor"
+            # for the linear-cavity companion (exit 2)
+            ("fig3b_t1dark_type2", probe_rate_underflow, "$.system"),
+            ("fig3c_ramsey_type2", probe_rate_underflow, "$.system"),
+            ("fig3f_twoexc", probe_rate_underflow, "$.system"),
         ],
         ids=[
             "calib-no-block", "calib-no-eta", "shelve-third-qubit", "coupling-fraction",
@@ -382,6 +396,8 @@ class TestValidation:
             "spectrum-omega-overflow", "spectrum-omega-underflow", "xy-omega-underflow",
             "rabi-probe-detuning-overflow", "t1-park-overflow", "ramsey-artificial-overflow",
             "spectrum-start-overflow", "spectrum-stop-overflow",
+            "t1-probe-rate-underflow", "ramsey-probe-rate-underflow",
+            "two-excitation-probe-rate-underflow",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, name, edit, key):
@@ -466,6 +482,38 @@ class TestValidation:
                     path.write_text(json.dumps(mutant))
                     assert cli.main(["validate", str(path)]) in (0, 1), (entry.name, leaf, value)
                     swept += 1
+        assert swept == 768
+
+    # calibration.crosstalk_bias warns on a target far from its linearization
+    # point, as the sweep's extreme targets are; numpy's warnings stay errors
+    @pytest.mark.filterwarnings("ignore:target is more than 100 MHz from the linearization point:UserWarning")
+    def test_extreme_finite_values_that_validate_also_run(self, tmp_path):
+        # the sweep above: every config that validate accepts runs, or fails by
+        # FitError, a trace that cannot identify its model; a 1.6e163 ns swap
+        # overflowed its exponential, and the linear-cavity companion found no
+        # oscillating mode, after validate had accepted the spec
+        swept = 0
+        for entry in sorted(files("wgqed").joinpath("configs").iterdir()):
+            config = json.loads(entry.read_text())
+            for leaf in list(float_leaves(config)):
+                for value in (5e-324, 1e308, -1e308):
+                    mutant = copy.deepcopy(config)
+                    target = mutant
+                    for step in leaf[:-1]:
+                        target = target[step]
+                    target[leaf[-1]] = value
+                    swept += 1
+                    try:
+                        cli.validate_config(mutant)
+                        cli._checked(mutant)
+                    except cli.ConfigError:
+                        continue
+                    try:
+                        cli.run_config(mutant, str(tmp_path / "run"))
+                    except FitError:
+                        pass
+                    except Exception as err:
+                        pytest.fail(f"{entry.name} {leaf} = {value}: {type(err).__name__}: {err}")
         assert swept == 768
 
 

@@ -44,6 +44,18 @@ class TestEffectiveHamiltonian:
         assert ham[0, 1] == pytest.approx(expected_j, abs=1e-12)
         assert ham[1, 2] == pytest.approx(expected_j, abs=1e-12)
 
+    def test_pair_rates_stay_finite_at_any_float_rate(self):
+        # sqrt(g1d_i g1d_j) took the product first, which overflows past about
+        # 1.3e154 MHz: inf entries, and nan where a separation's sine is zero
+        for g1d in (1e200, 1e300):
+            spec = core.cavity_spec(QubitParams("M", g1d), QubitParams("P", g1d / 4))
+            gamma = core.waveguide_decay_matrix(spec)
+            exchange = core.exchange_matrix(spec)
+            assert np.isfinite(gamma).all() and np.isfinite(exchange).all()
+            assert np.diag(gamma) == pytest.approx([g1d, g1d / 4, g1d], rel=1e-15)
+            assert exchange[0, 1] == pytest.approx(g1d / 4, rel=1e-15)
+            assert gamma[0, 2] == pytest.approx(-g1d, rel=1e-15)
+
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ValueError):
             Placement(math.inf)

@@ -854,8 +854,8 @@ class TestTwoExcitation:
         starts = np.array([np.outer(v, v.conj()) for v in (ground_one, ops["excited_one_photon"])])
         singles = [lindblad.dominant_oscillation(model, rho, ops["probe_number"]) for rho in starts]
         calls = []
-        eig = lindblad.eig
-        monkeypatch.setattr(lindblad, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
         # each single decomposes the block of its own reach, the stack that of
         # their union: the same modes, up to rounding
         stacked = lindblad.dominant_oscillation(model, starts, ops["probe_number"])
@@ -975,6 +975,37 @@ class TestHoldRules:
             core.iswap_duration_ns(node)
         with pytest.raises(ValueError, match=message):
             pr.dark_state_vector(node, lindblad.ProductBasis(3))
+
+    @staticmethod
+    def cavity_at(two_j):
+        # 2J = sqrt(2 g1d_m g1d_p) for a probe centred between two mirrors
+        return core.cavity_spec(MIRROR1, dataclasses.replace(PROBE, gamma_1d=two_j**2 / (2 * 13.4)))
+
+    def test_coupling_below_the_frequency_floor_rejected_everywhere(self):
+        # 2J = 0.0497 MHz passed the relative floor alone: the swap asked for a
+        # 1e4 ns hold, and the companion read the coupling unchecked
+        spec = self.cavity_at(0.995 * core.OSCILLATION_MIN_FREQ)
+        assert core.probe_dark_coupling(spec) == pytest.approx(0.04975, rel=1e-12)
+        message = r"^probe is not coupled to the dark state \(2J = 0\.0497 MHz\)$"
+        for reader in (
+            core.require_dark_coupling,
+            core.iswap_duration_ns,
+            lambda spec: pr.dark_state_vector(spec, lindblad.ProductBasis(3)),
+            pr.linear_cavity_model,
+        ):
+            with pytest.raises(ValueError, match=message):
+                reader(spec)
+
+    def test_coupling_above_the_frequency_floor_accepted(self):
+        spec = self.cavity_at(1.005 * core.OSCILLATION_MIN_FREQ)
+        two_j = core.require_dark_coupling(spec)
+        assert two_j == core.probe_dark_coupling(spec) == pytest.approx(0.05025, rel=1e-12)
+        assert core.iswap_duration_ns(spec) == pytest.approx(1e3 / (2 * two_j), rel=1e-12)
+        dark = pr.dark_state_vector(spec, lindblad.ProductBasis(3))
+        assert np.linalg.norm(dark) == pytest.approx(1.0, rel=1e-12)
+        model, _ = pr.linear_cavity_model(spec)
+        # the companion's exchange J of |e, 0> with |g, 1>, in rad/us
+        assert model.hamiltonian[3, 1].real == pytest.approx(core.TWO_PI * two_j / 2, rel=1e-12)
 
     def test_trace_and_evolve_share_one_message_format(self):
         # evolve said "t = nan us" where a trace said "time nan ns"
