@@ -53,6 +53,19 @@ Both solvers check their stack of states once, on its vec entries
 (_check_states: unit trace, no eigenvalue below -1e-8 by a Cholesky
 certificate per block, NaN failing) and name the failing time or drive
 detuning.
+The builder's indices depend only on the structure of a model: its
+qubit count, the nonzeros of its stacked factors (their number and
+masks) and the coordinate set.  _plan keeps them per structure, with
+what the steady-state system and the holds derive from them (_Plan), and
+every call puts the model's values on them by one gather, sum and
+scatter, in the order of the index code, so the bits do not depend on
+whether the plan was stored.  The store keeps the PLAN_MAX = 16 newest
+plans (oldest out); one on the 1024 coordinates of five qubits, with the
+steady-state system's places, holds about 1.5 MB of int32 places.  A
+process gains when it builds a structure twice, e.g. repeated spectra of
+one array at other rates, or a spectrum and a steady state of one
+array; a single-config `wgqed run`, which builds each structure once,
+only pays the key (tens of us).
 :func:`assemble_liouvillian` gives the complex CSR Liouvillian for
 outside checks; no solver calls it.
 """
@@ -61,6 +74,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,17 +339,19 @@ def _kron_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray, excitations: np.ndarray):
-    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set, on its rows N_a >= N_b.
+    """Entries of L = sum_t A[t] (x) B[t] between the coordinates of a set, on its rows N_a >= N_b, as factor places.
 
     reached holds sorted indices a*d + b, closed under a <-> b, and
     excitations the excitation number N of each basis state.  Nonzeros
     (a, a') of A[t] and (b, b') of B[t] between basis states of reached
     pairs give A[t, a, a'] B[t, b, b'] at (ab, a'b'), all terms at once.
     Each term's nonzeros of B are grouped by N_b, so a nonzero of A at row
-    a meets only those with N_b <= N_a; pairs outside the set are dropped
-    before their values are formed.  Returns rows and columns as positions
-    in reached, and complex values, unsummed; the nonzeros of A keep their
-    order, so the entries at one place come in term order.
+    a meets only those with N_b <= N_a; pairs outside the set are dropped.
+    It reads only where A and B are nonzero.  Returns rows and columns as
+    positions in reached, and the flat places in A and in B of each
+    entry's two factors (its value is A.flat[p] * B.flat[q]), unsummed;
+    the nonzeros of A keep their order, so the entries at one place come
+    in term order.
     """
     d = left.shape[-1]
     states = np.flatnonzero(np.bincount(reached // d, minlength=d))
@@ -359,11 +375,9 @@ def _kron_entries(left: np.ndarray, right: np.ndarray, reached: np.ndarray, exci
     kept = rows >= 0
     pair_l, pair_r, rows = pair_l[kept], pair_r[kept], rows[kept]
     cols = position[lj[pair_l] * d + rj[pair_r]]
-    values = left[lt, li, lj][pair_l]
-    values *= right[rt, ri, rj][pair_r]
-    del pair_l, pair_r
     keep = cols >= 0
-    return rows[keep], cols[keep], values[keep]
+    left_at, right_at = ((lt * d + li) * d + lj)[pair_l[keep]], ((rt * d + ri) * d + rj)[pair_r[keep]]
+    return rows[keep], cols[keep], left_at, right_at
 
 
 def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
@@ -379,7 +393,9 @@ def assemble_liouvillian(model: LindbladModel) -> sparse.csr_matrix:
     it (they take L from _sector_generator).
     """
     d = model.dimension
-    rows, cols, values = _kron_entries(*_kron_terms(model), np.arange(d * d), np.zeros(d, dtype=int))
+    left, right = _kron_terms(model)
+    rows, cols, left_at, right_at = _kron_entries(left, right, np.arange(d * d), np.zeros(d, dtype=int))
+    values = left.reshape(-1)[left_at] * right.reshape(-1)[right_at]
     return sparse.csr_matrix((values, (rows, cols)), shape=(d * d, d * d))
 
 
@@ -477,21 +493,143 @@ class _Sectors:
                 np.column_stack([-rate, rate]).ravel())
 
 
-def _summed(key: np.ndarray, values: np.ndarray):
-    """Values with equal keys summed in their order: the distinct keys ascending, and their sums."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.flatnonzero(key != np.append(-1, key[:-1]))
-    return key[start], np.add.reduceat(values[order], start)
+# The plans of _sector_generator, by structure (_plan), oldest evicted
+# first.  One benchmark pass builds 4 structures for spectra, 9-10 for
+# protocols (by seed) and 3 for driven_n5, and the 17 bundled configs 11
+# in all; below the number of structures a process cycles through, each
+# plan would be evicted before its structure came back, and 16 keeps all
+# of these.  A plan on the 1024 coordinates of five qubits, with what
+# _BorderedGenerator derives from it, holds about 1.5 MB of int32 places.
+PLAN_MAX = 16
+_PLANS: dict = {}
+_PLANS_LOCK = threading.Lock()
 
 
-def _through_orbits(index, other, values, here, there, partner):
-    """Entries with index at an x0 slot moved through its orbit: weight here[i] at i, there[partner_i] at partner_i."""
-    inside = np.flatnonzero(index < partner.size)
-    to = partner[index[inside]]
-    values = np.append(values, values[inside] * there[to])
-    values[inside] *= here[index[inside]]
-    return np.append(index, to), np.append(other, other[inside]), values
+def _places(*arrays):
+    """Each array as read-only int32 places: a plan's arrays are shared by every model of its structure."""
+    out = []
+    for array in arrays:
+        array = np.asarray(array, dtype=np.int32)
+        array.setflags(write=False)
+        out.append(array)
+    return out
+
+
+class _Plan:
+    """Every index of _sector_generator on one structure, and the pass that puts a model's values on them.
+
+    Two models on one structure (the qubit count, the nonzeros of the
+    stacked factors of _kron_terms and the set of coordinates) differ only
+    in their values.  Built from the pairing of the factors' nonzeros
+    (_kron_entries), the plan holds each entry's factor places in the sum
+    order (stable by place, so a place sums in term order) and the start of
+    each place's run; the summed places and those inside the sector
+    coordinates; the entries moved through the orbits of U0 (_Sectors),
+    whose weights entries gathers from the sectors; the entries of the
+    sector-0 block with the rank of each one's place among the block's
+    places, by which the realness check sums them; and the _Sectors and
+    _state_layout of the set.  An entry that couples sectors |N_a - N_b|
+    more than one apart, or feeds a z from a conj(z), raises ValueError
+    here, so no plan of such a structure exists.  bands and block are what
+    _BorderedGenerator and _reached_block derive from a plan alone, set on
+    their first use.
+    """
+
+    bands = block = None
+
+    def __init__(self, left: np.ndarray, right: np.ndarray, sectors: _Sectors):
+        reached, signed, n = sectors.reached, sectors.signed, sectors.reached.size
+        rows, cols, left_at, right_at = _kron_entries(left, right, reached, sectors.excitations)
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(key != np.append(-1, key[:-1]))
+        rows, cols = np.divmod(key[start], n)
+        # an entry two apart in N_a - N_b couples sectors two apart, or feeds a z from a conj(z)
+        bad = np.flatnonzero(np.abs(signed[rows] - signed[cols]) > 1)
+        if bad.size:
+            r, c = rows[bad[0]], cols[bad[0]]
+            s, t = abs(signed[r]), abs(signed[c])
+            why = f"couples sectors {s} and {t} of |N_a - N_b|, more than one apart" if abs(s - t) > 1 else (
+                "feeds rho_ab with N_a > N_b from a conjugate: L is not complex-linear in z")
+            raise ValueError(f"bordered generator entry ({reached[r]}, {reached[c]}) {why}")
+        inside = np.flatnonzero(sectors.slot[cols] >= 0)
+        i, j = sectors.slot[rows[inside]], sectors.slot[cols[inside]]
+        # the columns of sector 0 through U0^dagger, then its rows through U0:
+        # an entry in an orbit keeps its place and adds one at its partner's
+        n0, partner = sectors.zero.size, sectors.partner
+        by_column = np.flatnonzero(j < n0)
+        j, i = np.append(j, partner[j[by_column]]), np.append(i, i[by_column])
+        by_row = np.flatnonzero(i < n0)
+        i, j = np.append(i, partner[i[by_row]]), np.append(j, j[by_row])
+        # the entries of the sector-0 block, and the rank of each one's place among the block's places
+        square = np.flatnonzero((i < n0) & (j < n0))
+        square_bin = np.unique(i[square] * n0 + j[square], return_inverse=True)[1]
+        (self.left_at, self.right_at, self.start, self.rows, self.cols, self.inside, self.i, self.j,
+         self.by_column, self.by_row, self.square, self.square_bin) = _places(
+            left_at[order], right_at[order], start, rows, cols, inside, i, j,
+            by_column, by_row, square, square_bin)
+        self.sectors, self.layout = sectors, _state_layout(reached, left.shape[-1])
+
+    def entries(self, left: np.ndarray, right: np.ndarray):
+        """_sector_generator's entries for the factors of a model of this structure.
+
+        Gathers and multiplies the factors, sums each place's run, weights
+        the orbits, checks that the sector-0 block is real and scatters:
+        the operations of the index code on the same values, so the same
+        bits.
+        """
+        values = np.add.reduceat(left.reshape(-1)[self.left_at] * right.reshape(-1)[self.right_at], self.start)
+        v = np.empty(self.i.size, dtype=complex)
+        end = self.inside.size
+        v[:end] = values[self.inside]
+        alpha, beta = self.sectors.alpha, self.sectors.beta
+        for index, orbit, here, there in ((self.j, self.by_column, alpha.conj(), beta.conj()),
+                                          (self.i, self.by_row, alpha, beta)):
+            # weight there at the partner's place, appended, then here at the entry's own
+            moved = v[end : end + orbit.size]
+            np.multiply(v[orbit], there[index[end : end + orbit.size]], out=moved)
+            v[orbit] *= here[index[orbit]]
+            end += orbit.size
+        block = v[self.square]
+        # the sector-0 block summed at each of its places, in entry order
+        real = np.bincount(self.square_bin, np.ascontiguousarray(block.real))
+        imag = np.bincount(self.square_bin, np.ascontiguousarray(block.imag))
+        worst = max(imag.max(initial=0.0), -imag.min(initial=0.0))
+        if worst > 1e-10 * max(1.0, float(np.hypot(real, imag).max(initial=0.0))):
+            raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
+        v[self.square] = block.real
+        return (self.rows, self.cols, values), (self.i, self.j, v)
+
+
+def _plan(left: np.ndarray, right: np.ndarray, reached: np.ndarray, model) -> _Plan:
+    """The plan (_Plan) of stacked factors (_kron_terms) on a set of coordinates: stored, or built and stored.
+
+    model is the LindbladModel, or the _Sectors of the set, which a built
+    plan then keeps.  The key is the structure: the qubit count (0 without
+    a basis), the factors' shapes and nonzero masks and the set, packed to
+    bits.  This is the one function that reads or writes _PLANS.  A
+    structure the builder rejects raises on every call, as its plan is
+    never stored; past PLAN_MAX plans the oldest goes.  Two threads that
+    miss one structure both build it, and both get the plan stored first.
+    """
+    if isinstance(model, _Sectors):
+        sectors, qubits = model, int(model.excitations.max(initial=0))
+    else:
+        sectors, qubits = None, model.basis.n_qubits if model.basis is not None else 0
+    coordinates = np.zeros(left.shape[-1] ** 2, dtype=bool)
+    coordinates[reached] = True
+    # a complex array cast to bool is its nonzero mask, 3x faster than != 0
+    key = (qubits, left.shape, right.shape) + tuple(
+        np.packbits(mask.astype(bool)).tobytes() for mask in (left, right, coordinates))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _Plan(left, right, sectors if sectors is not None else _Sectors(reached, model))
+        with _PLANS_LOCK:
+            plan = _PLANS.setdefault(key, plan)
+            while len(_PLANS) > PLAN_MAX:
+                del _PLANS[next(iter(_PLANS))]
+    return plan
 
 
 def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
@@ -504,43 +642,46 @@ def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
     |N_a - N_b| more than one apart, or that feeds a z from a conj(z), where
     L would not be complex-linear in z.  In sector coordinates (_Sectors)
     the rows of sector 0 are those of U0 L and the columns of sector 0 those
-    of L U0^dagger (_through_orbits); columns with N_a < N_b are dropped, as
-    a sector-0 row reads rho_c and its conjugate together, as 2 Re((U0
-    L)[:, c] z_c).  The sector-0 block U0 L U0^dagger, summed, must be real:
-    ValueError if an imaginary part exceeds 1e-10 of its largest entry.  No
-    n x n array is formed.  Returns (rows, cols, values) of L, positions in
-    the set sorted by row, each once; and (rows, cols, values) in sector
+    of L U0^dagger; columns with N_a < N_b are dropped, as a sector-0 row
+    reads rho_c and its conjugate together, as 2 Re((U0 L)[:, c] z_c).  The
+    sector-0 block U0 L U0^dagger, summed, must be real: ValueError if an
+    imaginary part exceeds 1e-10 of its largest entry, on every call.  No
+    n x n array is formed.  The indices depend on the structure alone and
+    come from its stored plan (_plan), built on the first call on that
+    structure; each call puts the values of left and right on them
+    (_Plan.entries).  Returns (rows, cols, values) of L, positions in the
+    set sorted by row, each once; and (rows, cols, values) in sector
     coordinates, the unknowns' slots, where a place can repeat (its users
-    add them up), values complex and real in the sector-0 block.
+    add them up), values complex and real in the sector-0 block.  The
+    positions are the plan's read-only int32 arrays.
     """
-    reached, signed, n = sectors.reached, sectors.signed, sectors.reached.size
-    rows, cols, values = _kron_entries(left, right, reached, sectors.excitations)
-    key = rows * n + cols
-    del rows, cols  # each temporary goes once used (see _BorderedGenerator on memory)
-    key, values = _summed(key, values)
-    rows, cols = np.divmod(key, n)
-    del key
-    # an entry two apart in N_a - N_b couples sectors two apart, or feeds a z from a conj(z)
-    bad = np.flatnonzero(np.abs(signed[rows] - signed[cols]) > 1)
-    if bad.size:
-        r, c = rows[bad[0]], cols[bad[0]]
-        s, t = abs(signed[r]), abs(signed[c])
-        why = f"couples sectors {s} and {t} of |N_a - N_b|, more than one apart" if abs(s - t) > 1 else (
-            "feeds rho_ab with N_a > N_b from a conjugate: L is not complex-linear in z")
-        raise ValueError(f"bordered generator entry ({reached[r]}, {reached[c]}) {why}")
-    inside = sectors.slot[cols] >= 0
-    i, j, v = sectors.slot[rows[inside]], sectors.slot[cols[inside]], values[inside]
-    alpha, beta, partner = sectors.alpha, sectors.beta, sectors.partner
-    j, i, v = _through_orbits(j, i, v, alpha.conj(), beta.conj(), partner)
-    i, j, v = _through_orbits(i, j, v, alpha, beta, partner)
-    square = np.flatnonzero((i < partner.size) & (j < partner.size))
-    place = i[square] * partner.size + j[square]
-    real, imag = np.bincount(place, v.real[square]), np.bincount(place, v.imag[square])
-    worst = max(imag.max(initial=0.0), -imag.min(initial=0.0))
-    if worst > 1e-10 * max(1.0, float(np.hypot(real[place], imag[place]).max(initial=0.0))):
-        raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
-    v[square] = v[square].real
-    return (rows, cols, values), (i, j, v)
+    return _plan(left, right, sectors.reached, sectors).entries(left, right)
+
+
+def _real_places(rows: np.ndarray, cols: np.ndarray, n0: int):
+    """The places of the real form (_real_form) of sector-coordinate entries at (rows, cols), and its gather.
+
+    Returns the real form's rows and columns on u, which entries a z
+    column reads twice (doubled), and the place of each real value among
+    the real parts, the negated imaginary parts and the imaginary parts of
+    the entries, stacked (take; _real_values).
+    """
+    upper_row, upper_col = rows >= n0, cols >= n0
+    row, col = np.where(upper_row, 2 * rows - n0, rows), np.where(upper_col, 2 * cols - n0, cols)
+    both = upper_row & upper_col
+    at = np.arange(rows.size)
+    return (
+        np.concatenate([row, row[upper_col], row[upper_row] + 1, row[both] + 1]),
+        np.concatenate([col, col[upper_col] + 1, col[upper_row], col[both] + 1]),
+        upper_col & ~upper_row,
+        np.concatenate([at, rows.size + at[upper_col], 2 * rows.size + at[upper_row], at[both]]),
+    )
+
+
+def _real_values(values: np.ndarray, doubled: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The real form's values at its places (_real_places), from the complex sector-coordinate entries."""
+    values = np.where(doubled, 2.0, 1.0) * values
+    return np.concatenate([values.real, -values.imag, values.imag])[take]
 
 
 def _real_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n0: int):
@@ -550,15 +691,8 @@ def _real_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n0: int):
     as v x and z as v z, complex-linear.  Places repeat where the entries
     do; users add the values up.
     """
-    upper_row, upper_col = rows >= n0, cols >= n0
-    row, col = np.where(upper_row, 2 * rows - n0, rows), np.where(upper_col, 2 * cols - n0, cols)
-    both = upper_row & upper_col
-    values = np.where(upper_col & ~upper_row, 2.0, 1.0) * values
-    return (
-        np.concatenate([row, row[upper_col], row[upper_row] + 1, row[both] + 1]),
-        np.concatenate([col, col[upper_col] + 1, col[upper_row], col[both] + 1]),
-        np.concatenate([values.real, -values.imag[upper_col], values.imag[upper_row], values.real[both]]),
-    )
+    row, col, doubled, take = _real_places(rows, cols, n0)
+    return row, col, _real_values(values, doubled, take)
 
 
 def _reached_block(model: LindbladModel, rho: np.ndarray):
@@ -578,6 +712,8 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     steady_states without its trace row, on u = (x0, Re z, Im z, ...)
     (_Sectors).  It is the Hermitian-coordinate block U L U^dagger up to a
     permutation and a diagonal rescaling (sqrt(2), and a sign where a > b).
+    Its sectors, state layout and the block's places come from the plan of
+    the structure (_plan), shared by every model on it.
     This is the one function that reads or writes model._cache: it keeps
     the factors and patterns under "terms", and under "reach" the last
     tuple (reached, block, sectors, layout), read once and replaced whole,
@@ -613,10 +749,14 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     index = np.flatnonzero(reached)
     known = model._cache.get("reach")
     if known is None or not np.array_equal(known[0], index):
-        sectors = _Sectors(index, model)
-        rows, cols, values = _real_form(*_sector_generator(left, right, sectors)[1], sectors.zero.size)
-        block = np.bincount(rows * index.size + cols, values, index.size**2).reshape(index.size, index.size)
-        known = model._cache["reach"] = index, block, sectors, _state_layout(index, d)
+        plan = _plan(left, right, index, model)
+        if plan.block is None:  # the real form's places in the dense block, and its gather
+            rows, cols, doubled, take = _real_places(plan.i, plan.j, plan.sectors.zero.size)
+            plan.block = (*_places(rows * index.size + cols, take), doubled)
+        places, take, doubled = plan.block
+        values = _real_values(_sector_generator(left, right, plan.sectors)[1][2], doubled, take)
+        block = np.bincount(places, values, index.size**2).reshape(index.size, index.size)
+        known = model._cache["reach"] = index, block, plan.sectors, plan.layout
     return known, known[2].coordinates(states.reshape(-1, d * d)[:, index])
 
 
@@ -896,21 +1036,58 @@ class _BorderedGenerator:
     tridiagonal over them; the builder orders z by sector, so each block's
     unknowns are contiguous.  Block k's rows over the columns of blocks k -
     1 to k + 1 are one dense Fortran band: real for sector 0, where block 1
-    enters by its real view (_real_view), and complex above.  L's own
-    complex entries on the rows N_a >= N_b (a CSR the residual check
-    multiplies; a row N_a < N_b is the conjugate of one above sector 0),
-    the places of the sector entries and of delta K in the bands, the
-    1-norm terms, the rotation of delta K for the pencil, the state layout
-    and the LAPACK and BLAS handles are prepared once per steady_states
-    call.  A solution u is real: x0, then the real views of the blocks
-    above in order (self._real_at).
+    enters by its real view (_real_view), and complex above.  What depends
+    on the structure alone (_structure: the blocks, the bands' geometry,
+    the places of the sector entries and of delta K in them, the CSR
+    structure of L's own complex entries on the rows N_a >= N_b, the index
+    maps of the 1-norm terms, the rotation of delta K for the pencil and
+    the state layout) is derived once per structure and kept by its plan
+    (_plan); each steady_states call puts its model's values on it: the
+    CSR the residual check multiplies (a row N_a < N_b is the conjugate of
+    one above sector 0), the 1-norm terms and the band entries, and looks
+    up the LAPACK and BLAS handles.  A solution u is real: x0, then the
+    real views of the blocks above in order (self._real_at).
     """
 
     def __init__(self, model: LindbladModel):
-        d = self._dimension = model.dimension
+        d = model.dimension
+        left, right = _kron_terms(model)
+        plan = _plan(left, right, np.arange(d * d), model)
+        if plan.bands is None:  # the plan keeps the structure for every model on it
+            self._structure(plan)
+            plan.bands = dict(vars(self))
+        else:
+            vars(self).update(plan.bands)
+        (_, _, values), (_, _, v) = _sector_generator(left, right, plan.sectors)
+        n, sectors = d * d, self._sectors
+        # L's own entries on the rows N_a >= N_b, which the residual check multiplies
+        self._liouvillian = sparse.csr_matrix((values, *self._csr), (n, n))
+        cols, above, conjugate = self._norm_at
+        magnitude = np.abs(values)
+        column_sums = np.bincount(cols, magnitude, n) + np.bincount(conjugate, magnitude[above], n)
+        entries, at = self._diagonal_at
+        self._diagonal = np.zeros(sectors.upper.size, dtype=complex)
+        self._diagonal[at] = values[entries]
+        self._off_diagonal = column_sums[sectors.upper] - np.abs(self._diagonal)
+        self._still = column_sums[sectors.zero].max()
+        # each temporary goes once used: in a benchmark pass a higher memory
+        # high-water per call had the allocator return its top and fault
+        # 1,600-2,800 pages back in per N = 5 call (getrusage, 2-core host)
+        del values, magnitude, column_sums
+        at, entries = self._complex_at
+        self._complex_entries = at, v[entries]
+        at, (entries, doubled, take, traces), shape = self._x0_at
+        self._real_entries = at, np.append(np.ones(traces), _real_values(v[entries], doubled, take)), shape
+        names = ("getrf", "gecon", "getrs", "getri")
+        self._lapack = [get_lapack_funcs(names, dtype=dtype) for dtype in (np.float64, np.complex128)]
+        self._gemm = [get_blas_funcs("gemm", dtype=dtype) for dtype in (np.float64, np.complex128)]
+
+    def _structure(self, plan: _Plan):
+        """What M(delta) takes from the plan of all d^2 coordinates alone: blocks, bands and the places in them."""
+        sectors = self._sectors = plan.sectors
+        d = self._dimension = sectors.excitations.size
         n = d * d
-        sectors = self._sectors = _Sectors(np.arange(n), model)
-        (rows, cols, values), (i, j, v) = _sector_generator(*_kron_terms(model), sectors)
+        rows, cols, i, j = plan.rows, plan.cols, plan.i, plan.j
 
         # each sector's pivot block: sector 0 alone, then runs from the top sector down
         from_top, runs, filled = [], 0, 0
@@ -932,26 +1109,18 @@ class _BorderedGenerator:
         # where each block lies in a real solution: x0, then real views
         self._real_at = [slice(0, n0)]
         self._real_at += [slice(2 * start[k] - n0, 2 * start[k + 1] - n0) for k in range(1, len(sizes))]
-        self._layout = _state_layout(np.arange(n), d)
-        # L's own entries on the rows N_a >= N_b, which the residual check multiplies
-        self._liouvillian = sparse.csr_matrix((values, cols, np.searchsorted(rows, np.arange(n + 1))), (n, n))
+        self._layout = plan.layout
+        # the CSR structure of L's own entries on the rows N_a >= N_b
+        self._csr = _places(cols, np.searchsorted(rows, np.arange(n + 1)))
         # the 1-norm of L(delta): the column sums of |L0| over every row, a
         # row r* with N_a < N_b read off the row r above sector 0 as |L[r*,
         # c]| = |L[r, c*]|, and delta K moving the diagonal entry of each
         # coherence column; as L maps Hermitian matrices to Hermitian ones,
         # the columns c and c* have equal sums
-        magnitude, above = np.abs(values), sectors.signed[rows] > 0
-        conjugate = (cols % d) * d + cols // d
-        column_sums = np.bincount(cols, magnitude, n) + np.bincount(conjugate[above], magnitude[above], n)
-        diagonal = np.zeros(n, dtype=complex)
-        diagonal[rows[rows == cols]] = values[rows == cols]
-        self._diagonal = diagonal[sectors.upper]
-        self._off_diagonal = column_sums[sectors.upper] - np.abs(self._diagonal)
-        self._still = column_sums[sectors.zero].max()
-        # each temporary goes once used: in a benchmark pass a higher memory
-        # high-water per call had the allocator return its top and fault
-        # 1,600-2,800 pages back in per N = 5 call (getrusage, 2-core host)
-        del rows, cols, values, magnitude, above, conjugate, column_sums, diagonal
+        above = np.flatnonzero(sectors.signed[rows] > 0)
+        self._norm_at = _places(cols, above, ((cols % d) * d + cols // d)[above])
+        diagonal = np.flatnonzero((rows == cols) & (sectors.signed[rows] > 0))
+        self._diagonal_at = _places(diagonal, sectors.slot[rows[diagonal]] - n0)
 
         # one flat complex array holds every band: block 0's real band as
         # float64 pairs, then the band of each block k above over the
@@ -970,25 +1139,23 @@ class _BorderedGenerator:
         size = np.array(sizes)
 
         # the rows of z, complex
-        upper = i >= n0
+        upper = np.flatnonzero(i >= n0)
         block_of = np.searchsorted(start, i[upper], side="right") - 1
-        self._complex_entries = base[block_of] + i[upper] + j[upper] * size[block_of], v[upper]
+        self._complex_at = _places(base[block_of] + i[upper] + j[upper] * size[block_of], upper)
         # the diagonal of delta K, i 2 pi s on each z, and its rotation of (Re z, Im z)
         self._shift = 1j * TWO_PI * sectors.signed[sectors.upper]
         block_of = np.repeat(np.arange(1, last + 1), sizes[1:])
-        self._shift_at = base[block_of] + np.arange(n0, order.size) * (1 + size[block_of])
-        self._rotation = sectors.rotation(TWO_PI * sectors.signed)
+        (self._shift_at,) = _places(base[block_of] + np.arange(n0, order.size) * (1 + size[block_of]))
+        rows, cols, rates = sectors.rotation(TWO_PI * sectors.signed)
+        self._rotation = (*_places(rows, cols), rates)
 
         # the rows of x0, real (_real_form); row 0 is the trace row, sum_a x_aa
-        i, j, v = i[~upper], j[~upper], v[~upper]
-        rows, cols, values = _real_form(i, j, v, n0)
+        lower = np.flatnonzero(i < n0)
+        rows, cols, doubled, take = _real_places(i[lower], j[lower], n0)
         body = rows > 0
         diagonal = np.flatnonzero(sectors.zero % (d + 1) == 0)
-        at = np.append(diagonal * n0, rows[body] + cols[body] * n0)
-        self._real_entries = at, np.append(np.ones(diagonal.size), values[body]), (n0, width[0])
-        names = ("getrf", "gecon", "getrs", "getri")
-        self._lapack = [get_lapack_funcs(names, dtype=dtype) for dtype in (np.float64, np.complex128)]
-        self._gemm = [get_blas_funcs("gemm", dtype=dtype) for dtype in (np.float64, np.complex128)]
+        at, lower, take = _places(np.append(diagonal * n0, rows[body] + cols[body] * n0), lower, take[body])
+        self._x0_at = at, (lower, doubled, take, diagonal.size), (n0, width[0])
 
     def norms(self, nodes: np.ndarray) -> np.ndarray:
         """The 1-norm of L(delta) at each node, the scale of its residual check."""

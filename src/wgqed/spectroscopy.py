@@ -33,7 +33,6 @@ __all__ = [
     "multi_qubit_transmission",
     "driven_steady_state",
     "shelved_transmission",
-    "shelved_pair_quasi_steady",
     "saturation_power_bound",
     "thermal_bound",
     "waveguide_temperature",
@@ -294,36 +293,6 @@ def shelved_transmission(g1d: float, gamma_b: float, rho_dd: float, delta: float
     if not 0.0 <= rho_dd <= 1.0:
         raise ValueError("rho_dd must lie in [0, 1]")
     return 1.0 - (1.0 - rho_dd) * g1d / (-1j * delta + gamma_b / 2.0)
-
-
-def shelved_pair_quasi_steady(
-    mirror: core.QubitParams, rho_dd: float, x_ratio: float, delta: float = 0.0
-) -> complex:
-    """Transmission of a driven mirror pair with shelved dark population.
-
-    Evolves the full four-level pair under a waveguide drive of strength
-    Omega_B = x_ratio * Gamma_B to its quasi-steady state (the dark
-    population is a conserved sector when gamma_loss = gamma_phi = 0) and
-    evaluates the output field exactly; the reduced shelved_transmission
-    formula is recovered up to O(x_ratio^2).
-    """
-    from . import lindblad
-
-    if not 0.0 <= rho_dd <= 1.0:
-        raise ValueError("rho_dd must lie in [0, 1]")
-    spec = core.mirror_pair_spec(mirror, detunings=(-delta, -delta))
-    gamma_b_ang = TWO_PI * (2.0 * mirror.gamma_1d + mirror.gamma_prime)
-    omega_1 = x_ratio * gamma_b_ang / math.sqrt(2.0)
-    amplitudes, a_in = drive_amplitudes(spec, DriveSpec(omega_rabi=omega_1 / TWO_PI))
-    model = _driven_model(spec, amplitudes)
-    basis = model.basis
-    dark = (basis.basis_vector(0b01) + basis.basis_vector(0b10)) / math.sqrt(2.0)
-    ground = basis.ground_vector()
-    rho0 = rho_dd * np.outer(dark, dark.conj()) + (1.0 - rho_dd) * np.outer(ground, ground.conj())
-    settle = 30.0 / gamma_b_ang
-    rho = lindblad.evolve(model, rho0, np.array([0.0, settle]))[-1]
-    emitted = _emission_functional(spec, basis) @ rho.reshape(-1)
-    return complex(1.0 + emitted / a_in)
 
 
 def saturation_power_bound(g1d: float, gprime: float, f_q: float) -> tuple[float, float]:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from shelve_oracle import shelved_pair_quasi_steady
 
 from wgqed import calibration, cli, core, lindblad, protocols, spectroscopy
 from wgqed.core import Placement, QubitParams, SystemSpec
@@ -125,7 +126,7 @@ def test_criterion_07_shelving():
     worst = 0.0
     for rho_dd in (0.0, 0.3, 0.58):
         for delta in (0.0, 3.0):
-            full = spectroscopy.shelved_pair_quasi_steady(
+            full = shelved_pair_quasi_steady(
                 QubitParams("M", 13.4), rho_dd, x_ratio, delta
             )
             reduced = spectroscopy.shelved_transmission(13.4, 2 * 13.4, rho_dd, delta)

@@ -354,6 +354,12 @@ def uncached(model):
     return dataclasses.replace(model)
 
 
+@pytest.fixture
+def empty_plans(monkeypatch):
+    """The builder's plan store (lindblad._plan), empty for the test and restored after it."""
+    monkeypatch.setattr(lindblad, "_PLANS", {})
+
+
 def reached_block(model, rho):
     """The coordinates evolve runs over from the states rho (d x d or a stack), and A on them."""
     return lindblad._reached_block(model, np.asarray(rho, dtype=complex))[0][:2]
@@ -921,6 +927,149 @@ class TestModelCache:
         assert failures == []
 
 
+class TestPlans:
+    """The builder plans its indices once per structure; a stored plan gives the bits of a fresh one."""
+
+    @staticmethod
+    def random_cases():
+        # N = 1-5, thermal or not, driven on every qubit as through the
+        # waveguide or on one qubit (xy): a driven model for steady states,
+        # then one for holds, each paired with one of the same structure at
+        # other rates.  Holds start from a coherence of qubit 0;
+        # above N = 3 they run undriven, as a driven hold there reaches every
+        # coordinate, and at N = 5 without thermal excitation, which reaches
+        # 672 coordinates: their exponentials and eigenmodes take seconds
+        rng = np.random.default_rng(81)
+        for n in (1, 2, 3, 4, 5):
+            for n_th in (0.0, 0.05):
+                for through_waveguide in (True, False):
+                    spec = random_spec(rng, n, n_th=n_th)
+                    amplitudes = rng.uniform(1, 8, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+                    drives = tuple(enumerate(amplitudes)) if through_waveguide else ((int(rng.integers(n)), 3.0),)
+                    models = [build_model(spec, drives=drives)]
+                    if n <= 3:
+                        models.append(models[0])
+                    elif n == 4 or n_th == 0.0:
+                        models.append(build_model(spec))
+                    yield [(model, TestPlans.other_rates(model)) for model in models]
+
+    @staticmethod
+    def other_rates(model):
+        """A model of the same structure: every nonzero stays nonzero."""
+        jumps = tuple((op, 0.6 * rate) for op, rate in model.dissipators)
+        return LindbladModel(1.7 * model.hamiltonian, jumps, model.basis)
+
+    @staticmethod
+    def outputs(models):
+        """steady_states of the first model, and the hold and fringe of the second if there is one."""
+        driven, *held = (uncached(model) for model in models)
+        grid = [0.0, 2.5] if driven.basis.n_qubits > 3 else np.linspace(-10.0, 10.0, lindblad.POINTWISE_MAX + 6)
+        found = [steady_states(driven, grid)]
+        for model in held:
+            basis = model.basis
+            rho = pure_state(basis.basis_vector(0) + basis.basis_vector(1))
+            found.append(evolve(model, rho, np.linspace(0.0, 0.05, 4)))
+            try:
+                found.append(np.array(dominant_oscillation(model, rho, basis.lowering(0) + basis.raising(0))))
+            except ValueError as err:  # an overdamped hold has no fringe
+                found.append(np.array(str(err)))
+        return found
+
+    def test_a_stored_plan_gives_the_bits_of_an_empty_store(self, monkeypatch):
+        for pairs in self.random_cases():
+            models, others = zip(*pairs)
+            monkeypatch.setattr(lindblad, "_PLANS", {})
+            cold = self.outputs(models)
+            monkeypatch.setattr(lindblad, "_PLANS", {})
+            self.outputs(others)
+            stored = dict(lindblad._PLANS)
+            warm = self.outputs(models)
+            assert lindblad._PLANS == stored  # every build of the first models hit
+            assert all(same_bits(a, b) for a, b in zip(cold, warm, strict=True))
+
+    @pytest.mark.usefixtures("empty_plans")
+    def test_rejected_structure_raises_on_every_call(self, monkeypatch):
+        # |11><11| (coordinate 15, sector 0) fed from |00><11| (3, sector 2):
+        # the plan is never stored, so the second call builds and fails again
+        kron_entries = lindblad._kron_entries
+
+        def with_far_entry(*args):
+            rows, cols, left_at, right_at = kron_entries(*args)
+            return np.append(rows, 15), np.append(cols, 3), np.append(left_at, 0), np.append(right_at, 0)
+
+        monkeypatch.setattr(lindblad, "_kron_entries", with_far_entry)
+        model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"entry \(15, 3\) couples sectors 0 and 2"):
+                steady_states(model, [2.5])
+            assert lindblad._PLANS == {}
+
+    @pytest.mark.usefixtures("empty_plans")
+    def test_stored_plan_still_checks_realness(self):
+        # rho -> rho stores the plan of its structure; rho -> i rho, on the
+        # same nonzeros, maps Hermitian matrices to anti-Hermitian ones
+        eye = np.eye(3, dtype=complex)[None]
+        sectors = lindblad._Sectors(np.arange(9), LindbladModel(np.zeros((3, 3))))
+        lindblad._sector_generator(eye, eye, sectors)
+        assert len(lindblad._PLANS) == 1
+        with pytest.raises(ValueError, match="Hermitian"):
+            lindblad._sector_generator(1j * eye, eye, sectors)
+
+    @pytest.mark.usefixtures("empty_plans")
+    def test_store_keeps_the_newest_plans_up_to_its_bound(self):
+        # one structure per dimension of a model without a basis
+        plans = []
+        for d in range(2, lindblad.PLAN_MAX + 5):
+            model = LindbladModel(np.diag(np.arange(d, dtype=complex)), ((np.eye(d, k=1), 1.0),))
+            terms, index = lindblad._kron_terms(model), np.arange(d * d)
+            lindblad._sector_generator(*terms, lindblad._Sectors(index, model))
+            assert len(lindblad._PLANS) <= lindblad.PLAN_MAX
+            plans.append(lindblad._plan(*terms, index, model))
+        kept = list(lindblad._PLANS.values())
+        assert len(kept) == lindblad.PLAN_MAX
+        assert all(a is b for a, b in zip(kept, plans[-lindblad.PLAN_MAX :], strict=True))
+
+    @pytest.mark.usefixtures("empty_plans")
+    def test_threads_building_one_structure_match_a_cold_build(self):
+        # four threads (more than two cores), switching every microsecond,
+        # each on its own copy of one model, race to build its plan from an
+        # empty store: each gets the bits of a build in one thread
+        rng = np.random.default_rng(82)
+        model = build_model(random_spec(rng, 3, n_th=0.05), drives=random_drives(rng, 3))
+        grid, times = np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 0.05, 4)
+        rho = basis_projector(model.basis, 0b001)
+        expected = steady_states(uncached(model), grid), evolve(uncached(model), rho, times)
+        failures, deadline = [], time.monotonic() + 10.0
+
+        def worker():
+            copy = uncached(model)
+            try:
+                found = steady_states(copy, grid), evolve(copy, rho, times)
+            except Exception as err:  # a torn plan can also mismatch shapes
+                failures.append(err)
+            else:
+                if not all(same_bits(a, b) for a, b in zip(found, expected)):
+                    failures.append(found)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                if time.monotonic() > deadline:
+                    break
+                lindblad._PLANS.clear()
+                threads = [threading.Thread(target=worker) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(lindblad._PLANS) == 1  # the driven hold reaches every coordinate
+
+
 class TestHoldOffsets:
     """A hold at detuning offsets is the hold of a model built at the summed detunings."""
 
@@ -1119,6 +1268,7 @@ class TestSteadyStateSweep:
         with pytest.raises(DegenerateSteadyStateError, match=message):
             steady_states(model, np.linspace(-20.0, 40.0, 61))
 
+    @pytest.mark.usefixtures("empty_plans")
     def test_residual_failure_names_the_point(self, monkeypatch):
         # every solve of the block LU off by 1e-3 in each entry, so every
         # solution is off: the residual check, which runs before the trace
@@ -1397,14 +1547,15 @@ class TestSectorBlocks:
         (rho,) = steady_states(model, [0.0])
         assert np.max(np.abs(rho - dense_steady_state(model))) < 1e-12
 
+    @pytest.mark.usefixtures("empty_plans")
     def test_entry_two_sectors_apart_is_named(self, monkeypatch):
         # |11><11| (coordinate 15, sector 0) fed from |00><11| (3, sector 2)
         kron_entries = lindblad._kron_entries
 
         def with_far_entry(*args):
-            rows, cols, values = kron_entries(*args)
+            rows, cols, left_at, right_at = kron_entries(*args)
             assert not np.any((rows == 15) & (cols == 3))
-            return np.append(rows, 15), np.append(cols, 3), np.append(values, 1.0)
+            return np.append(rows, 15), np.append(cols, 3), np.append(left_at, 0), np.append(right_at, 0)
 
         monkeypatch.setattr(lindblad, "_kron_entries", with_far_entry)
         model = build_model(pair_spec(13.4, gloss=0.1), drives=((0, 0.5), (1, 0.3)))
@@ -1434,6 +1585,7 @@ class TestSectorBlocks:
         assert [members.size * (2 if k else 1) for k, members in enumerate(system._members)] == [70, 112, 74]
         assert system._sector_block.tolist() == [0, 1, 2, 2, 2]
 
+    @pytest.mark.usefixtures("empty_plans")
     def test_singular_pivot_block_names_the_detuning(self, monkeypatch):
         # the pivot block of sector 1 at four qubits (56 complex unknowns, 112
         # real coordinates) reads an rcond below the floor; it is factored

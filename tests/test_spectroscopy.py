@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from fit_oracle import central_differences
+from shelve_oracle import shelved_pair_quasi_steady
 from sweep_oracle import pointwise_transmission, shifted_model
 from weak_drive_oracle import weak_drive_transmission
 
@@ -597,7 +598,7 @@ class TestShelving:
         x_ratio = 0.15
         for rho_dd in (0.0, 0.3, 0.58):
             for delta in (0.0, 3.0):
-                full = sp.shelved_pair_quasi_steady(mirror, rho_dd, x_ratio, delta)
+                full = shelved_pair_quasi_steady(mirror, rho_dd, x_ratio, delta)
                 reduced = sp.shelved_transmission(13.4, 2 * 13.4, rho_dd, delta)
                 assert abs(full - reduced) < x_ratio**2
 
