@@ -15,9 +15,11 @@ unknowns: sector 0 in real Hermitian coordinates x0 = U0 vec(rho), and
 above it the complex entries z = rho_ab with N_a > N_b, where L is
 complex-linear; rho_ba = conj(z) is no unknown and its row is never
 formed.  The builder sums L's entries on the rows N_a >= N_b from the
-stacked factors (_kron_entries) and moves them into these coordinates; a
-state is the real u = (x0, Re z, Im z, ...), and _Sectors.vec alone maps
-u back to vec(rho) = U0^dagger x0, z and conj(z) for both solvers.  A
+stacked factors (_kron_entries) and moves them into these coordinates,
+once per build: it returns the plan of their places (_Plan) with their
+values, and each solver reads the places off that plan.  A state is the
+real u = (x0, Re z, Im z, ...), and _Sectors.vec alone maps u back to
+vec(rho) = U0^dagger x0, z and conj(z) for both solvers.  A
 detuning change only moves the diagonal of L, by one per-qubit generator
 K(w)[a*d + b] = i 2 pi sum_j w_j (n_j(a) - n_j(b)) (_detuning_generator),
 which in sector coordinates turns pairs (x_ab, x_ba) and (Re z, Im z)
@@ -26,7 +28,7 @@ which in sector coordinates turns pairs (x_ab, x_ba) and (Re z, Im z)
 _reached_block, over the coordinates their states can reach, so a
 symmetry such as the excitation-number conservation of an undriven hold
 shows up as a small block without any rule that names it: the real form
-(_real_form) of the builder's entries there.  dominant_oscillation
+(_real_places) of the builder's entries there.  dominant_oscillation
 decomposes that block by one numpy eig and one solve for all its starts,
 and reads no fringe at or below core.OSCILLATION_MIN_FREQ, the floor the
 swap's coupling rule shares.  evolve exponentiates the block once per
@@ -55,13 +57,14 @@ certificate per block, NaN failing) and name the failing time or drive
 detuning.
 The builder's indices depend only on the structure of a model: its
 qubit count, the nonzeros of its stacked factors (their number and
-masks) and the coordinate set.  _plan keeps them per structure, with
-what the steady-state system and the holds derive from them (_Plan), and
-every call puts the model's values on them by one gather, sum and
-scatter, in the order of the index code, so the bits do not depend on
-whether the plan was stored.  The store keeps the PLAN_MAX = 16 newest
-plans (oldest out); one on the 1024 coordinates of five qubits, with the
-steady-state system's places, holds about 1.5 MB of int32 places.  A
+masks) and the coordinate set.  The builder keeps them per structure,
+with what the steady-state system and the holds derive from them
+(_Plan), looking the structure up once per build, and every call puts
+the model's values on them by one gather, sum and scatter, in the order
+of the index code, so the bits do not depend on whether the plan was
+stored.  The store keeps the PLAN_MAX = 16 newest plans (oldest out);
+one on the 1024 coordinates of five qubits, with the steady-state
+system's places, holds about 1.5 MB of int32 places.  A
 process gains when it builds a structure twice, e.g. repeated spectra of
 one array at other rates, or a spectrum and a steady state of one
 array; a single-config `wgqed run`, which builds each structure once,
@@ -193,8 +196,9 @@ class LindbladModel:
     build_model).  ``basis``, when present, is the qubit product space the
     matrices act on; the dimension is read from the Hamiltonian.
     ValueError names a non-finite Hamiltonian entry or rate, a
-    non-Hermitian Hamiltonian and a negative rate.  The matrices are
-    read-only copies, so what _cache derives from them cannot go stale.
+    non-Hermitian Hamiltonian, a basis of another dimension and a negative
+    rate.  The matrices are read-only copies, so what _cache derives from
+    them cannot go stale.
     A model equals only itself and hashes by identity.
     """
 
@@ -214,6 +218,8 @@ class LindbladModel:
         scale = max(1.0, float(np.max(np.abs(ham)))) if ham.size else 1.0
         if not np.max(np.abs(ham - ham.conj().T)) <= 1e-12 * scale:
             raise ValueError("hamiltonian is not Hermitian within 1e-12")
+        if self.basis is not None and self.basis.dimension != len(ham):
+            raise ValueError(f"basis dimension {self.basis.dimension} does not match hamiltonian dimension {len(ham)}")
         ham.setflags(write=False)
         object.__setattr__(self, "hamiltonian", ham)
         checked = []
@@ -493,7 +499,7 @@ class _Sectors:
                 np.column_stack([-rate, rate]).ravel())
 
 
-# The plans of _sector_generator, by structure (_plan), oldest evicted
+# The plans of _sector_generator, by structure, oldest evicted
 # first.  One benchmark pass builds 4 structures for spectra, 9-10 for
 # protocols (by seed) and 3 for driven_n5, and the 17 bundled configs 11
 # in all; below the number of structures a process cycles through, each
@@ -523,16 +529,18 @@ class _Plan:
     in their values.  Built from the pairing of the factors' nonzeros
     (_kron_entries), the plan holds each entry's factor places in the sum
     order (stable by place, so a place sums in term order) and the start of
-    each place's run; the summed places and those inside the sector
-    coordinates; the entries moved through the orbits of U0 (_Sectors),
-    whose weights entries gathers from the sectors; the entries of the
-    sector-0 block with the rank of each one's place among the block's
-    places, by which the realness check sums them; and the _Sectors and
-    _state_layout of the set.  An entry that couples sectors |N_a - N_b|
-    more than one apart, or feeds a z from a conj(z), raises ValueError
-    here, so no plan of such a structure exists.  bands and block are what
-    _BorderedGenerator and _reached_block derive from a plan alone, set on
-    their first use.
+    each place's run; L's summed places (rows, cols) and those inside the
+    sector coordinates; the entries moved through the orbits of U0
+    (_Sectors) at their places in sector coordinates (i, j), whose weights
+    entries gathers from the sectors; the entries of the sector-0 block
+    with the rank of each one's place among the block's places, by which
+    the realness check sums them; and the _Sectors and _state_layout of
+    the set.  The values entries returns belong at (rows, cols) and (i,
+    j).  An entry that couples sectors |N_a - N_b| more than one apart, or
+    feeds a z from a conj(z), raises ValueError here, so no plan of such a
+    structure exists.  _sector_generator alone builds and stores plans.
+    bands and block are what _BorderedGenerator and _reached_block derive
+    from a plan alone, set on their first use.
     """
 
     bands = block = None
@@ -572,7 +580,7 @@ class _Plan:
         self.sectors, self.layout = sectors, _state_layout(reached, left.shape[-1])
 
     def entries(self, left: np.ndarray, right: np.ndarray):
-        """_sector_generator's entries for the factors of a model of this structure.
+        """_sector_generator's values for the factors of a model of this structure: L's at (rows, cols), then at (i, j).
 
         Gathers and multiplies the factors, sums each place's run, weights
         the orbits, checks that the sector-0 block is real and scatters:
@@ -599,43 +607,14 @@ class _Plan:
         if worst > 1e-10 * max(1.0, float(np.hypot(real, imag).max(initial=0.0))):
             raise ValueError("superoperator does not map Hermitian matrices to Hermitian matrices")
         v[self.square] = block.real
-        return (self.rows, self.cols, values), (self.i, self.j, v)
+        return values, v
 
 
-def _plan(left: np.ndarray, right: np.ndarray, reached: np.ndarray, model) -> _Plan:
-    """The plan (_Plan) of stacked factors (_kron_terms) on a set of coordinates: stored, or built and stored.
+def _sector_generator(left: np.ndarray, right: np.ndarray, reached: np.ndarray, model: LindbladModel):
+    """L on a set of coordinates: its summed entries on the rows N_a >= N_b, and in sector coordinates.
 
-    model is the LindbladModel, or the _Sectors of the set, which a built
-    plan then keeps.  The key is the structure: the qubit count (0 without
-    a basis), the factors' shapes and nonzero masks and the set, packed to
-    bits.  This is the one function that reads or writes _PLANS.  A
-    structure the builder rejects raises on every call, as its plan is
-    never stored; past PLAN_MAX plans the oldest goes.  Two threads that
-    miss one structure both build it, and both get the plan stored first.
-    """
-    if isinstance(model, _Sectors):
-        sectors, qubits = model, int(model.excitations.max(initial=0))
-    else:
-        sectors, qubits = None, model.basis.n_qubits if model.basis is not None else 0
-    coordinates = np.zeros(left.shape[-1] ** 2, dtype=bool)
-    coordinates[reached] = True
-    # a complex array cast to bool is its nonzero mask, 3x faster than != 0
-    key = (qubits, left.shape, right.shape) + tuple(
-        np.packbits(mask.astype(bool)).tobytes() for mask in (left, right, coordinates))
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _Plan(left, right, sectors if sectors is not None else _Sectors(reached, model))
-        with _PLANS_LOCK:
-            plan = _PLANS.setdefault(key, plan)
-            while len(_PLANS) > PLAN_MAX:
-                del _PLANS[next(iter(_PLANS))]
-    return plan
-
-
-def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
-    """L on the coordinates of sectors: its summed entries on the rows N_a >= N_b, and in sector coordinates.
-
-    The entries come from the stacked factors (_kron_terms, _kron_entries),
+    The entries come from the stacked factors (_kron_terms, _kron_entries)
+    of model on the sorted coordinates reached, closed under a <-> b,
     formed only on the rows with N_a >= N_b (a row with N_a < N_b is the
     conjugate of one above sector 0) and summed.  Only the coherent drive
     moves N_a - N_b, by one: ValueError names an entry that couples sectors
@@ -646,21 +625,42 @@ def _sector_generator(left: np.ndarray, right: np.ndarray, sectors: _Sectors):
     reads rho_c and its conjugate together, as 2 Re((U0 L)[:, c] z_c).  The
     sector-0 block U0 L U0^dagger, summed, must be real: ValueError if an
     imaginary part exceeds 1e-10 of its largest entry, on every call.  No
-    n x n array is formed.  The indices depend on the structure alone and
-    come from its stored plan (_plan), built on the first call on that
-    structure; each call puts the values of left and right on them
-    (_Plan.entries).  Returns (rows, cols, values) of L, positions in the
-    set sorted by row, each once; and (rows, cols, values) in sector
-    coordinates, the unknowns' slots, where a place can repeat (its users
-    add them up), values complex and real in the sector-0 block.  The
-    positions are the plan's read-only int32 arrays.
+    n x n array is formed.
+    The indices depend on the structure alone, keyed by the qubit count (0
+    without a basis), the factors' shapes and nonzero masks and the set,
+    packed to bits.  This is the one function that reads or writes _PLANS,
+    once per call: on a miss it builds the plan (_Plan) and stores it, past
+    PLAN_MAX plans the oldest out; a structure it rejects is never stored,
+    so it raises on every call.  Two threads that miss one structure both
+    build it, and both get the plan stored first.  Every call then puts the
+    values of left and right on the plan (_Plan.entries).  Returns the
+    plan; the values of L at its places plan.rows, plan.cols (positions in
+    the set sorted by row, each once); and the values in sector coordinates
+    at plan.i, plan.j (the unknowns' slots, where a place can repeat: users
+    add them up), complex and real in the sector-0 block.
     """
-    return _plan(left, right, sectors.reached, sectors).entries(left, right)
+    coordinates = np.zeros(left.shape[-1] ** 2, dtype=bool)
+    coordinates[reached] = True
+    # a complex array cast to bool is its nonzero mask, 3x faster than != 0
+    key = (model.basis.n_qubits if model.basis is not None else 0, left.shape, right.shape) + tuple(
+        np.packbits(mask.astype(bool)).tobytes() for mask in (left, right, coordinates))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _Plan(left, right, _Sectors(reached, model))
+        with _PLANS_LOCK:
+            plan = _PLANS.setdefault(key, plan)
+            while len(_PLANS) > PLAN_MAX:
+                del _PLANS[next(iter(_PLANS))]
+    return (plan, *plan.entries(left, right))
 
 
 def _real_places(rows: np.ndarray, cols: np.ndarray, n0: int):
-    """The places of the real form (_real_form) of sector-coordinate entries at (rows, cols), and its gather.
+    """The places of the real form of sector-coordinate entries at (rows, cols), and its gather.
 
+    The real form acts on the real u = (x0, Re z, Im z, ...): a sector-0
+    row is real and reads z_c as 2 Re(v z_c); a z row reads x0 as v x and
+    z as v z, complex-linear.  Places repeat where the entries do; users
+    add the values (_real_values) up.
     Returns the real form's rows and columns on u, which entries a z
     column reads twice (doubled), and the place of each real value among
     the real parts, the negated imaginary parts and the imaginary parts of
@@ -684,17 +684,6 @@ def _real_values(values: np.ndarray, doubled: np.ndarray, take: np.ndarray) -> n
     return np.concatenate([values.real, -values.imag, values.imag])[take]
 
 
-def _real_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n0: int):
-    """Sector-coordinate entries (_sector_generator) on the real u = (x0, Re z, Im z, ...), as (row, column, value).
-
-    A sector-0 row is real and reads z_c as 2 Re(v z_c); a z row reads x0
-    as v x and z as v z, complex-linear.  Places repeat where the entries
-    do; users add the values up.
-    """
-    row, col, doubled, take = _real_places(rows, cols, n0)
-    return row, col, _real_values(values, doubled, take)
-
-
 def _reached_block(model: LindbladModel, rho: np.ndarray):
     """The coordinates evolution can fill from a state or stack, the generator on them, and the start.
 
@@ -707,13 +696,13 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     pattern).  Entries never reached stay exactly zero.  The terms mirror
     each other under a <-> b, so the set is closed under a <-> b; a
     detuning offset only moves the diagonal of L, so it reaches the same
-    set.  The block is the real form (_real_form) of the builder's sector
+    set.  The block is the real form (_real_places) of the builder's sector
     entries there (_sector_generator): the rows of the bordered system of
     steady_states without its trace row, on u = (x0, Re z, Im z, ...)
     (_Sectors).  It is the Hermitian-coordinate block U L U^dagger up to a
     permutation and a diagonal rescaling (sqrt(2), and a sign where a > b).
-    Its sectors, state layout and the block's places come from the plan of
-    the structure (_plan), shared by every model on it.
+    Its sectors, state layout and the block's places come from the plan
+    the builder returns, shared by every model of the structure.
     This is the one function that reads or writes model._cache: it keeps
     the factors and patterns under "terms", and under "reach" the last
     tuple (reached, block, sectors, layout), read once and replaced whole,
@@ -749,12 +738,12 @@ def _reached_block(model: LindbladModel, rho: np.ndarray):
     index = np.flatnonzero(reached)
     known = model._cache.get("reach")
     if known is None or not np.array_equal(known[0], index):
-        plan = _plan(left, right, index, model)
+        plan, _, v = _sector_generator(left, right, index, model)
         if plan.block is None:  # the real form's places in the dense block, and its gather
             rows, cols, doubled, take = _real_places(plan.i, plan.j, plan.sectors.zero.size)
             plan.block = (*_places(rows * index.size + cols, take), doubled)
         places, take, doubled = plan.block
-        values = _real_values(_sector_generator(left, right, plan.sectors)[1][2], doubled, take)
+        values = _real_values(v, doubled, take)
         block = np.bincount(places, values, index.size**2).reshape(index.size, index.size)
         known = model._cache["reach"] = index, block, plan.sectors, plan.layout
     return known, known[2].coordinates(states.reshape(-1, d * d)[:, index])
@@ -1022,7 +1011,7 @@ class _BorderedGenerator:
     unknowns u are its sector coordinates (_Sectors):
     - in sector 0 (populations, and coherences of equal N), the real
       Hermitian coordinates x0 = U0 vec(rho), with the rows of U0 L in
-      their real form (_real_form: a sector-1 entry rho_c enters with its
+      their real form (_real_places: a sector-1 entry rho_c enters with its
       conjugate, as 2 Re((U0 L)[:, c] rho_c)), row 0 (d rho_00/dt,
       dependent on the other population rows as L preserves trace)
       replaced by the trace row sum_a x_aa;
@@ -1041,24 +1030,24 @@ class _BorderedGenerator:
     the places of the sector entries and of delta K in them, the CSR
     structure of L's own complex entries on the rows N_a >= N_b, the index
     maps of the 1-norm terms, the rotation of delta K for the pencil and
-    the state layout) is derived once per structure and kept by its plan
-    (_plan); each steady_states call puts its model's values on it: the
-    CSR the residual check multiplies (a row N_a < N_b is the conjugate of
-    one above sector 0), the 1-norm terms and the band entries, and looks
-    up the LAPACK and BLAS handles.  A solution u is real: x0, then the
-    real views of the blocks above in order (self._real_at).
+    the state layout) is derived once per structure and kept by the plan
+    the builder returns; each steady_states call puts its model's values
+    on it: the CSR the residual check multiplies (a row N_a < N_b is the
+    conjugate of one above sector 0), the 1-norm terms and the band
+    entries, and looks up the LAPACK and BLAS handles.  A solution u is
+    real: x0, then the real views of the blocks above in order
+    (self._real_at).
     """
 
     def __init__(self, model: LindbladModel):
         d = model.dimension
         left, right = _kron_terms(model)
-        plan = _plan(left, right, np.arange(d * d), model)
+        plan, values, v = _sector_generator(left, right, np.arange(d * d), model)
         if plan.bands is None:  # the plan keeps the structure for every model on it
             self._structure(plan)
             plan.bands = dict(vars(self))
         else:
             vars(self).update(plan.bands)
-        (_, _, values), (_, _, v) = _sector_generator(left, right, plan.sectors)
         n, sectors = d * d, self._sectors
         # L's own entries on the rows N_a >= N_b, which the residual check multiplies
         self._liouvillian = sparse.csr_matrix((values, *self._csr), (n, n))
@@ -1149,7 +1138,7 @@ class _BorderedGenerator:
         rows, cols, rates = sectors.rotation(TWO_PI * sectors.signed)
         self._rotation = (*_places(rows, cols), rates)
 
-        # the rows of x0, real (_real_form); row 0 is the trace row, sum_a x_aa
+        # the rows of x0, real (_real_places); row 0 is the trace row, sum_a x_aa
         lower = np.flatnonzero(i < n0)
         rows, cols, doubled, take = _real_places(i[lower], j[lower], n0)
         body = rows > 0
@@ -1429,13 +1418,18 @@ def dominant_oscillation(model: LindbladModel, rho0, observable):
     states as evolve does): no other mode carries amplitude.  With the
     block's eigenvectors as the columns of V, the starts' weights on the
     modes are V^-1 u, one numpy solve for the stack.  The readout is linear
-    in u, its weight on u_k the readout of _Sectors.vec(e_k).
+    in u, its weight on u_k the readout of _Sectors.vec(e_k).  ValueError
+    names an observable that is not d x d.
     """
+    d = model.dimension
+    observable = np.asarray(observable, dtype=complex)
+    if observable.shape != (d, d):
+        raise ValueError(f"observable of shape {observable.shape} is not {d} x {d}")
     rho = np.asarray(rho0, dtype=complex)
     (reached, block, sectors, _), starts = _reached_block(model, rho)
     values, right = np.linalg.eig(block)
     # tr(O rho) = o . vec(rho) with o = vec(O^T), linear in u: u_k weighs o . vec(e_k)
-    obs_vec = sectors.vec(np.eye(reached.size)) @ np.asarray(observable, dtype=complex).T.reshape(-1)[reached]
+    obs_vec = sectors.vec(np.eye(reached.size)) @ observable.T.reshape(-1)[reached]
     freqs = np.abs(values.imag) / TWO_PI
     oscillating = np.flatnonzero(freqs > core.OSCILLATION_MIN_FREQ)
     if not oscillating.size:

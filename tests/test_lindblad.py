@@ -153,6 +153,12 @@ class TestLiouvillian:
         with pytest.raises(ValueError):
             LindbladModel(np.zeros((2, 2)), ((np.zeros((3, 3)), 1.0),))
 
+    def test_basis_of_another_dimension_rejected(self):
+        # unchecked, it was accepted: steady_states and evolve then failed
+        # in numpy broadcasting, shapes (4,) against (8,)
+        with pytest.raises(ValueError, match="basis dimension 8 does not match hamiltonian dimension 4"):
+            LindbladModel(np.zeros((4, 4)), basis=ProductBasis(3))
+
     # unchecked, each was accepted: evolve then failed inside the exponential
     # and steady_states blamed the state's trace
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -356,7 +362,7 @@ def uncached(model):
 
 @pytest.fixture
 def empty_plans(monkeypatch):
-    """The builder's plan store (lindblad._plan), empty for the test and restored after it."""
+    """The builder's plan store (lindblad._PLANS), empty for the test and restored after it."""
     monkeypatch.setattr(lindblad, "_PLANS", {})
 
 
@@ -703,6 +709,14 @@ class TestReachedCoordinates:
         with pytest.raises(ValueError, match="initial state dimension mismatch"):
             dominant_oscillation(model, np.eye(3) / 3, observable)
 
+    def test_dominant_oscillation_checks_the_observable(self):
+        # unchecked, a 9 x 9 observable on d = 8 gave a pair read at misaligned entries
+        model = build_model(core.cavity_spec(QubitParams("M", 13.4, 0.1, 0.2), QubitParams("P", 1.2, 0.1, 0.2)))
+        rho = basis_projector(model.basis, 0b010)
+        for observable in (np.eye(9), np.eye(8)[:, :4], np.eye(64)):
+            with pytest.raises(ValueError, match=rf"observable of shape \({len(observable)}, .* is not 8 x 8"):
+                dominant_oscillation(model, rho, observable)
+
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1009,11 +1023,11 @@ class TestPlans:
         # rho -> rho stores the plan of its structure; rho -> i rho, on the
         # same nonzeros, maps Hermitian matrices to anti-Hermitian ones
         eye = np.eye(3, dtype=complex)[None]
-        sectors = lindblad._Sectors(np.arange(9), LindbladModel(np.zeros((3, 3))))
-        lindblad._sector_generator(eye, eye, sectors)
+        model = LindbladModel(np.zeros((3, 3)))
+        lindblad._sector_generator(eye, eye, np.arange(9), model)
         assert len(lindblad._PLANS) == 1
         with pytest.raises(ValueError, match="Hermitian"):
-            lindblad._sector_generator(1j * eye, eye, sectors)
+            lindblad._sector_generator(1j * eye, eye, np.arange(9), model)
 
     @pytest.mark.usefixtures("empty_plans")
     def test_store_keeps_the_newest_plans_up_to_its_bound(self):
@@ -1021,13 +1035,49 @@ class TestPlans:
         plans = []
         for d in range(2, lindblad.PLAN_MAX + 5):
             model = LindbladModel(np.diag(np.arange(d, dtype=complex)), ((np.eye(d, k=1), 1.0),))
-            terms, index = lindblad._kron_terms(model), np.arange(d * d)
-            lindblad._sector_generator(*terms, lindblad._Sectors(index, model))
+            plans.append(lindblad._sector_generator(*lindblad._kron_terms(model), np.arange(d * d), model)[0])
             assert len(lindblad._PLANS) <= lindblad.PLAN_MAX
-            plans.append(lindblad._plan(*terms, index, model))
         kept = list(lindblad._PLANS.values())
         assert len(kept) == lindblad.PLAN_MAX
         assert all(a is b for a, b in zip(kept, plans[-lindblad.PLAN_MAX :], strict=True))
+
+    def test_each_build_looks_its_structure_up_once(self, monkeypatch):
+        # a steady state and a first hold build once each, whether the store
+        # misses or hits; a second hold from the same start reuses the model's block
+        lookups = []
+
+        class CountingStore(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                lookups.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                lookups.append(key)
+                return super().__contains__(key)
+
+        rng = np.random.default_rng(83)
+        model = build_model(random_spec(rng, 3, n_th=0.05), drives=random_drives(rng, 3))
+        rho, times = basis_projector(model.basis, 0b001), np.linspace(0.0, 0.05, 4)
+
+        def steady(fresh):
+            steady_states(fresh, [0.0, 1.5])
+
+        def hold(fresh):
+            evolve(fresh, rho, times)
+
+        # each order from an empty store, on a model with an empty cache
+        for order, expected in (((steady, hold, hold), [1, 1, 0]), ((hold, hold, steady), [1, 0, 1])):
+            monkeypatch.setattr(lindblad, "_PLANS", CountingStore())
+            fresh, counts = uncached(model), []
+            for call in order:
+                before = len(lookups)
+                call(fresh)
+                counts.append(len(lookups) - before)
+            assert counts == expected
 
     @pytest.mark.usefixtures("empty_plans")
     def test_threads_building_one_structure_match_a_cold_build(self):
@@ -1401,9 +1451,9 @@ class TestHermitianCoordinates:
         # beyond 1e-12) moved into the same coordinates
         for model in self.random_models():
             d = model.dimension
-            sectors = lindblad._Sectors(np.arange(d * d), model)
-            _, entries = lindblad._sector_generator(*lindblad._kron_terms(model), sectors)
-            rows, cols, values = lindblad._real_form(*entries, sectors.zero.size)
+            plan, _, v = lindblad._sector_generator(*lindblad._kron_terms(model), np.arange(d * d), model)
+            rows, cols, doubled, take = lindblad._real_places(plan.i, plan.j, plan.sectors.zero.size)
+            values = lindblad._real_values(v, doubled, take)
             assert values.dtype == np.float64
             generator = np.zeros((d * d, d * d))
             np.add.at(generator, (rows, cols), values)
@@ -1425,9 +1475,8 @@ class TestHermitianCoordinates:
     def test_non_hermitian_map_rejected(self):
         # rho -> i rho maps Hermitian matrices to anti-Hermitian ones
         eye = np.eye(3, dtype=complex)[None]
-        sectors = lindblad._Sectors(np.arange(9), LindbladModel(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="Hermitian"):
-            lindblad._sector_generator(1j * eye, eye, sectors)
+            lindblad._sector_generator(1j * eye, eye, np.arange(9), LindbladModel(np.zeros((3, 3))))
 
     @pytest.mark.parametrize("d", [2, 5, 32])
     def test_round_trip(self, d):
@@ -1710,7 +1759,7 @@ class TestRealGenerator:
         terms = lindblad._kron_terms(model)
         tracemalloc.start()
         try:
-            lindblad._sector_generator(*terms, lindblad._Sectors(np.arange(1024), model))
+            lindblad._sector_generator(*terms, np.arange(1024), model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
