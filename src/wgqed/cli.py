@@ -233,14 +233,20 @@ def load_config(path) -> dict:
 
 
 def _resolve_qubit(labels, ref, where: str) -> int:
-    """Index of the qubit named by ref (label or index); errors name the key path where."""
+    """Index of the qubit named by ref (label or index); errors name the key path where.
+
+    A label must name exactly one qubit: one that two qubits carry is ambiguous.
+    """
     if isinstance(ref, int):
         if not 0 <= ref < len(labels):
             raise ConfigError(f"config error at {where}: qubit index {ref} out of range")
         return ref
-    if ref not in labels:
+    indices = [i for i, label in enumerate(labels) if label == ref]
+    if not indices:
         raise ConfigError(f"config error at {where}: unknown qubit label {ref!r}")
-    return labels.index(ref)
+    if len(indices) > 1:
+        raise ConfigError(f"config error at {where}: qubit label {ref!r} names qubits {indices}")
+    return indices[0]
 
 
 def build_system(system: dict) -> core.SystemSpec:
@@ -356,13 +362,6 @@ def _delays(params: dict) -> np.ndarray:
     return np.linspace(params["delay_min_ns"], params["delay_max_ns"], params["points"])
 
 
-def _fit_payload(fit, extra=None) -> dict:
-    payload = records.fit_result_payload(fit)
-    if extra:
-        payload["derived"] = extra
-    return payload
-
-
 def _check_added_mhz(spec, params: dict, keys) -> None:
     """The MHz values a run adds to the spec, each key in turn (core.require_representable).
 
@@ -414,7 +413,7 @@ def _run_rabi(spec, params, _none) -> dict:
     if mode == "none":
         return {"trace.csv": trace}
     if mode == "exponential":
-        return {"trace.csv": trace, "fit.json": _fit_payload(protocols.fit_exponential(trace))}
+        return {"trace.csv": trace, "fit.json": records.fit_result_payload(protocols.fit_exponential(trace))}
     fit = protocols.fit_damped_sinusoid(trace)
     if detuning is None:
         detuning = core.interaction_detuning(spec)
@@ -423,7 +422,7 @@ def _run_rabi(spec, params, _none) -> dict:
         "coupling_2j_mhz": math.sqrt(max(frequency**2 - detuning**2, 0.0)),
         "probe_detuning_mhz": detuning,
     }
-    return {"trace.csv": trace, "fit.json": _fit_payload(fit, extra)}
+    return {"trace.csv": trace, "fit.json": records.fit_result_payload(fit, extra)}
 
 
 # dark-sequence params and the simulator keywords they set
@@ -475,7 +474,7 @@ def _run_dark(simulate: str, fit_trace: str, kind: int, spec, params, _none) -> 
         f"gamma{kind}_dark_mhz": fit.value("rate_mhz"),
         f"t{kind}_dark_ns": fit.value("lifetime_ns"),
     }
-    return {"trace.csv": trace, "fit.json": _fit_payload(fit, derived)}
+    return {"trace.csv": trace, "fit.json": records.fit_result_payload(fit, derived)}
 
 
 def _check_shelve(spec, params) -> list:
@@ -748,18 +747,6 @@ _CONFIG_SCHEMA = _object_schema(
 # commands
 
 
-def _write(record, path: Path) -> None:
-    """Write one artifact in the format of its record type."""
-    if isinstance(record, records.SpectrumScan):
-        records.write_scan_csv(record, path)
-    elif isinstance(record, records.TimeTrace):
-        records.write_trace_csv(record, path)
-    elif isinstance(record, tuple):
-        records.write_table_csv(*record, path)
-    else:
-        records.write_text(path, json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
 def _checked(config: dict) -> tuple[Experiment, core.SystemSpec | None, dict, object]:
     """The experiment, system and params of a config, and what the experiment's check returns."""
     experiment = _EXPERIMENTS[config["experiment"]]
@@ -778,7 +765,7 @@ def run_config(config: dict, output_prefix: str | None = None) -> list[Path]:
     artifacts = experiment.run(spec, params, checked)
     outputs = [prefix.with_name(f"{prefix.name}_{suffix}") for suffix in artifacts]
     for record, path in zip(artifacts.values(), outputs):
-        _write(record, path)
+        records.write(record, path)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -791,7 +778,7 @@ def run_config(config: dict, output_prefix: str | None = None) -> list[Path]:
         "outputs": [p.name for p in outputs],
     }
     manifest_path = prefix.with_name(prefix.name + "_manifest.json")
-    _write(manifest, manifest_path)
+    records.write(manifest, manifest_path)
     return outputs + [manifest_path]
 
 

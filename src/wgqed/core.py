@@ -15,8 +15,8 @@ OSCILLATION_MIN_FREQ, the slowest frequency a hold resolves, and
 DARK_COUPLING_FLOOR of the probe's largest possible exchange, below which
 2J is rounding) and time_grid_us (ns or us times as the finite, strictly
 increasing us grid the master equation steps).  The spec's own rules are
-applied by SystemSpec itself: a positive semidefinite dephasing matrix,
-and MHz values whose Liouvillian entries stay finite
+applied by SystemSpec itself: a dephasing matrix that collective_rates,
+the one judge of a correlated rate matrix, accepts, and MHz values whose Liouvillian entries stay finite
 (require_representable, MAX_MHZ).  The compound mirrors' precondition and
 the closed forms of the dark-state and thermal-qubit rates live here too.
 """
@@ -50,6 +50,7 @@ __all__ = [
     "require_representable",
     "time_grid_us",
     "dephasing_matrix",
+    "collective_rates",
     "interaction_detuning",
     "iswap_duration_ns",
     "check_compound_mirrors",
@@ -169,8 +170,9 @@ class SystemSpec:
     are per-qubit offsets (MHz) from the working frequency (GHz).
     ValueError names an n_th that is negative or not finite, a
     working_frequency that is not finite and positive, a dephasing matrix
-    that is not positive semidefinite and MHz values whose Liouvillian
-    entries could overflow (require_representable).
+    that collective_rates rejects, the rule the master equation builds its
+    jumps by, and MHz values whose Liouvillian entries could overflow
+    (require_representable).
     """
 
     qubits: tuple[tuple[QubitParams, Placement], ...]
@@ -211,12 +213,8 @@ class SystemSpec:
         if not 0 < self.working_frequency < math.inf:
             raise ValueError(f"working_frequency must be finite and > 0 (GHz), got {self.working_frequency}")
         require_representable(self)
-        # lindblad._collective_jumps' bound and wording, so a spec that passes
-        # builds its dephasing jumps; a diagonal of gamma_phi >= 0 is PSD
-        if self.dephasing_correlations:
-            rates = np.linalg.eigh(dephasing_matrix(self))[0]
-            if not rates.min() >= -1e-9:
-                raise ValueError(f"rate matrix is not positive semidefinite; eigenvalues {rates}")
+        if self.dephasing_correlations:  # a diagonal of gamma_phi >= 0 is PSD
+            collective_rates(dephasing_matrix(self))
 
     @property
     def n_qubits(self) -> int:
@@ -314,6 +312,34 @@ def dephasing_matrix(spec: SystemSpec) -> np.ndarray:
         dephasing[i, j] += rate
         dephasing[j, i] += rate
     return dephasing
+
+
+def collective_rates(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The independent rates of a correlated rate matrix and their eigenvectors.
+
+    The one judge of a rate matrix (MHz), which SystemSpec applies to its
+    dephasing matrix and the master equation to every matrix it builds
+    collective jumps from.  Returns the eigenvalues of the symmetric PSD
+    matrix above 1e-12 of the scale max(1, largest |eigenvalue|) and their
+    eigenvectors as columns; the others carry no jump.  A non-finite entry,
+    an asymmetric matrix or an eigenvalue below -1e-9 of that same scale
+    raises ValueError.  The bound is relative because eigh rounds the
+    eigenvalues of a PSD matrix, such as the Gram matrix of waveguide decay
+    (waveguide_decay_matrix), by about eps times its largest.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    finite = np.isfinite(mat)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"rate matrix entry ({i}, {j}) is not finite: {mat[i, j]}")
+    if not np.max(np.abs(mat - mat.T)) <= 1e-12 * max(1.0, np.max(np.abs(mat))):
+        raise ValueError("rate matrix must be symmetric")
+    rates, vectors = np.linalg.eigh(mat)
+    scale = max(1.0, float(np.max(np.abs(rates))))
+    if not rates.min() >= -1e-9 * scale:
+        raise ValueError(f"rate matrix is not positive semidefinite; eigenvalues {rates}")
+    kept = rates > 1e-12 * scale
+    return rates[kept], vectors[:, kept]
 
 
 def dissipation_matrix(spec: SystemSpec) -> np.ndarray:

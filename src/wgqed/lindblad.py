@@ -243,31 +243,19 @@ class LindbladModel:
 def _collective_jumps(rate_matrix, site_operators) -> list[tuple[np.ndarray, float]]:
     """Independent jumps (sum_j v_jk op_j, lambda_k) of a correlated rate matrix.
 
-    Each eigenvector v_k of the symmetric PSD matrix becomes one collective
-    jump at its eigenvalue rate lambda_k, which keeps the generator in
-    manifestly completely positive form; eigenvalues at or below 1e-12 of
-    the largest carry none.  A non-finite entry, an asymmetric matrix or an
-    eigenvalue below -1e-9 raises ValueError (core.SystemSpec already
-    rejects a dephasing matrix below that bound; this check is for other
-    callers).
+    Each eigenpair (lambda_k, v_k) that core.collective_rates keeps becomes
+    one collective jump at its eigenvalue rate, which keeps the generator
+    in manifestly completely positive form.  A matrix of another shape than
+    one row per site operator, or one that core.collective_rates rejects,
+    raises ValueError.
     """
     mat = np.asarray(rate_matrix, dtype=float)
     if mat.ndim != 2 or mat.shape != (len(site_operators),) * 2:
         raise ValueError("rate matrix must be square with one row per site operator")
-    finite = np.isfinite(mat)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"rate matrix entry ({i}, {j}) is not finite: {mat[i, j]}")
-    if not np.max(np.abs(mat - mat.T)) <= 1e-12 * max(1.0, np.max(np.abs(mat))):
-        raise ValueError("rate matrix must be symmetric")
-    rates, vectors = np.linalg.eigh(mat)
-    if not rates.min() >= -1e-9:
-        raise ValueError(f"rate matrix is not positive semidefinite; eigenvalues {rates}")
-    scale = max(1.0, float(np.max(np.abs(rates))))
+    rates, vectors = core.collective_rates(mat)
     return [
         (sum(vectors[j, k] * op for j, op in enumerate(site_operators)), float(rates[k]))
         for k in range(rates.size)
-        if rates[k] > 1e-12 * scale
     ]
 
 
@@ -283,7 +271,9 @@ def build_model(
     frame.  The jumps are, in order: the collective jumps (_collective_jumps)
     of the waveguide decay matrix over the lowering operators, per-qubit
     loss and thermal jumps, and those of the dephasing matrix
-    (core.dephasing_matrix) over sigma_z at half rate.
+    (core.dephasing_matrix) over sigma_z at half rate.  Both matrices are
+    judged by core.collective_rates: SystemSpec applies it to its dephasing
+    matrix, and the decay matrix is a Gram matrix, PSD by construction.
     """
     if detunings is not None:
         spec = spec.with_detunings(detunings)

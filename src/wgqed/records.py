@@ -1,8 +1,10 @@
 """Result records (spectra, time traces, fits) and their file formats.
 
-CSV files are UTF-8 with LF line endings and %.12e numeric formatting so
-repeated runs of the same configuration are byte-identical.  Every artifact
-goes through write_text, which rewrites an existing file in place.
+write is the one artifact writer: it turns each record into the bytes of
+its file format, a CSV table or strict JSON.  CSV files are UTF-8 with LF
+line endings and %.12e numeric formatting so repeated runs of the same
+configuration are byte-identical.  Every file goes through write_text,
+which rewrites an existing file in place.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ __all__ = [
     "SpectrumScan",
     "TimeTrace",
     "FitResult",
+    "write",
     "write_text",
-    "write_table_csv",
-    "write_scan_csv",
-    "write_trace_csv",
     "fit_result_payload",
     "fit_result_json",
 ]
@@ -131,13 +131,32 @@ def write_text(path, text: str) -> None:
         os.close(fd)
 
 
-def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
-    """Write one CSV table: optional "# key=value" lines, header, data rows.
+def write(record, path) -> None:
+    """Write one artifact in the format of its record.
 
-    Integers are written as is, every other value with %.12e.  Each column
-    holds one kind of value, so the cell formats are read once, from the
-    first row, into one %-format string that formats every row.
+    A SpectrumScan or a TimeTrace is a CSV table with its metadata as
+    "# key=value" lines, a (header, rows) tuple a CSV table, and anything
+    else strict JSON (indent 2, sorted keys, no NaN or infinity, final LF).
+    In a table, integers are written as is and every other value with
+    %.12e.  Each column holds one kind of value, so the cell formats are
+    read once, from the first row, into one %-format string.
     """
+    if isinstance(record, SpectrumScan):
+        # |t| once per row: np.hypot rounds like abs() of each complex, np.abs
+        # (and so abs_t) can differ in the last bit; the square stays a ** 2
+        t = record.t_complex
+        columns = (record.detunings, t.real, t.imag, np.hypot(t.real, t.imag))
+        header = ("detuning_mhz", "re_t", "im_t", "abs_t", "abs_t_sq")
+        rows = ((d, re, im, a, a ** 2) for d, re, im, a in zip(*(c.tolist() for c in columns)))
+        metadata = record.metadata
+    elif isinstance(record, TimeTrace):
+        header = ("time_ns", "value")
+        rows, metadata = zip(record.times.tolist(), record.values.tolist()), record.metadata
+    elif isinstance(record, tuple):
+        (header, rows), metadata = record, {}
+    else:
+        write_text(path, json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        return
     lines = [f"# {key}={metadata[key]}" for key in sorted(metadata or {})]
     lines.append(",".join(header))
     rows = iter(rows)
@@ -150,23 +169,13 @@ def write_table_csv(header, rows, path, metadata: dict | None = None) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def write_scan_csv(scan: SpectrumScan, path) -> None:
-    # |t| once per row: np.hypot rounds like abs() of each complex, np.abs
-    # (and so abs_t) can differ in the last bit; the square stays a ** 2
-    t = scan.t_complex
-    columns = (scan.detunings, t.real, t.imag, np.hypot(t.real, t.imag))
-    rows = ((d, re, im, a, a ** 2) for d, re, im, a in zip(*(c.tolist() for c in columns)))
-    write_table_csv(("detuning_mhz", "re_t", "im_t", "abs_t", "abs_t_sq"), rows, path, scan.metadata)
+def fit_result_payload(fit: FitResult, derived: dict | None = None) -> dict:
+    """The JSON object of a fit: model, parameters with their uncertainties, residual norm.
 
-
-def write_trace_csv(trace: TimeTrace, path) -> None:
-    rows = zip(trace.times.tolist(), trace.values.tolist())
-    write_table_csv(("time_ns", "value"), rows, path, trace.metadata)
-
-
-def fit_result_payload(fit: FitResult) -> dict:
-    """The JSON object of a fit: model, parameters with their uncertainties, residual norm."""
-    return {
+    A non-empty derived adds its values, the quantities a run reads off
+    the fit, as the "derived" block.
+    """
+    payload = {
         "model": fit.model,
         "parameters": {
             name: {"value": value, "uncertainty": sigma}
@@ -174,6 +183,9 @@ def fit_result_payload(fit: FitResult) -> dict:
         },
         "residual_norm": fit.residual_norm,
     }
+    if derived:
+        payload["derived"] = derived
+    return payload
 
 
 def fit_result_json(fit: FitResult) -> str:

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wgqed import calibration, cli, lindblad, spectroscopy
+from wgqed import calibration, cli, lindblad, records, spectroscopy
 from wgqed.records import FitError
 
 
@@ -177,6 +177,57 @@ class TestValidation:
         path.write_text(json.dumps(config))
         assert cli.main(["validate", str(path)]) == 1
         assert f"$.{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, relabel, edit, message",
+        [
+            # qubit 2 of fig3a_type1 relabelled "P" named the probe, qubit 1, silently
+            ("fig3a_type1", "P", lambda config: None, "$.system.probe: qubit label 'P' names qubits [1, 2]"),
+            (
+                "fig2e_xy",
+                "M1",
+                lambda config: config["params"].update(xy_qubit="M1"),
+                "$.params.xy_qubit: qubit label 'M1' names qubits [0, 2]",
+            ),
+        ],
+        ids=["probe", "xy-qubit"],
+    )
+    def test_ambiguous_qubit_label_is_config_error(self, tmp_path, capsys, name, relabel, edit, message):
+        config = json.loads(Path(bundled(name)).read_text())
+        config["system"]["qubits"][2]["label"] = relabel
+        edit(config)
+        path = tmp_path / "ambiguous.cfg"
+        path.write_text(json.dumps(config))
+        for command in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "run")]):
+            assert cli.main(command) == 1
+            assert capsys.readouterr().err == f"config error at {message}\n"
+
+    def test_duplicate_labels_that_no_key_names_stay_valid(self, tmp_path):
+        # both references by index; the shared label "M1" names nothing
+        config = json.loads(Path(bundled("fig2e_xy")).read_text())
+        config["system"]["qubits"][2]["label"] = "M1"
+        config["system"]["probe"] = 1
+        config["params"]["xy_qubit"] = 1
+        path = tmp_path / "duplicate.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 0
+
+    def test_large_gamma_1d_fails_by_its_null_space_not_by_psd(self, tmp_path, capsys):
+        # the waveguide decay matrix sqrt(g_i g_j) cos(phi_i - phi_j) is a Gram
+        # matrix; at gamma_1d = 1e200 eigh rounds its zero eigenvalue to about
+        # -4.6, which an absolute -1e-9 bound called "not positive semidefinite"
+        config = json.loads(Path(bundled("fig2a_pair")).read_text())
+        config["system"]["qubits"][0]["gamma_1d"] = 1e200
+        config["system"]["qubits"][1]["phase_pi"] = 0.3
+        config["params"]["points"] = 5
+        path = tmp_path / "large.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: Liouvillian null space is degenerate")
+        assert "positive semidefinite" not in err
 
     @pytest.mark.parametrize(
         "name, edit, key",
@@ -713,7 +764,7 @@ class TestRun:
         # json.dumps writes NaN and Infinity by default, which a strict reader rejects
         path = tmp_path / "record.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._write({"chi_mhz": float("nan")}, path)
+            records.write({"chi_mhz": float("nan")}, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("target", [7, -1, "Q9"])

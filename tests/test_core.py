@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +308,43 @@ class TestSpecValidation:
         q = QubitParams.from_gamma_prime("Q1", 94.1, 0.430)
         assert q.gamma_prime == pytest.approx(0.430, rel=1e-12)
         assert q.gamma_loss == pytest.approx(0.0065)
+
+
+def large_rate_spec(rng, gamma_1d=1e200):
+    """A random 2-5 qubit spec whose first qubit decays into the waveguide at gamma_1d."""
+    spec = random_spec(rng, int(rng.integers(2, 6)))
+    (q, placement), *rest = spec.qubits
+    return dataclasses.replace(spec, qubits=((dataclasses.replace(q, gamma_1d=gamma_1d), placement), *rest))
+
+
+class TestCollectiveRates:
+    @pytest.mark.parametrize("gamma_1d", [1e200, 1e250, 1e300])
+    def test_decay_matrix_with_one_huge_rate_is_accepted(self, gamma_1d):
+        # sqrt(g_i g_j) cos(phi_i - phi_j) is a Gram matrix of rank <= 2, PSD by
+        # construction, but eigh rounds its zero eigenvalues by about eps times
+        # gamma_1d, far below an absolute -1e-9
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            gamma = core.waveguide_decay_matrix(large_rate_spec(rng, gamma_1d))
+            assert np.linalg.eigvalsh(gamma).min() < -1e-9
+            rates, vectors = core.collective_rates(gamma)
+            # the other rates lie below 1e-12 of the scale: one jump, on qubit 0
+            assert rates.tolist() == pytest.approx([np.trace(gamma)], rel=1e-12)
+            assert abs(vectors[0, 0]) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e200])
+    def test_bound_is_relative_to_the_largest_eigenvalue(self, scale):
+        # -0.5e-9 of the scale is rounding and carries no jump; -2e-9 is rejected
+        rates, vectors = core.collective_rates(np.diag([-0.5e-9 * scale, scale]))
+        assert rates.tolist() == [scale] and vectors.tolist() == [[0.0], [1.0]]
+        eigenvalues = np.array([-2e-9 * scale, scale])
+        message = f"rate matrix is not positive semidefinite; eigenvalues {eigenvalues}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.collective_rates(np.diag(eigenvalues))
+
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"^rate matrix must be symmetric$"):
+            core.collective_rates([[1.0, 0.5], [0.4, 1.0]])
 
 
 class TestHoldRules:

@@ -180,6 +180,20 @@ class TestLiouvillian:
         with pytest.raises(ValueError, match=rf"rate matrix entry \(0, 1\) is not finite: {bad}"):
             lindblad._collective_jumps([[1.0, bad], [bad, 1.0]], lower)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_huge_waveguide_rate_builds(self, seed):
+        # the Gram-matrix decay of a spec with one gamma_1d of 1e200 has a
+        # rounded eigenvalue far below an absolute -1e-9 (core.collective_rates
+        # bounds it relative to the largest), so the spec builds its model
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, int(rng.integers(2, 6)))
+        (q, placement), *rest = spec.qubits
+        spec = dataclasses.replace(spec, qubits=((dataclasses.replace(q, gamma_1d=1e200), placement), *rest))
+        model = build_model(spec)
+        op, rate = model.dissipators[0]
+        assert rate == pytest.approx(np.trace(core.waveguide_decay_matrix(spec)), rel=1e-12)
+        assert np.allclose(np.abs(op), np.abs(model.basis.lowering(0)))
+
     def test_half_wavelength_pair_collective_jumps(self):
         model = build_model(pair_spec(13.4))
         # one bright collective jump at 2*g1d, no dark jump
