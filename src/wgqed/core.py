@@ -10,15 +10,15 @@ Each precondition of a hold has one owner here, which the simulators, the
 master equation, the records and the config checks all call:
 require_probe (a designated probe; the dark-state functions also need a
 mirror), require_dark_coupling (the coupling 2J of a probe to the
-mirrors' dark state, formed once by probe_dark_coupling, above two floors:
-OSCILLATION_MIN_FREQ, the slowest frequency a hold resolves, and
-DARK_COUPLING_FLOOR of the probe's largest possible exchange, below which
-2J is rounding) and time_grid_us (ns or us times as the finite, strictly
-increasing us grid the master equation steps).  The spec's own rules are
-applied by SystemSpec itself: a dephasing matrix that collective_rates,
-the one judge of a correlated rate matrix, accepts, and MHz values whose Liouvillian entries stay finite
-(require_representable, MAX_MHZ).  The compound mirrors' precondition and
-the closed forms of the dark-state and thermal-qubit rates live here too.
+mirrors' dark state, formed once by probe_dark_coupling, above
+OSCILLATION_MIN_FREQ, the slowest frequency a hold resolves) and
+time_grid_us (ns or us times as the finite, strictly increasing us grid
+the master equation steps).  The spec's own rules are applied by
+SystemSpec itself: phases that resolve a separation (Placement,
+MAX_PHASE), a dephasing matrix that collective_rates, the one judge of a
+correlated rate matrix, accepts, and MHz values within the physical range
+MAX_MHZ (require_representable).  The compound mirrors' precondition and
+the closed forms of the dark-state and driven-qubit rates live here too.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "iswap_duration_ns",
     "check_compound_mirrors",
     "dark_state_rates",
+    "driven_qubit_response",
     "thermal_qubit_steady",
     "cooperativity",
     "second_excitation_cooperativity",
@@ -75,32 +76,23 @@ TWO_PI = 2.0 * math.pi
 # Eigen-decays below this (MHz) are reported as exactly dark.
 DARK_DECAY_CLIP = 1e-9
 
-# a probe-dark coupling 2J at or below this fraction of the largest exchange
-# the probe could have with the mirrors (per mirror sqrt(g1d_p g1d_m)/2 plus
-# |g| of its direct couplings to the probe, normed over the mirrors) is
-# rounding, not a coupling: a probe at a node of every mirror, or exactly
-# dark to them, reads about 1e-16 of it, and its swap would take some 1e18 ns
-DARK_COUPLING_FLOOR = 1e-9
-
 # floor (MHz) of a frequency a hold resolves: lindblad.dominant_oscillation
 # reads no fringe at or below it, and require_dark_coupling rejects a 2J at
 # or below it (a swap of 1e4 ns or longer); the bundled 2J is about 5.6 MHz
 OSCILLATION_MIN_FREQ = 0.05
 
 # Largest sum of MHz magnitudes a spec, with the values its run adds, may
-# hold (require_representable).  With S the spec's sum over N qubits, a
-# Hamiltonian entry is a sum of detunings or one exchange (sqrt(g1d_i
-# g1d_j)/2 plus direct couplings), at most S; the jump rates add up to at
-# most 2 S (the waveguide and dephasing rates are eigenvalues of matrices of
-# trace at most S, loss and thermal rates come per qubit, the thermal ones
-# twice); and an entry of a jump operator L, of L (x) L* or of L^dagger L is
-# at most N.  So an entry of K = -iH - pi sum gamma L^dagger L is at most
-# 2 pi (1 + N) S, and one of the generator K (x) 1 + 1 (x) K* + 2 pi sum
-# gamma L (x) L* at most 2 pi 6 N S.  A drive detuning or a hold's offsets
-# add at most 2 pi N, and a drive amplitude 2 pi, times a sum checked against
-# the same bound, so every entry stays below 2 pi 10 N MAX_MHZ, the largest
-# float, after the 2 pi factor.
-MAX_MHZ = float(np.finfo(float).max) / (TWO_PI * 10 * MAX_QUBITS)
+# hold (require_representable): 100 GHz, three orders above any rate,
+# detuning or drive of the paper's arrays (tens of MHz).  Ten times higher,
+# a hold's exponential already drifts past its 1e-9 trace check (a 9e5 MHz
+# rate held over a 1e6 ns grid).
+MAX_MHZ = 1e5
+
+# Largest |phase| (rad) of a Placement: below 2^22 the float spacing is at
+# most 2^-31 rad, so a separation phi_i - phi_j is resolved well within the
+# 1e-9 passivity tolerance; past it whole float steps of the phase move the
+# waveguide rates (a phase of 1e100 rad has no meaningful sine)
+MAX_PHASE = 2.0**22
 
 # Default parking offset (MHz) that decouples the probe during the waits of
 # the dark-state sequences (protocols.simulate_t1_dark, simulate_ramsey_dark).
@@ -156,8 +148,8 @@ class Placement:
     phase: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phase):
-            raise ValueError(f"placement phase must be finite, got {self.phase}")
+        if not abs(self.phase) < MAX_PHASE:  # NaN fails too
+            raise ValueError(f"placement phase must be finite and below 2^22 rad in size, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ class SystemSpec:
     ValueError names an n_th that is negative or not finite, a
     working_frequency that is not finite and positive, a dephasing matrix
     that collective_rates rejects, the rule the master equation builds its
-    jumps by, and MHz values whose Liouvillian entries could overflow
+    jumps by, and MHz values that add up past the physical range MAX_MHZ
     (require_representable).
     """
 
@@ -264,23 +256,11 @@ class AsymmetricPair:
     j_bright: float
 
 
-def _pair_roots(spec: SystemSpec) -> np.ndarray:
-    """sqrt(g1d_i g1d_j) of every pair (MHz), finite for any float rates.
-
-    The unscaled product overflows once two rates pass about 1.3e154 MHz,
-    so it is taken at the rates over a power of two above the largest.
-    That scaling is exact: the roots are unchanged unless the product of
-    two rates over the largest's square underflows (below about 1e-307).
-    """
-    g1d = np.array([q.gamma_1d for q in spec.params])
-    scale = 2.0 ** np.frexp(g1d.max())[1]
-    return np.sqrt(np.outer(g1d / scale, g1d / scale)) * scale
-
-
 def _pair_rates(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     phases = spec.phases
     sep = np.abs(phases[:, None] - phases[None, :])
-    root = _pair_roots(spec)
+    g1d = np.array([q.gamma_1d for q in spec.params])
+    root = np.sqrt(np.outer(g1d, g1d))
     return root * np.sin(sep) / 2.0, root * np.cos(sep)
 
 
@@ -455,21 +435,13 @@ def require_dark_coupling(spec: SystemSpec) -> float:
     """2J (probe_dark_coupling) of a probe whose exchange with the dark state a hold resolves.
 
     ValueError if the spec has no probe or no mirror, or if 2J is at or
-    below the larger of two floors: OSCILLATION_MIN_FREQ, the slowest
-    frequency a hold resolves, and DARK_COUPLING_FLOOR of the largest
-    exchange the probe could have with the mirrors (per mirror sqrt(g1d_p
-    g1d_m)/2 plus |g| of its direct couplings to the probe, normed over the
-    mirrors), below which 2J is rounding at any rate.
+    below OSCILLATION_MIN_FREQ, the slowest frequency a hold resolves.  A
+    probe exactly dark to the mirrors reads a 2J of rounding, some 1e-16 of
+    its exchange with them; within MAX_MHZ that is below 1e-10 MHz, far
+    under the floor.
     """
     two_j = probe_dark_coupling(spec)
-    probe, mirrors = spec.probe_index, spec.mirror_indices
-    roots = _pair_roots(spec)[probe]
-    largest = {m: roots[m] / 2.0 for m in mirrors}
-    for i, j, g in spec.direct_couplings:
-        if probe in (i, j):
-            largest[i + j - probe] += abs(g)
-    floor = max(DARK_COUPLING_FLOOR * math.hypot(*largest.values()), OSCILLATION_MIN_FREQ)
-    if not two_j > floor:
+    if not two_j > OSCILLATION_MIN_FREQ:
         raise ValueError(f"probe is not coupled to the dark state (2J = {two_j:.3g} MHz)")
     return two_j
 
@@ -481,7 +453,8 @@ def require_representable(spec: SystemSpec, *added_mhz: float) -> None:
     thermal rate n_th * gamma_1, every detuning, direct coupling and
     dephasing correlation of the spec, plus added_mhz (a run's drive
     detunings, hold detunings and offsets, drive amplitudes), must be at
-    most MAX_MHZ, so no Liouvillian entry overflows; NaN fails.
+    most MAX_MHZ, the physical range of every hold and steady state; NaN
+    fails.
     """
     total = sum(q.gamma_1d + q.gamma_loss + q.gamma_phi + spec.n_th * q.gamma_1 for q in spec.params)
     total += sum(abs(value) for value in spec.detunings)
@@ -489,8 +462,8 @@ def require_representable(spec: SystemSpec, *added_mhz: float) -> None:
     total += sum(abs(float(value)) for value in added_mhz)  # Python floats overflow to inf silently
     if not total <= MAX_MHZ:
         raise ValueError(
-            f"rates, detunings and couplings add up to {total:g} MHz, above the {MAX_MHZ:.3g} MHz "
-            "at which a Liouvillian entry can overflow"
+            f"rates, detunings and couplings add up to {total:g} MHz, above the {MAX_MHZ:g} MHz "
+            "physical range"
         )
 
 
@@ -560,6 +533,36 @@ def dark_state_rates(gloss: float, gphi: float, gphi_c: float) -> tuple[float, f
     return gloss + gphi - gphi_c, gloss / 2.0 + gphi
 
 
+def driven_qubit_response(
+    gamma_1: float, gamma_phi: float, n_th: float, omega_rabi: float, delta: float
+) -> tuple[float, complex]:
+    """Closed-form driven steady state of a qubit in a thermal bath: rho_ee and chi.
+
+    With the thermally enhanced rates gamma1_th = (2 n_th + 1) gamma_1 and
+    gamma2_th = gamma1_th/2 + gamma_phi, x = delta/gamma2_th and the
+    denominator D = (1 + x^2) gamma1_th gamma2_th + omega_rabi^2,
+    rho_ee = (n_th/(2 n_th + 1) (1 + x^2) gamma1_th gamma2_th +
+    omega_rabi^2/2) / D and chi = gamma1_th (1 + i x) / (2 (2 n_th + 1) D),
+    the coherence per unit drive: rho_eg = -i omega_rabi chi, and a qubit
+    with waveguide rate gamma_1d transmits t = 1 - gamma_1d chi.  All rates
+    in MHz (ratios only).  Without population decay a driven, dephased
+    qubit reads rho_ee = 1/2 and chi = 0; ValueError names the qubit with no
+    unique steady state, with no population decay and no drive or no
+    dephasing.
+    """
+    if not (gamma_1 > 0 or (omega_rabi and gamma_phi > 0)):
+        raise ValueError(
+            "a qubit without population decay has a unique steady state only if driven and dephased"
+        )
+    gamma1_th = (2.0 * n_th + 1.0) * gamma_1
+    gamma2_th = gamma1_th / 2.0 + gamma_phi
+    x = delta / gamma2_th
+    undriven = (1.0 + x**2) * gamma1_th * gamma2_th
+    denom = undriven + omega_rabi**2
+    rho_ee = (n_th / (2.0 * n_th + 1.0) * undriven + 0.5 * omega_rabi**2) / denom
+    return float(rho_ee), complex(gamma1_th * (1.0 + 1j * x) / (2.0 * (2.0 * n_th + 1.0) * denom))
+
+
 def thermal_qubit_steady(
     g1d: float,
     gloss: float,
@@ -570,22 +573,14 @@ def thermal_qubit_steady(
 ) -> tuple[float, complex]:
     """Closed-form driven steady state of a single qubit in a thermal bath.
 
-    Returns (rho_ee, rho_eg) for drive detuning delta, using the thermally
-    enhanced rates gamma1_th = (2 n_th + 1)(g1d + gloss) and gamma2_th =
-    gamma1_th/2 + gphi.  All rates in MHz (ratios only).
+    Returns (rho_ee, rho_eg) for drive detuning delta, from
+    driven_qubit_response with gamma_1 = g1d + gloss.  All rates in MHz
+    (ratios only).
     """
     if min(g1d, gloss, gphi, n_th) < 0:
         raise ValueError("rates and occupancy must be >= 0")
-    gamma1_th = (2.0 * n_th + 1.0) * (g1d + gloss)
-    gamma2_th = gamma1_th / 2.0 + gphi
-    if gamma2_th <= 0:
-        raise ValueError("qubit without decoherence has no unique steady state")
-    x = delta / gamma2_th
-    saturation = omega_rabi**2 / (gamma1_th * gamma2_th) if omega_rabi else 0.0
-    denom = 1.0 + x**2 + saturation
-    rho_ee = (n_th / (2.0 * n_th + 1.0)) * (1.0 + x**2) / denom + 0.5 * saturation / denom
-    rho_eg = -1j * omega_rabi / (2.0 * gamma2_th * (2.0 * n_th + 1.0)) * (1.0 + 1j * x) / denom
-    return float(rho_ee), complex(rho_eg)
+    rho_ee, chi = driven_qubit_response(g1d + gloss, gphi, n_th, omega_rabi, delta)
+    return rho_ee, -1j * omega_rabi * chi
 
 
 def cooperativity(two_j: float, g1d_probe: float, gprime_probe: float, gprime_dark: float) -> float:

@@ -274,6 +274,9 @@ def build_model(
     (core.dephasing_matrix) over sigma_z at half rate.  Both matrices are
     judged by core.collective_rates: SystemSpec applies it to its dephasing
     matrix, and the decay matrix is a Gram matrix, PSD by construction.
+    The spec's MHz values lie within the physical range core.MAX_MHZ
+    (core.require_representable), as do the amplitudes that
+    spectroscopy.drive_amplitudes forms.
     """
     if detunings is not None:
         spec = spec.with_detunings(detunings)
@@ -1083,8 +1086,6 @@ class _BorderedGenerator:
         start = [0, *itertools.accumulate(sizes)]
         # a complex block below PIVOT_MIN real coordinates is inverted (PIVOT_MIN)
         self._inverted = [k > 0 and 2 * size < PIVOT_MIN for k, size in enumerate(sizes)]
-        order = np.append(sectors.zero, sectors.upper)
-        self._members = [order[a:b] for a, b in zip(start, start[1:])]
         # where each block lies in a real solution: x0, then real views
         self._real_at = [slice(0, n0)]
         self._real_at += [slice(2 * start[k] - n0, 2 * start[k + 1] - n0) for k in range(1, len(sizes))]
@@ -1124,7 +1125,7 @@ class _BorderedGenerator:
         # the diagonal of delta K, i 2 pi s on each z, and its rotation of (Re z, Im z)
         self._shift = 1j * TWO_PI * sectors.signed[sectors.upper]
         block_of = np.repeat(np.arange(1, last + 1), sizes[1:])
-        (self._shift_at,) = _places(base[block_of] + np.arange(n0, order.size) * (1 + size[block_of]))
+        (self._shift_at,) = _places(base[block_of] + np.arange(n0, start[-1]) * (1 + size[block_of]))
         rows, cols, rates = sectors.rotation(TWO_PI * sectors.signed)
         self._rotation = (*_places(rows, cols), rates)
 
@@ -1147,8 +1148,8 @@ class _BorderedGenerator:
         """The pivot-block partition of M(delta): lists of M[k, k], M[k, k - 1] and M[k, k + 1] by block k.
 
         Each block is a Fortran-order view into the band of its rows, filled
-        afresh for each call, over the unknowns of its two pivot blocks
-        (self._members); M[0, 0] and M[0, 1] are real, M[0, 1] on the real
+        afresh for each call, over the unknowns of its two pivot blocks (x0,
+        then z by sector); M[0, 0] and M[0, 1] are real, M[0, 1] on the real
         view of block 1, and the rest complex.  Past the first or the last
         block the list holds None.
         """

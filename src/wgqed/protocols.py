@@ -385,7 +385,8 @@ def _solve(model, jacobian, t, y, p0, name: str, max_evaluations: int, tolerance
     is rejected within tens of milliseconds; numerical warnings silenced.
     The standard errors are the roots of the diagonal of cov_x times the
     residual variance sum(r**2) / (m - n); they are infinite when cov_x
-    cannot be estimated or m <= n, and then fail _report's amplitude test.
+    cannot be estimated (None, or an entry that is not finite) or m <= n,
+    and then fail _report's amplitude test.
     Returns the parameters as a list, their standard errors and the
     residual norm; FitError("<name> fit failed: ...") carrying the last
     iterate as best unless MINPACK reports convergence (status 1-4).
@@ -406,7 +407,7 @@ def _solve(model, jacobian, t, y, p0, name: str, max_evaluations: int, tolerance
         )
     fvec = info["fvec"]
     dof = fvec.size - len(params)
-    if cov is None or np.isnan(cov).any() or dof <= 0:
+    if cov is None or not np.isfinite(cov).all() or dof <= 0:
         sigmas = np.full(len(params), math.inf)
     else:
         sigmas = np.sqrt(np.abs(np.diag(cov) * (np.sum(fvec**2) / dof)))
@@ -439,9 +440,11 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
     One unbounded MINPACK Levenberg-Marquardt solve (_solve: one leastsq
     call, analytic Jacobian, FIT_TOLERANCE) from the first and last
     values and the 1/e crossing.  A constant trace is rejected before it,
-    and a fit whose amplitude is below MIN_AMPLITUDE_SIGMAS of its own
-    standard error (a growing or flat trace, fitted as a lifetime far
-    beyond the span) after it, with FitError.
+    and after it, with FitError, a fit whose amplitude is below
+    MIN_AMPLITUDE_SIGMAS of its own standard error (a growing or flat
+    trace, fitted as a lifetime far beyond the span) and one whose lifetime
+    is shorter than the first grid step, which no point between the first
+    two samples constrains.
     """
     t, y = _finite_trace(trace, "an exponential")
     spread = float(np.ptp(y))
@@ -465,9 +468,17 @@ def fit_exponential(trace: TimeTrace) -> FitResult:
         model, jacobian, t, y, [amp0, lifetime0, offset0], "exponential",
         EXPONENTIAL_MAX_EVALUATIONS, FIT_TOLERANCE,
     )
-    return _report(
+    fit = _report(
         "exponential", ("amplitude", "lifetime_ns", "offset"), params, sigmas, residual, "decay"
     )
+    step = t[1] - t[0]
+    if not params[1] >= step:
+        raise FitError(
+            f"fitted lifetime {params[1]:.6g} ns is shorter than the first grid step {step:.6g} ns: "
+            "the decay is not resolved",
+            best=tuple(params),
+        )
+    return fit
 
 
 def _pencil_poles(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -99,7 +99,7 @@ class FitResult:
 
     def __post_init__(self):
         for name, (value, sigma) in self.parameters.items():
-            if sigma < 0 or not np.isfinite(value):
+            if not sigma >= 0 or not np.isfinite(value):  # a NaN uncertainty fails
                 raise ValueError(f"bad fit parameter {name}: {value} +/- {sigma}")
 
     def value(self, name: str) -> float:

@@ -92,20 +92,14 @@ def single_qubit_transmission(
 ) -> complex:
     """Closed-form transmission of one emitter in a thermal bath.
 
-    All rates in MHz; on resonance at zero temperature and vanishing drive
-    this reduces to t(0) = gamma_prime / (gamma_prime + gamma_1d).
+    t = 1 - gamma_1d chi with chi from core.driven_qubit_response.  All
+    rates in MHz; on resonance at zero temperature and vanishing drive this
+    reduces to t(0) = gamma_prime / (gamma_prime + gamma_1d).
     """
     if n_th < 0 or omega_rabi < 0:
         raise ValueError("n_th and omega_rabi must be >= 0")
-    gamma1_th = (2.0 * n_th + 1.0) * params.gamma_1
-    gamma2_th = gamma1_th / 2.0 + params.gamma_phi
-    if gamma2_th <= 0:
-        raise ValueError("qubit has no linewidth")
-    x = delta / gamma2_th
-    saturation = omega_rabi**2 / (gamma1_th * gamma2_th)
-    return 1.0 - params.gamma_1d / (2.0 * gamma2_th * (2.0 * n_th + 1.0)) * (1.0 + 1j * x) / (
-        1.0 + x**2 + saturation
-    )
+    _, chi = core.driven_qubit_response(params.gamma_1, params.gamma_phi, n_th, omega_rabi, delta)
+    return 1.0 - params.gamma_1d * chi
 
 
 def _input_amplitude(spec: core.SystemSpec, drive: DriveSpec) -> float:
@@ -159,7 +153,7 @@ def drive_amplitudes(spec: core.SystemSpec, drive: DriveSpec):
     cannot take: an input field a_in or a local Omega_xy/2 that is zero,
     subnormal or not finite (t divides by it), no waveguide-coupled qubit,
     an xy qubit out of range, or amplitudes (MHz) that are not finite or
-    whose Liouvillian entries could overflow with the spec's
+    that take the spec's MHz values past the physical range core.MAX_MHZ
     (core.require_representable).
     """
     n = spec.n_qubits

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wgqed import calibration, cli, lindblad, records, spectroscopy
+from wgqed import calibration, cli, core, lindblad, records, spectroscopy
 from wgqed.records import FitError
 
 
@@ -212,22 +212,21 @@ class TestValidation:
         path.write_text(json.dumps(config))
         assert cli.main(["validate", str(path)]) == 0
 
-    def test_large_gamma_1d_fails_by_its_null_space_not_by_psd(self, tmp_path, capsys):
-        # the waveguide decay matrix sqrt(g_i g_j) cos(phi_i - phi_j) is a Gram
-        # matrix; at gamma_1d = 1e200 eigh rounds its zero eigenvalue to about
-        # -4.6, which an absolute -1e-9 bound called "not positive semidefinite"
+    def test_large_gamma_1d_is_rejected_at_the_spec(self, tmp_path, capsys):
+        # at gamma_1d = 1e200 eigh rounds the zero eigenvalue of the Gram decay
+        # matrix sqrt(g_i g_j) cos(phi_i - phi_j) to about -4.6, and the steady
+        # state's pivot block to rcond 1e-199; the spec is past MAX_MHZ
         config = json.loads(Path(bundled("fig2a_pair")).read_text())
         config["system"]["qubits"][0]["gamma_1d"] = 1e200
         config["system"]["qubits"][1]["phase_pi"] = 0.3
         config["params"]["points"] = 5
         path = tmp_path / "large.cfg"
         path.write_text(json.dumps(config))
-        assert cli.main(["validate", str(path)]) == 0
-        capsys.readouterr()
-        assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("run failed: Liouvillian null space is degenerate")
-        assert "positive semidefinite" not in err
+        for command in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "run")]):
+            assert cli.main(command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error at $.system: rates, detunings and couplings add up to 1e+200")
+            assert "positive semidefinite" not in err
 
     @pytest.mark.parametrize(
         "name, edit, key",
@@ -566,6 +565,109 @@ class TestValidation:
                     except Exception as err:
                         pytest.fail(f"{entry.name} {leaf} = {value}: {type(err).__name__}: {err}")
         assert swept == 768
+
+    # a drive of 0.9 MAX_MHZ saturates its qubits and a crosstalk target of
+    # 0.9 MAX_MHZ lies far from its linearization point, each a UserWarning
+    # that names a run outside its regime; numpy's warnings stay errors
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_values_near_the_bound_that_validate_also_run(self, tmp_path):
+        # every float of the bundled configs, and of a steady and a modes config
+        # on fig2c_cavity's system, set to 0.9 MAX_MHZ one at a time: a config
+        # that validates runs, or fails in one of the README's named ways
+        cavity = json.loads(Path(bundled("fig2c_cavity")).read_text())
+        configs = [json.loads(entry.read_text()) for entry in sorted(files("wgqed").joinpath("configs").iterdir())]
+        configs.append({**cavity, "experiment": "steady", "params": {"detuning_mhz": 0.5, "omega_rabi": 0.5}})
+        configs.append({**cavity, "experiment": "modes", "params": {}})
+        swept = ran = 0
+        for config in configs:
+            for leaf in list(float_leaves(config)):
+                mutant = copy.deepcopy(config)
+                target = mutant
+                for step in leaf[:-1]:
+                    target = target[step]
+                target[leaf[-1]] = 0.9 * core.MAX_MHZ
+                swept += 1
+                try:
+                    cli.validate_config(mutant)
+                    cli._checked(mutant)
+                except cli.ConfigError:
+                    continue
+                try:
+                    cli.run_config(mutant, str(tmp_path / "run"))
+                    ran += 1
+                except (FitError, lindblad.DegenerateSteadyStateError):
+                    pass
+                except ValueError as err:
+                    if str(err) != "no oscillating mode found above the frequency floor":
+                        pytest.fail(f"{config['output']} {leaf}: ValueError: {err}")
+                except Exception as err:
+                    pytest.fail(f"{config['output']} {leaf}: {type(err).__name__}: {err}")
+        assert swept == 284 and ran >= 200
+
+    @pytest.mark.parametrize(
+        "name, experiment, leaf, value, key",
+        [
+            # each validated at 5.7e305 MHz and failed its run unnamed or as a
+            # degenerate steady state: a hold's trace 1.0374, a trace nan, rcond
+            # 1.6e-201, a steady-state residual, a mode of decay rate -12.2
+            ("fig3a_type1", None, ("system", "qubits", 0, "gamma_1d"), 1e100, "$.system"),
+            ("fig3a_freedecay", None, ("params", "probe_detuning_mhz"), 1e100, "$.params.probe_detuning_mhz"),
+            ("fig1c_q1", None, ("system", "qubits", 0, "gamma_1d"), 1e200, "$.system"),
+            ("fig1c_q1", None, ("params", "start_mhz"), 1e200, "$.params.start_mhz"),
+            ("fig2c_cavity", "modes", ("system", "qubits", 0, "gamma_1d"), 1e200, "$.system"),
+            # a phase whose float spacing exceeds a separation: "rate matrix is
+            # not positive semidefinite" or "non-passive transmission amplitude"
+            ("fig2c_cavity", None, ("system", "qubits", 0, "phase_pi"), 1e100, "$.system"),
+            ("fig3a_type1", None, ("system", "qubits", 0, "phase_pi"), 1e100, "$.system"),
+            ("fig2a_pair", None, ("system", "qubits", 0, "phase_pi"), 1e100, "$.system"),
+            ("fig4_compound", None, ("system", "qubits", 0, "phase_pi"), 1e20, "$.system"),
+        ],
+        ids=[
+            "type1-gamma-1d", "freedecay-probe-detuning", "q1-gamma-1d", "q1-start", "modes-gamma-1d",
+            "cavity-phase", "type1-phase", "pair-phase", "compound-phase",
+        ],
+    )
+    def test_values_past_the_physical_range_are_config_errors(
+        self, tmp_path, capsys, name, experiment, leaf, value, key
+    ):
+        config = json.loads(Path(bundled(name)).read_text())
+        if experiment:
+            config.update(experiment=experiment, params={})
+        target = config
+        for step in leaf[:-1]:
+            target = target[step]
+        target[leaf[-1]] = value
+        path = tmp_path / "past.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at {key}: ")
+        assert "physical range" in err or "below 2^22 rad" in err
+
+    @pytest.mark.parametrize("tau_max_ns", [1e5, 1e6, 1e7])
+    def test_decay_faster_than_the_grid_step_is_a_fit_error(self, tmp_path, capsys, tau_max_ns):
+        # the run wrote lifetime_ns 139.222 +- 0.062, 496.193 +- 1.95e-10 and
+        # 692.239 +- 1.4e-14 for a decay of about 110 ns sampled every 1.7-170 us
+        config = json.loads(Path(bundled("fig3a_freedecay")).read_text())
+        config["params"]["tau_max_ns"] = tau_max_ns
+        path = tmp_path / "coarse.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: fitted lifetime ")
+        assert f"is shorter than the first grid step {tau_max_ns / 60:.6g} ns" in err
+
+    def test_fit_with_an_infinite_covariance_entry_is_a_fit_error(self, tmp_path, capsys):
+        # an infinite covariance entry times a zero residual variance wrote an
+        # uncertainty of nan: "Out of range float values are not JSON compliant"
+        config = json.loads(Path(bundled("fig3a_freedecay")).read_text())
+        qubits = config["system"]["qubits"]
+        qubits[0]["gamma_1d"], qubits[2]["gamma_1d"], qubits[1]["gamma_phi"] = 1.3527e-5, 5.0805e-6, 1.8118e-4
+        config["params"]["tau_max_ns"] = 578076882.77
+        path = tmp_path / "flat.cfg"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("run failed: fitted amplitude ")
 
 
 def jsonschema_check(schema, document):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -46,17 +45,12 @@ class TestEffectiveHamiltonian:
         assert ham[0, 1] == pytest.approx(expected_j, abs=1e-12)
         assert ham[1, 2] == pytest.approx(expected_j, abs=1e-12)
 
-    def test_pair_rates_stay_finite_at_any_float_rate(self):
-        # sqrt(g1d_i g1d_j) took the product first, which overflows past about
-        # 1.3e154 MHz: inf entries, and nan where a separation's sine is zero
+    def test_rates_past_the_product_overflow_are_rejected_at_the_spec(self):
+        # sqrt(g1d_i g1d_j) overflows its product past about 1.3e154 MHz; a
+        # spec holds no rate past MAX_MHZ, so the pair rates never meet it
         for g1d in (1e200, 1e300):
-            spec = core.cavity_spec(QubitParams("M", g1d), QubitParams("P", g1d / 4))
-            gamma = core.waveguide_decay_matrix(spec)
-            exchange = core.exchange_matrix(spec)
-            assert np.isfinite(gamma).all() and np.isfinite(exchange).all()
-            assert np.diag(gamma) == pytest.approx([g1d, g1d / 4, g1d], rel=1e-15)
-            assert exchange[0, 1] == pytest.approx(g1d / 4, rel=1e-15)
-            assert gamma[0, 2] == pytest.approx(-g1d, rel=1e-15)
+            with pytest.raises(ValueError, match=r"above the 100000 MHz physical range$"):
+                core.cavity_spec(QubitParams("M", g1d), QubitParams("P", g1d / 4))
 
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ValueError):
@@ -221,6 +215,21 @@ class TestClosedFormRates:
         assert two_j == pytest.approx(math.sqrt(2) * 0.5, rel=1e-12)
         assert core.iswap_duration_ns(coupled) == pytest.approx(1e3 / (2 * two_j), rel=1e-12)
 
+    @pytest.mark.parametrize("n_th, delta", [(0.0, 0.0), (0.2, 3.0)])
+    def test_driven_qubit_without_population_decay(self, n_th, delta):
+        # a driven, dephased qubit that never decays sits at rho_ee = 1/2 with
+        # no coherence; gamma1_th * gamma2_th was a divisor: ZeroDivisionError
+        assert core.thermal_qubit_steady(0.0, 0.0, 0.5, n_th, 1.0, delta) == (0.5, 0j)
+        assert core.driven_qubit_response(0.0, 0.5, n_th, 1.0, delta) == (0.5, 0j)
+
+    @pytest.mark.parametrize("gphi, omega", [(0.5, 0.0), (0.0, 1.0), (0.0, 0.0)])
+    def test_qubit_with_no_unique_steady_state_is_named(self, gphi, omega):
+        # no population decay and no drive leaves every diagonal state, and no
+        # dephasing an undamped Rabi oscillation
+        message = r"^a qubit without population decay has a unique steady state only if driven and dephased$"
+        with pytest.raises(ValueError, match=message):
+            core.thermal_qubit_steady(0.0, 0.0, gphi, 0.1, omega, 0.0)
+
     def test_cooperativity_values(self):
         assert core.cooperativity(5.647, 1.19, 0.3885, 0.210) == pytest.approx(96.2, abs=0.1)
         assert core.cooperativity(12.97, 0.87, 0.6705, 0.581) == pytest.approx(187.9, abs=0.2)
@@ -310,22 +319,30 @@ class TestSpecValidation:
         assert q.gamma_loss == pytest.approx(0.0065)
 
 
-def large_rate_spec(rng, gamma_1d=1e200):
-    """A random 2-5 qubit spec whose first qubit decays into the waveguide at gamma_1d."""
+def large_rate_decay_matrix(rng, gamma_1d):
+    """The waveguide decay matrix sqrt(g_i g_j) cos(phi_i - phi_j) of a random 2-5 qubit
+    array whose first qubit decays at gamma_1d, a rate no spec holds (MAX_MHZ).
+
+    The roots are taken at the rates over a power of two above the largest,
+    so the products of the small rates underflow to zero: a rounding of the
+    Gram matrix with an eigenvalue of order -1, about 1e-200 of its scale.
+    """
     spec = random_spec(rng, int(rng.integers(2, 6)))
-    (q, placement), *rest = spec.qubits
-    return dataclasses.replace(spec, qubits=((dataclasses.replace(q, gamma_1d=gamma_1d), placement), *rest))
+    g1d = np.array([gamma_1d, *(q.gamma_1d for q in spec.params[1:])])
+    scale = 2.0 ** np.frexp(gamma_1d)[1]
+    sep = spec.phases[:, None] - spec.phases[None, :]
+    return np.sqrt(np.outer(g1d / scale, g1d / scale)) * scale * np.cos(sep)
 
 
 class TestCollectiveRates:
     @pytest.mark.parametrize("gamma_1d", [1e200, 1e250, 1e300])
     def test_decay_matrix_with_one_huge_rate_is_accepted(self, gamma_1d):
         # sqrt(g_i g_j) cos(phi_i - phi_j) is a Gram matrix of rank <= 2, PSD by
-        # construction, but eigh rounds its zero eigenvalues by about eps times
-        # gamma_1d, far below an absolute -1e-9
+        # construction, but its rounding here has an eigenvalue far below an
+        # absolute -1e-9
         rng = np.random.default_rng(3)
         for _ in range(10):
-            gamma = core.waveguide_decay_matrix(large_rate_spec(rng, gamma_1d))
+            gamma = large_rate_decay_matrix(rng, gamma_1d)
             assert np.linalg.eigvalsh(gamma).min() < -1e-9
             rates, vectors = core.collective_rates(gamma)
             # the other rates lie below 1e-12 of the scale: one jump, on qubit 0
@@ -389,6 +406,7 @@ class TestHoldRules:
     def test_representable_spec_bound(self):
         q = QubitParams("Q", 13.4)
         qubits = ((q, Placement(0.0)), (q, Placement(math.pi)))
+        assert core.MAX_MHZ == 1e5
         SystemSpec(qubits=qubits, detunings=(core.MAX_MHZ / 2, 0.0))
         for spec_kw in (
             {"detunings": (core.MAX_MHZ, 1e-3 * core.MAX_MHZ)},
@@ -402,5 +420,5 @@ class TestHoldRules:
             SystemSpec(qubits=((big, Placement(0.0)), (big, Placement(math.pi))))
         spec = SystemSpec(qubits=qubits)
         core.require_representable(spec, core.MAX_MHZ / 2)
-        with pytest.raises(ValueError, match=r"above the 5.72e\+305 MHz"):
+        with pytest.raises(ValueError, match=r"above the 100000 MHz physical range$"):
             core.require_representable(spec, core.MAX_MHZ / 2, -core.MAX_MHZ / 1.9)

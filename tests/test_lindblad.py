@@ -181,18 +181,14 @@ class TestLiouvillian:
             lindblad._collective_jumps([[1.0, bad], [bad, 1.0]], lower)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_huge_waveguide_rate_builds(self, seed):
-        # the Gram-matrix decay of a spec with one gamma_1d of 1e200 has a
-        # rounded eigenvalue far below an absolute -1e-9 (core.collective_rates
-        # bounds it relative to the largest), so the spec builds its model
+    def test_huge_waveguide_rate_is_rejected_at_the_spec(self, seed):
+        # a spec with one gamma_1d of 1e200 is past MAX_MHZ: it never reaches
+        # build_model, whose decay matrix it would fill with 1e200 MHz rates
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, int(rng.integers(2, 6)))
         (q, placement), *rest = spec.qubits
-        spec = dataclasses.replace(spec, qubits=((dataclasses.replace(q, gamma_1d=1e200), placement), *rest))
-        model = build_model(spec)
-        op, rate = model.dissipators[0]
-        assert rate == pytest.approx(np.trace(core.waveguide_decay_matrix(spec)), rel=1e-12)
-        assert np.allclose(np.abs(op), np.abs(model.basis.lowering(0)))
+        with pytest.raises(ValueError, match=r"^rates, detunings and couplings add up to 1e\+200 MHz"):
+            dataclasses.replace(spec, qubits=((dataclasses.replace(q, gamma_1d=1e200), placement), *rest))
 
     def test_half_wavelength_pair_collective_jumps(self):
         model = build_model(pair_spec(13.4))
@@ -1606,7 +1602,7 @@ class TestSectorBlocks:
         jumps = tuple((rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), rate) for rate in (0.4, 1.1))
         model = LindbladModel(ham + ham.conj().T, jumps)
         system = lindblad._BorderedGenerator(model)
-        assert [members.size for members in system._members] == [9]
+        assert [block.shape[0] for block in system.blocks(0.0)[0]] == [9]
         (rho,) = steady_states(model, [0.0])
         assert np.max(np.abs(rho - dense_steady_state(model))) < 1e-12
 
@@ -1644,8 +1640,8 @@ class TestSectorBlocks:
         rng = np.random.default_rng(94)
         model = build_model(random_spec(rng, 4, n_th=0.05), drives=random_drives(rng, 4))
         system = lindblad._BorderedGenerator(model)
-        assert [members.size for members in system._members] == [70, 56, 37]
-        assert [members.size * (2 if k else 1) for k, members in enumerate(system._members)] == [70, 112, 74]
+        assert [block.shape[0] for block in system.blocks(0.0)[0]] == [70, 56, 37]
+        assert [at.stop - at.start for at in system._real_at] == [70, 112, 74]
         assert system._sector_block.tolist() == [0, 1, 2, 2, 2]
 
     @pytest.mark.usefixtures("empty_plans")
@@ -1714,10 +1710,13 @@ class TestRealGenerator:
         blocks = lindblad._BorderedGenerator.blocks
 
         def recording(self, delta):
-            # copies of the pivot blocks, before the block LU overwrites them
+            # copies of the pivot blocks, before the block LU overwrites them,
+            # and the coordinates of each: x0, then z by sector, split by block
             parts = blocks(self, delta)
             copies = [[None if block is None else block.copy() for block in part] for part in parts]
-            factored.append((self._members, copies))
+            order = np.append(self._sectors.zero, self._sectors.upper)
+            members = np.split(order, np.cumsum([block.shape[0] for block in parts[0]])[:-1])
+            factored.append((members, copies))
             return parts
 
         monkeypatch.setattr(lindblad._BorderedGenerator, "blocks", recording)

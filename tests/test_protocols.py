@@ -315,6 +315,14 @@ class TestFits:
                 expected = phase + (math.pi if amp < 0 else 0.0)
                 assert abs(math.remainder(fitted - expected, 2 * math.pi)) < 0.1
 
+    def test_decay_faster_than_the_grid_step_rejected(self):
+        # one sample on the decay: the lifetime no point constrains was fitted
+        # and reported with a standard error near zero
+        t = np.linspace(0, 6000, 61)
+        message = r"^fitted lifetime 30 ns is shorter than the first grid step 100 ns: the decay is not resolved$"
+        with pytest.raises(FitError, match=message):
+            pr.fit_exponential(TimeTrace(t, 0.1 + np.exp(-t / 30.0)))
+
     def test_growing_exponential_rejected(self):
         # unguarded, this returned lifetime 3.6e10 ns and amplitude
         # -2.2e8 +- 5.9e14: a decay no data point constrains

@@ -1,8 +1,15 @@
+import math
 import os
 
 import pytest
 
 from wgqed import records
+
+
+def test_fit_result_rejects_a_nan_uncertainty():
+    # a NaN uncertainty passed "sigma < 0" and reached the strict JSON writer
+    with pytest.raises(ValueError, match=r"^bad fit parameter lifetime_ns: 100.0 \+/- nan$"):
+        records.FitResult("exponential", {"lifetime_ns": (100.0, math.nan)}, 0.0)
 
 
 class TestWriteText:

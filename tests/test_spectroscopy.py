@@ -83,6 +83,12 @@ class TestSingleQubitTransmission:
                 0.185 / (18.1 + 0.185), rel=1e-12
             )
 
+    @pytest.mark.parametrize("delta", [0.0, 2.0])
+    def test_qubit_without_population_decay_transmits_everything(self, delta):
+        # gamma1_th * gamma2_th was a divisor: ZeroDivisionError
+        q = QubitParams("q", 0.0, 0.0, 0.5)
+        assert sp.single_qubit_transmission(q, omega_rabi=1.0, delta=delta) == 1.0
+
     def test_far_detuned_transparency(self):
         q = QubitParams.from_gamma_prime("Q6", 18.1, 0.185)
         linewidth = (18.1 + 0.185) / 2
