@@ -300,7 +300,7 @@ class Experiment:
     names for that call.  ``run`` calls check once and hands its
     product to run(spec, params, checked), which returns the artifacts in
     order as {file suffix: record}, where a record is a TimeTrace, a
-    SpectrumScan, a (header, rows) table or a JSON-ready dict;
+    SpectrumScan, a (header, columns) table or a JSON-ready dict;
     ``validate`` calls check alone and discards its product.
     """
 
@@ -566,7 +566,7 @@ def _check_calib(_spec, params) -> dict:
                 flux = np.linspace(0.0, 1.0, block["flux_points"])
                 artifacts["flux.csv"] = (
                     ("flux_phi0", "f01_ghz"),
-                    ((value, calibration.transmon_frequency(transmon, value)) for value in flux),
+                    (flux, [calibration.transmon_frequency(transmon, value) for value in flux]),
                 )
     if "resonator" in params:
         block = params["resonator"]
@@ -595,24 +595,21 @@ def _check_calib(_spec, params) -> dict:
 
 def _run_steady(spec, params, drive) -> dict:
     rho = spectroscopy.driven_steady_state(spec, drive, params["detuning_mhz"])
-    # Python ints and floats, in the row-major order of np.ndenumerate
-    row, col = np.indices(rho.shape).reshape(2, -1).tolist()
+    # the entries in the row-major order of np.ndenumerate
+    row, col = np.indices(rho.shape).reshape(2, -1)
     values = rho.reshape(-1)
-    rows = zip(row, col, values.real.tolist(), values.imag.tolist())
-    return {"state.csv": (("row", "col", "re", "im"), rows)}
+    return {"state.csv": (("row", "col", "re", "im"), (row, col, values.real, values.imag))}
 
 
 def _run_modes(spec, _params, _none) -> dict:
+    modes = core.collective_modes(spec)
+    amplitudes = np.array([mode.amplitudes for mode in modes])
     header = ["mode", "decay_mhz", "shift_mhz"]
+    columns = [range(len(modes)), [m.decay_rate for m in modes], [m.frequency_shift for m in modes]]
     for j in range(spec.n_qubits):
         header += [f"re_amp{j}", f"im_amp{j}"]
-    rows = []
-    for k, mode in enumerate(core.collective_modes(spec)):
-        row = [k, mode.decay_rate, mode.frequency_shift]
-        for amp in mode.amplitudes:
-            row += [amp.real, amp.imag]
-        rows.append(row)
-    return {"modes.csv": (header, rows)}
+        columns += [amplitudes[:, j].real, amplitudes[:, j].imag]
+    return {"modes.csv": (header, columns)}
 
 
 _EXPERIMENTS: dict[str, Experiment] = {

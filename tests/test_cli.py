@@ -1106,10 +1106,11 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     # without scipy.sparse.csgraph, and spectroscopy writes out its SI
     # constants; the Liouvillian layer (lindblad, and with it scipy.linalg
     # and scipy.sparse) loads only where a run needs protocols or a solve,
-    # so loading every bundled config and the closed forms leave it unloaded
+    # so loading every bundled config and the closed forms leave it unloaded;
+    # the CSV kernel's tables are built with int and numpy arithmetic alone
     lazy = (
         "scipy.signal", "scipy.optimize", "jsonschema", "scipy.sparse.csgraph", "scipy.constants",
-        "scipy.linalg", "scipy.sparse", "wgqed.lindblad", "wgqed.protocols",
+        "scipy.linalg", "scipy.sparse", "wgqed.lindblad", "wgqed.protocols", "fractions", "decimal",
     )
     code = """
 from importlib.resources import files
